@@ -31,7 +31,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from repro.attacks import AttackCampaign, BeamExplorer, EvasionAttack, GreedyExp
 from repro.data import SyntheticOhioT1DM, make_patient_profile
 from repro.glucose import GlucoseModelZoo
 from repro.obs import Timer
+from repro.utils.jsonio import dumps_strict
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -243,7 +243,7 @@ def main() -> None:
         "target_cohort_speedup": TARGET_COHORT_SPEEDUP,
         "meets_cohort_target": bool(speedup_cohort >= TARGET_COHORT_SPEEDUP),
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    args.output.write_text(dumps_strict(report, indent=2) + "\n")
     print(
         f"\ntotal speedup: {speedup_total:.1f}x (target >= {TARGET_TOTAL_SPEEDUP:g}x), "
         f"cohort vs PR1 batched: {speedup_cohort:.1f}x (target >= "

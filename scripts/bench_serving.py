@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import os
 import platform
 import sys
@@ -75,6 +74,7 @@ from repro.data import SyntheticOhioT1DM, make_patient_profile
 from repro.glucose import GlucoseModelZoo
 from repro.obs import Observer, Timer
 from repro.serving import StreamScheduler
+from repro.utils.jsonio import dumps_strict
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -983,7 +983,7 @@ def main() -> None:
             "smoke": smoke,
         },
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    args.output.write_text(dumps_strict(report, indent=2) + "\n")
     print(
         f"\nspeedup at 64 sessions: {speedup_at_64:.1f}x "
         f"(target >= {TARGET_SPEEDUP_AT_64:g}x), "

@@ -33,7 +33,6 @@ configuration without timing gates (CI uses it as a fast tripwire).
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 from pathlib import Path
@@ -54,6 +53,7 @@ from repro.detectors import LSTMVAEDetector, MADGANDetector
 from repro.glucose import GlucoseModelZoo
 from repro.glucose.predictor import GlucosePredictor
 from repro.obs import Timer
+from repro.utils.jsonio import dumps_strict
 
 BENCH_PATIENTS = [("A", 5), ("A", 0), ("A", 2)]
 BENCH_SEED = 17
@@ -323,7 +323,7 @@ def main() -> None:
         "vae_fit": vae,
         "loss_curve_tolerance": LOSS_CURVE_TOLERANCE,
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    args.output.write_text(dumps_strict(report, indent=2) + "\n")
     print(
         f"\npredictor fit: {predictor['speedup']:.2f}x "
         f"(target >= {TARGET_PREDICTOR_SPEEDUP:g}x), "

@@ -44,7 +44,6 @@ tier-1 test suite.
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import traceback
@@ -67,6 +66,7 @@ from repro.serving import (
     StreamReplayer,
     StreamScheduler,
 )
+from repro.utils.jsonio import dumps_strict
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -624,7 +624,7 @@ def main() -> int:
     report["gates"]["recovery_bitwise_identical"] = recovery
     ok = ok and recovery["passed"]
     report["all_gates_passed"] = bool(ok)
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    args.output.write_text(dumps_strict(report, indent=2) + "\n")
 
     print()
     for name, gate in report["gates"].items():

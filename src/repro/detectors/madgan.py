@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
-from repro.nn import functional as F
 from repro.nn import (
     Adam,
     BatchIterator,
@@ -33,6 +32,7 @@ from repro.nn import (
     Tensor,
     binary_cross_entropy_with_logits,
     fused_bce_with_logits_loss,
+    fused_mse_loss,
 )
 from repro.utils.timeseries import StandardScaler
 from repro.utils.validation import check_array, check_fitted
@@ -82,110 +82,6 @@ class SequenceGenerator(Module):
         return self.lstm.fused_backward_train(
             d_hidden.reshape(batch, timesteps, self.hidden_size), lstm_cache
         )
-
-    def inversion_grad(
-        self, latent: np.ndarray, target: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Graph-free forward plus latent-only backward for generator inversion.
-
-        Returns ``(generated, latent_gradient)`` where ``latent_gradient`` is
-        the gradient of ``mean((generated - target) ** 2)`` with respect to
-        ``latent``.  This is a hand-written BPTT through the frozen LSTM and
-        head that mirrors the autodiff graph operation-for-operation (same
-        clipped sigmoid, same gate math, same loss-gradient seeding), so the
-        inversion loop produces the same latent trajectory as optimizing
-        through the graph — without allocating a single ``Tensor`` node or
-        computing any parameter gradient.
-        """
-        cell = self.lstm.cell
-        weight_input = cell.weight_input.data
-        weight_hidden = cell.weight_hidden.data
-        bias = cell.bias.data
-        head_weight = self.head.weight.data
-        head_bias = self.head.bias.data
-
-        latent = np.asarray(latent, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        batch, timesteps, _ = latent.shape
-        size = self.hidden_size
-
-        # ---- forward (fused input projection, saved gate activations) ----
-        projections = (
-            latent.reshape(batch * timesteps, self.latent_dim) @ weight_input
-        ).reshape(batch, timesteps, 4 * size)
-        hidden = np.zeros((batch, size))
-        cell_state = np.zeros((batch, size))
-        hidden_seq = np.empty((batch, timesteps, size))
-        prev_cells = np.empty((batch, timesteps, size))
-        gate_i = np.empty((batch, timesteps, size))
-        gate_f = np.empty((batch, timesteps, size))
-        gate_g = np.empty((batch, timesteps, size))
-        gate_o = np.empty((batch, timesteps, size))
-        tanh_cells = np.empty((batch, timesteps, size))
-        for step in range(timesteps):
-            gates = (projections[:, step, :] + hidden @ weight_hidden) + bias
-            i = F.sigmoid(gates[:, 0:size])
-            f = F.sigmoid(gates[:, size : 2 * size])
-            g = np.tanh(gates[:, 2 * size : 3 * size])
-            o = F.sigmoid(gates[:, 3 * size : 4 * size])
-            prev_cells[:, step, :] = cell_state
-            cell_state = f * cell_state + i * g
-            tanh_c = np.tanh(cell_state)
-            hidden = o * tanh_c
-            gate_i[:, step, :] = i
-            gate_f[:, step, :] = f
-            gate_g[:, step, :] = g
-            gate_o[:, step, :] = o
-            tanh_cells[:, step, :] = tanh_c
-            hidden_seq[:, step, :] = hidden
-
-        flat = hidden_seq.reshape(batch * timesteps, size)
-        generated = (flat @ head_weight + head_bias).reshape(
-            batch, timesteps, self.n_features
-        )
-
-        # ---- backward, latent path only ----
-        residual = generated - target
-        # Seeded exactly as the autodiff `(r * r).mean()` backward: r/count
-        # accumulated twice (doubling is exact in floating point).
-        d_generated = residual * (1.0 / residual.size)
-        d_generated = d_generated + d_generated
-        d_hidden_seq = (
-            d_generated.reshape(batch * timesteps, self.n_features) @ head_weight.T
-        ).reshape(batch, timesteps, size)
-
-        d_hidden = np.zeros((batch, size))
-        d_cell = np.zeros((batch, size))
-        d_projections = np.empty_like(projections)
-        for step in range(timesteps - 1, -1, -1):
-            i = gate_i[:, step, :]
-            f = gate_f[:, step, :]
-            g = gate_g[:, step, :]
-            o = gate_o[:, step, :]
-            tanh_c = tanh_cells[:, step, :]
-            dh = d_hidden_seq[:, step, :] + d_hidden
-            d_output = dh * tanh_c
-            dc = d_cell + dh * o * (1.0 - tanh_c**2)
-            d_input = dc * g
-            d_forget = dc * prev_cells[:, step, :]
-            d_candidate = dc * i
-            d_cell = dc * f
-            d_gates = np.concatenate(
-                [
-                    d_input * i * (1.0 - i),
-                    d_forget * f * (1.0 - f),
-                    d_candidate * (1.0 - g**2),
-                    d_output * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            d_hidden = d_gates @ weight_hidden.T
-            d_projections[:, step, :] = d_gates
-
-        d_latent = (
-            d_projections.reshape(batch * timesteps, 4 * size) @ weight_input.T
-        ).reshape(latent.shape)
-        return generated, d_latent
 
 
 class SequenceDiscriminator(Module):
@@ -364,11 +260,12 @@ class MADGANDetector(AnomalyDetector):
         When True (the default) both training and scoring run graph-free.
         :meth:`fit` trains every GAN step through the fused engine
         (hand-written BPTT with full weight gradients, see
-        :meth:`_gan_step_fused`); scoring runs the inference fast paths: the
-        generator inversion keeps gradients only for the latent (the
-        generator's parameters are frozen during the loop, skipping every
-        weight-gradient computation), and the final reconstruction and the
-        discriminator probabilities are computed graph-free.  Set False to
+        :meth:`_gan_step_fused`); scoring runs the same fused kernels for
+        the generator inversion, with the generator frozen for the whole
+        loop so only the latent gradient is computed (every weight-gradient
+        matmul is skipped, see :meth:`_invert_fast`), and the final
+        reconstruction and the discriminator probabilities are computed
+        graph-free.  Set False to
         route every training step and scoring query through the full
         autodiff graph; the two paths agree within 1e-8 on gradients and
         produce step-for-step matching fixed-seed loss curves (see
@@ -613,21 +510,43 @@ class MADGANDetector(AnomalyDetector):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run ``steps`` fast-path inversion iterations from ``initial_latent``.
 
+        Each iteration is one fused training step of the generator
+        (:meth:`SequenceGenerator.fused_forward_train`,
+        :func:`~repro.nn.fused_mse_loss`,
+        :meth:`SequenceGenerator.fused_backward_train`) with the generator
+        frozen, followed by Adam on the latent and the ``[-2.5, 2.5]`` clip.
+        This is the single entry point of every fast inversion: cold
+        scoring, the fit's calibration, warm incremental scoring and the
+        coalesced cold batches.
+
         Returns ``(errors, latent)``: the per-window reconstruction error
         (max per-timestep MSE over the window, scaled feature units) and the
         optimized latent ``(n, sequence_length, latent_dim)`` — the carry-over
         :meth:`scores_incremental` stores per stream.
         """
         self.inversion_calls += 1
+        generator = self.generator
         latent = Parameter(
             np.array(initial_latent, dtype=np.float64, copy=True), name="latent"
         )
         optimizer = Adam([latent], learning_rate=self.inversion_learning_rate)
-        for _ in range(steps):
-            _, latent.grad = self.generator.inversion_grad(latent.data, scaled_windows)
-            optimizer.step()
-            latent.data = np.clip(latent.data, -2.5, 2.5)
-        generated = self.generator.fast_forward(latent.data)
+        # Freeze the generator for the whole loop so the fused backward skips
+        # every weight-gradient matmul and leaves each ``.grad`` untouched;
+        # restore each parameter's own flag, not a blanket True.
+        parameters = generator.parameters()
+        trainable = [parameter.requires_grad for parameter in parameters]
+        generator.requires_grad_(False)
+        try:
+            for _ in range(steps):
+                generated, cache = generator.fused_forward_train(latent.data)
+                _, d_generated = fused_mse_loss(generated, scaled_windows)
+                latent.grad = generator.fused_backward_train(d_generated, cache)
+                optimizer.step()
+                latent.data = np.clip(latent.data, -2.5, 2.5)
+        finally:
+            for parameter, flag in zip(parameters, trainable):
+                parameter.requires_grad = flag
+        generated = generator.fast_forward(latent.data)
         per_timestep = np.mean((generated - scaled_windows) ** 2, axis=2)
         return per_timestep.max(axis=1), latent.data
 
@@ -639,13 +558,13 @@ class MADGANDetector(AnomalyDetector):
     ) -> np.ndarray:
         """Best-effort generator inversion: optimize latent sequences by gradient.
 
-        With ``fast_path`` (defaulting to :attr:`use_fast_path`), every
-        optimization step runs :meth:`SequenceGenerator.inversion_grad` — a
-        graph-free forward plus a hand-written BPTT that computes gradients
-        *only for the latent*.  No autodiff nodes are allocated and no
-        parameter gradients are computed; the latent trajectory mirrors the
-        graph path operation-for-operation, so the two paths agree within
-        1e-8 (``tests/test_detectors.py`` pins this).
+        With ``fast_path`` (defaulting to :attr:`use_fast_path`), the loop
+        runs :meth:`_invert_fast`: each step is the fused training forward,
+        :func:`~repro.nn.fused_mse_loss` and the fused BPTT through the
+        frozen generator, which yields the latent gradient without
+        allocating autodiff nodes or computing any parameter gradient.  The
+        graph loop below stays as the reference; the two agree within 1e-8
+        (``tests/test_detectors.py`` pins this).
 
         ``initial_latent`` overrides the random latent initialization; when
         omitted, one latent sample is drawn from the detector's persistent RNG

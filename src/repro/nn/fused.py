@@ -20,9 +20,11 @@ Both return ``(loss_value, grad_wrt_inputs)`` and mirror the corresponding
 autodiff ops operation-for-operation (same clipped sigmoid, same
 ``sum * (1/count)`` mean, same doubled-residual MSE seeding), so fused
 gradients match the graph within 1e-8 and fixed-seed training runs produce
-step-for-step matching loss curves — the same recipe
-:meth:`~repro.detectors.madgan.SequenceGenerator.inversion_grad` proved for
-the latent-only inversion path, generalized to full weight gradients.
+step-for-step matching loss curves.  With a module frozen
+(``requires_grad_(False)``) the same kernels compute only the input
+gradient: MAD-GAN's generator inversion
+(:meth:`~repro.detectors.madgan.MADGANDetector._invert_fast`) runs on them
+to get the latent gradient.
 
 Parameter gradients are accumulated with the same semantics as
 :meth:`Tensor._accumulate` (``None`` → set, otherwise add), writing the first

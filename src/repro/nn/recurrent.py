@@ -316,14 +316,15 @@ class LSTM(Module):
         """Full truncated BPTT with weight gradients (hand-written).
 
         The per-step backward mirrors the autodiff gate math
-        operation-for-operation (see ``SequenceGenerator.inversion_grad`` for
-        the latent-only precedent), writing each step's four gate-gradient
+        operation-for-operation, writing each step's four gate-gradient
         blocks directly into a time-major ``(time, batch, 4 * hidden)``
         stack.  The weight gradients are then fused into three calls —
         ``dWi = x.T @ d_gates``, ``dWh = h_prev.T @ d_gates``, and the bias
         row-sum — instead of one small matmul per timestep; frozen parameters
-        skip their matmuls entirely.  Returns the gradient with respect to
-        the layer inputs (caller time order).
+        skip their matmuls entirely, so a fully frozen layer computes only
+        the input gradient (MAD-GAN's generator inversion relies on this).
+        Returns the gradient with respect to the layer inputs (caller time
+        order).
         """
         grad_output = np.asarray(grad_output, dtype=np.float64)
         time_major = cache["inputs"]

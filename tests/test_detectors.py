@@ -268,24 +268,96 @@ class TestMADGANFastPathRegression:
 
         np.testing.assert_array_equal(decisions(True), decisions(False))
 
-    def test_inversion_grad_matches_autodiff(self, fitted):
-        from repro.nn import Parameter, Tensor
+    def test_frozen_fused_inversion_matches_autodiff(self, fitted):
+        from repro.nn import Parameter, Tensor, fused_mse_loss
 
         windows, _ = make_toy_windows(n_benign=6, n_malicious=0, seed=44)
         scaled = fitted._scale(windows)
         latent_values = fitted._sample_latent(len(scaled)) * 0.1
 
-        generated_fast, grad_fast = fitted.generator.inversion_grad(latent_values, scaled)
+        generator = fitted.generator
+        generator.zero_grad()
+        generator.requires_grad_(False)
+        try:
+            generated_fast, cache = generator.fused_forward_train(latent_values)
+            _, d_generated = fused_mse_loss(generated_fast, scaled)
+            grad_fast = generator.fused_backward_train(d_generated, cache)
+        finally:
+            generator.requires_grad_(True)
+        # Frozen: no weight gradient was computed.
+        assert all(parameter.grad is None for parameter in generator.parameters())
 
         latent = Parameter(latent_values.copy(), name="latent")
-        fitted.generator.zero_grad()
-        generated = fitted.generator(latent)
+        generator.zero_grad()
+        generated = generator(latent)
         residual = generated - Tensor(scaled)
         (residual * residual).mean().backward()
 
         np.testing.assert_allclose(generated_fast, generated.numpy(), atol=1e-10, rtol=0.0)
         np.testing.assert_allclose(grad_fast, latent.grad, atol=1e-12, rtol=0.0)
-        fitted.generator.zero_grad()
+        generator.zero_grad()
+
+    @staticmethod
+    def _caller_state(generator):
+        """Freeze one parameter and give another a pending gradient, as a
+        caller mid-training might; returns each parameter's flag, ``.grad``
+        object and gradient values."""
+        parameters = generator.parameters()
+        parameters[0].requires_grad = False
+        parameters[1].grad = np.full_like(parameters[1].data, 0.25)
+        return [
+            (p.requires_grad, p.grad, None if p.grad is None else p.grad.copy())
+            for p in parameters
+        ]
+
+    @staticmethod
+    def _assert_parameters_unchanged(generator, snapshot):
+        for parameter, (flag, grad, values) in zip(generator.parameters(), snapshot):
+            assert parameter.requires_grad is flag
+            assert parameter.grad is grad
+            if values is not None:
+                np.testing.assert_array_equal(parameter.grad, values)
+
+    def test_invert_fast_restores_caller_parameter_state(self, fitted):
+        generator = fitted.generator
+        windows, _ = make_toy_windows(n_benign=5, n_malicious=0, seed=45)
+        scaled = fitted._scale(windows)
+        latent = fitted._sample_latent(len(scaled)) * 0.1
+        snapshot = self._caller_state(generator)
+        try:
+            fitted._invert_fast(scaled, latent, steps=3)
+            self._assert_parameters_unchanged(generator, snapshot)
+        finally:
+            generator.requires_grad_(True)
+            generator.zero_grad()
+
+    def test_invert_fast_restores_parameter_state_on_error(self, fitted, monkeypatch):
+        generator = fitted.generator
+        windows, _ = make_toy_windows(n_benign=5, n_malicious=0, seed=46)
+        scaled = fitted._scale(windows)
+        latent = fitted._sample_latent(len(scaled)) * 0.1
+        backward = generator.fused_backward_train
+        calls = []
+
+        def failing_backward(grad_output, cache):
+            calls.append(1)
+            if len(calls) == 2:
+                # Mid-loop: the generator is frozen at this point.
+                assert not any(p.requires_grad for p in generator.parameters())
+                raise RuntimeError("injected failure")
+            return backward(grad_output, cache)
+
+        snapshot = self._caller_state(generator)
+        monkeypatch.setattr(generator, "fused_backward_train", failing_backward)
+        try:
+            with pytest.raises(RuntimeError, match="injected failure"):
+                fitted._invert_fast(scaled, latent, steps=4)
+            assert len(calls) == 2
+            self._assert_parameters_unchanged(generator, snapshot)
+        finally:
+            monkeypatch.undo()
+            generator.requires_grad_(True)
+            generator.zero_grad()
 
 
 def make_toy_trace(n_ticks: int, seed: int = 5, history: int = 12):
