@@ -29,10 +29,6 @@ Two additional configurations cover the streaming hot path's v2 targets:
   vs warm (``scores_incremental``: inversion warm-started from each stream's
   previous-tick latent).  Steady-state per-tick cost must drop by >= 3x with
   warm-vs-cold verdicts identical on every tick and the DR score gap bounded.
-* ``family_scoring`` — the same 64-stream comparison for the LSTM-VAE
-  (projection ring) and Gaussian-HMM (partial-alpha band) brains: streaming
-  vs offline re-score, verdicts bitwise on every tick, HMM scores bitwise and
-  VAE scores within the ``check_parity`` tolerance (timing informational).
 
 A multiprocess scale sweep then re-serves a large fleet (``1024`` sessions
 across ``8`` model lanes) through :class:`repro.serving.shard.ShardedScheduler`
@@ -105,12 +101,6 @@ TARGET_INCREMENTAL_SPEEDUP = 3.0
 #: so verdicts cannot flip inside this band).
 INCREMENTAL_SCORE_TOLERANCE = 0.5
 INCREMENTAL_RNG_SEED = 123
-
-#: LSTM-VAE + HMM streaming-vs-offline comparison (same 64-stream fixture).
-#: Parity is the gate (verdicts bitwise, scores per the check_parity table);
-#: the speedup is reported but not floored.
-FAMILY_VAE_KWARGS = dict(epochs=5, hidden_size=12, latent_dim=3, batch_size=32, seed=0)
-FAMILY_HMM_KWARGS = dict(n_states=4, n_iter=5, seed=0)
 
 #: Sharded scale sweep: sessions spread over distinct model lanes, served at
 #: each worker count with bitwise parity against the single-process scheduler.
@@ -347,101 +337,6 @@ def bench_incremental_scoring(zoo, cohort, repeats: int):
         "verdict_parity": True,  # asserted above, every tick of every repeat
         "decision_threshold": float(detector.calibrator.threshold_),
     }
-
-
-def bench_family_scoring(zoo, cohort, repeats: int):
-    """Per-tick LSTM-VAE + HMM scoring: streaming state vs offline re-score.
-
-    Drives the same 64 per-stream traces as the MAD-GAN comparison through
-    each new window brain two ways — ``scores`` (full window re-score every
-    tick) and ``scores_incremental`` (VAE projection ring / HMM partial-alpha
-    band) — and asserts the family contract on every tick: verdicts bitwise
-    identical for both, HMM scores bitwise, VAE scores within the
-    ``check_parity`` tolerance.  Timing is informational (parity is the
-    gate): streaming amortizes the per-window recompute across overlapping
-    windows, so the ratio is reported alongside the MAD-GAN speedup.
-    """
-    from check_parity import VAE_STREAM_SCORE_TOLERANCE
-    from repro.detectors import GaussianHMMDetector, LSTMVAEDetector
-
-    train_windows, _, _ = zoo.dataset.from_cohort(cohort, split="train")
-    benign = train_windows[::2]
-    family = {
-        "lstm_vae": LSTMVAEDetector(**FAMILY_VAE_KWARGS).fit(benign),
-        "hmm": GaussianHMMDetector(**FAMILY_HMM_KWARGS).fit(benign),
-    }
-    history = family["lstm_vae"].sequence_length
-    traces = [
-        trace.copy()
-        for trace in session_traces(
-            cohort,
-            INCREMENTAL_SESSIONS,
-            history + INCREMENTAL_WARMUP_TICKS + INCREMENTAL_TICKS,
-        )
-    ]
-    for index in range(0, INCREMENTAL_SESSIONS, 8):
-        traces[index][history - 4 :, 0] = 400.0
-
-    def tick_windows(tick):
-        return np.stack([trace[tick : tick + history] for trace in traces])
-
-    report = {}
-    for name, detector in family.items():
-        offline_timer = Timer()
-        streamed_timer = Timer()
-        tolerance = 0.0 if name == "hmm" else VAE_STREAM_SCORE_TOLERANCE
-        worst_gap = 0.0
-        for _ in range(repeats):
-            offline_scores = []
-            for tick in range(INCREMENTAL_WARMUP_TICKS):
-                detector.scores(tick_windows(tick))
-            with offline_timer.lap():
-                for tick in range(
-                    INCREMENTAL_WARMUP_TICKS,
-                    INCREMENTAL_WARMUP_TICKS + INCREMENTAL_TICKS,
-                ):
-                    offline_scores.append(detector.scores(tick_windows(tick)))
-
-            states = [detector.make_inversion_state() for _ in traces]
-            streamed_scores = []
-            for tick in range(INCREMENTAL_WARMUP_TICKS):
-                detector.scores_incremental(tick_windows(tick), states)
-            with streamed_timer.lap():
-                for tick in range(
-                    INCREMENTAL_WARMUP_TICKS,
-                    INCREMENTAL_WARMUP_TICKS + INCREMENTAL_TICKS,
-                ):
-                    streamed_scores.append(
-                        detector.scores_incremental(tick_windows(tick), states)
-                    )
-
-            for offline, streamed in zip(offline_scores, streamed_scores):
-                worst_gap = max(worst_gap, float(np.abs(offline - streamed).max()))
-                if not np.array_equal(
-                    detector.calibrator.predict(offline),
-                    detector.calibrator.predict(streamed),
-                ):
-                    raise SystemExit(
-                        f"{name}: streaming verdicts diverged from offline scores"
-                    )
-        if worst_gap > tolerance:
-            raise SystemExit(
-                f"{name}: streaming score gap {worst_gap:.3e} exceeds the "
-                f"{tolerance:g} tolerance"
-            )
-        report[name] = {
-            "offline_seconds": offline_timer.best,
-            "streamed_seconds": streamed_timer.best,
-            "offline_tick_latency_ms": offline_timer.best / INCREMENTAL_TICKS * 1e3,
-            "streamed_tick_latency_ms": streamed_timer.best / INCREMENTAL_TICKS * 1e3,
-            "speedup": offline_timer.best / streamed_timer.best,
-            "max_score_gap": worst_gap,
-            "score_tolerance": tolerance,
-            "verdict_parity": True,  # asserted above, every tick of every repeat
-        }
-    report["n_sessions"] = INCREMENTAL_SESSIONS
-    report["ticks"] = INCREMENTAL_TICKS
-    return report
 
 
 def available_cores() -> int:
@@ -880,17 +775,6 @@ def main() -> None:
         f"score gap {incremental['max_score_gap']:.3f})"
     )
 
-    print("timing LSTM-VAE + HMM scoring (streaming state vs offline, 64 streams)...")
-    family = bench_family_scoring(zoo, cohort, args.repeats)
-    for name in ("lstm_vae", "hmm"):
-        entry = family[name]
-        print(
-            f"  {name}: offline {entry['offline_tick_latency_ms']:.1f} ms/tick, "
-            f"streamed {entry['streamed_tick_latency_ms']:.1f} ms/tick "
-            f"({entry['speedup']:.1f}x, verdicts bitwise, "
-            f"score gap {entry['max_score_gap']:.2e})"
-        )
-
     print(
         f"sweeping sharded serving ({SHARD_SWEEP_SESSIONS} sessions, "
         f"{SHARD_LANES} lanes, workers {SHARD_WORKER_COUNTS})..."
@@ -970,8 +854,6 @@ def main() -> None:
                 incremental["speedup"] >= TARGET_INCREMENTAL_SPEEDUP
             ),
         },
-        # Parity-gated only; see bench_family_scoring's docstring.
-        "family_scoring": family,
         "shard_sweep": shard_sweep,
         "observability": observability,
         "recovery": recovery,

@@ -537,11 +537,13 @@ def run_detector_family_smoke(
     tiny budget, then asserts the two contracts that admit a detector into
     the serving fabric:
 
-    * **Streaming == offline** — driving one test trace sample-by-sample
-      through :class:`~repro.detectors.StreamingDetector` produces verdicts
-      bitwise identical to the offline ``predict`` on the same sliding
-      windows.  HMM scores are bitwise too (broadcast-reduce arithmetic is
-      batch-shape independent); LSTM-VAE scores are held to
+    * **Streaming == offline** — both brains stream statelessly (the
+      adapter carries no scoring state; each warm tick is one ``predict``
+      on its window), and driving one test trace sample-by-sample through
+      :class:`~repro.detectors.StreamingDetector` produces verdicts bitwise
+      identical to the offline ``predict`` on the same sliding windows.
+      HMM scores are bitwise too (broadcast-reduce arithmetic is batch-shape
+      independent); LSTM-VAE scores are held to
       :data:`VAE_STREAM_SCORE_TOLERANCE` (BLAS rounds per batch shape).
     * **Sharded == single-process** — a chaos-mix replay (sensor faults,
       device clocks, session churn) over a multi-lane zoo is bitwise
@@ -589,7 +591,9 @@ def run_detector_family_smoke(
         adapter = StreamingDetector(
             detector, unit="window", history=history, include_scores=True
         )
-        assert adapter.incremental, f"{name}: incremental streaming not auto-enabled"
+        assert not adapter.incremental and adapter.inversion_state is None, (
+            f"{name}: window brain must stream statelessly"
+        )
         stream_flags, stream_scores = [], []
         for sample in features:
             verdict = adapter.update(sample)

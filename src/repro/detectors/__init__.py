@@ -12,8 +12,8 @@ from repro.detectors.madgan import (
     SequenceDiscriminator,
     SequenceGenerator,
 )
-from repro.detectors.lstm_vae import LSTMVAEDetector, VAEStreamState
-from repro.detectors.hmm import GaussianHMMDetector, HMMStreamState
+from repro.detectors.lstm_vae import LSTMVAEDetector
+from repro.detectors.hmm import GaussianHMMDetector
 from repro.detectors.ensemble import VotingEnsembleDetector
 from repro.detectors.streaming import StreamingDetector, StreamVerdict
 
@@ -33,9 +33,7 @@ __all__ = [
     "SequenceGenerator",
     "SequenceDiscriminator",
     "LSTMVAEDetector",
-    "VAEStreamState",
     "GaussianHMMDetector",
-    "HMMStreamState",
     "VotingEnsembleDetector",
     "StreamingDetector",
     "StreamVerdict",

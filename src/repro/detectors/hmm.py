@@ -7,18 +7,21 @@ windows by Baum-Welch (scaled forward-backward), and a window's anomaly score
 is its negative log-likelihood under the model — an attacked window walks off
 the benign state manifold and its forward probabilities collapse.
 
-Every scoring path is deterministic and built from row-independent
-broadcast-reduce kernels (no BLAS matmuls whose rounding depends on batch
-shape), so the streaming forward band (:class:`HMMStreamState`) reproduces
-the offline :meth:`GaussianHMMDetector.scores` **bitwise**, and sharded
-serving layouts are bitwise-invariant — the strongest parity class in the
-detector tolerance table (``docs/detectors.md``).
+Scoring is deterministic and built from row-independent broadcast-reduce
+kernels (no BLAS matmuls whose rounding depends on batch shape), so a
+window's score is bitwise the same whatever batch it is scored in: the
+serving fabric's per-lane ``predict`` calls reproduce offline scoring
+**bitwise**, and sharded serving layouts are bitwise-invariant — the
+strongest parity class in the detector tolerance table
+(``docs/detectors.md``).  Streams are scored statelessly, one batched
+forward pass over each tick's windows: a per-stream forward band was slower
+than this at 64 and 1024 streams.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,61 +33,10 @@ from repro.utils.validation import check_array, check_fitted
 
 #: Emission-probability floor shared by every forward pass.  An extreme
 #: anomaly can drive all state densities to exactly 0.0, which would poison
-#: the forward recursion with NaNs that (unlike the per-window offline
-#: restart) a streaming band carries into later windows; flooring keeps the
+#: the forward recursion (and Baum-Welch) with NaNs; flooring keeps the
 #: recursion finite — such a window scores log-likelihood ≈ −700/step, far
-#: beyond any calibrated threshold — and keeps both paths bitwise identical.
+#: beyond any calibrated threshold.
 EMISSION_FLOOR = 1e-300
-
-
-class HMMStreamState:
-    """Per-stream forward-algorithm band for O(1)-amortized streaming scoring.
-
-    A window's likelihood is a forward recursion restarted at the window
-    start, and the window start moves every tick — so the state maintains one
-    *partial* forward per overlapping window: a band of up to
-    ``sequence_length − 1`` scaled alpha vectors ordered oldest-first, each
-    with its accumulated log-scale sum.  A tick advances the whole band with
-    the newest sample (one broadcast-reduce over the transition matrix),
-    starts a fresh forward at that sample, and the band's oldest entry — now
-    a full-window forward — yields the tick's score.  Per-tick work is
-    ``O(sequence_length · n_states²)`` regardless of stream length.
-
-    The counters mirror :class:`repro.detectors.madgan.InversionState` so the
-    streaming adapter's drain/watchdog plumbing works unchanged (the HMM path
-    is deterministic: ``fallbacks``/``pending_cold`` stay 0 forever).
-    """
-
-    __slots__ = (
-        "alphas",
-        "logliks",
-        "filled",
-        "ticks",
-        "fallbacks",
-        "pending_cold",
-        "consecutive_fallbacks",
-    )
-
-    def __init__(self, band_size: int, n_states: int):
-        if band_size <= 0 or n_states <= 0:
-            raise ValueError("band_size and n_states must be positive")
-        self.alphas = np.zeros((band_size, n_states))
-        self.logliks = np.zeros(band_size)
-        self.filled = 0
-        self.ticks = 0
-        self.fallbacks = 0
-        self.pending_cold = 0
-        self.consecutive_fallbacks = 0
-
-    def reset(self) -> None:
-        """Empty the band; the next call re-seeds from a full window."""
-        self.alphas[:] = 0.0
-        self.logliks[:] = 0.0
-        self.filled = 0
-        self.ticks = 0
-        self.fallbacks = 0
-        self.pending_cold = 0
-        self.consecutive_fallbacks = 0
 
 
 class GaussianHMMDetector(AnomalyDetector):
@@ -117,9 +69,6 @@ class GaussianHMMDetector(AnomalyDetector):
     """
 
     name = "HMM"
-    #: Scoring has no slow/reference twin — the flag exists so the streaming
-    #: adapter's fast-path auto-enable treats the HMM like the other brains.
-    use_fast_path = True
 
     def __init__(
         self,
@@ -178,8 +127,7 @@ class GaussianHMMDetector(AnomalyDetector):
 
         Pure elementwise/broadcast arithmetic — each frame's row of the
         result is computed independently of how many other frames share the
-        call, which is what makes batched offline scoring and the one-sample
-        streaming advance bitwise identical.
+        call, which is what makes scores independent of batch composition.
         """
         diff = frames[..., np.newaxis, :] - self.means_
         log_prob = -0.5 * (
@@ -196,7 +144,7 @@ class GaussianHMMDetector(AnomalyDetector):
         ``alphas`` is ``(m, n_states)``; the transition product is the
         broadcast-reduce ``(alphas[:, :, None] * A).sum(axis=1)`` — NOT a
         BLAS matmul, whose rounding would depend on ``m`` and break the
-        bitwise streaming/offline/sharded equivalence.  Returns the
+        bitwise serving/offline/sharded equivalence.  Returns the
         normalized alphas and the per-row scale ``c`` (its log accumulates
         into the window log-likelihood).
         """
@@ -302,12 +250,7 @@ class GaussianHMMDetector(AnomalyDetector):
 
     # ------------------------------------------------------------------ scoring
     def _window_logliks(self, scaled: np.ndarray) -> np.ndarray:
-        """Scaled-forward log-likelihood of each ``(T, F)`` window, batched.
-
-        The scalar additions per window follow the exact tick order the
-        streaming band uses (one ``log c`` per consumed sample), so the two
-        paths are bitwise identical.
-        """
+        """Scaled-forward log-likelihood of each ``(T, F)`` window, batched."""
         count, timesteps, _ = scaled.shape
         probs = self._emission_probs(scaled)
         logliks = np.zeros(count)
@@ -334,98 +277,6 @@ class GaussianHMMDetector(AnomalyDetector):
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""
         return self.calibrator.predict(self.scores(windows))
-
-    # ----------------------------------------------------------- incremental API
-    def make_inversion_state(self) -> HMMStreamState:
-        """Fresh per-stream forward band for :meth:`scores_incremental`."""
-        return HMMStreamState(max(self.sequence_length - 1, 1), self.n_states)
-
-    def _advance_stream(self, state: HMMStreamState, frame: np.ndarray) -> Optional[float]:
-        """Advance one stream's band by one sample; return the emitted log-likelihood.
-
-        Returns None while the band is still growing (fewer than
-        ``sequence_length`` samples consumed since the last reset).
-        """
-        probs = self._emission_probs(frame[np.newaxis])[0]
-        band_size = self.sequence_length - 1
-        emitted: Optional[float] = None
-        filled = state.filled
-        if filled:
-            advanced, scale = self._advance(state.alphas[:filled], self.transmat_, probs)
-            state.alphas[:filled] = advanced
-            state.logliks[:filled] += np.log(scale)
-        if filled == band_size:
-            # The oldest entry has now consumed a full window: emit its score
-            # and retire it.
-            emitted = float(state.logliks[0])
-            state.alphas[:-1] = state.alphas[1:]
-            state.logliks[:-1] = state.logliks[1:]
-            filled -= 1
-        fresh = self.startprob_ * probs
-        scale = fresh.sum()
-        state.alphas[filled] = fresh / scale
-        state.logliks[filled] = np.log(scale)
-        state.filled = filled + 1
-        return emitted
-
-    def scores_incremental(
-        self, windows: np.ndarray, states: Sequence[HMMStreamState]
-    ) -> np.ndarray:
-        """Streaming negative log-likelihoods via per-stream forward bands.
-
-        Parameters
-        ----------
-        windows:
-            ``(n, sequence_length, n_features)`` raw windows, one per stream,
-            each the stream's current sliding window (shifted by exactly one
-            sample since that stream's previous call).
-        states:
-            One :class:`HMMStreamState` per window, aligned by position and
-            updated in place.  A stream's first call (empty band) replays the
-            whole window through the band — identical arithmetic to the
-            offline forward — and later calls advance with just the newest
-            sample: O(1) work per tick.
-
-        Scores are **bitwise equal** to :meth:`scores` on the same windows
-        (``check_parity.run_detector_family_smoke`` gates this).
-        """
-        check_fitted(self, ("_scaler", "loglik_history_"))
-        windows = np.asarray(windows, dtype=np.float64)
-        if len(windows) != len(states):
-            raise ValueError("windows and states must have the same length")
-        scaled = self._scale(windows)
-        scores = np.empty(len(scaled))
-        for index, state in enumerate(states):
-            if state.filled == 0:
-                # Cold seed: replay the full window sample-by-sample; the
-                # final advance emits the full-window likelihood.
-                emitted = None
-                for step in range(self.sequence_length):
-                    emitted = self._advance_stream(state, scaled[index, step])
-            else:
-                emitted = self._advance_stream(state, scaled[index, -1])
-            if emitted is None:
-                raise RuntimeError("forward band failed to emit a full-window score")
-            scores[index] = -emitted
-            state.ticks += 1
-        return scores
-
-    def predict_incremental(
-        self,
-        windows: np.ndarray,
-        states: Sequence[HMMStreamState],
-        include_scores: bool = False,
-    ):
-        """Binary decisions via :meth:`scores_incremental` (one band advance).
-
-        Returns the ``(n,)`` int flag array, or ``(flags, scores)`` when
-        ``include_scores`` is True.
-        """
-        scores = self.scores_incremental(windows, states)
-        flags = self.calibrator.predict(scores)
-        if include_scores:
-            return flags, scores
-        return flags
 
     # -------------------------------------------------------------- addressing
     def state_hash(self) -> str:

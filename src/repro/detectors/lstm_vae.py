@@ -13,18 +13,19 @@ backward chain through the reparameterization trick (see
 Scoring is **deterministic**: the latent is the encoder mean (no sampling),
 so repeated calls are bitwise identical and — unlike MAD-GAN, whose inversion
 draws per-call latents — the LSTM-VAE joins the serving fabric's bitwise
-parity gates (``check_parity.run_detector_family_smoke``): streaming
-*verdicts* are bitwise equal to offline :meth:`LSTMVAEDetector.predict`
-(streaming scores agree within 1e-12 — BLAS rounds per batch shape, and the
-per-tick call batches fewer windows than the offline one), and sharded
-layouts are bitwise equal to single-process serving at every shard count
-(identical per-lane batches, identical arithmetic).
+parity gates (``check_parity.run_detector_family_smoke``).  Streams are
+scored statelessly: each tick is one :meth:`LSTMVAEDetector.predict` over the
+lane's windows, so streaming verdicts are exactly offline ``predict``
+(scores agree within 1e-12 — BLAS rounds per batch shape, and a tick batches
+fewer windows than an offline call), and sharded layouts are bitwise equal
+to single-process serving at every shard count (identical per-lane batches,
+identical arithmetic).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -169,53 +170,6 @@ class _VAECore(Module):
         d_encoded = self.mu_head.fused_backward_train(d_mu, mu_cache)
         d_encoded = d_encoded + self.logvar_head.fused_backward_train(d_logvar, logvar_cache)
         return self.encoder.fused_backward_train(d_encoded, encoder_cache)
-
-
-class VAEStreamState:
-    """Per-stream encoder carry-over for :meth:`LSTMVAEDetector.scores_incremental`.
-
-    The encoder restarts at every sliding-window boundary, so — exactly like
-    :class:`repro.nn.recurrent.BiLSTMStreamState` — what *can* be carried is
-    the position-independent work: the fused input projection
-    ``sample @ weight_input`` of each window sample.  The state keeps a ring
-    of the last ``sequence_length`` projections in window order; a steady
-    tick pays one ``(features,) @ (features, 4·hidden)`` projection instead
-    of re-projecting the whole window.  The remaining counters mirror
-    :class:`repro.detectors.madgan.InversionState` so the streaming adapter's
-    drain/watchdog plumbing works unchanged (the VAE path is deterministic,
-    so ``fallbacks``/``pending_cold`` stay 0 forever).
-    """
-
-    __slots__ = (
-        "projections",
-        "cursor",
-        "count",
-        "ticks",
-        "fallbacks",
-        "pending_cold",
-        "consecutive_fallbacks",
-    )
-
-    def __init__(self, sequence_length: int, projection_width: int):
-        if sequence_length <= 0 or projection_width <= 0:
-            raise ValueError("sequence_length and projection_width must be positive")
-        self.projections = np.zeros((sequence_length, projection_width))
-        self.cursor = 0
-        self.count = 0
-        self.ticks = 0
-        self.fallbacks = 0
-        self.pending_cold = 0
-        self.consecutive_fallbacks = 0
-
-    def reset(self) -> None:
-        """Empty the projection ring; the next call re-seeds from a full window."""
-        self.projections[:] = 0.0
-        self.cursor = 0
-        self.count = 0
-        self.ticks = 0
-        self.fallbacks = 0
-        self.pending_cold = 0
-        self.consecutive_fallbacks = 0
 
 
 class LSTMVAEDetector(AnomalyDetector):
@@ -421,98 +375,6 @@ class LSTMVAEDetector(AnomalyDetector):
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""
         return self.calibrator.predict(self.scores(windows))
-
-    # ----------------------------------------------------------- incremental API
-    def make_inversion_state(self) -> VAEStreamState:
-        """Fresh per-stream encoder carry-over for :meth:`scores_incremental`."""
-        return VAEStreamState(self.sequence_length, 4 * self.hidden_size)
-
-    def scores_incremental(
-        self, windows: np.ndarray, states: Sequence[VAEStreamState]
-    ) -> np.ndarray:
-        """Streaming NLL scores with per-stream encoder-projection carry-over.
-
-        Parameters
-        ----------
-        windows:
-            ``(n, sequence_length, n_features)`` raw windows, one per stream,
-            each the stream's current sliding window (shifted by exactly one
-            sample since that stream's previous call).
-        states:
-            One :class:`VAEStreamState` per window, aligned by position and
-            updated in place.  A stream's first call (empty ring) projects
-            the whole window once to seed the ring; later calls project only
-            the newest sample.
-
-        The encoder recurrence then runs on the ring rows with the identical
-        per-step arithmetic as :meth:`repro.nn.recurrent.LSTM.fast_forward`,
-        and the decoder/score tail is shared with :meth:`scores` — streaming
-        *verdicts* are bitwise equal to the offline path and streaming scores
-        agree within 1e-12 (``check_parity.run_detector_family_smoke`` and
-        ``tests/test_detectors_vae_hmm.py`` gate both).  Scores are not
-        bitwise because BLAS rounds per batch shape: the per-tick call
-        multiplies one window (and, steady-state, one sample) where the
-        offline call multiplies all windows at once.  Calls with identical
-        batch composition — a repeated call, or sharded vs single-process
-        serving of the same lane — ARE bitwise identical.
-        """
-        check_fitted(self, ("_scaler", "history_"))
-        windows = np.asarray(windows, dtype=np.float64)
-        if len(windows) != len(states):
-            raise ValueError("windows and states must have the same length")
-        scaled = self._scale(windows)
-        count = len(scaled)
-        sequence_length = self.sequence_length
-        cell = self._core.encoder.cell
-        weight_input = cell.weight_input.data
-        projected = np.empty((count, sequence_length, 4 * self.hidden_size))
-        for index, state in enumerate(states):
-            if state.count < sequence_length:
-                # Cold seed (first call or post-reset): project the whole
-                # window — the same fused ``(T, F) @ (F, 4H)`` product
-                # fast_forward uses — and store it in window order.
-                ring = scaled[index] @ weight_input
-                state.projections[:] = ring
-                state.cursor = 0
-                state.count = sequence_length
-                projected[index] = ring
-            else:
-                state.projections[state.cursor] = scaled[index, -1, :] @ weight_input
-                state.cursor = (state.cursor + 1) % sequence_length
-                start = state.cursor
-                if start:
-                    projected[index, : sequence_length - start] = state.projections[start:]
-                    projected[index, sequence_length - start :] = state.projections[:start]
-                else:
-                    projected[index] = state.projections
-            state.ticks += 1
-
-        hidden = np.zeros((count, self.hidden_size))
-        cell_state = np.zeros((count, self.hidden_size))
-        gates_buffer = np.empty((count, 4 * self.hidden_size))
-        for step in range(sequence_length):
-            hidden, cell_state = cell.fast_step(
-                projected[:, step, :], hidden, cell_state, gates_buffer
-            )
-        latent_mean = self._core.mu_head.fast_forward(hidden)
-        return self._decode_scores(scaled, latent_mean)
-
-    def predict_incremental(
-        self,
-        windows: np.ndarray,
-        states: Sequence[VAEStreamState],
-        include_scores: bool = False,
-    ):
-        """Binary decisions via :meth:`scores_incremental` (one encoder pass).
-
-        Returns the ``(n,)`` int flag array, or ``(flags, scores)`` when
-        ``include_scores`` is True.
-        """
-        scores = self.scores_incremental(windows, states)
-        flags = self.calibrator.predict(scores)
-        if include_scores:
-            return flags, scores
-        return flags
 
     # -------------------------------------------------------------- addressing
     def state_hash(self) -> str:

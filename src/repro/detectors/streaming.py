@@ -13,9 +13,11 @@ by ``tests/test_serving.py`` and ``tests/test_detectors_vae_hmm.py``
 (per-detector score tolerances: ``docs/detectors.md``).
 
 Detectors exposing the incremental API (``make_inversion_state`` +
-``scores_incremental``) are auto-upgraded to O(1)-per-tick scoring with one
-carried state object per stream — MAD-GAN's warm-started latent, the
-LSTM-VAE's projection ring, the HMM's partial-alpha band.
+``scores_incremental`` — today only MAD-GAN, whose carried state is the
+warm-started inversion latent) are auto-upgraded to incremental scoring with
+one carried state object per stream.  Every other window brain (LSTM-VAE,
+HMM) is stateless: one batched ``predict`` per tick, which measured faster
+than carrying per-stream state at 64 and 1024 streams.
 
 The adapter holds one ring per stream; the underlying detector object may be
 shared by many adapters, which is what lets the serving scheduler coalesce
@@ -86,7 +88,7 @@ class StreamingDetector:
     unit:
         ``"sample"`` feeds the detector single-measurement views ``(1, 1, F)``
         (the paper's per-measurement kNN/OC-SVM flags); ``"window"`` feeds it
-        full ``(1, history, F)`` windows (MAD-GAN).
+        full ``(1, history, F)`` windows (MAD-GAN, LSTM-VAE, HMM).
     history:
         Ring length for ``unit="window"`` (ignored for sample detectors).
     include_scores:

@@ -232,11 +232,12 @@ class GlucosePredictor:
     def stream_state(self, n_streams: int = 1) -> BiLSTMStreamState:
         """Incremental serving state for ``n_streams`` concurrent CGM streams.
 
-        The state ring-buffers the fused BiLSTM input projections of each
-        stream's last ``history`` samples, so :meth:`step_stream` pays one
-        scaling pass and one input projection per *new sample* instead of
-        re-preparing the whole window — and serves every stream with one
-        stacked recurrence per tick.
+        The state ring-buffers the fused BiLSTM input projections (both
+        directions) of each stream's last ``history`` samples, so
+        :meth:`step_stream` pays one scaling pass and one input projection
+        per *new sample* instead of re-preparing the whole window — and
+        serves every stream and both directions with one stacked recurrence
+        of ``history`` steps per tick.
         """
         check_fitted(self, ("scaler",))
         encoder = self.model[0]
@@ -291,16 +292,15 @@ class GlucosePredictor:
     def step_one(
         self, sample: np.ndarray, state: BiLSTMStreamState, row: int = 0
     ) -> Optional[float]:
-        """Single-stream twin of :meth:`step_stream` for one slot.
+        """:meth:`step_stream` for one slot, returning a float or None.
 
         Advances slot ``row`` of ``state`` with one ``(n_features,)`` raw
         sample and returns the prediction in mg/dL, or None while the slot's
         window is warming up (fewer than ``history`` samples seen).  The
-        arithmetic is identical to :meth:`step_stream` on a one-row batch,
-        so the two produce bitwise-equal predictions; this path only skips
-        the per-call validation and batch bookkeeping (the serving
-        scheduler's single-session fast path — inputs are assumed validated
-        by the caller).
+        encoder runs the same :meth:`BiLSTM.step` kernel on a one-row batch,
+        so predictions are bitwise those of :meth:`step_stream`; only the
+        per-call sample validation is skipped (the serving scheduler's
+        single-session path — inputs are assumed validated by the caller).
         """
         scaled = self._clip_scaled(
             self.scaler.transform_samples_unchecked(sample[np.newaxis])

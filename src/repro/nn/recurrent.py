@@ -15,6 +15,31 @@ from repro.nn.tensor import Tensor, as_tensor, concatenate, stack
 from repro.utils.rng import as_random_state
 
 
+#: Direction index of each row block in a stepped BiLSTM window (forward, backward).
+_DIRECTIONS = np.array([0, 1])[:, np.newaxis]
+
+
+def _gate_step(projection, hidden, cell, gates, weight_hidden, bias, size):
+    """One graph-free LSTM step; every array may carry leading stack axes.
+
+    ``gates`` is the reusable scratch the recurrent matmul writes into.  With
+    ``(batch, ...)`` arrays this is one cell's step; :meth:`BiLSTM.step`
+    passes ``(2, batch, ...)`` stacks to advance both directions in one
+    batched matmul — per direction the arithmetic and its order are the same.
+    """
+    np.matmul(hidden, weight_hidden, out=gates)
+    gates += projection
+    gates += bias
+    input_gate = _sigmoid(gates[..., 0:size])
+    forget_gate = _sigmoid(gates[..., size : 2 * size])
+    candidate = np.tanh(gates[..., 2 * size : 3 * size])
+    output_gate = _sigmoid(gates[..., 3 * size : 4 * size])
+
+    new_cell = forget_gate * cell + input_gate * candidate
+    new_hidden = output_gate * np.tanh(new_cell)
+    return new_hidden, new_cell
+
+
 class LSTMCell(Module):
     """A single LSTM step.
 
@@ -82,18 +107,15 @@ class LSTMCell(Module):
         is a reusable ``(batch, 4 * hidden)`` scratch array so the recurrence
         allocates nothing per timestep beyond the new states.
         """
-        np.matmul(hidden, self.weight_hidden.data, out=gates_buffer)
-        gates_buffer += input_projection
-        gates_buffer += self.bias.data
-        size = self.hidden_size
-        input_gate = _sigmoid(gates_buffer[:, 0:size])
-        forget_gate = _sigmoid(gates_buffer[:, size : 2 * size])
-        candidate = np.tanh(gates_buffer[:, 2 * size : 3 * size])
-        output_gate = _sigmoid(gates_buffer[:, 3 * size : 4 * size])
-
-        new_cell = forget_gate * cell + input_gate * candidate
-        new_hidden = output_gate * np.tanh(new_cell)
-        return new_hidden, new_cell
+        return _gate_step(
+            input_projection,
+            hidden,
+            cell,
+            gates_buffer,
+            self.weight_hidden.data,
+            self.bias.data,
+            self.hidden_size,
+        )
 
     def step(self, inputs: np.ndarray, state: "LSTMStreamState") -> np.ndarray:
         """Advance a streaming state by one tick on raw ``(batch, input_size)`` samples.
@@ -506,9 +528,10 @@ class BiLSTM(Module):
         both recurrences restart at the window boundary, and the boundary moves
         every tick.  What *can* be cached is the expensive, position-independent
         part — the fused input projection of each sample for both directions —
-        so the state keeps a small ring of the last ``capacity`` projections
-        per stream and :meth:`step` only pays one input matmul per new sample
-        plus the window recurrences on preprojected rows.
+        so the state keeps one ring of the last ``capacity`` projections per
+        stream, both directions side by side.  :meth:`step` then pays one
+        stacked input matmul per new sample plus ``capacity`` stacked
+        recurrence steps: O(window) work per tick, never O(stream length).
         """
         if self.return_sequences:
             raise ValueError(
@@ -541,6 +564,13 @@ class BiLSTM(Module):
         ``(k, 2 * hidden)`` outputs matching ``fast_forward`` on each stream's
         current window within 1e-10.  Rows whose ring is not yet full (the
         warm-up phase) are NaN.
+
+        Both directions advance together: each of the ``capacity`` steps is
+        one ``(2, n, H) @ (2, H, 4H)`` matmul, the forward direction reading
+        ring row ``k`` and the backward direction row ``capacity - 1 - k``.
+        Per direction this is exactly :meth:`LSTMCell.fast_step`'s arithmetic
+        in the same order, so outputs are bitwise those of running the two
+        directions one after the other.
         """
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] != self.forward_layer.input_size:
@@ -555,11 +585,15 @@ class BiLSTM(Module):
             if len(rows) != len(samples):
                 raise ValueError("rows and samples must have the same length")
 
-        # One fused input projection per new sample and direction; every window
-        # the sample participates in reuses these rows from the ring.
+        forward_cell = self.forward_layer.cell
+        backward_cell = self.backward_layer.cell
+        # One projection per new sample for both directions; every window the
+        # sample participates in reuses these rows from the ring.
+        weight_input = np.stack(
+            (forward_cell.weight_input.data, backward_cell.weight_input.data)
+        )
         cursors = state.cursor[rows]
-        state.forward_proj[rows, cursors] = samples @ self.forward_layer.cell.weight_input.data
-        state.backward_proj[rows, cursors] = samples @ self.backward_layer.cell.weight_input.data
+        state.ring[rows, cursors] = np.matmul(samples, weight_input).transpose(1, 0, 2)
         state.cursor[rows] = (cursors + 1) % state.capacity
         state.count[rows] = np.minimum(state.count[rows] + 1, state.capacity)
 
@@ -570,115 +604,57 @@ class BiLSTM(Module):
             return outputs
         full_rows = rows[full_mask]
 
-        # Gather each stream's ring in window order (oldest -> newest); after
-        # the write above, the oldest sample sits at the cursor position.
-        order = (
-            state.cursor[full_rows][:, None] + np.arange(state.capacity)[None, :]
-        ) % state.capacity
-        forward_windows = np.take_along_axis(
-            state.forward_proj[full_rows], order[:, :, None], axis=1
-        )
-        backward_windows = np.take_along_axis(
-            state.backward_proj[full_rows], order[:, :, None], axis=1
-        )
+        # One gather into step-major order: windows[k] holds the forward
+        # direction's k-th oldest row and the backward direction's k-th
+        # newest.  After the write above the oldest sample sits at the cursor.
+        capacity = state.capacity
+        order = (state.cursor[full_rows] + np.arange(capacity)[:, None]) % capacity
+        windows = state.ring[
+            full_rows, np.stack((order, order[::-1]), axis=1), _DIRECTIONS
+        ]
 
         n_full = len(full_rows)
-        gates = np.empty((n_full, 4 * size))
-        hidden = np.zeros((n_full, size))
-        cell_state = np.zeros((n_full, size))
-        forward_cell = self.forward_layer.cell
-        for step_index in range(state.capacity):
-            hidden, cell_state = forward_cell.fast_step(
-                forward_windows[:, step_index], hidden, cell_state, gates
+        weight_hidden = np.stack(
+            (forward_cell.weight_hidden.data, backward_cell.weight_hidden.data)
+        )
+        bias = np.stack((forward_cell.bias.data, backward_cell.bias.data))[:, np.newaxis]
+        gates = np.empty((2, n_full, 4 * size))
+        hidden = np.zeros((2, n_full, size))
+        cell_state = np.zeros((2, n_full, size))
+        for step_index in range(capacity):
+            hidden, cell_state = _gate_step(
+                windows[step_index], hidden, cell_state, gates, weight_hidden, bias, size
             )
-        forward_hidden = hidden
-
-        hidden = np.zeros((n_full, size))
-        cell_state = np.zeros((n_full, size))
-        backward_cell = self.backward_layer.cell
-        for step_index in range(state.capacity - 1, -1, -1):
-            hidden, cell_state = backward_cell.fast_step(
-                backward_windows[:, step_index], hidden, cell_state, gates
-            )
-        outputs[full_mask] = np.concatenate([forward_hidden, hidden], axis=1)
+        outputs[full_mask] = np.concatenate((hidden[0], hidden[1]), axis=1)
         return outputs
 
     def step_one(
         self, sample: np.ndarray, state: "BiLSTMStreamState", row: int = 0
     ) -> Optional[np.ndarray]:
-        """Single-stream twin of :meth:`step` for one slot, minus the batch glue.
+        """:meth:`step` for one ``(input_size,)`` sample into slot ``row``.
 
-        Advances slot ``row`` with one ``(input_size,)`` sample and returns
-        the ``(1, 2 * hidden)`` sliding-window output, or None while the
-        slot's ring is still warming up.  The arithmetic is identical to
-        :meth:`step` on a one-row batch (same matmul shapes, same ring
-        ordering), so the outputs are bitwise-equal — only the per-call
-        bookkeeping (row gathers, masks, NaN scatter) is skipped.  This is
-        the serving scheduler's single-session fast path; inputs are assumed
-        validated by the caller.
+        Returns the ``(1, 2 * hidden)`` window output, or None while the
+        slot's ring is still warming up.
         """
-        cursor = state.cursor[row]
-        projected = sample[np.newaxis]
-        state.forward_proj[row, cursor] = (
-            projected @ self.forward_layer.cell.weight_input.data
-        )
-        state.backward_proj[row, cursor] = (
-            projected @ self.backward_layer.cell.weight_input.data
-        )
-        state.cursor[row] = (cursor + 1) % state.capacity
-        count = state.count[row] + 1
-        if count <= state.capacity:
-            state.count[row] = count
-            if count < state.capacity:
-                return None
-
-        # Ring rows in window order (oldest sits at the post-write cursor).
-        start = state.cursor[row]
-        forward_ring = state.forward_proj[row]
-        backward_ring = state.backward_proj[row]
-        if start:
-            forward_windows = np.concatenate(
-                (forward_ring[start:], forward_ring[:start])
-            )
-            backward_windows = np.concatenate(
-                (backward_ring[start:], backward_ring[:start])
-            )
-        else:
-            forward_windows = forward_ring
-            backward_windows = backward_ring
-
-        size = self.hidden_size
-        gates = np.empty((1, 4 * size))
-        hidden = np.zeros((1, size))
-        cell_state = np.zeros((1, size))
-        forward_cell = self.forward_layer.cell
-        for step_index in range(state.capacity):
-            hidden, cell_state = forward_cell.fast_step(
-                forward_windows[step_index : step_index + 1], hidden, cell_state, gates
-            )
-        forward_hidden = hidden
-
-        hidden = np.zeros((1, size))
-        cell_state = np.zeros((1, size))
-        backward_cell = self.backward_layer.cell
-        for step_index in range(state.capacity - 1, -1, -1):
-            hidden, cell_state = backward_cell.fast_step(
-                backward_windows[step_index : step_index + 1], hidden, cell_state, gates
-            )
-        return np.concatenate([forward_hidden, hidden], axis=1)
+        encoded = self.step(sample[np.newaxis], state, rows=np.array([row]))
+        return None if state.count[row] < state.capacity else encoded
 
 
 class BiLSTMStreamState:
-    """Per-stream ring buffers of fused input projections for a BiLSTM.
+    """Per-stream ring of fused input projections for both BiLSTM directions.
 
-    Memory is ``O(n_streams * capacity * hidden)`` and fixed for the lifetime
-    of the state — advancing a tick writes one ring row per stream and never
+    ``ring`` has shape ``(n_streams, capacity, 2, 4 * hidden)``: slot ``s``,
+    position ``p`` holds one sample's input projection for the forward
+    (``[..., 0, :]``) and backward (``[..., 1, :]``) direction.  Memory is
+    ``O(n_streams * capacity * hidden)`` and fixed for the lifetime of the
+    state — advancing a tick writes one ring row per stream and never
     allocates anything proportional to the stream length.  Slots are
-    independent: each has its own cursor and fill count, so streams may start,
-    stop, and miss ticks independently (the serving scheduler relies on this).
+    independent: each has its own cursor and fill count, so streams may
+    start, stop, and miss ticks independently (the serving scheduler relies
+    on this).
     """
 
-    __slots__ = ("capacity", "forward_proj", "backward_proj", "cursor", "count")
+    __slots__ = ("capacity", "ring", "cursor", "count")
 
     def __init__(self, n_streams: int, hidden_size: int, capacity: int):
         if n_streams <= 0:
@@ -686,8 +662,7 @@ class BiLSTMStreamState:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self.forward_proj = np.zeros((n_streams, capacity, 4 * hidden_size))
-        self.backward_proj = np.zeros((n_streams, capacity, 4 * hidden_size))
+        self.ring = np.zeros((n_streams, capacity, 2, 4 * hidden_size))
         self.cursor = np.zeros(n_streams, dtype=int)
         self.count = np.zeros(n_streams, dtype=int)
 
@@ -701,9 +676,7 @@ class BiLSTMStreamState:
         if n_streams <= current:
             return
         extra = n_streams - current
-        pad = ((0, extra), (0, 0), (0, 0))
-        self.forward_proj = np.pad(self.forward_proj, pad)
-        self.backward_proj = np.pad(self.backward_proj, pad)
+        self.ring = np.pad(self.ring, ((0, extra), (0, 0), (0, 0), (0, 0)))
         self.cursor = np.concatenate([self.cursor, np.zeros(extra, dtype=int)])
         self.count = np.concatenate([self.count, np.zeros(extra, dtype=int)])
 

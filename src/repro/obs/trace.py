@@ -20,13 +20,13 @@ uninstrumented fabric (``scripts/check_parity.py`` gates this).
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, render_key
+from repro.utils.jsonio import dumps_strict
 
 #: Spans kept in memory before new ones are dropped (and counted — the drop
 #: is recorded in ``obs.spans_dropped_total``, never silent).
@@ -160,14 +160,16 @@ class Observer:
         Line types: ``meta`` (one, first), ``counter``/``gauge``/``histogram``
         (the deterministic series), ``timing`` (the wall-clock channel),
         ``span``, and ``event``.  ``scripts/obs_report.py`` renders this
-        format back into the chaos-harness rollup shape.
+        format back into the chaos-harness rollup shape.  Every line is
+        strict JSON (:func:`repro.utils.jsonio.dumps_strict`): a non-finite
+        float is written as ``null``, never as a bare ``NaN`` token.
         """
         snapshot = self.registry.snapshot()
         lines = 0
         with open(path, "w", encoding="utf-8") as handle:
             def write(record: dict) -> None:
                 nonlocal lines
-                handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+                handle.write(dumps_strict(record, sort_keys=True, default=str) + "\n")
                 lines += 1
 
             write({"type": "meta", **(meta or {})})

@@ -11,8 +11,8 @@ Three layers:
     :class:`SchedulerSnapshot` and rebuild an equivalent scheduler from it.
     The snapshot captures the *complete* deterministic state — per-session
     sample rings, lane slot allocators and recurrent stream states
-    (``BiLSTMStreamState``), streaming-detector adapter state (LSTM-VAE
-    projection rings, HMM alpha bands, MAD-GAN ``InversionState``),
+    (``BiLSTMStreamState`` projection rings), streaming-detector adapter
+    state (window rings, MAD-GAN ``InversionState``),
     ``SessionHealth`` machines with their backoff depth, and every
     component's ``RandomState`` position (numpy ``Generator`` objects pickle
     their exact bit-stream position).  Model weights are content-addressed:
@@ -66,7 +66,9 @@ from repro.serving.scheduler import StreamScheduler
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Current snapshot schema version; bumped on incompatible layout changes.
-SNAPSHOT_VERSION = 1
+#: Version 2: ``BiLSTMStreamState`` keeps one stacked two-direction ring and
+#: the LSTM-VAE / HMM adapters carry no per-stream scoring state.
+SNAPSHOT_VERSION = 2
 
 #: Magic prefix of a checkpoint file (8 bytes, includes the format revision).
 SNAPSHOT_MAGIC = b"RPROSNP1"
@@ -294,7 +296,9 @@ def read_snapshot(path) -> SchedulerSnapshot:
     """Load a snapshot file, rejecting truncation and corruption.
 
     Raises :class:`SnapshotError` on a bad magic, unsupported version, short
-    body (truncated write), or SHA-256 mismatch (bit rot / tampering).
+    body (truncated write), or SHA-256 mismatch (bit rot).  The digest is
+    not a signature: whoever can write the file can recompute it, and the
+    body is a pickle, so read snapshots only from trusted storage.
     """
     path = Path(path)
     with open(path, "rb") as handle:

@@ -11,10 +11,11 @@ Pins the guarantees the new detector family ships under (ISSUE 9):
   stays row-stochastic;
 * both detectors fit deterministically under a fixed seed (equal
   ``state_hash``);
-* the cross-detector serving contract: streaming verdicts bitwise equal to
-  offline ``predict`` (HMM scores bitwise too; VAE scores within 1e-12 —
-  see ``docs/detectors.md`` for the tolerance table), pickle round-trips
-  preserving ``state_hash`` and scores, ensemble membership;
+* the cross-detector serving contract: both brains stream statelessly (one
+  ``predict`` per tick), so streaming and lane-batched scheduler verdicts
+  equal offline ``predict`` (HMM scores bitwise too; VAE scores within
+  1e-12 — see ``docs/detectors.md`` for the tolerance table), pickle
+  round-trips preserve ``state_hash`` and scores, ensemble membership;
 * the scheduler's cross-group cold-batch coalescing (the ROADMAP
   kernel-floor gap): identical verdicts with strictly fewer inversion
   batches when one MAD-GAN backs several lanes.
@@ -32,8 +33,7 @@ from repro.detectors import (
     StreamingDetector,
     VotingEnsembleDetector,
 )
-from repro.detectors.hmm import HMMStreamState
-from repro.detectors.lstm_vae import _VAECore, VAEStreamState
+from repro.detectors.lstm_vae import _VAECore
 from repro.nn import Tensor
 from repro.nn.fused import (
     LOG_2PI,
@@ -47,9 +47,8 @@ from tests.test_detectors import make_toy_trace, sliding_windows
 
 GRADIENT_TOLERANCE = 1e-8
 LOSS_CURVE_TOLERANCE = 1e-6
-#: Steady-state streaming VAE scores vs offline: the one-sample ring
-#: projection is a different BLAS dispatch than the window-sized product
-#: (measured gap ~2e-15 on the fixture; verdicts are bitwise regardless).
+#: Streaming VAE scores vs offline: a tick scores fewer windows per call than
+#: the offline batch, and BLAS rounds per batch shape (verdicts are exact).
 VAE_STREAM_SCORE_TOLERANCE = 1e-12
 
 
@@ -266,30 +265,43 @@ def family():
 DETECTOR_NAMES = ["lstm_vae", "hmm"]
 
 
+def stream_through_adapter(detector, windows, adapter=None):
+    """Feed the sliding windows' samples through a window adapter.
+
+    ``windows`` are consecutive sliding windows of one trace; returns the
+    ``(flags, scores)`` of the warm ticks, one per window.
+    """
+    if adapter is None:
+        adapter = StreamingDetector(detector, unit="window", include_scores=True)
+    trace = np.concatenate([windows[0][:-1], windows[:, -1]])
+    verdicts = [adapter.update(sample) for sample in trace]
+    warm = [verdict for verdict in verdicts if not verdict.warming]
+    assert len(warm) == len(windows)
+    return (
+        np.array([int(verdict.flagged) for verdict in warm]),
+        np.array([verdict.score for verdict in warm]),
+    )
+
+
 class TestStreamingOfflineParity:
+    """VAE and HMM stream statelessly: each warm tick is one ``predict`` on
+    the adapter's window, so verdicts are exactly offline ``predict``."""
+
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_streaming_verdicts_bitwise_equal_offline(self, family, name):
         detector = family[name]
         windows = sliding_windows(make_toy_trace(14, seed=21), 14)
-        offline_flags = detector.predict(windows)
+        stream_flags, stream_scores = stream_through_adapter(detector, windows)
+        np.testing.assert_array_equal(stream_flags, detector.predict(windows))
         offline_scores = detector.scores(windows)
-        state = detector.make_inversion_state()
-        stream_flags, stream_scores = [], []
-        for tick in range(len(windows)):
-            flags, scores = detector.predict_incremental(
-                windows[tick : tick + 1], [state], include_scores=True
-            )
-            stream_flags.append(int(flags[0]))
-            stream_scores.append(float(scores[0]))
-        np.testing.assert_array_equal(np.array(stream_flags), offline_flags)
         if name == "hmm":
             # Broadcast-reduce forward: batch-composition independent, so
             # per-tick streaming scores match the batched offline call bitwise.
-            np.testing.assert_array_equal(np.array(stream_scores), offline_scores)
+            np.testing.assert_array_equal(stream_scores, offline_scores)
         else:
             # The VAE's BLAS products round per batch shape (one window per
             # tick vs all windows at once offline): scores within 1e-12.
-            gap = np.abs(np.array(stream_scores) - offline_scores).max()
+            gap = np.abs(stream_scores - offline_scores).max()
             assert gap <= VAE_STREAM_SCORE_TOLERANCE
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
@@ -299,18 +311,11 @@ class TestStreamingOfflineParity:
         whose recurrence/decoder matmuls round per batch shape."""
         detector = family[name]
         traces = [make_toy_trace(10, seed=30 + index) for index in range(3)]
-        batch_states = [detector.make_inversion_state() for _ in traces]
-        solo_states = [detector.make_inversion_state() for _ in traces]
         for tick in range(10):
             stacked = np.stack([trace[tick : tick + 12] for trace in traces])
-            batched = detector.scores_incremental(stacked, batch_states)
+            batched = detector.scores(stacked)
             solo = np.array(
-                [
-                    detector.scores_incremental(
-                        stacked[index : index + 1], [solo_states[index]]
-                    )[0]
-                    for index in range(len(traces))
-                ]
+                [detector.scores(stacked[index : index + 1])[0] for index in range(3)]
             )
             if name == "hmm":
                 np.testing.assert_array_equal(batched, solo)
@@ -325,25 +330,85 @@ class TestStreamingOfflineParity:
     def test_state_reset_recovers_cold_parity(self, family, name):
         detector = family[name]
         windows = sliding_windows(make_toy_trace(4, seed=33), 4)
-        state = detector.make_inversion_state()
-        for tick in range(len(windows)):
-            detector.scores_incremental(windows[tick : tick + 1], [state])
-        state.reset()
-        assert state.ticks == 0
-        fresh = detector.scores_incremental(windows[:1], [state])
-        np.testing.assert_array_equal(fresh, detector.scores(windows[:1]))
+        adapter = StreamingDetector(detector, unit="window", include_scores=True)
+        stream_through_adapter(detector, windows, adapter)
+        adapter.reset()
+        assert adapter.ticks == 0
+        flags, scores = stream_through_adapter(detector, windows[:1], adapter)
+        np.testing.assert_array_equal(scores, detector.scores(windows[:1]))
+        np.testing.assert_array_equal(flags, detector.predict(windows[:1]))
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
-    def test_streaming_adapter_auto_enables_incremental(self, family, name):
+    def test_streaming_adapter_is_stateless(self, family, name):
         adapter = StreamingDetector(family[name], unit="window")
-        assert adapter.incremental
+        assert adapter.incremental is False
+        assert adapter.inversion_state is None
+        assert adapter.drain_inversion_counts() is None
+        with pytest.raises(ValueError, match="incremental"):
+            StreamingDetector(family[name], unit="window", incremental=True)
+
+    @pytest.fixture(scope="class")
+    def cohort_family(self, tiny_zoo, tiny_cohort):
+        windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
+        benign = windows[::4]
+        return {
+            "lstm_vae": LSTMVAEDetector(
+                epochs=1, hidden_size=8, latent_dim=3, batch_size=16, seed=0
+            ).fit(benign),
+            "hmm": GaussianHMMDetector(n_states=3, n_iter=3, seed=0).fit(benign),
+        }
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
-    def test_state_alignment_validated(self, family, name):
-        detector = family[name]
-        windows = sliding_windows(make_toy_trace(2, seed=34), 2)
-        with pytest.raises(ValueError, match="same length"):
-            detector.scores_incremental(windows, [detector.make_inversion_state()])
+    def test_scheduler_verdicts_equal_offline_predict(
+        self, cohort_family, tiny_zoo, tiny_cohort, name
+    ):
+        """Lane-batched serving: every warm verdict is offline ``predict`` on
+        the session's window (HMM scores bitwise, VAE scores ≤ 1e-12)."""
+        from repro.serving import StreamScheduler
+
+        detector = cohort_family[name]
+        history = tiny_zoo.dataset.history
+        records = list(tiny_cohort)
+        # Two sessions per lane, at different offsets, so each lane's detector
+        # batch holds distinct windows.
+        feeds = {
+            f"{record.label}/{copy}": record.features("test")[5 * copy : 5 * copy + 30]
+            for record in records
+            for copy in range(2)
+        }
+        scheduler = StreamScheduler()
+        for session_id in feeds:
+            label = session_id.split("/")[0]
+            scheduler.open_session(
+                label,
+                tiny_zoo.model_for(label),
+                detectors={
+                    name: StreamingDetector(
+                        detector, unit="window", history=history, include_scores=True
+                    )
+                },
+                session_id=session_id,
+            )
+        served = {session_id: [] for session_id in feeds}
+        for tick in range(30):
+            outcomes = scheduler.tick({sid: trace[tick] for sid, trace in feeds.items()})
+            for session_id, outcome in outcomes.items():
+                verdict = outcome.verdicts[name]
+                assert verdict.warming == (tick < history - 1)
+                if not verdict.warming:
+                    served[session_id].append((verdict.flagged, verdict.score))
+        for session_id, trace in feeds.items():
+            windows = np.stack(
+                [trace[end - history + 1 : end + 1] for end in range(history - 1, 30)]
+            )
+            flags = np.array([int(flag) for flag, _ in served[session_id]])
+            scores = np.array([score for _, score in served[session_id]])
+            np.testing.assert_array_equal(flags, detector.predict(windows))
+            if name == "hmm":
+                np.testing.assert_array_equal(scores, detector.scores(windows))
+            else:
+                gap = np.abs(scores - detector.scores(windows)).max()
+                assert gap <= VAE_STREAM_SCORE_TOLERANCE
 
 
 class TestFamilySerialization:
@@ -358,22 +423,17 @@ class TestFamilySerialization:
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_stream_state_survives_mid_stream(self, family, name):
+        """A window adapter pickled mid-stream continues with
+        bitwise-identical verdicts and scores."""
         detector = family[name]
-        windows = sliding_windows(make_toy_trace(8, seed=35), 8)
-        state = detector.make_inversion_state()
-        for tick in range(4):
-            detector.scores_incremental(windows[tick : tick + 1], [state])
-        copy = round_trip(state)
-        for tick in range(4, 8):
-            left = detector.scores_incremental(windows[tick : tick + 1], [state])
-            right = detector.scores_incremental(windows[tick : tick + 1], [copy])
-            np.testing.assert_array_equal(left, right)
-
-    def test_stream_state_constructors_validate(self):
-        with pytest.raises(ValueError):
-            VAEStreamState(0, 8)
-        with pytest.raises(ValueError):
-            HMMStreamState(3, 0)
+        trace = make_toy_trace(8, seed=35)
+        adapter = StreamingDetector(detector, unit="window", include_scores=True)
+        for sample in trace[:14]:
+            adapter.update(sample)
+        copy = round_trip(adapter)
+        for sample in trace[14:]:
+            left, right = adapter.update(sample), copy.update(sample)
+            assert (left.flagged, left.score) == (right.flagged, right.score)
 
 
 class TestEnsembleMembership:

@@ -31,7 +31,9 @@ from repro.serving import (
     HealthConfig,
     IngressConfig,
     IngressPolicy,
+    SensorFaultConfig,
     ShardedScheduler,
+    StreamReplayer,
     StreamScheduler,
 )
 from repro.serving.health import HealthState, SessionHealth
@@ -218,6 +220,44 @@ class TestObserver:
         assert by_type == {"meta", "counter", "gauge", "histogram", "timing", "span", "event"}
         counter = next(r for r in records if r["type"] == "counter")
         assert counter["series"] == "ticks_total{lane=a}" and counter["value"] == 1.0
+
+
+    def test_export_of_faulted_replay_is_strict_json(
+        self, tmp_path, tiny_zoo, tiny_cohort, knn_detector
+    ):
+        """Every exported line parses under a parser that rejects NaN/Infinity."""
+        observer = Observer()
+        scheduler = StreamScheduler(
+            obs=observer,
+            health=HealthConfig(),
+            ingress=IngressConfig(policy=IngressPolicy.REJECT),
+        )
+        faults = SensorFaultConfig(
+            spike_rate=0.1, dropout_rate=0.05, malformed_rate=0.1, seed=3
+        )
+        report = StreamReplayer(
+            tiny_zoo,
+            detectors={"knn": (knn_detector, "sample")},
+            scheduler=scheduler,
+            faults=faults,
+        ).replay(tiny_cohort, split="test", max_ticks=30)
+        assert sum(len(trace.faulted_ticks) for trace in report.sessions.values()) > 0
+        # A non-finite value anywhere in the telemetry must come out as null.
+        observer.event("probe", value=float("nan"), bound=float("inf"))
+        path = tmp_path / "faulted.jsonl"
+        lines = observer.export_jsonl(str(path), meta={"run": "faulted"})
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        records = [
+            json.loads(line, parse_constant=reject)
+            for line in path.read_text().splitlines()
+        ]
+        assert len(records) == lines
+        assert any(record["type"] == "span" for record in records)
+        probe = next(r for r in records if r["type"] == "event" and r["kind"] == "probe")
+        assert probe["value"] is None and probe["bound"] is None
 
 
 class TestSchedulerInertness:

@@ -5,12 +5,12 @@ Pins the contract of :mod:`repro.serving.recovery` (see ``docs/recovery.md``):
 * ``StreamScheduler.snapshot()`` → ``StreamScheduler.restore()`` continues
   ticking **bitwise identically** to the uninterrupted scheduler, for every
   carried state family — predictor lane slots (BiLSTM recurrent stream
-  state), sample rings, the LSTM-VAE projection ring and Gaussian-HMM
-  partial-alpha band, MAD-GAN's warm-started inversion state (including its
-  RNG position), and a :class:`SessionHealth` snapshotted mid-quarantine
-  with a non-zero backoff,
+  state), sample rings (including the stateless LSTM-VAE / HMM window
+  brains), MAD-GAN's warm-started inversion state (including its RNG
+  position), and a :class:`SessionHealth` snapshotted mid-quarantine with a
+  non-zero backoff,
 * snapshot files are versioned + checksummed: truncation, corruption, bad
-  magic, trailing bytes, and unknown versions are rejected loudly
+  magic, trailing bytes, and unknown or retired versions are rejected loudly
   (:class:`SnapshotError`) instead of deserializing garbage state, and
 * :class:`SchedulerCheckpointer` rotates atomically-written files and loads
   the newest one.
@@ -128,7 +128,7 @@ class TestSchedulerSnapshot:
         assert_resumes_bitwise(build, feeds, split_at=7)
 
     def test_window_brains_resume_bitwise(self, tiny_zoo, tiny_cohort, feeds):
-        """LSTM-VAE projection ring + HMM alpha band resume bitwise, warm."""
+        """LSTM-VAE + HMM window adapters resume bitwise, warm."""
         from repro.detectors import GaussianHMMDetector, LSTMVAEDetector
 
         records = list(tiny_cohort)[:2]
@@ -155,7 +155,7 @@ class TestSchedulerSnapshot:
             {label: sample for label, sample in feed.items() if label in labels}
             for feed in feeds
         ]
-        # Snapshot after warm-up so both carried stream states are non-trivial.
+        # Snapshot after warm-up so both window rings are full.
         original, restored = assert_resumes_bitwise(
             build, feeds[:18], split_at=HISTORY + 2
         )
@@ -303,6 +303,17 @@ class TestSnapshotFiles:
         data[len(SNAPSHOT_MAGIC)] = 0xEE  # little-endian u32 version field
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotError, match="version"):
+            read_snapshot(path)
+
+    def test_version_1_file_rejected(self, snapshot, tmp_path):
+        """Version 1 pickled per-direction rings and VAE/HMM stream states."""
+        assert SNAPSHOT_VERSION == 2
+        path = tmp_path / "v1.snap"
+        write_snapshot(snapshot, path)
+        data = bytearray(path.read_bytes())
+        data[len(SNAPSHOT_MAGIC) : len(SNAPSHOT_MAGIC) + 4] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="version 1 is not supported"):
             read_snapshot(path)
 
     def test_trailing_bytes_rejected(self, snapshot, tmp_path):

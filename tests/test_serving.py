@@ -3,6 +3,8 @@
 Every streaming fast path is pinned to its offline reference:
 
 * ``LSTM.step`` / ``BiLSTM.step`` vs ``fast_forward`` at the layer level,
+  and the stacked two-direction ``BiLSTM.step`` bitwise vs a per-direction
+  reference kernel,
 * ``GlucosePredictor.predict_stream`` / ``step_stream`` vs ``predict`` and
   ``predict_graph`` (≤ 1e-10) across strides, warm-up offsets, and scheduler
   batch sizes,
@@ -49,6 +51,52 @@ def sample_detector(tiny_zoo, tiny_cohort):
     """A fitted, deterministic per-sample detector shared by the tests."""
     windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
     return KNNDistanceDetector(n_neighbors=5).fit(windows[::4, -1:, :])
+
+
+class PerDirectionStreamReference:
+    """Reference twin of :meth:`BiLSTM.step`: one ring and one recurrence per
+    direction, each direction stepped with its own :meth:`LSTMCell.fast_step`."""
+
+    def __init__(self, layer, n_streams, capacity):
+        self.layer = layer
+        self.capacity = capacity
+        width = 4 * layer.hidden_size
+        self.rings = [np.zeros((n_streams, capacity, width)) for _ in range(2)]
+        self.cursor = np.zeros(n_streams, dtype=int)
+        self.count = np.zeros(n_streams, dtype=int)
+
+    def reset_slots(self, rows):
+        self.cursor[rows] = 0
+        self.count[rows] = 0
+
+    def step(self, samples, rows):
+        directions = (self.layer.forward_layer, self.layer.backward_layer)
+        cursors = self.cursor[rows]
+        for ring, direction in zip(self.rings, directions):
+            ring[rows, cursors] = samples @ direction.cell.weight_input.data
+        self.cursor[rows] = (cursors + 1) % self.capacity
+        self.count[rows] = np.minimum(self.count[rows] + 1, self.capacity)
+        size = self.layer.hidden_size
+        outputs = np.full((len(rows), 2 * size), np.nan)
+        full_mask = self.count[rows] == self.capacity
+        full_rows = rows[full_mask]
+        if len(full_rows) == 0:
+            return outputs
+        order = (self.cursor[full_rows][:, None] + np.arange(self.capacity)) % self.capacity
+        time_orders = (range(self.capacity), range(self.capacity - 1, -1, -1))
+        finals = []
+        for ring, direction, time_order in zip(self.rings, directions, time_orders):
+            window = np.take_along_axis(ring[full_rows], order[:, :, None], axis=1)
+            hidden = np.zeros((len(full_rows), size))
+            cell_state = np.zeros((len(full_rows), size))
+            gates = np.empty((len(full_rows), 4 * size))
+            for step_index in time_order:
+                hidden, cell_state = direction.cell.fast_step(
+                    window[:, step_index], hidden, cell_state, gates
+                )
+            finals.append(hidden)
+        outputs[full_mask] = np.concatenate(finals, axis=1)
+        return outputs
 
 
 # ---------------------------------------------------------------------- layers
@@ -122,6 +170,48 @@ class TestLayerStreaming:
         output = layer.step(new_sample[np.newaxis], state, rows=np.array([0]))
         reference = layer.fast_forward(np.stack(history[-2:] + [new_sample])[np.newaxis])
         np.testing.assert_allclose(output[0], reference[0], atol=TOLERANCE)
+
+    def test_stacked_step_pinned_under_cursors_skips_and_resets(self, rng):
+        """One lane, slots at different cursors, skipped ticks, and a slot reset
+        mid-stream: every output is bitwise the per-direction kernel and within
+        1e-10 of ``fast_forward`` on the slot's window."""
+        layer = BiLSTM(4, 6, seed=7)
+        capacity, n_slots = 5, 4
+        state = layer.stream_state(n_slots, capacity=capacity)
+        reference = PerDirectionStreamReference(layer, n_slots, capacity)
+        histories = {slot: [] for slot in range(n_slots)}
+        warm_outputs = 0
+        for tick in range(30):
+            if tick == 14:
+                # Slot 1 is recycled for a new stream mid-run.
+                state.reset_slots(np.array([1]))
+                reference.reset_slots(np.array([1]))
+                histories[1] = []
+            # Slots join at staggered ticks and each skips ticks on its own.
+            rows = np.array(
+                [
+                    slot
+                    for slot in range(n_slots)
+                    if tick >= 2 * slot and rng.uniform() < 0.75
+                ]
+            )
+            if len(rows) == 0:
+                continue
+            samples = rng.normal(size=(len(rows), 4))
+            output = layer.step(samples, state, rows=rows)
+            np.testing.assert_array_equal(output, reference.step(samples, rows))
+            for position, slot in enumerate(rows):
+                histories[slot].append(samples[position])
+                if len(histories[slot]) < capacity:
+                    assert np.isnan(output[position]).all()
+                    continue
+                window = np.stack(histories[slot][-capacity:])[np.newaxis]
+                np.testing.assert_allclose(
+                    output[position], layer.fast_forward(window)[0], atol=TOLERANCE, rtol=0
+                )
+                warm_outputs += 1
+        assert len(set(state.cursor.tolist())) > 1, "slots should sit at different cursors"
+        assert warm_outputs > 30
 
     def test_sequence_bilstm_refuses_streaming(self):
         layer = BiLSTM(3, 5, return_sequences=True, seed=5)
@@ -713,17 +803,17 @@ class TestIncrementalStreamingAdapter:
         }
 
     @pytest.mark.parametrize("name", ["lstm_vae", "hmm"])
-    def test_family_auto_enables_incremental(self, window_brains, name):
+    def test_family_is_stateless(self, window_brains, name):
         detector = window_brains[name]
-        assert StreamingDetector(detector, unit="window").incremental
-        assert not StreamingDetector(
-            detector, unit="window", incremental=False
-        ).incremental
+        assert not StreamingDetector(detector, unit="window").incremental
+        with pytest.raises(ValueError, match="incremental"):
+            StreamingDetector(detector, unit="window", incremental=True)
 
     @pytest.mark.parametrize("name", ["lstm_vae", "hmm"])
     def test_family_threads_stream_state_per_tick(
         self, window_brains, tiny_cohort, name
     ):
+        """The adapter's only per-stream state is its window ring."""
         detector = window_brains[name]
         record = next(iter(tiny_cohort))
         features = record.features("test")[:16]
@@ -733,10 +823,11 @@ class TestIncrementalStreamingAdapter:
             if index < 11:
                 assert verdict.warming
             else:
-                assert verdict.flagged is not None
-        assert adapter.inversion_state.ticks == 16 - 11
+                assert verdict.flagged == bool(detector.predict(adapter.window()[None])[0])
+        assert adapter.ticks == 16
+        assert adapter.inversion_state is None
         adapter.reset()
-        assert adapter.inversion_state.ticks == 0
+        assert adapter.ticks == 0 and adapter.window() is None
 
     def test_scheduler_threads_states_through_batched_ticks(
         self, madgan, aggregate_zoo, tiny_cohort
