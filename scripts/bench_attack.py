@@ -4,7 +4,8 @@ batched vs cohort-batched, plus per-explorer lockstep timings.
 Times one small, fixed attack campaign under five engine configurations:
 
 * ``graph_per_window``       — the seed configuration: every model query runs
-  through the full reverse-mode autodiff graph, one window at a time.
+  through the full reverse-mode autodiff graph
+  (``GlucosePredictor.predict_graph``), one window at a time.
 * ``fast_per_window``        — graph-free numpy inference, one window at a time.
 * ``fast_batched``           — PR 1's engine: graph-free inference plus lockstep
   batched search per patient, with the per-edge candidate expansion.
@@ -23,15 +24,21 @@ Writes ``BENCH_attack.json`` next to the repo root so later PRs can track the
 performance trajectory, and verifies the fast path's regression guarantee
 (fast vs graph predictions within 1e-10) on every benchmark window.
 
+``--smoke`` runs the equivalence check plus one untimed pass of every
+configuration and explorer on a coarse stride, checks that every
+configuration attacks the same windows, and writes nothing (CI use).
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_attack.py [--output PATH] [--repeats N]
+    PYTHONPATH=src python scripts/bench_attack.py --smoke
 """
 
 from __future__ import annotations
 
 import argparse
 import platform
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +64,10 @@ ZOO_KWARGS = dict(
 TARGET_TOTAL_SPEEDUP = 5.0
 TARGET_COHORT_SPEEDUP = 2.0
 
+#: Coarse strides of the ``--smoke`` pass (correctness only, no timing).
+SMOKE_STRIDE = 16
+SMOKE_EXPLORER_STRIDE = 24
+
 
 def build_fixture():
     """Build the fixed cohort + trained zoo the benchmark always uses."""
@@ -69,9 +80,17 @@ def build_fixture():
     return cohort, zoo
 
 
-def set_fast_path(zoo: GlucoseModelZoo, enabled: bool) -> None:
-    for model in zoo.models.values():
-        model.use_fast_path = enabled
+@contextmanager
+def graph_inference(zoo: GlucoseModelZoo):
+    """Route every model's ``predict`` through ``predict_graph`` meanwhile."""
+    models = list(zoo.models.values())
+    for model in models:
+        model.predict = model.predict_graph
+    try:
+        yield
+    finally:
+        for model in models:
+            vars(model).pop("predict", None)
 
 
 def make_attack_factory(explorer_factory=None, vectorized: bool = True):
@@ -90,17 +109,16 @@ def time_campaign(
     cohort,
     repeats: int,
     batched: bool,
-    fast_path: bool,
+    graph: bool = False,
     cohort_batched: bool = False,
     vectorized: bool = True,
     explorer_factory=None,
     stride: int = BENCH_STRIDE,
 ):
     """Run the fixed campaign ``repeats`` times; return (best seconds, result)."""
-    set_fast_path(zoo, fast_path)
     timer = Timer()
     result = None
-    try:
+    with graph_inference(zoo) if graph else nullcontext():
         for _ in range(repeats):
             campaign = AttackCampaign(
                 zoo,
@@ -111,8 +129,6 @@ def time_campaign(
             )
             with timer.lap():
                 result = campaign.run_cohort(cohort, split="test")
-    finally:
-        set_fast_path(zoo, True)
     return timer.best, result
 
 
@@ -129,7 +145,7 @@ def equivalence_check(zoo, cohort) -> float:
     return worst
 
 
-def bench_explorers(zoo, cohort, repeats: int):
+def bench_explorers(zoo, cohort, repeats: int, stride: int = EXPLORER_STRIDE):
     """Lockstep vs sequential wall-clock per explorer (fast inference path)."""
     factories = {
         "greedy": lambda: GreedyExplorer(max_depth=3),
@@ -139,12 +155,12 @@ def bench_explorers(zoo, cohort, repeats: int):
     report = {}
     for name, factory in factories.items():
         sequential, _ = time_campaign(
-            zoo, cohort, repeats, batched=False, fast_path=True,
-            explorer_factory=factory, stride=EXPLORER_STRIDE,
+            zoo, cohort, repeats, batched=False,
+            explorer_factory=factory, stride=stride,
         )
         lockstep, result = time_campaign(
-            zoo, cohort, repeats, batched=True, fast_path=True, cohort_batched=True,
-            explorer_factory=factory, stride=EXPLORER_STRIDE,
+            zoo, cohort, repeats, batched=True, cohort_batched=True,
+            explorer_factory=factory, stride=stride,
         )
         report[name] = {
             "sequential_seconds": sequential,
@@ -159,6 +175,32 @@ def bench_explorers(zoo, cohort, repeats: int):
     return report
 
 
+CONFIGURATIONS = {
+    "graph_per_window": dict(batched=False, graph=True),
+    "fast_per_window": dict(batched=False),
+    "fast_batched": dict(batched=True, vectorized=False),
+    "fast_batched_vectorized": dict(batched=True, vectorized=True),
+    "fast_cohort": dict(batched=True, vectorized=True, cohort_batched=True),
+}
+
+
+def run_smoke(zoo, cohort) -> None:
+    """One untimed pass of every configuration and explorer; no timing gates."""
+    max_gap = equivalence_check(zoo, cohort)
+    print(f"  max |fast - graph| prediction gap: {max_gap:.3e}")
+    if not max_gap <= 1e-10:
+        raise SystemExit("fast path diverged from the autodiff path beyond 1e-10")
+    attacked = {}
+    for name, config in CONFIGURATIONS.items():
+        _, result = time_campaign(zoo, cohort, repeats=1, stride=SMOKE_STRIDE, **config)
+        attacked[name] = len(result.records)
+        print(f"  {name}: {attacked[name]} windows")
+    if len(set(attacked.values())) != 1:
+        raise SystemExit(f"configurations attacked different windows: {attacked}")
+    bench_explorers(zoo, cohort, repeats=1, stride=SMOKE_EXPLORER_STRIDE)
+    print("attack smoke passed")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -169,30 +211,28 @@ def main() -> None:
         "--repeats", type=int, default=2,
         help="timed repetitions per configuration; the best run is reported",
     )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="untimed correctness pass over every configuration; writes nothing",
+    )
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
     print("building fixture (cohort + trained zoo)...")
     cohort, zoo = build_fixture()
+    if args.smoke:
+        run_smoke(zoo, cohort)
+        return
 
     print("checking fast-path regression guarantee...")
     max_gap = equivalence_check(zoo, cohort)
     print(f"  max |fast - graph| prediction gap: {max_gap:.3e}")
 
-    configurations = {
-        "graph_per_window": dict(batched=False, fast_path=False),
-        "fast_per_window": dict(batched=False, fast_path=True),
-        "fast_batched": dict(batched=True, fast_path=True, vectorized=False),
-        "fast_batched_vectorized": dict(batched=True, fast_path=True, vectorized=True),
-        "fast_cohort": dict(
-            batched=True, fast_path=True, vectorized=True, cohort_batched=True
-        ),
-    }
     timings = {}
     record_counts = {}
     total_queries = {}
-    for name, config in configurations.items():
+    for name, config in CONFIGURATIONS.items():
         print(f"timing {name}...")
         seconds, result = time_campaign(zoo, cohort, repeats=args.repeats, **config)
         timings[name] = seconds

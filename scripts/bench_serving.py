@@ -500,11 +500,10 @@ def bench_observability(zoo, cohort, repeats: int):
     Serves the same ``OBS_SESSIONS``-session fleet twice per repeat — once
     bare, once with an :class:`~repro.obs.Observer` recording metrics and
     per-tick spans — and compares best-of tick throughput.  Predictions must
-    be bitwise identical (the inertness contract); the overhead target is
-    informational (< ``TARGET_OBS_OVERHEAD_PCT`` %) and recorded in the
-    report rather than gated, since it measures pure scheduler dispatch with
-    sub-ms ticks — the least favorable (most instrumentation-sensitive)
-    workload the fabric has.
+    be bitwise identical (the inertness contract), and the overhead must stay
+    below ``TARGET_OBS_OVERHEAD_PCT`` % (gated in :func:`main`).  It measures
+    pure scheduler dispatch with sub-ms ticks — the least favorable (most
+    instrumentation-sensitive) workload the fabric has.
     """
     predictor = zoo.aggregate
     warmup = predictor.history
@@ -889,6 +888,11 @@ def main() -> None:
         raise SystemExit("incremental MAD-GAN scoring speedup target not met")
     if shard_sweep["gate_applicable"] and not shard_sweep["meets_target"]:
         raise SystemExit("sharded serving speedup target not met at 4 workers")
+    if not observability["meets_target"]:
+        raise SystemExit(
+            f"observer overhead {observability['overhead_pct']:+.1f}% exceeded the "
+            f"{TARGET_OBS_OVERHEAD_PCT:g}% target"
+        )
     if not recovery["steady_state"]["meets_target"]:
         raise SystemExit(
             "supervised steady-state overhead exceeded "

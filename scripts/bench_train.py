@@ -7,8 +7,8 @@ training dominates wall-clock for any scenario sweep.  This benchmark times
 both fits under their two engines:
 
 * ``graph`` — the reference twin: ``model(Tensor(x))``, ``loss.backward()``
-  through the reverse-mode autodiff graph (``use_fast_path=False``).
-* ``fused`` — the hand-written training engine (``use_fast_path=True``):
+  through the reverse-mode autodiff graph (each model's ``fit_graph``).
+* ``fused`` — the hand-written training engine (each model's ``fit``):
   analytic truncated-BPTT backward passes over the fused 4-gate matmuls with
   cached forward activations and preallocated gradient buffers
   (``repro.nn.fused.FusedTrainer``, ``Module.fused_grads``).
@@ -117,19 +117,33 @@ def check_gradient_parity(windows, targets) -> float:
     return worst
 
 
-def bench_predictor(windows, targets, repeats: int, kwargs=None):
-    kwargs = dict(PREDICTOR_KWARGS if kwargs is None else kwargs)
-    epochs = kwargs["epochs"]
+def time_engines(make, repeats: int, *data):
+    """Best-of-``repeats`` seconds of ``fit_graph`` (False) and ``fit`` (True).
+
+    Each repetition fits a fresh ``make()`` model on ``data``; returns the
+    best seconds and the last fitted model per engine.
+    """
     best = {}
-    histories = {}
+    fitted = {}
     for fast in (False, True):
         timer = Timer()
         for _ in range(repeats):
-            predictor = GlucosePredictor(use_fast_path=fast, **kwargs)
+            model = make()
+            fit = model.fit if fast else model.fit_graph
             with timer.lap():
-                predictor.fit(windows, targets)
+                fit(*data)
         best[fast] = timer.best
-        histories[fast] = list(predictor.history_.epoch_losses)
+        fitted[fast] = model
+    return best, fitted
+
+
+def bench_predictor(windows, targets, repeats: int, kwargs=None):
+    kwargs = dict(PREDICTOR_KWARGS if kwargs is None else kwargs)
+    epochs = kwargs["epochs"]
+    best, fitted = time_engines(
+        lambda: GlucosePredictor(**kwargs), repeats, windows, targets
+    )
+    histories = {fast: list(model.history_.epoch_losses) for fast, model in fitted.items()}
 
     gap = assert_loss_curves_match(histories[False], histories[True], "predictor fit")
     return {
@@ -148,16 +162,8 @@ def bench_predictor(windows, targets, repeats: int, kwargs=None):
 def bench_madgan(windows, repeats: int, kwargs=None):
     kwargs = dict(MADGAN_KWARGS if kwargs is None else kwargs)
     epochs = kwargs["epochs"]
-    best = {}
-    histories = {}
-    for fast in (False, True):
-        timer = Timer()
-        for _ in range(repeats):
-            detector = MADGANDetector(use_fast_path=fast, **kwargs)
-            with timer.lap():
-                detector.fit(windows)
-        best[fast] = timer.best
-        histories[fast] = detector.history_
+    best, fitted = time_engines(lambda: MADGANDetector(**kwargs), repeats, windows)
+    histories = {fast: model.history_ for fast, model in fitted.items()}
 
     generator_gap = assert_loss_curves_match(
         histories[False].generator_losses,
@@ -186,16 +192,8 @@ def bench_vae(windows, repeats: int, kwargs=None):
     """LSTM-VAE fit under both engines: timing + ELBO loss-curve parity."""
     kwargs = dict(VAE_KWARGS if kwargs is None else kwargs)
     epochs = kwargs["epochs"]
-    best = {}
-    histories = {}
-    for fast in (False, True):
-        timer = Timer()
-        for _ in range(repeats):
-            detector = LSTMVAEDetector(use_fast_path=fast, **kwargs)
-            with timer.lap():
-                detector.fit(windows)
-        best[fast] = timer.best
-        histories[fast] = list(detector.history_)
+    best, fitted = time_engines(lambda: LSTMVAEDetector(**kwargs), repeats, windows)
+    histories = {fast: list(model.history_) for fast, model in fitted.items()}
 
     gap = assert_loss_curves_match(histories[False], histories[True], "LSTM-VAE fit")
     return {

@@ -210,8 +210,8 @@ def run_training_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, float]:
       BiLSTM + dense head + MSE seeding) matches the autodiff graph's
       parameter and input gradients within 1e-8, and
     * fixed-seed ``GlucosePredictor.fit`` and ``MADGANDetector.fit`` runs
-      produce step-for-step matching per-epoch loss curves on the fused
-      (``use_fast_path=True``) and graph (``False``) engines.
+      (fused engine) produce per-epoch loss curves matching their
+      ``fit_graph`` references step for step.
 
     Returns a report dict; raises AssertionError on the first violation.
     """
@@ -236,8 +236,8 @@ def run_training_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, float]:
     # ---- fixed-seed loss-curve parity, both trainable models
     predictor_curves = {}
     for fast in (False, True):
-        predictor = GlucosePredictor(epochs=2, hidden_size=8, seed=9, use_fast_path=fast)
-        predictor.fit(windows, targets)
+        predictor = GlucosePredictor(epochs=2, hidden_size=8, seed=9)
+        (predictor.fit if fast else predictor.fit_graph)(windows, targets)
         predictor_curves[fast] = np.asarray(predictor.history_.epoch_losses)
     predictor_gap = assert_loss_curves_match(
         predictor_curves[False], predictor_curves[True], "predictor fit"
@@ -245,10 +245,8 @@ def run_training_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, float]:
 
     madgan_curves = {}
     for fast in (False, True):
-        detector = MADGANDetector(
-            epochs=2, hidden_size=8, inversion_steps=2, seed=6, use_fast_path=fast
-        )
-        detector.fit(windows)
+        detector = MADGANDetector(epochs=2, hidden_size=8, inversion_steps=2, seed=6)
+        (detector.fit if fast else detector.fit_graph)(windows)
         madgan_curves[fast] = np.concatenate(
             [detector.history_.generator_losses, detector.history_.discriminator_losses]
         )

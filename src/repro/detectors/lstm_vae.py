@@ -188,15 +188,14 @@ class LSTMVAEDetector(AnomalyDetector):
         KL weight in the ELBO (``loss = NLL + beta · KL``).
     quantile:
         Benign-score quantile calibrating the decision threshold.
-    use_fast_path:
-        When True (default) training runs through :class:`FusedTrainer` with
-        the hand-written backward chain; False routes every step through the
-        autodiff graph.  Both paths consume identical reparameterization
-        draws, so their fixed-seed loss curves match step-for-step and their
-        gradients agree within 1e-8.  Scoring is graph-free either way — it
-        is deterministic (latent = encoder mean) and identical for both.
     seed:
         Seed for weights, reparameterization draws, batching, subsampling.
+
+    :meth:`fit` trains through :class:`FusedTrainer` with the hand-written
+    backward chain; :meth:`fit_graph` is the autodiff reference twin.  Both
+    consume identical reparameterization draws, so their fixed-seed loss
+    curves match step-for-step and their gradients agree within 1e-8.
+    Scoring is graph-free and deterministic (latent = encoder mean).
 
     The anomaly score of a window is the **max over timesteps** of the mean
     per-feature Gaussian NLL — like MAD-GAN's max-over-timesteps
@@ -218,7 +217,6 @@ class LSTMVAEDetector(AnomalyDetector):
         beta: float = 1.0,
         quantile: float = 0.95,
         max_samples: int = 3000,
-        use_fast_path: bool = True,
         seed=0,
     ):
         if epochs <= 0 or batch_size <= 0:
@@ -236,7 +234,6 @@ class LSTMVAEDetector(AnomalyDetector):
         self.learning_rate = float(learning_rate)
         self.beta = float(beta)
         self.max_samples = int(max_samples)
-        self.use_fast_path = bool(use_fast_path)
         self._rng = as_random_state(seed)
         core_seed = self._rng.spawn(1)[0]
         self._core = _VAECore(
@@ -271,6 +268,32 @@ class LSTMVAEDetector(AnomalyDetector):
         (``train.steps_total`` / ``train.step_batch`` / ``train.step_seconds``
         / ``train.grad_buffers``); None records nothing.
         """
+        return self._fit(
+            windows,
+            labels,
+            lambda optimizer: FusedTrainer(
+                self._core,
+                optimizer,
+                loss=fused_vae_loss_head(self.beta),
+                gradient_clip=5.0,
+                obs=obs,
+            ).step,
+        )
+
+    def fit_graph(
+        self, windows: np.ndarray, labels: Optional[np.ndarray] = None
+    ) -> "LSTMVAEDetector":
+        """:meth:`fit` through the autodiff graph (reference/benchmark path)."""
+
+        def make_step(optimizer):
+            return lambda batch, _target: self._vae_step_graph(
+                batch, self._core._pending_eps, optimizer
+            )
+
+        return self._fit(windows, labels, make_step)
+
+    def _fit(self, windows, labels, make_step) -> "LSTMVAEDetector":
+        """Shared training loop; ``make_step(optimizer)`` returns the step."""
         if labels is not None:
             labels = check_array(labels, "labels", ndim=1)
             windows = np.asarray(windows)[labels == 0]
@@ -282,10 +305,7 @@ class LSTMVAEDetector(AnomalyDetector):
             scaled = scaled[index]
 
         optimizer = Adam(self._core.parameters(), learning_rate=self.learning_rate)
-        loss_head = fused_vae_loss_head(self.beta)
-        trainer = FusedTrainer(
-            self._core, optimizer, loss=loss_head, gradient_clip=5.0, obs=obs
-        )
+        step = make_step(optimizer)
         iterator = BatchIterator(
             scaled,
             batch_size=self.batch_size,
@@ -301,10 +321,7 @@ class LSTMVAEDetector(AnomalyDetector):
                 # by the fused and graph twins (fixed-seed curve parity).
                 eps = self._rng.normal(0.0, 1.0, size=(len(batch), self.latent_dim))
                 self._core._pending_eps = eps
-                if self.use_fast_path:
-                    losses.append(trainer.step(batch, batch))
-                else:
-                    losses.append(self._vae_step_graph(batch, eps, optimizer))
+                losses.append(step(batch, batch))
             history.append(float(np.mean(losses)))
         self._core._pending_eps = None
         self.history_ = history

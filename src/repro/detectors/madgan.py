@@ -38,6 +38,10 @@ from repro.utils.timeseries import StandardScaler
 from repro.utils.validation import check_array, check_fitted
 
 
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+
+
 class SequenceGenerator(Module):
     """LSTM generator: latent sequence ``(B, T, latent)`` → window ``(B, T, F)``."""
 
@@ -184,7 +188,8 @@ class ColdBatchPlan:
     :meth:`MADGANDetector.finish_scores_incremental` needs to resume, which
     lets a scheduler coalesce the cold work of *several* detector groups into
     one inversion batch per detector (see
-    ``repro.serving.scheduler.Scheduler(coalesce_cold_batches=...)``).
+    :class:`repro.serving.scheduler.StreamScheduler`, which does so whenever
+    one detector backs two or more groups in a tick).
 
     Plans are single-tick, single-process objects: they hold live references
     to the caller's states and never cross a pickle boundary.
@@ -256,22 +261,19 @@ class MADGANDetector(AnomalyDetector):
         λ in ``DR = λ · reconstruction + (1 − λ) · discrimination``.
     quantile:
         Benign-score quantile used to calibrate the decision threshold.
-    use_fast_path:
-        When True (the default) both training and scoring run graph-free.
-        :meth:`fit` trains every GAN step through the fused engine
-        (hand-written BPTT with full weight gradients, see
-        :meth:`_gan_step_fused`); scoring runs the same fused kernels for
-        the generator inversion, with the generator frozen for the whole
-        loop so only the latent gradient is computed (every weight-gradient
-        matmul is skipped, see :meth:`_invert_fast`), and the final
-        reconstruction and the discriminator probabilities are computed
-        graph-free.  Set False to
-        route every training step and scoring query through the full
-        autodiff graph; the two paths agree within 1e-8 on gradients and
-        produce step-for-step matching fixed-seed loss curves (see
-        ``tests/test_nn_fused.py``, ``scripts/bench_train.py``).
     seed:
         Seed for weights, latent sampling, and batching.
+
+    Training and scoring run graph-free: :meth:`fit` trains every GAN step
+    through the fused engine (hand-written BPTT with full weight gradients,
+    see :meth:`_gan_step_fused`), and scoring runs the same fused kernels
+    for the generator inversion with the generator frozen, so only the
+    latent gradient is computed (see :meth:`_invert_fast`).
+    :meth:`fit_graph` and :meth:`scores_graph` are the autodiff reference
+    twins: gradients agree within 1e-8, fixed-seed loss curves match
+    step-for-step, reconstruction errors within 1e-8 and discriminator
+    probabilities within 1e-10 (``tests/test_nn_fused.py``,
+    ``tests/test_detectors.py``, ``scripts/bench_train.py``).
     """
 
     name = "MAD-GAN"
@@ -294,12 +296,10 @@ class MADGANDetector(AnomalyDetector):
         reconstruction_weight: float = 0.7,
         quantile: float = 0.95,
         max_samples: int = 3000,
-        use_fast_path: bool = True,
         seed=0,
     ):
         if not 0.0 <= reconstruction_weight <= 1.0:
             raise ValueError("reconstruction_weight must be in [0, 1]")
-        self.use_fast_path = bool(use_fast_path)
         self.sequence_length = int(sequence_length)
         self.n_features = int(n_features)
         self.latent_dim = int(latent_dim)
@@ -367,6 +367,36 @@ class MADGANDetector(AnomalyDetector):
 
     # ----------------------------------------------------------------- training
     def fit(self, windows: np.ndarray, labels: Optional[np.ndarray] = None) -> "MADGANDetector":
+        """Train the GAN on benign windows and calibrate the DR threshold."""
+        return self._fit(
+            windows,
+            labels,
+            self._gan_step_fused,
+            self._reconstruction_errors,
+            self._discrimination_scores,
+        )
+
+    def fit_graph(
+        self, windows: np.ndarray, labels: Optional[np.ndarray] = None
+    ) -> "MADGANDetector":
+        """:meth:`fit` through the autodiff graph (reference/benchmark path).
+
+        Every GAN step runs :meth:`_gan_step_graph` and the threshold is
+        calibrated through the graph inversion and discriminator, consuming
+        the same RNG draws as :meth:`fit`.
+        """
+        return self._fit(
+            windows,
+            labels,
+            self._gan_step_graph,
+            self._reconstruction_errors_graph,
+            self._discrimination_scores_graph,
+        )
+
+    def _fit(
+        self, windows, labels, gan_step, reconstruction_errors, discrimination_scores
+    ) -> "MADGANDetector":
+        """Shared training loop and calibration over the given engine."""
         if labels is not None:
             labels = check_array(labels, "labels", ndim=1)
             windows = np.asarray(windows)[labels == 0]
@@ -384,7 +414,6 @@ class MADGANDetector(AnomalyDetector):
         iterator = BatchIterator(
             scaled, batch_size=self.batch_size, shuffle=True, drop_last=True, seed=self._rng.derive("batches")
         )
-        gan_step = self._gan_step_fused if self.use_fast_path else self._gan_step_graph
         history = MADGANTrainingHistory()
         for _ in range(self.epochs):
             generator_losses = []
@@ -400,10 +429,11 @@ class MADGANDetector(AnomalyDetector):
             history.discriminator_losses.append(float(np.mean(discriminator_losses)))
         self.history_ = history
 
-        benign_reconstruction = self._reconstruction_errors(scaled)
+        benign_reconstruction = reconstruction_errors(scaled)
         self._benign_reconstruction_scale = float(np.mean(benign_reconstruction) + 1e-12)
-        benign_scores = self._dr_scores(scaled, benign_reconstruction)
-        self.calibrator.fit(benign_scores)
+        self.calibrator.fit(
+            self._dr_scores(benign_reconstruction, discrimination_scores(scaled))
+        )
         return self
 
     def _gan_step_graph(
@@ -551,38 +581,32 @@ class MADGANDetector(AnomalyDetector):
         return per_timestep.max(axis=1), latent.data
 
     def _reconstruction_errors(
-        self,
-        scaled_windows: np.ndarray,
-        fast_path: Optional[bool] = None,
-        initial_latent: Optional[np.ndarray] = None,
+        self, scaled_windows: np.ndarray, initial_latent: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Best-effort generator inversion: optimize latent sequences by gradient.
 
-        With ``fast_path`` (defaulting to :attr:`use_fast_path`), the loop
-        runs :meth:`_invert_fast`: each step is the fused training forward,
+        Runs :meth:`_invert_fast`: each step is the fused training forward,
         :func:`~repro.nn.fused_mse_loss` and the fused BPTT through the
         frozen generator, which yields the latent gradient without
-        allocating autodiff nodes or computing any parameter gradient.  The
-        graph loop below stays as the reference; the two agree within 1e-8
-        (``tests/test_detectors.py`` pins this).
+        allocating autodiff nodes or computing any parameter gradient.
+        :meth:`_reconstruction_errors_graph` is the reference; the two agree
+        within 1e-8 (``tests/test_detectors.py`` pins this).
 
         ``initial_latent`` overrides the random latent initialization; when
         omitted, one latent sample is drawn from the detector's persistent RNG
         (so back-to-back calls start from different latents).
         """
-        fast = self.use_fast_path if fast_path is None else bool(fast_path)
-        count = len(scaled_windows)
         if initial_latent is None:
-            initial_latent = self._sample_latent(count) * 0.1
-        # Constraining the latent to the typical set of its prior is part of
-        # both loops: an unbounded latent lets the generator chase arbitrary
-        # (including adversarial) targets, which would destroy the
-        # reconstruction signal of the DR score.
-        if fast:
-            errors, _ = self._invert_fast(
-                scaled_windows, initial_latent, self.inversion_steps
-            )
-            return errors
+            initial_latent = self._sample_latent(len(scaled_windows)) * 0.1
+        errors, _ = self._invert_fast(scaled_windows, initial_latent, self.inversion_steps)
+        return errors
+
+    def _reconstruction_errors_graph(
+        self, scaled_windows: np.ndarray, initial_latent: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`_reconstruction_errors` through the autodiff graph (reference)."""
+        if initial_latent is None:
+            initial_latent = self._sample_latent(len(scaled_windows)) * 0.1
         latent = Parameter(np.array(initial_latent, dtype=np.float64, copy=True), name="latent")
         optimizer = Adam([latent], learning_rate=self.inversion_learning_rate)
         target = Tensor(scaled_windows)
@@ -594,6 +618,10 @@ class MADGANDetector(AnomalyDetector):
             loss = (residual * residual).mean()
             loss.backward()
             optimizer.step()
+            # Constraining the latent to the typical set of its prior (both
+            # engines clip): an unbounded latent lets the generator chase
+            # arbitrary (including adversarial) targets, which would destroy
+            # the reconstruction signal of the DR score.
             latent.data = np.clip(latent.data, -2.5, 2.5)
         generated = self.generator(latent).numpy()
         per_timestep = np.mean((generated - scaled_windows) ** 2, axis=2)
@@ -603,22 +631,20 @@ class MADGANDetector(AnomalyDetector):
         return per_timestep.max(axis=1)
 
     def _discrimination_scores(self, scaled_windows: np.ndarray) -> np.ndarray:
-        """Probability that each window is fake according to the discriminator."""
-        if self.use_fast_path:
-            logits = self.discriminator.predict(scaled_windows).reshape(-1)
-        else:
-            logits = self.discriminator(Tensor(scaled_windows)).numpy().reshape(-1)
-        return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+        """Probability that each window is real according to the discriminator."""
+        return _sigmoid(self.discriminator.predict(scaled_windows).reshape(-1))
 
-    def _dr_scores(self, scaled_windows: np.ndarray, reconstruction: Optional[np.ndarray] = None) -> np.ndarray:
-        if reconstruction is None:
-            reconstruction = self._reconstruction_errors(scaled_windows)
+    def _discrimination_scores_graph(self, scaled_windows: np.ndarray) -> np.ndarray:
+        """:meth:`_discrimination_scores` through the autodiff graph (reference)."""
+        return _sigmoid(self.discriminator(Tensor(scaled_windows)).numpy().reshape(-1))
+
+    def _dr_scores(self, reconstruction: np.ndarray, real_probability: np.ndarray) -> np.ndarray:
+        """DR score from per-window reconstruction errors and discriminator output."""
         scale = self._benign_reconstruction_scale or float(np.mean(reconstruction) + 1e-12)
         normalized_reconstruction = reconstruction / scale
-        fake_probability = 1.0 - self._discrimination_scores(scaled_windows)
         return (
             self.reconstruction_weight * normalized_reconstruction
-            + (1.0 - self.reconstruction_weight) * fake_probability
+            + (1.0 - self.reconstruction_weight) * (1.0 - real_probability)
         )
 
     def scores(self, windows: np.ndarray) -> np.ndarray:
@@ -642,7 +668,18 @@ class MADGANDetector(AnomalyDetector):
         """
         check_fitted(self, ("_scaler", "history_"))
         scaled = self._scale(np.asarray(windows, dtype=np.float64))
-        return self._dr_scores(scaled)
+        return self._dr_scores(
+            self._reconstruction_errors(scaled), self._discrimination_scores(scaled)
+        )
+
+    def scores_graph(self, windows: np.ndarray) -> np.ndarray:
+        """:meth:`scores` through the autodiff graph (reference/benchmark path)."""
+        check_fitted(self, ("_scaler", "history_"))
+        scaled = self._scale(np.asarray(windows, dtype=np.float64))
+        return self._dr_scores(
+            self._reconstruction_errors_graph(scaled),
+            self._discrimination_scores_graph(scaled),
+        )
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""
@@ -700,10 +737,6 @@ class MADGANDetector(AnomalyDetector):
         variability — ``tests/test_detectors.py`` pins score agreement and
         ``scripts/bench_serving.py`` asserts verdict parity on its fixture.
 
-        Raises ``ValueError`` when the detector was built with
-        ``use_fast_path=False``: the warm inversion has no autodiff twin, so
-        the reference configuration must score through :meth:`scores`.
-
         Implemented as :meth:`finish_scores_incremental` applied to
         :meth:`begin_scores_incremental` — callers that want to batch the
         cold inversion across several calls (the scheduler's cross-group
@@ -726,12 +759,6 @@ class MADGANDetector(AnomalyDetector):
         the one-shot path, or after running :meth:`invert_cold` yourself
         (possibly on several plans' windows concatenated) to coalesce.
         """
-        if not self.use_fast_path:
-            raise ValueError(
-                "incremental scoring is a fast-path-only feature (the warm "
-                "inversion has no autodiff twin); use scores() with "
-                "use_fast_path=False for the reference path"
-            )
         check_fitted(self, ("_scaler", "history_"))
         windows = np.asarray(windows, dtype=np.float64)
         if len(windows) != len(states):
@@ -944,7 +971,7 @@ class MADGANDetector(AnomalyDetector):
         for index, state in enumerate(states):
             state.error = float(errors[index])
             state.ticks += 1
-        return self._dr_scores(scaled, errors)
+        return self._dr_scores(errors, self._discrimination_scores(scaled))
 
     def predict_incremental(
         self,

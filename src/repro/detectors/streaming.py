@@ -128,19 +128,15 @@ class StreamingDetector:
             raise ValueError(f"unit must be one of {STREAM_UNITS}, got {unit!r}")
         if history <= 0:
             raise ValueError("history must be positive")
-        supports_incremental = (
-            unit == "window"
-            and hasattr(detector, "scores_incremental")
-            # A reference-configured detector (use_fast_path=False) must not
-            # be silently moved onto the fast-path-only incremental engine.
-            and getattr(detector, "use_fast_path", True)
+        supports_incremental = unit == "window" and hasattr(
+            detector, "scores_incremental"
         )
         if incremental is None:
             incremental = supports_incremental
         elif incremental and not supports_incremental:
             raise ValueError(
                 "incremental streaming requires unit='window' and a "
-                "fast-path detector exposing the incremental scoring API "
+                "detector exposing the incremental scoring API "
                 "(scores_incremental)"
             )
         if divergence_watchdog is not None and divergence_watchdog < 1:

@@ -74,16 +74,6 @@ class GlucosePredictor:
         patient's resilience to the spread of their benign data — patients
         with tight glucose control leave an adversary much less headroom,
         which is the resilience mechanism the paper describes.
-    use_fast_path:
-        When True (the default) :meth:`predict` runs the graph-free batched
-        inference engine (:meth:`Module.predict`) and :meth:`fit` trains
-        through the fused training engine (:class:`~repro.nn.FusedTrainer`:
-        hand-written BPTT, no autodiff graph).  Set False to force every
-        query through the autodiff graph (:meth:`predict_graph`) and every
-        training step through ``loss.backward()`` — only useful for
-        regression testing and benchmarking: predictions agree within 1e-10,
-        fused gradients within 1e-8, and fixed-seed loss curves match
-        step-for-step (``scripts/bench_train.py``).
     seed:
         Seed controlling weight initialization and batch shuffling.
     """
@@ -99,7 +89,6 @@ class GlucosePredictor:
         learning_rate: float = 0.01,
         gradient_clip: float = 5.0,
         input_clip_std: Optional[float] = 3.0,
-        use_fast_path: bool = True,
         seed=0,
     ):
         if epochs <= 0:
@@ -115,7 +104,6 @@ class GlucosePredictor:
         self.learning_rate = float(learning_rate)
         self.gradient_clip = float(gradient_clip)
         self.input_clip_std = None if input_clip_std is None else float(input_clip_std)
-        self.use_fast_path = bool(use_fast_path)
         self._rng = as_random_state(seed)
 
         model_seed, shuffle_seed = self._rng.spawn(2)
@@ -132,14 +120,44 @@ class GlucosePredictor:
     def fit(self, windows: np.ndarray, targets: np.ndarray) -> "GlucosePredictor":
         """Train the forecaster on raw (unscaled) windows and CGM targets.
 
-        With ``use_fast_path`` (the default) every training step runs the
-        fused engine — hand-written BPTT through the BiLSTM and dense head,
-        no autodiff graph (:class:`~repro.nn.FusedTrainer`).  The graph loop
-        is kept as the reference twin (``use_fast_path=False``): same
-        optimizer, same shuffling, same clipping, with per-step losses
-        matching the fused path step-for-step under a fixed seed
+        Every training step runs the fused engine — hand-written BPTT
+        through the BiLSTM and dense head, no autodiff graph
+        (:class:`~repro.nn.FusedTrainer`).  :meth:`fit_graph` is the
+        reference twin.
+        """
+        return self._fit(
+            windows,
+            targets,
+            lambda optimizer: FusedTrainer(
+                self.model, optimizer, loss="mse", gradient_clip=self.gradient_clip
+            ).step,
+        )
+
+    def fit_graph(self, windows: np.ndarray, targets: np.ndarray) -> "GlucosePredictor":
+        """:meth:`fit` through the autodiff graph (reference/benchmark path).
+
+        Same optimizer, shuffling and clipping, with every step built from
+        ``loss.backward()``; per-step losses match :meth:`fit` step-for-step
+        under a fixed seed and gradients agree within 1e-8
         (``tests/test_nn_fused.py``, ``scripts/bench_train.py``).
         """
+
+        def make_step(optimizer):
+            def step(batch_inputs, batch_targets):
+                optimizer.zero_grad()
+                predictions = self.model(Tensor(batch_inputs))
+                loss = mse_loss(predictions, Tensor(batch_targets))
+                loss.backward()
+                optimizer.clip_gradients(self.gradient_clip)
+                optimizer.step()
+                return loss.item()
+
+            return step
+
+        return self._fit(windows, targets, make_step)
+
+    def _fit(self, windows, targets, make_step) -> "GlucosePredictor":
+        """Shared training loop; ``make_step(optimizer)`` returns the step."""
         windows = check_array(windows, "windows", ndim=3, min_samples=1)
         targets = check_array(targets, "targets", ndim=1)
         check_consistent_length(windows, targets)
@@ -160,28 +178,14 @@ class GlucosePredictor:
             shuffle=True,
             seed=self._shuffle_seed,
         )
-        trainer = (
-            FusedTrainer(
-                self.model, optimizer, loss="mse", gradient_clip=self.gradient_clip
-            )
-            if self.use_fast_path
-            else None
-        )
+        step = make_step(optimizer)
         history = TrainingHistory()
         self.model.train()
         for _ in range(self.epochs):
-            epoch_losses = []
-            for batch_inputs, batch_targets in iterator:
-                if trainer is not None:
-                    epoch_losses.append(trainer.step(batch_inputs, batch_targets))
-                    continue
-                optimizer.zero_grad()
-                predictions = self.model(Tensor(batch_inputs))
-                loss = mse_loss(predictions, Tensor(batch_targets))
-                loss.backward()
-                optimizer.clip_gradients(self.gradient_clip)
-                optimizer.step()
-                epoch_losses.append(loss.item())
+            epoch_losses = [
+                step(batch_inputs, batch_targets)
+                for batch_inputs, batch_targets in iterator
+            ]
             history.epoch_losses.append(float(np.mean(epoch_losses)))
         self.model.eval()
         self.history_ = history
@@ -197,13 +201,11 @@ class GlucosePredictor:
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Predict future CGM values (mg/dL) for raw input windows.
 
-        This is the attack hot path: by default it runs the graph-free
-        batched inference engine, which computes the BiLSTM forward with
+        This is the attack hot path: it runs the graph-free batched
+        inference engine, which computes the BiLSTM forward with
         fused gate matmuls and no autodiff bookkeeping.  One call with a
         large batch is far cheaper than many single-window calls.
         """
-        if not self.use_fast_path:
-            return self.predict_graph(windows)
         scaled = self._prepare(windows)
         return self.scaler.unscale_target(self.model.predict(scaled).reshape(-1))
 
@@ -362,9 +364,10 @@ class GlucosePredictor:
         digest = hashlib.sha256(self.model.state_hash().encode())
         digest.update(
             f"|{self.history}|{self.horizon}|{self.n_features}|{self.input_clip_std}"
-            # use_fast_path selects the inference engine; the two paths agree
-            # only within 1e-10, so mixed configurations must not merge.
-            f"|{self.use_fast_path}".encode()
+            # The constant suffix once recorded an inference-engine switch
+            # that no longer exists; it stays so every lane key, and with
+            # it every content-addressed snapshot, keeps its digest.
+            "|True".encode()
         )
         if self.scaler is not None:
             digest.update(self.scaler.signature())

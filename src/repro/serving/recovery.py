@@ -120,9 +120,9 @@ class SchedulerSnapshot:
     version:
         Schema version (:data:`SNAPSHOT_VERSION`); restore rejects others.
     config:
-        The ``StreamScheduler`` constructor kwargs (fast-path flag, health
-        and ingress configs, validation and coalescing switches) — frozen
-        dataclasses, included by value.
+        The ``StreamScheduler`` constructor kwargs (health and ingress
+        configs, checkpoint validation) — frozen dataclasses, included by
+        value.
     models:
         Content-addressed weights: ``lane_key (state_hash) -> pickled
         predictor``, one payload per lane regardless of session count.
@@ -207,11 +207,9 @@ def capture_scheduler(
     return SchedulerSnapshot(
         version=SNAPSHOT_VERSION,
         config=dict(
-            use_single_fast_path=scheduler.use_single_fast_path,
             health=scheduler.health,
             ingress=scheduler.ingress,
             validate_checkpoints=scheduler.validate_checkpoints,
-            coalesce_cold_batches=scheduler.coalesce_cold_batches,
         ),
         models=models,
         state=state,
@@ -243,7 +241,16 @@ def restore_scheduler(
             f"snapshot version {snapshot.version} is not supported "
             f"(expected {SNAPSHOT_VERSION})"
         )
-    scheduler = StreamScheduler(obs=obs, **snapshot.config)
+    # Read only the options the scheduler takes: earlier v2 snapshots also
+    # record two engine switches that have since been retired (both engines
+    # gave identical results), and those keys are ignored.
+    config = snapshot.config
+    scheduler = StreamScheduler(
+        health=config.get("health"),
+        ingress=config.get("ingress"),
+        validate_checkpoints=config.get("validate_checkpoints", False),
+        obs=obs,
+    )
     registry: Dict[Any, object] = {"scheduler": scheduler, "obs": obs}
     for lane_key, payload in snapshot.models.items():
         try:

@@ -103,17 +103,27 @@ class _Lane:
 class StreamScheduler:
     """Coalesce concurrent patient streams into per-model batched ticks.
 
+    A tick that admits exactly one session skips the lane stacking and
+    steps the model through :meth:`GlucosePredictor.step_one`
+    (:meth:`_tick_single`); everything else is the batched path's
+    (:meth:`_tick_lanes`) code on a one-row batch, so predictions, verdicts,
+    metric series and spans are equal (``tests/test_serving.py`` pins this).
+
+    When one *phased* incremental detector object (one exposing
+    ``begin_scores_incremental`` — MAD-GAN) backs two or more detector
+    groups in a tick (i.e. is shared across lanes), the scheduler runs each
+    group's warm phase separately but merges every group's owed cold
+    inversions into ONE batched
+    :meth:`~repro.detectors.madgan.MADGANDetector.invert_cold` call per
+    detector.  Verdicts are identical to running each lane's adapters
+    eagerly (the cold-start latents are drawn in the warm phase so the
+    detector RNG stream never shifts; pinned by
+    ``tests/test_detectors_vae_hmm.py``); only the inversion batch count
+    drops.  Deterministic detectors (LSTM-VAE, HMM, kNN) never take this
+    path, so lane-scoped bitwise parity is untouched.
+
     Parameters
     ----------
-    use_single_fast_path:
-        When True (the default) a tick that delivers to exactly one session
-        bypasses the lane stacking and detector-grouping bookkeeping and
-        runs a slim single-stream path (:meth:`GlucosePredictor.step_one`).
-        The arithmetic is identical to the batched path on a one-row batch,
-        so predictions and verdicts are bitwise-equal
-        (``tests/test_serving.py`` pins this); only the per-tick Python
-        overhead differs.  Set False to force every tick through the
-        batched path (benchmark/parity use).
     health:
         Optional :class:`~repro.serving.health.HealthConfig`.  Every opened
         session gets a :class:`~repro.serving.health.SessionHealth` state
@@ -131,21 +141,6 @@ class StreamScheduler:
         When True, :meth:`open_session` refuses predictors whose weights or
         scaler statistics contain non-finite values
         (:func:`~repro.serving.health.validate_checkpoint`).
-    coalesce_cold_batches:
-        When True (the default) and one *phased* incremental detector object
-        (one exposing ``begin_scores_incremental`` — MAD-GAN) backs two or
-        more detector groups in a tick (i.e. is shared across lanes), the
-        scheduler runs each group's warm phase separately but merges every
-        group's owed cold inversions into ONE batched
-        :meth:`~repro.detectors.madgan.MADGANDetector.invert_cold` call per
-        detector — closing the ROADMAP gap where deferred cold fallbacks
-        coalesced per-detector-group only.  Verdicts are identical to the
-        uncoalesced path (the cold-start latents are drawn in the warm phase
-        so the detector RNG stream never shifts; pinned by
-        ``tests/test_detectors_vae_hmm.py``); only the inversion batch count
-        drops.  Deterministic detectors (LSTM-VAE, HMM, kNN) never take this
-        path, so lane-scoped bitwise parity is untouched.  Set False to force
-        the per-group cold batches (parity/benchmark comparisons).
     obs:
         Optional :class:`~repro.obs.Observer`.  When set, every tick emits
         deterministic metrics (lane/detector/ingress/health series — see
@@ -159,18 +154,14 @@ class StreamScheduler:
 
     def __init__(
         self,
-        use_single_fast_path: bool = True,
         health: Optional[HealthConfig] = None,
         ingress: Optional[IngressConfig] = None,
         validate_checkpoints: bool = False,
-        coalesce_cold_batches: bool = True,
         obs=None,
     ):
-        self.use_single_fast_path = bool(use_single_fast_path)
         self.health = health
         self.ingress = ingress
         self.validate_checkpoints = bool(validate_checkpoints)
-        self.coalesce_cold_batches = bool(coalesce_cold_batches)
         self.obs = obs
         self._lanes: Dict[str, _Lane] = {}
         self._sessions: Dict[str, PatientSession] = {}
@@ -481,8 +472,8 @@ class StreamScheduler:
         batch-shape dependent, so lane-scoped batching keeps every session's
         outputs bitwise independent of which other lanes share its
         detectors — the invariant the sharded fabric's parity gate pins.  A
-        single-session tick takes the slim fast path instead — see
-        ``use_single_fast_path``.
+        tick that admits one session takes the slim single-stream path
+        (:meth:`_tick_single`) with the same arithmetic.
         """
         obs = self.obs
         self._now = now
@@ -502,12 +493,19 @@ class StreamScheduler:
             if obs is not None:
                 self._finish_tick_obs(tick_started, events_mark, results)
             return results
-        if self.use_single_fast_path and len(admitted) == 1:
+        if len(admitted) == 1:
             session, sample, tag = admitted[0]
             results.update(self._tick_single(session, sample, tag))
-            if obs is not None:
-                self._finish_tick_obs(tick_started, events_mark, results)
-            return results
+        else:
+            self._tick_lanes(admitted, results)
+        if obs is not None:
+            self._finish_tick_obs(tick_started, events_mark, results)
+        return results
+
+    def _tick_lanes(self, admitted: List[tuple], results: Dict[str, SessionTick]) -> None:
+        """Serve ``admitted`` with one stacked step per lane; fill ``results``."""
+        obs = self.obs
+        now = self._now
         gather_started = perf_counter() if obs is not None else 0.0
         per_lane: Dict[str, List[Tuple[PatientSession, np.ndarray, Optional[str]]]] = {}
         for session, sample, tag in admitted:
@@ -531,81 +529,99 @@ class StreamScheduler:
                 continue
 
             for (session, _, tag), sample, prediction in zip(items, stacked, predictions):
-                tick_index = session.ticks
-                session.ticks += 1
-                session._push_raw(sample)
                 value = None if np.isnan(prediction) else float(prediction)
-                session.last_prediction = value if value is not None else session.last_prediction
-                outcome = SessionTick(
-                    session_id=session.session_id,
-                    tick=tick_index,
-                    sample=sample.copy(),
-                    prediction=value,
-                    ingress=tag,
+                results[session.session_id] = self._serve(
+                    session, sample, value, tag, pending_views
                 )
-                results[session.session_id] = outcome
-                if obs is not None:
-                    obs.registry.inc("serving.ticks_served_total", lane=lane_key)
-                self._health_after_step(session, outcome)
-
-                for name, adapter in session.detectors.items():
-                    detector_tick, view = adapter.prepare(sample)
-                    if view is None:
-                        outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
-                        if obs is not None:
-                            obs.registry.inc("serving.detector_warming_total", detector=name)
-                        continue
-                    # Batches are scoped to the lane: one query per distinct
-                    # detector per lane, NOT per detector fleet-wide.  BLAS
-                    # rounds per batch shape, so cross-lane batching would
-                    # make a session's scores depend on which *other* lanes
-                    # happen to share its detector (a composition dependence
-                    # the sharded fabric's bitwise parity gate would reject —
-                    # lanes are the atomic placement unit).
-                    group_key = (
-                        lane_key,
-                        id(adapter.detector),
-                        view.shape[1:],
-                        adapter.incremental,
-                    )
-                    group = pending_views.setdefault(
-                        group_key,
-                        {
-                            "detector": adapter.detector,
-                            "incremental": adapter.incremental,
-                            "views": [],
-                            "targets": [],
-                        },
-                    )
-                    group["views"].append(view)
-                    group["targets"].append((outcome, name, adapter, detector_tick, session))
             if obs is not None:
-                obs.registry.observe("serving.lane_step_batch", len(items), lane=lane_key)
-                obs.emit_span(
-                    "lane_step",
-                    lane_started,
-                    tick=now,
-                    lane=lane_key,
-                    sessions=tuple(session.session_id for session in lane_sessions),
-                    batch=len(items),
-                )
+                self._observe_lane_step(lane_key, lane_sessions, lane_started)
+        self._query_detectors(pending_views)
 
+    def _serve(
+        self,
+        session: PatientSession,
+        sample: np.ndarray,
+        prediction: Optional[float],
+        tag: Optional[str],
+        pending_views: Dict[tuple, dict],
+    ) -> SessionTick:
+        """Record one stepped session's outcome and queue its detector views."""
+        tick_index = session.ticks
+        session.ticks += 1
+        session._push_raw(sample)
+        if prediction is not None:
+            session.last_prediction = prediction
+        outcome = SessionTick(
+            session_id=session.session_id,
+            tick=tick_index,
+            sample=sample.copy(),
+            prediction=prediction,
+            ingress=tag,
+        )
+        self._health_after_step(session, outcome)
+        for name, adapter in session.detectors.items():
+            detector_tick, view = adapter.prepare(sample)
+            if view is None:
+                outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
+                if self.obs is not None:
+                    self.obs.registry.inc("serving.detector_warming_total", detector=name)
+                continue
+            # Batches are scoped to the lane: one query per distinct detector
+            # per lane, NOT per detector fleet-wide.  BLAS rounds per batch
+            # shape, so cross-lane batching would make a session's scores
+            # depend on which *other* lanes happen to share its detector (a
+            # composition dependence the sharded fabric's bitwise parity
+            # gate would reject — lanes are the atomic placement unit).
+            group_key = (
+                session._lane_key,
+                id(adapter.detector),
+                view.shape[1:],
+                adapter.incremental,
+            )
+            group = pending_views.setdefault(
+                group_key,
+                {
+                    "detector": adapter.detector,
+                    "incremental": adapter.incremental,
+                    "views": [],
+                    "targets": [],
+                },
+            )
+            group["views"].append(view)
+            group["targets"].append((outcome, name, adapter, detector_tick, session))
+        return outcome
+
+    def _observe_lane_step(self, lane_key: str, sessions, started: float) -> None:
+        """Metric series and ``lane_step`` span of one lane's model step."""
+        self.obs.registry.inc("serving.ticks_served_total", len(sessions), lane=lane_key)
+        self.obs.registry.observe("serving.lane_step_batch", len(sessions), lane=lane_key)
+        self.obs.emit_span(
+            "lane_step",
+            started,
+            tick=self._now,
+            lane=lane_key,
+            sessions=tuple(session.session_id for session in sessions),
+            batch=len(sessions),
+        )
+
+    def _query_detectors(self, pending_views: Dict[tuple, dict]) -> None:
+        """Run every queued detector group and attach its verdicts."""
+        obs = self.obs
+        now = self._now
         # One batched query per lane per distinct detector object and view
         # shape; incremental adapters additionally thread their per-stream
         # states through the detector's batched incremental call.  When one
         # *phased* incremental detector (MAD-GAN) backs several groups this
         # tick, its groups run warm phases eagerly here but pool their owed
-        # cold inversions for one merged batch below (coalesce_cold_batches).
-        coalescible: set = set()
-        if self.coalesce_cold_batches:
-            phased_counts: Dict[int, int] = {}
-            for group in pending_views.values():
-                if group["incremental"] and hasattr(
-                    group["detector"], "begin_scores_incremental"
-                ):
-                    key = id(group["detector"])
-                    phased_counts[key] = phased_counts.get(key, 0) + 1
-            coalescible = {key for key, count in phased_counts.items() if count >= 2}
+        # cold inversions for one merged batch below.
+        phased_counts: Dict[int, int] = {}
+        for group in pending_views.values():
+            if group["incremental"] and hasattr(
+                group["detector"], "begin_scores_incremental"
+            ):
+                key = id(group["detector"])
+                phased_counts[key] = phased_counts.get(key, 0) + 1
+        coalescible = {key for key, count in phased_counts.items() if count >= 2}
         # id(detector) -> [(group_key, group, plan, started, wants_scores)],
         # in tick iteration order (the order the begin phases drew their
         # cold-start latents — splitting the merged inversion back follows it).
@@ -690,9 +706,6 @@ class StreamScheduler:
                 self._apply_group_verdicts(
                     group_key, group, flags, scores, group_started, now
                 )
-        if obs is not None:
-            self._finish_tick_obs(tick_started, events_mark, results)
-        return results
 
     def _apply_group_verdicts(
         self, group_key, group, flags, scores, group_started, now
@@ -819,16 +832,19 @@ class StreamScheduler:
         sample: np.ndarray,
         ingress_tag: Optional[str] = None,
     ) -> Dict[str, SessionTick]:
-        """One-session tick minus the batching scaffolding (same arithmetic).
+        """One-session tick minus the lane stacking (same arithmetic).
 
-        Emits the same per-session metric series as the batched path (a
-        one-session lane step is a batch of one), so a session's metrics are
-        identical whichever path its tick happens to take — the invariant
-        the sharded metric-parity gate relies on.
+        The model step is :meth:`GlucosePredictor.step_one`, the batched
+        kernel on one row without per-call validation; everything after it
+        (outcome, health, detector groups, metric series, spans) is the
+        batched path's own code on a batch of one, so a session's outputs,
+        metrics and trace are identical whichever path its tick takes — the
+        invariant the sharded metric-parity gate relies on.
         """
         obs = self.obs
-        lane_key = session._lane_key
-        lane = self._lanes[lane_key]
+        if obs is not None:
+            obs.emit_span("lane_gather", perf_counter(), tick=self._now, lanes=1)
+        lane = self._lanes[session._lane_key]
         lane_started = perf_counter() if obs is not None else 0.0
         try:
             prediction = lane.predictor.step_one(sample, lane.state, session._slot)
@@ -836,82 +852,13 @@ class StreamScheduler:
             results: Dict[str, SessionTick] = {}
             self._lane_failure([session], sample[np.newaxis], exc, results)
             return results
-
-        tick_index = session.ticks
-        session.ticks += 1
-        session._push_raw(sample)
         if prediction is not None and np.isnan(prediction):
             # Match the batched path: a non-finite prediction is reported as
             # None (and flagged by the health machinery), never as NaN.
             prediction = None
-        if prediction is not None:
-            session.last_prediction = prediction
-        outcome = SessionTick(
-            session_id=session.session_id,
-            tick=tick_index,
-            sample=sample.copy(),
-            prediction=prediction,
-            ingress=ingress_tag,
-        )
+        pending_views: Dict[tuple, dict] = {}
+        outcome = self._serve(session, sample, prediction, ingress_tag, pending_views)
         if obs is not None:
-            obs.registry.inc("serving.ticks_served_total", lane=lane_key)
-            obs.registry.observe("serving.lane_step_batch", 1, lane=lane_key)
-            obs.emit_span(
-                "lane_step",
-                lane_started,
-                tick=self._now,
-                lane=lane_key,
-                sessions=(session.session_id,),
-                batch=1,
-            )
-        self._health_after_step(session, outcome)
-        for name, adapter in session.detectors.items():
-            # With a single stream there is nothing to group: the adapter's
-            # own single-stream update IS the batched path's arithmetic.
-            query_started = perf_counter() if obs is not None else 0.0
-            try:
-                verdict = adapter.update(sample)
-            except Exception as exc:
-                if obs is not None:
-                    # The batched path counts a query per formed group; a
-                    # failing update had formed its one-session group.
-                    obs.registry.inc(
-                        "serving.detector_queries_total",
-                        lane=lane_key,
-                        incremental="yes" if adapter.incremental else "no",
-                    )
-                    obs.registry.observe("serving.detector_batch", 1, lane=lane_key)
-                self._detector_failure(
-                    [(outcome, name, adapter, session.ticks - 1, session)], exc
-                )
-                continue
-            outcome.verdicts[name] = verdict
-            if obs is not None:
-                if verdict.warming:
-                    obs.registry.inc("serving.detector_warming_total", detector=name)
-                    continue
-                obs.registry.inc(
-                    "serving.detector_queries_total",
-                    lane=lane_key,
-                    incremental="yes" if adapter.incremental else "no",
-                )
-                obs.registry.observe("serving.detector_batch", 1, lane=lane_key)
-                obs.registry.inc(
-                    "serving.detector_verdicts_total",
-                    detector=name,
-                    flagged="yes" if verdict.flagged else "no",
-                )
-                if verdict.degraded:
-                    obs.registry.inc("serving.watchdog_degraded_total", detector=name)
-                if adapter.incremental:
-                    self._observe_inversion(name, adapter)
-                obs.emit_span(
-                    "detector_batch",
-                    query_started,
-                    tick=self._now,
-                    lane=lane_key,
-                    sessions=(session.session_id,),
-                    batch=1,
-                    incremental=adapter.incremental,
-                )
+            self._observe_lane_step(session._lane_key, [session], lane_started)
+        self._query_detectors(pending_views)
         return {session.session_id: outcome}

@@ -507,7 +507,7 @@ class ShardedScheduler:
     n_shards:
         Worker-process count.  ``1`` is a valid degenerate fabric (one
         worker, useful as the cheapest cross-process parity probe).
-    use_single_fast_path, health, ingress, validate_checkpoints:
+    health, ingress, validate_checkpoints:
         Forwarded verbatim to every worker's private
         :class:`StreamScheduler`; see that class for semantics.  The
         configs must be picklable (the shipped dataclasses are).
@@ -547,7 +547,6 @@ class ShardedScheduler:
     def __init__(
         self,
         n_shards: int = 2,
-        use_single_fast_path: bool = True,
         health: Optional[HealthConfig] = None,
         ingress: Optional[IngressConfig] = None,
         validate_checkpoints: bool = False,
@@ -570,7 +569,6 @@ class ShardedScheduler:
         )
         self._obs_absorbed = False
         self._scheduler_kwargs = dict(
-            use_single_fast_path=use_single_fast_path,
             health=health,
             ingress=ingress,
             validate_checkpoints=validate_checkpoints,

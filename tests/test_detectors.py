@@ -217,9 +217,9 @@ class TestMADGAN:
 
 
 class TestMADGANFastPathRegression:
-    """The graph-free inversion/scoring fast paths are pinned to the autodiff
-    reference: reconstruction errors within 1e-8, detection decisions
-    unchanged."""
+    """The graph-free inversion/scoring fast paths are pinned to the named
+    autodiff references: reconstruction errors within 1e-8, discriminator
+    probabilities within 1e-10, detection decisions unchanged."""
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -232,19 +232,15 @@ class TestMADGANFastPathRegression:
         windows, _ = make_toy_windows(n_benign=12, n_malicious=8, seed=21)
         scaled = fitted._scale(windows)
         latent = fitted._sample_latent(len(scaled)) * 0.1
-        fast = fitted._reconstruction_errors(scaled, fast_path=True, initial_latent=latent)
-        graph = fitted._reconstruction_errors(scaled, fast_path=False, initial_latent=latent)
+        fast = fitted._reconstruction_errors(scaled, initial_latent=latent)
+        graph = fitted._reconstruction_errors_graph(scaled, initial_latent=latent)
         np.testing.assert_allclose(fast, graph, atol=1e-8, rtol=0.0)
 
     def test_discrimination_scores_match_graph_path(self, fitted):
         windows, _ = make_toy_windows(n_benign=10, n_malicious=5, seed=22)
         scaled = fitted._scale(windows)
         fast = fitted._discrimination_scores(scaled)
-        fitted.use_fast_path = False
-        try:
-            graph = fitted._discrimination_scores(scaled)
-        finally:
-            fitted.use_fast_path = True
+        graph = fitted._discrimination_scores_graph(scaled)
         np.testing.assert_allclose(fast, graph, atol=1e-10, rtol=0.0)
 
     def test_detection_decisions_unchanged(self, fitted):
@@ -255,18 +251,17 @@ class TestMADGANFastPathRegression:
         scaled = fitted._scale(windows)
         latent = fitted._sample_latent(len(scaled)) * 0.1
 
-        def decisions(fast_path: bool) -> np.ndarray:
-            reconstruction = fitted._reconstruction_errors(
-                scaled, fast_path=fast_path, initial_latent=latent
-            )
-            fitted.use_fast_path = fast_path
-            try:
-                scores = fitted._dr_scores(scaled, reconstruction)
-            finally:
-                fitted.use_fast_path = True
-            return fitted.calibrator.predict(scores)
-
-        np.testing.assert_array_equal(decisions(True), decisions(False))
+        fast = fitted._dr_scores(
+            fitted._reconstruction_errors(scaled, initial_latent=latent),
+            fitted._discrimination_scores(scaled),
+        )
+        graph = fitted._dr_scores(
+            fitted._reconstruction_errors_graph(scaled, initial_latent=latent),
+            fitted._discrimination_scores_graph(scaled),
+        )
+        np.testing.assert_array_equal(
+            fitted.calibrator.predict(fast), fitted.calibrator.predict(graph)
+        )
 
     def test_frozen_fused_inversion_matches_autodiff(self, fitted):
         from repro.nn import Parameter, Tensor, fused_mse_loss
@@ -489,13 +484,6 @@ class TestMADGANIncremental:
             MADGANDetector(warm_fallback_ratio=0.5)
         with pytest.raises(ValueError):
             MADGANDetector(cold_refresh_interval=0)
-
-    def test_reference_path_detector_rejects_incremental(self):
-        detector = MADGANDetector(use_fast_path=False)
-        with pytest.raises(ValueError, match="fast-path"):
-            detector.scores_incremental(
-                np.zeros((1, 12, 4)), [detector.make_inversion_state()]
-            )
 
     def test_cold_refresh_reanchors_periodically(self, fitted):
         trace = make_toy_trace(7, seed=15)

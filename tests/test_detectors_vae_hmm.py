@@ -150,12 +150,13 @@ class TestVAETraining:
         windows, labels = make_toy_windows(n_benign=48, n_malicious=0, seed=2)
         return windows[labels == 0]
 
-    def make(self, benign, **overrides):
+    def make(self, benign, graph=False, **overrides):
         kwargs = dict(
             epochs=2, hidden_size=8, latent_dim=3, batch_size=16, seed=11
         )
         kwargs.update(overrides)
-        return LSTMVAEDetector(**kwargs).fit(benign)
+        detector = LSTMVAEDetector(**kwargs)
+        return detector.fit_graph(benign) if graph else detector.fit(benign)
 
     def test_seeded_fit_is_deterministic(self, benign):
         left, right = self.make(benign), self.make(benign)
@@ -165,8 +166,8 @@ class TestVAETraining:
         np.testing.assert_array_equal(left.scores(windows), right.scores(windows))
 
     def test_fused_and_graph_loss_curves_match(self, benign):
-        fused = self.make(benign, use_fast_path=True)
-        graph = self.make(benign, use_fast_path=False)
+        fused = self.make(benign)
+        graph = self.make(benign, graph=True)
         assert len(fused.history_) == len(graph.history_) == 2
         gap = np.abs(np.array(fused.history_) - np.array(graph.history_)).max()
         assert gap <= LOSS_CURVE_TOLERANCE
@@ -514,43 +515,53 @@ class TestColdBatchCoalescing:
         self, benign, tiny_zoo, tiny_cohort
     ):
         """Two lanes sharing one MAD-GAN: coalescing must cut the inversion
-        batch count while leaving every verdict identical."""
+        batch count while leaving every verdict identical to an eager run of
+        each lane's adapter in the scheduler's lane order."""
         from repro.serving import StreamScheduler
 
         records = list(tiny_cohort)[:2]
         traces = {record.label: record.features("test")[:26] for record in records}
 
-        def run(coalesce):
-            detector = self.make_madgan(benign)
-            scheduler = StreamScheduler(coalesce_cold_batches=coalesce)
-            for record in records:
-                scheduler.open_session(
-                    record.label,
-                    tiny_zoo.model_for(record.label),
-                    detectors={
-                        "madgan": StreamingDetector(detector, unit="window", history=12)
-                    },
-                )
-            verdicts = []
-            for tick in range(26):
-                outcomes = scheduler.tick(
-                    {label: trace[tick] for label, trace in traces.items()}
-                )
-                verdicts.append(
-                    {
-                        label: (
-                            outcome.verdicts["madgan"].warming,
-                            outcome.verdicts["madgan"].flagged,
-                        )
-                        for label, outcome in outcomes.items()
-                    }
-                )
-            return verdicts, detector.inversion_calls
+        def verdict_of(verdict):
+            return verdict.warming, verdict.flagged
 
-        eager_verdicts, eager_calls = run(coalesce=False)
-        coalesced_verdicts, coalesced_calls = run(coalesce=True)
+        detector = self.make_madgan(benign)
+        scheduler = StreamScheduler()
+        for record in records:
+            scheduler.open_session(
+                record.label,
+                tiny_zoo.model_for(record.label),
+                detectors={
+                    "madgan": StreamingDetector(detector, unit="window", history=12)
+                },
+            )
+        assert scheduler.n_lanes == len(records)
+        coalesced_verdicts = [
+            {
+                label: verdict_of(outcome.verdicts["madgan"])
+                for label, outcome in scheduler.tick(
+                    {label: trace[tick] for label, trace in traces.items()}
+                ).items()
+            }
+            for tick in range(26)
+        ]
+
+        # Eager reference: every lane's adapter scores its own window in
+        # delivery (= lane) order, so each pays its own cold inversion.
+        reference = self.make_madgan(benign)
+        adapters = {
+            label: StreamingDetector(reference, unit="window", history=12)
+            for label in traces
+        }
+        eager_verdicts = [
+            {
+                label: verdict_of(adapters[label].update(trace[tick]))
+                for label, trace in traces.items()
+            }
+            for tick in range(26)
+        ]
         assert coalesced_verdicts == eager_verdicts
-        assert coalesced_calls < eager_calls
+        assert detector.inversion_calls < reference.inversion_calls
 
 
 # ------------------------------------------------- tier-1 parity smoke hook

@@ -171,17 +171,6 @@ class TestPredictorFastPath:
         graph = predictor.predict_graph(windows)
         assert max_diff(fast, graph) <= TOLERANCE
 
-    def test_use_fast_path_flag_switches_engine(self, tiny_zoo, tiny_cohort):
-        predictor = tiny_zoo.model_for("A_5")
-        record = next(r for r in tiny_cohort if r.label == "A_5")
-        windows, _, _ = tiny_zoo.dataset.from_record(record, "test")
-        try:
-            predictor.use_fast_path = False
-            slow = predictor.predict(windows[:4])
-        finally:
-            predictor.use_fast_path = True
-        np.testing.assert_array_equal(slow, predictor.predict_graph(windows[:4]))
-
     def test_predict_one_matches_batched_predict(self, tiny_zoo, tiny_cohort):
         predictor = tiny_zoo.model_for("A_5")
         record = next(r for r in tiny_cohort if r.label == "A_5")

@@ -5,9 +5,9 @@ hand-written analytic backward (`fused_forward_train` / `fused_backward_train`
 / `Module.fused_grads`), the fused gradients — parameter gradients AND input
 gradients — must match the reverse-mode autodiff graph within 1e-8, across
 batch sizes and sequence lengths; and fixed-seed training runs of
-`GlucosePredictor.fit` and `MADGANDetector.fit` must produce step-for-step
-matching loss curves on the fused (`use_fast_path=True`) and graph (`False`)
-engines.
+`GlucosePredictor.fit` and `MADGANDetector.fit` (fused engine) must produce
+step-for-step matching loss curves against their autodiff references,
+`GlucosePredictor.fit_graph` and `MADGANDetector.fit_graph`.
 """
 
 import importlib.util
@@ -317,10 +317,11 @@ class TestPredictorFitParity:
         windows, targets = windows[:200], targets[:200]
         predictors = {}
         for fast in (False, True):
-            predictor = GlucosePredictor(
-                epochs=3, hidden_size=8, seed=21, use_fast_path=fast
-            )
-            predictor.fit(windows, targets)
+            predictor = GlucosePredictor(epochs=3, hidden_size=8, seed=21)
+            if fast:
+                predictor.fit(windows, targets)
+            else:
+                predictor.fit_graph(windows, targets)
             predictors[fast] = predictor
         return predictors
 
@@ -338,7 +339,7 @@ class TestPredictorFitParity:
     def test_fused_and_graph_predictions_agree(self, fit_pair, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
         windows, _, _ = tiny_zoo.dataset.from_record(record, "test")
-        graph_predictions = fit_pair[False].predict(windows[:20])
+        graph_predictions = fit_pair[False].predict_graph(windows[:20])
         fused_predictions = fit_pair[True].predict(windows[:20])
         assert np.abs(graph_predictions - fused_predictions).max() <= 1e-4
 
@@ -350,10 +351,11 @@ class TestMADGANFitParity:
         windows = windows[:160]
         detectors = {}
         for fast in (False, True):
-            detector = MADGANDetector(
-                epochs=2, hidden_size=8, inversion_steps=3, seed=13, use_fast_path=fast
-            )
-            detector.fit(windows)
+            detector = MADGANDetector(epochs=2, hidden_size=8, inversion_steps=3, seed=13)
+            if fast:
+                detector.fit(windows)
+            else:
+                detector.fit_graph(windows)
             detectors[fast] = detector
         return detectors
 

@@ -19,7 +19,9 @@ The end-to-end recovery gate (kill-mix at 2/4 shards under full chaos) is
 wired in via ``scripts/check_parity.py::run_recovery_smoke`` at the bottom.
 """
 
+import gzip
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +341,57 @@ class TestSnapshotFiles:
         checkpointer = SchedulerCheckpointer(tmp_path / "empty")
         with pytest.raises(SnapshotError, match="checkpoints"):
             checkpointer.load()
+
+
+class TestCommittedSnapshotCompatibility:
+    """A v2 snapshot file written by an earlier version still restores.
+
+    ``tests/data/scheduler_v2.snap.gz`` holds, gzip-compressed, the exact
+    bytes :func:`write_snapshot` wrote at snapshot version 2 with the code of
+    that time: one lane (a hidden-size-4 forecaster) serving two sessions,
+    each with a sample-unit kNN monitor, health tracking on, captured after
+    15 ticks.  Its ``config`` still records two scheduler engine switches
+    that have since been retired.  ``scheduler_v2_ticks.json`` (strict JSON)
+    holds the next 20 deliveries and the outcomes the writing code produced
+    for them; every fifth tick delivers to one session only, so both tick
+    shapes are replayed.
+    """
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    def test_v2_snapshot_restores_and_keeps_ticking(self, tmp_path):
+        path = tmp_path / "scheduler_v2.snap"
+        path.write_bytes(gzip.decompress((self.DATA / "scheduler_v2.snap.gz").read_bytes()))
+        snapshot = read_snapshot(path)
+        assert snapshot.version == SNAPSHOT_VERSION == 2
+        sidecar = json.loads((self.DATA / "scheduler_v2_ticks.json").read_text())
+        restored = StreamScheduler.restore(snapshot)
+        assert (restored.n_lanes, restored.n_sessions) == (1, 2)
+        for entry in sidecar["ticks"]:
+            samples = {
+                label: np.array(sample) for label, sample in entry["samples"].items()
+            }
+            outcomes = restored.tick(samples, now=entry["now"])
+            assert sorted(outcomes) == sorted(entry["outcomes"])
+            for session_id, expected in entry["outcomes"].items():
+                outcome = outcomes[session_id]
+                assert (outcome.tick, outcome.dropped) == (
+                    expected["tick"],
+                    expected["dropped"],
+                )
+                assert outcome.prediction == pytest.approx(
+                    expected["prediction"], abs=1e-10
+                )
+                assert sorted(outcome.verdicts) == sorted(expected["verdicts"])
+                for name, want in expected["verdicts"].items():
+                    verdict = outcome.verdicts[name]
+                    assert (
+                        verdict.tick,
+                        verdict.warming,
+                        verdict.flagged,
+                        verdict.degraded,
+                    ) == (want["tick"], want["warming"], want["flagged"], want["degraded"])
+                    assert verdict.score == pytest.approx(want["score"], abs=1e-10)
 
 
 class TestRecoverySmokeGate:

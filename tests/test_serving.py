@@ -667,34 +667,68 @@ class TestSingleSessionFastPath:
             else:
                 assert fast == batched  # bitwise, not approx
 
-    def test_fast_path_tick_identical_to_batched_tick(
-        self, aggregate_zoo, tiny_cohort, sample_detector
+    def test_single_session_tick_matches_batched_tick(
+        self, aggregate_zoo, tiny_cohort, sample_detector, tiny_zoo
     ):
-        from repro.detectors import StreamingDetector
+        """``_tick_single`` vs ``_tick_lanes`` on a one-row batch: bitwise
+        predictions and verdicts, equal metric series, equal span sequence."""
+        import copy
 
+        from repro.detectors import MADGANDetector
+        from repro.obs import Observer
+
+        class LaneBatchedScheduler(StreamScheduler):
+            """Routes one-session ticks through the lane-batched path."""
+
+            def _tick_single(self, session, sample, ingress_tag=None):
+                results = {}
+                self._tick_lanes([(session, sample, ingress_tag)], results)
+                return results
+
+        windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
+        madgan = MADGANDetector(
+            epochs=1,
+            hidden_size=8,
+            inversion_steps=6,
+            warm_inversion_steps=2,
+            max_samples=200,
+            seed=0,
+        ).fit(windows[::4])
         record = next(iter(tiny_cohort))
         features = record.features("test")[:40]
-        outcomes = {}
-        for fast_path in (True, False):
-            scheduler = StreamScheduler(use_single_fast_path=fast_path)
-            adapter = StreamingDetector(
-                sample_detector, unit="sample", include_scores=True
-            )
+        runs = {}
+        for scheduler_class in (StreamScheduler, LaneBatchedScheduler):
+            obs = Observer(trace=True)
+            scheduler = scheduler_class(obs=obs)
             scheduler.open_session(
                 record.label,
                 aggregate_zoo.model_for(record.label),
-                detectors={"knn": adapter},
+                detectors={
+                    "knn": StreamingDetector(
+                        sample_detector, unit="sample", include_scores=True
+                    ),
+                    "madgan": StreamingDetector(
+                        copy.deepcopy(madgan), unit="window", include_scores=True
+                    ),
+                },
             )
-            outcomes[fast_path] = [
-                scheduler.tick({record.label: sample})[record.label]
-                for sample in features
+            outcomes = [
+                scheduler.tick({record.label: sample}, now=tick)[record.label]
+                for tick, sample in enumerate(features)
             ]
-        for fast, slow in zip(outcomes[True], outcomes[False]):
+            spans = [
+                (span.stage, span.tick, span.lane, span.sessions, span.detail)
+                for span in obs.spans
+            ]
+            runs[scheduler_class] = (outcomes, obs.registry.snapshot(), spans)
+        single, batched = runs[StreamScheduler], runs[LaneBatchedScheduler]
+        for fast, slow in zip(single[0], batched[0]):
             assert fast.tick == slow.tick
             assert fast.prediction == slow.prediction  # bitwise (or both None)
-            fast_verdict, slow_verdict = fast.verdicts["knn"], slow.verdicts["knn"]
-            assert fast_verdict.flagged == slow_verdict.flagged
-            assert fast_verdict.score == slow_verdict.score
+            assert fast.verdicts == slow.verdicts
+        assert single[1] == batched[1]
+        assert [span[0] for span in single[2]].count("lane_gather") == len(features)
+        assert single[2] == batched[2]
 
     def test_fast_path_engages_for_partial_ticks_of_a_busy_scheduler(
         self, aggregate_zoo, tiny_cohort
@@ -765,14 +799,6 @@ class TestIncrementalStreamingAdapter:
     def test_incremental_requires_capable_detector(self, sample_detector):
         with pytest.raises(ValueError, match="incremental"):
             StreamingDetector(sample_detector, unit="sample", incremental=True)
-
-    def test_reference_path_detector_is_not_auto_incremental(self):
-        from repro.detectors import MADGANDetector
-
-        reference = MADGANDetector(use_fast_path=False)
-        assert not StreamingDetector(reference, unit="window").incremental
-        with pytest.raises(ValueError, match="fast-path"):
-            StreamingDetector(reference, unit="window", incremental=True)
 
     def test_update_advances_state_once_per_tick(self, madgan, tiny_cohort):
         record = next(iter(tiny_cohort))

@@ -558,7 +558,6 @@ class _StubState:
 
 class _StubIncrementalDetector(AnomalyDetector):
     name = "stub-incremental"
-    use_fast_path = True
 
     def fit(self, windows, labels=None):
         return self
