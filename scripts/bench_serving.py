@@ -43,8 +43,10 @@ A ``recovery`` section (``docs/recovery.md``) then prices the crash-recovery
 machinery: scheduler snapshot capture plus checkpoint-file save/load cost
 normalized per 1k sessions, SIGKILL-to-next-tick respawn latency on a
 supervised 2-shard fabric, and the steady-state overhead of arming the
-supervisor at ``snapshot_interval=32`` — gated below 5% with predictions
-bitwise identical to the unsupervised fabric.
+supervisor at ``snapshot_interval=32`` — the median of ten alternating
+unsupervised/supervised pairs, each time scaled by the host-speed reference
+in ``perfbench/hostclock.py``, gated below 5% with predictions bitwise
+identical to the unsupervised fabric.
 
 Writes ``BENCH_serving.json`` next to the repo root.  Usage::
 
@@ -74,6 +76,7 @@ from repro.utils.jsonio import dumps_strict
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
 BENCH_PATIENTS = [("A", 5), ("A", 0), ("A", 2)]
 BENCH_SEED = 13
@@ -137,6 +140,9 @@ RECOVERY_TICKS = 40
 RECOVERY_LANES = 8
 RECOVERY_SNAPSHOT_INTERVAL = 32
 TARGET_RECOVERY_OVERHEAD_PCT = 5.0
+#: Alternating unsupervised/supervised pairs behind the overhead gate; times
+#: are scaled by ``perfbench/hostclock.py`` and the median pair is gated.
+RECOVERY_PAIRS = 10
 
 
 def build_fixture():
@@ -554,11 +560,12 @@ def bench_recovery(zoo, cohort, repeats: int):
     3. **Steady-state overhead** — the same fleet served sharded with and
        without supervision at ``snapshot_interval=RECOVERY_SNAPSHOT_INTERVAL``
        (the timed window crosses the cadence, so snapshot capture + shipping
-       and parent-side journaling are both in the measurement).  Predictions
-       must be bitwise identical; the overhead is gated in ``main``.
+       and parent-side journaling are both in the measurement), in
+       ``RECOVERY_PAIRS`` alternating pairs whose times are scaled by the
+       host clock.  Predictions must be bitwise identical; the median pair's
+       overhead is gated in ``main``.
     """
     import tempfile
-    import time
 
     from repro.serving import SchedulerCheckpointer, ShardedScheduler, SupervisorConfig
 
@@ -623,34 +630,39 @@ def bench_recovery(zoo, cohort, repeats: int):
         finally:
             fabric.shutdown()
 
-    # 3. Steady-state overhead: supervised vs unsupervised sharded serving.
-    plain_timer, supervised_timer = Timer(), Timer()
-    plain_preds = supervised_preds = None
-    for _ in range(repeats):
-        fabric = ShardedScheduler(n_shards=2)
-        try:
-            _, plain_preds, _ = run_fleet(
-                fabric, variants, fleet_traces, warmup, RECOVERY_TICKS,
-                timer=plain_timer,
+    # 3. Steady-state overhead: alternating unsupervised/supervised pairs
+    # (the order flips every pair), each time scaled to the reference host
+    # speed sampled around it; the gate reads the median pair.
+    from hostclock import HostClock
+
+    clock = HostClock()
+    pair_seconds = []
+    predictions = {}
+    for pair in range(RECOVERY_PAIRS):
+        seconds = {}
+        for supervised in (False, True) if pair % 2 == 0 else (True, False):
+            fabric = ShardedScheduler(
+                n_shards=2,
+                supervision=(
+                    SupervisorConfig(snapshot_interval=RECOVERY_SNAPSHOT_INTERVAL)
+                    if supervised
+                    else None
+                ),
             )
-        finally:
-            fabric.shutdown()
-        fabric = ShardedScheduler(
-            n_shards=2,
-            supervision=SupervisorConfig(snapshot_interval=RECOVERY_SNAPSHOT_INTERVAL),
-        )
-        try:
-            _, supervised_preds, _ = run_fleet(
-                fabric, variants, fleet_traces, warmup, RECOVERY_TICKS,
-                timer=supervised_timer,
-            )
-        finally:
-            fabric.shutdown()
-    if not np.array_equal(plain_preds, supervised_preds, equal_nan=True):
+            try:
+                elapsed, predictions[supervised], _ = run_fleet(
+                    fabric, variants, fleet_traces, warmup, RECOVERY_TICKS
+                )
+            finally:
+                fabric.shutdown()
+            seconds[supervised] = elapsed * clock.factor()
+        pair_seconds.append((seconds[False], seconds[True]))
+    if not np.array_equal(predictions[False], predictions[True], equal_nan=True):
         raise SystemExit(
             "arming the supervisor perturbed sharded predictions (inertness violation)"
         )
-    overhead_pct = (supervised_timer.best / plain_timer.best - 1.0) * 100.0
+    pair_overheads = [(supervised / plain - 1.0) * 100.0 for plain, supervised in pair_seconds]
+    overhead_pct = float(np.median(pair_overheads))
 
     return {
         "snapshot": {
@@ -672,8 +684,10 @@ def bench_recovery(zoo, cohort, repeats: int):
             "n_sessions": RECOVERY_SESSIONS,
             "ticks": RECOVERY_TICKS,
             "snapshot_interval": RECOVERY_SNAPSHOT_INTERVAL,
-            "plain_seconds": plain_timer.best,
-            "supervised_seconds": supervised_timer.best,
+            "pairs": RECOVERY_PAIRS,
+            "plain_seconds": float(np.median([plain for plain, _ in pair_seconds])),
+            "supervised_seconds": float(np.median([sup for _, sup in pair_seconds])),
+            "pair_overheads_pct": pair_overheads,
             "overhead_pct": overhead_pct,
             "target_overhead_pct": TARGET_RECOVERY_OVERHEAD_PCT,
             "meets_target": bool(overhead_pct < TARGET_RECOVERY_OVERHEAD_PCT),

@@ -10,8 +10,10 @@ robustness contract the fault-injection layer promises:
   must complete; lane isolation and quarantine are supposed to absorb
   poisoned streams, not crash the scheduler.
 * **Zero-config inertness.**  A replay with ``SensorFaultConfig()`` (all
-  rates zero) must be *bitwise identical* — samples, predictions, verdicts —
-  to one with no injector at all.
+  rates zero) must be *bitwise identical* to one with no injector at all:
+  the twin-table row ``chaos_baseline:single~zero_faults`` of
+  ``scripts/check_parity.py``, compared through the one
+  :func:`~repro.serving.replay_fingerprint`.
 * **Bounded false-alarm inflation.**  Benign device faults may inflate the
   detector's benign false-alarm rate by at most
   :data:`FP_INFLATION_BOUND` over the fault-free baseline.  A detector that
@@ -28,9 +30,10 @@ robustness contract the fault-injection layer promises:
 * **Recovery is bitwise resume.**  SIGKILLing shard workers mid-replay at 2
   and 4 shards — with the full chaos mix still active — must produce a
   replay bitwise identical to one that never crashed: the supervisor's
-  snapshot + journal recovery (``docs/recovery.md``) absorbs the kill, and
-  the ``recovery_bitwise_identical`` gate asserts the respawns actually
-  happened so a silent no-op kill cannot pass.
+  snapshot + journal recovery (``docs/recovery.md``) absorbs the kill.  The
+  ``recovery_bitwise_identical`` gate runs the twin-table rows
+  ``chaos_kill_mix:single~sharded(n)+kill(...)``, which assert the respawns
+  actually happened so a silent no-op kill cannot pass.
 
 Writes ``BENCH_chaos.json`` next to the repo root.  Usage::
 
@@ -56,17 +59,32 @@ from repro.detectors import KNNDistanceDetector
 from repro.glucose import GlucoseModelZoo
 from repro.serving import (
     AttackEpisode,
-    DeviceClockConfig,
     HealthConfig,
     IngressConfig,
     IngressPolicy,
     OnlineAttacker,
     SensorFaultConfig,
-    SessionChurnConfig,
     StreamReplayer,
     StreamScheduler,
 )
 from repro.utils.jsonio import dumps_strict
+
+from check_parity import (
+    ATTACK_DURATION,
+    ATTACK_START,
+    CHAOS_CHURN,
+    CHAOS_CLOCKS,
+    CHAOS_FAULTS,
+    CHAOS_SMOKE_TICKS,
+    KILL_TICKS,
+    SINGLE,
+    TwinBench,
+    TwinRow,
+    Variant,
+    chaos_specs,
+    lane_zoo_for,
+    run_twin,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,11 +102,7 @@ HMM_KWARGS = dict(n_states=4, n_iter=5, seed=0)
 
 #: Samples each device delivers per scenario (``--smoke`` uses the smaller).
 FULL_TICKS = 96
-SMOKE_TICKS = 48
-#: One attack episode per device, in session-tick coordinates.  Start is past
-#: the forecaster's 12-tick warm-up so the attacker has a full context window.
-ATTACK_START = 20
-ATTACK_DURATION = 12
+SMOKE_TICKS = CHAOS_SMOKE_TICKS
 
 #: Benign hardware-flakiness mix: every non-malformed fault kind at a hazard
 #: that corrupts a visible but minority share of ticks.
@@ -102,18 +116,8 @@ BENIGN_FAULTS = SensorFaultConfig(
 )
 #: Garbage-heavy mix for exercising the ingress policies.
 MALFORMED_FAULTS = SensorFaultConfig(malformed_rate=0.05, spike_rate=0.02, seed=31)
-#: Everything at once (full-chaos scenario).
-CHAOS_FAULTS = SensorFaultConfig(
-    bias_rate=0.01,
-    stuck_rate=0.01,
-    spike_rate=0.02,
-    drift_rate=0.005,
-    dropout_rate=0.01,
-    malformed_rate=0.02,
-    seed=37,
-)
-CHAOS_CLOCKS = DeviceClockConfig(drift=0.1, jitter=0.2, dropout=0.05, seed=7)
-CHAOS_CHURN = SessionChurnConfig(join_stagger=2, disconnect_every=30, reconnect_after=2)
+#: The full-chaos scenario's faults, clocks and churn are ``CHAOS_*`` from
+#: ``check_parity.py``, shared with the kill-mix twin rows.
 
 #: The gates (calibrated on this fixture; see ``docs/robustness.md``).
 #: Benign faults push the kNN detector's benign false-alarm rate up by a few
@@ -126,26 +130,15 @@ FP_INFLATION_BOUND = 0.10
 #: fault-confused pipeline trade detections for false alarms silently.
 DETECTION_DROP_TOLERANCE = 0.0
 
-#: Kill-mix schedule, keyed by shard count: replay tick -> occupied-shard
-#: rank to SIGKILL.  The first kill lands mid-attack-episode; the 4-shard run
-#: adds a second, later kill so two independent recoveries compose.
-KILL_TICKS = {2: {25: 0}, 4: {25: 0, 33: 1}}
-#: Tiny personalized sibling zoo for the kill-mix: lane placement is the
-#: fabric's atomic unit, so the gate needs one lane per patient (the bench
-#: zoo is aggregate-only and would collapse onto a single shard).
-KILL_ZOO_KWARGS = dict(
-    predictor_kwargs=dict(epochs=1, hidden_size=8), train_personalized=True, seed=3
-)
-#: Supervisor arming for the kill-mix: snapshots every 8 worker ticks so the
-#: first kill recovers via snapshot + journal replay, fast backoff for CI.
-KILL_SUPERVISION_KWARGS = dict(snapshot_interval=8, restart_backoff=0.01)
+def build_cohort():
+    profiles = [make_patient_profile(subset, pid) for subset, pid in BENCH_PATIENTS]
+    return SyntheticOhioT1DM(
+        train_days=2, test_days=1, seed=BENCH_SEED, profiles=profiles
+    ).generate()
 
 
 def build_fixture():
-    profiles = [make_patient_profile(subset, pid) for subset, pid in BENCH_PATIENTS]
-    cohort = SyntheticOhioT1DM(
-        train_days=2, test_days=1, seed=BENCH_SEED, profiles=profiles
-    ).generate()
+    cohort = build_cohort()
     zoo = GlucoseModelZoo(**ZOO_KWARGS)
     zoo.fit(cohort)
     return cohort, zoo
@@ -269,39 +262,6 @@ def run_scenario(zoo, cohort, detectors, spec: dict, n_ticks: int):
     return replayer.replay(cohort, split="test", max_ticks=n_ticks)
 
 
-def report_fingerprint(report) -> dict:
-    """Bitwise-comparable view of a replay (zero-config inertness check)."""
-    fingerprint = {}
-    for session_id, trace in sorted(report.sessions.items()):
-        fingerprint[session_id] = {
-            "samples": np.stack([outcome.sample for outcome in trace.ticks]),
-            "predictions": trace.predictions(),
-            "attacked": trace.attacked_ticks,
-            "flags": {
-                name: [
-                    None if outcome.verdicts[name].warming else bool(outcome.verdicts[name].flagged)
-                    for outcome in trace.ticks
-                ]
-                for name in report.detector_names
-            },
-        }
-    return fingerprint
-
-
-def fingerprints_identical(left: dict, right: dict) -> bool:
-    if left.keys() != right.keys():
-        return False
-    for session_id in left:
-        a, b = left[session_id], right[session_id]
-        if not np.array_equal(a["samples"], b["samples"]):
-            return False
-        if not np.array_equal(a["predictions"], b["predictions"], equal_nan=True):
-            return False
-        if a["attacked"] != b["attacked"] or a["flags"] != b["flags"]:
-            return False
-    return True
-
-
 def summarize(report, spec: dict) -> dict:
     health = report.health_summary()
     entry = {
@@ -355,8 +315,12 @@ def run_suite(
     knn_only = {"knn": detectors["knn"]}
 
     scenarios = build_scenarios(with_madgan, with_family)
+    # The baseline and zero-config scenarios are the twin-table row
+    # chaos_baseline:single~zero_faults; their summaries reuse its replays.
+    bench = TwinBench(cohort, zoo)
+    zero_config = TwinRow(chaos_specs(n_ticks)[0], SINGLE, Variant(zero_faults=True))
+    twin_sides = {"baseline": zero_config.a, "zero_config": zero_config.b}
     results = {}
-    fingerprints = {}
     failures = {}
     for spec in scenarios:
         name = spec["name"]
@@ -367,15 +331,16 @@ def run_suite(
         if spec["family"]:
             scenario_detectors["vae_hmm"] = detectors["vae_hmm"]
         try:
-            report = run_scenario(zoo, cohort, scenario_detectors, spec, n_ticks)
+            if name in twin_sides:
+                report = bench.replay(zero_config.scenario, twin_sides[name])["report"]
+            else:
+                report = run_scenario(zoo, cohort, scenario_detectors, spec, n_ticks)
         except Exception as error:  # gate #1: nothing may escape the fabric
             failures[name] = "".join(
                 traceback.format_exception_only(type(error), error)
             ).strip()
             say(f"  UNHANDLED EXCEPTION: {failures[name]}")
             continue
-        if name in ("baseline", "zero_config"):
-            fingerprints[name] = report_fingerprint(report)
         results[name] = summarize(report, spec)
         rollup = results[name]["detectors"]["knn"]
         say(
@@ -392,11 +357,13 @@ def run_suite(
         "passed": not failures,
         "failures": failures,
     }
-    zero_config_ok = (
-        "baseline" in fingerprints
-        and "zero_config" in fingerprints
-        and fingerprints_identical(fingerprints["baseline"], fingerprints["zero_config"])
-    )
+    zero_config_ok = False
+    if not set(twin_sides) & set(failures):
+        try:
+            run_twin(bench, zero_config)
+            zero_config_ok = True
+        except AssertionError as error:
+            say(f"  zero-config twin diverged: {error}")
     gates["zero_config_bitwise_identical"] = {"passed": bool(zero_config_ok)}
 
     if "baseline" in results and "benign_faults" in results:
@@ -478,129 +445,52 @@ def run_suite(
 def run_kill_mix(n_ticks: int, fixture=None, verbose: bool = True) -> dict:
     """SIGKILL shard workers mid-replay under the full chaos mix.
 
-    Replays the cohort once on a single-process scheduler (no kill) and once
-    per shard count in :data:`KILL_TICKS` on a supervised
-    :class:`~repro.serving.ShardedScheduler` whose workers are SIGKILLed at
-    the scheduled ticks, then requires the killed replays to be **bitwise
-    identical** to the uninterrupted one — samples, predictions, verdicts,
-    and the health summary — and the supervisor to have actually respawned
-    at least once per kill.  Returns the ``recovery_bitwise_identical`` gate
-    entry; never raises for an in-replay failure (that fails the gate).
+    Runs the twin-table rows ``chaos_kill_mix:single~sharded(n)+kill(...)``
+    for every shard count in :data:`KILL_TICKS`: the killed, supervised
+    replay must be bitwise identical to the uninterrupted single-process one
+    (the one :func:`~repro.serving.replay_fingerprint`, tamper records and
+    rollup included), and every scheduled kill must have been respawned.
+    Returns the ``recovery_bitwise_identical`` gate entry; never raises for
+    an in-replay failure (that fails the gate).
 
-    ``fixture`` is an optional ``(cohort, zoo)`` pair; when omitted a cohort
-    plus a tiny personalized lane zoo are built directly (the suite's
-    aggregate forecaster is never needed here).
+    ``fixture`` is an optional ``(cohort, zoo)`` pair; the replays run on a
+    zoo with one lane per patient (:func:`check_parity.lane_zoo_for`).
     """
-    from repro.serving import ShardedScheduler, SupervisorConfig
-
     def say(message: str) -> None:
         if verbose:
             print(message)
 
     if fixture is None:
         say("building kill-mix fixture (cohort + personalized lane zoo)...")
-        profiles = [make_patient_profile(subset, pid) for subset, pid in BENCH_PATIENTS]
-        cohort = SyntheticOhioT1DM(
-            train_days=2, test_days=1, seed=BENCH_SEED, profiles=profiles
-        ).generate()
-        lane_zoo = GlucoseModelZoo(**KILL_ZOO_KWARGS)
-        lane_zoo.fit(cohort)
+        cohort, zoo = build_cohort(), None
     else:
         cohort, zoo = fixture
-        records = list(cohort)
-        if len({zoo.model_for(record.label).state_hash() for record in records}) > 1:
-            lane_zoo = zoo
-        else:
-            lane_zoo = GlucoseModelZoo(**KILL_ZOO_KWARGS)
-            lane_zoo.fit(cohort)
-    train_windows, _, _ = lane_zoo.dataset.from_cohort(cohort, split="train")
-    detectors = {
-        "knn": (KNNDistanceDetector(n_neighbors=5).fit(train_windows[::4, -1:, :]), "sample")
-    }
-    health = HealthConfig()
-    ingress = IngressConfig(policy=IngressPolicy.CLAMP)
-
-    class KillSwitch:
-        """Passthrough shim that SIGKILLs occupied workers between ticks —
-        the same boundary a real mid-run crash is recovered at."""
-
-        def __init__(self, fabric, kill_at):
-            self._fabric = fabric
-            self._kill_at = dict(kill_at)
-            self._ticks = 0
-
-        def __getattr__(self, name):
-            return getattr(self._fabric, name)
-
-        def tick(self, samples, now=None):
-            rank = self._kill_at.get(self._ticks)
-            if rank is not None:
-                occupied = sorted(
-                    {handle.shard for handle in self._fabric._sessions.values()}
-                )
-                self._fabric.kill_worker(occupied[min(rank, len(occupied) - 1)])
-            self._ticks += 1
-            return self._fabric.tick(samples, now=now)
-
-    def replay_with(scheduler):
-        replayer = StreamReplayer(
-            lane_zoo,
-            detectors=detectors,
-            attacker=build_attacker(cohort, n_ticks),
-            scheduler=scheduler,
-            clocks=CHAOS_CLOCKS,
-            churn=CHAOS_CHURN,
-            faults=CHAOS_FAULTS,
-            divergence_watchdog=3,
-        )
-        return replayer.replay(cohort, split="test", max_ticks=n_ticks)
-
-    say("kill-mix reference replay (single process, no kill)...")
-    baseline_report = replay_with(StreamScheduler(health=health, ingress=ingress))
-    baseline = report_fingerprint(baseline_report)
-    baseline_health = baseline_report.health_summary()
+    bench = TwinBench(cohort, lane_zoo_for(cohort, zoo))
+    kill_mix = chaos_specs(n_ticks)[1]
 
     gate = {"passed": True, "n_ticks": n_ticks, "shards": {}}
     for n_shards, schedule in sorted(KILL_TICKS.items()):
-        kill_at = {tick: rank for tick, rank in schedule.items() if tick < n_ticks}
-        say(f"kill-mix at {n_shards} shards (SIGKILL at ticks {sorted(kill_at)})...")
-        fabric = ShardedScheduler(
-            n_shards=n_shards,
-            health=health,
-            ingress=ingress,
-            supervision=SupervisorConfig(**KILL_SUPERVISION_KWARGS),
-        )
+        kill = tuple((tick, rank) for tick, rank in schedule if tick < n_ticks)
+        row = TwinRow(kill_mix, SINGLE, Variant(shards=n_shards, kill=kill))
+        entry = gate["shards"][str(n_shards)] = {"kill_ticks": [tick for tick, _ in kill]}
+        say(f"kill-mix at {n_shards} shards (SIGKILL at ticks {entry['kill_ticks']})...")
         try:
-            try:
-                report = replay_with(KillSwitch(fabric, kill_at))
-            except Exception as error:  # the fabric must absorb the kill
-                gate["passed"] = False
-                gate["shards"][str(n_shards)] = {
-                    "kill_ticks": sorted(kill_at),
-                    "error": "".join(
-                        traceback.format_exception_only(type(error), error)
-                    ).strip(),
-                }
-                say(f"  UNHANDLED EXCEPTION: {gate['shards'][str(n_shards)]['error']}")
-                continue
-            restarts = sum(shard.restarts for shard in fabric._shards)
-        finally:
-            fabric.shutdown()
-        identical = fingerprints_identical(report_fingerprint(report), baseline)
-        health_ok = report.health_summary() == baseline_health
-        respawned = restarts >= len(kill_at)
-        gate["shards"][str(n_shards)] = {
-            "kill_ticks": sorted(kill_at),
-            "respawns": restarts,
-            "bitwise_identical": bool(identical),
-            "health_identical": bool(health_ok),
-        }
-        if not (identical and health_ok and respawned):
+            first, second = run_twin(bench, row)
+        except Exception as error:  # the fabric must absorb the kill
             gate["passed"] = False
-        say(
-            f"  respawns={restarts}, bitwise={'yes' if identical else 'NO'}, "
-            f"health={'yes' if health_ok else 'NO'}"
+            entry["error"] = "".join(
+                traceback.format_exception_only(type(error), error)
+            ).strip()
+            say(f"  FAILED: {entry['error']}")
+            continue
+        entry.update(
+            respawns=second["restarts"],
+            bitwise_identical=True,
+            health_identical=(
+                first["report"].health_summary() == second["report"].health_summary()
+            ),
         )
+        say(f"  respawns={second['restarts']}, bitwise=yes")
     return gate
 
 

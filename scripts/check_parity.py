@@ -1,28 +1,16 @@
-"""Fast parity smoke check for the batched attack engine and the serving path.
+"""Fast parity tripwire: explorers, fast paths, training, serving, and the twin table.
 
-Asserts, on a tiny cohort, that every explorer's lockstep ``search_batch``
-reproduces the sequential per-window reference exactly (same eligibility,
-success, paths, query counts, and adversarial windows), that the inference
-fast path stays within its 1e-10 regression tolerance, that the fused
-training engine's hand-written gradients match the autodiff graph within
-1e-8 with step-for-step matching fixed-seed loss curves
-(:func:`run_training_parity`), and — via :func:`run_serving_smoke` — that
-the streaming serving subsystem (scheduler + incremental recurrent state +
-online attacker + streaming detectors) matches the offline fast path on a
-live replay: per-tick predictions within 1e-10 of ``predict`` on the
-delivered windows and detector verdicts identical to the offline
-``predict``.  :func:`run_chaos_smoke` additionally drives the chaos-replay
-scenario suite (benign sensor faults, malformed-sample ingress, attack
-campaigns, churn + device clocks) on the same tiny fixture and asserts every
-robustness gate, and :func:`run_detector_family_smoke` admits the LSTM-VAE +
-HMM window brains into the fabric: streaming verdicts bitwise equal to the
-offline ``predict`` and sharded replays bitwise equal to single-process at
-1/2/4 shards.  This is the cheap tripwire between "every PR runs the full
-benchmark" and "parity silently regresses": it is wired into the tier-1
-suite (``tests/test_explorer_parity.py`` imports :func:`run_checks`,
-``tests/test_serving.py`` imports :func:`run_serving_smoke`,
-``tests/test_nn_fused.py`` imports :func:`run_training_parity`) and can be
-run standalone::
+On a tiny cohort it asserts explorer lockstep parity and the 1e-10 inference
+fast path (:func:`run_checks`), fused-training parity (:func:`run_training_parity`),
+stream == offline serving (:func:`run_serving_smoke`,
+:func:`run_detector_family_smoke`), every chaos gate (:func:`run_chaos_smoke`),
+and sharded campaign parity (:func:`run_campaign_parity`).  It also holds the
+**twin table** (:data:`TWIN_ROWS`): each row serves one scenario two ways —
+single process, sharded, observed, SIGKILLed mid-run, or restored from a
+checkpoint file — whose :func:`~repro.serving.replay_fingerprint` (and, for
+observed rows, metric snapshots) must be bitwise equal; and it checks the
+same contracts on random scenarios (:func:`check_random_twins`).  Tier-1
+runs each table row as its own test id.  Standalone::
 
     PYTHONPATH=src python scripts/check_parity.py
 
@@ -32,13 +20,45 @@ Exit status is non-zero on any parity violation.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Sequence
+import tempfile
+from dataclasses import dataclass, replace
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks import BeamExplorer, EvasionAttack, GreedyExplorer, RandomExplorer
+from repro.attacks import (
+    AttackCampaign,
+    BeamExplorer,
+    EvasionAttack,
+    GreedyExplorer,
+    RandomExplorer,
+)
 from repro.data import SyntheticOhioT1DM, make_patient_profile
+from repro.detectors import (
+    GaussianHMMDetector,
+    KNNDistanceDetector,
+    LSTMVAEDetector,
+    StreamingDetector,
+    VotingEnsembleDetector,
+)
 from repro.glucose import GlucoseModelZoo, Scenario
+from repro.obs import Observer
+from repro.serving import (
+    AttackEpisode,
+    DeviceClockConfig,
+    HealthConfig,
+    IngressConfig,
+    IngressPolicy,
+    OnlineAttacker,
+    SchedulerCheckpointer,
+    SensorFaultConfig,
+    SessionChurnConfig,
+    ShardedScheduler,
+    StreamReplayer,
+    StreamScheduler,
+    SupervisorConfig,
+    replay_fingerprint,
+)
 
 PREDICTION_TOLERANCE = 1e-10
 GRADIENT_TOLERANCE = 1e-8
@@ -53,6 +73,10 @@ LOSS_CURVE_TOLERANCE = 1e-6
 #: why the sharded fabric still reproduces VAE scores bit for bit.  The HMM
 #: uses only broadcast-reduce arithmetic and is bitwise everywhere.
 VAE_STREAM_SCORE_TOLERANCE = 1e-12
+#: Example budgets of the randomized twin property: the tier-1 test and the
+#: standalone run.  Both are derandomized, so every run draws the same cases.
+TIER1_RANDOM_EXAMPLES = 5
+RANDOM_EXAMPLES = 24
 
 EXPLORER_FACTORIES = {
     "greedy": lambda seed: GreedyExplorer(max_depth=2),
@@ -144,8 +168,6 @@ def assert_loss_curves_match(graph_losses, fused_losses, label: str) -> float:
     absolute per-step gap within :data:`LOSS_CURVE_TOLERANCE`.  Raises
     ``AssertionError`` on violation (callers wanting a process exit wrap it).
     """
-    import numpy as np
-
     graph_losses = np.asarray(graph_losses, dtype=np.float64)
     fused_losses = np.asarray(fused_losses, dtype=np.float64)
     assert graph_losses.shape == fused_losses.shape, (
@@ -169,8 +191,6 @@ def fused_vs_graph_gradient_gap(model, inputs, targets) -> float:
     absolute deviation.  Shared by :func:`run_training_parity` and
     ``scripts/bench_train.py`` so the parity recipe is defined once.
     """
-    import numpy as np
-
     from repro.nn import Tensor
     from repro.nn.fused import fused_mse_loss
     from repro.nn.functional import mse_loss
@@ -204,19 +224,11 @@ def fused_vs_graph_gradient_gap(model, inputs, targets) -> float:
 def run_training_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, float]:
     """Fused-training-engine parity smoke (tier-1).
 
-    Asserts, on the tiny fixture, that
-
-    * one full-stack fused backward (``Module.fused_grads`` through
-      BiLSTM + dense head + MSE seeding) matches the autodiff graph's
-      parameter and input gradients within 1e-8, and
-    * fixed-seed ``GlucosePredictor.fit`` and ``MADGANDetector.fit`` runs
-      (fused engine) produce per-epoch loss curves matching their
-      ``fit_graph`` references step for step.
-
-    Returns a report dict; raises AssertionError on the first violation.
+    One full-stack fused backward matches the autodiff graph's parameter and
+    input gradients within 1e-8, and fixed-seed ``GlucosePredictor.fit`` and
+    ``MADGANDetector.fit`` loss curves match their ``fit_graph`` references
+    step for step.  Raises AssertionError on the first violation.
     """
-    import numpy as np
-
     from repro.detectors import MADGANDetector
     from repro.glucose.predictor import GlucosePredictor
 
@@ -264,21 +276,12 @@ def run_training_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, float]:
 def run_serving_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 50) -> Dict[str, float]:
     """Streaming-serving parity on a short live replay (tier-1 smoke).
 
-    Replays ``n_ticks`` of every patient's test trace through the
-    :class:`~repro.serving.StreamScheduler` with an :class:`OnlineAttacker`
-    tampering one stream mid-replay and a kNN-distance detector monitoring
-    every stream, then asserts
-
-    * streamed per-tick predictions match the offline fast path (``predict``
-      on the delivered sliding windows) within 1e-10, and
-    * streaming detector verdicts are identical to the offline ``predict`` on
-      the same delivered measurements.
-
-    Returns a report dict; raises AssertionError on the first violation.
+    Replays every patient's test trace with an :class:`OnlineAttacker`
+    tampering one stream and a kNN monitor on every stream, then asserts the
+    streamed predictions match ``predict`` on the delivered windows within
+    1e-10 and the streaming verdicts equal the offline ``predict``.  Raises
+    AssertionError on the first violation.
     """
-    from repro.detectors import KNNDistanceDetector
-    from repro.serving import AttackEpisode, OnlineAttacker, StreamReplayer
-
     records = list(cohort)
     train_windows, _, _ = zoo.dataset.from_cohort(cohort, split="train")
     detector = KNNDistanceDetector(n_neighbors=5).fit(train_windows[::4, -1:, :])
@@ -324,23 +327,11 @@ def run_serving_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 50) -> Dict[s
 
 
 def run_chaos_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str, dict]:
-    """Chaos-harness gate check on the tiny fixture (tier-1 smoke).
+    """Every ``scripts/chaos_replay.py`` gate on the tiny fixture (tier-1 smoke).
 
-    Runs the full declarative scenario suite from ``scripts/chaos_replay.py``
-    — benign sensor faults, malformed-sample ingress policies, the online
-    attack campaign, and the full-chaos churn + device-clock mix — with short
-    traces and the kNN monitor only, then asserts every chaos gate: no
-    unhandled exceptions, zero-config bitwise inertness, bounded false-alarm
-    inflation, and attack detection preserved under faults.
-
-    Returns the gates dict; raises AssertionError on the first violation.
+    Short traces, kNN monitor only.  Returns the gates dict; raises
+    AssertionError on the first failed gate.
     """
-    import sys as _sys
-    from pathlib import Path as _Path
-
-    scripts_dir = str(_Path(__file__).resolve().parent)
-    if scripts_dir not in _sys.path:
-        _sys.path.insert(0, scripts_dir)
     import chaos_replay
 
     report, ok = chaos_replay.run_suite(
@@ -353,159 +344,53 @@ def run_chaos_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str
     return gates
 
 
-def _replay_fingerprint(report) -> dict:
-    """Everything a sharded replay must reproduce bitwise, keyed by session."""
-    fingerprint = {}
-    for session_id in sorted(report.sessions):
-        trace = report.sessions[session_id]
-        fingerprint[session_id] = {
-            "samples": [outcome.sample.tobytes() for outcome in trace.ticks],
-            "predictions": [outcome.prediction for outcome in trace.ticks],
-            "verdicts": [
-                {
-                    name: (verdict.warming, verdict.flagged, verdict.score)
-                    for name, verdict in outcome.verdicts.items()
-                }
-                for outcome in trace.ticks
-            ],
-            "attacked": [outcome.attacked for outcome in trace.ticks],
-            "fault": [outcome.fault for outcome in trace.ticks],
-            "ingress": [outcome.ingress for outcome in trace.ticks],
-            "dropped": [outcome.dropped for outcome in trace.ticks],
-            "delivered_at": list(trace.delivered_at),
-            # delivered_at/backoff: the device-clock slot and backoff depth
-            # stamped on each transition — sharded workers must reproduce
-            # them bitwise (the `now` pipe-threading contract).
-            "health": [
-                (event.tick, str(event.state), event.reason, event.delivered_at, event.backoff)
-                for event in trace.health_timeline
-            ],
-        }
-    return fingerprint
+def run_detector_family_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -> Dict[str, dict]:
+    """LSTM-VAE + HMM streaming verdicts equal the offline ``predict`` (tier-1 smoke).
 
-
-def run_shard_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str, float]:
-    """Sharded-fabric parity gate (tier-1 smoke).
-
-    Replays the fixture cohort through a personalized (multi-lane) zoo with
-    the full production mix active — benign sensor faults, per-device
-    clocks, session churn, an online attacker, and health+ingress gating —
-    once on a single-process :class:`StreamScheduler` and once per shard
-    count in {1, 2, 4} on a :class:`~repro.serving.shard.ShardedScheduler`,
-    then asserts the replays are **bitwise identical**: delivered samples,
-    predictions, detector verdicts and scores, attack/fault/ingress
-    attribution, health timelines, tamper records, and the report rollup.
-    Also asserts ``AttackCampaign.run_cohort(n_workers=2)`` reproduces the
-    single-process campaign record-for-record on the same multi-lane zoo.
-
-    The gate uses the deterministic kNN detector: MAD-GAN's cold-inversion
-    latents come from a detector-level RNG that the shard boundary re-derives
-    per worker (see ``repro.serving.shard``), which is reproducible but not
-    layout-invariant, so it is exercised by the chaos suite instead.
-
-    Returns a report dict; raises AssertionError on the first violation.
+    Both window brains stream statelessly, so one test trace driven sample by
+    sample through :class:`~repro.detectors.StreamingDetector` must give
+    verdicts bitwise identical to ``predict`` on the same sliding windows;
+    HMM scores are bitwise too, LSTM-VAE scores within
+    :data:`VAE_STREAM_SCORE_TOLERANCE`.  Their sharded twins are the
+    ``family_chaos`` rows of :data:`TWIN_ROWS`.  Raises AssertionError on
+    the first violation.
     """
-    from repro.attacks.campaign import AttackCampaign
-    from repro.detectors import KNNDistanceDetector
-    from repro.serving import (
-        AttackEpisode,
-        DeviceClockConfig,
-        HealthConfig,
-        IngressConfig,
-        IngressPolicy,
-        OnlineAttacker,
-        SensorFaultConfig,
-        SessionChurnConfig,
-        ShardedScheduler,
-        StreamReplayer,
-        StreamScheduler,
-    )
-
-    # The gate needs a multi-lane zoo (one lane per patient) so lanes
-    # genuinely spread across shard workers — lane placement is the fabric's
-    # atomic unit.  A personalized zoo is used as-is; the aggregate-only
-    # script fixture gets a tiny personalized sibling trained on the spot.
-    records = list(cohort)
-    if len({zoo.model_for(record.label).state_hash() for record in records}) > 1:
-        lane_zoo = zoo
-    else:
-        lane_zoo = GlucoseModelZoo(
-            predictor_kwargs=dict(epochs=1, hidden_size=8),
-            train_personalized=True,
-            seed=3,
+    bench = TwinBench(cohort, zoo)
+    features = next(iter(cohort)).features("test")[:n_ticks]
+    report: Dict[str, dict] = {}
+    for name in ("lstm_vae", "hmm"):
+        detector, _ = bench.detector(name)
+        history = detector.sequence_length
+        windows = np.stack(
+            [features[start : start + history] for start in range(len(features) - history + 1)]
         )
-        lane_zoo.fit(cohort)
-    train_windows, _, _ = lane_zoo.dataset.from_cohort(cohort, split="train")
-    detector = KNNDistanceDetector(n_neighbors=5).fit(train_windows[::4, -1:, :])
-
-    faults = SensorFaultConfig(
-        bias_rate=0.05, spike_rate=0.08, malformed_rate=0.05, seed=11
-    )
-    clocks = DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19)
-    churn = SessionChurnConfig(join_stagger=2, disconnect_every=25, reconnect_after=2)
-    health = HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=4)
-    ingress = IngressConfig(policy=IngressPolicy.REJECT)
-    attacked_label = records[0].label
-    # Start past the first segment's warmup, end before its churn disconnect.
-    episodes = {attacked_label: [AttackEpisode(start=13, duration=12)]}
-
-    def replay_with(scheduler):
-        attacker = OnlineAttacker(episodes)  # fresh: attackers accumulate records
-        replayer = StreamReplayer(
-            lane_zoo,
-            detectors={"knn": (detector, "sample")},
-            attacker=attacker,
-            scheduler=scheduler,
-            clocks=clocks,
-            churn=churn,
-            faults=faults,
+        offline_flags = [int(flag) for flag in detector.predict(windows)]
+        adapter = StreamingDetector(detector, unit="window", history=history, include_scores=True)
+        assert not adapter.incremental and adapter.inversion_state is None, (
+            f"{name}: window brain must stream statelessly"
         )
-        report = replayer.replay(cohort, split="test", max_ticks=n_ticks)
-        tampers = [
-            (
-                record.session_id,
-                record.tick,
-                record.benign_cgm,
-                record.delivered_cgm,
-                record.eligible,
-                record.success,
-                record.queries,
-                record.warm_started,
-            )
-            for record in attacker.records
-        ]
-        return report, tampers
-
-    baseline_report, baseline_tampers = replay_with(
-        StreamScheduler(health=health, ingress=ingress)
-    )
-    baseline = _replay_fingerprint(baseline_report)
-    baseline_rollup = baseline_report.rollup("knn")
-    assert any(
-        any(trace["attacked"]) for trace in baseline.values()
-    ), "the online attacker never tampered a sample"
-
-    for n_shards in (1, 2, 4):
-        fabric = ShardedScheduler(n_shards=n_shards, health=health, ingress=ingress)
-        try:
-            report, tampers = replay_with(fabric)
-        finally:
-            fabric.shutdown()
-        fingerprint = _replay_fingerprint(report)
-        assert fingerprint == baseline, (
-            f"sharded replay diverged from single-process at n_shards={n_shards}"
+        verdicts = [adapter.update(sample) for sample in features]
+        warm = [verdict for verdict in verdicts if not verdict.warming]
+        assert [int(verdict.flagged) for verdict in warm] == offline_flags, (
+            f"{name}: streaming verdicts diverged from offline predict"
         )
-        assert tampers == baseline_tampers, (
-            f"tamper records diverged at n_shards={n_shards}"
+        stream_scores = np.array([verdict.score for verdict in warm])
+        score_gap = float(np.abs(stream_scores - detector.scores(windows)).max())
+        tolerance = 0.0 if name == "hmm" else VAE_STREAM_SCORE_TOLERANCE
+        assert score_gap <= tolerance, (
+            f"{name}: streaming scores diverged from offline ({score_gap:.3e} > {tolerance:g})"
         )
-        rollup = report.rollup("knn")
-        assert rollup.keys() == baseline_rollup.keys() and all(
-            value == baseline_rollup[key]
-            or (np.isnan(value) and np.isnan(baseline_rollup[key]))
-            for key, value in rollup.items()
-        ), f"report rollup diverged at n_shards={n_shards}"
+        report[name] = {"stream_score_gap": score_gap, "n_windows": len(windows)}
+    return report
 
-    campaign = AttackCampaign(lane_zoo, stride=40)
+
+def run_campaign_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, int]:
+    """``AttackCampaign.run_cohort(n_workers=2)`` equals the single-process campaign.
+
+    Record for record on a multi-lane zoo: attribution, eligibility, success,
+    paths, query counts and adversarial windows.
+    """
+    campaign = AttackCampaign(zoo, stride=40)
     single = campaign.run_cohort(cohort)
     sharded = campaign.run_cohort(cohort, n_workers=2)
     assert len(single.records) == len(sharded.records) > 0, "campaign record count mismatch"
@@ -516,580 +401,494 @@ def run_shard_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str
             right.target_index,
         ), "campaign record attribution diverged under n_workers=2"
         _compare_results([left.result], [right.result])
-
-    return {
-        "n_sessions": len(baseline.keys()),
-        "n_lanes": len(records),
-        "n_ticks": n_ticks,
-        "shard_counts": (1, 2, 4),
-        "campaign_records": len(single.records),
-    }
+    return {"campaign_records": len(single.records)}
 
 
-def run_detector_family_smoke(
-    zoo: GlucoseModelZoo, cohort, n_ticks: int = 30
-) -> Dict[str, dict]:
-    """LSTM-VAE + HMM detector-family parity gate (tier-1 smoke).
+# ----------------------------------------------------------------- twin table
+#: The deterministic detector brains twins may monitor with.  MAD-GAN is
+#: left out: its cold-inversion latents come from a detector-level RNG the
+#: shard boundary re-derives per worker (reproducible, not layout-invariant).
+TWIN_DETECTORS = ("knn", "lstm_vae", "hmm", "vae_hmm")
 
-    Fits both new window brains on the fixture's training windows with a
-    tiny budget, then asserts the two contracts that admit a detector into
-    the serving fabric:
 
-    * **Streaming == offline** — both brains stream statelessly (the
-      adapter carries no scoring state; each warm tick is one ``predict``
-      on its window), and driving one test trace sample-by-sample through
-      :class:`~repro.detectors.StreamingDetector` produces verdicts bitwise
-      identical to the offline ``predict`` on the same sliding windows.
-      HMM scores are bitwise too (broadcast-reduce arithmetic is batch-shape
-      independent); LSTM-VAE scores are held to
-      :data:`VAE_STREAM_SCORE_TOLERANCE` (BLAS rounds per batch shape).
-    * **Sharded == single-process** — a chaos-mix replay (sensor faults,
-      device clocks, session churn) over a multi-lane zoo is bitwise
-      identical on :class:`~repro.serving.ShardedScheduler` at 1, 2, and
-      4 shards.  Both brains are RNG-free at inference, so — unlike
-      MAD-GAN — they join the bitwise gate directly.
+def lane_zoo_for(cohort, zoo: Optional[GlucoseModelZoo] = None) -> GlucoseModelZoo:
+    """``zoo`` if it serves one lane per patient, else a tiny personalized zoo
+    (lanes are the fabric's unit of placement, so twins need several)."""
+    if zoo is not None and len({zoo.model_for(r.label).state_hash() for r in cohort}) > 1:
+        return zoo
+    lane_zoo = GlucoseModelZoo(
+        predictor_kwargs=dict(epochs=1, hidden_size=8), train_personalized=True, seed=3
+    )
+    lane_zoo.fit(cohort)
+    return lane_zoo
 
-    Returns a report dict; raises AssertionError on the first violation.
+
+@dataclass(frozen=True)
+class ReplaySpec:
+    """One replay scenario: what every device streams and how the fabric gates it.
+
+    ``episodes`` holds ``(device index, AttackEpisode)`` pairs (None: every
+    device; an index past the cohort: none).  ``expect`` names what the first
+    replay must show for its twin to mean anything (:data:`EXPECTATIONS`).
     """
-    from repro.detectors import (
-        GaussianHMMDetector,
-        LSTMVAEDetector,
-        StreamingDetector,
-    )
-    from repro.serving import (
-        DeviceClockConfig,
-        SensorFaultConfig,
-        SessionChurnConfig,
-        ShardedScheduler,
-        StreamReplayer,
-        StreamScheduler,
-    )
 
-    records = list(cohort)
-    train_windows, _, _ = zoo.dataset.from_cohort(cohort, split="train")
-    benign = train_windows[::4]
-    family = {
-        "lstm_vae": LSTMVAEDetector(
-            epochs=1, hidden_size=8, batch_size=16, seed=0
-        ).fit(benign),
-        "hmm": GaussianHMMDetector(n_states=3, n_iter=3, seed=0).fit(benign),
-    }
-
-    # ---- streaming verdicts == offline predict on one live trace
-    record = records[0]
-    features = record.features("test")[:n_ticks]
-    history = family["lstm_vae"].sequence_length
-    windows = np.stack(
-        [features[start : start + history] for start in range(len(features) - history + 1)]
-    )
-    report: Dict[str, dict] = {}
-    for name, detector in family.items():
-        offline_flags = [int(flag) for flag in detector.predict(windows)]
-        offline_scores = detector.scores(windows)
-        adapter = StreamingDetector(
-            detector, unit="window", history=history, include_scores=True
-        )
-        assert not adapter.incremental and adapter.inversion_state is None, (
-            f"{name}: window brain must stream statelessly"
-        )
-        stream_flags, stream_scores = [], []
-        for sample in features:
-            verdict = adapter.update(sample)
-            if not verdict.warming:
-                stream_flags.append(int(verdict.flagged))
-                stream_scores.append(verdict.score)
-        assert stream_flags == offline_flags, (
-            f"{name}: streaming verdicts diverged from offline predict"
-        )
-        score_gap = float(np.abs(np.asarray(stream_scores) - offline_scores).max())
-        tolerance = 0.0 if name == "hmm" else VAE_STREAM_SCORE_TOLERANCE
-        assert score_gap <= tolerance, (
-            f"{name}: streaming scores diverged from offline "
-            f"({score_gap:.3e} > {tolerance:g})"
-        )
-        report[name] = {"stream_score_gap": score_gap, "n_windows": len(windows)}
-
-    # ---- sharded == single-process bitwise under the chaos mix
-    if len({zoo.model_for(record.label).state_hash() for record in records}) > 1:
-        lane_zoo = zoo
-    else:
-        lane_zoo = GlucoseModelZoo(
-            predictor_kwargs=dict(epochs=1, hidden_size=8),
-            train_personalized=True,
-            seed=3,
-        )
-        lane_zoo.fit(cohort)
-
-    def replay_with(scheduler):
-        return StreamReplayer(
-            lane_zoo,
-            detectors={name: (detector, "window") for name, detector in family.items()},
-            scheduler=scheduler,
-            clocks=DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19),
-            churn=SessionChurnConfig(join_stagger=1, disconnect_every=15),
-            faults=SensorFaultConfig(bias_rate=0.05, spike_rate=0.08, seed=11),
-        ).replay(cohort, split="test", max_ticks=n_ticks)
-
-    baseline = _replay_fingerprint(replay_with(StreamScheduler()))
-    for n_shards in (1, 2, 4):
-        fabric = ShardedScheduler(n_shards=n_shards)
-        try:
-            fingerprint = _replay_fingerprint(replay_with(fabric))
-        finally:
-            fabric.shutdown()
-        assert fingerprint == baseline, (
-            f"family sharded replay diverged from single-process at "
-            f"n_shards={n_shards}"
-        )
-    report["shard_counts"] = (1, 2, 4)
-    return report
+    name: str
+    n_ticks: int = 40
+    detectors: Tuple[str, ...] = ("knn",)
+    faults: Optional[SensorFaultConfig] = None
+    clocks: Optional[DeviceClockConfig] = None
+    churn: Optional[SessionChurnConfig] = None
+    health: Optional[HealthConfig] = None
+    ingress: Optional[IngressPolicy] = None
+    episodes: Tuple[Tuple[Optional[int], AttackEpisode], ...] = ()
+    watchdog: Optional[int] = None
+    expect: Tuple[str, ...] = ()
 
 
-def run_obs_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str, float]:
-    """Telemetry-spine gates (tier-1 smoke): inertness + merge determinism.
+@dataclass(frozen=True)
+class Variant:
+    """How one side of a twin is served.
 
-    Replays the same chaos mix as :func:`run_shard_smoke` three ways and
-    asserts the two contracts the observability layer pins:
-
-    1. **Inertness** — attaching an :class:`~repro.obs.Observer` never
-       perturbs the replay: the instrumented run's fingerprint (predictions,
-       verdicts, health timeline with ``delivered_at``/``backoff``, tamper
-       records) is bitwise identical to the uninstrumented run's.
-    2. **Merge determinism** — the sharded fabric's merged metric snapshot is
-       bitwise identical to the single-process snapshot at 1, 2, and 4
-       shards for every non-timing series: worker registries ship with tick
-       replies and fold into the parent with order-invariant semantics, so
-       where a lane ran never shows up in the numbers.
-
-    Returns a report dict; raises AssertionError on the first violation.
+    ``shards`` None is the single-process scheduler.  ``kill`` holds
+    ``(replay tick, occupied-shard rank)`` SIGKILLs on a fabric supervised at
+    ``snapshot_interval``; ``restore_at`` checkpoints the single-process
+    scheduler to a file before that replay tick and serves on from the copy
+    read back; ``zero_faults`` replays with the all-zero fault config.
     """
-    from repro.detectors import KNNDistanceDetector
-    from repro.obs import Observer
-    from repro.serving import (
-        AttackEpisode,
-        DeviceClockConfig,
-        HealthConfig,
-        IngressConfig,
-        IngressPolicy,
-        OnlineAttacker,
-        SensorFaultConfig,
-        SessionChurnConfig,
-        ShardedScheduler,
-        StreamReplayer,
-        StreamScheduler,
-    )
 
-    records = list(cohort)
-    if len({zoo.model_for(record.label).state_hash() for record in records}) > 1:
-        lane_zoo = zoo
-    else:
-        lane_zoo = GlucoseModelZoo(
-            predictor_kwargs=dict(epochs=1, hidden_size=8),
-            train_personalized=True,
-            seed=3,
+    shards: Optional[int] = None
+    observed: bool = False
+    kill: Tuple[Tuple[int, int], ...] = ()
+    snapshot_interval: int = 8
+    restore_at: Optional[int] = None
+    zero_faults: bool = False
+
+    def __str__(self) -> str:
+        parts = [] if self.shards is None else [f"sharded({self.shards})"]
+        if self.observed:
+            parts.append("observed")
+        if self.kill:
+            parts.append("kill({" + ",".join(f"{tick}:{rank}" for tick, rank in self.kill) + "})")
+        if self.restore_at is not None:
+            parts.append(f"restored({self.restore_at})")
+        if self.zero_faults:
+            parts.append("zero_faults")
+        return "+".join(parts) or "single"
+
+
+class TwinRow(NamedTuple):
+    """One twin: a scenario served two ways whose replay fingerprints must be
+    equal — and, when both sides are observed, their metric snapshots too."""
+
+    scenario: ReplaySpec
+    a: Variant
+    b: Variant
+
+    @property
+    def id(self) -> str:
+        return f"{self.scenario.name}:{self.a}~{self.b}"
+
+
+class KillSwitch:
+    """Passthrough scheduler shim that interrupts serving between two ticks.
+
+    Before the replay tick keyed in ``kill_at`` it SIGKILLs the occupied
+    worker of that rank; before ``restore_at`` it writes the single-process
+    scheduler's snapshot through a :class:`~repro.serving.SchedulerCheckpointer`
+    and serves on from the copy read back.  Both land where a real crash is
+    recovered.  Every detector adapter the replayer opens reports its scores,
+    so twins compare those bitwise too.
+    """
+
+    def __init__(self, scheduler, kill_at=(), restore_at: Optional[int] = None):
+        self._scheduler = scheduler
+        self._kill_at = dict(kill_at)
+        self._restore_at = restore_at
+        self._ticks = 0
+        self.kills = 0
+        self.restored = False
+
+    def __getattr__(self, name):
+        return getattr(self._scheduler, name)
+
+    def open_session(self, *args, detectors=None, **kwargs):
+        for adapter in (detectors or {}).values():
+            adapter.include_scores = True
+        session = self._scheduler.open_session(*args, detectors=detectors, **kwargs)
+        return _LiveSession(self, session.session_id)
+
+    def tick(self, samples, now=None):
+        if self._ticks == self._restore_at:
+            with tempfile.TemporaryDirectory() as directory:
+                checkpointer = SchedulerCheckpointer(directory)
+                checkpointer.save(self._scheduler.snapshot())
+                restored = StreamScheduler.restore(checkpointer.load())
+            live, self._scheduler, self.restored = self._scheduler, restored, True
+            assert (restored.n_sessions, restored.n_lanes) == (live.n_sessions, live.n_lanes)
+        rank = self._kill_at.get(self._ticks)
+        if rank is not None:
+            occupied = sorted({handle.shard for handle in self._scheduler._sessions.values()})
+            self._scheduler.kill_worker(occupied[min(rank, len(occupied) - 1)])
+            self.kills += 1
+        self._ticks += 1
+        return self._scheduler.tick(samples, now=now)
+
+
+class _LiveSession:
+    """A session handle that follows its session across a restore."""
+
+    def __init__(self, switch: KillSwitch, session_id: str):
+        self._switch = switch
+        self.session_id = session_id
+
+    def __getattr__(self, name):
+        return getattr(self._switch._scheduler.session(self.session_id), name)
+
+
+class TwinBench:
+    """The fixture twins replay on: a cohort, a zoo, and detectors fitted on demand.
+
+    Replays are memoized by (scenario, variant): rows sharing a side share
+    its run.
+    """
+
+    def __init__(self, cohort, zoo: GlucoseModelZoo):
+        self.cohort = cohort
+        self.zoo = zoo
+        self._detectors: Dict[str, tuple] = {}
+        self._runs: Dict[tuple, dict] = {}
+
+    def detector(self, name: str) -> tuple:
+        """``(fitted detector, unit)`` for one of :data:`TWIN_DETECTORS`."""
+        if name not in self._detectors:
+            windows, _, _ = self.zoo.dataset.from_cohort(self.cohort, split="train")
+            if name == "knn":
+                entry = (KNNDistanceDetector(n_neighbors=5).fit(windows[::4, -1:, :]), "sample")
+            elif name == "lstm_vae":
+                vae = LSTMVAEDetector(epochs=1, hidden_size=8, batch_size=16, seed=0)
+                entry = (vae.fit(windows[::4]), "window")
+            elif name == "hmm":
+                hmm = GaussianHMMDetector(n_states=3, n_iter=3, seed=0)
+                entry = (hmm.fit(windows[::4]), "window")
+            else:  # "vae_hmm": the 2-of-2 voting ensemble of the two window brains
+                members = [self.detector("lstm_vae")[0], self.detector("hmm")[0]]
+                entry = (VotingEnsembleDetector(members, min_votes=2), "window")
+            self._detectors[name] = entry
+        return self._detectors[name]
+
+    def replay(self, spec: ReplaySpec, variant: Variant) -> dict:
+        """Replay ``spec`` served as ``variant``: report, fingerprint, metrics, respawns."""
+        if (spec, variant) not in self._runs:
+            self._runs[spec, variant] = self._replay(spec, variant)
+        return self._runs[spec, variant]
+
+    def _replay(self, spec: ReplaySpec, variant: Variant) -> dict:
+        assert not (variant.zero_faults and spec.faults), "zero_faults twins a fault-free scenario"
+        observer = Observer() if variant.observed else None
+        gating = dict(
+            health=spec.health,
+            ingress=IngressConfig(policy=spec.ingress) if spec.ingress else None,
+            obs=observer,
         )
-        lane_zoo.fit(cohort)
-    train_windows, _, _ = lane_zoo.dataset.from_cohort(cohort, split="train")
-    detector = KNNDistanceDetector(n_neighbors=5).fit(train_windows[::4, -1:, :])
-
-    faults = SensorFaultConfig(
-        bias_rate=0.05, spike_rate=0.08, malformed_rate=0.05, seed=11
-    )
-    clocks = DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19)
-    churn = SessionChurnConfig(join_stagger=2, disconnect_every=25, reconnect_after=2)
-    health = HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=4)
-    ingress = IngressConfig(policy=IngressPolicy.REJECT)
-    episodes = {records[0].label: [AttackEpisode(start=13, duration=12)]}
-
-    def replay_with(scheduler, obs):
-        attacker = OnlineAttacker(episodes, obs=obs)
-        replayer = StreamReplayer(
-            lane_zoo,
-            detectors={"knn": (detector, "sample")},
-            attacker=attacker,
-            scheduler=scheduler,
-            clocks=clocks,
-            churn=churn,
-            faults=faults,
-            obs=obs,
-        )
-        return replayer.replay(cohort, split="test", max_ticks=n_ticks)
-
-    plain = _replay_fingerprint(
-        replay_with(StreamScheduler(health=health, ingress=ingress), None)
-    )
-    observer = Observer()
-    observed = replay_with(
-        StreamScheduler(health=health, ingress=ingress, obs=observer), observer
-    )
-    assert _replay_fingerprint(observed) == plain, (
-        "attaching an Observer perturbed the replay (inertness violation)"
-    )
-    baseline_series = observer.registry.snapshot()
-    assert baseline_series, "instrumented replay recorded no metric series"
-    assert observer.spans, "instrumented replay recorded no trace spans"
-
-    span_shards = {}
-    for n_shards in (1, 2, 4):
-        shard_obs = Observer()
-        fabric = ShardedScheduler(
-            n_shards=n_shards, health=health, ingress=ingress, obs=shard_obs
-        )
+        if variant.shards is None:
+            scheduler = StreamScheduler(**gating)
+        else:
+            supervision = (
+                SupervisorConfig(snapshot_interval=variant.snapshot_interval, restart_backoff=0.01)
+                if variant.kill
+                else None
+            )
+            scheduler = ShardedScheduler(n_shards=variant.shards, supervision=supervision, **gating)
+        labels = [record.label for record in self.cohort]
+        episodes: Dict[str, list] = {}
+        for device, episode in spec.episodes:
+            for label in labels if device is None else labels[device : device + 1]:
+                episodes.setdefault(label, []).append(episode)
+        attacker = OnlineAttacker(episodes, obs=observer) if episodes else None
+        switch = KillSwitch(scheduler, variant.kill, variant.restore_at)
         try:
-            report = replay_with(fabric, shard_obs)
+            report = StreamReplayer(
+                self.zoo,
+                detectors={name: self.detector(name) for name in spec.detectors},
+                attacker=attacker,
+                scheduler=switch,
+                clocks=spec.clocks,
+                churn=spec.churn,
+                faults=SensorFaultConfig() if variant.zero_faults else spec.faults,
+                divergence_watchdog=spec.watchdog,
+                obs=observer,
+            ).replay(self.cohort, split="test", max_ticks=spec.n_ticks)
+            restarts = sum(shard.restarts for shard in getattr(scheduler, "_shards", ()))
         finally:
-            fabric.shutdown()
-        assert _replay_fingerprint(report) == plain, (
-            f"instrumented sharded replay diverged at n_shards={n_shards}"
+            if variant.shards is not None:
+                scheduler.shutdown()
+        # A kill or restore that never happened would pass silently.
+        assert switch.kills == len(variant.kill) <= restarts, (
+            f"{spec.name} as {variant}: {switch.kills} kills landed, {restarts} respawns"
         )
-        series = shard_obs.registry.snapshot()
-        assert series == baseline_series, (
-            f"sharded metric snapshot diverged from single-process at "
-            f"n_shards={n_shards}"
+        assert switch.restored == (variant.restore_at is not None), (
+            f"{spec.name} as {variant}: the restore point was never reached"
         )
-        span_shards[n_shards] = {
-            span.shard for span in shard_obs.spans if span.shard is not None
+        if observer is not None:
+            assert observer.registry.snapshot() and observer.spans, "observer recorded nothing"
+            assert variant.shards is None or any(
+                span.shard is not None for span in observer.spans
+            ), f"no shard-stamped spans shipped back as {variant}"
+        return {
+            "report": report,
+            "fingerprint": replay_fingerprint(report, attacker),
+            "registry": observer.registry.snapshot() if observer is not None else None,
+            "restarts": restarts,
         }
-        assert span_shards[n_shards], (
-            f"no shard-stamped spans shipped back at n_shards={n_shards}"
+
+
+#: What a scenario's ``expect`` can require of its first replay.
+EXPECTATIONS = {
+    "tampers": lambda report: any(trace.attacked_ticks for trace in report.sessions.values()),
+    "scored": lambda report: any(
+        not verdict.warming
+        for trace in report.sessions.values()
+        for outcome in trace.ticks
+        for verdict in outcome.verdicts.values()
+    ),
+    "quarantine": lambda report: any(
+        counts["quarantines"] for counts in report.health_summary().values()
+    ),
+}
+
+
+def _divergence(left, right, path: str = "fingerprint") -> str:
+    """The path to the first place two fingerprints differ."""
+    if isinstance(left, dict) and isinstance(right, dict) and left.keys() == right.keys():
+        key = next(key for key in left if left[key] != right[key])
+        return _divergence(left[key], right[key], f"{path}[{key!r}]")
+    if isinstance(left, list) and isinstance(right, list) and len(left) == len(right):
+        index = next(index for index, pair in enumerate(zip(left, right)) if pair[0] != pair[1])
+        return _divergence(left[index], right[index], f"{path}[{index}]")
+    return f"{path}: {left!r:.300} != {right!r:.300}"
+
+
+def run_twin(bench: TwinBench, row: TwinRow) -> Tuple[dict, dict]:
+    """Replay both sides of ``row`` and assert its relation; returns both runs."""
+    first = bench.replay(row.scenario, row.a)
+    second = bench.replay(row.scenario, row.b)
+    for expectation in row.scenario.expect:
+        assert EXPECTATIONS[expectation](first["report"]), (
+            f"{row.id}: the scenario never showed {expectation!r}"
         )
+    assert first["fingerprint"] == second["fingerprint"], (
+        f"{row.id} diverged: {_divergence(first['fingerprint'], second['fingerprint'])}"
+    )
+    if row.a.observed and row.b.observed:
+        assert first["registry"] == second["registry"], f"{row.id}: metric snapshots diverged"
+    return first, second
 
-    return {
-        "n_series": sum(len(section) for section in baseline_series.values()),
-        "n_spans": len(observer.spans),
-        "shard_counts": (1, 2, 4),
-        "span_shards": {count: sorted(shards) for count, shards in span_shards.items()},
-    }
+
+#: check_parity's chaos mix: benign faults with malformed samples, device
+#: clocks, churn, an online attacker on the first device (past the first
+#: segment's warm-up, before its churn disconnect), health + reject ingress.
+CHAOS_MIX = ReplaySpec(
+    "chaos_mix",
+    faults=SensorFaultConfig(bias_rate=0.05, spike_rate=0.08, malformed_rate=0.05, seed=11),
+    clocks=DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19),
+    churn=SessionChurnConfig(join_stagger=2, disconnect_every=25, reconnect_after=2),
+    health=HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=4),
+    ingress=IngressPolicy.REJECT,
+    episodes=((0, AttackEpisode(start=13, duration=12)),),
+    expect=("tampers",),
+)
+#: Faults + clocks + churn without gating, for the LSTM-VAE + HMM brains.
+FAMILY_CHAOS = ReplaySpec(
+    "family_chaos",
+    n_ticks=30,
+    detectors=("lstm_vae", "hmm"),
+    faults=SensorFaultConfig(bias_rate=0.05, spike_rate=0.08, seed=11),
+    clocks=DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19),
+    churn=SessionChurnConfig(join_stagger=1, disconnect_every=15),
+    expect=("scored",),
+)
+#: ``chaos_replay.py``'s full-chaos mix (its ``full_chaos`` scenario and the
+#: kill-mix gate) and its attack campaign: one episode per device, starting
+#: past the forecaster's 12-tick warm-up.
+CHAOS_FAULTS = SensorFaultConfig(
+    bias_rate=0.01,
+    stuck_rate=0.01,
+    spike_rate=0.02,
+    drift_rate=0.005,
+    dropout_rate=0.01,
+    malformed_rate=0.02,
+    seed=37,
+)
+CHAOS_CLOCKS = DeviceClockConfig(drift=0.1, jitter=0.2, dropout=0.05, seed=7)
+CHAOS_CHURN = SessionChurnConfig(join_stagger=2, disconnect_every=30, reconnect_after=2)
+ATTACK_START = 20
+ATTACK_DURATION = 12
+#: Kill-mix schedules by shard count: (replay tick, occupied-shard rank).  The
+#: first kill lands mid-episode; a second, later one at 4 shards makes two
+#: independent recoveries compose.
+KILL_TICKS = {2: ((25, 0),), 4: ((25, 0), (33, 1))}
+#: Samples per device in ``chaos_replay.py --smoke``.
+CHAOS_SMOKE_TICKS = 48
 
 
-def run_recovery_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str, float]:
-    """Crash-recovery gate (tier-1 smoke): recovery is **bitwise** resume.
+def chaos_specs(n_ticks: int) -> Tuple[ReplaySpec, ReplaySpec]:
+    """``chaos_replay.py``'s fault-free baseline and kill-mix scenarios."""
+    duration = min(ATTACK_DURATION, max(n_ticks - ATTACK_START - 1, 1))
+    kill_mix = ReplaySpec(
+        "chaos_kill_mix",
+        n_ticks=n_ticks,
+        faults=CHAOS_FAULTS,
+        clocks=CHAOS_CLOCKS,
+        churn=CHAOS_CHURN,
+        health=HealthConfig(),
+        ingress=IngressPolicy.CLAMP,
+        episodes=((None, AttackEpisode(start=ATTACK_START, duration=duration)),),
+        watchdog=3,
+    )
+    return ReplaySpec("chaos_baseline", n_ticks=n_ticks), kill_mix
 
-    Pins the two halves of the recovery contract (``docs/recovery.md``):
 
-    1. **Snapshot/restore continuation** — a single-process
-       :class:`StreamScheduler` ticked partway, snapshotted through the
-       :class:`SchedulerCheckpointer` *file* layer (write → read back, so the
-       header/checksum path is on the gate), restored, and ticked to the end
-       produces samples, predictions, verdicts, and health timelines bitwise
-       identical to the uninterrupted scheduler.
-    2. **Kill-mix self-healing** — a sharded replay with the full chaos mix
-       active (benign faults, device clocks, churn, an online attacker,
-       health + ingress gating) and workers SIGKILLed mid-run at 2 and 4
-       shards is bitwise identical to the single-process no-kill replay:
-       fingerprints, tamper records, and the report rollup.  The supervisor
-       must actually respawn (the gate asserts restart counts), so a silent
-       "never died" pass is impossible.
+SINGLE = Variant()
+OBSERVED = Variant(observed=True)
+_CHAOS_BASELINE, _KILL_MIX = chaos_specs(CHAOS_SMOKE_TICKS)
+_PLAIN = ReplaySpec("plain", n_ticks=30)
+_KNN_CHAOS = replace(FAMILY_CHAOS, name="knn_chaos", detectors=("knn",), expect=())
+_ATTACKED = ReplaySpec(
+    "attacked", n_ticks=35, episodes=((0, AttackEpisode(15, 10)),), expect=("tampers",)
+)
+_QUARANTINE = ReplaySpec(
+    "quarantine",
+    faults=SensorFaultConfig(malformed_rate=0.2, seed=23),
+    health=HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=3),
+    ingress=IngressPolicy.REJECT,
+    expect=("quarantine",),
+)
 
-    Returns a report dict; raises AssertionError on the first violation.
+#: Every hand-written twin.  Sharded = single-process: plain serving, the
+#: kNN and window-brain chaos mixes, an online attacker, quarantine chaos, and
+#: the full chaos mix.  Observed = unobserved, with metric snapshots merged
+#: bitwise across shards.  Recovered = uninterrupted: a checkpoint-file
+#: restore and SIGKILLed workers under both chaos mixes.
+TWIN_ROWS = [
+    *(TwinRow(_PLAIN, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
+    *(TwinRow(_KNN_CHAOS, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
+    *(TwinRow(FAMILY_CHAOS, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
+    *(TwinRow(_ATTACKED, SINGLE, Variant(shards=n)) for n in (1, 2)),
+    *(TwinRow(_QUARANTINE, SINGLE, Variant(shards=n)) for n in (2, 4)),
+    *(TwinRow(CHAOS_MIX, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
+    TwinRow(CHAOS_MIX, SINGLE, OBSERVED),
+    *(TwinRow(CHAOS_MIX, OBSERVED, Variant(shards=n, observed=True)) for n in (1, 2, 4)),
+    TwinRow(CHAOS_MIX, SINGLE, Variant(restore_at=13)),
+    TwinRow(CHAOS_MIX, SINGLE, Variant(shards=2, kill=((21, 0),))),
+    TwinRow(CHAOS_MIX, SINGLE, Variant(shards=4, kill=((21, 0), (29, 1)))),
+    TwinRow(_CHAOS_BASELINE, SINGLE, Variant(zero_faults=True)),
+    *(TwinRow(_KILL_MIX, SINGLE, Variant(shards=n, kill=k)) for n, k in KILL_TICKS.items()),
+]
+
+
+def twin_scenarios():
+    """Hypothesis strategy: one random scenario, as the rows of its three contracts.
+
+    Draws faults, churn, device clocks, attacks, ingress, health and
+    detectors, then shards, snapshot interval, kills and a restore point.
     """
-    import tempfile
+    from hypothesis import strategies as st
 
-    from repro.detectors import KNNDistanceDetector
-    from repro.detectors.streaming import StreamingDetector
-    from repro.serving import (
-        AttackEpisode,
-        DeviceClockConfig,
-        HealthConfig,
-        IngressConfig,
-        IngressPolicy,
-        OnlineAttacker,
-        SchedulerCheckpointer,
-        SensorFaultConfig,
-        SessionChurnConfig,
-        ShardedScheduler,
-        StreamReplayer,
-        StreamScheduler,
-        SupervisorConfig,
-    )
+    rate, seed = st.sampled_from([0.0, 0.02, 0.08]), st.integers(0, 999)
 
-    records = list(cohort)
-    health = HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=4)
-    ingress = IngressConfig(policy=IngressPolicy.REJECT)
-
-    # --- Part A: snapshot → checkpoint file → restore continues bitwise.
-    train_windows, _, _ = zoo.dataset.from_record(records[0], "train")
-    detector = KNNDistanceDetector(n_neighbors=5).fit(train_windows[::4, -1:, :])
-
-    def build_single():
-        scheduler = StreamScheduler(health=health, ingress=ingress)
-        for record in records:
-            adapters = {
-                "knn": StreamingDetector(
-                    detector, unit="sample", history=zoo.dataset.history
-                )
-            }
-            scheduler.open_session(
-                record.label, zoo.model_for(record.label), detectors=adapters
-            )
-        return scheduler
-
-    def tick_fingerprint(outcomes):
-        return tuple(
-            (
-                session_id,
-                outcome.tick,
-                outcome.sample.tobytes(),
-                None if outcome.prediction is None else float(outcome.prediction),
-                tuple(
-                    (name, verdict.warming, verdict.flagged, verdict.score)
-                    for name, verdict in sorted(outcome.verdicts.items())
-                ),
-                outcome.dropped,
-                outcome.ingress,
-            )
-            for session_id, outcome in sorted(outcomes.items())
-        )
-
-    split_at = max(4, n_ticks // 3)
-    feeds = [
-        {record.label: record.features("test")[tick] for record in records}
-        for tick in range(n_ticks)
-    ]
-    original = build_single()
-    for tick in range(split_at):
-        original.tick(feeds[tick], now=tick)
-    snapshot = original.snapshot()
-    with tempfile.TemporaryDirectory() as tmp:
-        checkpointer = SchedulerCheckpointer(tmp, keep=2)
-        path = checkpointer.save(snapshot)
-        snapshot_bytes = path.stat().st_size
-        snapshot = checkpointer.load()
-    restored = StreamScheduler.restore(snapshot)
-    assert restored.n_sessions == original.n_sessions, "restore lost sessions"
-    assert restored.n_lanes == original.n_lanes, "restore lost lanes"
-    for tick in range(split_at, n_ticks):
-        live = tick_fingerprint(original.tick(feeds[tick], now=tick))
-        resumed = tick_fingerprint(restored.tick(feeds[tick], now=tick))
-        assert resumed == live, (
-            f"restored scheduler diverged from uninterrupted run at tick {tick}"
-        )
-    for session_id in sorted(original._sessions):
-        timelines = [
-            [
-                (event.tick, str(event.state), event.reason,
-                 event.delivered_at, event.backoff)
-                for event in scheduler._sessions[session_id].health.timeline
-            ]
-            for scheduler in (original, restored)
-        ]
-        assert timelines[0] == timelines[1], (
-            f"health timeline diverged after restore for session {session_id}"
-        )
-
-    # --- Part B: kill-mix — SIGKILL workers mid-replay under the full chaos
-    # mix; the supervisor's snapshot+journal recovery must keep the replay
-    # bitwise identical to a run that never crashed.
-    if len({zoo.model_for(record.label).state_hash() for record in records}) > 1:
-        lane_zoo = zoo
-    else:
-        lane_zoo = GlucoseModelZoo(
-            predictor_kwargs=dict(epochs=1, hidden_size=8),
-            train_personalized=True,
-            seed=3,
-        )
-        lane_zoo.fit(cohort)
-    lane_windows, _, _ = lane_zoo.dataset.from_cohort(cohort, split="train")
-    chaos_detector = KNNDistanceDetector(n_neighbors=5).fit(
-        lane_windows[::4, -1:, :]
-    )
-
-    faults = SensorFaultConfig(
-        bias_rate=0.05, spike_rate=0.08, malformed_rate=0.05, seed=11
-    )
-    clocks = DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19)
-    churn = SessionChurnConfig(join_stagger=2, disconnect_every=25, reconnect_after=2)
-    episodes = {records[0].label: [AttackEpisode(start=13, duration=12)]}
-
-    class KillSwitch:
-        """Passthrough shim that SIGKILLs occupied workers at chosen ticks.
-
-        The replayer drives it exactly like the fabric; only ``tick`` is
-        intercepted, so the kill lands between two ticks — the same boundary
-        a real mid-run crash is recovered at.
-        """
-
-        def __init__(self, fabric, kill_at):
-            self._fabric = fabric
-            self._kill_at = dict(kill_at)
-            self._ticks = 0
-
-        def __getattr__(self, name):
-            return getattr(self._fabric, name)
-
-        def tick(self, samples, now=None):
-            rank = self._kill_at.get(self._ticks)
-            if rank is not None:
-                occupied = sorted(
-                    {handle.shard for handle in self._fabric._sessions.values()}
-                )
-                self._fabric.kill_worker(occupied[min(rank, len(occupied) - 1)])
-            self._ticks += 1
-            return self._fabric.tick(samples, now=now)
-
-    def replay_with(scheduler):
-        attacker = OnlineAttacker(episodes)  # fresh: attackers accumulate records
-        replayer = StreamReplayer(
-            lane_zoo,
-            detectors={"knn": (chaos_detector, "sample")},
-            attacker=attacker,
-            scheduler=scheduler,
-            clocks=clocks,
-            churn=churn,
-            faults=faults,
-        )
-        report = replayer.replay(cohort, split="test", max_ticks=n_ticks)
-        tampers = [
-            (
-                record.session_id,
-                record.tick,
-                record.benign_cgm,
-                record.delivered_cgm,
-                record.eligible,
-                record.success,
-                record.queries,
-                record.warm_started,
-            )
-            for record in attacker.records
-        ]
-        return report, tampers
-
-    baseline_report, baseline_tampers = replay_with(
-        StreamScheduler(health=health, ingress=ingress)
-    )
-    baseline = _replay_fingerprint(baseline_report)
-    baseline_rollup = baseline_report.rollup("knn")
-
-    respawns = {}
-    for n_shards in (2, 4):
-        # Kill mid-attack-episode; at 4 shards kill a second worker later so
-        # two independent recoveries compose within one replay.
-        kill_at = {21: 0} if n_shards == 2 else {21: 0, 29: 1}
-        fabric = ShardedScheduler(
-            n_shards=n_shards,
-            health=health,
+    @st.composite
+    def rows(draw):
+        n_ticks = draw(st.integers(16, 32))
+        ingress = draw(st.none() | st.sampled_from(list(IngressPolicy)))
+        degrade = draw(st.integers(1, 2))
+        spec = ReplaySpec(
+            "random",
+            n_ticks=n_ticks,
+            detectors=tuple(
+                sorted(draw(st.sets(st.sampled_from(TWIN_DETECTORS), min_size=1, max_size=2)))
+            ),
+            faults=draw(st.none() | st.builds(
+                SensorFaultConfig, bias_rate=rate, stuck_rate=rate, spike_rate=rate,
+                drift_rate=rate, dropout_rate=rate, seed=seed,
+                # Malformed samples need an ingress policy to stop them.
+                malformed_rate=rate if ingress else st.just(0.0),
+            )),
+            clocks=draw(st.none() | st.builds(
+                DeviceClockConfig, drift=st.sampled_from([0.0, 0.05, 0.2]),
+                jitter=st.sampled_from([0.0, 0.1, 0.3]),
+                dropout=st.sampled_from([0.0, 0.05, 0.1]), seed=seed,
+            )),
+            churn=draw(st.none() | st.builds(
+                SessionChurnConfig, join_stagger=st.integers(0, 2),
+                disconnect_every=st.none() | st.integers(6, 20),
+                reconnect_after=st.integers(0, 3), close_on_drain=st.booleans(),
+            )),
+            health=draw(st.none() | st.builds(
+                HealthConfig, degrade_after=st.just(degrade),
+                quarantine_after=st.integers(degrade, 3), backoff_ticks=st.integers(1, 4),
+            )),
             ingress=ingress,
-            supervision=SupervisorConfig(snapshot_interval=8, restart_backoff=0.01),
+            episodes=tuple(sorted(draw(st.dictionaries(st.integers(0, 3), st.builds(
+                AttackEpisode, start=st.integers(0, n_ticks - 1), duration=st.integers(1, 8)
+            ), max_size=2)).items())),
         )
-        try:
-            report, tampers = replay_with(KillSwitch(fabric, kill_at))
-            restarts = sum(shard.restarts for shard in fabric._shards)
-        finally:
-            fabric.shutdown()
-        assert restarts >= len(kill_at), (
-            f"expected >= {len(kill_at)} respawns at n_shards={n_shards}, "
-            f"got {restarts} — the kill never landed"
-        )
-        fingerprint = _replay_fingerprint(report)
-        assert fingerprint == baseline, (
-            f"kill-mix replay diverged from no-kill baseline at n_shards={n_shards}"
-        )
-        assert tampers == baseline_tampers, (
-            f"tamper records diverged under kill-mix at n_shards={n_shards}"
-        )
-        rollup = report.rollup("knn")
-        assert rollup.keys() == baseline_rollup.keys() and all(
-            value == baseline_rollup[key]
-            or (np.isnan(value) and np.isnan(baseline_rollup[key]))
-            for key, value in rollup.items()
-        ), f"report rollup diverged under kill-mix at n_shards={n_shards}"
-        respawns[n_shards] = restarts
+        ticks = st.integers(1, n_ticks - 1)
+        kill = draw(st.dictionaries(ticks, st.integers(0, 3), min_size=1, max_size=2))
+        shards = draw(st.integers(1, 4))
+        return [
+            TwinRow(spec, SINGLE, Variant(restore_at=draw(ticks))),
+            TwinRow(spec, SINGLE, Variant(
+                shards=shards, kill=tuple(sorted(kill.items())),
+                snapshot_interval=draw(st.sampled_from([1, 4, 8, 1000])),
+            )),
+            TwinRow(spec, SINGLE, OBSERVED),
+            TwinRow(spec, OBSERVED, Variant(shards=shards, observed=True)),
+        ]
 
-    return {
-        "n_sessions": len(baseline),
-        "n_ticks": n_ticks,
-        "split_at": split_at,
-        "snapshot_bytes": snapshot_bytes,
-        "shard_counts": (2, 4),
-        "respawns": respawns,
-    }
+    return rows()
+
+
+def check_random_twins(bench: TwinBench, max_examples: int) -> Dict[str, int]:
+    """The three twin contracts on ``max_examples`` derandomized random scenarios."""
+    from hypothesis import HealthCheck, given, settings
+
+    budget = dict(max_examples=max_examples, derandomize=True, database=None, deadline=None)
+
+    @settings(suppress_health_check=list(HealthCheck), **budget)
+    @given(twin_scenarios())
+    def property_holds(rows):
+        for row in rows:
+            run_twin(bench, row)
+
+    property_holds()
+    return {"examples": max_examples}
 
 
 def main() -> int:
     print("building tiny fixture...")
     cohort, zoo = build_fixture()
-    print("running parity checks (greedy, beam, random x 3 seeds)...")
-    try:
-        report = run_checks(zoo, cohort)
-    except AssertionError as error:
-        print(f"PARITY VIOLATION: {error}")
-        return 1
-    print(f"  max |fast - graph| prediction gap: {report['max_prediction_gap']:.3e}")
-    for name in EXPLORER_FACTORIES:
-        per_seed = report[name]
-        queries = sorted(stats["total_queries"] for stats in per_seed.values())
-        print(f"  {name}: parity ok across seeds (query totals {queries})")
-    print("running fused-training parity (gradients + fixed-seed loss curves)...")
-    try:
-        training = run_training_parity(zoo, cohort)
-    except AssertionError as error:
-        print(f"TRAINING PARITY VIOLATION: {error}")
-        return 1
-    print(
-        f"  gradient gap {training['gradient_gap']:.3e}, loss-curve gaps "
-        f"predictor {training['predictor_loss_gap']:.3e} / "
-        f"MAD-GAN {training['madgan_loss_gap']:.3e}"
-    )
-    print("running serving smoke (streamed replay + online attack, 50 ticks)...")
-    try:
-        serving = run_serving_smoke(zoo, cohort)
-    except AssertionError as error:
-        print(f"SERVING PARITY VIOLATION: {error}")
-        return 1
-    print(
-        f"  max |stream - offline| prediction gap: {serving['max_stream_gap']:.3e} "
-        f"({serving['n_sessions']} sessions, {serving['tampered_ticks']} tampered ticks)"
-    )
-    print("running chaos smoke (fault mixes + ingress policies + full chaos)...")
-    try:
-        chaos = run_chaos_smoke(zoo, cohort)
-    except AssertionError as error:
-        print(f"CHAOS GATE VIOLATION: {error}")
-        return 1
-    print(f"  all {len(chaos)} chaos gates passed on the tiny fixture")
-    print("running shard smoke (sharded fabric bitwise parity at 1/2/4 shards)...")
-    try:
-        shard = run_shard_smoke(zoo, cohort)
-    except AssertionError as error:
-        print(f"SHARD PARITY VIOLATION: {error}")
-        return 1
-    print(
-        f"  sharded == single-process bitwise across shard counts "
-        f"{shard['shard_counts']} ({shard['n_sessions']} session segments, "
-        f"{shard['campaign_records']} campaign records at n_workers=2)"
-    )
-    print("running detector-family smoke (LSTM-VAE + HMM streaming/shard parity)...")
-    try:
-        family = run_detector_family_smoke(zoo, cohort)
-    except AssertionError as error:
-        print(f"DETECTOR FAMILY PARITY VIOLATION: {error}")
-        return 1
-    print(
-        f"  streaming == offline (VAE score gap "
-        f"{family['lstm_vae']['stream_score_gap']:.3e}, HMM bitwise); "
-        f"sharded bitwise across shard counts {family['shard_counts']}"
-    )
-    print("running obs smoke (telemetry inertness + metric merge determinism)...")
-    try:
-        obs = run_obs_smoke(zoo, cohort)
-    except AssertionError as error:
-        print(f"OBS GATE VIOLATION: {error}")
-        return 1
-    print(
-        f"  observer inert; {obs['n_series']} metric series bitwise identical "
-        f"across shard counts {obs['shard_counts']}"
-    )
-    print("running recovery smoke (snapshot/restore + kill-mix self-healing)...")
-    try:
-        recovery = run_recovery_smoke(zoo, cohort)
-    except AssertionError as error:
-        print(f"RECOVERY GATE VIOLATION: {error}")
-        return 1
-    print(
-        f"  restore at tick {recovery['split_at']} continues bitwise "
-        f"({recovery['snapshot_bytes']} snapshot bytes); kill-mix respawns "
-        f"{recovery['respawns']} bitwise at shard counts {recovery['shard_counts']}"
-    )
+    bench = TwinBench(cohort, lane_zoo_for(cohort, zoo))
+    steps = [
+        ("explorer + fast-path parity", lambda: run_checks(zoo, cohort)),
+        ("fused-training parity", lambda: run_training_parity(zoo, cohort)),
+        ("serving smoke (stream vs offline)", lambda: run_serving_smoke(zoo, cohort)),
+        ("chaos smoke (every chaos gate)", lambda: run_chaos_smoke(zoo, cohort)),
+        ("detector family (stream vs offline)", lambda: run_detector_family_smoke(zoo, cohort)),
+        ("sharded campaign (n_workers=2)", lambda: run_campaign_parity(bench.zoo, cohort)),
+        *(
+            (f"twin {row.id}", lambda row=row: {"restarts": run_twin(bench, row)[1]["restarts"]})
+            for row in TWIN_ROWS
+        ),
+        ("randomized twin scenarios", lambda: check_random_twins(bench, RANDOM_EXAMPLES)),
+    ]
+    for label, step in steps:
+        try:
+            report = step()
+        except AssertionError as error:
+            print(f"PARITY VIOLATION in {label}: {error}")
+            return 1
+        scalars = {key: value for key, value in report.items() if not isinstance(value, dict)}
+        print(f"{label}: ok {scalars}")
     print("all parity checks passed")
     return 0
 

@@ -15,9 +15,9 @@ Usage::
     PYTHONPATH=src python scripts/obs_report.py TRACE.jsonl
     PYTHONPATH=src python scripts/obs_report.py --smoke [--out TRACE.jsonl]
 
-``--smoke`` builds the tiny parity fixture, runs the telemetry gates from
-``scripts/check_parity.py`` (observer inertness; sharded == single-process
-metric snapshots at 1/2/4 shards), then drives one traced replay on a 2-shard
+``--smoke`` builds the tiny parity fixture, runs the observed rows of the
+twin table in ``scripts/check_parity.py`` (observer inertness; sharded ==
+single-process metric snapshots at 1/2/4 shards), then drives one traced replay on a 2-shard
 fabric, exports its telemetry, and asserts the rollup recomputed from the
 JSONL matches ``ReplayReport.rollup`` bitwise.  Exit status is non-zero on
 any violation — CI runs this and uploads the trace as an artifact.
@@ -224,16 +224,16 @@ def run_smoke(out_path: str) -> int:
     print("building tiny fixture...")
     cohort, zoo = check_parity.build_fixture()
 
-    print("running telemetry gates (inertness + merge determinism)...")
+    print("running the observed twin rows (inertness + merge determinism)...")
+    bench = check_parity.TwinBench(cohort, check_parity.lane_zoo_for(cohort, zoo))
+    rows = [row for row in check_parity.TWIN_ROWS if row.b.observed]
     try:
-        gates = check_parity.run_obs_smoke(zoo, cohort)
+        for row in rows:
+            check_parity.run_twin(bench, row)
     except AssertionError as error:
         print(f"OBS GATE VIOLATION: {error}")
         return 1
-    print(
-        f"  observer inert; {gates['n_series']} series bitwise identical at "
-        f"shard counts {gates['shard_counts']}"
-    )
+    print(f"  observer inert; metric snapshots bitwise identical across {len(rows)} rows")
 
     print("running traced replay on a 2-shard fabric...")
     records = list(cohort)

@@ -13,9 +13,9 @@ backward chain through the reparameterization trick (see
 Scoring is **deterministic**: the latent is the encoder mean (no sampling),
 so repeated calls are bitwise identical and — unlike MAD-GAN, whose inversion
 draws per-call latents — the LSTM-VAE joins the serving fabric's bitwise
-parity gates (``check_parity.run_detector_family_smoke``).  Streams are
-scored statelessly: each tick is one :meth:`LSTMVAEDetector.predict` over the
-lane's windows, so streaming verdicts are exactly offline ``predict``
+parity gates (``check_parity.run_detector_family_smoke`` and the
+``family_chaos`` twin rows).  Streams are scored statelessly: each tick is
+one :meth:`LSTMVAEDetector.predict` over the lane's windows, so streaming verdicts are exactly offline ``predict``
 (scores agree within 1e-12 — BLAS rounds per batch shape, and a tick batches
 fewer windows than an offline call), and sharded layouts are bitwise equal
 to single-process serving at every shard count (identical per-lane batches,

@@ -79,6 +79,8 @@ from repro.serving.replay import (
     ReplayReport,
     ReplaySessionTrace,
     StreamReplayer,
+    replay_fingerprint,
+    tick_fingerprint,
 )
 from repro.serving.recovery import (
     SchedulerCheckpointer,
@@ -120,6 +122,8 @@ __all__ = [
     "ReplayReport",
     "ReplaySessionTrace",
     "StreamReplayer",
+    "replay_fingerprint",
+    "tick_fingerprint",
     "SchedulerCheckpointer",
     "SchedulerSnapshot",
     "SnapshotError",

@@ -13,6 +13,7 @@ attack episode starting and a detector first flagging the stream.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -368,6 +369,98 @@ class ReplayReport:
             "detection_rate": self.detection_rate(detector),
             "mean_detection_latency": self.mean_detection_latency(detector),
         }
+
+
+# ------------------------------------------------------------ fingerprints
+def _bits(value) -> Optional[bytes]:
+    """IEEE-754 bytes of an optional float.
+
+    Comparing bytes makes ``==`` truly bitwise: ``-0.0`` differs from
+    ``0.0``, and a NaN equals itself.
+    """
+    return None if value is None else struct.pack("<d", value)
+
+
+def _outcome_fingerprint(outcome: SessionTick) -> dict:
+    return {
+        "tick": outcome.tick,
+        "sample": outcome.sample.tobytes(),
+        "prediction": _bits(outcome.prediction),
+        "verdicts": [
+            (
+                name,
+                verdict.tick,
+                verdict.warming,
+                verdict.flagged,
+                _bits(verdict.score),
+                verdict.degraded,
+            )
+            for name, verdict in sorted(outcome.verdicts.items())
+        ],
+        "attacked": outcome.attacked,
+        "fault": outcome.fault,
+        "ingress": outcome.ingress,
+        "dropped": outcome.dropped,
+        "error": outcome.error,
+    }
+
+
+def tick_fingerprint(outcomes: Mapping[str, SessionTick]) -> Dict[str, dict]:
+    """Everything one scheduler tick must reproduce bitwise, keyed by session.
+
+    ``outcomes`` is what ``StreamScheduler.tick`` (or the sharded fabric's)
+    returns.  Two ticks are twins when their fingerprints compare equal.
+    """
+    return {
+        session_id: _outcome_fingerprint(outcome)
+        for session_id, outcome in sorted(outcomes.items())
+    }
+
+
+def replay_fingerprint(
+    report: ReplayReport, attacker: Optional[OnlineAttacker] = None
+) -> dict:
+    """Everything one replay must reproduce bitwise.
+
+    Per session: every tick's :func:`tick_fingerprint` fields, the global
+    tick each sample was delivered at, and the health timeline (tick, state,
+    reason, ``delivered_at``, backoff).  With the replay's ``attacker``, its
+    tamper records and every detector's :meth:`ReplayReport.rollup` are
+    compared too.  Floats are compared by their IEEE-754 bytes.
+    """
+    fingerprint = {
+        "sessions": {
+            session_id: {
+                "ticks": [_outcome_fingerprint(outcome) for outcome in trace.ticks],
+                "delivered_at": list(trace.delivered_at),
+                "health": [
+                    (event.tick, str(event.state), event.reason, event.delivered_at, event.backoff)
+                    for event in trace.health_timeline
+                ],
+            }
+            for session_id, trace in sorted(report.sessions.items())
+        }
+    }
+    if attacker is not None:
+        fingerprint["tampers"] = [
+            (
+                record.session_id,
+                record.tick,
+                record.scenario,
+                _bits(record.benign_cgm),
+                _bits(record.delivered_cgm),
+                record.eligible,
+                record.success,
+                record.queries,
+                record.warm_started,
+            )
+            for record in attacker.records
+        ]
+        fingerprint["rollup"] = {
+            detector: {key: _bits(value) for key, value in report.rollup(detector).items()}
+            for detector in report.detector_names
+        }
+    return fingerprint
 
 
 class StreamReplayer:

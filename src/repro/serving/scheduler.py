@@ -149,7 +149,7 @@ class StreamScheduler:
         → health → merge).  None (the default) is bitwise inert: no
         counter, span, or event is recorded and the tick path is
         byte-for-byte the uninstrumented one
-        (``scripts/check_parity.py::run_obs_smoke`` gates this).
+        (the observed twin rows in ``scripts/check_parity.py`` gate this).
     """
 
     def __init__(

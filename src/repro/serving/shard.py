@@ -3,8 +3,8 @@
 Everything below :class:`~repro.serving.scheduler.StreamScheduler` runs in
 one Python process on one core; this module is the scale-out layer that
 partitions a session fleet across a pool of worker processes while keeping
-the single-process semantics **bitwise** (``scripts/check_parity.py`` gates
-``run_shard_smoke`` on it).
+the single-process semantics **bitwise** (the twin table in
+``scripts/check_parity.py`` gates it).
 
 Architecture
 ------------
@@ -50,8 +50,8 @@ streams to their exact pre-crash positions), and re-sends the one in-flight
 command the dead worker never acknowledged.  The result is the repo's
 strongest robustness contract: **a run with workers killed mid-stream is
 bitwise identical to a run that never crashed** — survivors untouched,
-victims resumed exactly (``check_parity.run_recovery_smoke`` and the
-``chaos_replay.py`` kill-mix scenarios gate it).  A ``max_restarts``
+victims resumed exactly (the kill rows of ``check_parity.TWIN_ROWS`` and
+the ``chaos_replay.py`` kill-mix gate check it).  A ``max_restarts``
 circuit breaker bounds the respawn loop; a shard that exhausts it falls
 back to the terminal dropped-ticks behavior above.  With
 ``snapshot_interval=None`` the supervisor still respawns but rehydrates by

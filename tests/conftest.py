@@ -7,6 +7,9 @@ fast while still exercising the real code paths end to end.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,9 @@ from repro.attacks import AttackCampaign
 from repro.data import SyntheticOhioT1DM, make_patient_profile
 from repro.glucose import GlucoseModelZoo
 
+
+# The parity tripwire lives in scripts/; its sibling scripts import each other.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 TINY_PATIENTS = [
     ("A", 5),  # excellent control — expected less vulnerable
@@ -52,6 +58,29 @@ def tiny_train_campaign(tiny_zoo, tiny_cohort):
 def tiny_test_campaign(tiny_zoo, tiny_cohort):
     """Attack campaign over the test split (sparse stride)."""
     return AttackCampaign(tiny_zoo, stride=6).run_cohort(tiny_cohort, split="test")
+
+
+@pytest.fixture(scope="session")
+def check_parity():
+    """``scripts/check_parity.py``, the parity tripwire CI also runs standalone."""
+    import check_parity
+
+    return check_parity
+
+
+@pytest.fixture(scope="session")
+def twin_bench(check_parity, tiny_zoo, tiny_cohort):
+    """The twin-table fixture: replays are shared by every row and property example."""
+    return check_parity.TwinBench(tiny_cohort, tiny_zoo)
+
+
+def pytest_generate_tests(metafunc):
+    """One test id per row of the twin table."""
+    if "twin_row" in metafunc.fixturenames:
+        import check_parity
+
+        rows = check_parity.TWIN_ROWS
+        metafunc.parametrize("twin_row", rows, ids=[row.id for row in rows])
 
 
 @pytest.fixture()

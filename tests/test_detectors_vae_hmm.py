@@ -568,17 +568,6 @@ class TestColdBatchCoalescing:
 class TestDetectorFamilySmoke:
     """Wire scripts/check_parity.py's family gate into the tier-1 flow."""
 
-    @pytest.fixture(scope="class")
-    def check_parity(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "scripts" / "check_parity.py"
-        spec = importlib.util.spec_from_file_location("check_parity_family", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     def test_family_smoke_passes(self, check_parity, tiny_zoo, tiny_cohort):
         report = check_parity.run_detector_family_smoke(tiny_zoo, tiny_cohort)
         assert report["hmm"]["stream_score_gap"] == 0.0
@@ -586,4 +575,3 @@ class TestDetectorFamilySmoke:
             report["lstm_vae"]["stream_score_gap"]
             <= check_parity.VAE_STREAM_SCORE_TOLERANCE
         )
-        assert report["shard_counts"] == (1, 2, 4)

@@ -3,9 +3,6 @@ sequential per-window ``search`` reference — same windows, same scores, same
 query counts — across explorers, seeds, strides, expansion modes, and
 eligibility mixes."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -281,14 +278,6 @@ class TestRealPredictorParity:
 
 class TestCheckParityScript:
     """Wire scripts/check_parity.py into the tier-1 flow."""
-
-    @pytest.fixture(scope="class")
-    def check_parity(self):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "check_parity.py"
-        spec = importlib.util.spec_from_file_location("check_parity", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     def test_run_checks_passes_on_trained_zoo(self, check_parity, tiny_zoo, tiny_cohort):
         report = check_parity.run_checks(tiny_zoo, tiny_cohort, seeds=(0, 1, 2), stride=12)

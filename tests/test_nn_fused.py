@@ -10,9 +10,6 @@ step-for-step matching loss curves against their autodiff references,
 `GlucosePredictor.fit_graph` and `MADGANDetector.fit_graph`.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -392,14 +389,6 @@ class TestMADGANFitParity:
 
 class TestTrainingParitySmoke:
     """Wire scripts/check_parity.py's training parity into the tier-1 flow."""
-
-    @pytest.fixture(scope="class")
-    def check_parity(self):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "check_parity.py"
-        spec = importlib.util.spec_from_file_location("check_parity_training", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     def test_training_parity_passes(self, check_parity, tiny_zoo, tiny_cohort):
         report = check_parity.run_training_parity(tiny_zoo, tiny_cohort)

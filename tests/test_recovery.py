@@ -15,12 +15,12 @@ Pins the contract of :mod:`repro.serving.recovery` (see ``docs/recovery.md``):
 * :class:`SchedulerCheckpointer` rotates atomically-written files and loads
   the newest one.
 
-The end-to-end recovery gate (kill-mix at 2/4 shards under full chaos) is
-wired in via ``scripts/check_parity.py::run_recovery_smoke`` at the bottom.
+The end-to-end recovery twins (a checkpoint-file restore mid-replay, and
+kill-mixes at 2/4 shards under full chaos) are rows of the twin table in
+``scripts/check_parity.py``, run by ``tests/test_twins.py``.
 """
 
 import gzip
-import importlib.util
 import json
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from repro.serving import (
     SchedulerCheckpointer,
     SnapshotError,
     StreamScheduler,
+    tick_fingerprint,
 )
 from repro.serving.recovery import (
     SNAPSHOT_MAGIC,
@@ -45,25 +46,6 @@ from repro.serving.recovery import (
 )
 
 HISTORY = 12
-
-
-def tick_fingerprint(outcomes):
-    """Bitwise-comparable view of one tick's outcomes."""
-    return tuple(
-        (
-            session_id,
-            outcome.tick,
-            outcome.sample.tobytes(),
-            None if outcome.prediction is None else float(outcome.prediction),
-            tuple(
-                (name, verdict.warming, verdict.flagged, verdict.score)
-                for name, verdict in sorted(outcome.verdicts.items())
-            ),
-            outcome.dropped,
-            outcome.ingress,
-        )
-        for session_id, outcome in sorted(outcomes.items())
-    )
 
 
 def timeline_of(scheduler, session_id):
@@ -392,22 +374,3 @@ class TestCommittedSnapshotCompatibility:
                         verdict.degraded,
                     ) == (want["tick"], want["warming"], want["flagged"], want["degraded"])
                     assert verdict.score == pytest.approx(want["score"], abs=1e-10)
-
-
-class TestRecoverySmokeGate:
-    """Wire scripts/check_parity.py's recovery smoke into the tier-1 flow."""
-
-    @pytest.fixture(scope="class")
-    def check_parity(self):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "check_parity.py"
-        spec = importlib.util.spec_from_file_location("check_parity_recovery", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_recovery_smoke_passes(self, check_parity, tiny_zoo, tiny_cohort):
-        report = check_parity.run_recovery_smoke(tiny_zoo, tiny_cohort, n_ticks=40)
-        assert report["shard_counts"] == (2, 4)
-        assert report["respawns"][2] >= 1
-        assert report["respawns"][4] >= 2
-        assert report["snapshot_bytes"] > 0

@@ -2,7 +2,7 @@
 
 ``repro.serving.shard`` and ``AttackCampaign.run_cohort(n_workers=...)`` move
 models, detectors, stream state, and configs across process boundaries as
-pickled payloads.  The bitwise parity gates (``run_shard_smoke``,
+pickled payloads.  The bitwise twin contracts (``tests/test_twins.py``,
 ``tests/test_serving_shard.py``) only hold if every one of those objects
 round-trips pickle *faithfully* — same ``state_hash`` where hashed, same
 array bytes where not, same forward/score outputs, same RNG stream

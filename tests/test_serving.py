@@ -13,9 +13,6 @@ Every streaming fast path is pinned to its offline reference:
   serving smoke (tier-1 tripwire).
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -631,14 +628,6 @@ class TestAttackedStreamParity:
 # ------------------------------------------------------------------ tier-1 wire
 class TestServingSmoke:
     """Wire scripts/check_parity.py's serving smoke into the tier-1 flow."""
-
-    @pytest.fixture(scope="class")
-    def check_parity(self):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "check_parity.py"
-        spec = importlib.util.spec_from_file_location("check_parity_serving", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     def test_serving_smoke_passes(self, check_parity, tiny_zoo, tiny_cohort):
         report = check_parity.run_serving_smoke(tiny_zoo, tiny_cohort, n_ticks=50)

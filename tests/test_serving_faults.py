@@ -17,9 +17,6 @@ Covers the robustness contract end to end:
   harness gates (tier-1 wiring of ``scripts/chaos_replay.py``).
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -43,6 +40,7 @@ from repro.serving import (
     SessionHealth,
     StreamReplayer,
     StreamScheduler,
+    replay_fingerprint,
     validate_checkpoint,
 )
 from repro.serving.faults import SENSOR_FLOOR
@@ -78,37 +76,6 @@ def serve_zoo(tiny_cohort):
 def knn_detector(serve_zoo, tiny_cohort):
     windows, _, _ = serve_zoo.dataset.from_cohort(tiny_cohort, split="train")
     return KNNDistanceDetector(n_neighbors=5).fit(windows[::4, -1:, :])
-
-
-def _fingerprint(report):
-    """Bitwise-comparable view of a replay report."""
-    out = {}
-    for session_id, trace in sorted(report.sessions.items()):
-        out[session_id] = (
-            np.stack([outcome.sample for outcome in trace.ticks]),
-            trace.predictions(),
-            tuple(
-                tuple(sorted(outcome.verdicts)) for outcome in trace.ticks
-            ),
-            tuple(
-                bool(verdict.flagged)
-                for outcome in trace.ticks
-                for name, verdict in sorted(outcome.verdicts.items())
-                if not verdict.warming
-            ),
-        )
-    return out
-
-
-def _assert_fingerprints_equal(left, right):
-    assert left.keys() == right.keys()
-    for session_id in left:
-        samples_l, preds_l, names_l, flags_l = left[session_id]
-        samples_r, preds_r, names_r, flags_r = right[session_id]
-        np.testing.assert_array_equal(samples_l, samples_r)
-        np.testing.assert_array_equal(preds_l, preds_r)
-        assert names_l == names_r
-        assert flags_l == flags_r
 
 
 # ------------------------------------------------------------------ fault plans
@@ -199,7 +166,7 @@ class TestReplayFaultComposition:
         zeroed = StreamReplayer(serve_zoo, faults=SensorFaultConfig(), **kwargs).replay(
             tiny_cohort, split="test", max_ticks=30
         )
-        _assert_fingerprints_equal(_fingerprint(plain), _fingerprint(zeroed))
+        assert replay_fingerprint(plain) == replay_fingerprint(zeroed)
         for trace in zeroed.sessions.values():
             assert trace.faulted_ticks == []
 
@@ -210,7 +177,7 @@ class TestReplayFaultComposition:
             )
             for _ in range(2)
         ]
-        _assert_fingerprints_equal(_fingerprint(reports[0]), _fingerprint(reports[1]))
+        assert replay_fingerprint(reports[0]) == replay_fingerprint(reports[1])
         faulted = sum(
             len(trace.faulted_ticks) for trace in reports[0].sessions.values()
         )
@@ -697,14 +664,6 @@ class TestEnsembleDegradation:
 # ------------------------------------------------------------ tier-1 chaos wire
 class TestChaosSmoke:
     """Wire scripts/chaos_replay.py's gates into the tier-1 flow."""
-
-    @pytest.fixture(scope="class")
-    def check_parity(self):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "check_parity.py"
-        spec = importlib.util.spec_from_file_location("check_parity_chaos", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     def test_chaos_gates_hold(self, check_parity, serve_zoo, tiny_cohort):
         gates = check_parity.run_chaos_smoke(serve_zoo, tiny_cohort, n_ticks=40)

@@ -2,9 +2,9 @@
 
 Pins the contract of :mod:`repro.serving.shard`:
 
-* sharded == single-process **bitwise** across shard counts {1, 2, 4}, for
-  plain serving, the full chaos mix (faults + clocks + churn), an online
-  attacker, and quarantine/health chaos,
+* lane-grained placement and the session-id-sorted tick merge (the bitwise
+  sharded == single-process twins are rows of the twin table in
+  ``scripts/check_parity.py``, run by ``tests/test_twins.py``),
 * worker-death isolation — a dead shard degrades only its own sessions
   while co-scheduled shards stay bitwise-identical to the baseline,
 * ``AttackCampaign.run_cohort(n_workers=2)`` record-for-record equality
@@ -12,38 +12,25 @@ Pins the contract of :mod:`repro.serving.shard`:
 * the order-dependence audit: tick mapping order, session open order,
   cohort order, and report aggregation order must not change results.
 
-The bitwise gates use the deterministic kNN detector; MAD-GAN's shared
+The bitwise checks use the deterministic kNN detector; MAD-GAN's shared
 detector-level RNG is re-derived per shard worker (reproducible for a fixed
 layout, not layout-invariant), which is exactly the boundary rule
 ``repro.serving.shard`` documents.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.attacks import AttackCampaign
-from repro.detectors import (
-    GaussianHMMDetector,
-    KNNDistanceDetector,
-    LSTMVAEDetector,
-    StreamingDetector,
-)
+from repro.detectors import KNNDistanceDetector, StreamingDetector
 from repro.serving import (
     AttackEpisode,
     CheckpointError,
-    DeviceClockConfig,
-    HealthConfig,
-    IngressConfig,
-    IngressPolicy,
     OnlineAttacker,
-    SensorFaultConfig,
-    SessionChurnConfig,
     ShardedScheduler,
     StreamReplayer,
     StreamScheduler,
+    tick_fingerprint,
 )
 
 
@@ -53,58 +40,8 @@ def knn_detector(tiny_zoo, tiny_cohort):
     return KNNDistanceDetector(n_neighbors=5).fit(train_windows[::4, -1:, :])
 
 
-@pytest.fixture(scope="module")
-def window_family(tiny_zoo, tiny_cohort):
-    """The deterministic window brains (LSTM-VAE + HMM), fitted once.
-
-    Both are streaming-incremental AND batch-composition independent at the
-    verdict level, so — unlike MAD-GAN, whose RNG is re-derived per shard
-    worker — they join the bitwise shard-parity gates directly.
-    """
-    train_windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
-    benign = train_windows[::4]
-    return {
-        "lstm_vae": LSTMVAEDetector(
-            epochs=1, hidden_size=8, batch_size=16, seed=0
-        ).fit(benign),
-        "hmm": GaussianHMMDetector(n_states=3, n_iter=3, seed=0).fit(benign),
-    }
-
-
-def tick_fingerprint(outcome):
-    """Everything one SessionTick must reproduce bitwise."""
-    return {
-        "tick": outcome.tick,
-        "sample": outcome.sample.tobytes(),
-        "prediction": outcome.prediction,
-        "verdicts": {
-            name: (verdict.warming, verdict.flagged, verdict.score, verdict.degraded)
-            for name, verdict in outcome.verdicts.items()
-        },
-        "attacked": outcome.attacked,
-        "fault": outcome.fault,
-        "ingress": outcome.ingress,
-        "dropped": outcome.dropped,
-    }
-
-
-def report_fingerprint(report):
-    """Everything one replay must reproduce bitwise, keyed by session."""
-    return {
-        session_id: {
-            "ticks": [tick_fingerprint(outcome) for outcome in trace.ticks],
-            "delivered_at": list(trace.delivered_at),
-            "health": [
-                (event.tick, str(event.state), event.reason)
-                for event in trace.health_timeline
-            ],
-        }
-        for session_id, trace in sorted(report.sessions.items())
-    }
-
-
 def drive(scheduler, zoo, cohort, detector, n_ticks=30):
-    """Open one session per patient, tick the fleet, collect fingerprints."""
+    """Open one session per patient, tick the fleet, collect per-tick fingerprints."""
     records = list(cohort)
     streams = {record.label: record.features("test")[:n_ticks] for record in records}
     for record in records:
@@ -115,11 +52,12 @@ def drive(scheduler, zoo, cohort, detector, n_ticks=30):
                 "knn": StreamingDetector(detector, unit="sample", include_scores=True)
             },
         )
-    outs = {record.label: [] for record in records}
-    for tick in range(n_ticks):
-        samples = {record.label: streams[record.label][tick] for record in records}
-        for session_id, outcome in scheduler.tick(samples).items():
-            outs[session_id].append(tick_fingerprint(outcome))
+    outs = [
+        tick_fingerprint(
+            scheduler.tick({record.label: streams[record.label][tick] for record in records})
+        )
+        for tick in range(n_ticks)
+    ]
     for record in records:
         scheduler.close_session(record.label)
     return outs
@@ -162,13 +100,6 @@ class TestShardAssignment:
 
 
 class TestShardedParity:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_plain_serving_bitwise(self, tiny_zoo, tiny_cohort, knn_detector, n_shards):
-        baseline = drive(StreamScheduler(), tiny_zoo, tiny_cohort, knn_detector)
-        with ShardedScheduler(n_shards=n_shards) as fabric:
-            sharded = drive(fabric, tiny_zoo, tiny_cohort, knn_detector)
-        assert sharded == baseline
-
     def test_tick_merge_is_session_id_sorted(self, tiny_zoo, tiny_cohort, knn_detector):
         records = list(tiny_cohort)
         with ShardedScheduler(n_shards=2) as fabric:
@@ -183,112 +114,6 @@ class TestShardedParity:
             }
             results = fabric.tick(samples)
         assert list(results) == sorted(results)
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_detector_family_chaos_bitwise(
-        self, tiny_zoo, tiny_cohort, window_family, n_shards
-    ):
-        """LSTM-VAE + HMM streaming verdicts survive the shard boundary
-        bitwise under the chaos mix (faults + clocks + churn), at every
-        shard count — the new-detector acceptance gate of ISSUE 9."""
-
-        def replay(scheduler):
-            return StreamReplayer(
-                tiny_zoo,
-                detectors={
-                    name: (detector, "window")
-                    for name, detector in window_family.items()
-                },
-                scheduler=scheduler,
-                clocks=DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19),
-                churn=SessionChurnConfig(join_stagger=1, disconnect_every=15),
-                faults=SensorFaultConfig(bias_rate=0.05, spike_rate=0.08, seed=11),
-            ).replay(tiny_cohort, split="test", max_ticks=30)
-
-        baseline = report_fingerprint(replay(StreamScheduler()))
-        scored = sum(
-            not tick["verdicts"][name][0]  # warming flag
-            for session in baseline.values()
-            for tick in session["ticks"]
-            for name in tick["verdicts"]
-        )
-        assert scored > 0, "the replay must produce scored (non-warming) verdicts"
-        with ShardedScheduler(n_shards=n_shards) as fabric:
-            sharded = report_fingerprint(replay(fabric))
-        assert sharded == baseline
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_chaos_replay_bitwise(self, tiny_zoo, tiny_cohort, knn_detector, n_shards):
-        """Faults + device clocks + churn compose with the fabric bitwise."""
-
-        def replay(scheduler):
-            return StreamReplayer(
-                tiny_zoo,
-                detectors={"knn": (knn_detector, "sample")},
-                scheduler=scheduler,
-                clocks=DeviceClockConfig(drift=0.05, jitter=0.1, dropout=0.05, seed=19),
-                churn=SessionChurnConfig(join_stagger=1, disconnect_every=15),
-                faults=SensorFaultConfig(bias_rate=0.05, spike_rate=0.08, seed=11),
-            ).replay(tiny_cohort, split="test", max_ticks=30)
-
-        baseline = report_fingerprint(replay(StreamScheduler()))
-        with ShardedScheduler(n_shards=n_shards) as fabric:
-            sharded = report_fingerprint(replay(fabric))
-        assert sharded == baseline
-
-    def test_online_attacker_bitwise(self, tiny_zoo, tiny_cohort, knn_detector):
-        """Tamper records and attacked ticks survive the shard boundary."""
-        label = next(iter(tiny_cohort)).label
-
-        def replay(n_shards):
-            attacker = OnlineAttacker({label: [AttackEpisode(start=15, duration=10)]})
-            report = StreamReplayer(
-                tiny_zoo,
-                detectors={"knn": (knn_detector, "sample")},
-                attacker=attacker,
-                n_shards=n_shards,
-            ).replay(tiny_cohort, split="test", max_ticks=35)
-            tampers = [
-                (record.session_id, record.tick, record.delivered_cgm, record.queries)
-                for record in attacker.records
-            ]
-            return report_fingerprint(report), tampers
-
-        baseline, baseline_tampers = replay(None)
-        assert baseline_tampers, "attacker must tamper for the parity to be meaningful"
-        for n_shards in (1, 2):
-            sharded, tampers = replay(n_shards)
-            assert sharded == baseline
-            assert tampers == baseline_tampers
-
-    def test_quarantine_health_chaos_bitwise(self, tiny_zoo, tiny_cohort, knn_detector):
-        """Health timelines (incl. quarantines) are identical across shards."""
-        health = HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=3)
-        ingress = IngressConfig(policy=IngressPolicy.REJECT)
-        faults = SensorFaultConfig(malformed_rate=0.2, seed=23)
-
-        def replay(scheduler):
-            return StreamReplayer(
-                tiny_zoo,
-                detectors={"knn": (knn_detector, "sample")},
-                scheduler=scheduler,
-                faults=faults,
-            ).replay(tiny_cohort, split="test", max_ticks=40)
-
-        baseline_report = replay(StreamScheduler(health=health, ingress=ingress))
-        baseline = report_fingerprint(baseline_report)
-        quarantines = sum(
-            summary["quarantines"]
-            for summary in baseline_report.health_summary().values()
-        )
-        assert quarantines > 0, "the chaos mix must actually quarantine a session"
-        for n_shards in (2, 4):
-            with ShardedScheduler(
-                n_shards=n_shards, health=health, ingress=ingress
-            ) as fabric:
-                sharded_report = replay(fabric)
-            assert report_fingerprint(sharded_report) == baseline
-            assert sharded_report.health_summary() == baseline_report.health_summary()
 
 
 class TestWorkerDeath:
@@ -322,7 +147,7 @@ class TestWorkerDeath:
             victims = set(by_shard[dead_shard])
             survivors = {record.label for record in records} - victims
 
-            outs = {record.label: [] for record in records}
+            ticks = []
             for tick in range(20):
                 if tick == 10:
                     # Kill one worker process mid-fleet.
@@ -331,23 +156,24 @@ class TestWorkerDeath:
                 samples = {
                     record.label: streams[record.label][tick] for record in records
                 }
-                for session_id, outcome in fabric.tick(samples).items():
-                    outs[session_id].append(outcome)
+                ticks.append(fabric.tick(samples))
         finally:
             fabric.shutdown()
 
+        fingerprints = [tick_fingerprint(outcomes) for outcomes in ticks]
         for label in survivors:
             # Co-scheduled shards: bitwise-identical to the no-death baseline.
-            assert [tick_fingerprint(outcome) for outcome in outs[label]] == baseline[label]
+            assert [tick[label] for tick in fingerprints] == [tick[label] for tick in baseline]
         for label in victims:
-            before = [tick_fingerprint(outcome) for outcome in outs[label][:10]]
-            assert before == baseline[label][:10]
-            for outcome in outs[label][10:]:
+            before = [tick[label] for tick in fingerprints[:10]]
+            assert before == [tick[label] for tick in baseline[:10]]
+            outs = [outcomes[label] for outcomes in ticks]
+            for outcome in outs[10:]:
                 assert outcome.dropped
                 assert f"shard {dead_shard} worker died" in outcome.error
                 assert outcome.prediction is None
             # The mirror keeps counting ticks so a recovered flow could resume.
-            assert [outcome.tick for outcome in outs[label]] == list(range(20))
+            assert [outcome.tick for outcome in outs] == list(range(20))
 
 
 class TestShardedCampaign:
@@ -400,14 +226,14 @@ class TestOrderInvariance:
                         )
                     },
                 )
-            outs = {record.label: [] for record in records}
-            for tick in range(25):
-                samples = {
-                    record.label: streams[record.label][tick] for record in tick_order
-                }
-                for session_id, outcome in scheduler.tick(samples).items():
-                    outs[session_id].append(tick_fingerprint(outcome))
-            return outs
+            return [
+                tick_fingerprint(
+                    scheduler.tick(
+                        {record.label: streams[record.label][tick] for record in tick_order}
+                    )
+                )
+                for tick in range(25)
+            ]
 
         assert run(records) == run(records[::-1])
 
@@ -430,14 +256,14 @@ class TestOrderInvariance:
                         )
                     },
                 )
-            outs = {record.label: [] for record in records}
-            for tick in range(25):
-                samples = {
-                    record.label: streams[record.label][tick] for record in records
-                }
-                for session_id, outcome in scheduler.tick(samples).items():
-                    outs[session_id].append(tick_fingerprint(outcome))
-            return outs
+            return [
+                tick_fingerprint(
+                    scheduler.tick(
+                        {record.label: streams[record.label][tick] for record in records}
+                    )
+                )
+                for tick in range(25)
+            ]
 
         records = list(tiny_cohort)
         assert run(records) == run(records[::-1])
@@ -496,20 +322,3 @@ class TestOrderInvariance:
         assert report.confusion("knn") == permuted.confusion("knn")
         assert report.health_summary() == permuted.health_summary()
         assert report.trace_breakdown("knn") == permuted.trace_breakdown("knn")
-
-
-class TestShardSmokeGate:
-    """Wire scripts/check_parity.py's shard smoke into the tier-1 flow."""
-
-    @pytest.fixture(scope="class")
-    def check_parity(self):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "check_parity.py"
-        spec = importlib.util.spec_from_file_location("check_parity_shard", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_shard_smoke_passes(self, check_parity, tiny_zoo, tiny_cohort):
-        report = check_parity.run_shard_smoke(tiny_zoo, tiny_cohort, n_ticks=40)
-        assert report["shard_counts"] == (1, 2, 4)
-        assert report["campaign_records"] > 0

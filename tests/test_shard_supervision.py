@@ -40,27 +40,10 @@ from repro.serving import (
     ShardWorkerError,
     ShardedScheduler,
     SupervisorConfig,
+    tick_fingerprint,
 )
 
 N_TICKS = 24
-
-
-def tick_fingerprint(outcomes):
-    return tuple(
-        (
-            session_id,
-            outcome.tick,
-            outcome.sample.tobytes(),
-            None if outcome.prediction is None else float(outcome.prediction),
-            tuple(
-                (name, verdict.warming, verdict.flagged, verdict.score)
-                for name, verdict in sorted(outcome.verdicts.items())
-            ),
-            outcome.dropped,
-            outcome.error,
-        )
-        for session_id, outcome in sorted(outcomes.items())
-    )
 
 
 class TestSupervisedRespawn:
@@ -192,14 +175,11 @@ class TestSupervisedRespawn:
             kills={13: 0},
         )
         assert restarts >= 1
-        tick13 = {
-            session_id: (tick, dropped)
-            for (session_id, tick, _, _, _, dropped, _) in out[13]
-        }
+        tick13 = out[13].values()
         assert any(
-            tick == 0 for tick, dropped in tick13.values() if not dropped
+            fingerprint["tick"] == 0 for fingerprint in tick13 if not fingerprint["dropped"]
         ), "no session was re-warmed from scratch"
-        assert all(not dropped for _, dropped in tick13.values())
+        assert all(not fingerprint["dropped"] for fingerprint in tick13)
 
     def test_circuit_breaker_opens_after_max_restarts(self, run):
         out, _, restarts = run(
@@ -210,13 +190,10 @@ class TestSupervisedRespawn:
             kills={7: 0, 15: 0},
         )
         assert restarts == 1, "the breaker must stop burning restarts"
-        last = {
-            session_id: (dropped, error)
-            for (session_id, _, _, _, _, dropped, error) in out[-1]
-        }
-        dead = [error for dropped, error in last.values() if dropped]
+        last = out[-1].values()
+        dead = [fingerprint["error"] for fingerprint in last if fingerprint["dropped"]]
         assert dead and all("worker died" in error for error in dead)
-        assert any(not dropped for dropped, _ in last.values()), (
+        assert any(not fingerprint["dropped"] for fingerprint in last), (
             "the surviving shard's sessions must keep being served"
         )
 
