@@ -128,6 +128,9 @@ SMOKE_LANES = 4
 OBS_SESSIONS = 64
 OBS_TICKS = 40
 TARGET_OBS_OVERHEAD_PCT = 5.0
+#: Alternating bare/observed pairs behind the observer-overhead gate; times
+#: are scaled by ``perfbench/hostclock.py`` and the median pair is gated.
+OBS_PAIRS = 10
 
 #: Crash-recovery costs (``docs/recovery.md``): snapshot capture + checkpoint
 #: file round-trip on a large single-process fleet (normalized per 1k
@@ -500,43 +503,57 @@ def bench_shard_sweep(zoo, cohort, repeats: int):
     }
 
 
-def bench_observability(zoo, cohort, repeats: int):
+def bench_observability(zoo, cohort):
     """Tick-throughput overhead of a live Observer on the streamed fleet.
 
-    Serves the same ``OBS_SESSIONS``-session fleet twice per repeat — once
-    bare, once with an :class:`~repro.obs.Observer` recording metrics and
-    per-tick spans — and compares best-of tick throughput.  Predictions must
-    be bitwise identical (the inertness contract), and the overhead must stay
-    below ``TARGET_OBS_OVERHEAD_PCT`` % (gated in :func:`main`).  It measures
-    pure scheduler dispatch with sub-ms ticks — the least favorable (most
-    instrumentation-sensitive) workload the fabric has.
+    Serves the same ``OBS_SESSIONS``-session fleet bare and with an
+    :class:`~repro.obs.Observer` recording metrics and per-tick spans, in
+    ``OBS_PAIRS`` alternating pairs (the order flips every pair) whose times
+    are scaled by the host clock sampled around each run.  Predictions must
+    be bitwise identical (the inertness contract), and the median pair's
+    overhead must stay below ``TARGET_OBS_OVERHEAD_PCT`` % (gated in
+    :func:`main`).  It measures pure scheduler dispatch with sub-ms ticks —
+    the least favorable (most instrumentation-sensitive) workload the fabric
+    has.
     """
+    from hostclock import HostClock
+
     predictor = zoo.aggregate
     warmup = predictor.history
     traces = session_traces(cohort, OBS_SESSIONS, warmup + OBS_TICKS)
 
-    plain_timer = Timer()
-    traced_timer = Timer()
-    plain_preds = traced_preds = None
+    clock = HostClock()
+    pair_seconds = []
+    predictions = {}
     observer = None
-    for _ in range(repeats):
-        plain_preds = run_streamed(predictor, traces, warmup, OBS_TICKS, plain_timer)
-        observer = Observer()
-        traced_preds = run_streamed(
-            predictor, traces, warmup, OBS_TICKS, traced_timer, obs=observer
-        )
-    if not np.array_equal(plain_preds, traced_preds, equal_nan=True):
+    for pair in range(OBS_PAIRS):
+        seconds = {}
+        for traced in (False, True) if pair % 2 == 0 else (True, False):
+            timer, obs = Timer(), Observer() if traced else None
+            predictions[traced] = run_streamed(
+                predictor, traces, warmup, OBS_TICKS, timer, obs=obs
+            )
+            seconds[traced] = timer.best * clock.factor()
+            if traced:
+                observer = obs
+        pair_seconds.append((seconds[False], seconds[True]))
+    if not np.array_equal(predictions[False], predictions[True], equal_nan=True):
         raise SystemExit("observer perturbed streamed predictions (inertness violation)")
 
     snapshot = observer.registry.snapshot()
-    overhead_pct = (traced_timer.best / plain_timer.best - 1.0) * 100.0
+    pair_overheads = [(traced / plain - 1.0) * 100.0 for plain, traced in pair_seconds]
+    overhead_pct = float(np.median(pair_overheads))
+    plain_seconds = float(np.median([plain for plain, _ in pair_seconds]))
+    traced_seconds = float(np.median([traced for _, traced in pair_seconds]))
     return {
         "n_sessions": OBS_SESSIONS,
         "ticks": OBS_TICKS,
-        "plain_seconds": plain_timer.best,
-        "traced_seconds": traced_timer.best,
-        "plain_ticks_per_sec": OBS_TICKS / plain_timer.best,
-        "traced_ticks_per_sec": OBS_TICKS / traced_timer.best,
+        "pairs": OBS_PAIRS,
+        "plain_seconds": plain_seconds,
+        "traced_seconds": traced_seconds,
+        "plain_ticks_per_sec": OBS_TICKS / plain_seconds,
+        "traced_ticks_per_sec": OBS_TICKS / traced_seconds,
+        "pair_overheads_pct": pair_overheads,
         "overhead_pct": overhead_pct,
         "target_overhead_pct": TARGET_OBS_OVERHEAD_PCT,
         "meets_target": bool(overhead_pct < TARGET_OBS_OVERHEAD_PCT),
@@ -803,7 +820,7 @@ def main() -> None:
     print(
         f"timing observability overhead ({OBS_SESSIONS} sessions, live observer)..."
     )
-    observability = bench_observability(zoo, cohort, args.repeats)
+    observability = bench_observability(zoo, cohort)
     print(
         f"  bare {observability['plain_ticks_per_sec']:.1f} ticks/s, traced "
         f"{observability['traced_ticks_per_sec']:.1f} ticks/s "

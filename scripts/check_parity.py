@@ -59,6 +59,7 @@ from repro.serving import (
     SupervisorConfig,
     replay_fingerprint,
 )
+from repro.serving.recovery import restore_scheduler
 
 PREDICTION_TOLERANCE = 1e-10
 GRADIENT_TOLERANCE = 1e-8
@@ -347,16 +348,18 @@ def run_chaos_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str
 def run_detector_family_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -> Dict[str, dict]:
     """LSTM-VAE + HMM streaming verdicts equal the offline ``predict`` (tier-1 smoke).
 
-    Both window brains stream statelessly, so one test trace driven sample by
-    sample through :class:`~repro.detectors.StreamingDetector` must give
-    verdicts bitwise identical to ``predict`` on the same sliding windows;
+    Both window brains stream statelessly, so one test trace served sample by
+    sample to a one-session :class:`~repro.serving.StreamScheduler` monitored
+    by a :class:`~repro.detectors.StreamingDetector` must give verdicts
+    bitwise identical to ``predict`` on the same sliding windows;
     HMM scores are bitwise too, LSTM-VAE scores within
     :data:`VAE_STREAM_SCORE_TOLERANCE`.  Their sharded twins are the
     ``family_chaos`` rows of :data:`TWIN_ROWS`.  Raises AssertionError on
     the first violation.
     """
     bench = TwinBench(cohort, zoo)
-    features = next(iter(cohort)).features("test")[:n_ticks]
+    record = next(iter(cohort))
+    features = record.features("test")[:n_ticks]
     report: Dict[str, dict] = {}
     for name in ("lstm_vae", "hmm"):
         detector, _ = bench.detector(name)
@@ -365,11 +368,14 @@ def run_detector_family_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -
             [features[start : start + history] for start in range(len(features) - history + 1)]
         )
         offline_flags = [int(flag) for flag in detector.predict(windows)]
-        adapter = StreamingDetector(detector, unit="window", history=history, include_scores=True)
+        adapter = StreamingDetector(detector, unit="window", include_scores=True)
         assert not adapter.incremental and adapter.inversion_state is None, (
             f"{name}: window brain must stream statelessly"
         )
-        verdicts = [adapter.update(sample) for sample in features]
+        session = StreamScheduler().open_session(
+            record.label, zoo.model_for(record.label), detectors={name: adapter}
+        )
+        verdicts = [session.update(sample).verdicts[name] for sample in features]
         warm = [verdict for verdict in verdicts if not verdict.warming]
         assert [int(verdict.flagged) for verdict in warm] == offline_flags, (
             f"{name}: streaming verdicts diverged from offline predict"
@@ -428,8 +434,10 @@ class ReplaySpec:
     """One replay scenario: what every device streams and how the fabric gates it.
 
     ``episodes`` holds ``(device index, AttackEpisode)`` pairs (None: every
-    device; an index past the cohort: none).  ``expect`` names what the first
-    replay must show for its twin to mean anything (:data:`EXPECTATIONS`).
+    device; an index past the cohort: none).  ``shared_lane`` serves every
+    device from the zoo's aggregate model, so all sessions share one lane.
+    ``expect`` names what the first replay must show for its twin to mean
+    anything (:data:`EXPECTATIONS`).
     """
 
     name: str
@@ -442,6 +450,7 @@ class ReplaySpec:
     ingress: Optional[IngressPolicy] = None
     episodes: Tuple[Tuple[Optional[int], AttackEpisode], ...] = ()
     watchdog: Optional[int] = None
+    shared_lane: bool = False
     expect: Tuple[str, ...] = ()
 
 
@@ -496,17 +505,28 @@ class KillSwitch:
     worker of that rank; before ``restore_at`` it writes the single-process
     scheduler's snapshot through a :class:`~repro.serving.SchedulerCheckpointer`
     and serves on from the copy read back.  Both land where a real crash is
-    recovered.  Every detector adapter the replayer opens reports its scores,
-    so twins compare those bitwise too.
+    recovered.  The snapshot carries ``detectors`` as ``extra`` state, and
+    sessions opened after the restore monitor with the restored copies: a
+    lane batches one query per detector object, so a caller's own object
+    would split the lane's batch (``docs/recovery.md``).  Every detector
+    adapter the replayer opens reports its scores, so twins compare those
+    bitwise too.  Before the restore it counts the sessions opened on a
+    lane slot an earlier session used (``recycled``); at the restore it
+    notes the most sessions on one lane (``lane_load``).
     """
 
-    def __init__(self, scheduler, kill_at=(), restore_at: Optional[int] = None):
+    def __init__(self, scheduler, kill_at=(), restore_at: Optional[int] = None, detectors=()):
         self._scheduler = scheduler
         self._kill_at = dict(kill_at)
         self._restore_at = restore_at
+        self._detectors = list(detectors)
+        self._restored_copy: Dict[int, object] = {}
         self._ticks = 0
+        self._slots_used = set()
         self.kills = 0
         self.restored = False
+        self.recycled = 0
+        self.lane_load = 0
 
     def __getattr__(self, name):
         return getattr(self._scheduler, name)
@@ -514,17 +534,26 @@ class KillSwitch:
     def open_session(self, *args, detectors=None, **kwargs):
         for adapter in (detectors or {}).values():
             adapter.include_scores = True
+            adapter.detector = self._restored_copy.get(id(adapter.detector), adapter.detector)
         session = self._scheduler.open_session(*args, detectors=detectors, **kwargs)
+        slot = (session.lane_key, getattr(session, "slot", None))
+        if slot[1] is not None and not self.restored:
+            self.recycled += slot in self._slots_used
+            self._slots_used.add(slot)
         return _LiveSession(self, session.session_id)
 
     def tick(self, samples, now=None):
         if self._ticks == self._restore_at:
             with tempfile.TemporaryDirectory() as directory:
                 checkpointer = SchedulerCheckpointer(directory)
-                checkpointer.save(self._scheduler.snapshot())
-                restored = StreamScheduler.restore(checkpointer.load())
+                checkpointer.save(self._scheduler.snapshot(extra={"detectors": self._detectors}))
+                restored, extra = restore_scheduler(checkpointer.load())
+            self._restored_copy = {
+                id(original): copy for original, copy in zip(self._detectors, extra["detectors"])
+            }
             live, self._scheduler, self.restored = self._scheduler, restored, True
             assert (restored.n_sessions, restored.n_lanes) == (live.n_sessions, live.n_lanes)
+            self.lane_load = max(map(len, live._lanes.values()), default=0)
         rank = self._kill_at.get(self._ticks)
         if rank is not None:
             occupied = sorted({handle.shard for handle in self._scheduler._sessions.values()})
@@ -543,6 +572,17 @@ class _LiveSession:
 
     def __getattr__(self, name):
         return getattr(self._switch._scheduler.session(self.session_id), name)
+
+
+class _AggregateZoo:
+    """A zoo view serving every device from ``zoo``'s aggregate model."""
+
+    def __init__(self, zoo: GlucoseModelZoo):
+        self.dataset = zoo.dataset
+        self._model = zoo.aggregate
+
+    def model_for(self, label: str):
+        return self._model
 
 
 class TwinBench:
@@ -605,11 +645,14 @@ class TwinBench:
             for label in labels if device is None else labels[device : device + 1]:
                 episodes.setdefault(label, []).append(episode)
         attacker = OnlineAttacker(episodes, obs=observer) if episodes else None
-        switch = KillSwitch(scheduler, variant.kill, variant.restore_at)
+        detectors = {name: self.detector(name) for name in spec.detectors}
+        switch = KillSwitch(
+            scheduler, variant.kill, variant.restore_at, [entry[0] for entry in detectors.values()]
+        )
         try:
             report = StreamReplayer(
-                self.zoo,
-                detectors={name: self.detector(name) for name in spec.detectors},
+                _AggregateZoo(self.zoo) if spec.shared_lane else self.zoo,
+                detectors=detectors,
                 attacker=attacker,
                 scheduler=switch,
                 clocks=spec.clocks,
@@ -639,6 +682,8 @@ class TwinBench:
             "fingerprint": replay_fingerprint(report, attacker),
             "registry": observer.registry.snapshot() if observer is not None else None,
             "restarts": restarts,
+            "recycled": switch.recycled,
+            "lane_load": switch.lane_load,
         }
 
 
@@ -764,11 +809,20 @@ _QUARANTINE = ReplaySpec(
     expect=("quarantine",),
 )
 
+#: The chaos mix and the window-brain mix with every device on one lane:
+#: several sessions share the lane's sample ring, and churn recycles slots.
+#: Their restore points come after a churn reconnect has reused a slot
+#: (CHAOS_MIX's first disconnect follows 25 deliveries) while the lane still
+#: serves two or more sessions.
+_CHAOS_MIX_SHARED = replace(CHAOS_MIX, name="chaos_mix_shared", shared_lane=True)
+_FAMILY_SHARED = replace(FAMILY_CHAOS, name="family_chaos_shared", shared_lane=True)
+
 #: Every hand-written twin.  Sharded = single-process: plain serving, the
 #: kNN and window-brain chaos mixes, an online attacker, quarantine chaos, and
 #: the full chaos mix.  Observed = unobserved, with metric snapshots merged
 #: bitwise across shards.  Recovered = uninterrupted: a checkpoint-file
-#: restore and SIGKILLed workers under both chaos mixes.
+#: restore and SIGKILLed workers under both chaos mixes, and restores of
+#: shared-lane mixes.
 TWIN_ROWS = [
     *(TwinRow(_PLAIN, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
     *(TwinRow(_KNN_CHAOS, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
@@ -783,14 +837,18 @@ TWIN_ROWS = [
     TwinRow(CHAOS_MIX, SINGLE, Variant(shards=4, kill=((21, 0), (29, 1)))),
     TwinRow(_CHAOS_BASELINE, SINGLE, Variant(zero_faults=True)),
     *(TwinRow(_KILL_MIX, SINGLE, Variant(shards=n, kill=k)) for n, k in KILL_TICKS.items()),
+    TwinRow(_CHAOS_MIX_SHARED, SINGLE, Variant(restore_at=34)),
+    TwinRow(_FAMILY_SHARED, SINGLE, Variant(restore_at=20)),
+    TwinRow(_CHAOS_MIX_SHARED, SINGLE, OBSERVED),
 ]
 
 
 def twin_scenarios():
     """Hypothesis strategy: one random scenario, as the rows of its three contracts.
 
-    Draws faults, churn, device clocks, attacks, ingress, health and
-    detectors, then shards, snapshot interval, kills and a restore point.
+    Draws faults, churn, device clocks, attacks, ingress, health, detectors
+    and whether every device shares one lane, then shards, snapshot
+    interval, kills and a restore point.
     """
     from hypothesis import strategies as st
 
@@ -831,6 +889,7 @@ def twin_scenarios():
             episodes=tuple(sorted(draw(st.dictionaries(st.integers(0, 3), st.builds(
                 AttackEpisode, start=st.integers(0, n_ticks - 1), duration=st.integers(1, 8)
             ), max_size=2)).items())),
+            shared_lane=draw(st.booleans()),
         )
         ticks = st.integers(1, n_ticks - 1)
         kill = draw(st.dictionaries(ticks, st.integers(0, 3), min_size=1, max_size=2))

@@ -3,14 +3,18 @@
 The paper's detectors are *static*: they score pre-materialized windows or
 samples.  The deployment they model is *online* — a pump-side monitor sees CGM
 measurements one at a time and must flag the manipulated trace as it streams.
-:class:`StreamingDetector` closes that gap: it ring-buffers the incoming
-samples and feeds the underlying detector exactly the view it was trained on
-(the final measurement for ``unit="sample"`` detectors such as kNN and
-OneClassSVM, the whole multivariate window for ``unit="window"`` detectors
-such as MAD-GAN, LSTM-VAE, and the Gaussian HMM).  Verdicts are therefore
-*identical* to running the offline ``predict`` on the same windows — pinned
-by ``tests/test_serving.py`` and ``tests/test_detectors_vae_hmm.py``
-(per-detector score tolerances: ``docs/detectors.md``).
+:class:`StreamingDetector` closes that gap: attached to a session of a
+:class:`~repro.serving.scheduler.StreamScheduler`, it names the view the
+underlying detector was trained on (the final measurement for
+``unit="sample"`` detectors such as kNN and OneClassSVM, the whole
+multivariate window for ``unit="window"`` detectors such as MAD-GAN,
+LSTM-VAE, and the Gaussian HMM), and the scheduler feeds it that view each
+tick.  Windows come from the session's lane, which keeps the one copy of
+every stream's last ``history`` samples; the adapter buffers nothing.
+Verdicts are therefore *identical* to running the offline ``predict`` on
+the same windows — pinned by ``tests/test_serving.py`` and
+``tests/test_detectors_vae_hmm.py`` (per-detector score tolerances:
+``docs/detectors.md``).
 
 Detectors exposing the incremental API (``make_inversion_state`` +
 ``scores_incremental`` — today only MAD-GAN, whose carried state is the
@@ -19,11 +23,11 @@ one carried state object per stream.  Every other window brain (LSTM-VAE,
 HMM) is stateless: one batched ``predict`` per tick, which measured faster
 than carrying per-stream state at 64 and 1024 streams.
 
-The adapter holds one ring per stream; the underlying detector object may be
-shared by many adapters, which is what lets the serving scheduler coalesce
-the per-tick views of every session into one batched ``predict`` call.
+The adapter serves one stream; the underlying detector object may be shared
+by many adapters, which is what lets the serving scheduler coalesce the
+per-tick views of every session into one batched ``predict`` call.
 
-Adapter state (ring, warming counter, carried incremental state — including
+Adapter state (tick counter, carried incremental state — including
 MAD-GAN's ``InversionState`` RNG position) pickles exactly, so scheduler
 snapshots (``repro.serving.recovery``) resume streaming verdicts bitwise;
 the shared-detector aliasing above survives restore because the whole
@@ -35,10 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.detectors.base import AnomalyDetector
-from repro.utils.timeseries import SampleRing
 
 #: Detection units the adapter understands (mirrors eval.experiments.DetectorSpec).
 STREAM_UNITS = ("sample", "window")
@@ -53,7 +54,7 @@ class StreamVerdict:
     tick:
         0-based index of the measurement within the stream.
     warming:
-        True while the adapter has not yet buffered a full window (only
+        True while the stream has not yet delivered a full window (only
         possible for ``unit="window"`` detectors); ``flagged`` is None then.
     flagged:
         Detector decision for this tick (1 = malicious) once warm.  None on
@@ -79,7 +80,11 @@ class StreamVerdict:
 
 
 class StreamingDetector:
-    """Give a fitted :class:`AnomalyDetector` an ``update(sample) -> verdict`` API.
+    """Attach a fitted :class:`AnomalyDetector` to one served stream.
+
+    Pass adapters to :meth:`~repro.serving.scheduler.StreamScheduler.open_session`;
+    each tick's :class:`~repro.serving.session.SessionTick` carries their
+    :class:`StreamVerdict`.
 
     Parameters
     ----------
@@ -90,7 +95,10 @@ class StreamingDetector:
         (the paper's per-measurement kNN/OC-SVM flags); ``"window"`` feeds it
         full ``(1, history, F)`` windows (MAD-GAN, LSTM-VAE, HMM).
     history:
-        Ring length for ``unit="window"`` (ignored for sample detectors).
+        Window length for ``unit="window"``: None (the default) takes the
+        serving predictor's ``history``; any other value must equal it, or
+        ``open_session`` raises ``ValueError``.  Ignored for sample
+        detectors.
     include_scores:
         Also report the continuous anomaly score each tick.  For plain
         detectors this is one extra :meth:`AnomalyDetector.scores` call per
@@ -119,14 +127,14 @@ class StreamingDetector:
         self,
         detector: AnomalyDetector,
         unit: str = "sample",
-        history: int = 12,
+        history: Optional[int] = None,
         include_scores: bool = False,
         incremental: Optional[bool] = None,
         divergence_watchdog: Optional[int] = None,
     ):
         if unit not in STREAM_UNITS:
             raise ValueError(f"unit must be one of {STREAM_UNITS}, got {unit!r}")
-        if history <= 0:
+        if history is not None and history <= 0:
             raise ValueError("history must be positive")
         supports_incremental = unit == "window" and hasattr(
             detector, "scores_incremental"
@@ -143,14 +151,13 @@ class StreamingDetector:
             raise ValueError("divergence_watchdog must be >= 1 or None")
         self.detector = detector
         self.unit = unit
-        self.history = int(history)
+        self.history = None if history is None else int(history)
         self.include_scores = bool(include_scores)
         self.incremental = bool(incremental)
         self.divergence_watchdog = (
             None if divergence_watchdog is None else int(divergence_watchdog)
         )
         self._inversion_state = detector.make_inversion_state() if self.incremental else None
-        self._ring = SampleRing(self.history)
         self._ticks = 0
         # (ticks, fallbacks) high-water mark for drain_inversion_counts().
         self._inversion_mark = (0, 0)
@@ -178,9 +185,14 @@ class StreamingDetector:
         consecutive = getattr(self._inversion_state, "consecutive_fallbacks", 0)
         return consecutive >= self.divergence_watchdog
 
+    def take_tick(self) -> int:
+        """Count one consumed sample; return its 0-based tick."""
+        tick = self._ticks
+        self._ticks += 1
+        return tick
+
     def reset(self) -> None:
-        """Forget all buffered history (the detector itself is untouched)."""
-        self._ring.reset()
+        """Restart the stream (the detector itself is untouched)."""
         self._ticks = 0
         if self._inversion_state is not None:
             self._inversion_state.reset()
@@ -208,67 +220,3 @@ class StreamingDetector:
             state.fallbacks - marked_fallbacks,
             1 if state.pending_cold else 0,
         )
-
-    # ------------------------------------------------------------------ ticking
-    def prepare(self, sample: np.ndarray):
-        """Consume one raw sample; return ``(tick, view)``.
-
-        ``view`` is the ``(1, T, F)`` array the detector must score for this
-        tick, or None while the window ring is still warming up.  Splitting
-        consumption from scoring lets a scheduler stack the views of many
-        streams into one batched ``detector.predict`` call; :meth:`update` is
-        the self-contained single-stream composition of the two halves.
-        """
-        sample = np.asarray(sample, dtype=np.float64)
-        if sample.ndim != 1:
-            raise ValueError(f"sample must be a 1-D feature vector, got shape {sample.shape}")
-        tick = self._ticks
-        self._ticks += 1
-        if self.unit == "sample":
-            return tick, sample[np.newaxis, np.newaxis, :]
-        self._ring.push(sample)
-        window = self._ring.window()
-        return tick, None if window is None else window[np.newaxis]
-
-    def window(self) -> Optional[np.ndarray]:
-        """The current ``(history, F)`` window in time order, or None if warming."""
-        if self.unit == "sample":
-            return None
-        return self._ring.window()
-
-    def update(self, sample: np.ndarray) -> StreamVerdict:
-        """Consume one raw sample and return this tick's verdict.
-
-        Parameters
-        ----------
-        sample:
-            ``(n_features,)`` raw (unscaled) measurement — **sample** units;
-            the adapter assembles the detector's view itself.
-
-        Returns
-        -------
-        A :class:`StreamVerdict`.  ``warming=True`` (and ``flagged=None``)
-        while a ``unit="window"`` adapter has buffered fewer than ``history``
-        samples; afterwards ``flagged`` mirrors the offline
-        ``detector.predict`` on the same view (identical for stateless
-        detectors; within the documented warm-start tolerance for
-        incremental ones, whose state advances exactly once per call).
-        """
-        tick, view = self.prepare(sample)
-        if view is None:
-            return StreamVerdict(tick=tick, warming=True)
-        if self.incremental:
-            flags, scores = self.detector.predict_incremental(
-                view, [self._inversion_state], include_scores=True
-            )
-            score = float(scores[0]) if self.include_scores else None
-            return StreamVerdict(
-                tick=tick,
-                warming=False,
-                flagged=bool(flags[0]),
-                score=score,
-                degraded=self.watchdog_tripped(),
-            )
-        flagged = bool(self.detector.predict(view)[0])
-        score = float(self.detector.scores(view)[0]) if self.include_scores else None
-        return StreamVerdict(tick=tick, warming=False, flagged=flagged, score=score)

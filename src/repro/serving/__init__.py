@@ -6,8 +6,9 @@ while the rest of this repository evaluates offline on pre-materialized
 windows.  This package is the serving layer that closes the gap:
 
 ``session``
-    :class:`PatientSession` — one live patient stream with ring-buffered
-    history and a slot in a shared recurrent state; O(1) memory per tick.
+    :class:`PatientSession` — one live patient stream: a slot in its lane,
+    which keeps the stream's history and recurrent state; O(1) memory per
+    tick.
 ``scheduler``
     :class:`StreamScheduler` — coalesces every session sharing a model
     (grouped by weight+scaler hash, not object identity) into ONE stacked

@@ -256,8 +256,9 @@ class SessionHealth:
         """Register one error event; returns the (possibly new) state.
 
         A transition *into* QUARANTINED tells the scheduler to reset the
-        session's lane slot, ring, and detector adapters — the quarantined
-        state may be corrupted and re-admission re-warms from scratch.
+        session's lane slot (samples and recurrent state) and detector
+        adapters — the quarantined state may be corrupted and re-admission
+        re-warms from scratch.
         """
         self.consecutive_clean = 0
         self.consecutive_errors += 1

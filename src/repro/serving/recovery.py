@@ -9,10 +9,10 @@ Three layers:
 ``capture_scheduler`` / ``restore_scheduler``
     Snapshot a live :class:`~repro.serving.scheduler.StreamScheduler` into a
     :class:`SchedulerSnapshot` and rebuild an equivalent scheduler from it.
-    The snapshot captures the *complete* deterministic state — per-session
-    sample rings, lane slot allocators and recurrent stream states
+    The snapshot captures the *complete* deterministic state — lane slot
+    allocators, sample rings and recurrent stream states
     (``BiLSTMStreamState`` projection rings), streaming-detector adapter
-    state (window rings, MAD-GAN ``InversionState``),
+    state (tick counters, MAD-GAN ``InversionState``),
     ``SessionHealth`` machines with their backoff depth, and every
     component's ``RandomState`` position (numpy ``Generator`` objects pickle
     their exact bit-stream position).  Model weights are content-addressed:
@@ -45,6 +45,9 @@ Aliasing and tokens
 
 Snapshots are taken at tick boundaries only; mid-tick transients
 (``ColdBatchPlan``, the in-flight admission lists) never cross a snapshot.
+
+Version 2 snapshots still restore: :func:`restore_scheduler` moves their
+per-session and per-adapter sample rings into the lanes (``docs/recovery.md``).
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.serving.health import validate_checkpoint
 from repro.serving.scheduler import StreamScheduler
 
@@ -68,7 +73,12 @@ PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 #: Current snapshot schema version; bumped on incompatible layout changes.
 #: Version 2: ``BiLSTMStreamState`` keeps one stacked two-direction ring and
 #: the LSTM-VAE / HMM adapters carry no per-stream scoring state.
-SNAPSHOT_VERSION = 2
+#: Version 3: each lane keeps its sessions' raw samples in one array; neither
+#: sessions nor detector adapters hold a sample ring.
+SNAPSHOT_VERSION = 3
+
+#: Versions :func:`read_snapshot` and :func:`restore_scheduler` accept.
+READABLE_VERSIONS = (2, SNAPSHOT_VERSION)
 
 #: Magic prefix of a checkpoint file (8 bytes, includes the format revision).
 SNAPSHOT_MAGIC = b"RPROSNP1"
@@ -236,10 +246,10 @@ def restore_scheduler(
     snapshot's cumulative metric series is absorbed into it so counters
     continue from their pre-crash values instead of restarting at zero.
     """
-    if snapshot.version != SNAPSHOT_VERSION:
+    if snapshot.version not in READABLE_VERSIONS:
         raise SnapshotError(
             f"snapshot version {snapshot.version} is not supported "
-            f"(expected {SNAPSHOT_VERSION})"
+            f"(expected one of {READABLE_VERSIONS})"
         )
     # Read only the options the scheduler takes: earlier v2 snapshots also
     # record two engine switches that have since been retired (both engines
@@ -267,9 +277,40 @@ def restore_scheduler(
         raise SnapshotError(f"snapshot references unknown token {exc}") from exc
     scheduler._sessions = state["sessions"]
     scheduler._lanes = state["lanes"]
+    if snapshot.version == 2:
+        _migrate_v2_rings(scheduler)
     if obs is not None and snapshot.obs_series is not None:
         obs.registry.absorb(snapshot.obs_series)
     return scheduler, state["extra"]
+
+
+def _migrate_v2_rings(scheduler: StreamScheduler) -> None:
+    """Move a v2 state's sample rings into its lanes' ``samples`` arrays.
+
+    A v2 session kept its history in a ``SampleRing`` (``_ring``), and so
+    did every window-unit adapter, in lockstep with the lane slot.  Each
+    session's samples go to the positions ``lane.state`` expects once every
+    ring is checked against the slot's fill count; the rings are dropped.
+    """
+    for lane in scheduler._lanes.values():
+        lane.samples = np.zeros(lane.state.ring.shape[:2] + (lane.predictor.n_features,))
+    for session in scheduler._sessions.values():
+        lane, slot = scheduler._lanes[session._lane_key], session._slot
+        count, capacity = int(lane.state.count[slot]), lane.state.capacity
+        ring = session.__dict__.pop("_ring")
+        adapters = [(a.unit, a.__dict__.pop("_ring", None)) for a in session.detectors.values()]
+        delivered = ring._ordered(count) if count else None
+        for other in [ring] + [window for unit, window in adapters if unit == "window"]:
+            if (other.capacity, other.count) != (capacity, count) or (
+                count and not np.array_equal(other._ordered(count), delivered)
+            ):
+                raise SnapshotError(
+                    f"session {session.session_id!r}: a v2 sample ring ({other.count} of "
+                    f"{other.capacity} samples) disagrees with its lane slot ({count} of {capacity})"
+                )
+        if count:
+            positions = (lane.state.cursor[slot] - count + np.arange(count)) % capacity
+            lane.samples[slot, positions] = delivered
 
 
 # ---------------------------------------------------------------- checkpointer
@@ -278,7 +319,7 @@ def write_snapshot(snapshot: SchedulerSnapshot, path) -> Path:
     path = Path(path)
     body = pickle.dumps(snapshot, protocol=PICKLE_PROTOCOL)
     header = _HEADER.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(body), hashlib.sha256(body).digest()
+        SNAPSHOT_MAGIC, snapshot.version, len(body), hashlib.sha256(body).digest()
     )
     fd, tmp_name = tempfile.mkstemp(
         prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
@@ -315,10 +356,10 @@ def read_snapshot(path) -> SchedulerSnapshot:
         magic, version, body_len, digest = _HEADER.unpack(header)
         if magic != SNAPSHOT_MAGIC:
             raise SnapshotError(f"{path}: not a scheduler snapshot (bad magic)")
-        if version != SNAPSHOT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise SnapshotError(
                 f"{path}: snapshot version {version} is not supported "
-                f"(expected {SNAPSHOT_VERSION})"
+                f"(expected one of {READABLE_VERSIONS})"
             )
         body = handle.read(body_len + 1)
     if len(body) < body_len:
@@ -408,6 +449,7 @@ class SchedulerCheckpointer:
 
 __all__ = [
     "PICKLE_PROTOCOL",
+    "READABLE_VERSIONS",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "SchedulerCheckpointer",

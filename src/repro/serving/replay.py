@@ -648,10 +648,7 @@ class StreamReplayer:
                 session_id = label if segment == 0 else f"{label}#{segment}"
                 adapters = {
                     name: StreamingDetector(
-                        detector,
-                        unit=unit,
-                        history=self.zoo.dataset.history,
-                        divergence_watchdog=self.divergence_watchdog,
+                        detector, unit=unit, divergence_watchdog=self.divergence_watchdog
                     )
                     for name, (detector, unit) in self.detectors.items()
                 }

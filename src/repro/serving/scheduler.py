@@ -72,13 +72,19 @@ class SchedulerTickError(RuntimeError):
 
 
 class _Lane:
-    """All sessions served by one model: a stacked stream state plus slots."""
+    """All sessions served by one model: a stacked stream state plus slots.
 
-    __slots__ = ("predictor", "state", "sessions", "_free")
+    ``samples`` ``(slots, history, F)`` is the one copy of every session's
+    delivered raw samples, at the positions of ``state``'s projection ring,
+    whose ``cursor`` / ``count`` order and count both rings.
+    """
+
+    __slots__ = ("predictor", "state", "samples", "sessions", "_free")
 
     def __init__(self, predictor: GlucosePredictor, capacity: int = _INITIAL_LANE_CAPACITY):
         self.predictor = predictor
         self.state = predictor.stream_state(capacity)
+        self.samples = np.zeros((capacity, predictor.history, predictor.n_features))
         self.sessions: Dict[int, PatientSession] = {}
         self._free: List[int] = list(range(capacity))
 
@@ -86,6 +92,7 @@ class _Lane:
         if not self._free:
             old = self.state.n_streams
             self.state.grow(max(2 * old, _INITIAL_LANE_CAPACITY))
+            self.samples = np.pad(self.samples, ((0, self.state.n_streams - old), (0, 0), (0, 0)))
             self._free = list(range(old, self.state.n_streams))
         slot = self._free.pop(0)
         self.sessions[slot] = session
@@ -96,6 +103,33 @@ class _Lane:
         self.state.reset_slots(np.array([slot]))
         bisect.insort(self._free, slot)
 
+    def record(self, rows: np.ndarray, samples: np.ndarray) -> None:
+        """Store the samples a model step just consumed at its ring positions."""
+        state = self.state
+        self.samples[rows, (state.cursor[rows] - 1) % state.capacity] = samples
+
+    def warm(self, rows: np.ndarray) -> np.ndarray:
+        """Which of ``rows`` hold a full window."""
+        return self.state.count[rows] == self.state.capacity
+
+    def windows(self, rows: np.ndarray) -> np.ndarray:
+        """``(len(rows), history, F)`` windows, oldest sample first (full slots only)."""
+        capacity = self.state.capacity
+        order = (self.state.cursor[rows, np.newaxis] + np.arange(capacity)) % capacity
+        return self.samples[rows[:, np.newaxis], order]
+
+    def window(self, slot: int) -> Optional[np.ndarray]:
+        """One slot's window in time order, or None while it warms up."""
+        return self.windows(np.array([slot]))[0] if self.warm(slot) else None
+
+    def context_window(self, slot: int, incoming: np.ndarray) -> Optional[np.ndarray]:
+        """The slot's last ``history - 1`` samples plus ``incoming``, or None."""
+        capacity = self.state.capacity
+        if self.state.count[slot] < capacity - 1:
+            return None
+        order = (self.state.cursor[slot] + np.arange(1, capacity)) % capacity
+        return np.vstack([self.samples[slot, order], np.asarray(incoming, dtype=float)[None]])
+
     def __len__(self) -> int:
         return len(self.sessions)
 
@@ -103,11 +137,11 @@ class _Lane:
 class StreamScheduler:
     """Coalesce concurrent patient streams into per-model batched ticks.
 
-    A tick that admits exactly one session skips the lane stacking and
-    steps the model through :meth:`GlucosePredictor.step_one`
-    (:meth:`_tick_single`); everything else is the batched path's
-    (:meth:`_tick_lanes`) code on a one-row batch, so predictions, verdicts,
-    metric series and spans are equal (``tests/test_serving.py`` pins this).
+    Every tick steps each lane once (:meth:`_tick_lanes`), a one-session
+    tick included.  A lane keeps its sessions' history once: the last
+    ``history`` delivered samples of every slot sit next to the slot's
+    input projections, and every window detector and the online attacker's
+    context read from there.
 
     When one *phased* incremental detector object (one exposing
     ``begin_scores_incremental`` — MAD-GAN) backs two or more detector
@@ -193,6 +227,12 @@ class StreamScheduler:
         session_id = str(session_id if session_id is not None else patient_label)
         if session_id in self._sessions:
             raise ValueError(f"session id {session_id!r} already exists")
+        for name, adapter in (detectors or {}).items():
+            if adapter.unit == "window" and adapter.history not in (None, predictor.history):
+                raise ValueError(
+                    f"window detector {name!r} has history {adapter.history}, but the "
+                    f"predictor serving session {session_id!r} has {predictor.history}"
+                )
         if self.validate_checkpoints or expected_state_hash is not None:
             # validate_checkpoint returns the hash it verified, so the lane
             # key costs no second digest.
@@ -368,13 +408,13 @@ class StreamScheduler:
             admitted.append((session, sample, tag))
         return admitted, dropped
 
-    def _health_after_step(self, session: PatientSession, outcome: SessionTick) -> None:
+    def _health_after_step(self, session: PatientSession, outcome: SessionTick, warm) -> None:
         """Post-step bookkeeping: non-finite predictions are errors."""
         # A None prediction is legitimate only while the stream warms up;
-        # once the session's window ring is full a non-finite prediction
+        # once the lane slot holds a full window a non-finite prediction
         # means the recurrent state is poisoned (e.g. a NaN slipped in
         # before ingress validation was enabled).
-        non_finite = outcome.prediction is None and session.window() is not None
+        non_finite = outcome.prediction is None and warm
         if non_finite and self.obs is not None:
             self.obs.registry.inc(
                 "serving.nonfinite_predictions_total", lane=session._lane_key
@@ -471,9 +511,7 @@ class StreamScheduler:
         states exactly once).  Batches never cross lanes: BLAS rounding is
         batch-shape dependent, so lane-scoped batching keeps every session's
         outputs bitwise independent of which other lanes share its
-        detectors — the invariant the sharded fabric's parity gate pins.  A
-        tick that admits one session takes the slim single-stream path
-        (:meth:`_tick_single`) with the same arithmetic.
+        detectors — the invariant the sharded fabric's parity gate pins.
         """
         obs = self.obs
         self._now = now
@@ -493,11 +531,7 @@ class StreamScheduler:
             if obs is not None:
                 self._finish_tick_obs(tick_started, events_mark, results)
             return results
-        if len(admitted) == 1:
-            session, sample, tag = admitted[0]
-            results.update(self._tick_single(session, sample, tag))
-        else:
-            self._tick_lanes(admitted, results)
+        self._tick_lanes(admitted, results)
         if obs is not None:
             self._finish_tick_obs(tick_started, events_mark, results)
         return results
@@ -505,91 +539,99 @@ class StreamScheduler:
     def _tick_lanes(self, admitted: List[tuple], results: Dict[str, SessionTick]) -> None:
         """Serve ``admitted`` with one stacked step per lane; fill ``results``."""
         obs = self.obs
-        now = self._now
         gather_started = perf_counter() if obs is not None else 0.0
         per_lane: Dict[str, List[Tuple[PatientSession, np.ndarray, Optional[str]]]] = {}
         for session, sample, tag in admitted:
             per_lane.setdefault(session._lane_key, []).append((session, sample, tag))
         if obs is not None:
-            obs.emit_span("lane_gather", gather_started, tick=now, lanes=len(per_lane))
+            obs.emit_span("lane_gather", gather_started, tick=self._now, lanes=len(per_lane))
 
-        # (detector object id, view shape) -> stacked views + where they go
+        # (lane, detector object id, unit, incremental) -> views + where they go
         pending_views: Dict[tuple, dict] = {}
-
         for lane_key, items in per_lane.items():
-            lane = self._lanes[lane_key]
-            lane_sessions = [session for session, _, _ in items]
-            stacked = np.stack([sample for _, sample, _ in items])
-            rows = np.array([session._slot for session in lane_sessions])
-            lane_started = perf_counter() if obs is not None else 0.0
-            try:
-                predictions = lane.predictor.step_stream(stacked, lane.state, rows=rows)
-            except Exception as exc:
-                self._lane_failure(lane_sessions, stacked, exc, results)
-                continue
-
-            for (session, _, tag), sample, prediction in zip(items, stacked, predictions):
-                value = None if np.isnan(prediction) else float(prediction)
-                results[session.session_id] = self._serve(
-                    session, sample, value, tag, pending_views
-                )
-            if obs is not None:
-                self._observe_lane_step(lane_key, lane_sessions, lane_started)
+            self._serve_lane(lane_key, items, results, pending_views)
         self._query_detectors(pending_views)
 
-    def _serve(
+    def _serve_lane(
         self,
-        session: PatientSession,
-        sample: np.ndarray,
-        prediction: Optional[float],
-        tag: Optional[str],
+        lane_key: str,
+        items: List[Tuple[PatientSession, np.ndarray, Optional[str]]],
+        results: Dict[str, SessionTick],
         pending_views: Dict[tuple, dict],
-    ) -> SessionTick:
-        """Record one stepped session's outcome and queue its detector views."""
-        tick_index = session.ticks
-        session.ticks += 1
-        session._push_raw(sample)
-        if prediction is not None:
-            session.last_prediction = prediction
-        outcome = SessionTick(
-            session_id=session.session_id,
-            tick=tick_index,
-            sample=sample.copy(),
-            prediction=prediction,
-            ingress=tag,
-        )
-        self._health_after_step(session, outcome)
-        for name, adapter in session.detectors.items():
-            detector_tick, view = adapter.prepare(sample)
-            if view is None:
-                outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
-                if self.obs is not None:
-                    self.obs.registry.inc("serving.detector_warming_total", detector=name)
-                continue
-            # Batches are scoped to the lane: one query per distinct detector
-            # per lane, NOT per detector fleet-wide.  BLAS rounds per batch
-            # shape, so cross-lane batching would make a session's scores
-            # depend on which *other* lanes happen to share its detector (a
-            # composition dependence the sharded fabric's bitwise parity
-            # gate would reject — lanes are the atomic placement unit).
-            group_key = (
-                session._lane_key,
-                id(adapter.detector),
-                view.shape[1:],
-                adapter.incremental,
+    ) -> None:
+        """Step one lane's sessions, record their outcomes, queue its detectors.
+
+        Every window-unit group of the lane takes its views from one gather
+        of the lane's sample ring, and every sample-unit group from the
+        stacked samples; rows stay in delivery order.  Only warm slots'
+        windows are ever queued.
+        """
+        lane = self._lanes[lane_key]
+        sessions = [session for session, _, _ in items]
+        stacked = np.stack([sample for _, sample, _ in items])
+        rows = np.array([session._slot for session in sessions])
+        started = perf_counter() if self.obs is not None else 0.0
+        try:
+            predictions = lane.predictor.step_stream(stacked, lane.state, rows=rows)
+        except Exception as exc:
+            self._lane_failure(sessions, stacked, exc, results)
+            return
+        lane.record(rows, stacked)
+        warm = lane.warm(rows)
+        outcomes = []
+        for (session, _, tag), sample, prediction, is_warm in zip(
+            items, stacked, predictions, warm
+        ):
+            value = None if np.isnan(prediction) else float(prediction)
+            outcome = SessionTick(
+                session.session_id, session.ticks, sample.copy(), value, ingress=tag
             )
-            group = pending_views.setdefault(
-                group_key,
-                {
-                    "detector": adapter.detector,
-                    "incremental": adapter.incremental,
-                    "views": [],
-                    "targets": [],
-                },
-            )
-            group["views"].append(view)
-            group["targets"].append((outcome, name, adapter, detector_tick, session))
-        return outcome
+            session.ticks += 1
+            session.last_sample = sample
+            if value is not None:
+                session.last_prediction = value
+            self._health_after_step(session, outcome, is_warm)
+            results[session.session_id] = outcome
+            outcomes.append(outcome)
+        if self.obs is not None:
+            self._observe_lane_step(lane_key, sessions, started)
+
+        if self.health is not None:  # a quarantine above reset its slot
+            warm = lane.warm(rows)
+        sources = {"sample": stacked[:, np.newaxis, :], "window": None}
+        warming: Dict[str, int] = {}
+        lane_groups: List[dict] = []
+        for index, (session, outcome) in enumerate(zip(sessions, outcomes)):
+            for name, adapter in session.detectors.items():
+                detector_tick = adapter.take_tick()
+                if adapter.unit == "window" and not warm[index]:
+                    outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
+                    warming[name] = warming.get(name, 0) + 1
+                    continue
+                # Batches are scoped to the lane: one query per distinct
+                # detector per lane, NOT per detector fleet-wide.  BLAS rounds
+                # per batch shape, so cross-lane batching would make a
+                # session's scores depend on which *other* lanes happen to
+                # share its detector (a composition dependence the sharded
+                # fabric's bitwise parity gate would reject — lanes are the
+                # atomic placement unit).
+                group_key = (lane_key, id(adapter.detector), adapter.unit, adapter.incremental)
+                group = pending_views.get(group_key)
+                if group is None:
+                    group = pending_views[group_key] = dict(
+                        detector=adapter.detector, incremental=adapter.incremental,
+                        unit=adapter.unit, rows=[], targets=[],
+                    )
+                    lane_groups.append(group)
+                group["rows"].append(index)
+                group["targets"].append((outcome, name, adapter, detector_tick, session))
+        if self.obs is not None:
+            for name, count in warming.items():
+                self.obs.registry.inc("serving.detector_warming_total", count, detector=name)
+        for group in lane_groups:
+            if sources[group["unit"]] is None:
+                sources["window"] = lane.windows(rows)
+            group["views"] = sources[group["unit"]][group.pop("rows")]
 
     def _observe_lane_step(self, lane_key: str, sessions, started: float) -> None:
         """Metric series and ``lane_step`` span of one lane's model step."""
@@ -639,7 +681,7 @@ class StreamScheduler:
                 obs.registry.observe(
                     "serving.detector_batch", len(group["targets"]), lane=group_key[0]
                 )
-            stacked_views = np.concatenate(group["views"])
+            stacked_views = group["views"]
             wants_scores = any(adapter.include_scores for _, _, adapter, _, _ in group["targets"])
             try:
                 if group["incremental"]:
@@ -717,6 +759,8 @@ class StreamScheduler:
         draining, and the ``detector_batch`` span are identical either way.
         """
         obs = self.obs
+        # (name, flagged, degraded) -> verdicts, counted once per group.
+        tallies: Dict[tuple, int] = {}
         for index, (outcome, name, adapter, detector_tick, _) in enumerate(group["targets"]):
             score = (
                 float(scores[index])
@@ -732,14 +776,18 @@ class StreamScheduler:
             )
             outcome.verdicts[name] = verdict
             if obs is not None:
+                tally = (name, verdict.flagged, verdict.degraded)
+                tallies[tally] = tallies.get(tally, 0) + 1
+        if obs is not None:
+            for (name, flagged, degraded), count in tallies.items():
                 obs.registry.inc(
                     "serving.detector_verdicts_total",
+                    count,
                     detector=name,
-                    flagged="yes" if verdict.flagged else "no",
+                    flagged="yes" if flagged else "no",
                 )
-                if verdict.degraded:
-                    obs.registry.inc("serving.watchdog_degraded_total", detector=name)
-        if obs is not None:
+                if degraded:
+                    obs.registry.inc("serving.watchdog_degraded_total", count, detector=name)
             if group["incremental"]:
                 for _, name, adapter, _, _ in group["targets"]:
                     self._observe_inversion(name, adapter)
@@ -825,40 +873,3 @@ class StreamScheduler:
             )
             if session.health.blocked:
                 self._quarantine_session(session)
-
-    def _tick_single(
-        self,
-        session: PatientSession,
-        sample: np.ndarray,
-        ingress_tag: Optional[str] = None,
-    ) -> Dict[str, SessionTick]:
-        """One-session tick minus the lane stacking (same arithmetic).
-
-        The model step is :meth:`GlucosePredictor.step_one`, the batched
-        kernel on one row without per-call validation; everything after it
-        (outcome, health, detector groups, metric series, spans) is the
-        batched path's own code on a batch of one, so a session's outputs,
-        metrics and trace are identical whichever path its tick takes — the
-        invariant the sharded metric-parity gate relies on.
-        """
-        obs = self.obs
-        if obs is not None:
-            obs.emit_span("lane_gather", perf_counter(), tick=self._now, lanes=1)
-        lane = self._lanes[session._lane_key]
-        lane_started = perf_counter() if obs is not None else 0.0
-        try:
-            prediction = lane.predictor.step_one(sample, lane.state, session._slot)
-        except Exception as exc:
-            results: Dict[str, SessionTick] = {}
-            self._lane_failure([session], sample[np.newaxis], exc, results)
-            return results
-        if prediction is not None and np.isnan(prediction):
-            # Match the batched path: a non-finite prediction is reported as
-            # None (and flagged by the health machinery), never as NaN.
-            prediction = None
-        pending_views: Dict[tuple, dict] = {}
-        outcome = self._serve(session, sample, prediction, ingress_tag, pending_views)
-        if obs is not None:
-            self._observe_lane_step(session._lane_key, [session], lane_started)
-        self._query_detectors(pending_views)
-        return {session.session_id: outcome}

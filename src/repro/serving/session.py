@@ -1,19 +1,20 @@
 """Live per-patient streaming sessions.
 
 A :class:`PatientSession` is the serving-side unit of state for one CGM
-stream.  It owns everything that is *per patient*: a fixed-size ring of the
-last ``history`` delivered raw samples (the context an online attacker and the
-parity checks need), the per-stream detector adapters, and a slot handle into
-its lane's stacked recurrent state (the scaler statistics and ring-buffered
-input projections live with the lane's predictor, shared by every session on
-the same model).  Memory per session is fixed — advancing a tick never
-allocates anything that grows with the stream length.
+stream.  It owns what is *per patient* apart from history: counters, health,
+the per-stream detector adapters, and a slot handle into its lane.  The
+stream's history lives in the lane, once: the lane's sample ring holds the
+last ``history`` delivered raw samples of every slot next to their
+ring-buffered input projections, and :meth:`PatientSession.window` /
+:meth:`PatientSession.context_window` (the context an online attacker
+manipulates) are read from it.  Memory per session is fixed — advancing a
+tick never allocates anything that grows with the stream length.
 
 Sessions are created by :meth:`StreamScheduler.open_session` and advanced by
 :meth:`StreamScheduler.tick`; :meth:`PatientSession.update` is the one-session
 convenience wrapper over the scheduler tick.
 
-Everything a session holds — ring, counters, health, detector adapters — is
+Everything a session holds — counters, health, detector adapters — is
 plain picklable state with no live OS resources, which is what lets
 ``repro.serving.recovery`` capture sessions into scheduler snapshots and
 restore them bit-for-bit (``docs/recovery.md``); the predictor itself is
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.detectors.streaming import StreamingDetector, StreamVerdict
 from repro.glucose.predictor import GlucosePredictor
-from repro.utils.timeseries import SampleRing
 
 
 @dataclass
@@ -91,9 +91,10 @@ class PatientSession:
         The fitted forecaster serving this stream (personalized or aggregate).
     detectors:
         Optional ``{name: StreamingDetector}`` monitors fed every delivered
-        sample.  Adapters are per-session (they hold per-stream rings) but may
-        share their underlying fitted detector object — the scheduler batches
-        detector queries across sessions sharing one.
+        sample.  Adapters are per-session (they count the stream's ticks and
+        carry any incremental state) but may share their underlying fitted
+        detector object — the scheduler batches detector queries across
+        sessions sharing one.
     """
 
     def __init__(
@@ -117,8 +118,6 @@ class PatientSession:
         #: source); None until the first delivery.
         self.last_sample: Optional[np.ndarray] = None
 
-        self._ring = SampleRing(self.history)
-
         # Scheduler wiring (set by StreamScheduler.open_session).
         self._scheduler = None
         self._lane_key: Optional[str] = None
@@ -141,28 +140,27 @@ class PatientSession:
         return self._lane_key
 
     # ----------------------------------------------------------------- history
-    def _push_raw(self, sample: np.ndarray) -> None:
-        """Record a delivered sample in the fixed-size history ring."""
-        self._ring.push(sample)
-        self.last_sample = sample
-
     def _reset_stream_state(self) -> None:
         """Forget all per-stream history (quarantine: the state may be corrupt).
 
-        The ring, the detector adapters, and the cached last sample are
-        cleared; the owning scheduler resets the lane slot's recurrent state
+        The detector adapters and the cached last sample are cleared; the
+        owning scheduler resets the lane slot (recurrent state and samples)
         separately.  A re-admitted session warms up from scratch, exactly
         like a churn reconnect.
         """
-        self._ring.reset()
         self.last_sample = None
         self.last_prediction = None
         for adapter in self.detectors.values():
             adapter.reset()
 
+    def _lane(self):
+        if self._scheduler is None:
+            raise RuntimeError("session is not attached to a scheduler")
+        return self._scheduler._lanes[self._lane_key]
+
     def window(self) -> Optional[np.ndarray]:
         """The last ``history`` delivered samples in time order, or None."""
-        return self._ring.window()
+        return self._lane().window(self._slot)
 
     def context_window(self, incoming: np.ndarray) -> Optional[np.ndarray]:
         """The window the model *would* see if ``incoming`` were delivered now.
@@ -171,7 +169,7 @@ class PatientSession:
         the context an online attacker manipulates before delivery.  None
         while fewer than ``history - 1`` samples have been delivered.
         """
-        return self._ring.tail_with(incoming)
+        return self._lane().context_window(self._slot, incoming)
 
     # ----------------------------------------------------------------- ticking
     def update(self, sample: np.ndarray) -> SessionTick:

@@ -88,6 +88,22 @@ def rng():
     return np.random.default_rng(0)
 
 
+def stream_session(predictor, **adapters):
+    """One session on a fresh ``StreamScheduler``, monitored by ``adapters``.
+
+    Detector adapters stream only through a scheduler: window views come
+    from the session's lane.
+    """
+    from repro.serving import StreamScheduler
+
+    return StreamScheduler().open_session("stream", predictor, detectors=adapters)
+
+
+def stream_verdicts(session, samples, name):
+    """Deliver ``samples`` to ``session`` one tick each; return ``name``'s verdicts."""
+    return [session.update(sample).verdicts[name] for sample in samples]
+
+
 def make_toy_windows(n_benign: int = 60, n_malicious: int = 20, seed: int = 0):
     """Small, clearly separable benign/malicious windows for detector tests."""
     generator = np.random.default_rng(seed)

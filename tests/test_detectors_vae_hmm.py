@@ -42,7 +42,7 @@ from repro.nn.fused import (
     fused_vae_loss_head,
 )
 
-from tests.conftest import make_toy_windows
+from tests.conftest import make_toy_windows, stream_session, stream_verdicts
 from tests.test_detectors import make_toy_trace, sliding_windows
 
 GRADIENT_TOLERANCE = 1e-8
@@ -266,16 +266,26 @@ def family():
 DETECTOR_NAMES = ["lstm_vae", "hmm"]
 
 
-def stream_through_adapter(detector, windows, adapter=None):
-    """Feed the sliding windows' samples through a window adapter.
+@pytest.fixture(scope="module")
+def predictor(tiny_zoo):
+    """A forecaster to serve the toy streams (12-sample windows, 4 features)."""
+    return tiny_zoo.aggregate
+
+
+def window_session(predictor, detector):
+    """A one-session scheduler monitoring with ``detector`` as window brain."""
+    adapter = StreamingDetector(detector, unit="window", include_scores=True)
+    return stream_session(predictor, brain=adapter)
+
+
+def stream_through_adapter(session, windows):
+    """Feed the sliding windows' samples through the session's window brain.
 
     ``windows`` are consecutive sliding windows of one trace; returns the
     ``(flags, scores)`` of the warm ticks, one per window.
     """
-    if adapter is None:
-        adapter = StreamingDetector(detector, unit="window", include_scores=True)
     trace = np.concatenate([windows[0][:-1], windows[:, -1]])
-    verdicts = [adapter.update(sample) for sample in trace]
+    verdicts = stream_verdicts(session, trace, "brain")
     warm = [verdict for verdict in verdicts if not verdict.warming]
     assert len(warm) == len(windows)
     return (
@@ -286,13 +296,15 @@ def stream_through_adapter(detector, windows, adapter=None):
 
 class TestStreamingOfflineParity:
     """VAE and HMM stream statelessly: each warm tick is one ``predict`` on
-    the adapter's window, so verdicts are exactly offline ``predict``."""
+    the session's window, so verdicts are exactly offline ``predict``."""
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
-    def test_streaming_verdicts_bitwise_equal_offline(self, family, name):
+    def test_streaming_verdicts_bitwise_equal_offline(self, family, predictor, name):
         detector = family[name]
         windows = sliding_windows(make_toy_trace(14, seed=21), 14)
-        stream_flags, stream_scores = stream_through_adapter(detector, windows)
+        stream_flags, stream_scores = stream_through_adapter(
+            window_session(predictor, detector), windows
+        )
         np.testing.assert_array_equal(stream_flags, detector.predict(windows))
         offline_scores = detector.scores(windows)
         if name == "hmm":
@@ -328,14 +340,15 @@ class TestStreamingOfflineParity:
                 )
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
-    def test_state_reset_recovers_cold_parity(self, family, name):
+    def test_state_reset_recovers_cold_parity(self, family, predictor, name):
         detector = family[name]
         windows = sliding_windows(make_toy_trace(4, seed=33), 4)
-        adapter = StreamingDetector(detector, unit="window", include_scores=True)
-        stream_through_adapter(detector, windows, adapter)
-        adapter.reset()
-        assert adapter.ticks == 0
-        flags, scores = stream_through_adapter(detector, windows[:1], adapter)
+        session = window_session(predictor, detector)
+        stream_through_adapter(session, windows)
+        # Quarantine is the scheduler's stream reset: lane slot and adapters.
+        session._scheduler._quarantine_session(session)
+        assert session.detectors["brain"].ticks == 0
+        flags, scores = stream_through_adapter(session, windows[:1])
         np.testing.assert_array_equal(scores, detector.scores(windows[:1]))
         np.testing.assert_array_equal(flags, detector.predict(windows[:1]))
 
@@ -423,17 +436,18 @@ class TestFamilySerialization:
         np.testing.assert_array_equal(copy.predict(windows), detector.predict(windows))
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
-    def test_stream_state_survives_mid_stream(self, family, name):
-        """A window adapter pickled mid-stream continues with
+    def test_stream_state_survives_mid_stream(self, family, predictor, name):
+        """A window-monitored scheduler pickled mid-stream continues with
         bitwise-identical verdicts and scores."""
         detector = family[name]
         trace = make_toy_trace(8, seed=35)
-        adapter = StreamingDetector(detector, unit="window", include_scores=True)
-        for sample in trace[:14]:
-            adapter.update(sample)
-        copy = round_trip(adapter)
+        session = window_session(predictor, detector)
+        stream_verdicts(session, trace[:14], "brain")
+        copy = round_trip(session._scheduler).session(session.session_id)
         for sample in trace[14:]:
-            left, right = adapter.update(sample), copy.update(sample)
+            (left,) = stream_verdicts(session, [sample], "brain")
+            (right,) = stream_verdicts(copy, [sample], "brain")
+            assert not left.warming
             assert (left.flagged, left.score) == (right.flagged, right.score)
 
 
@@ -546,16 +560,20 @@ class TestColdBatchCoalescing:
             for tick in range(26)
         ]
 
-        # Eager reference: every lane's adapter scores its own window in
-        # delivery (= lane) order, so each pays its own cold inversion.
+        # Eager reference: one scheduler per lane (a lone lane never
+        # coalesces), ticked in delivery (= lane) order, so every lane pays
+        # its own cold inversion.
         reference = self.make_madgan(benign)
-        adapters = {
-            label: StreamingDetector(reference, unit="window", history=12)
-            for label in traces
+        sessions = {
+            record.label: stream_session(
+                tiny_zoo.model_for(record.label),
+                madgan=StreamingDetector(reference, unit="window", history=12),
+            )
+            for record in records
         }
         eager_verdicts = [
             {
-                label: verdict_of(adapters[label].update(trace[tick]))
+                label: verdict_of(stream_verdicts(sessions[label], [trace[tick]], "madgan")[0])
                 for label, trace in traces.items()
             }
             for tick in range(26)

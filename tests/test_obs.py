@@ -15,10 +15,13 @@ Pins the contracts of :mod:`repro.obs`:
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from repro.detectors import KNNDistanceDetector, StreamingDetector
+from repro.detectors.base import AnomalyDetector
+from repro.detectors.madgan import InversionState
 from repro.obs import (
     DEFAULT_BUCKET_EDGES,
     MetricsRegistry,
@@ -32,6 +35,7 @@ from repro.serving import (
     IngressConfig,
     IngressPolicy,
     SensorFaultConfig,
+    SessionChurnConfig,
     ShardedScheduler,
     StreamReplayer,
     StreamScheduler,
@@ -299,6 +303,85 @@ class TestShardMetricParity:
             second = fabric.obs_snapshot()
         assert first == second
         assert fabric.obs_snapshot() == first  # post-shutdown absorb, once
+
+
+class _DivergingBrain(AnomalyDetector):
+    """Incremental window brain whose inversion "diverges" on high readings,
+    so a divergence watchdog trips on a deterministic subset of ticks."""
+
+    name = "diverging"
+
+    def fit(self, windows, labels=None):
+        return self
+
+    def scores(self, windows):
+        return windows[:, -1, 0] / 100.0
+
+    def predict(self, windows):
+        return (self.scores(windows) > 1.5).astype(int)
+
+    def make_inversion_state(self):
+        return InversionState()
+
+    def scores_incremental(self, windows, states):
+        scores = self.scores(windows)
+        for state, score in zip(states, scores):
+            state.ticks += 1
+            state.consecutive_fallbacks = state.consecutive_fallbacks + 1 if score > 1.2 else 0
+        return scores
+
+    def predict_incremental(self, windows, states, include_scores=False):
+        scores = self.scores_incremental(windows, states)
+        flags = (scores > 1.5).astype(int)
+        return (flags, scores) if include_scores else flags
+
+
+class TestVerdictCounters:
+    """The per-verdict counters add up to the verdicts the ticks returned."""
+
+    COUNTERS = (
+        "serving.detector_warming_total",
+        "serving.detector_verdicts_total",
+        "serving.watchdog_degraded_total",
+    )
+
+    def test_counters_equal_totals_recomputed_from_ticks(
+        self, tiny_zoo, tiny_cohort, knn_detector
+    ):
+        observer = Observer()
+        scheduler = StreamScheduler(
+            health=HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=3),
+            ingress=IngressConfig(policy=IngressPolicy.REJECT),
+            obs=observer,
+        )
+        report = StreamReplayer(
+            tiny_zoo,
+            detectors={"knn": (knn_detector, "sample"), "diverging": (_DivergingBrain(), "window")},
+            scheduler=scheduler,
+            churn=SessionChurnConfig(join_stagger=1, disconnect_every=18, reconnect_after=1),
+            faults=SensorFaultConfig(spike_rate=0.1, malformed_rate=0.05, seed=3),
+            divergence_watchdog=2,
+            obs=observer,
+        ).replay(tiny_cohort, split="test", max_ticks=40)
+
+        expected = Counter()
+        for trace in report.sessions.values():
+            for outcome in trace.ticks:
+                for name, verdict in outcome.verdicts.items():
+                    if verdict.warming:
+                        expected[series_key(self.COUNTERS[0], {"detector": name})] += 1
+                        continue
+                    flagged = "yes" if verdict.flagged else "no"
+                    labels = {"detector": name, "flagged": flagged}
+                    expected[series_key(self.COUNTERS[1], labels)] += 1
+                    if verdict.degraded:
+                        expected[series_key(self.COUNTERS[2], {"detector": name})] += 1
+        counters = observer.registry.snapshot()["counters"]
+        actual = {key: value for key, value in counters.items() if key[0] in self.COUNTERS}
+        assert actual == dict(expected)
+        # Every counter family and both flag outcomes actually occurred.
+        assert {key[0] for key in actual} == set(self.COUNTERS)
+        assert {dict(key[1]).get("flagged") for key in actual} >= {"yes", "no"}
 
 
 class TestHealthDeliveredAt:

@@ -22,6 +22,7 @@ kill-mixes at 2/4 shards under full chaos) are rows of the twin table in
 
 import gzip
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.serving.recovery import (
     read_snapshot,
     write_snapshot,
 )
+from repro.utils.timeseries import SampleRing
 
 HISTORY = 12
 
@@ -291,7 +293,7 @@ class TestSnapshotFiles:
 
     def test_version_1_file_rejected(self, snapshot, tmp_path):
         """Version 1 pickled per-direction rings and VAE/HMM stream states."""
-        assert SNAPSHOT_VERSION == 2
+        assert SNAPSHOT_VERSION == 3
         path = tmp_path / "v1.snap"
         write_snapshot(snapshot, path)
         data = bytearray(path.read_bytes())
@@ -326,29 +328,41 @@ class TestSnapshotFiles:
 
 
 class TestCommittedSnapshotCompatibility:
-    """A v2 snapshot file written by an earlier version still restores.
+    """Version 2 snapshot files written by an earlier version still restore.
 
-    ``tests/data/scheduler_v2.snap.gz`` holds, gzip-compressed, the exact
-    bytes :func:`write_snapshot` wrote at snapshot version 2 with the code of
-    that time: one lane (a hidden-size-4 forecaster) serving two sessions,
-    each with a sample-unit kNN monitor, health tracking on, captured after
-    15 ticks.  Its ``config`` still records two scheduler engine switches
-    that have since been retired.  ``scheduler_v2_ticks.json`` (strict JSON)
-    holds the next 20 deliveries and the outcomes the writing code produced
-    for them; every fifth tick delivers to one session only, so both tick
-    shapes are replayed.
+    Each ``tests/data/*.snap.gz`` holds, gzip-compressed, the exact bytes
+    :func:`write_snapshot` wrote at snapshot version 2 with the code of that
+    time; its ``*_ticks.json`` sidecar (strict JSON) holds the next 20
+    deliveries and the outcomes the writing code produced for them.  Every
+    fifth tick delivers to one session only, so both tick shapes are
+    replayed.  Version 2 kept each session's history in per-session and
+    per-window-adapter sample rings; restoring moves them into the lane.
+
+    * ``scheduler_v2``: one lane (a hidden-size-4 forecaster) serving two
+      sessions, each with a sample-unit kNN monitor, health tracking on,
+      captured after 15 ticks.  Its ``config`` still records two scheduler
+      engine switches that have since been retired.
+    * ``scheduler_v2_window``: one lane (a hidden-size-4 aggregate
+      forecaster) serving two sessions, each with a window-unit HMM monitor,
+      health tracking and reject ingress on, captured after 24 ticks.  Two
+      rejected deliveries quarantined the second session, which was
+      re-admitted and is re-warming at capture, so its rings are partly
+      filled while the first session's are full and wrapped.
     """
 
     DATA = Path(__file__).resolve().parent / "data"
 
-    def test_v2_snapshot_restores_and_keeps_ticking(self, tmp_path):
-        path = tmp_path / "scheduler_v2.snap"
-        path.write_bytes(gzip.decompress((self.DATA / "scheduler_v2.snap.gz").read_bytes()))
+    def replay_fixture(self, tmp_path, name):
+        path = tmp_path / f"{name}.snap"
+        path.write_bytes(gzip.decompress((self.DATA / f"{name}.snap.gz").read_bytes()))
         snapshot = read_snapshot(path)
-        assert snapshot.version == SNAPSHOT_VERSION == 2
-        sidecar = json.loads((self.DATA / "scheduler_v2_ticks.json").read_text())
+        assert (snapshot.version, SNAPSHOT_VERSION) == (2, 3)
+        sidecar = json.loads((self.DATA / f"{name}_ticks.json").read_text())
         restored = StreamScheduler.restore(snapshot)
         assert (restored.n_lanes, restored.n_sessions) == (1, 2)
+        for session in restored._sessions.values():
+            assert "_ring" not in vars(session)
+            assert all("_ring" not in vars(adapter) for adapter in session.detectors.values())
         for entry in sidecar["ticks"]:
             samples = {
                 label: np.array(sample) for label, sample in entry["samples"].items()
@@ -374,3 +388,48 @@ class TestCommittedSnapshotCompatibility:
                         verdict.degraded,
                     ) == (want["tick"], want["warming"], want["flagged"], want["degraded"])
                     assert verdict.score == pytest.approx(want["score"], abs=1e-10)
+        return restored, sidecar
+
+    def test_v2_snapshot_restores_and_keeps_ticking(self, tmp_path):
+        self.replay_fixture(tmp_path, "scheduler_v2")
+
+    def test_v2_window_rings_migrate_into_the_lane(self, tmp_path):
+        _, sidecar = self.replay_fixture(tmp_path, "scheduler_v2_window")
+        # The re-warming session's window verdicts resume mid-warm-up.
+        warming = [
+            outcome["verdicts"]["hmm"]["warming"]
+            for entry in sidecar["ticks"]
+            for outcome in entry["outcomes"].values()
+            if not outcome["dropped"]
+        ]
+        assert any(warming) and not all(warming)
+
+    @staticmethod
+    def as_v2(scheduler, session, samples):
+        """``scheduler``'s snapshot relabelled v2, ``session`` carrying a v2 ring."""
+        session._ring = SampleRing(session.history)
+        for sample in samples:
+            session._ring.push(sample)
+        snapshot = replace(scheduler.snapshot(), version=2)
+        del session._ring
+        return snapshot
+
+    def test_v2_ring_lands_at_the_lane_positions(self, tiny_zoo, tiny_cohort):
+        record = next(iter(tiny_cohort))
+        trace = record.features("test")
+        scheduler = StreamScheduler()
+        session = scheduler.open_session(record.label, tiny_zoo.model_for(record.label))
+        for tick in range(14):  # the slot's ring has wrapped
+            scheduler.tick({record.label: trace[tick]})
+        restored = StreamScheduler.restore(self.as_v2(scheduler, session, trace[:14]))
+        np.testing.assert_array_equal(restored.session(record.label).window(), trace[2:14])
+
+    def test_v2_ring_that_disagrees_with_its_lane_is_rejected(self, tiny_zoo, tiny_cohort):
+        record = next(iter(tiny_cohort))
+        trace = record.features("test")
+        scheduler = StreamScheduler()
+        session = scheduler.open_session(record.label, tiny_zoo.model_for(record.label))
+        for tick in range(5):
+            scheduler.tick({record.label: trace[tick]})
+        with pytest.raises(SnapshotError, match=r"v2 sample ring \(4 of 12 samples\) disagrees with its lane slot \(5 of 12\)"):
+            StreamScheduler.restore(self.as_v2(scheduler, session, trace[1:5]))

@@ -26,6 +26,8 @@ from repro.serving import (
     StreamScheduler,
 )
 
+from tests.conftest import stream_session, stream_verdicts
+
 TOLERANCE = 1e-10
 
 
@@ -429,11 +431,13 @@ class TestStreamScheduler:
 
 # ----------------------------------------------------------- streaming verdicts
 class TestStreamingDetector:
-    def test_sample_unit_matches_offline_predict(self, sample_detector, tiny_cohort):
+    def test_sample_unit_matches_offline_predict(self, sample_detector, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
         features = record.features("test")[:40]
-        adapter = StreamingDetector(sample_detector, unit="sample")
-        streamed = [adapter.update(sample).flagged for sample in features]
+        session = stream_session(
+            tiny_zoo.model_for(record.label), knn=StreamingDetector(sample_detector, unit="sample")
+        )
+        streamed = [verdict.flagged for verdict in stream_verdicts(session, features, "knn")]
         offline = sample_detector.predict(features[:, np.newaxis, :])
         assert streamed == [bool(flag) for flag in offline]
 
@@ -442,8 +446,11 @@ class TestStreamingDetector:
         detector = KNNDistanceDetector(n_neighbors=5).fit(windows[::4])
         record = next(iter(tiny_cohort))
         features = record.features("test")[:40]
-        adapter = StreamingDetector(detector, unit="window", history=12)
-        verdicts = [adapter.update(sample) for sample in features]
+        session = stream_session(
+            tiny_zoo.model_for(record.label),
+            knn=StreamingDetector(detector, unit="window", history=12),
+        )
+        verdicts = stream_verdicts(session, features, "knn")
         assert all(verdict.warming for verdict in verdicts[:11])
         trace_windows, _, _ = tiny_zoo.dataset.windows_from_features(features)
         # window i ends at sample i + 11 -> verdict at tick i + 11
@@ -451,11 +458,14 @@ class TestStreamingDetector:
         streamed = [verdicts[index + 11].flagged for index in range(len(trace_windows))]
         assert streamed == [bool(flag) for flag in offline]
 
-    def test_include_scores(self, sample_detector, tiny_cohort):
+    def test_include_scores(self, sample_detector, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
         sample = record.features("test")[0]
-        adapter = StreamingDetector(sample_detector, unit="sample", include_scores=True)
-        verdict = adapter.update(sample)
+        session = stream_session(
+            tiny_zoo.model_for(record.label),
+            knn=StreamingDetector(sample_detector, unit="sample", include_scores=True),
+        )
+        (verdict,) = stream_verdicts(session, [sample], "knn")
         offline_score = float(sample_detector.scores(sample[np.newaxis, np.newaxis, :])[0])
         assert verdict.score == pytest.approx(offline_score)
 
@@ -465,10 +475,25 @@ class TestStreamingDetector:
         record = next(iter(tiny_cohort))
         features = record.features("test")[:15]
         adapter = StreamingDetector(detector, unit="window", history=12)
-        for sample in features:
-            adapter.update(sample)
-        adapter.reset()
-        assert adapter.update(features[0]).warming
+        session = stream_session(tiny_zoo.model_for(record.label), knn=adapter)
+        assert not stream_verdicts(session, features, "knn")[-1].warming
+        # Quarantine is the scheduler's stream reset: lane slot and adapters.
+        session._scheduler._quarantine_session(session)
+        assert adapter.ticks == 0 and session.window() is None
+        (verdict,) = stream_verdicts(session, features[:1], "knn")
+        assert verdict.warming and verdict.tick == 0
+
+    def test_window_history_must_match_the_predictor(self, tiny_zoo, tiny_cohort):
+        record = next(iter(tiny_cohort))
+        predictor = tiny_zoo.model_for(record.label)
+        detector = KNNDistanceDetector(n_neighbors=5)
+        with pytest.raises(ValueError, match="history"):
+            stream_session(
+                predictor,
+                knn=StreamingDetector(detector, unit="window", history=predictor.history + 1),
+            )
+        # Sample detectors read no window, so their history is not checked.
+        stream_session(predictor, knn=StreamingDetector(detector, unit="sample", history=3))
 
 
 # --------------------------------------------------------- attacked-stream parity
@@ -638,9 +663,9 @@ class TestServingSmoke:
 
 # ----------------------------------------------------- single-session fast path
 class TestSingleSessionFastPath:
-    """A one-session tick bypasses the batching scaffolding but must stay
-    bitwise-identical to the batched path (same matmul shapes, same ring
-    ordering), predictions and verdicts alike."""
+    """A one-session tick is a one-row lane step: ``step_one`` (kept for
+    one-row callers) is bitwise ``step_stream``, and a tick naming one of
+    several sessions leaves the others' streams untouched."""
 
     def test_step_one_bitwise_matches_step_stream(self, aggregate_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
@@ -656,74 +681,11 @@ class TestSingleSessionFastPath:
             else:
                 assert fast == batched  # bitwise, not approx
 
-    def test_single_session_tick_matches_batched_tick(
-        self, aggregate_zoo, tiny_cohort, sample_detector, tiny_zoo
-    ):
-        """``_tick_single`` vs ``_tick_lanes`` on a one-row batch: bitwise
-        predictions and verdicts, equal metric series, equal span sequence."""
-        import copy
-
-        from repro.detectors import MADGANDetector
-        from repro.obs import Observer
-
-        class LaneBatchedScheduler(StreamScheduler):
-            """Routes one-session ticks through the lane-batched path."""
-
-            def _tick_single(self, session, sample, ingress_tag=None):
-                results = {}
-                self._tick_lanes([(session, sample, ingress_tag)], results)
-                return results
-
-        windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
-        madgan = MADGANDetector(
-            epochs=1,
-            hidden_size=8,
-            inversion_steps=6,
-            warm_inversion_steps=2,
-            max_samples=200,
-            seed=0,
-        ).fit(windows[::4])
-        record = next(iter(tiny_cohort))
-        features = record.features("test")[:40]
-        runs = {}
-        for scheduler_class in (StreamScheduler, LaneBatchedScheduler):
-            obs = Observer(trace=True)
-            scheduler = scheduler_class(obs=obs)
-            scheduler.open_session(
-                record.label,
-                aggregate_zoo.model_for(record.label),
-                detectors={
-                    "knn": StreamingDetector(
-                        sample_detector, unit="sample", include_scores=True
-                    ),
-                    "madgan": StreamingDetector(
-                        copy.deepcopy(madgan), unit="window", include_scores=True
-                    ),
-                },
-            )
-            outcomes = [
-                scheduler.tick({record.label: sample}, now=tick)[record.label]
-                for tick, sample in enumerate(features)
-            ]
-            spans = [
-                (span.stage, span.tick, span.lane, span.sessions, span.detail)
-                for span in obs.spans
-            ]
-            runs[scheduler_class] = (outcomes, obs.registry.snapshot(), spans)
-        single, batched = runs[StreamScheduler], runs[LaneBatchedScheduler]
-        for fast, slow in zip(single[0], batched[0]):
-            assert fast.tick == slow.tick
-            assert fast.prediction == slow.prediction  # bitwise (or both None)
-            assert fast.verdicts == slow.verdicts
-        assert single[1] == batched[1]
-        assert [span[0] for span in single[2]].count("lane_gather") == len(features)
-        assert single[2] == batched[2]
-
     def test_fast_path_engages_for_partial_ticks_of_a_busy_scheduler(
         self, aggregate_zoo, tiny_cohort
     ):
-        # Two sessions open; a tick naming only one of them takes the fast
-        # path and must leave the other stream's state untouched.
+        # Two sessions open; a tick naming only one of them must leave the
+        # other stream's state untouched.
         records = list(tiny_cohort)[:2]
         traces = {record.label: record.features("test")[:30] for record in records}
         scheduler = StreamScheduler()
@@ -789,12 +751,12 @@ class TestIncrementalStreamingAdapter:
         with pytest.raises(ValueError, match="incremental"):
             StreamingDetector(sample_detector, unit="sample", incremental=True)
 
-    def test_update_advances_state_once_per_tick(self, madgan, tiny_cohort):
+    def test_update_advances_state_once_per_tick(self, madgan, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
         features = record.features("test")[:16]
         adapter = StreamingDetector(madgan, unit="window", history=12)
-        for index, sample in enumerate(features):
-            verdict = adapter.update(sample)
+        session = stream_session(tiny_zoo.model_for(record.label), madgan=adapter)
+        for index, verdict in enumerate(stream_verdicts(session, features, "madgan")):
             if index < 11:
                 assert verdict.warming
             else:
@@ -826,23 +788,26 @@ class TestIncrementalStreamingAdapter:
 
     @pytest.mark.parametrize("name", ["lstm_vae", "hmm"])
     def test_family_threads_stream_state_per_tick(
-        self, window_brains, tiny_cohort, name
+        self, window_brains, tiny_zoo, tiny_cohort, name
     ):
-        """The adapter's only per-stream state is its window ring."""
+        """The adapter keeps no window: each tick scores the lane's window."""
         detector = window_brains[name]
         record = next(iter(tiny_cohort))
         features = record.features("test")[:16]
         adapter = StreamingDetector(detector, unit="window", history=12)
+        session = stream_session(tiny_zoo.model_for(record.label), brain=adapter)
         for index, sample in enumerate(features):
-            verdict = adapter.update(sample)
+            (verdict,) = stream_verdicts(session, [sample], "brain")
             if index < 11:
-                assert verdict.warming
+                assert verdict.warming and session.window() is None
             else:
-                assert verdict.flagged == bool(detector.predict(adapter.window()[None])[0])
+                np.testing.assert_array_equal(session.window(), features[index - 11 : index + 1])
+                assert verdict.flagged == bool(detector.predict(session.window()[None])[0])
         assert adapter.ticks == 16
         assert adapter.inversion_state is None
+        assert not hasattr(adapter, "_ring")
         adapter.reset()
-        assert adapter.ticks == 0 and adapter.window() is None
+        assert adapter.ticks == 0
 
     def test_scheduler_threads_states_through_batched_ticks(
         self, madgan, aggregate_zoo, tiny_cohort

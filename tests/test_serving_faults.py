@@ -45,6 +45,8 @@ from repro.serving import (
 )
 from repro.serving.faults import SENSOR_FLOOR
 
+from tests.conftest import stream_session, stream_verdicts
+
 #: A lively mix used by the property tests — every kind fires on a 40+ tick
 #: trace with near certainty.
 ACTIVE_FAULTS = SensorFaultConfig(
@@ -353,7 +355,6 @@ class TestSchedulerErrorNaming:
         def explode(*args, **kwargs):
             raise FloatingPointError("lane blew up")
 
-        monkeypatch.setattr(predictor, "step_one", explode)
         monkeypatch.setattr(predictor, "step_stream", explode)
         with pytest.raises(SchedulerTickError) as excinfo:
             scheduler.tick({session.session_id: features[1]})
@@ -578,14 +579,18 @@ class TestDivergenceWatchdog:
                 _StubIncrementalDetector(), unit="window", divergence_watchdog=0
             )
 
-    def test_degraded_verdict_surfaces_through_update(self):
+    def test_degraded_verdict_surfaces_through_update(self, tiny_zoo, tiny_cohort):
+        record = next(iter(tiny_cohort))
+        predictor = tiny_zoo.model_for(record.label)
         adapter = StreamingDetector(
-            _StubIncrementalDetector(), unit="window", history=2, divergence_watchdog=1
+            _StubIncrementalDetector(), unit="window", divergence_watchdog=1
         )
-        sample = np.array([100.0, 0.0, 0.0])
-        assert adapter.update(sample).warming
+        session = stream_session(predictor, stub=adapter)
+        features = record.features("test")[: predictor.history]
+        verdicts = stream_verdicts(session, features[:-1], "stub")
+        assert all(verdict.warming for verdict in verdicts)
         adapter.inversion_state.consecutive_fallbacks = 1
-        verdict = adapter.update(sample)
+        (verdict,) = stream_verdicts(session, features[-1:], "stub")
         assert not verdict.warming
         assert verdict.degraded
 

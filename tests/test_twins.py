@@ -37,6 +37,22 @@ def test_random_twin_scenarios(check_parity, twin_bench):
     check_parity.check_random_twins(twin_bench, check_parity.TIER1_RANDOM_EXAMPLES)
 
 
+def test_shared_lane_restores_follow_a_recycled_slot(check_parity, twin_bench):
+    """The shared-lane restore rows land where the lane's slot arithmetic is
+    exercised: two or more sessions on the lane, one of them on a slot an
+    earlier (churned) session used."""
+    rows = [
+        row
+        for row in check_parity.TWIN_ROWS
+        if row.scenario.shared_lane and row.b.restore_at is not None
+    ]
+    assert len(rows) == 2
+    for row in rows:
+        run = twin_bench.replay(row.scenario, row.b)
+        assert run["lane_load"] >= 2, row.id
+        assert run["recycled"] >= 1, row.id
+
+
 # ------------------------------------------------------------------ fingerprint
 def _report_and_attacker():
     """A two-session replay whose tick-1 prediction is NaN and tick-0's is 0.0."""
