@@ -13,9 +13,10 @@ budget); raise ``REPRO_BENCH_TRAIN_DAYS`` / ``REPRO_BENCH_TEST_DAYS`` /
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
 import pytest
 
@@ -26,6 +27,9 @@ from repro.glucose import GlucoseModelZoo
 from repro.risk import RiskProfilingFramework, SelectionPlanner
 
 REPORT_DIR = Path(__file__).parent / "reports"
+
+# The parity tripwire in scripts/ holds the shared tolerance checks.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 
 def _env_int(name: str, default: int) -> int:
@@ -45,6 +49,8 @@ class PipelineState:
     planner: SelectionPlanner
     selections: Dict[str, object]
     selective_result: object
+    #: The fitted MAD-GAN detectors of the comparison, per strategy (one per run).
+    madgan_detectors: Dict[str, List[object]]
 
 
 @pytest.fixture(scope="session")
@@ -77,14 +83,30 @@ def pipeline() -> PipelineState:
         seed=11,
     )
     selections = planner.plan()
+    factories = default_detector_factories(
+        madgan_epochs=madgan_epochs, madgan_inversion_steps=40
+    )
+    # Keep every MAD-GAN the experiment fits, in fit order (strategy by
+    # strategy, run by run), so later checks can re-score its test set.
+    fitted_madgans = []
+    madgan_factory = factories["MAD-GAN"].factory
+
+    def keep_madgan():
+        detector = madgan_factory()
+        fitted_madgans.append(detector)
+        return detector
+
+    factories["MAD-GAN"] = replace(factories["MAD-GAN"], factory=keep_madgan)
     experiment = SelectiveTrainingExperiment(
         train_campaign=assessment.campaign,
         test_campaign=test_campaign,
-        detector_factories=default_detector_factories(
-            madgan_epochs=madgan_epochs, madgan_inversion_steps=40
-        ),
+        detector_factories=factories,
     )
     selective_result = experiment.run(selections)
+    madgans = iter(fitted_madgans)
+    madgan_detectors = {
+        name: [next(madgans) for _ in selection.runs] for name, selection in selections.items()
+    }
 
     return PipelineState(
         cohort=cohort,
@@ -96,6 +118,7 @@ def pipeline() -> PipelineState:
         planner=planner,
         selections=selections,
         selective_result=selective_result,
+        madgan_detectors=madgan_detectors,
     )
 
 

@@ -4,7 +4,9 @@ On a tiny cohort it asserts explorer lockstep parity and the 1e-10 inference
 fast path (:func:`run_checks`), fused-training parity (:func:`run_training_parity`),
 stream == offline serving (:func:`run_serving_smoke`,
 :func:`run_detector_family_smoke`), every chaos gate (:func:`run_chaos_smoke`),
-and sharded campaign parity (:func:`run_campaign_parity`).  It also holds the
+sharded campaign parity (:func:`run_campaign_parity`), and MAD-GAN's float32
+inversion against its float64 reference (:func:`run_madgan_dtype_parity`).
+It also holds the
 **twin table** (:data:`TWIN_ROWS`): each row serves one scenario two ways —
 single process, sharded, observed, SIGKILLed mid-run, or restored from a
 checkpoint file — whose :func:`~repro.serving.replay_fingerprint` (and, for
@@ -38,6 +40,7 @@ from repro.detectors import (
     GaussianHMMDetector,
     KNNDistanceDetector,
     LSTMVAEDetector,
+    MADGANDetector,
     StreamingDetector,
     VotingEnsembleDetector,
 )
@@ -74,6 +77,13 @@ LOSS_CURVE_TOLERANCE = 1e-6
 #: why the sharded fabric still reproduces VAE scores bit for bit.  The HMM
 #: uses only broadcast-reduce arithmetic and is bitwise everywhere.
 VAE_STREAM_SCORE_TOLERANCE = 1e-12
+#: MAD-GAN's float32 production inversion vs its float64 reference from the
+#: same latents: quantiles of the relative reconstruction-error gap.  Most
+#: windows agree to float32 rounding; a few trajectories settle in a nearby
+#: optimum, hence a tail bound rather than a max (measured distribution in
+#: docs/detectors.md).  Verdicts must be identical.
+MADGAN_FLOAT32_MEDIAN_GAP = 1e-6
+MADGAN_FLOAT32_P99_GAP = 1e-2
 #: Example budgets of the randomized twin property: the tier-1 test and the
 #: standalone run.  Both are derandomized, so every run draws the same cases.
 TIER1_RANDOM_EXAMPLES = 5
@@ -388,6 +398,56 @@ def run_detector_family_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -
         )
         report[name] = {"stream_score_gap": score_gap, "n_windows": len(windows)}
     return report
+
+
+def madgan_dtype_gap(detector: MADGANDetector, windows: np.ndarray) -> Dict[str, float]:
+    """Float32 MAD-GAN scoring vs the float64 reference from the same latents.
+
+    Inverts raw ``windows`` with :meth:`MADGANDetector._invert_fast` (what
+    ``scores`` runs) and :meth:`MADGANDetector._invert_fast64` from one latent
+    draw, and thresholds both DR scores with the detector's calibrator.
+    Raises AssertionError unless the verdicts are identical and the relative
+    reconstruction-error gap stays within :data:`MADGAN_FLOAT32_MEDIAN_GAP` /
+    :data:`MADGAN_FLOAT32_P99_GAP`.
+    """
+    scaled = detector._scale(windows)
+    latent = detector._sample_latent(len(scaled)) * 0.1
+    steps = detector.inversion_steps
+    errors32, _ = detector._invert_fast(scaled, latent, steps)
+    errors64, _ = detector._invert_fast64(scaled, latent, steps)
+    real = detector._discrimination_scores(scaled)
+    flags32 = detector.calibrator.predict(detector._dr_scores(errors32, real))
+    flags64 = detector.calibrator.predict(detector._dr_scores(errors64, real))
+    gap = np.abs(errors32 - errors64) / errors64
+    report = {
+        "n_windows": len(gap),
+        "flagged": int(flags64.sum()),
+        "verdict_flips": int((flags32 != flags64).sum()),
+        "median_gap": float(np.median(gap)),
+        "p99_gap": float(np.quantile(gap, 0.99)),
+        "max_gap": float(gap.max()),
+    }
+    assert report["verdict_flips"] == 0, f"float32 MAD-GAN verdicts diverged: {report}"
+    assert report["median_gap"] <= MADGAN_FLOAT32_MEDIAN_GAP, (
+        f"float32 MAD-GAN median error gap out of bound: {report}"
+    )
+    assert report["p99_gap"] <= MADGAN_FLOAT32_P99_GAP, (
+        f"float32 MAD-GAN p99 error gap out of bound: {report}"
+    )
+    return report
+
+
+def run_madgan_dtype_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, float]:
+    """:func:`madgan_dtype_gap` for a MAD-GAN at the paper's inversion settings.
+
+    Fits on the first record's training windows and checks every test window
+    of the cohort.
+    """
+    record = next(iter(cohort))
+    train_windows, _, _ = zoo.dataset.from_record(record, "train")
+    test_windows, _, _ = zoo.dataset.from_cohort(cohort, split="test")
+    detector = MADGANDetector(epochs=3, inversion_steps=40, seed=4).fit(train_windows)
+    return madgan_dtype_gap(detector, test_windows)
 
 
 def run_campaign_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, int]:
@@ -933,6 +993,7 @@ def main() -> int:
         ("serving smoke (stream vs offline)", lambda: run_serving_smoke(zoo, cohort)),
         ("chaos smoke (every chaos gate)", lambda: run_chaos_smoke(zoo, cohort)),
         ("detector family (stream vs offline)", lambda: run_detector_family_smoke(zoo, cohort)),
+        ("MAD-GAN float32 vs float64 inversion", lambda: run_madgan_dtype_parity(zoo, cohort)),
         ("sharded campaign (n_workers=2)", lambda: run_campaign_parity(bench.zoo, cohort)),
         *(
             (f"twin {row.id}", lambda row=row: {"restarts": run_twin(bench, row)[1]["restarts"]})

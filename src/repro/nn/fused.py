@@ -24,7 +24,8 @@ step-for-step matching loss curves.  With a module frozen
 (``requires_grad_(False)``) the same kernels compute only the input
 gradient: MAD-GAN's generator inversion
 (:meth:`~repro.detectors.madgan.MADGANDetector._invert_fast`) runs on them
-to get the latent gradient.
+to get the latent gradient, in float32 — the layer kernels and
+:func:`fused_mse_loss` run in the dtype of the weights they are given.
 
 Parameter gradients are accumulated with the same semantics as
 :meth:`Tensor._accumulate` (``None`` → set, otherwise add), writing the first
@@ -95,10 +96,14 @@ def fused_mse_loss(
 
     The gradient is seeded exactly as the autodiff ``(d * d).mean()``
     backward: ``d / count`` accumulated twice (doubling is exact in floating
-    point), so the fused training step reproduces the graph step.
+    point), so the fused training step reproduces the graph step.  Float32
+    predictions (a float32 forward) keep the loss in float32; anything else
+    runs in float64.
     """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    predictions = np.asarray(predictions)
+    dtype = np.float32 if predictions.dtype == np.float32 else np.float64
+    predictions = predictions.astype(dtype, copy=False)
+    targets = np.asarray(targets, dtype=dtype)
     difference = predictions - targets
     scale = 1.0 / difference.size
     grad = difference * scale

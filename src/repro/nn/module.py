@@ -360,15 +360,17 @@ class Dense(Module):
             output = output + self.bias
         return apply_activation(output, self.activation)
 
+    # The fast and fused paths run in the weights' dtype (float64 unless a
+    # caller swapped in float32 copies, as MAD-GAN's inversion does).
     def fast_forward(self, inputs: np.ndarray) -> np.ndarray:
-        output = np.asarray(inputs, dtype=np.float64) @ self.weight.data
+        output = np.asarray(inputs, dtype=self.weight.data.dtype) @ self.weight.data
         if self.bias is not None:
             output = output + self.bias.data
         return apply_activation_array(output, self.activation)
 
     # ------------------------------------------------------------- training
     def fused_forward_train(self, inputs: np.ndarray):
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = np.asarray(inputs, dtype=self.weight.data.dtype)
         if inputs.ndim != 2:
             raise ValueError(
                 f"Dense fused training expects (batch, features) inputs, got {inputs.shape}"
@@ -386,7 +388,9 @@ class Dense(Module):
     def fused_backward_train(self, grad_output: np.ndarray, cache) -> np.ndarray:
         inputs, activation_state = cache
         grad_pre = _activation_backward(
-            np.asarray(grad_output, dtype=np.float64), activation_state, self.activation
+            np.asarray(grad_output, dtype=self.weight.data.dtype),
+            activation_state,
+            self.activation,
         )
         buffers = self._fused_buffers()
         add_matmul_grad(self.weight, buffers, "weight", inputs.T, grad_pre)

@@ -26,6 +26,8 @@ def _gate_step(projection, hidden, cell, gates, weight_hidden, bias, size):
     ``(batch, ...)`` arrays this is one cell's step; :meth:`BiLSTM.step`
     passes ``(2, batch, ...)`` stacks to advance both directions in one
     batched matmul — per direction the arithmetic and its order are the same.
+    Nothing here allocates a dtype of its own: the step runs in the dtype of
+    the arrays it is given (the weights' dtype, see :meth:`LSTM.fast_forward`).
     """
     np.matmul(hidden, weight_hidden, out=gates)
     gates += projection
@@ -231,8 +233,11 @@ class LSTM(Module):
         ``(batch * time, features) @ (features, 4 * hidden)`` matrix
         multiplication, and the per-step recurrence reuses a single gate
         scratch buffer — no :class:`Tensor` nodes are allocated anywhere.
+        Runs in the dtype of the cell's weights (float64 unless a caller
+        swapped in float32 copies, as MAD-GAN's inversion does).
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
+        dtype = self.cell.weight_input.data.dtype
+        inputs = np.asarray(inputs, dtype=dtype)
         if inputs.ndim != 3:
             raise ValueError(
                 f"LSTM expects inputs of shape (batch, time, features), got {inputs.shape}"
@@ -243,11 +248,13 @@ class LSTM(Module):
             inputs.reshape(batch_size * timesteps, features) @ self.cell.weight_input.data
         ).reshape(batch_size, timesteps, 4 * size)
 
-        hidden = np.zeros((batch_size, size))
-        cell_state = np.zeros((batch_size, size))
-        gates_buffer = np.empty((batch_size, 4 * size))
+        hidden = np.zeros((batch_size, size), dtype=dtype)
+        cell_state = np.zeros((batch_size, size), dtype=dtype)
+        gates_buffer = np.empty((batch_size, 4 * size), dtype=dtype)
         sequence = (
-            np.empty((batch_size, timesteps, size)) if self.return_sequences else None
+            np.empty((batch_size, timesteps, size), dtype=dtype)
+            if self.return_sequences
+            else None
         )
 
         time_order = range(timesteps - 1, -1, -1) if self.reverse else range(timesteps)
@@ -272,9 +279,11 @@ class LSTM(Module):
         are applied in place inside one ``(time, batch, 4 * hidden)`` array,
         so a step's inner loop allocates almost nothing.  A ``reverse`` layer
         flips the sequence into processing order once up front —
-        bit-identical arithmetic to iterating the timesteps backwards.
+        bit-identical arithmetic to iterating the timesteps backwards.  Every
+        buffer takes the dtype of the cell's weights, as in :meth:`fast_forward`.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
+        dtype = self.cell.weight_input.data.dtype
+        inputs = np.asarray(inputs, dtype=dtype)
         if inputs.ndim != 3:
             raise ValueError(
                 f"LSTM expects inputs of shape (batch, time, features), got {inputs.shape}"
@@ -297,11 +306,11 @@ class LSTM(Module):
             time_major.reshape(timesteps * batch_size, features) @ cell.weight_input.data
         ).reshape(timesteps, batch_size, 4 * size)
         gates_seq += bias
-        hidden = np.zeros((batch_size, size))
-        cell_state = np.zeros((batch_size, size))
-        hidden_seq = np.empty((timesteps, batch_size, size))
-        prev_cells = np.empty((timesteps, batch_size, size))
-        tanh_cells = np.empty((timesteps, batch_size, size))
+        hidden = np.zeros((batch_size, size), dtype=dtype)
+        cell_state = np.zeros((batch_size, size), dtype=dtype)
+        hidden_seq = np.empty((timesteps, batch_size, size), dtype=dtype)
+        prev_cells = np.empty((timesteps, batch_size, size), dtype=dtype)
+        tanh_cells = np.empty((timesteps, batch_size, size), dtype=dtype)
         for step in range(timesteps):
             gates = gates_seq[step]
             gates += hidden @ weight_hidden
@@ -346,9 +355,10 @@ class LSTM(Module):
         skip their matmuls entirely, so a fully frozen layer computes only
         the input gradient (MAD-GAN's generator inversion relies on this).
         Returns the gradient with respect to the layer inputs (caller time
-        order).
+        order), in the dtype of the cell's weights.
         """
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        dtype = self.cell.weight_input.data.dtype
+        grad_output = np.asarray(grad_output, dtype=dtype)
         time_major = cache["inputs"]
         gates_seq = cache["gates"]
         hidden_seq = cache["hidden_seq"]
@@ -364,7 +374,7 @@ class LSTM(Module):
             if self.reverse:
                 d_hidden_seq = d_hidden_seq[::-1]
             d_hidden_seq = np.ascontiguousarray(d_hidden_seq)
-            d_hidden = np.zeros((batch_size, size))
+            d_hidden = np.zeros((batch_size, size), dtype=dtype)
         else:
             # Sequence-to-one: the upstream gradient seeds only the final
             # processed step's hidden state.
@@ -384,8 +394,8 @@ class LSTM(Module):
         candidate_factor = gate_i * (1.0 - gate_g**2)  # -> g block
         output_factor = tanh_cells * (gate_o * (1.0 - gate_o))  # dh * this -> o block
 
-        d_cell = np.zeros((batch_size, size))
-        d_projections = np.empty((timesteps, batch_size, 4 * size))
+        d_cell = np.zeros((batch_size, size), dtype=dtype)
+        d_projections = np.empty((timesteps, batch_size, 4 * size), dtype=dtype)
         for step in range(timesteps - 1, -1, -1):
             dh = d_hidden if d_hidden_seq is None else d_hidden_seq[step] + d_hidden
             dc = d_cell + dh * cell_factor[step]
@@ -409,7 +419,7 @@ class LSTM(Module):
         if cell.weight_hidden.requires_grad:
             # h_{t-1} per step, in processing order (h_{-1} is the zero state).
             hidden_prev = np.concatenate(
-                [np.zeros((1, batch_size, size)), hidden_seq[:-1]], axis=0
+                [np.zeros((1, batch_size, size), dtype=dtype), hidden_seq[:-1]], axis=0
             )
             add_matmul_grad(
                 cell.weight_hidden,

@@ -218,8 +218,11 @@ class TestMADGAN:
 
 class TestMADGANFastPathRegression:
     """The graph-free inversion/scoring fast paths are pinned to the named
-    autodiff references: reconstruction errors within 1e-8, discriminator
-    probabilities within 1e-10, detection decisions unchanged."""
+    autodiff references: the float64 inversion's reconstruction errors within
+    1e-8, discriminator probabilities within 1e-10, detection decisions
+    unchanged.  The float32 production inversion is pinned to the float64 one
+    within the documented gap quantiles, with identical verdicts, and must
+    stay float32 inside and float64 at its boundary."""
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -232,9 +235,106 @@ class TestMADGANFastPathRegression:
         windows, _ = make_toy_windows(n_benign=12, n_malicious=8, seed=21)
         scaled = fitted._scale(windows)
         latent = fitted._sample_latent(len(scaled)) * 0.1
-        fast = fitted._reconstruction_errors(scaled, initial_latent=latent)
+        fast, _ = fitted._invert_fast64(scaled, latent, fitted.inversion_steps)
         graph = fitted._reconstruction_errors_graph(scaled, initial_latent=latent)
         np.testing.assert_allclose(fast, graph, atol=1e-8, rtol=0.0)
+
+    def test_float32_inversion_tracks_float64_reference(self, fitted, check_parity):
+        windows, _ = make_toy_windows(n_benign=40, n_malicious=20, seed=23)
+        report = check_parity.madgan_dtype_gap(fitted, windows)
+        assert report["verdict_flips"] == 0
+        assert report["flagged"] > 0
+
+    def test_float32_inversion_leaks_no_float64(self, fitted, monkeypatch):
+        # One float64 upcast inside the loop (e.g. a dtype-less np.zeros)
+        # silently erases the float32 speedup without failing any parity
+        # test.  The generator weights are wrapped in a probe that records
+        # the dtype of every ufunc result computed from them (the probe
+        # passes on to those results), so an upcast anywhere downstream of
+        # the weights shows up, not only one at the kernels' boundaries.
+        import repro.detectors.madgan as madgan_module
+
+        dtypes = []
+
+        class DtypeProbe(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                def plain(value):
+                    return value.view(np.ndarray) if isinstance(value, DtypeProbe) else value
+
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(plain(value) for value in kwargs["out"])
+                result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+                results = result if isinstance(result, tuple) else (result,)
+                dtypes.extend(np.asarray(value).dtype for value in results)
+                probed = tuple(
+                    value.view(DtypeProbe) if isinstance(value, np.ndarray) else value
+                    for value in results
+                )
+                return probed if isinstance(result, tuple) else probed[0]
+
+        optimizers = []
+
+        class RecordingAdam(madgan_module.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        generator = fitted.generator
+        backward = generator.fused_backward_train
+        fast_forward = generator.fast_forward
+        gradients = []
+        loop_dtypes = []
+
+        def recording_backward(grad_output, cache):
+            gradients.append(backward(grad_output, cache))
+            return gradients[-1]
+
+        def recording_fast_forward(latent):
+            # The final forward closes the float32 region: the error is then
+            # taken against the float64 windows on purpose.
+            generated = fast_forward(latent)
+            loop_dtypes.extend(dtypes + [generated.dtype])
+            return generated
+
+        parameters = generator.parameters()
+        weights = [parameter.data for parameter in parameters]
+        for parameter in parameters:
+            parameter.data = parameter.data.view(DtypeProbe)
+        monkeypatch.setattr(madgan_module, "Adam", RecordingAdam)
+        monkeypatch.setattr(generator, "fused_backward_train", recording_backward)
+        monkeypatch.setattr(generator, "fast_forward", recording_fast_forward)
+        windows, _ = make_toy_windows(n_benign=6, n_malicious=2, seed=47)
+        scaled = fitted._scale(windows)
+        try:
+            errors, latents = fitted._invert_fast(
+                scaled, fitted._sample_latent(len(scaled)) * 0.1, steps=3
+            )
+        finally:
+            monkeypatch.undo()
+            for parameter, data in zip(parameters, weights):
+                parameter.data = data
+
+        assert len(loop_dtypes) > 100
+        assert set(loop_dtypes) == {np.dtype(np.float32)}
+        assert len(gradients) == 3
+        assert all(gradient.dtype == np.float32 for gradient in gradients)
+        (optimizer,) = optimizers
+        (latent,) = optimizer.parameters
+        assert latent.data.dtype == np.float32
+        assert latent.grad is gradients[-1]
+        moments = optimizer._first_moment + optimizer._second_moment
+        assert all(moment.dtype == np.float32 for moment in moments)
+        assert errors.dtype == np.float64
+        assert latents.dtype == np.float64
+
+        # The streaming carry-over keeps float64 through cold and warm ticks.
+        state = fitted.make_inversion_state()
+        trace = make_toy_trace(2, seed=48)
+        for tick in range(2):
+            window = trace[tick : tick + fitted.sequence_length][np.newaxis]
+            scores = fitted.scores_incremental(window, [state])
+            assert scores.dtype == np.float64
+            assert state.latent.dtype == np.float64
 
     def test_discrimination_scores_match_graph_path(self, fitted):
         windows, _ = make_toy_windows(n_benign=10, n_malicious=5, seed=22)
@@ -296,22 +396,34 @@ class TestMADGANFastPathRegression:
     def _caller_state(generator):
         """Freeze one parameter and give another a pending gradient, as a
         caller mid-training might; returns each parameter's flag, ``.grad``
-        object and gradient values."""
+        object and gradient values, and its ``.data`` object and values."""
         parameters = generator.parameters()
         parameters[0].requires_grad = False
         parameters[1].grad = np.full_like(parameters[1].data, 0.25)
         return [
-            (p.requires_grad, p.grad, None if p.grad is None else p.grad.copy())
+            (
+                p.requires_grad,
+                p.grad,
+                None if p.grad is None else p.grad.copy(),
+                p.data,
+                p.data.copy(),
+            )
             for p in parameters
         ]
 
     @staticmethod
     def _assert_parameters_unchanged(generator, snapshot):
-        for parameter, (flag, grad, values) in zip(generator.parameters(), snapshot):
+        for parameter, (flag, grad, values, data, weights) in zip(
+            generator.parameters(), snapshot
+        ):
             assert parameter.requires_grad is flag
             assert parameter.grad is grad
             if values is not None:
                 np.testing.assert_array_equal(parameter.grad, values)
+            # The float32 weight copies are swapped back for the originals.
+            assert parameter.data is data
+            assert parameter.data.dtype == np.float64
+            np.testing.assert_array_equal(parameter.data, weights)
 
     def test_invert_fast_restores_caller_parameter_state(self, fitted):
         generator = fitted.generator
@@ -337,8 +449,9 @@ class TestMADGANFastPathRegression:
         def failing_backward(grad_output, cache):
             calls.append(1)
             if len(calls) == 2:
-                # Mid-loop: the generator is frozen at this point.
+                # Mid-loop: the generator is frozen and runs on float32 copies.
                 assert not any(p.requires_grad for p in generator.parameters())
+                assert all(p.data.dtype == np.float32 for p in generator.parameters())
                 raise RuntimeError("injected failure")
             return backward(grad_output, cache)
 
