@@ -882,7 +882,8 @@ _FAMILY_SHARED = replace(FAMILY_CHAOS, name="family_chaos_shared", shared_lane=T
 #: the full chaos mix.  Observed = unobserved, with metric snapshots merged
 #: bitwise across shards.  Recovered = uninterrupted: a checkpoint-file
 #: restore and SIGKILLed workers under both chaos mixes, and restores of
-#: shared-lane mixes.
+#: shared-lane mixes.  The window-brain kill lands before the first snapshot
+#: (worker tick 8), so its respawn replays the journal from worker birth.
 TWIN_ROWS = [
     *(TwinRow(_PLAIN, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
     *(TwinRow(_KNN_CHAOS, SINGLE, Variant(shards=n)) for n in (1, 2, 4)),
@@ -895,6 +896,7 @@ TWIN_ROWS = [
     TwinRow(CHAOS_MIX, SINGLE, Variant(restore_at=13)),
     TwinRow(CHAOS_MIX, SINGLE, Variant(shards=2, kill=((21, 0),))),
     TwinRow(CHAOS_MIX, SINGLE, Variant(shards=4, kill=((21, 0), (29, 1)))),
+    TwinRow(FAMILY_CHAOS, SINGLE, Variant(shards=2, kill=((5, 0),))),
     TwinRow(_CHAOS_BASELINE, SINGLE, Variant(zero_faults=True)),
     *(TwinRow(_KILL_MIX, SINGLE, Variant(shards=n, kill=k)) for n, k in KILL_TICKS.items()),
     TwinRow(_CHAOS_MIX_SHARED, SINGLE, Variant(restore_at=34)),

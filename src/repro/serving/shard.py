@@ -53,11 +53,9 @@ bitwise identical to a run that never crashed** — survivors untouched,
 victims resumed exactly (the kill rows of ``check_parity.TWIN_ROWS`` and
 the ``chaos_replay.py`` kill-mix gate check it).  A ``max_restarts``
 circuit breaker bounds the respawn loop; a shard that exhausts it falls
-back to the terminal dropped-ticks behavior above.  With
-``snapshot_interval=None`` the supervisor still respawns but rehydrates by
-re-opening every session fresh (PR 6's quarantine/re-warm semantics: warm
-stream state is lost, verdicts restart from the warmup phase).  Without
-``supervision`` the fabric behaves exactly as before.  See
+back to the terminal dropped-ticks behavior above.  Snapshot plus journal is
+the only rehydration path, so every supervised respawn resumes bitwise.
+Without ``supervision`` the fabric behaves exactly as before.  See
 ``docs/recovery.md``.
 
 RNG boundary rule
@@ -104,8 +102,8 @@ from repro.serving.health import HealthConfig, IngressConfig, validate_checkpoin
 from repro.serving.recovery import (
     SchedulerSnapshot,
     capture_scheduler,
-    dumps_with_refs as _dumps_with_refs,
-    loads_with_refs as _loads_with_refs,
+    dumps_with_refs,
+    loads_with_refs,
     restore_scheduler,
 )
 from repro.serving.scheduler import StreamScheduler
@@ -139,9 +137,8 @@ class SupervisorConfig:
         Workers piggyback a deterministic shard snapshot on every N-th tick
         reply; the parent journals commands between snapshots, so a crashed
         worker resumes **bitwise exactly** (snapshot + journal replay +
-        re-sent in-flight command).  ``None`` disables snapshots and
-        journaling: respawned workers are rehydrated by re-opening every
-        session fresh (PR 6 re-warm semantics — warm state lost).
+        re-sent in-flight command).  Before the first snapshot the journal
+        reaches back to worker birth.  Must be a positive int.
     max_restarts:
         Circuit breaker: total respawns allowed per shard before its death
         becomes terminal (sessions degrade to dropped ticks, the
@@ -157,7 +154,7 @@ class SupervisorConfig:
         death is then detected by pipe EOF only.
     """
 
-    snapshot_interval: Optional[int] = 32
+    snapshot_interval: int = 32
     max_restarts: int = 3
     restart_backoff: float = 0.05
     backoff_factor: float = 2.0
@@ -165,8 +162,8 @@ class SupervisorConfig:
     request_timeout: Optional[float] = None
 
     def __post_init__(self):
-        if self.snapshot_interval is not None and self.snapshot_interval < 1:
-            raise ValueError("snapshot_interval must be >= 1 or None")
+        if self.snapshot_interval is None or self.snapshot_interval < 1:
+            raise ValueError("snapshot_interval must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.restart_backoff < 0 or self.max_backoff < 0:
@@ -198,9 +195,19 @@ class ShardDeadError(RuntimeError):
     """The facade needed a worker that is no longer alive."""
 
 
-# The persistent-id pickling helpers live in repro.serving.recovery now
-# (snapshots and the shard pipe share one token mechanism); the old private
-# names are kept as aliases for existing callers and tests.
+def _kill_worker_process(process) -> bool:
+    """SIGKILL ``process`` if it is still alive, then reap it (bounded).
+
+    Returns True when a live process was killed.
+    """
+    if process is None:
+        return False
+    killed = process.is_alive()
+    if killed:
+        process.kill()
+    process.join(timeout=_STUCK_WORKER_TIMEOUT)
+    return killed
+
 
 # ------------------------------------------------------------------ worker side
 def _rederive_worker_rng(obj, shard_index: int) -> None:
@@ -275,7 +282,7 @@ def _worker_main(
             elif command == "open":
                 _, spec = message
                 adapters = (
-                    _loads_with_refs(spec["adapters"], detectors)
+                    loads_with_refs(spec["adapters"], detectors)
                     if spec["adapters"] is not None
                     else None
                 )
@@ -473,7 +480,6 @@ class _Shard:
         "snapshot",
         "journal",
         "restarts",
-        "open_specs",
     )
 
     def __init__(self, index: int, process, conn):
@@ -495,8 +501,6 @@ class _Shard:
         self.journal: List[tuple] = []
         # Respawns consumed against the max_restarts circuit breaker.
         self.restarts = 0
-        # session_id -> re-open recipe for the snapshotless re-warm fallback.
-        self.open_specs: Dict[str, dict] = {}
 
 
 class ShardedScheduler:
@@ -564,9 +568,6 @@ class ShardedScheduler:
         self.start_method = start_method
         self.obs = obs
         self.supervision = supervision
-        self._snapshot_interval = (
-            supervision.snapshot_interval if supervision is not None else None
-        )
         self._obs_absorbed = False
         self._scheduler_kwargs = dict(
             health=health,
@@ -586,9 +587,6 @@ class ShardedScheduler:
         # persistent-id pickling; holding the object keeps ids stable.
         self._detector_refs: Dict[int, Tuple[object, int]] = {}
         self._next_detector_ref = 0
-        # lane_key -> parent-side predictor (supervised fabrics only): the
-        # re-warm fallback re-ships weights from here after a respawn.
-        self._lane_predictors: Dict[str, GlucosePredictor] = {}
         self._closed = False
 
     def _spawn_worker(self, index: int):
@@ -601,7 +599,9 @@ class ShardedScheduler:
                 child_conn,
                 self._scheduler_kwargs,
                 self.obs is not None,
-                self._snapshot_interval,
+                self.supervision.snapshot_interval
+                if self.supervision is not None
+                else None,
             ),
             daemon=True,
             name=f"repro-shard-{index}",
@@ -680,11 +680,7 @@ class ShardedScheduler:
         real crash surfaces (pipe EOF / broken send) and, under
         supervision, recovers it.
         """
-        shard = self._shards[index]
-        process = shard.process
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join(timeout=_STUCK_WORKER_TIMEOUT)
+        _kill_worker_process(self._shards[index].process)
 
     def _mark_dead(self, shard: _Shard) -> None:
         if shard.alive:
@@ -756,11 +752,8 @@ class ShardedScheduler:
 
     def _force_kill(self, shard: _Shard, reason: str) -> None:
         """SIGKILL an unresponsive worker; counted in recovery.forced_kills."""
-        process = shard.process
-        if process is not None and process.is_alive():
-            logger.warning("force-killing shard %d worker: %s", shard.index, reason)
-            process.kill()
-            process.join(timeout=_STUCK_WORKER_TIMEOUT)
+        if _kill_worker_process(shard.process):
+            logger.warning("force-killed shard %d worker: %s", shard.index, reason)
             if self.obs is not None:
                 self.obs.registry.inc("recovery.forced_kills_total", shard=shard.index)
 
@@ -844,9 +837,7 @@ class ShardedScheduler:
 
     def _journal(self, shard: _Shard, message: tuple) -> None:
         """Append an acked state-mutating command to the shard's replay log."""
-        if self._snapshot_interval is None:
-            return
-        if message[0] in _JOURNALED_COMMANDS:
+        if self.supervision is not None and message[0] in _JOURNALED_COMMANDS:
             shard.journal.append(message)
 
     # ----------------------------------------------------------------- recovery
@@ -860,22 +851,17 @@ class ShardedScheduler:
             shard.conn.close()
         except OSError:
             pass
-        process = shard.process
-        if process is not None:
-            if process.is_alive():
-                process.kill()
-            process.join(timeout=_STUCK_WORKER_TIMEOUT)
+        _kill_worker_process(shard.process)
 
     def _recover_shard(self, shard: _Shard) -> bool:
         """Respawn a dead shard and rehydrate it; False when given up.
 
         Bounded exponential backoff between attempts; the ``max_restarts``
         circuit breaker converts a crash-looping shard back into the
-        terminal dropped-ticks behavior.  Rehydration prefers exactness:
-        restore the last piggybacked snapshot and replay the journal
-        (bitwise resume), else replay the journal from worker birth (still
-        bitwise), else — snapshots disabled — re-open every session fresh
-        (PR 6 re-warm semantics).
+        terminal dropped-ticks behavior.  Rehydration resets the shipped
+        sets, restores the last piggybacked snapshot if there is one, and
+        replays the journal — which, before the first snapshot, reaches back
+        to worker birth.  Either way the resume is bitwise.
         """
         if self.supervision is None or self._closed:
             return False
@@ -902,11 +888,7 @@ class ShardedScheduler:
             shard.conn = conn
             shard.alive = True
             shard.last_tick_latency = None
-            mode = (
-                "snapshot"
-                if shard.snapshot is not None
-                else ("journal" if self._snapshot_interval is not None else "rewarm")
-            )
+            mode = "snapshot" if shard.snapshot is not None else "journal"
             logger.warning(
                 "shard %d worker respawned (restart %d/%d, backoff %.3fs, mode=%s)",
                 shard.index,
@@ -925,6 +907,8 @@ class ShardedScheduler:
                     mode=mode,
                     journal_entries=len(shard.journal),
                 )
+            shard.shipped_models = set()
+            shard.shipped_detectors = set()
             try:
                 if shard.snapshot is not None:
                     # Restore and replay block without a request timeout: a
@@ -936,17 +920,7 @@ class ShardedScheduler:
                         meta.get("lane_keys", shard.snapshot.models)
                     )
                     shard.shipped_detectors = set(meta.get("detector_refs", ()))
-                    self._replay_journal(shard)
-                elif self._snapshot_interval is not None:
-                    # No snapshot yet: the journal reaches back to worker
-                    # birth, so replaying it alone is still exact.
-                    shard.shipped_models = set()
-                    shard.shipped_detectors = set()
-                    self._replay_journal(shard)
-                else:
-                    shard.shipped_models = set()
-                    shard.shipped_detectors = set()
-                    self._rewarm_shard(shard)
+                self._replay_journal(shard)
             except ShardDeadError:
                 # The respawn died during rehydration; burn another restart
                 # (or trip the breaker at the top of the loop).
@@ -990,42 +964,6 @@ class ShardedScheduler:
                     shard.snapshot = payload["snapshot"]
                     remaining = replay[position + 1 :]
         shard.journal = remaining
-
-    def _rewarm_shard(self, shard: _Shard) -> None:
-        """Snapshotless fallback: re-open every session fresh on the respawn.
-
-        PR 6 quarantine/re-warm semantics — model weights and detector
-        objects are re-shipped from the parent registries, sessions restart
-        at tick 0 with empty rings and cold adapter state, and the parent
-        mirrors reset to match.  Exact for the model (weights are
-        immutable) but *not* resume-exact: warm stream state is lost.
-        """
-        detector_by_ref = {ref: obj for obj, ref in self._detector_refs.values()}
-        for session_id, spec in shard.open_specs.items():
-            lane_key = spec["lane_key"]
-            if lane_key not in shard.shipped_models:
-                payload = pickle.dumps(
-                    self._lane_predictors[lane_key], protocol=_PICKLE_PROTOCOL
-                )
-                self._raw_request(shard, ("model", lane_key, payload), timeout=None)
-                shard.shipped_models.add(lane_key)
-            for ref in spec["detector_refs"]:
-                if ref not in shard.shipped_detectors:
-                    payload = pickle.dumps(
-                        detector_by_ref[ref], protocol=_PICKLE_PROTOCOL
-                    )
-                    self._raw_request(shard, ("detector", ref, payload), timeout=None)
-                    shard.shipped_detectors.add(ref)
-            self._raw_request(shard, ("open", spec["spec"]), timeout=None)
-            handle = self._sessions[session_id]
-            handle.ticks = 0
-            handle.last_prediction = None
-            handle._ring.reset()
-            handle._blocked = False
-            if self.obs is not None:
-                self.obs.registry.inc(
-                    "recovery.sessions_rewarmed_total", shard=shard.index
-                )
 
     # ------------------------------------------------------------------ sessions
     def shard_for(self, lane_key: str, session_id: str) -> int:
@@ -1099,7 +1037,7 @@ class ShardedScheduler:
         adapters_payload = None
         if detectors:
             self._ship_detectors(shard, detectors)
-            adapters_payload = _dumps_with_refs(dict(detectors), self._detector_refs)
+            adapters_payload = dumps_with_refs(dict(detectors), self._detector_refs)
         spec = {
             "session_id": session_id,
             "patient_label": str(patient_label),
@@ -1118,21 +1056,6 @@ class ShardedScheduler:
         )
         self._sessions[session_id] = handle
         self._lane_keys.add(lane_key)
-        if self.supervision is not None:
-            # Re-warm recipe: enough to rebuild the session from parent-side
-            # objects when a respawn has no snapshot/journal to replay.
-            self._lane_predictors[lane_key] = predictor
-            refs = []
-            if detectors:
-                for adapter in detectors.values():
-                    detector = getattr(adapter, "detector", None)
-                    if detector is not None:
-                        refs.append(self._detector_refs[id(detector)][1])
-            shard.open_specs[session_id] = {
-                "lane_key": lane_key,
-                "detector_refs": tuple(refs),
-                "spec": spec,
-            }
         return handle
 
     def close_session(self, session_id: str) -> None:
@@ -1145,9 +1068,6 @@ class ShardedScheduler:
                 timeline = self._request(shard, ("close", handle.session_id))
             except ShardDeadError:
                 timeline = None
-        # Popped only after the round-trip: a supervised re-warm recovery
-        # mid-close must still re-open the session it is about to close.
-        shard.open_specs.pop(handle.session_id, None)
         if handle.health is not None:
             handle.health._finalize(timeline)
 
@@ -1264,7 +1184,7 @@ class ShardedScheduler:
                     )
                 )
                 continue
-            if self._snapshot_interval is not None:
+            if self.supervision is not None:
                 snapshot = payload.get("snapshot")
                 if snapshot is not None:
                     # The snapshot includes this tick: it supersedes the

@@ -7,8 +7,9 @@ Pins the self-healing half of the recovery contract (``docs/recovery.md``):
 * a SIGKILLed worker is respawned and rehydrated (snapshot + journal replay,
   or journal-from-birth before the first snapshot) with **bitwise** resume —
   the recovered run equals a run that never crashed,
-* with snapshots disabled the supervisor falls back to the PR-6 re-warm path
-  (sessions restart fresh instead of resuming, but keep being served),
+* the journal stays bounded by the snapshot cadence (and empty without
+  supervision), and :class:`SupervisorConfig` rejects invalid policies —
+  snapshots cannot be disabled,
 * the ``max_restarts`` circuit breaker turns a crash-looping shard back into
   the old terminal dropped-tick behavior,
 * a hung worker trips ``request_timeout``: it is force-killed
@@ -57,15 +58,18 @@ class TestSupervisedRespawn:
         """Drive a fabric for N_TICKS, optionally SIGKILLing occupied workers.
 
         ``kills`` maps global tick -> occupied-shard rank to kill just before
-        that tick.  Returns (per-tick fingerprints, health timelines, fabric
-        restart total).
+        that tick; ``inspect`` is called with the fabric after the last tick.
+        Returns (per-tick fingerprints, health timelines, fabric restart
+        total).
         """
         records = list(tiny_cohort)
         streams = {
             record.label: record.features("test")[:N_TICKS] for record in records
         }
 
-        def _run(n_shards, supervision=None, kills=(), obs=None):
+        def _run(
+            n_shards, supervision=None, kills=(), obs=None, n_ticks=N_TICKS, inspect=None
+        ):
             fabric = ShardedScheduler(
                 n_shards=n_shards,
                 health=HealthConfig(
@@ -88,7 +92,7 @@ class TestSupervisedRespawn:
                         },
                     )
                 kills = dict(kills)
-                for tick in range(N_TICKS):
+                for tick in range(n_ticks):
                     if tick in kills:
                         occupied = sorted(
                             {handle.shard for handle in fabric._sessions.values()}
@@ -117,6 +121,8 @@ class TestSupervisedRespawn:
                         )
                     ]
                 restarts = sum(shard.restarts for shard in fabric._shards)
+                if inspect is not None:
+                    inspect(fabric)
             finally:
                 fabric.shutdown()
             return out, timelines, restarts
@@ -165,21 +171,31 @@ class TestSupervisedRespawn:
         assert restarts >= 1
         assert (out, timelines) == baseline[:2]
 
-    def test_rewarm_fallback_serves_fresh_sessions(self, run):
-        # Snapshots disabled: recovery falls back to the PR-6 re-warm path.
-        # The killed shard's sessions restart from tick 0 (not resumed) but
-        # keep being served — no terminal dropped ticks.
-        out, _, restarts = run(
+    @pytest.mark.parametrize("supervised", [True, False])
+    def test_journal_is_bounded_by_snapshot_cadence(self, run, supervised):
+        # Each snapshot truncates the journal, so after 20 ticks at interval 8
+        # (last snapshot at tick 16) an occupied shard journals at most 7
+        # ticks; without supervision nothing is journaled or snapshotted.
+        checked = []
+
+        def inspect(fabric):
+            occupied = {handle.shard for handle in fabric._sessions.values()}
+            for shard in fabric._shards:
+                if not supervised:
+                    assert shard.journal == [] and shard.snapshot is None
+                elif shard.index in occupied:
+                    assert shard.snapshot is not None
+                    assert all(message[0] == "tick" for message in shard.journal)
+                    assert len(shard.journal) <= 7
+                checked.append(shard.index)
+
+        run(
             2,
-            supervision=SupervisorConfig(snapshot_interval=None, restart_backoff=0.01),
-            kills={13: 0},
+            supervision=SupervisorConfig(snapshot_interval=8) if supervised else None,
+            n_ticks=20,
+            inspect=inspect,
         )
-        assert restarts >= 1
-        tick13 = out[13].values()
-        assert any(
-            fingerprint["tick"] == 0 for fingerprint in tick13 if not fingerprint["dropped"]
-        ), "no session was re-warmed from scratch"
-        assert all(not fingerprint["dropped"] for fingerprint in tick13)
+        assert checked == [0, 1]
 
     def test_circuit_breaker_opens_after_max_restarts(self, run):
         out, _, restarts = run(
@@ -212,6 +228,24 @@ class TestSupervisedRespawn:
         assert registry.counter_total("recovery.journal_replayed_total") >= 1
         respawned = [e for e in observer.events if e.kind == "worker_respawned"]
         assert respawned and respawned[0].fields["mode"] in ("snapshot", "journal")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"snapshot_interval": None},
+        {"snapshot_interval": 0},
+        {"max_restarts": -1},
+        {"restart_backoff": -0.01},
+        {"max_backoff": -1.0},
+        {"backoff_factor": 0.5},
+        {"request_timeout": 0},
+    ],
+    ids=lambda kwargs: ",".join(f"{key}={value}" for key, value in kwargs.items()),
+)
+def test_supervisor_config_rejects_invalid_policy(kwargs):
+    with pytest.raises(ValueError):
+        SupervisorConfig(**kwargs)
 
 
 class TestRequestTimeout:
