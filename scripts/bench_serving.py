@@ -27,8 +27,10 @@ Two additional configurations cover the streaming hot path's v2 targets:
 * ``incremental_scoring`` — per-tick MAD-GAN window scoring at 64 sessions,
   cold (``scores``: full generator inversion from a fresh latent every tick)
   vs warm (``scores_incremental``: inversion warm-started from each stream's
-  previous-tick latent).  Steady-state per-tick cost must drop by >= 3x with
-  warm-vs-cold verdicts identical on every tick and the DR score gap bounded.
+  previous-tick latent).  Steady-state per-tick cost must drop by >= 3x in
+  the median of ten alternating cold/warm pairs (times scaled by
+  ``perfbench/hostclock.py``), with warm-vs-cold verdicts identical on every
+  tick and the DR score gap bounded.
 
 A multiprocess scale sweep then re-serves a large fleet (``1024`` sessions
 across ``8`` model lanes) through :class:`repro.serving.shard.ShardedScheduler`
@@ -99,6 +101,9 @@ INCREMENTAL_SESSIONS = 64
 INCREMENTAL_WARMUP_TICKS = 3
 INCREMENTAL_TICKS = 10
 TARGET_INCREMENTAL_SPEEDUP = 3.0
+#: Alternating cold/warm pairs behind the incremental-scoring gate; times are
+#: scaled by ``perfbench/hostclock.py`` and the median pair's speedup is gated.
+INCREMENTAL_PAIRS = 10
 #: Warm-vs-cold DR score tolerance: the warm path must stay within this
 #: absolute gap of a cold rescore (the fixture's decision threshold is ~4.3,
 #: so verdicts cannot flip inside this band).
@@ -267,56 +272,56 @@ def incremental_fixture(zoo, cohort):
     return detector, traces
 
 
-def bench_incremental_scoring(zoo, cohort, repeats: int):
+def bench_incremental_scoring(zoo, cohort):
     """Time per-tick MAD-GAN scoring: cold inversion vs warm-started inversion.
 
     Both passes score identical per-tick window batches after an untimed
     warm-up (the warm pass needs it to seed its carried latents; excluding it
     from both sides makes this a steady-state comparison).  The detector's
     RNG is re-seeded before every pass so cold latent draws are identical
-    across passes and repeats; verdicts are asserted identical tick by tick.
+    across passes; verdicts are asserted identical tick by tick.  The passes
+    run in ``INCREMENTAL_PAIRS`` alternating pairs (the order flips every
+    pair) whose times are scaled by the host clock sampled around each pass,
+    and the median pair's cold/warm ratio is the gated speedup.
     """
+    from hostclock import HostClock
+
     from repro.utils.rng import as_random_state
 
     detector, traces = incremental_fixture(zoo, cohort)
     history = detector.sequence_length
+    timed_ticks = range(INCREMENTAL_WARMUP_TICKS, INCREMENTAL_WARMUP_TICKS + INCREMENTAL_TICKS)
 
     def tick_windows(tick):
         return np.stack([trace[tick : tick + history] for trace in traces])
 
-    cold_timer = Timer()
-    warm_timer = Timer()
-
-    def run_cold():
+    def run_pass(warm):
+        """(seconds, per-tick scores) of one cold or warm pass."""
         detector._rng = as_random_state(INCREMENTAL_RNG_SEED)
-        for tick in range(INCREMENTAL_WARMUP_TICKS):
-            detector.scores(tick_windows(tick))
-        scores = []
-        with cold_timer.lap():
-            for tick in range(
-                INCREMENTAL_WARMUP_TICKS, INCREMENTAL_WARMUP_TICKS + INCREMENTAL_TICKS
-            ):
-                scores.append(detector.scores(tick_windows(tick)))
-        return scores
+        if warm:
+            states = [detector.make_inversion_state() for _ in range(len(traces))]
 
-    def run_warm():
-        detector._rng = as_random_state(INCREMENTAL_RNG_SEED)
-        states = [detector.make_inversion_state() for _ in range(len(traces))]
+            def score(windows):
+                return detector.scores_incremental(windows, states)
+        else:
+            score = detector.scores
         for tick in range(INCREMENTAL_WARMUP_TICKS):
-            detector.scores_incremental(tick_windows(tick), states)
-        scores = []
-        with warm_timer.lap():
-            for tick in range(
-                INCREMENTAL_WARMUP_TICKS, INCREMENTAL_WARMUP_TICKS + INCREMENTAL_TICKS
-            ):
-                scores.append(detector.scores_incremental(tick_windows(tick), states))
-        return scores
+            score(tick_windows(tick))
+        timer = Timer()
+        with timer.lap():
+            scores = [score(tick_windows(tick)) for tick in timed_ticks]
+        return timer.best, scores
 
+    clock = HostClock()
+    pair_seconds = []
     worst_gap = 0.0
-    for _ in range(repeats):
-        cold_scores = run_cold()
-        warm_scores = run_warm()
-        for cold, warm in zip(cold_scores, warm_scores):
+    for pair in range(INCREMENTAL_PAIRS):
+        seconds, scores = {}, {}
+        for warm in (False, True) if pair % 2 == 0 else (True, False):
+            elapsed, scores[warm] = run_pass(warm)
+            seconds[warm] = elapsed * clock.factor()
+        pair_seconds.append((seconds[False], seconds[True]))
+        for cold, warm in zip(scores[False], scores[True]):
             worst_gap = max(worst_gap, float(np.abs(cold - warm).max()))
             cold_flags = detector.calibrator.predict(cold)
             warm_flags = detector.calibrator.predict(warm)
@@ -329,21 +334,24 @@ def bench_incremental_scoring(zoo, cohort, repeats: int):
             f"warm-vs-cold DR score gap {worst_gap:.3f} exceeds the "
             f"{INCREMENTAL_SCORE_TOLERANCE} tolerance"
         )
-    cold_best = cold_timer.best
-    warm_best = warm_timer.best
+    pair_speedups = [cold / warm for cold, warm in pair_seconds]
+    cold_seconds = float(np.median([cold for cold, _ in pair_seconds]))
+    warm_seconds = float(np.median([warm for _, warm in pair_seconds]))
     return {
         "n_sessions": INCREMENTAL_SESSIONS,
         "ticks": INCREMENTAL_TICKS,
         "warmup_ticks": INCREMENTAL_WARMUP_TICKS,
         "detector": MADGAN_KWARGS,
-        "cold_seconds": cold_best,
-        "warm_seconds": warm_best,
-        "cold_tick_latency_ms": cold_best / INCREMENTAL_TICKS * 1e3,
-        "warm_tick_latency_ms": warm_best / INCREMENTAL_TICKS * 1e3,
-        "speedup": cold_best / warm_best,
+        "pairs": INCREMENTAL_PAIRS,
+        "cold_seconds": cold_seconds,
+        "warm_seconds": warm_seconds,
+        "cold_tick_latency_ms": cold_seconds / INCREMENTAL_TICKS * 1e3,
+        "warm_tick_latency_ms": warm_seconds / INCREMENTAL_TICKS * 1e3,
+        "pair_speedups": pair_speedups,
+        "speedup": float(np.median(pair_speedups)),
         "max_score_gap": worst_gap,
         "score_tolerance": INCREMENTAL_SCORE_TOLERANCE,
-        "verdict_parity": True,  # asserted above, every tick of every repeat
+        "verdict_parity": True,  # asserted above, every tick of every pair
         "decision_threshold": float(detector.calibrator.threshold_),
     }
 
@@ -797,7 +805,7 @@ def main() -> None:
         )
 
     print("timing incremental MAD-GAN scoring (warm vs cold inversion, 64 streams)...")
-    incremental = bench_incremental_scoring(zoo, cohort, args.repeats)
+    incremental = bench_incremental_scoring(zoo, cohort)
     print(
         f"  cold {incremental['cold_tick_latency_ms']:.1f} ms/tick, "
         f"warm {incremental['warm_tick_latency_ms']:.1f} ms/tick "

@@ -37,11 +37,13 @@ robustness contract the fault-injection layer promises:
 
 Writes ``BENCH_chaos.json`` next to the repo root.  Usage::
 
-    PYTHONPATH=src python scripts/chaos_replay.py [--output PATH] [--smoke]
+    PYTHONPATH=src python scripts/chaos_replay.py [--output PATH]
+    PYTHONPATH=src python scripts/chaos_replay.py --smoke [--output PATH]
 
 ``--smoke`` shrinks every trace so the suite finishes in a few seconds; it is
 wired into CI and (via ``scripts/check_parity.py::run_chaos_smoke``) the
-tier-1 test suite.
+tier-1 test suite.  A smoke run writes a report only when ``--output`` is
+given, so it never overwrites the committed full-run ``BENCH_chaos.json``.
 """
 
 from __future__ import annotations
@@ -497,14 +499,17 @@ def run_kill_mix(n_ticks: int, fixture=None, verbose: bool = True) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_chaos.json",
-        help="where to write the chaos report (default: repo root)",
+        "--output", type=Path, default=None,
+        help="where to write the chaos report (default: BENCH_chaos.json at the "
+        "repo root; a --smoke run writes one only when this is given)",
     )
     parser.add_argument(
         "--smoke", action="store_true",
         help="short traces, kNN only — the CI/tier-1 configuration",
     )
     args = parser.parse_args()
+    if args.output is None and not args.smoke:
+        args.output = REPO_ROOT / "BENCH_chaos.json"
 
     n_ticks = SMOKE_TICKS if args.smoke else FULL_TICKS
     report, ok = run_suite(
@@ -514,13 +519,14 @@ def main() -> int:
     report["gates"]["recovery_bitwise_identical"] = recovery
     ok = ok and recovery["passed"]
     report["all_gates_passed"] = bool(ok)
-    args.output.write_text(dumps_strict(report, indent=2) + "\n")
+    if args.output is not None:
+        args.output.write_text(dumps_strict(report, indent=2) + "\n")
 
     print()
     for name, gate in report["gates"].items():
         status = "PASS" if gate["passed"] else "FAIL"
         print(f"gate {name}: {status}")
-    print(f"report -> {args.output}")
+    print(f"report -> {args.output}" if args.output else "smoke run: no report written")
     if not ok:
         print("CHAOS GATES FAILED")
         return 1

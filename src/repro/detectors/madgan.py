@@ -602,7 +602,10 @@ class MADGANDetector(AnomalyDetector):
                 _, d_generated = fused_mse_loss(generated, target)
                 latent.grad = generator.fused_backward_train(d_generated, cache)
                 optimizer.step()
-                latent.data = np.clip(latent.data, -2.5, 2.5)
+                # In place (Adam hands back a fresh array each step); the
+                # same min(max(x, lo), hi) as np.clip, without its wrapper.
+                np.maximum(latent.data, -2.5, out=latent.data)
+                np.minimum(latent.data, 2.5, out=latent.data)
             generated = generator.fast_forward(latent.data)
         finally:
             for parameter, data, flag in zip(parameters, weights, trainable):

@@ -67,23 +67,25 @@ def sigmoid(values: np.ndarray) -> np.ndarray:
     """Plain numpy sigmoid (for non-differentiable post-processing).
 
     Uses the same clipped formulation as :meth:`Tensor.sigmoid`, so the
-    graph-free inference fast path matches the autodiff forward exactly.
-    (The clip runs through the ndarray method, which skips ``np.clip``'s
-    dispatch wrapper — measurably faster on the per-timestep recurrence hot
-    path and bitwise-identical.)
+    graph-free inference fast path matches the autodiff forward byte for
+    byte: :func:`sigmoid_` on a copy in ``values``' floating dtype.
     """
-    return 1.0 / (1.0 + np.exp(-np.asarray(values).clip(-60.0, 60.0)))
+    values = np.asarray(values)
+    return sigmoid_(np.array(values, dtype=np.result_type(values, 1.0)))
 
 
 def sigmoid_(values: np.ndarray) -> np.ndarray:
-    """In-place :func:`sigmoid` (training-loop hot path).
+    """In-place :func:`sigmoid` (the LSTM kernels' hot path).
 
-    Bitwise-identical to :func:`sigmoid` — same clipped formulation, same
-    operation order — but every intermediate is written back into ``values``
-    so the fused training recurrence allocates nothing per gate block.
+    Computes ``1 / (1 + exp(-clip(x, -60, 60)))`` byte for byte, writing every
+    intermediate back into ``values``.  The negation runs first and the clamp
+    follows as ``np.maximum``/``np.minimum``: the bound is symmetric, so
+    ``clip(-x) == -clip(x)`` exactly, and the two ufuncs skip ``clip``'s
+    Python-level wrapper (six ufunc calls, no allocation).
     """
-    values.clip(-60.0, 60.0, out=values)
     np.negative(values, out=values)
+    np.maximum(values, -60.0, out=values)
+    np.minimum(values, 60.0, out=values)
     np.exp(values, out=values)
     values += 1.0
     np.divide(1.0, values, out=values)

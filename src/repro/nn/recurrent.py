@@ -6,7 +6,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import sigmoid as _sigmoid
 from repro.nn.functional import sigmoid_ as _sigmoid_
 from repro.nn.fused import add_matmul_grad, add_sum_grad
 from repro.nn.initializers import orthogonal, xavier_uniform
@@ -28,17 +27,22 @@ def _gate_step(projection, hidden, cell, gates, weight_hidden, bias, size):
     batched matmul — per direction the arithmetic and its order are the same.
     Nothing here allocates a dtype of its own: the step runs in the dtype of
     the arrays it is given (the weights' dtype, see :meth:`LSTM.fast_forward`).
+
+    Fifteen ufunc calls per step: the candidate's ``tanh`` is saved first,
+    then one in-place :func:`~repro.nn.functional.sigmoid_` covers the whole
+    contiguous ``[i, f, g, o]`` row (the g block's sigmoid is discarded) —
+    byte-identical to activating the four blocks one by one.
     """
     np.matmul(hidden, weight_hidden, out=gates)
     gates += projection
     gates += bias
-    input_gate = _sigmoid(gates[..., 0:size])
-    forget_gate = _sigmoid(gates[..., size : 2 * size])
     candidate = np.tanh(gates[..., 2 * size : 3 * size])
-    output_gate = _sigmoid(gates[..., 3 * size : 4 * size])
-
-    new_cell = forget_gate * cell + input_gate * candidate
-    new_hidden = output_gate * np.tanh(new_cell)
+    _sigmoid_(gates)
+    candidate *= gates[..., 0:size]
+    new_cell = gates[..., size : 2 * size] * cell
+    new_cell += candidate
+    new_hidden = np.tanh(new_cell)
+    new_hidden *= gates[..., 3 * size : 4 * size]
     return new_hidden, new_cell
 
 
@@ -107,7 +111,8 @@ class LSTMCell(Module):
         block (the input projection for every timestep is fused into one
         matrix multiplication by :meth:`LSTM.fast_forward`); ``gates_buffer``
         is a reusable ``(batch, 4 * hidden)`` scratch array so the recurrence
-        allocates nothing per timestep beyond the new states.
+        allocates nothing per timestep beyond the new states and the
+        candidate's ``tanh``.
         """
         return _gate_step(
             input_projection,
@@ -250,17 +255,19 @@ class LSTM(Module):
 
         hidden = np.zeros((batch_size, size), dtype=dtype)
         cell_state = np.zeros((batch_size, size), dtype=dtype)
-        gates_buffer = np.empty((batch_size, 4 * size), dtype=dtype)
+        gates = np.empty((batch_size, 4 * size), dtype=dtype)
         sequence = (
             np.empty((batch_size, timesteps, size), dtype=dtype)
             if self.return_sequences
             else None
         )
 
+        weight_hidden = self.cell.weight_hidden.data
+        bias = self.cell.bias.data
         time_order = range(timesteps - 1, -1, -1) if self.reverse else range(timesteps)
         for step in time_order:
-            hidden, cell_state = self.cell.fast_step(
-                projections[:, step, :], hidden, cell_state, gates_buffer
+            hidden, cell_state = _gate_step(
+                projections[:, step], hidden, cell_state, gates, weight_hidden, bias, size
             )
             if sequence is not None:
                 sequence[:, step, :] = hidden
@@ -272,15 +279,22 @@ class LSTM(Module):
 
         Same fused input projection as :meth:`fast_forward` (one
         ``(time * batch, features) @ (features, 4 * hidden)`` matmul), but
-        every per-step gate activation, previous cell state, and hidden state
-        is saved so :meth:`fused_backward_train` can run the full truncated
-        BPTT analytically.  Caches are **time-major** — ``cache[name][step]``
-        is a contiguous ``(batch, ·)`` block — and the gate nonlinearities
-        are applied in place inside one ``(time, batch, 4 * hidden)`` array,
-        so a step's inner loop allocates almost nothing.  A ``reverse`` layer
-        flips the sequence into processing order once up front —
-        bit-identical arithmetic to iterating the timesteps backwards.  Every
-        buffer takes the dtype of the cell's weights, as in :meth:`fast_forward`.
+        every per-step gate activation, cell state, and hidden state is saved
+        so :meth:`fused_backward_train` can run the full truncated BPTT
+        analytically.  Caches are **time-major** — ``cache[name][step]`` is a
+        contiguous ``(batch, ·)`` block — and a ``reverse`` layer flips the
+        sequence into processing order once up front, bit-identical to
+        iterating the timesteps backwards.  Every buffer takes the dtype of
+        the cell's weights, as in :meth:`fast_forward`.
+
+        Fifteen ufunc calls per step, allocating nothing: the recurrent matmul
+        lands in a preallocated buffer and is added to the biased projection;
+        the candidate's ``tanh`` is saved to scratch, one in-place
+        :func:`~repro.nn.functional.sigmoid_` covers the whole ``[i, f, g, o]``
+        row of the ``(time, batch, 4 * hidden)`` gate array (which doubles as
+        the gate cache), and the saved ``tanh`` goes back into the g block.
+        Each new cell and hidden state is written straight into its
+        ``(time + 1, batch, hidden)`` cache, whose row 0 is the zero state.
         """
         dtype = self.cell.weight_input.data.dtype
         inputs = np.asarray(inputs, dtype=dtype)
@@ -297,49 +311,45 @@ class LSTM(Module):
         size = self.hidden_size
         cell = self.cell
         weight_hidden = cell.weight_hidden.data
-        bias = cell.bias.data
 
         # One fused input projection (+ one vectorized bias add for every
         # timestep at once); the per-step recurrence then activates the gates
-        # in place on this array (it doubles as the gate cache).
+        # in place on this array.
         gates_seq = (
             time_major.reshape(timesteps * batch_size, features) @ cell.weight_input.data
         ).reshape(timesteps, batch_size, 4 * size)
-        gates_seq += bias
-        hidden = np.zeros((batch_size, size), dtype=dtype)
-        cell_state = np.zeros((batch_size, size), dtype=dtype)
-        hidden_seq = np.empty((timesteps, batch_size, size), dtype=dtype)
-        prev_cells = np.empty((timesteps, batch_size, size), dtype=dtype)
+        gates_seq += cell.bias.data
+        recurrent = np.empty((batch_size, 4 * size), dtype=dtype)
+        candidate = np.empty((batch_size, size), dtype=dtype)
+        hiddens = np.zeros((timesteps + 1, batch_size, size), dtype=dtype)
+        cells = np.zeros((timesteps + 1, batch_size, size), dtype=dtype)
         tanh_cells = np.empty((timesteps, batch_size, size), dtype=dtype)
         for step in range(timesteps):
             gates = gates_seq[step]
-            gates += hidden @ weight_hidden
-            # Gate order [i, f, g, o]: sigmoid the adjacent i/f block in one
-            # call, tanh the candidate, sigmoid the output gate — in place,
-            # bitwise-identical to the elementwise Tensor ops.
-            i_f = _sigmoid_(gates[:, 0 : 2 * size])
-            i = i_f[:, 0:size]
-            f = i_f[:, size:]
-            g = gates[:, 2 * size : 3 * size]
-            np.tanh(g, out=g)
-            o = _sigmoid_(gates[:, 3 * size : 4 * size])
-            prev_cells[step] = cell_state
-            np.multiply(f, cell_state, out=cell_state)
-            cell_state += i * g
+            np.matmul(hiddens[step], weight_hidden, out=recurrent)
+            gates += recurrent
+            # Gate order [i, f, g, o].
+            candidate_block = gates[:, 2 * size : 3 * size]
+            np.tanh(candidate_block, out=candidate)
+            _sigmoid_(gates)
+            np.copyto(candidate_block, candidate)
+            cell_state = np.multiply(gates[:, size : 2 * size], cells[step], out=cells[step + 1])
+            candidate *= gates[:, 0:size]
+            cell_state += candidate
             tanh_c = np.tanh(cell_state, out=tanh_cells[step])
-            hidden = np.multiply(o, tanh_c, out=hidden_seq[step])
+            np.multiply(gates[:, 3 * size : 4 * size], tanh_c, out=hiddens[step + 1])
 
         cache = {
             "inputs": time_major,  # processing order (flipped for reverse layers)
             "gates": gates_seq,  # activated [i, f, g, o] blocks per step
-            "hidden_seq": hidden_seq,
-            "prev_cells": prev_cells,
+            "hiddens": hiddens,  # h_{step - 1} at [step]; [0] is the zero state
+            "cells": cells,  # c_{step - 1} at [step]; [0] is the zero state
             "tanh_cells": tanh_cells,
         }
         if not self.return_sequences:
-            # `hidden` aliases hidden_seq[-1]; copy so downstream in-place
-            # consumers can never corrupt the cache.
-            return hidden.copy(), cache
+            # Copy so downstream in-place consumers can never corrupt the cache.
+            return hiddens[-1].copy(), cache
+        hidden_seq = hiddens[1:]
         output = hidden_seq[::-1] if self.reverse else hidden_seq
         return np.ascontiguousarray(output.transpose(1, 0, 2)), cache
 
@@ -356,56 +366,81 @@ class LSTM(Module):
         the input gradient (MAD-GAN's generator inversion relies on this).
         Returns the gradient with respect to the layer inputs (caller time
         order), in the dtype of the cell's weights.
+
+        Nothing the caller owns is written: ``grad_output`` is only read,
+        and the running ``dh``/``dc``/``d_cell``/``d_hidden`` live in
+        preallocated ``(batch, hidden)`` buffers.
         """
         dtype = self.cell.weight_input.data.dtype
         grad_output = np.asarray(grad_output, dtype=dtype)
         time_major = cache["inputs"]
         gates_seq = cache["gates"]
-        hidden_seq = cache["hidden_seq"]
+        hiddens = cache["hiddens"]
+        cells = cache["cells"]
         tanh_cells = cache["tanh_cells"]
-        prev_cells = cache["prev_cells"]
         timesteps, batch_size, features = time_major.shape
         size = self.hidden_size
         cell = self.cell
-        weight_hidden = cell.weight_hidden.data
+        weight_hidden_t = cell.weight_hidden.data.T
 
+        d_hidden = np.zeros((batch_size, size), dtype=dtype)
         if self.return_sequences:
+            # A read-only view in processing order (it may be the caller's
+            # memory).
             d_hidden_seq = grad_output.transpose(1, 0, 2)
             if self.reverse:
                 d_hidden_seq = d_hidden_seq[::-1]
-            d_hidden_seq = np.ascontiguousarray(d_hidden_seq)
-            d_hidden = np.zeros((batch_size, size), dtype=dtype)
+            dh = np.empty((batch_size, size), dtype=dtype)
         else:
             # Sequence-to-one: the upstream gradient seeds only the final
             # processed step's hidden state.
             d_hidden_seq = None
-            d_hidden = grad_output
-        # The gate-derivative products are recurrence-independent, so they
-        # vectorize across ALL timesteps in five big elementwise passes; the
-        # sequential loop below then multiplies the running dc/dh into the
-        # per-step slices — a handful of kernels per step instead of ~20.
+            np.copyto(d_hidden, grad_output)
+            dh = d_hidden
+        # The gate-derivative factors are recurrence-independent, so they
+        # vectorize across ALL timesteps, written with out= into one
+        # (5, time, batch, hidden) array: the i/f/g/o factors in gate order
+        # (dc, or dh for o, times a factor is that gate block's gradient),
+        # then the cell factor (dh times it feeds dc).  Each block is a
+        # contiguous (time, batch, hidden) array, so every write here and
+        # every read in the loop below is contiguous.
         gate_i = gates_seq[:, :, 0:size]
         gate_f = gates_seq[:, :, size : 2 * size]
         gate_g = gates_seq[:, :, 2 * size : 3 * size]
         gate_o = gates_seq[:, :, 3 * size : 4 * size]
-        cell_factor = gate_o * (1.0 - tanh_cells**2)  # dh * this -> dc
-        input_factor = gate_g * (gate_i * (1.0 - gate_i))  # dc * this -> i block
-        forget_factor = prev_cells * (gate_f * (1.0 - gate_f))  # -> f block
-        candidate_factor = gate_i * (1.0 - gate_g**2)  # -> g block
-        output_factor = tanh_cells * (gate_o * (1.0 - gate_o))  # dh * this -> o block
+        factors = np.empty((5, timesteps, batch_size, size), dtype=dtype)
+        factor_i, factor_f, factor_g, factor_o, cell_factor = factors
+        for gate, factor, scale in (
+            (gate_i, factor_i, gate_g),
+            (gate_f, factor_f, cells[:-1]),
+            (gate_o, factor_o, tanh_cells),
+        ):
+            np.subtract(1.0, gate, out=factor)
+            np.multiply(gate, factor, out=factor)
+            np.multiply(scale, factor, out=factor)
+        for gate, factor, scale in ((gate_g, factor_g, gate_i), (tanh_cells, cell_factor, gate_o)):
+            np.square(gate, out=factor)
+            np.subtract(1.0, factor, out=factor)
+            np.multiply(scale, factor, out=factor)
 
-        d_cell = np.zeros((batch_size, size), dtype=dtype)
         d_projections = np.empty((timesteps, batch_size, 4 * size), dtype=dtype)
+        # (time, 3, batch, hidden) views: one multiply by dc fills a step's
+        # i/f/g gradient blocks.
+        factor_ifg = factors[0:3].transpose(1, 0, 2, 3)
+        d_ifg = d_projections.reshape(timesteps, batch_size, 4, size)[:, :, 0:3]
+        d_ifg = d_ifg.transpose(0, 2, 1, 3)
+        d_o = d_projections[:, :, 3 * size : 4 * size]
+        dc = np.empty((batch_size, size), dtype=dtype)
+        d_cell = np.zeros((batch_size, size), dtype=dtype)
         for step in range(timesteps - 1, -1, -1):
-            dh = d_hidden if d_hidden_seq is None else d_hidden_seq[step] + d_hidden
-            dc = d_cell + dh * cell_factor[step]
-            d_projection = d_projections[step]
-            np.multiply(dc, input_factor[step], out=d_projection[:, 0:size])
-            np.multiply(dc, forget_factor[step], out=d_projection[:, size : 2 * size])
-            np.multiply(dc, candidate_factor[step], out=d_projection[:, 2 * size : 3 * size])
-            np.multiply(dh, output_factor[step], out=d_projection[:, 3 * size : 4 * size])
-            d_cell = dc * gate_f[step]
-            d_hidden = d_projection @ weight_hidden.T
+            if d_hidden_seq is not None:
+                np.add(d_hidden_seq[step], d_hidden, out=dh)
+            np.multiply(dh, cell_factor[step], out=dc)
+            np.add(d_cell, dc, out=dc)
+            np.multiply(dc, factor_ifg[step], out=d_ifg[step])
+            np.multiply(dh, factor_o[step], out=d_o[step])
+            np.multiply(dc, gate_f[step], out=d_cell)
+            np.matmul(d_projections[step], weight_hidden_t, out=d_hidden)
 
         flat_d_projections = d_projections.reshape(timesteps * batch_size, 4 * size)
         buffers = self._fused_buffers()
@@ -416,18 +451,14 @@ class LSTM(Module):
             time_major.reshape(timesteps * batch_size, features).T,
             flat_d_projections,
         )
-        if cell.weight_hidden.requires_grad:
-            # h_{t-1} per step, in processing order (h_{-1} is the zero state).
-            hidden_prev = np.concatenate(
-                [np.zeros((1, batch_size, size), dtype=dtype), hidden_seq[:-1]], axis=0
-            )
-            add_matmul_grad(
-                cell.weight_hidden,
-                buffers,
-                "weight_hidden",
-                hidden_prev.reshape(timesteps * batch_size, size).T,
-                flat_d_projections,
-            )
+        # h_{t-1} per step, in processing order (h_{-1} is the zero state).
+        add_matmul_grad(
+            cell.weight_hidden,
+            buffers,
+            "weight_hidden",
+            hiddens[:-1].reshape(timesteps * batch_size, size).T,
+            flat_d_projections,
+        )
         add_sum_grad(cell.bias, buffers, "bias", flat_d_projections, axis=0)
 
         d_inputs = (flat_d_projections @ cell.weight_input.data.T).reshape(
