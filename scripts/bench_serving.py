@@ -153,6 +153,44 @@ TARGET_RECOVERY_OVERHEAD_PCT = 5.0
 RECOVERY_PAIRS = 10
 
 
+def alternating_pairs(n_pairs: int, run, pair_value):
+    """Time a baseline against a variant in ``n_pairs`` alternating pairs.
+
+    ``run(variant)`` times one pass of the baseline (``False``) or the
+    variant (``True``) and returns ``(seconds, output)``.  The order flips
+    every pair, and each time is scaled by the host clock sampled around its
+    pass (``perfbench/hostclock.py``).  ``pair_value(base, variant)`` maps
+    one pair's scaled seconds to the gated quantity (a speedup or an
+    overhead); the gate reads the median pair.
+
+    Returns ``(summary, outputs)``: ``summary`` holds the median seconds of
+    each side, every pair's value, and their median and quartiles (the
+    spread the median is read from); ``outputs`` holds each pair's
+    ``{False: output, True: output}``.
+    """
+    from hostclock import HostClock
+
+    clock = HostClock()
+    pair_seconds, outputs = [], []
+    for pair in range(n_pairs):
+        seconds, output = {}, {}
+        for variant in (False, True) if pair % 2 == 0 else (True, False):
+            elapsed, output[variant] = run(variant)
+            seconds[variant] = elapsed * clock.factor()
+        pair_seconds.append((seconds[False], seconds[True]))
+        outputs.append(output)
+    values = [pair_value(base, variant) for base, variant in pair_seconds]
+    q1, median, q3 = (float(value) for value in np.percentile(values, [25, 50, 75]))
+    summary = {
+        "base_seconds": float(np.median([base for base, _ in pair_seconds])),
+        "variant_seconds": float(np.median([variant for _, variant in pair_seconds])),
+        "pair_values": values,
+        "median": median,
+        "quartiles": [q1, q3],
+    }
+    return summary, outputs
+
+
 def build_fixture():
     profiles = [make_patient_profile(subset, pid) for subset, pid in BENCH_PATIENTS]
     cohort = SyntheticOhioT1DM(
@@ -284,8 +322,6 @@ def bench_incremental_scoring(zoo, cohort):
     pair) whose times are scaled by the host clock sampled around each pass,
     and the median pair's cold/warm ratio is the gated speedup.
     """
-    from hostclock import HostClock
-
     from repro.utils.rng import as_random_state
 
     detector, traces = incremental_fixture(zoo, cohort)
@@ -312,15 +348,11 @@ def bench_incremental_scoring(zoo, cohort):
             scores = [score(tick_windows(tick)) for tick in timed_ticks]
         return timer.best, scores
 
-    clock = HostClock()
-    pair_seconds = []
+    pairs, outputs = alternating_pairs(
+        INCREMENTAL_PAIRS, run_pass, lambda cold, warm: cold / warm
+    )
     worst_gap = 0.0
-    for pair in range(INCREMENTAL_PAIRS):
-        seconds, scores = {}, {}
-        for warm in (False, True) if pair % 2 == 0 else (True, False):
-            elapsed, scores[warm] = run_pass(warm)
-            seconds[warm] = elapsed * clock.factor()
-        pair_seconds.append((seconds[False], seconds[True]))
+    for scores in outputs:
         for cold, warm in zip(scores[False], scores[True]):
             worst_gap = max(worst_gap, float(np.abs(cold - warm).max()))
             cold_flags = detector.calibrator.predict(cold)
@@ -334,9 +366,7 @@ def bench_incremental_scoring(zoo, cohort):
             f"warm-vs-cold DR score gap {worst_gap:.3f} exceeds the "
             f"{INCREMENTAL_SCORE_TOLERANCE} tolerance"
         )
-    pair_speedups = [cold / warm for cold, warm in pair_seconds]
-    cold_seconds = float(np.median([cold for cold, _ in pair_seconds]))
-    warm_seconds = float(np.median([warm for _, warm in pair_seconds]))
+    cold_seconds, warm_seconds = pairs["base_seconds"], pairs["variant_seconds"]
     return {
         "n_sessions": INCREMENTAL_SESSIONS,
         "ticks": INCREMENTAL_TICKS,
@@ -347,8 +377,9 @@ def bench_incremental_scoring(zoo, cohort):
         "warm_seconds": warm_seconds,
         "cold_tick_latency_ms": cold_seconds / INCREMENTAL_TICKS * 1e3,
         "warm_tick_latency_ms": warm_seconds / INCREMENTAL_TICKS * 1e3,
-        "pair_speedups": pair_speedups,
-        "speedup": float(np.median(pair_speedups)),
+        "pair_speedups": pairs["pair_values"],
+        "speedup": pairs["median"],
+        "speedup_quartiles": pairs["quartiles"],
         "max_score_gap": worst_gap,
         "score_tolerance": INCREMENTAL_SCORE_TOLERANCE,
         "verdict_parity": True,  # asserted above, every tick of every pair
@@ -524,35 +555,27 @@ def bench_observability(zoo, cohort):
     the least favorable (most instrumentation-sensitive) workload the fabric
     has.
     """
-    from hostclock import HostClock
-
     predictor = zoo.aggregate
     warmup = predictor.history
     traces = session_traces(cohort, OBS_SESSIONS, warmup + OBS_TICKS)
 
-    clock = HostClock()
-    pair_seconds = []
-    predictions = {}
-    observer = None
-    for pair in range(OBS_PAIRS):
-        seconds = {}
-        for traced in (False, True) if pair % 2 == 0 else (True, False):
-            timer, obs = Timer(), Observer() if traced else None
-            predictions[traced] = run_streamed(
-                predictor, traces, warmup, OBS_TICKS, timer, obs=obs
-            )
-            seconds[traced] = timer.best * clock.factor()
-            if traced:
-                observer = obs
-        pair_seconds.append((seconds[False], seconds[True]))
-    if not np.array_equal(predictions[False], predictions[True], equal_nan=True):
+    def run_pass(traced):
+        """(seconds, (predictions, observer)) of one bare or traced pass."""
+        timer, obs = Timer(), Observer() if traced else None
+        predictions = run_streamed(predictor, traces, warmup, OBS_TICKS, timer, obs=obs)
+        return timer.best, (predictions, obs)
+
+    pairs, outputs = alternating_pairs(
+        OBS_PAIRS, run_pass, lambda plain, traced: (traced / plain - 1.0) * 100.0
+    )
+    last = outputs[-1]
+    (plain_predictions, _), (traced_predictions, observer) = last[False], last[True]
+    if not np.array_equal(plain_predictions, traced_predictions, equal_nan=True):
         raise SystemExit("observer perturbed streamed predictions (inertness violation)")
 
     snapshot = observer.registry.snapshot()
-    pair_overheads = [(traced / plain - 1.0) * 100.0 for plain, traced in pair_seconds]
-    overhead_pct = float(np.median(pair_overheads))
-    plain_seconds = float(np.median([plain for plain, _ in pair_seconds]))
-    traced_seconds = float(np.median([traced for _, traced in pair_seconds]))
+    overhead_pct = pairs["median"]
+    plain_seconds, traced_seconds = pairs["base_seconds"], pairs["variant_seconds"]
     return {
         "n_sessions": OBS_SESSIONS,
         "ticks": OBS_TICKS,
@@ -561,8 +584,9 @@ def bench_observability(zoo, cohort):
         "traced_seconds": traced_seconds,
         "plain_ticks_per_sec": OBS_TICKS / plain_seconds,
         "traced_ticks_per_sec": OBS_TICKS / traced_seconds,
-        "pair_overheads_pct": pair_overheads,
+        "pair_overheads_pct": pairs["pair_values"],
         "overhead_pct": overhead_pct,
+        "overhead_pct_quartiles": pairs["quartiles"],
         "target_overhead_pct": TARGET_OBS_OVERHEAD_PCT,
         "meets_target": bool(overhead_pct < TARGET_OBS_OVERHEAD_PCT),
         "series_recorded": sum(len(section) for section in snapshot.values()),
@@ -655,39 +679,34 @@ def bench_recovery(zoo, cohort, repeats: int):
         finally:
             fabric.shutdown()
 
-    # 3. Steady-state overhead: alternating unsupervised/supervised pairs
-    # (the order flips every pair), each time scaled to the reference host
-    # speed sampled around it; the gate reads the median pair.
-    from hostclock import HostClock
-
-    clock = HostClock()
-    pair_seconds = []
-    predictions = {}
-    for pair in range(RECOVERY_PAIRS):
-        seconds = {}
-        for supervised in (False, True) if pair % 2 == 0 else (True, False):
-            fabric = ShardedScheduler(
-                n_shards=2,
-                supervision=(
-                    SupervisorConfig(snapshot_interval=RECOVERY_SNAPSHOT_INTERVAL)
-                    if supervised
-                    else None
-                ),
+    # 3. Steady-state overhead: alternating unsupervised/supervised pairs;
+    # the gate reads the median pair.
+    def run_pass(supervised):
+        """(seconds, predictions) of one unsupervised or supervised pass."""
+        fabric = ShardedScheduler(
+            n_shards=2,
+            supervision=(
+                SupervisorConfig(snapshot_interval=RECOVERY_SNAPSHOT_INTERVAL)
+                if supervised
+                else None
+            ),
+        )
+        try:
+            elapsed, predictions, _ = run_fleet(
+                fabric, variants, fleet_traces, warmup, RECOVERY_TICKS
             )
-            try:
-                elapsed, predictions[supervised], _ = run_fleet(
-                    fabric, variants, fleet_traces, warmup, RECOVERY_TICKS
-                )
-            finally:
-                fabric.shutdown()
-            seconds[supervised] = elapsed * clock.factor()
-        pair_seconds.append((seconds[False], seconds[True]))
-    if not np.array_equal(predictions[False], predictions[True], equal_nan=True):
+        finally:
+            fabric.shutdown()
+        return elapsed, predictions
+
+    pairs, outputs = alternating_pairs(
+        RECOVERY_PAIRS, run_pass, lambda plain, supervised: (supervised / plain - 1.0) * 100.0
+    )
+    if not np.array_equal(outputs[-1][False], outputs[-1][True], equal_nan=True):
         raise SystemExit(
             "arming the supervisor perturbed sharded predictions (inertness violation)"
         )
-    pair_overheads = [(supervised / plain - 1.0) * 100.0 for plain, supervised in pair_seconds]
-    overhead_pct = float(np.median(pair_overheads))
+    overhead_pct = pairs["median"]
 
     return {
         "snapshot": {
@@ -710,10 +729,11 @@ def bench_recovery(zoo, cohort, repeats: int):
             "ticks": RECOVERY_TICKS,
             "snapshot_interval": RECOVERY_SNAPSHOT_INTERVAL,
             "pairs": RECOVERY_PAIRS,
-            "plain_seconds": float(np.median([plain for plain, _ in pair_seconds])),
-            "supervised_seconds": float(np.median([sup for _, sup in pair_seconds])),
-            "pair_overheads_pct": pair_overheads,
+            "plain_seconds": pairs["base_seconds"],
+            "supervised_seconds": pairs["variant_seconds"],
+            "pair_overheads_pct": pairs["pair_values"],
             "overhead_pct": overhead_pct,
+            "overhead_pct_quartiles": pairs["quartiles"],
             "target_overhead_pct": TARGET_RECOVERY_OVERHEAD_PCT,
             "meets_target": bool(overhead_pct < TARGET_RECOVERY_OVERHEAD_PCT),
             "prediction_parity": True,  # asserted above

@@ -211,7 +211,7 @@ class GlucoseInsulinSimulator:
             if minute_of_day == 0:
                 # Resample day-level insulin sensitivity variability each midnight.
                 sensitivity_factor = float(
-                    np.clip(rng.normal(1.0, params.variability), 0.6, 1.4)
+                    min(max(rng.normal(1.0, params.variability), 0.6), 1.4)
                 )
 
             carbs_in = inputs.carbs[minute]
@@ -253,7 +253,7 @@ class GlucoseInsulinSimulator:
             meal_effect = rate_of_appearance / params.distribution_volume
             exercise_uptake = 0.5 * exercise_level
             glucose += production - uptake - insulin_effect + meal_effect - exercise_uptake
-            glucose = float(np.clip(glucose, 30.0, 600.0))
+            glucose = float(min(max(glucose, 30.0), 600.0))
 
             glucose_trace[minute] = glucose
             insulin_trace[minute] = plasma_insulin
@@ -265,9 +265,8 @@ class GlucoseInsulinSimulator:
             sensor_drift += rng.normal(0.0, params.sensor_drift_std)
             sensor_drift *= 0.98
             noise = rng.normal(0.0, params.sensor_noise_std)
-            cgm[position] = np.clip(
-                glucose_trace[index] + sensor_drift + noise,
-                MIN_SENSOR_GLUCOSE,
+            cgm[position] = min(
+                max(glucose_trace[index] + sensor_drift + noise, MIN_SENSOR_GLUCOSE),
                 MAX_SENSOR_GLUCOSE,
             )
 
@@ -300,7 +299,7 @@ class GlucoseInsulinSimulator:
             circadian = 8.0 * np.sin(2.0 * np.pi * (minute_of_day - 300.0) / 1440.0)
             exercise_component = 55.0 * inputs.exercise[index]
             noise = rng.normal(0.0, 2.5)
-            heart_rate[position] = np.clip(base + circadian + exercise_component + noise, 40, 190)
+            heart_rate[position] = min(max(base + circadian + exercise_component + noise, 40), 190)
         return heart_rate
 
 

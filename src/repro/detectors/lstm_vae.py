@@ -306,9 +306,10 @@ class LSTMVAEDetector(AnomalyDetector):
 
         optimizer = Adam(self._core.parameters(), learning_rate=self.learning_rate)
         step = make_step(optimizer)
+        # A fit on fewer windows than one batch trains one batch per epoch.
         iterator = BatchIterator(
             scaled,
-            batch_size=self.batch_size,
+            batch_size=min(self.batch_size, len(scaled)),
             shuffle=True,
             drop_last=True,
             seed=self._rng.derive("batches"),

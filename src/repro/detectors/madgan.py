@@ -157,15 +157,10 @@ class InversionState:
     error: Optional[float] = None
     ticks: int = 0
     fallbacks: int = 0
-    #: Ticks this stream has been awaiting a deferred cold re-anchor (0 =
-    #: not pending).  Only used when the detector runs with
-    #: ``fallback_defer > 0``; see :meth:`MADGANDetector.scores_incremental`.
-    pending_cold: int = 0
-    #: Current run of back-to-back ticks whose warm inversion regressed
-    #: (eagerly cold-verified or deferred); reset to 0 by any clean warm
-    #: tick or scheduled cold re-anchor.  The streaming adapter's
-    #: inversion-divergence watchdog compares this against its threshold
-    #: (:class:`repro.detectors.streaming.StreamingDetector`).
+    #: Current run of back-to-back ticks whose warm inversion regressed;
+    #: reset to 0 by any clean warm tick or scheduled cold re-anchor.  The
+    #: streaming adapter's inversion-divergence watchdog compares this
+    #: against its threshold (:class:`repro.detectors.streaming.StreamingDetector`).
     consecutive_fallbacks: int = 0
 
     def reset(self) -> None:
@@ -174,7 +169,6 @@ class InversionState:
         self.error = None
         self.ticks = 0
         self.fallbacks = 0
-        self.pending_cold = 0
         self.consecutive_fallbacks = 0
 
 
@@ -183,14 +177,13 @@ class ColdBatchPlan:
     """Intermediate state between the two phases of incremental scoring.
 
     :meth:`MADGANDetector.begin_scores_incremental` classifies every stream
-    (warm / cold / deferred), runs the warm inversions, draws the cold-start
-    latents, and stops *just before* the cold inversion — the one batched
-    gradient search that dominates tick cost.  The plan carries everything
+    (warm / cold), runs the warm inversions, draws the cold-start latents,
+    and stops *just before* the cold inversion — the one batched gradient
+    search that dominates tick cost.  The plan carries everything
     :meth:`MADGANDetector.finish_scores_incremental` needs to resume, which
-    lets a scheduler coalesce the cold work of *several* detector groups into
-    one inversion batch per detector (see
-    :class:`repro.serving.scheduler.StreamScheduler`, which does so whenever
-    one detector backs two or more groups in a tick).
+    lets a scheduler run the cold work of every detector group in one
+    inversion batch per detector per tick (see
+    :class:`repro.serving.scheduler.StreamScheduler`).
 
     Plans are single-tick, single-process objects: they hold live references
     to the caller's states and never cross a pickle boundary.
@@ -235,20 +228,6 @@ class MADGANDetector(AnomalyDetector):
         full cold inversion for that stream, so a stale latent can never
         inflate anomaly scores (the *smaller* of the warm and cold errors is
         kept — the inversion is a best-effort minimum).
-    fallback_defer:
-        How the warm-fallback cold re-runs are scheduled.  ``0`` (the
-        default) re-runs the cold inversion for regressed streams in the
-        same :meth:`scores_incremental` call that detected the regression —
-        under adversarial churn that means many ticks pay a second, tiny
-        cold-inversion batch.  ``N > 0`` instead *defers* a regressed
-        stream: it keeps the smaller of its warm error and its carried
-        previous error (so a stale latent still cannot inflate scores),
-        and is cold re-anchored at the first tick that already pays a cold
-        batch (cold starts, refreshes, or other flushes — the re-run rides
-        along for free) or after at most ``N`` ticks, whichever comes
-        first.  Deferred streams coalesce into ONE batched cold inversion
-        instead of many tiny ones; ``tests/test_detectors.py`` pins fewer
-        inversion calls with identical verdicts on a churn-heavy fixture.
     cold_refresh_interval:
         Every this-many ticks a stream's warm carry-over is discarded and
         the tick scored with a full cold inversion.  This bounds drift in
@@ -296,7 +275,6 @@ class MADGANDetector(AnomalyDetector):
         inversion_learning_rate: float = 0.1,
         warm_inversion_steps: int = 10,
         warm_fallback_ratio: float = 1.5,
-        fallback_defer: int = 0,
         cold_refresh_interval: Optional[int] = 32,
         reconstruction_weight: float = 0.7,
         quantile: float = 0.95,
@@ -316,15 +294,12 @@ class MADGANDetector(AnomalyDetector):
             raise ValueError("warm_inversion_steps must be positive")
         if warm_fallback_ratio < 1.0:
             raise ValueError("warm_fallback_ratio must be >= 1.0")
-        if fallback_defer < 0:
-            raise ValueError("fallback_defer must be non-negative")
         if cold_refresh_interval is not None and cold_refresh_interval <= 0:
             raise ValueError("cold_refresh_interval must be positive or None")
         self.inversion_steps = int(inversion_steps)
         self.inversion_learning_rate = float(inversion_learning_rate)
         self.warm_inversion_steps = int(warm_inversion_steps)
         self.warm_fallback_ratio = float(warm_fallback_ratio)
-        self.fallback_defer = int(fallback_defer)
         self.cold_refresh_interval = (
             None if cold_refresh_interval is None else int(cold_refresh_interval)
         )
@@ -346,8 +321,8 @@ class MADGANDetector(AnomalyDetector):
         self._scaler: Optional[StandardScaler] = None
         self._benign_reconstruction_scale: Optional[float] = None
         #: How many `_invert_fast` batches this detector has run (cold or
-        #: warm) — the per-call python overhead the fallback coalescing
-        #: machinery minimizes; regression tests compare it across modes.
+        #: warm) — the per-call python overhead that batching the cold work
+        #: of a tick minimizes; regression tests compare it across paths.
         self.inversion_calls = 0
 
     # ------------------------------------------------------------------ scaling
@@ -416,8 +391,13 @@ class MADGANDetector(AnomalyDetector):
         discriminator_optimizer = Adam(
             self.discriminator.parameters(), learning_rate=self.learning_rate
         )
+        # A fit on fewer windows than one batch trains one batch per epoch.
         iterator = BatchIterator(
-            scaled, batch_size=self.batch_size, shuffle=True, drop_last=True, seed=self._rng.derive("batches")
+            scaled,
+            batch_size=min(self.batch_size, len(scaled)),
+            shuffle=True,
+            drop_last=True,
+            seed=self._rng.derive("batches"),
         )
         history = MADGANTrainingHistory()
         for _ in range(self.epochs):
@@ -552,7 +532,7 @@ class MADGANDetector(AnomalyDetector):
         frozen, followed by Adam on the latent and the ``[-2.5, 2.5]`` clip.
         This is the single entry point of every fast inversion: cold
         scoring, the fit's calibration, warm incremental scoring and the
-        coalesced cold batches.
+        scheduler's per-tick cold batches.
 
         The loop runs in float32: the generator's weights are swapped for
         float32 copies for the duration of the call, so the kernels, the
@@ -759,13 +739,7 @@ class MADGANDetector(AnomalyDetector):
         exceeds ``warm_fallback_ratio`` × the previous tick's error re-runs
         the cold inversion for that stream and keeps the better (smaller) of
         the two errors, so a stale latent can only ever *lower* scores back
-        toward the cold path, never inflate them.  With ``fallback_defer``
-        set, that cold re-run may be *deferred*: the regressed stream keeps
-        ``min(warm error, carried error)`` (still never inflating) and is
-        re-anchored by the next tick's already-paid cold batch or after at
-        most ``fallback_defer`` ticks — deferred streams coalesce into one
-        batched cold inversion instead of each regression tick paying its
-        own tiny batch (track :attr:`inversion_calls` to compare).  Drift in the other
+        toward the cold path, never inflate them.  Drift in the other
         direction is bounded by ``cold_refresh_interval``: every N ticks the
         carry-over is discarded and the tick scored cold, re-anchoring the
         stream to the statistics the threshold was calibrated on.  Warm and
@@ -774,10 +748,10 @@ class MADGANDetector(AnomalyDetector):
         ``scripts/bench_serving.py`` asserts verdict parity on its fixture.
 
         Implemented as :meth:`finish_scores_incremental` applied to
-        :meth:`begin_scores_incremental` — callers that want to batch the
-        cold inversion across several calls (the scheduler's cross-group
-        coalescing) invoke the phases separately; this one-shot composition
-        is bitwise identical to the pre-phased implementation.
+        :meth:`begin_scores_incremental`.  The serving scheduler invokes the
+        phases separately, running every plan's cold work of a tick in one
+        :meth:`invert_cold` batch; this one-shot composition is the
+        reference it is pinned to bitwise.
         """
         return self.finish_scores_incremental(
             self.begin_scores_incremental(windows, states)
@@ -793,7 +767,7 @@ class MADGANDetector(AnomalyDetector):
         whose ``rerun_cold`` names the streams still owing a cold inversion.
         Pass the plan to :meth:`finish_scores_incremental` — directly for
         the one-shot path, or after running :meth:`invert_cold` yourself
-        (possibly on several plans' windows concatenated) to coalesce.
+        (possibly on several plans' windows concatenated).
         """
         check_fitted(self, ("_scaler", "history_"))
         windows = np.asarray(windows, dtype=np.float64)
@@ -805,7 +779,6 @@ class MADGANDetector(AnomalyDetector):
         latent_shape = (self.sequence_length, self.latent_dim)
 
         refresh = self.cold_refresh_interval
-        defer = self.fallback_defer
         warm_indices: List[int] = []
         cold_indices: List[int] = []
         for index, state in enumerate(states):
@@ -820,28 +793,10 @@ class MADGANDetector(AnomalyDetector):
                 # Periodic cold re-anchor (see cold_refresh_interval): the
                 # carried latent is discarded for this tick.
                 cold_indices.append(index)
-            elif defer and state.pending_cold >= defer:
-                # A deferred fallback has waited its maximum; force the
-                # cold re-anchor this tick.
-                cold_indices.append(index)
             else:
                 warm_indices.append(index)
-        if cold_indices and defer:
-            # A cold batch already runs this tick — flush every pending
-            # stream into it so its re-anchor rides along for free.
-            flushed = [
-                index for index in warm_indices if states[index].pending_cold > 0
-            ]
-            if flushed:
-                cold_indices.extend(flushed)
-                warm_indices = [
-                    index for index in warm_indices if states[index].pending_cold == 0
-                ]
 
         fallback_indices: List[int] = []
-        deferral_candidates: List[int] = []
-        still_pending: List[int] = []
-        late_flush: List[int] = []
         if warm_indices:
             # The window slid one sample: shift the latent one timestep to
             # keep each latent step aligned with the sample it explains; the
@@ -869,74 +824,21 @@ class MADGANDetector(AnomalyDetector):
                 warm_error = float(warm_errors[position])
                 errors[index] = warm_error
                 state.latent = warm_latents[position]
-                if state.pending_cold:
-                    # Awaiting a deferred re-anchor: the divergence run is
-                    # still open (the watchdog counts these ticks too).
-                    state.consecutive_fallbacks += 1
-                    if warm_error > scale:
-                        # The error grew anomaly-relevant while deferred:
-                        # escalate to an immediate cold verification (the
-                        # rerun below keeps the smaller error, as eager).
-                        fallback_indices.append(index)
-                    else:
-                        # Still benign-scale: keep tracking the sliding
-                        # window but never report above the carried anchor
-                        # (the no-inflation guarantee while deferred).
-                        errors[index] = min(warm_error, carried)
-                        still_pending.append(index)
-                    continue
                 if warm_error > self.warm_fallback_ratio * previous:
+                    # Regressed: re-run cold in this tick's batch.
                     state.fallbacks += 1
                     state.consecutive_fallbacks += 1
-                    deferrable = (
-                        defer
-                        and state.error is not None
-                        # Only verdict-neutral regressions may wait: an error
-                        # within the benign reconstruction scale scores deep
-                        # below any calibrated threshold, so capping it at
-                        # the carried anchor cannot flip a decision.  An
-                        # anomaly-relevant error (a genuine level shift, not
-                        # stale-latent noise) always cold-verifies NOW.
-                        and warm_error <= scale
-                    )
-                    if deferrable:
-                        deferral_candidates.append(index)
-                    else:
-                        # Eager mode, no trustworthy anchor, or an
-                        # anomaly-relevant regression: re-run cold in this
-                        # tick's batch.
-                        fallback_indices.append(index)
+                    fallback_indices.append(index)
                 else:
                     # Clean warm tick: the divergence run (if any) is over.
                     state.consecutive_fallbacks = 0
 
-        # Deferral is decided only after EVERY warm stream has been seen: if
-        # any stream opened a cold batch this tick (cold starts, refreshes,
-        # escalations, non-deferrable fallbacks), candidates ride along in it
-        # — keeping the eager min(warm, cold) semantics — and already-pending
-        # streams flush into it as plain cold re-anchors.  Only when no cold
-        # batch runs at all does a candidate actually wait.
-        if deferral_candidates or still_pending:
-            if cold_indices or fallback_indices:
-                fallback_indices.extend(deferral_candidates)
-                late_flush = still_pending
-            else:
-                for index in deferral_candidates:
-                    state = states[index]
-                    # Cap the reported error at the carried anchor and queue
-                    # the re-anchor (it runs at the next paid cold batch, or
-                    # after `defer` ticks).
-                    errors[index] = min(errors[index], float(state.error))
-                    state.pending_cold = 1
-                for index in still_pending:
-                    states[index].pending_cold += 1
-
-        rerun_cold = cold_indices + late_flush + fallback_indices
+        rerun_cold = cold_indices + fallback_indices
         cold_initial = None
         if rerun_cold:
             # Drawn here (not in finish) so the detector's RNG stream advances
             # identically whether the cold batch runs standalone or merged
-            # with other plans by a coalescing scheduler.
+            # with other plans by the scheduler.
             cold_initial = self._sample_latent(len(rerun_cold)) * 0.1
         return ColdBatchPlan(
             scaled=scaled,
@@ -952,8 +854,8 @@ class MADGANDetector(AnomalyDetector):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run the full-strength cold inversion on already-scaled windows.
 
-        The public hook a coalescing scheduler uses to run ONE batched
-        inversion over several plans' ``scaled[rerun_cold]`` windows (with
+        The public hook the scheduler uses to run ONE batched inversion
+        over several plans' ``scaled[rerun_cold]`` windows (with
         their ``cold_initial`` latents concatenated in the same order), then
         split the results back per plan for :meth:`finish_scores_incremental`.
         Counts one :attr:`inversion_calls` batch regardless of size.
@@ -969,8 +871,8 @@ class MADGANDetector(AnomalyDetector):
         """Phase 2 of :meth:`scores_incremental`: settle the cold batch.
 
         With ``cold_errors``/``cold_latents`` omitted, runs the plan's own
-        cold inversion (the one-shot path).  A coalescing caller instead
-        passes this plan's slice of a merged :meth:`invert_cold` result; the
+        cold inversion (the one-shot path).  The scheduler instead passes
+        this plan's slice of a merged :meth:`invert_cold` result; the
         fallback ``min(warm, cold)`` semantics, state updates, and DR scoring
         are identical either way.
         """
@@ -993,10 +895,9 @@ class MADGANDetector(AnomalyDetector):
             for position, index in enumerate(rerun_cold):
                 state = states[index]
                 cold_error = float(cold_errors[position])
-                state.pending_cold = 0
                 if index not in fallback_set:
-                    # A scheduled cold tick (cold start, periodic refresh,
-                    # deferred-flush re-anchor) closes any divergence run.
+                    # A scheduled cold tick (cold start, periodic refresh)
+                    # closes any divergence run.
                     state.consecutive_fallbacks = 0
                 if index in fallback_set:
                     if cold_error > errors[index]:
@@ -1009,38 +910,16 @@ class MADGANDetector(AnomalyDetector):
             state.ticks += 1
         return self._dr_scores(errors, self._discrimination_scores(scaled))
 
-    def predict_incremental(
-        self,
-        windows: np.ndarray,
-        states: Sequence[InversionState],
-        include_scores: bool = False,
-    ):
-        """Binary decisions via :meth:`scores_incremental` (one inversion total).
-
-        Returns the ``(n,)`` int flag array, or ``(flags, scores)`` when
-        ``include_scores`` is True — the scores are the very ones the flags
-        were thresholded from, so callers never pay a second inversion.
-        """
-        scores = self.scores_incremental(windows, states)
-        flags = self.calibrator.predict(scores)
-        if include_scores:
-            return flags, scores
-        return flags
-
     def finish_predict_incremental(
         self,
         plan: ColdBatchPlan,
         cold_errors: Optional[np.ndarray] = None,
         cold_latents: Optional[np.ndarray] = None,
-        include_scores: bool = False,
-    ):
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Verdict-level phase 2: :meth:`finish_scores_incremental` + threshold.
 
-        The coalescing scheduler's counterpart of :meth:`predict_incremental`
-        — same return convention, same single-inversion guarantee.
+        Returns ``(flags, scores)``: the scores are the very ones the flags
+        were thresholded from, so callers never pay a second inversion.
         """
         scores = self.finish_scores_incremental(plan, cold_errors, cold_latents)
-        flags = self.calibrator.predict(scores)
-        if include_scores:
-            return flags, scores
-        return flags
+        return self.calibrator.predict(scores), scores

@@ -16,16 +16,18 @@ the same windows — pinned by ``tests/test_serving.py`` and
 ``tests/test_detectors_vae_hmm.py`` (per-detector score tolerances:
 ``docs/detectors.md``).
 
-Detectors exposing the incremental API (``make_inversion_state`` +
-``scores_incremental`` — today only MAD-GAN, whose carried state is the
-warm-started inversion latent) are auto-upgraded to incremental scoring with
-one carried state object per stream.  Every other window brain (LSTM-VAE,
-HMM) is stateless: one batched ``predict`` per tick, which measured faster
-than carrying per-stream state at 64 and 1024 streams.
+Window detectors exposing the incremental protocol (:data:`INCREMENTAL_API`
+— today only MAD-GAN, whose carried state is the warm-started inversion
+latent) are served incrementally with one carried state object per stream:
+each tick the scheduler runs ``begin_scores_incremental`` per detector
+group, every group's owed cold inversion in ONE ``invert_cold`` batch per
+detector, then ``finish_predict_incremental``.  Every other window brain
+(LSTM-VAE, HMM) is stateless: one batched ``predict`` per tick, which
+measured faster than carrying per-stream state at 64 and 1024 streams.
 
 The adapter serves one stream; the underlying detector object may be shared
 by many adapters, which is what lets the serving scheduler coalesce the
-per-tick views of every session into one batched ``predict`` call.
+per-tick views of every session into one batched detector call.
 
 Adapter state (tick counter, carried incremental state — including
 MAD-GAN's ``InversionState`` RNG position) pickles exactly, so scheduler
@@ -43,6 +45,14 @@ from repro.detectors.base import AnomalyDetector
 
 #: Detection units the adapter understands (mirrors eval.experiments.DetectorSpec).
 STREAM_UNITS = ("sample", "window")
+
+#: Methods that make a window detector incremental (see the module docstring).
+INCREMENTAL_API = (
+    "make_inversion_state",
+    "begin_scores_incremental",
+    "invert_cold",
+    "finish_predict_incremental",
+)
 
 
 @dataclass
@@ -104,14 +114,6 @@ class StreamingDetector:
         detectors this is one extra :meth:`AnomalyDetector.scores` call per
         tick; incremental detectors reuse the very scores their flags were
         thresholded from, at no extra cost.
-    incremental:
-        Thread a per-stream carry-over state through the detector's
-        incremental scoring API (``make_inversion_state`` /
-        ``scores_incremental`` / ``predict_incremental``, e.g. warm-started
-        MAD-GAN inversion).  ``None`` (the default) auto-enables it for
-        ``unit="window"`` detectors that expose the API; ``False`` forces
-        the stateless cold path; ``True`` raises if the detector cannot do
-        it.  The adapter owns exactly one state — one adapter per stream.
     divergence_watchdog:
         Mark verdicts ``degraded`` once the stream's incremental inversion
         has fallen back to a cold re-anchor this many *consecutive* ticks
@@ -129,31 +131,23 @@ class StreamingDetector:
         unit: str = "sample",
         history: Optional[int] = None,
         include_scores: bool = False,
-        incremental: Optional[bool] = None,
         divergence_watchdog: Optional[int] = None,
     ):
         if unit not in STREAM_UNITS:
             raise ValueError(f"unit must be one of {STREAM_UNITS}, got {unit!r}")
         if history is not None and history <= 0:
             raise ValueError("history must be positive")
-        supports_incremental = unit == "window" and hasattr(
-            detector, "scores_incremental"
-        )
-        if incremental is None:
-            incremental = supports_incremental
-        elif incremental and not supports_incremental:
-            raise ValueError(
-                "incremental streaming requires unit='window' and a "
-                "detector exposing the incremental scoring API "
-                "(scores_incremental)"
-            )
         if divergence_watchdog is not None and divergence_watchdog < 1:
             raise ValueError("divergence_watchdog must be >= 1 or None")
         self.detector = detector
         self.unit = unit
         self.history = None if history is None else int(history)
         self.include_scores = bool(include_scores)
-        self.incremental = bool(incremental)
+        #: Served through the incremental protocol, with one carried state
+        #: (the adapter's) per stream.
+        self.incremental = unit == "window" and all(
+            hasattr(detector, name) for name in INCREMENTAL_API
+        )
         self.divergence_watchdog = (
             None if divergence_watchdog is None else int(divergence_watchdog)
         )
@@ -198,14 +192,13 @@ class StreamingDetector:
             self._inversion_state.reset()
         self._inversion_mark = (0, 0)
 
-    def drain_inversion_counts(self) -> Optional[Tuple[int, int, int]]:
+    def drain_inversion_counts(self) -> Optional[Tuple[int, int]]:
         """Inversion-activity deltas since the previous drain, or None.
 
-        Returns ``(scored, fallbacks, deferred)`` for incremental adapters:
-        windows scored through the stream's carry-over state, how many of
-        them fell back to a cold re-anchor (warm ticks are the difference),
-        and whether the stream is currently awaiting a deferred cold
-        re-anchor (0/1).  All three are deterministic event counts read off
+        Returns ``(scored, fallbacks)`` for incremental adapters: windows
+        scored through the stream's carry-over state, and how many of them
+        fell back to a cold re-anchor (warm ticks are the difference).  Both
+        are deterministic event counts read off
         :class:`~repro.detectors.madgan.InversionState`; the scheduler feeds
         them into ``detector.inversion_*`` counters after each query.
         Stateless adapters return None.
@@ -215,8 +208,4 @@ class StreamingDetector:
             return None
         marked_ticks, marked_fallbacks = self._inversion_mark
         self._inversion_mark = (state.ticks, state.fallbacks)
-        return (
-            state.ticks - marked_ticks,
-            state.fallbacks - marked_fallbacks,
-            1 if state.pending_cold else 0,
-        )
+        return state.ticks - marked_ticks, state.fallbacks - marked_fallbacks

@@ -143,18 +143,20 @@ class StreamScheduler:
     input projections, and every window detector and the online attacker's
     context read from there.
 
-    When one *phased* incremental detector object (one exposing
-    ``begin_scores_incremental`` — MAD-GAN) backs two or more detector
-    groups in a tick (i.e. is shared across lanes), the scheduler runs each
-    group's warm phase separately but merges every group's owed cold
-    inversions into ONE batched
+    Every incremental detector (MAD-GAN, see
+    :data:`~repro.detectors.streaming.INCREMENTAL_API`) is served in three
+    phases: each of its groups runs ``begin_scores_incremental`` (the warm
+    inversions and the cold-start latent draws), then the cold work every
+    group owes runs as ONE batched
     :meth:`~repro.detectors.madgan.MADGANDetector.invert_cold` call per
-    detector.  Verdicts are identical to running each lane's adapters
-    eagerly (the cold-start latents are drawn in the warm phase so the
-    detector RNG stream never shifts; pinned by
-    ``tests/test_detectors_vae_hmm.py``); only the inversion batch count
-    drops.  Deterministic detectors (LSTM-VAE, HMM, kNN) never take this
-    path, so lane-scoped bitwise parity is untouched.
+    detector per tick, then each group runs ``finish_predict_incremental``.
+    The cold-start latents are drawn in the begin phase, so the detector
+    RNG stream never shifts: a detector backing one group scores bitwise
+    like its one-shot ``scores_incremental``, and one shared across lanes
+    gives each lane's one-shot verdicts (both pinned by
+    ``tests/test_detectors_vae_hmm.py``).
+    Deterministic detectors (LSTM-VAE, HMM, kNN) answer one ``predict`` per
+    group, so lane-scoped bitwise parity is untouched.
 
     Parameters
     ----------
@@ -507,11 +509,13 @@ class StreamScheduler:
         All model work is one ``step_stream`` call per lane; all detector
         work is one ``predict`` call per distinct underlying detector object
         *per lane* (incremental adapters instead share one
-        ``predict_incremental`` call, which also advances their per-stream
-        states exactly once).  Batches never cross lanes: BLAS rounding is
-        batch-shape dependent, so lane-scoped batching keeps every session's
-        outputs bitwise independent of which other lanes share its
-        detectors — the invariant the sharded fabric's parity gate pins.
+        ``begin_scores_incremental`` / ``finish_predict_incremental`` pair,
+        which advances their per-stream states exactly once, and one cold
+        batch per detector).  Every other batch stays inside its lane: BLAS
+        rounding is batch-shape dependent, so lane-scoped batching keeps
+        every session's outputs bitwise independent of which other lanes
+        share its detectors — the invariant the sharded fabric's parity gate
+        pins.
         """
         obs = self.obs
         self._now = now
@@ -546,7 +550,7 @@ class StreamScheduler:
         if obs is not None:
             obs.emit_span("lane_gather", gather_started, tick=self._now, lanes=len(per_lane))
 
-        # (lane, detector object id, unit, incremental) -> views + where they go
+        # (lane, detector object id, unit) -> views + where they go
         pending_views: Dict[tuple, dict] = {}
         for lane_key, items in per_lane.items():
             self._serve_lane(lane_key, items, results, pending_views)
@@ -615,7 +619,7 @@ class StreamScheduler:
                 # share its detector (a composition dependence the sharded
                 # fabric's bitwise parity gate would reject — lanes are the
                 # atomic placement unit).
-                group_key = (lane_key, id(adapter.detector), adapter.unit, adapter.incremental)
+                group_key = (lane_key, id(adapter.detector), adapter.unit)
                 group = pending_views.get(group_key)
                 if group is None:
                     group = pending_views[group_key] = dict(
@@ -651,23 +655,13 @@ class StreamScheduler:
         obs = self.obs
         now = self._now
         # One batched query per lane per distinct detector object and view
-        # shape; incremental adapters additionally thread their per-stream
-        # states through the detector's batched incremental call.  When one
-        # *phased* incremental detector (MAD-GAN) backs several groups this
-        # tick, its groups run warm phases eagerly here but pool their owed
-        # cold inversions for one merged batch below.
-        phased_counts: Dict[int, int] = {}
-        for group in pending_views.values():
-            if group["incremental"] and hasattr(
-                group["detector"], "begin_scores_incremental"
-            ):
-                key = id(group["detector"])
-                phased_counts[key] = phased_counts.get(key, 0) + 1
-        coalescible = {key for key, count in phased_counts.items() if count >= 2}
-        # id(detector) -> [(group_key, group, plan, started, wants_scores)],
-        # in tick iteration order (the order the begin phases drew their
-        # cold-start latents — splitting the merged inversion back follows it).
-        deferred_plans: Dict[int, List] = {}
+        # shape.  Incremental groups thread their per-stream states through
+        # the detector's begin phase here and pool their owed cold
+        # inversions for one merged batch per detector below.
+        # id(detector) -> [(group_key, group, plan, started)], in tick
+        # iteration order (the order the begin phases drew their cold-start
+        # latents — splitting the merged inversion back follows it).
+        plans: Dict[int, List] = {}
 
         for group_key, group in pending_views.items():
             group_started = None
@@ -681,46 +675,36 @@ class StreamScheduler:
                 obs.registry.observe(
                     "serving.detector_batch", len(group["targets"]), lane=group_key[0]
                 )
-            stacked_views = group["views"]
-            wants_scores = any(adapter.include_scores for _, _, adapter, _, _ in group["targets"])
+            detector = group["detector"]
+            views = group["views"]
             try:
                 if group["incremental"]:
                     states = [adapter.inversion_state for _, _, adapter, _, _ in group["targets"]]
-                    if id(group["detector"]) in coalescible:
-                        plan = group["detector"].begin_scores_incremental(
-                            stacked_views, states
-                        )
-                        deferred_plans.setdefault(id(group["detector"]), []).append(
-                            (group_key, group, plan, group_started, wants_scores)
-                        )
-                        continue
-                    flags, scores = group["detector"].predict_incremental(
-                        stacked_views, states, include_scores=True
+                    plan = detector.begin_scores_incremental(views, states)
+                    plans.setdefault(id(detector), []).append(
+                        (group_key, group, plan, group_started)
                     )
-                    if not wants_scores:
-                        scores = None
-                else:
-                    flags = group["detector"].predict(stacked_views)
-                    scores = group["detector"].scores(stacked_views) if wants_scores else None
+                    continue
+                flags = detector.predict(views)
+                wants_scores = any(target[2].include_scores for target in group["targets"])
+                scores = detector.scores(views) if wants_scores else None
             except Exception as exc:
                 self._detector_failure(group["targets"], exc)
                 continue
             self._apply_group_verdicts(group_key, group, flags, scores, group_started, now)
 
-        for entries in deferred_plans.values():
+        for entries in plans.values():
             detector = entries[0][1]["detector"]
-            owed = [entry for entry in entries if entry[2].rerun_cold]
+            owed = [plan for _, _, plan, _ in entries if plan.rerun_cold]
             cold_errors = cold_latents = None
             if owed:
                 try:
                     cold_errors, cold_latents = detector.invert_cold(
-                        np.concatenate(
-                            [plan.scaled[plan.rerun_cold] for _, _, plan, _, _ in owed]
-                        ),
-                        np.concatenate([plan.cold_initial for _, _, plan, _, _ in owed]),
+                        np.concatenate([plan.scaled[plan.rerun_cold] for plan in owed]),
+                        np.concatenate([plan.cold_initial for plan in owed]),
                     )
                 except Exception as exc:
-                    for _, group, _, _, _ in entries:
+                    for _, group, _, _ in entries:
                         self._detector_failure(group["targets"], exc)
                     continue
                 if obs is not None and len(owed) >= 2:
@@ -729,7 +713,7 @@ class StreamScheduler:
                         "serving.cold_coalesce_windows", len(cold_errors)
                     )
             offset = 0
-            for group_key, group, plan, group_started, wants_scores in entries:
+            for group_key, group, plan, group_started in entries:
                 n_cold = len(plan.rerun_cold)
                 slice_errors = slice_latents = None
                 if n_cold:
@@ -738,13 +722,11 @@ class StreamScheduler:
                     offset += n_cold
                 try:
                     flags, scores = detector.finish_predict_incremental(
-                        plan, slice_errors, slice_latents, include_scores=True
+                        plan, slice_errors, slice_latents
                     )
                 except Exception as exc:
                     self._detector_failure(group["targets"], exc)
                     continue
-                if not wants_scores:
-                    scores = None
                 self._apply_group_verdicts(
                     group_key, group, flags, scores, group_started, now
                 )
@@ -754,9 +736,10 @@ class StreamScheduler:
     ) -> None:
         """Distribute one detector group's flags/scores to its sessions.
 
-        Shared by the eager per-group path and the coalesced cold-batch path
-        — verdict construction, per-verdict counters, inversion-activity
-        draining, and the ``detector_batch`` span are identical either way.
+        Shared by the stateless per-group path and the incremental
+        cold-batch path — verdict construction, per-verdict counters,
+        inversion-activity draining, and the ``detector_batch`` span are
+        identical either way.
         """
         obs = self.obs
         # (name, flagged, degraded) -> verdicts, counted once per group.
@@ -808,14 +791,12 @@ class StreamScheduler:
         counts = adapter.drain_inversion_counts()
         if counts is None:
             return
-        scored, fallbacks, deferred = counts
+        scored, fallbacks = counts
         registry = self.obs.registry
         if scored:
             registry.inc("detector.inversion_ticks_total", scored, detector=name)
         if fallbacks:
             registry.inc("detector.inversion_fallbacks_total", fallbacks, detector=name)
-        if deferred:
-            registry.inc("detector.inversion_deferred_total", deferred, detector=name)
 
     def _finish_tick_obs(self, tick_started: float, events_mark: int, results) -> None:
         """Emit the tick's trailing ``health`` and ``merge`` spans."""

@@ -216,6 +216,41 @@ class TestMADGAN:
             MADGANDetector(reconstruction_weight=1.5)
 
 
+class TestShortFits:
+    """A fit on fewer windows than one batch still trains one batch per epoch
+    with finite losses (with ``drop_last`` it used to train zero steps)."""
+
+    @pytest.mark.parametrize("name", ["madgan", "lstm_vae"])
+    def test_fit_below_batch_size_trains_every_epoch(self, monkeypatch, name):
+        from repro.detectors import LSTMVAEDetector
+        from repro.detectors import lstm_vae as vae_module
+        from repro.detectors import madgan as madgan_module
+
+        module = madgan_module if name == "madgan" else vae_module
+        steps = []
+
+        class CountingIterator(module.BatchIterator):
+            def __iter__(self):
+                batches = 0
+                for batch in super().__iter__():
+                    batches += 1
+                    yield batch
+                steps.append(batches)
+
+        monkeypatch.setattr(module, "BatchIterator", CountingIterator)
+        windows, _ = make_toy_windows(n_benign=24, n_malicious=0, seed=4)
+        if name == "madgan":
+            detector = MADGANDetector(epochs=2, hidden_size=6, inversion_steps=4, seed=0)
+            history = detector.fit(windows).history_
+            losses = history.generator_losses + history.discriminator_losses
+        else:
+            detector = LSTMVAEDetector(epochs=2, hidden_size=6, latent_dim=2, seed=0)
+            losses = detector.fit(windows).history_
+        assert detector.batch_size > len(windows)
+        assert steps == [1, 1]
+        assert len(losses) and np.isfinite(losses).all()
+
+
 class TestMADGANFastPathRegression:
     """The graph-free inversion/scoring fast paths are pinned to the named
     autodiff references: the float64 inversion's reconstruction errors within
@@ -574,12 +609,45 @@ class TestMADGANIncremental:
         assert np.isfinite(scores).all()
         assert state.error is not None
 
-    def test_predict_incremental_reuses_one_inversion(self, fitted):
+    def test_finish_predict_incremental_reuses_one_inversion(self, fitted):
         windows = sliding_windows(make_toy_trace(2, seed=11), 2)
         states = [fitted.make_inversion_state() for _ in range(len(windows))]
-        flags, scores = fitted.predict_incremental(windows, states, include_scores=True)
+        calls_before = fitted.inversion_calls
+        plan = fitted.begin_scores_incremental(windows, states)
+        flags, scores = fitted.finish_predict_incremental(plan)
         np.testing.assert_array_equal(flags, fitted.calibrator.predict(scores))
+        assert fitted.inversion_calls == calls_before + 1  # both streams start cold
         assert all(state.ticks == 1 for state in states)
+
+    def test_anomaly_relevant_regression_cold_verifies_same_tick(self):
+        """A genuine level shift re-runs the cold inversion in the very tick
+        whose warm inversion regressed, and the window is flagged."""
+        windows, labels = make_toy_windows(n_benign=120, n_malicious=0, seed=3)
+        detector = MADGANDetector(
+            epochs=3,
+            hidden_size=10,
+            inversion_steps=20,
+            warm_inversion_steps=2,
+            warm_fallback_ratio=1.02,
+            cold_refresh_interval=None,
+            seed=2,
+        ).fit(windows[labels == 0][:100])
+        history = detector.sequence_length
+        trace = make_toy_trace(4 + history, seed=42)
+        state = detector.make_inversion_state()
+        # Warm up on the benign prefix, then hit a hard spoofed level.
+        for tick in range(3):
+            detector.scores_incremental(trace[tick : tick + history][np.newaxis], [state])
+        spoofed = trace[3 : 3 + history].copy()
+        spoofed[-3:, 0] += 150.0
+        calls_before, fallbacks_before = detector.inversion_calls, state.fallbacks
+        plan = detector.begin_scores_incremental(spoofed[np.newaxis], [state])
+        flags, _ = detector.finish_predict_incremental(plan)
+        # Warm + cold = 2 inversion calls in this one tick.
+        assert plan.rerun_cold == [0] and plan.fallback_set == {0}
+        assert detector.inversion_calls == calls_before + 2
+        assert state.fallbacks == fallbacks_before + 1
+        assert int(flags[0]) == 1
 
     def test_state_alignment_validated(self, fitted):
         windows = sliding_windows(make_toy_trace(2, seed=12), 2)
@@ -658,112 +726,3 @@ class TestEnsemble:
     def test_min_votes_validated(self):
         with pytest.raises(ValueError):
             VotingEnsembleDetector([KNNDistanceDetector()], min_votes=5)
-
-
-class TestMADGANFallbackCoalescing:
-    """Deferred cold fallbacks (`fallback_defer`): under churn-heavy streams,
-    benign-scale warm regressions coalesce into fewer batched cold inversions
-    with verdicts identical to the eager mode, while anomaly-relevant
-    regressions still cold-verify in the same tick."""
-
-    BASE_KWARGS = dict(
-        epochs=3,
-        hidden_size=10,
-        inversion_steps=20,
-        warm_inversion_steps=2,  # deliberately under-converged: frequent mild
-        warm_fallback_ratio=1.02,  # regressions without any real anomaly
-        cold_refresh_interval=None,
-        seed=2,
-    )
-
-    @classmethod
-    def _fit(cls, fallback_defer):
-        windows, labels = make_toy_windows(n_benign=120, n_malicious=0, seed=3)
-        detector = MADGANDetector(fallback_defer=fallback_defer, **cls.BASE_KWARGS)
-        detector.fit(windows[labels == 0][:100])
-        return detector
-
-    @staticmethod
-    def _churn_traces(n_streams, length):
-        """Mild benign wobble everywhere; a genuine spoofed burst on a few."""
-        generator = np.random.default_rng(5)
-        traces = []
-        for index in range(n_streams):
-            trace = make_toy_trace(length, seed=30 + index)
-            trace[:, 0] += generator.normal(0, 1.2, size=len(trace))
-            if index % 4 == 0:
-                trace[20:23, 0] += 120.0
-            traces.append(trace)
-        return traces
-
-    @classmethod
-    def _replay(cls, fallback_defer, n_streams=8, n_ticks=24):
-        from repro.utils.rng import as_random_state
-
-        detector = cls._fit(fallback_defer)
-        history = detector.sequence_length
-        traces = cls._churn_traces(n_streams, n_ticks + history)
-        states = [detector.make_inversion_state() for _ in range(n_streams)]
-        detector._rng = as_random_state(99)
-        detector.inversion_calls = 0
-        verdicts = []
-        for tick in range(n_ticks):
-            windows = np.stack(
-                [trace[tick : tick + history] for trace in traces]
-            )
-            verdicts.append(detector.predict_incremental(windows, states).tolist())
-        return detector, states, verdicts
-
-    def test_invalid_fallback_defer_rejected(self):
-        with pytest.raises(ValueError, match="fallback_defer"):
-            MADGANDetector(fallback_defer=-1)
-
-    def test_fewer_inversion_calls_identical_verdicts(self):
-        eager, _, eager_verdicts = self._replay(fallback_defer=0)
-        deferred, _, deferred_verdicts = self._replay(fallback_defer=4)
-        # The deferred mode must pay strictly fewer `_invert_fast` batches...
-        assert deferred.inversion_calls < eager.inversion_calls
-        # ...with the very same decisions on every tick of every stream
-        # (including the genuinely spoofed bursts, which must stay flagged).
-        assert deferred_verdicts == eager_verdicts
-        assert sum(map(sum, eager_verdicts)) > 0
-
-    def test_deferred_streams_are_reanchored(self):
-        _, states, _ = self._replay(fallback_defer=2)
-        # Nothing may wait past its defer budget: every pending counter is
-        # below the maximum (a flush ran at or before the deadline).
-        assert all(state.pending_cold <= 2 for state in states)
-        assert any(state.fallbacks > 0 for state in states)
-
-    def test_deferral_never_inflates_scores(self):
-        """While pending, a stream reports at most its carried anchor error."""
-        detector = self._fit(fallback_defer=8)
-        history = detector.sequence_length
-        trace = make_toy_trace(6 + history, seed=41)
-        state = detector.make_inversion_state()
-        previous_error = None
-        for tick in range(6):
-            window = trace[tick : tick + history][np.newaxis]
-            detector.scores_incremental(window, [state])
-            if previous_error is not None and state.pending_cold > 1:
-                assert state.error <= previous_error + 1e-12
-            previous_error = state.error
-
-    def test_anomaly_relevant_regression_is_not_deferred(self):
-        """A genuine level shift cold-verifies in the same tick (no latency)."""
-        detector = self._fit(fallback_defer=8)
-        history = detector.sequence_length
-        trace = make_toy_trace(4 + history, seed=42)
-        state = detector.make_inversion_state()
-        # Warm up on the benign prefix, then hit a hard spoofed level.
-        for tick in range(3):
-            detector.scores_incremental(trace[tick : tick + history][np.newaxis], [state])
-        spoofed = trace[3 : 3 + history].copy()
-        spoofed[-3:, 0] += 150.0
-        calls_before = detector.inversion_calls
-        flags = detector.predict_incremental(spoofed[np.newaxis], [state])
-        # The regression escalated: a cold batch ran this very tick (warm +
-        # cold = 2 calls), the window is flagged, and nothing is left pending.
-        assert detector.inversion_calls == calls_before + 2
-        assert int(flags[0]) == 1
-        assert state.pending_cold == 0

@@ -16,9 +16,9 @@ Pins the guarantees the new detector family ships under (ISSUE 9):
   equal offline ``predict`` (HMM scores bitwise too; VAE scores within
   1e-12 — see ``docs/detectors.md`` for the tolerance table), pickle
   round-trips preserve ``state_hash`` and scores, ensemble membership;
-* the scheduler's cross-group cold-batch coalescing (the ROADMAP
-  kernel-floor gap): identical verdicts with strictly fewer inversion
-  batches when one MAD-GAN backs several lanes.
+* the scheduler's one incremental path: a MAD-GAN backing one lane scores
+  bitwise like its one-shot ``scores_incremental``, and one backing several
+  lanes gives identical verdicts with strictly fewer inversion batches.
 """
 
 import pickle
@@ -358,8 +358,6 @@ class TestStreamingOfflineParity:
         assert adapter.incremental is False
         assert adapter.inversion_state is None
         assert adapter.drain_inversion_counts() is None
-        with pytest.raises(ValueError, match="incremental"):
-            StreamingDetector(family[name], unit="window", incremental=True)
 
     @pytest.fixture(scope="class")
     def cohort_family(self, tiny_zoo, tiny_cohort):
@@ -466,22 +464,23 @@ class TestEnsembleMembership:
 
 # ------------------------------------------------- cold-batch coalescing (MAD-GAN)
 class TestColdBatchCoalescing:
-    """The ROADMAP kernel-floor gap: deferred cold work coalesces per detector
-    GROUP only — the scheduler must merge cold batches across the groups one
-    shared MAD-GAN backs, with verdicts identical to the uncoalesced path."""
+    """The scheduler serves MAD-GAN in phases, running the cold work of every
+    group one detector backs in one batch per tick: one lane scores bitwise
+    like the one-shot path, several lanes give its verdicts."""
 
     @pytest.fixture(scope="class")
     def benign(self):
         windows, labels = make_toy_windows(n_benign=60, n_malicious=0, seed=12)
         return windows[labels == 0]
 
-    def make_madgan(self, benign):
+    def make_madgan(self, benign, warm_fallback_ratio=1.5):
         detector = MADGANDetector(
             epochs=1,
             hidden_size=8,
             batch_size=32,
             inversion_steps=6,
             warm_inversion_steps=2,
+            warm_fallback_ratio=warm_fallback_ratio,
             cold_refresh_interval=4,
             max_samples=200,
             seed=0,
@@ -510,6 +509,46 @@ class TestColdBatchCoalescing:
                 right = phased.finish_scores_incremental(plan)
             np.testing.assert_array_equal(left, right)
         assert one_shot.inversion_calls == phased.inversion_calls
+
+    def test_one_lane_scores_equal_one_shot_bitwise(self, benign, predictor):
+        """A MAD-GAN backing one lane serves, tick for tick, the very scores
+        and flags of its one-shot ``scores_incremental`` on the same windows:
+        cold starts, warm fallbacks and ``cold_refresh_interval`` re-anchors
+        included."""
+        from repro.serving import StreamScheduler
+
+        served = self.make_madgan(benign, warm_fallback_ratio=1.0)
+        reference = self.make_madgan(benign, warm_fallback_ratio=1.0)
+        traces = {f"toy/{index}": make_toy_trace(14, seed=60 + index) for index in range(2)}
+        scheduler = StreamScheduler()
+        for session_id in traces:
+            scheduler.open_session(
+                "toy",
+                predictor,
+                detectors={
+                    "madgan": StreamingDetector(served, unit="window", include_scores=True)
+                },
+                session_id=session_id,
+            )
+        assert scheduler.n_lanes == 1
+        states = [reference.make_inversion_state() for _ in traces]
+        history = served.sequence_length
+        for tick in range(len(traces["toy/0"])):
+            outcomes = scheduler.tick({sid: trace[tick] for sid, trace in traces.items()})
+            if tick < history - 1:
+                continue
+            windows = np.stack(
+                [trace[tick - history + 1 : tick + 1] for trace in traces.values()]
+            )
+            scores = reference.scores_incremental(windows, states)
+            verdicts = [outcomes[sid].verdicts["madgan"] for sid in traces]
+            assert [verdict.score for verdict in verdicts] == scores.tolist()
+            assert [verdict.flagged for verdict in verdicts] == [
+                bool(flag) for flag in reference.calibrator.predict(scores)
+            ]
+        assert states[0].ticks > served.cold_refresh_interval
+        assert any(state.fallbacks for state in states)
+        assert served.inversion_calls == reference.inversion_calls
 
     def test_finish_validates_cold_results(self, benign):
         detector = self.make_madgan(benign)
@@ -560,9 +599,8 @@ class TestColdBatchCoalescing:
             for tick in range(26)
         ]
 
-        # Eager reference: one scheduler per lane (a lone lane never
-        # coalesces), ticked in delivery (= lane) order, so every lane pays
-        # its own cold inversion.
+        # Reference: one scheduler per lane, ticked in delivery (= lane)
+        # order, so every lane pays its own cold inversion.
         reference = self.make_madgan(benign)
         sessions = {
             record.label: stream_session(

@@ -16,6 +16,7 @@ Pins the contracts of :mod:`repro.obs`:
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -323,17 +324,18 @@ class _DivergingBrain(AnomalyDetector):
     def make_inversion_state(self):
         return InversionState()
 
-    def scores_incremental(self, windows, states):
+    def begin_scores_incremental(self, windows, states):
         scores = self.scores(windows)
         for state, score in zip(states, scores):
             state.ticks += 1
             state.consecutive_fallbacks = state.consecutive_fallbacks + 1 if score > 1.2 else 0
-        return scores
+        return SimpleNamespace(rerun_cold=[], scores=scores)
 
-    def predict_incremental(self, windows, states, include_scores=False):
-        scores = self.scores_incremental(windows, states)
-        flags = (scores > 1.5).astype(int)
-        return (flags, scores) if include_scores else flags
+    def invert_cold(self, scaled_windows, initial):
+        raise AssertionError("the stub never owes cold work")
+
+    def finish_predict_incremental(self, plan, cold_errors=None, cold_latents=None):
+        return (plan.scores > 1.5).astype(int), plan.scores
 
 
 class TestVerdictCounters:

@@ -328,11 +328,11 @@ class TestSnapshotFiles:
 
 
 class TestCommittedSnapshotCompatibility:
-    """Version 2 snapshot files written by an earlier version still restore.
+    """Snapshot files written by an earlier version still restore.
 
     Each ``tests/data/*.snap.gz`` holds, gzip-compressed, the exact bytes
-    :func:`write_snapshot` wrote at snapshot version 2 with the code of that
-    time; its ``*_ticks.json`` sidecar (strict JSON) holds the next 20
+    :func:`write_snapshot` wrote at the snapshot version its name gives,
+    with the code of that time; its ``*_ticks.json`` sidecar (strict JSON) holds the next 20
     deliveries and the outcomes the writing code produced for them.  Every
     fifth tick delivers to one session only, so both tick shapes are
     replayed.  Version 2 kept each session's history in per-session and
@@ -348,15 +348,28 @@ class TestCommittedSnapshotCompatibility:
       rejected deliveries quarantined the second session, which was
       re-admitted and is re-warming at capture, so its rings are partly
       filled while the first session's are full and wrapped.
+    * ``scheduler_v3_madgan``: version 3, written while MAD-GAN could still
+      defer cold fallbacks, so every ``InversionState`` carries a
+      ``pending_cold`` field.  One lane (a hidden-size-4 aggregate
+      forecaster) serves two sessions, each with a window-unit MAD-GAN
+      monitor (scores on, ``cold_refresh_interval=6``, health off),
+      captured after 16 ticks.  The second session joined at tick 10, so
+      its cold start, and both sessions' warm fallbacks and refreshes, fall
+      in the replay.  Its sidecar also holds each stream's inversion
+      ``ticks`` / ``fallbacks`` after the replay, and the replay must match
+      bitwise.
     """
 
     DATA = Path(__file__).resolve().parent / "data"
 
-    def replay_fixture(self, tmp_path, name):
+    def replay_fixture(self, tmp_path, name, version=2, exact=False):
+        def close(want):
+            return want if exact else pytest.approx(want, abs=1e-10)
+
         path = tmp_path / f"{name}.snap"
         path.write_bytes(gzip.decompress((self.DATA / f"{name}.snap.gz").read_bytes()))
         snapshot = read_snapshot(path)
-        assert (snapshot.version, SNAPSHOT_VERSION) == (2, 3)
+        assert (snapshot.version, SNAPSHOT_VERSION) == (version, 3)
         sidecar = json.loads((self.DATA / f"{name}_ticks.json").read_text())
         restored = StreamScheduler.restore(snapshot)
         assert (restored.n_lanes, restored.n_sessions) == (1, 2)
@@ -375,9 +388,7 @@ class TestCommittedSnapshotCompatibility:
                     expected["tick"],
                     expected["dropped"],
                 )
-                assert outcome.prediction == pytest.approx(
-                    expected["prediction"], abs=1e-10
-                )
+                assert outcome.prediction == close(expected["prediction"])
                 assert sorted(outcome.verdicts) == sorted(expected["verdicts"])
                 for name, want in expected["verdicts"].items():
                     verdict = outcome.verdicts[name]
@@ -387,7 +398,7 @@ class TestCommittedSnapshotCompatibility:
                         verdict.flagged,
                         verdict.degraded,
                     ) == (want["tick"], want["warming"], want["flagged"], want["degraded"])
-                    assert verdict.score == pytest.approx(want["score"], abs=1e-10)
+                    assert verdict.score == close(want["score"])
         return restored, sidecar
 
     def test_v2_snapshot_restores_and_keeps_ticking(self, tmp_path):
@@ -403,6 +414,21 @@ class TestCommittedSnapshotCompatibility:
             if not outcome["dropped"]
         ]
         assert any(warming) and not all(warming)
+
+    def test_madgan_snapshot_with_pending_cold_ticks_on_bitwise(self, tmp_path):
+        restored, sidecar = self.replay_fixture(
+            tmp_path, "scheduler_v3_madgan", version=3, exact=True
+        )
+        for session_id, want in sidecar["inversion"].items():
+            state = restored.session(session_id).detectors["madgan"].inversion_state
+            assert (state.ticks, state.fallbacks) == (want["ticks"], want["fallbacks"])
+        scored = [
+            outcome["verdicts"]["madgan"]["score"]
+            for entry in sidecar["ticks"]
+            for outcome in entry["outcomes"].values()
+        ]
+        assert any(score is None for score in scored)  # the second stream warms
+        assert all(want["fallbacks"] for want in sidecar["inversion"].values())
 
     @staticmethod
     def as_v2(scheduler, session, samples):

@@ -744,12 +744,23 @@ class TestIncrementalStreamingAdapter:
 
     def test_incremental_auto_enabled_for_window_units(self, madgan, sample_detector):
         assert StreamingDetector(madgan, unit="window").incremental
-        assert not StreamingDetector(madgan, unit="window", incremental=False).incremental
         assert not StreamingDetector(sample_detector, unit="sample").incremental
 
-    def test_incremental_requires_capable_detector(self, sample_detector):
-        with pytest.raises(ValueError, match="incremental"):
-            StreamingDetector(sample_detector, unit="sample", incremental=True)
+    def test_incremental_requires_window_unit_and_whole_protocol(self, madgan):
+        assert not StreamingDetector(madgan, unit="sample").incremental
+
+        class WithoutColdBatch:  # no invert_cold
+            def make_inversion_state(self):
+                return madgan.make_inversion_state()
+
+            def begin_scores_incremental(self, windows, states):
+                return madgan.begin_scores_incremental(windows, states)
+
+            def finish_predict_incremental(self, plan, cold_errors=None, cold_latents=None):
+                return madgan.finish_predict_incremental(plan, cold_errors, cold_latents)
+
+        adapter = StreamingDetector(WithoutColdBatch(), unit="window")
+        assert not adapter.incremental and adapter.inversion_state is None
 
     def test_update_advances_state_once_per_tick(self, madgan, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
@@ -783,8 +794,6 @@ class TestIncrementalStreamingAdapter:
     def test_family_is_stateless(self, window_brains, name):
         detector = window_brains[name]
         assert not StreamingDetector(detector, unit="window").incremental
-        with pytest.raises(ValueError, match="incremental"):
-            StreamingDetector(detector, unit="window", incremental=True)
 
     @pytest.mark.parametrize("name", ["lstm_vae", "hmm"])
     def test_family_threads_stream_state_per_tick(

@@ -17,6 +17,8 @@ Covers the robustness contract end to end:
   harness gates (tier-1 wiring of ``scripts/chaos_replay.py``).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -539,12 +541,14 @@ class _StubIncrementalDetector(AnomalyDetector):
     def make_inversion_state(self):
         return _StubState()
 
-    def scores_incremental(self, windows, states):
-        return np.zeros(len(windows))
+    def begin_scores_incremental(self, windows, states):
+        return SimpleNamespace(rerun_cold=[], count=len(windows))
 
-    def predict_incremental(self, windows, states, include_scores=False):
-        flags = np.zeros(len(windows), dtype=int)
-        return (flags, np.zeros(len(windows))) if include_scores else flags
+    def invert_cold(self, scaled_windows, initial):
+        raise AssertionError("the stub never owes cold work")
+
+    def finish_predict_incremental(self, plan, cold_errors=None, cold_latents=None):
+        return np.zeros(plan.count, dtype=int), np.zeros(plan.count)
 
 
 class TestDivergenceWatchdog:
@@ -563,8 +567,7 @@ class TestDivergenceWatchdog:
 
     def test_watchdog_disabled_or_stateless_is_never_tripped(self):
         stateless = StreamingDetector(
-            _StubIncrementalDetector(), unit="window", history=3, incremental=False,
-            divergence_watchdog=1,
+            _StubIncrementalDetector(), unit="sample", divergence_watchdog=1
         )
         assert not stateless.watchdog_tripped()
         no_watchdog = StreamingDetector(
