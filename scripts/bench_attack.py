@@ -5,15 +5,19 @@ Times one small, fixed attack campaign under five engine configurations:
 
 * ``graph_per_window``       — the seed configuration: every model query runs
   through the full reverse-mode autodiff graph
-  (``GlucosePredictor.predict_graph``), one window at a time.
-* ``fast_per_window``        — graph-free numpy inference, one window at a time.
-* ``fast_batched``           — PR 1's engine: graph-free inference plus lockstep
-  batched search per patient, with the per-edge candidate expansion.
-* ``fast_batched_vectorized``— lockstep per patient with vectorized candidate
-  generation (``candidates_batch`` + batched constraint passes).
-* ``fast_cohort``            — the full engine: vectorized expansion plus
-  cross-patient cohort batching (patients sharing a model advance together,
-  one model query per search depth for the whole cohort).
+  (``GlucosePredictor.predict_graph``), one
+  ``EvasionAttack.attack_window`` call per window.
+* ``fast_per_window``        — graph-free numpy inference, one
+  ``attack_window`` call per window.
+* ``fast_batched``           — graph-free inference plus lockstep batched
+  search per patient (an ``AttackCampaign.run_patient`` loop), with the
+  per-edge candidate expansion.
+* ``fast_batched_vectorized``— the ``run_patient`` loop with vectorized
+  candidate generation (``candidates_batch`` + batched constraint passes).
+* ``fast_cohort``            — the full engine: ``AttackCampaign.run_cohort``,
+  vectorized expansion plus cross-patient cohort batching (patients sharing a
+  model advance together, one model query per search depth for the whole
+  cohort).
 
 The benchmark cohort shares the aggregate model (``train_personalized=False``)
 so cross-patient batching is exercised — this is the aggregate-model campaign
@@ -25,8 +29,10 @@ performance trajectory, and verifies the fast path's regression guarantee
 (fast vs graph predictions within 1e-10) on every benchmark window.
 
 ``--smoke`` runs the equivalence check plus one untimed pass of every
-configuration and explorer on a coarse stride, checks that every
-configuration attacks the same windows, and writes nothing (CI use).
+configuration and explorer on a coarse stride, checks that every fast
+configuration's records equal ``fast_per_window``'s (attribution,
+eligibility, success, queries, path and adversarial-window bytes), and
+writes nothing (CI use).
 
 Usage::
 
@@ -43,7 +49,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.attacks import AttackCampaign, BeamExplorer, EvasionAttack, GreedyExplorer, RandomExplorer
+from repro.attacks import (
+    AttackCampaign,
+    BeamExplorer,
+    CampaignResult,
+    EvasionAttack,
+    GreedyExplorer,
+    RandomExplorer,
+)
 from repro.data import SyntheticOhioT1DM, make_patient_profile
 from repro.glucose import GlucoseModelZoo
 from repro.obs import Timer
@@ -93,13 +106,24 @@ def graph_inference(zoo: GlucoseModelZoo):
             vars(model).pop("predict", None)
 
 
-def make_attack_factory(explorer_factory=None, vectorized: bool = True):
-    """An EvasionAttack factory with a chosen explorer and expansion mode."""
+class PerWindowAttack(EvasionAttack):
+    """``attack_batch`` as its sequential reference: one ``attack_window`` per window."""
+
+    def attack_batch(self, windows, scenarios, constraint=None):
+        return [
+            self.attack_window(window, scenario, constraint)
+            for window, scenario in zip(windows, scenarios)
+        ]
+
+
+def make_attack_factory(explorer_factory=None, vectorized: bool = True, per_window: bool = False):
+    """An EvasionAttack factory with a chosen explorer, expansion mode and engine."""
+    attack_class = PerWindowAttack if per_window else EvasionAttack
 
     def factory(predictor):
         explorer = explorer_factory() if explorer_factory is not None else GreedyExplorer()
         explorer.use_batched_candidates = vectorized
-        return EvasionAttack(predictor, explorer=explorer)
+        return attack_class(predictor, explorer=explorer)
 
     return factory
 
@@ -108,14 +132,18 @@ def time_campaign(
     zoo,
     cohort,
     repeats: int,
-    batched: bool,
     graph: bool = False,
-    cohort_batched: bool = False,
+    per_window: bool = False,
+    merge_cohort: bool = False,
     vectorized: bool = True,
     explorer_factory=None,
     stride: int = BENCH_STRIDE,
 ):
-    """Run the fixed campaign ``repeats`` times; return (best seconds, result)."""
+    """Run the fixed campaign ``repeats`` times; return (best seconds, result).
+
+    ``merge_cohort`` runs ``run_cohort``; otherwise the campaign is a
+    ``run_patient`` loop over the cohort.
+    """
     timer = Timer()
     result = None
     with graph_inference(zoo) if graph else nullcontext():
@@ -123,13 +151,32 @@ def time_campaign(
             campaign = AttackCampaign(
                 zoo,
                 stride=stride,
-                batched=batched,
-                cohort_batched=cohort_batched,
-                attack_factory=make_attack_factory(explorer_factory, vectorized),
+                attack_factory=make_attack_factory(explorer_factory, vectorized, per_window),
             )
             with timer.lap():
-                result = campaign.run_cohort(cohort, split="test")
+                if merge_cohort:
+                    result = campaign.run_cohort(cohort, split="test")
+                else:
+                    result = CampaignResult()
+                    for record in cohort:
+                        result.records.extend(campaign.run_patient(record, "test").records)
     return timer.best, result
+
+
+def record_keys(result):
+    """What two engines must agree on, per record, for the same campaign."""
+    return [
+        (
+            record.patient_label,
+            record.window_index,
+            record.result.eligible,
+            record.result.success,
+            record.result.queries,
+            tuple(record.result.path),
+            record.result.adversarial_window.tobytes(),
+        )
+        for record in result.records
+    ]
 
 
 def equivalence_check(zoo, cohort) -> float:
@@ -155,11 +202,11 @@ def bench_explorers(zoo, cohort, repeats: int, stride: int = EXPLORER_STRIDE):
     report = {}
     for name, factory in factories.items():
         sequential, _ = time_campaign(
-            zoo, cohort, repeats, batched=False,
+            zoo, cohort, repeats, per_window=True,
             explorer_factory=factory, stride=stride,
         )
         lockstep, result = time_campaign(
-            zoo, cohort, repeats, batched=True, cohort_batched=True,
+            zoo, cohort, repeats, merge_cohort=True,
             explorer_factory=factory, stride=stride,
         )
         report[name] = {
@@ -176,11 +223,11 @@ def bench_explorers(zoo, cohort, repeats: int, stride: int = EXPLORER_STRIDE):
 
 
 CONFIGURATIONS = {
-    "graph_per_window": dict(batched=False, graph=True),
-    "fast_per_window": dict(batched=False),
-    "fast_batched": dict(batched=True, vectorized=False),
-    "fast_batched_vectorized": dict(batched=True, vectorized=True),
-    "fast_cohort": dict(batched=True, vectorized=True, cohort_batched=True),
+    "graph_per_window": dict(per_window=True, graph=True),
+    "fast_per_window": dict(per_window=True),
+    "fast_batched": dict(vectorized=False),
+    "fast_batched_vectorized": dict(vectorized=True),
+    "fast_cohort": dict(vectorized=True, merge_cohort=True),
 }
 
 
@@ -190,13 +237,15 @@ def run_smoke(zoo, cohort) -> None:
     print(f"  max |fast - graph| prediction gap: {max_gap:.3e}")
     if not max_gap <= 1e-10:
         raise SystemExit("fast path diverged from the autodiff path beyond 1e-10")
-    attacked = {}
+    keys = {}
     for name, config in CONFIGURATIONS.items():
         _, result = time_campaign(zoo, cohort, repeats=1, stride=SMOKE_STRIDE, **config)
-        attacked[name] = len(result.records)
-        print(f"  {name}: {attacked[name]} windows")
-    if len(set(attacked.values())) != 1:
-        raise SystemExit(f"configurations attacked different windows: {attacked}")
+        keys[name] = record_keys(result)
+        print(f"  {name}: {len(result.records)} windows")
+    # graph_per_window is left out: its predictions agree to 1e-10, not bitwise.
+    for name in ("fast_batched", "fast_batched_vectorized", "fast_cohort"):
+        if keys[name] != keys["fast_per_window"]:
+            raise SystemExit(f"{name} records differ from fast_per_window")
     bench_explorers(zoo, cohort, repeats=1, stride=SMOKE_EXPLORER_STRIDE)
     print("attack smoke passed")
 

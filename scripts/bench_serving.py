@@ -80,11 +80,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
-BENCH_PATIENTS = [("A", 5), ("A", 0), ("A", 2)]
-BENCH_SEED = 13
-ZOO_KWARGS = dict(
-    predictor_kwargs=dict(epochs=2, hidden_size=16), train_personalized=False, seed=5
-)
+from chaos_replay import BENCH_PATIENTS, BENCH_SEED, build_fixture
 
 #: Measured ticks per session count (after a ``history``-tick warm-up).
 SESSION_CONFIGS = {1: 120, 64: 60, 1024: 20}
@@ -189,16 +185,6 @@ def alternating_pairs(n_pairs: int, run, pair_value):
         "quartiles": [q1, q3],
     }
     return summary, outputs
-
-
-def build_fixture():
-    profiles = [make_patient_profile(subset, pid) for subset, pid in BENCH_PATIENTS]
-    cohort = SyntheticOhioT1DM(
-        train_days=2, test_days=1, seed=BENCH_SEED, profiles=profiles
-    ).generate()
-    zoo = GlucoseModelZoo(**ZOO_KWARGS)
-    zoo.fit(cohort)
-    return cohort, zoo
 
 
 def session_traces(cohort, n_sessions: int, n_ticks: int):

@@ -90,6 +90,8 @@ from check_parity import (
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+#: The fixture (cohort + aggregate zoo); ``scripts/bench_serving.py`` imports
+#: it too, so both benchmarks serve the same models.
 BENCH_PATIENTS = [("A", 5), ("A", 0), ("A", 2)]
 BENCH_SEED = 13
 ZOO_KWARGS = dict(

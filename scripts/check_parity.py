@@ -4,8 +4,7 @@ On a tiny cohort it asserts explorer lockstep parity and the 1e-10 inference
 fast path (:func:`run_checks`), fused-training parity (:func:`run_training_parity`),
 stream == offline serving (:func:`run_serving_smoke`,
 :func:`run_detector_family_smoke`), every chaos gate (:func:`run_chaos_smoke`),
-sharded campaign parity (:func:`run_campaign_parity`), and MAD-GAN's float32
-inversion against its float64 reference (:func:`run_madgan_dtype_parity`).
+and MAD-GAN's float32 inversion against its float64 reference (:func:`run_madgan_dtype_parity`).
 It also holds the
 **twin table** (:data:`TWIN_ROWS`): each row serves one scenario two ways —
 single process, sharded, observed, SIGKILLed mid-run, or restored from a
@@ -28,13 +27,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks import (
-    AttackCampaign,
-    BeamExplorer,
-    EvasionAttack,
-    GreedyExplorer,
-    RandomExplorer,
-)
+from repro.attacks import BeamExplorer, EvasionAttack, GreedyExplorer, RandomExplorer
 from repro.data import SyntheticOhioT1DM, make_patient_profile
 from repro.detectors import (
     GaussianHMMDetector,
@@ -157,11 +150,13 @@ def run_checks(
         report[name] = {}
         for seed in seeds:
             batched = EvasionAttack(predictor, explorer=factory(seed)).attack_batch(
-                windows, scenarios, batched=True
+                windows, scenarios
             )
-            sequential = EvasionAttack(predictor, explorer=factory(seed)).attack_batch(
-                windows, scenarios, batched=False
-            )
+            attack = EvasionAttack(predictor, explorer=factory(seed))
+            sequential = [
+                attack.attack_window(window, scenario)
+                for window, scenario in zip(windows, scenarios)
+            ]
             _compare_results(batched, sequential)
             report[name][seed] = {
                 "n_eligible": sum(result.eligible for result in batched),
@@ -448,26 +443,6 @@ def run_madgan_dtype_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, float]:
     test_windows, _, _ = zoo.dataset.from_cohort(cohort, split="test")
     detector = MADGANDetector(epochs=3, inversion_steps=40, seed=4).fit(train_windows)
     return madgan_dtype_gap(detector, test_windows)
-
-
-def run_campaign_parity(zoo: GlucoseModelZoo, cohort) -> Dict[str, int]:
-    """``AttackCampaign.run_cohort(n_workers=2)`` equals the single-process campaign.
-
-    Record for record on a multi-lane zoo: attribution, eligibility, success,
-    paths, query counts and adversarial windows.
-    """
-    campaign = AttackCampaign(zoo, stride=40)
-    single = campaign.run_cohort(cohort)
-    sharded = campaign.run_cohort(cohort, n_workers=2)
-    assert len(single.records) == len(sharded.records) > 0, "campaign record count mismatch"
-    for left, right in zip(single.records, sharded.records):
-        assert (left.patient_label, left.window_index, left.target_index) == (
-            right.patient_label,
-            right.window_index,
-            right.target_index,
-        ), "campaign record attribution diverged under n_workers=2"
-        _compare_results([left.result], [right.result])
-    return {"campaign_records": len(single.records)}
 
 
 # ----------------------------------------------------------------- twin table
@@ -996,7 +971,6 @@ def main() -> int:
         ("chaos smoke (every chaos gate)", lambda: run_chaos_smoke(zoo, cohort)),
         ("detector family (stream vs offline)", lambda: run_detector_family_smoke(zoo, cohort)),
         ("MAD-GAN float32 vs float64 inversion", lambda: run_madgan_dtype_parity(zoo, cohort)),
-        ("sharded campaign (n_workers=2)", lambda: run_campaign_parity(bench.zoo, cohort)),
         *(
             (f"twin {row.id}", lambda row=row: {"restarts": run_twin(bench, row)[1]["restarts"]})
             for row in TWIN_ROWS

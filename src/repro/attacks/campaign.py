@@ -184,24 +184,6 @@ class CampaignResult:
         return np.stack(samples), np.asarray(labels, dtype=int), provenance
 
 
-def _campaign_worker(campaign: "AttackCampaign", tasks: Dict[str, tuple], conn) -> None:
-    """Forked worker: run a subset of per-model group searches and report back.
-
-    Fork semantics matter here: the campaign (and its possibly-unpicklable
-    ``attack_factory`` closure) is inherited by memory image, never pickled;
-    only the :class:`AttackResult` lists return through the pipe.
-    """
-    try:
-        results = {key: campaign._attack_one_group(*task) for key, task in tasks.items()}
-        conn.send(("ok", results))
-    except Exception:
-        import traceback
-
-        conn.send(("err", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
 class AttackCampaign:
     """Run the evasion attack over patient traces.
 
@@ -218,32 +200,18 @@ class AttackCampaign:
     attack_factory:
         Callable building an :class:`EvasionAttack` from a predictor; lets the
         caller swap explorers or transformation sets.
-    batched:
-        When True (the default) each patient's windows are attacked through
-        :meth:`EvasionAttack.attack_batch`: a single model call screens every
-        window for eligibility and the explorer advances all windows in
-        lockstep.  Set False to restore the sequential per-window loop
-        (identical records, far slower).
-    cohort_batched:
-        When True, :meth:`run_cohort` merges the eligible windows of every
-        patient *sharing a target model* (e.g. the aggregate-model campaign)
-        into one lockstep search, so a whole cohort advances together with
-        one model query per search depth.  Sharing is decided by
-        :meth:`GlucosePredictor.state_hash` — weights plus scaler, not object
-        identity — so separately loaded copies of one checkpoint also merge.
-        Per-patient
-        :class:`WindowAttackRecord` attribution and record ordering are
-        preserved.  Defaults to ``batched``; with deterministic explorers
-        (greedy, beam) the records are identical to per-patient runs, while
-        stochastic explorers allocate their RNG stream across the merged
-        batch (still reproducible for a fixed seed — see
-        ``tests/test_attacks_batched.py``).
     obs:
         Optional :class:`~repro.obs.Observer`.  Each run folds its record
         totals into ``campaign.windows_attacked_total`` (labeled eligible /
         success) and ``campaign.model_queries_total`` — per-record event
-        counts, so the series are independent of batching mode or worker
-        count.  None (the default) records nothing.
+        counts, so the series are the same whether windows are attacked per
+        patient or cohort-merged.  None (the default) records nothing.
+
+    Every run goes through :meth:`EvasionAttack.attack_batch`: a single model
+    call screens every window for eligibility and the explorer advances all
+    windows in lockstep.  :meth:`run_cohort` further merges the windows of
+    every patient sharing a target model into one search, and
+    :meth:`run_patient` is its per-patient reference.
     """
 
     def __init__(
@@ -252,8 +220,6 @@ class AttackCampaign:
         dataset: Optional[ForecastingDataset] = None,
         stride: int = 1,
         attack_factory=None,
-        batched: bool = True,
-        cohort_batched: Optional[bool] = None,
         obs=None,
     ):
         if stride <= 0:
@@ -262,8 +228,6 @@ class AttackCampaign:
         self.dataset = dataset or zoo.dataset
         self.stride = int(stride)
         self.attack_factory = attack_factory or (lambda predictor: EvasionAttack(predictor))
-        self.batched = bool(batched)
-        self.cohort_batched = self.batched if cohort_batched is None else bool(cohort_batched)
         self.obs = obs
 
     def _emit_records(self, records: Sequence[WindowAttackRecord]) -> None:
@@ -318,58 +282,29 @@ class AttackCampaign:
             return result
         windows, window_indices, target_indices, window_scenarios = prepared
         attack = self.attack_factory(self.zoo.model_for(record.label))
-        attack_results = attack.attack_batch(windows, window_scenarios, batched=self.batched)
+        attack_results = attack.attack_batch(windows, window_scenarios)
         result.records.extend(
             self._records_for(record, split, window_indices, target_indices, attack_results)
         )
         self._emit_records(result.records)
         return result
 
-    def run_cohort(
-        self,
-        cohort: Cohort,
-        split: str = "test",
-        n_workers: Optional[int] = None,
-    ) -> CampaignResult:
+    def run_cohort(self, cohort: Cohort, split: str = "test") -> CampaignResult:
         """Attack every patient in a cohort and merge the records.
 
-        With ``cohort_batched`` (the default when ``batched``), patients that
-        share a target model are attacked through ONE merged lockstep search:
-        a single eligibility screen covers every patient's windows and each
-        search depth issues one model query for the whole cohort, instead of
-        one batch per patient.  Records keep per-patient attribution and are
-        ordered exactly as the per-patient loop would order them (cohort
-        order, then trace order).
-
-        ``n_workers`` shards the per-model groups across forked worker
-        processes (requires ``cohort_batched``).  Each group's lockstep
-        search is the atomic unit of work and runs *unchanged* inside its
-        worker — same factory call, same merged batch — so the records are
-        equal record-for-record to the single-process path; per-patient
-        attribution and cohort record ordering are preserved by the parent.
-        Workers are forked, so ``attack_factory`` closures need not be
-        picklable; but a factory must not close over one *live* shared
-        ``RandomState`` expecting cross-group draw interleaving — after the
-        fork each worker advances a private copy of the stream (the aliasing
-        hazard :meth:`repro.utils.rng.RandomState.fork` documents).  Seeded
-        explorers built per group (the default shape) are unaffected.  Falls
-        back to in-process execution when ``fork`` is unavailable or there
-        are fewer than two groups.
+        Patients that share a target model are attacked through ONE merged
+        lockstep search: a single eligibility screen covers every patient's
+        windows and each search depth issues one model query for the whole
+        group, instead of one batch per patient.  Sharing is decided by
+        :meth:`GlucosePredictor.state_hash` — weights plus scaler, not object
+        identity — so separately loaded copies of one checkpoint also merge.
+        Records keep per-patient attribution and are ordered exactly as the
+        per-patient loop would order them (cohort order, then trace order).
+        With deterministic explorers (greedy, beam) the records equal a
+        :meth:`run_patient` loop's record for record; stochastic explorers
+        allocate their RNG stream across the merged batch (still
+        reproducible for a fixed seed).
         """
-        merged = CampaignResult()
-        if n_workers is not None and n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if not (self.batched and self.cohort_batched):
-            if n_workers is not None and n_workers > 1:
-                raise ValueError(
-                    "n_workers > 1 requires cohort_batched campaigns: the "
-                    "per-model merged search is the unit of work sharded "
-                    "across workers"
-                )
-            for record in cohort:
-                merged.records.extend(self.run_patient(record, split).records)
-            return merged
-
         prepared_by_label: Dict[str, tuple] = {}
         groups: Dict[str, List[PatientRecord]] = {}
         predictors: Dict[str, object] = {}
@@ -381,9 +316,6 @@ class AttackCampaign:
             if prepared is None:
                 continue
             predictor = self.zoo.model_for(record.label)
-            # Group by weight+scaler hash rather than object identity, so
-            # separately loaded copies of the same checkpoint (which answer
-            # every query identically) merge into one lockstep search.
             key = hash_by_id.get(id(predictor))
             if key is None:
                 key = hash_by_id[id(predictor)] = predictor.state_hash()
@@ -391,7 +323,7 @@ class AttackCampaign:
             predictors[key] = predictor
             groups.setdefault(key, []).append(record)
 
-        tasks: Dict[str, tuple] = {}
+        records_by_label: Dict[str, List[WindowAttackRecord]] = {}
         for key, group in groups.items():
             merged_windows = np.concatenate(
                 [prepared_by_label[record.label][0] for record in group]
@@ -401,12 +333,8 @@ class AttackCampaign:
                 for record in group
                 for scenario in prepared_by_label[record.label][3]
             ]
-            tasks[key] = (predictors[key], merged_windows, merged_scenarios)
-        results_by_key = self._attack_groups(tasks, n_workers)
-
-        records_by_label: Dict[str, List[WindowAttackRecord]] = {}
-        for key, group in groups.items():
-            attack_results = results_by_key[key]
+            attack = self.attack_factory(predictors[key])
+            attack_results = attack.attack_batch(merged_windows, merged_scenarios)
             offset = 0
             for record in group:
                 _, window_indices, target_indices, _ = prepared_by_label[record.label]
@@ -420,71 +348,8 @@ class AttackCampaign:
                 )
                 offset += count
 
+        merged = CampaignResult()
         for record in cohort:  # preserve the per-patient record ordering
             merged.records.extend(records_by_label.get(record.label, []))
-        # The per-patient path emitted inside run_patient; the merged path
-        # emits here — either way, once per attacked window.
         self._emit_records(merged.records)
         return merged
-
-    # ------------------------------------------------------------------ sharding
-    def _attack_one_group(self, predictor, windows, scenarios) -> List[AttackResult]:
-        """One merged lockstep search — identical in- and cross-process."""
-        attack = self.attack_factory(predictor)
-        return attack.attack_batch(windows, scenarios, batched=True)
-
-    def _attack_groups(
-        self, tasks: Dict[str, tuple], n_workers: Optional[int]
-    ) -> Dict[str, List[AttackResult]]:
-        """Run every per-model group search, optionally across forked workers.
-
-        Groups are assigned round-robin in group-creation order (first
-        patient appearance — deterministic and independent of worker
-        count's effect on results: each group's search runs identically
-        wherever it lands).  Worker exceptions are re-raised parent-side
-        with the worker traceback attached.
-        """
-        import multiprocessing
-
-        keys = list(tasks)
-        use_workers = (
-            n_workers is not None
-            and n_workers > 1
-            and len(keys) > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        if not use_workers:
-            return {key: self._attack_one_group(*tasks[key]) for key in keys}
-
-        context = multiprocessing.get_context("fork")
-        shards = [keys[index::n_workers] for index in range(n_workers)]
-        shards = [shard for shard in shards if shard]
-        workers = []
-        for shard in shards:
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_campaign_worker,
-                args=(self, {key: tasks[key] for key in shard}, child_conn),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            workers.append((process, parent_conn))
-
-        results_by_key: Dict[str, List[AttackResult]] = {}
-        failure: Optional[RuntimeError] = None
-        for process, conn in workers:
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                status, payload = "err", "campaign worker died before reporting"
-            if status == "ok":
-                results_by_key.update(payload)
-            elif failure is None:
-                failure = RuntimeError(f"campaign worker failed:\n{payload}")
-            conn.close()
-        for process, _ in workers:
-            process.join()
-        if failure is not None:
-            raise failure
-        return results_by_key

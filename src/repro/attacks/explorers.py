@@ -98,21 +98,12 @@ def _expand_many(
     return results
 
 
-#: One explorer-seed entry: an already-scored window plus the transformation
-#: path that produced it — ``(window, score, path)``.  See ``seed_entries``.
-SeedEntry = Tuple[np.ndarray, float, List[str]]
-
-
-def _check_batch_alignment(
-    originals, constraints, goal_functions, initial_scores, seed_entries=None
-) -> None:
+def _check_batch_alignment(originals, constraints, goal_functions, initial_scores) -> None:
     """Validate that every per-window sequence of a batch search lines up."""
     if not (len(originals) == len(constraints) == len(goal_functions)):
         raise ValueError("originals, constraints, and goal_functions must align")
     if initial_scores is not None and len(initial_scores) != len(originals):
         raise ValueError("initial_scores must align with originals")
-    if seed_entries is not None and len(seed_entries) != len(originals):
-        raise ValueError("seed_entries must align with originals")
 
 
 class Explorer:
@@ -170,7 +161,6 @@ class Explorer:
         score_function: ScoreFunction,
         goal_functions: Sequence[GoalFunction],
         initial_scores: Optional[Sequence[float]] = None,
-        seed_entries: Optional[Sequence[Optional[SeedEntry]]] = None,
     ) -> List[ExplorationResult]:
         """Search many windows; one constraint and goal function per window.
 
@@ -180,25 +170,8 @@ class Explorer:
         model query per search depth across all windows, and the parity suite
         (``tests/test_explorer_parity.py``) pins each override to this loop —
         same windows, same scores, same per-window query counts.
-
-        ``seed_entries`` (one optional already-scored ``(window, score,
-        path)`` per window) seeds the explorer's *starting beam*: a seed
-        that improves on the starting score becomes the initial best — the
-        greedy search continues from it, the beam search adds it to the
-        initial beam, the random baseline tracks it as the best-so-far —
-        without costing any model query (the caller already paid for the
-        seed's score; see ``EvasionAttack.attack_batch(seed_beam=True)``).
-        Seeding is a lockstep-only feature: the sequential reference loop
-        rejects it.
         """
-        _check_batch_alignment(
-            originals, constraints, goal_functions, initial_scores, seed_entries
-        )
-        if seed_entries is not None and any(entry is not None for entry in seed_entries):
-            raise ValueError(
-                "seed_entries requires a lockstep search_batch override; the "
-                "sequential reference loop cannot honor pre-scored beam seeds"
-            )
+        _check_batch_alignment(originals, constraints, goal_functions, initial_scores)
         results: List[ExplorationResult] = []
         for index, original in enumerate(originals):
             initial = None if initial_scores is None else float(initial_scores[index])
@@ -254,7 +227,6 @@ class Explorer:
         start_scores: np.ndarray,
         base_queries: int,
         goal_functions: Sequence[GoalFunction],
-        seed_entries: Optional[Sequence[Optional[SeedEntry]]] = None,
     ):
         """Per-window (window, score, path) best tracking for lockstep modes.
 
@@ -264,12 +236,6 @@ class Explorer:
         best into its :class:`ExplorationResult` (evaluating the goal when
         ``success`` is not forced), exactly like the tail of a sequential
         :meth:`search`.
-
-        A window's ``seed_entries`` entry — an already-scored ``(window,
-        score, path)`` — replaces its starting best when the seed's score
-        improves on the starting score (strictly, the same rule every
-        explorer uses to move its best).  The seed costs no query here: the
-        caller scored it.
         """
         n_windows = len(originals)
         queries = [base_queries] * n_windows
@@ -278,19 +244,6 @@ class Explorer:
             (originals[index].copy(), float(start_scores[index]), [])
             for index in range(n_windows)
         ]
-        if seed_entries is not None:
-            if len(seed_entries) != n_windows:
-                raise ValueError("seed_entries must align with originals")
-            for index, entry in enumerate(seed_entries):
-                if entry is None:
-                    continue
-                window, score, path = entry
-                if float(score) > best[index][1]:
-                    best[index] = (
-                        np.array(window, dtype=np.float64, copy=True),
-                        float(score),
-                        list(path),
-                    )
 
         def finalize(index: int, success: Optional[bool] = None) -> None:
             window, score, path = best[index]
@@ -358,7 +311,6 @@ class GreedyExplorer(Explorer):
         score_function: ScoreFunction,
         goal_functions: Sequence[GoalFunction],
         initial_scores: Optional[Sequence[float]] = None,
-        seed_entries: Optional[Sequence[Optional[SeedEntry]]] = None,
     ) -> List[ExplorationResult]:
         """Lockstep greedy search: all still-active windows advance together.
 
@@ -366,9 +318,7 @@ class GreedyExplorer(Explorer):
         edge of every active window, instead of one query per window.  Window
         decisions (edge choice, stopping, per-window query accounting) are
         identical to running :meth:`search` per window; only the batching of
-        model calls differs.  A window's ``seed_entries`` entry becomes its
-        starting best when it improves on the start score — the greedy walk
-        then expands from the seed endpoint instead of the original window.
+        model calls differs.
         """
         originals, start_scores, base_queries = self._start_lockstep(
             originals, constraints, goal_functions, score_function, initial_scores
@@ -378,7 +328,7 @@ class GreedyExplorer(Explorer):
         # Greedy's current window is always its best: it only moves on strict
         # improvement, so the shared best tracking is the whole search state.
         queries, results, best, active, finalize = self._init_best_tracking(
-            originals, start_scores, base_queries, goal_functions, seed_entries
+            originals, start_scores, base_queries, goal_functions
         )
 
         for _ in range(self.max_depth):
@@ -489,18 +439,13 @@ class BeamExplorer(Explorer):
         score_function: ScoreFunction,
         goal_functions: Sequence[GoalFunction],
         initial_scores: Optional[Sequence[float]] = None,
-        seed_entries: Optional[Sequence[Optional[SeedEntry]]] = None,
     ) -> List[ExplorationResult]:
         """Lockstep beam search: one model query per depth for the union of beams.
 
         Every still-active window's beam items are expanded together and all
         their candidates are scored in a single model call per depth.  Beam
         updates (candidate ordering, stable sort, best tracking, per-window
-        query accounting) replicate :meth:`search` exactly.  A window's
-        ``seed_entries`` entry joins its *starting beam* (score-ordered,
-        original first on ties, truncated to ``beam_width``), so depth-1
-        expansion explores the seed endpoint's neighborhood alongside the
-        original window's.
+        query accounting) replicate :meth:`search` exactly.
         """
         originals, start_scores, base_queries = self._start_lockstep(
             originals, constraints, goal_functions, score_function, initial_scores
@@ -508,25 +453,13 @@ class BeamExplorer(Explorer):
         if not originals:
             return []
         queries, results, best, active, finalize = self._init_best_tracking(
-            originals, start_scores, base_queries, goal_functions, seed_entries
+            originals, start_scores, base_queries, goal_functions
         )
-        # Per active window: (window, score, path) triples, exactly as in
-        # `search` — plus the optional pre-scored seed in the starting beam.
-        beams = {}
-        for index in active:
-            entries = [(originals[index].copy(), float(start_scores[index]), [])]
-            seed = None if seed_entries is None else seed_entries[index]
-            if seed is not None:
-                entries.append(
-                    (
-                        np.array(seed[0], dtype=np.float64, copy=True),
-                        float(seed[1]),
-                        list(seed[2]),
-                    )
-                )
-                entries.sort(key=lambda item: item[1], reverse=True)
-                entries = entries[: self.beam_width]
-            beams[index] = entries
+        # Per active window: (window, score, path) triples, exactly as in `search`.
+        beams = {
+            index: [(originals[index].copy(), float(start_scores[index]), [])]
+            for index in active
+        }
 
         for _ in range(self.max_depth):
             if not active:
@@ -679,7 +612,6 @@ class RandomExplorer(Explorer):
         score_function: ScoreFunction,
         goal_functions: Sequence[GoalFunction],
         initial_scores: Optional[Sequence[float]] = None,
-        seed_entries: Optional[Sequence[Optional[SeedEntry]]] = None,
     ) -> List[ExplorationResult]:
         """Lockstep random walks: one model query per walk round.
 
@@ -689,9 +621,7 @@ class RandomExplorer(Explorer):
         single model call.  Each window draws from its own per-search child
         stream (seeded in window order from the persistent RNG, exactly like
         sequential :meth:`search` calls), so walks, stopping decisions, and
-        query counts are identical to the per-window loop.  A window's
-        ``seed_entries`` entry seeds its best-so-far tracking (walks still
-        restart from the original window, as in :meth:`search`).
+        query counts are identical to the per-window loop.
         """
         originals, start_scores, base_queries = self._start_lockstep(
             originals, constraints, goal_functions, score_function, initial_scores
@@ -704,7 +634,7 @@ class RandomExplorer(Explorer):
         walk_rngs = [self._spawn_walk_rng() for _ in originals]
 
         queries, results, best, active, finalize = self._init_best_tracking(
-            originals, start_scores, base_queries, goal_functions, seed_entries
+            originals, start_scores, base_queries, goal_functions
         )
 
         for _ in range(self.n_walks):

@@ -123,24 +123,6 @@ class EvasionAttack:
         self.explorer = explorer or GreedyExplorer()
 
     # ------------------------------------------------------------------ helpers
-    def _explorer_supports_seeds(self) -> bool:
-        """True when the explorer's ``search_batch`` can honor ``seed_entries``.
-
-        The base :class:`~repro.attacks.explorers.Explorer` loop rejects
-        seeds (they are a lockstep-only feature), so an explorer qualifies
-        only when it *overrides* ``search_batch`` AND the override accepts
-        the keyword.
-        """
-        import inspect
-
-        method = type(self.explorer).search_batch
-        if method is Explorer.search_batch:
-            return False
-        try:
-            return "seed_entries" in inspect.signature(method).parameters
-        except (TypeError, ValueError):  # builtins / exotic callables
-            return False
-
     def _score_function(self):
         def score(batch: np.ndarray) -> np.ndarray:
             return self.predictor.predict(batch)
@@ -234,25 +216,23 @@ class EvasionAttack:
         windows: np.ndarray,
         scenarios: Sequence[Scenario],
         constraint: Optional[Constraint] = None,
-        batched: bool = True,
         seed_paths: Optional[Sequence[Optional[Sequence[str]]]] = None,
-        seed_beam: bool = False,
     ) -> List[AttackResult]:
         """Attack a batch of windows, one scenario per window.
 
-        With ``batched=True`` (the default) the whole batch runs through the
-        batched inference engine: eligibility screening is ONE model call
-        over all windows, and the explorer's lockstep mode advances every
-        still-active window together, issuing one large model query per
-        search depth instead of one small query per window.  Every shipped
-        explorer (greedy, beam, random) has a true lockstep mode pinned to
-        its sequential reference by ``tests/test_explorer_parity.py``.  Set
-        ``batched=False`` to fall back to the sequential per-window loop
-        (identical results, many more model calls).
+        The whole batch runs through the batched inference engine:
+        eligibility screening is ONE model call over all windows, and the
+        explorer's lockstep mode advances every still-active window
+        together, issuing one large model query per search depth instead of
+        one small query per window.  Every shipped explorer (greedy, beam,
+        random) has a true lockstep mode pinned to its sequential reference
+        by ``tests/test_explorer_parity.py``.  The sequential reference is
+        :meth:`attack_window` called per window (identical results, many
+        more model calls).
 
         ``seed_paths`` (one optional transformation path per window, aligned
-        by position; requires ``batched=True``) warm-starts the search: each
-        eligible window's seed path is replayed on the window
+        by position) warm-starts the search: each eligible window's seed
+        path is replayed on the window
         (:func:`replay_transformation_path`, no model queries) and all
         surviving endpoints are scored in one extra batched call.  Endpoints
         that reach the goal resolve their window immediately —
@@ -261,32 +241,14 @@ class EvasionAttack:
         one warm query added to their count, so query accounting stays
         exact.  This is how :class:`repro.serving.OnlineAttacker` reuses the
         previous tick's surviving path instead of re-searching every tick.
-
-        ``seed_beam`` (requires ``seed_paths``) upgrades warm *misses*: a
-        replayed endpoint that fails the goal is not discarded — it is handed
-        to the explorer as a pre-scored starting-beam seed
-        (``search_batch(seed_entries=...)``), so the fallback search resumes
-        from the best known adversarial point instead of restarting at the
-        benign window.  No extra model queries: the seed reuses the score the
-        warm evaluation already paid for (still the usual +1 on warm-miss
-        windows), which is what cuts queries on warm-miss ticks.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if len(windows) != len(scenarios):
             raise ValueError("windows and scenarios must have the same length")
         if seed_paths is not None and len(seed_paths) != len(windows):
             raise ValueError("seed_paths must align with windows")
-        if seed_beam and seed_paths is None:
-            raise ValueError("seed_beam requires seed_paths")
         if len(windows) == 0:
             return []
-        if not batched:
-            if seed_paths is not None:
-                raise ValueError("seed_paths requires batched=True")
-            return [
-                self.attack_window(window, scenario, constraint)
-                for window, scenario in zip(windows, scenarios)
-            ]
 
         # One batched query screens every window for eligibility.
         benign_predictions = self.predictor.predict(windows)
@@ -316,9 +278,6 @@ class EvasionAttack:
         # endpoints in one batched call, and resolve the ones that reach the
         # goal without ever entering the explorer.
         warm_failures: List[int] = []
-        # index -> (endpoint, warm score) for warm misses, kept when
-        # seed_beam upgrades them into explorer starting-beam seeds.
-        warm_miss_endpoints = {}
         if seed_paths is not None and eligible_indices:
             replayed: List[Tuple[int, np.ndarray]] = []
             for index in eligible_indices:
@@ -343,8 +302,6 @@ class EvasionAttack:
                     scenario = scenarios[index]
                     if not self._goal_function(scenario)(endpoint, warm_score):
                         warm_failures.append(index)
-                        if seed_beam:
-                            warm_miss_endpoints[index] = (endpoint, warm_score)
                         continue
                     benign_prediction = float(benign_predictions[index])
                     results[index] = AttackResult(
@@ -368,22 +325,6 @@ class EvasionAttack:
                     ]
 
         if eligible_indices:
-            # Seeds are passed only to explorers that can honor them (a
-            # lockstep override accepting the kwarg) — bring-your-own
-            # explorers without seed support keep working un-seeded, on
-            # every tick, instead of crashing at the first warm miss.
-            explorer_kwargs = {}
-            if warm_miss_endpoints and self._explorer_supports_seeds():
-                explorer_kwargs["seed_entries"] = [
-                    (
-                        warm_miss_endpoints[index][0],
-                        warm_miss_endpoints[index][1],
-                        list(seed_paths[index]),
-                    )
-                    if index in warm_miss_endpoints
-                    else None
-                    for index in eligible_indices
-                ]
             explorations = self.explorer.search_batch(
                 originals=[windows[index] for index in eligible_indices],
                 transformers=self.transformers,
@@ -396,7 +337,6 @@ class EvasionAttack:
                     self._goal_function(scenarios[index]) for index in eligible_indices
                 ],
                 initial_scores=[float(benign_predictions[index]) for index in eligible_indices],
-                **explorer_kwargs,
             )
             for index, exploration in zip(eligible_indices, explorations):
                 benign_prediction = float(benign_predictions[index])

@@ -126,14 +126,6 @@ class OnlineAttacker:
         query.  Per-tick query counts stay exact either way
         (``TamperRecord.queries``/``warm_started``).  Set False to restart
         the search from scratch every tick (the pre-warm-start behavior).
-    seed_beam:
-        Warm start v2 (requires ``warm_start``): on a warm *miss* — the
-        replayed path survived but its endpoint no longer reaches the goal —
-        hand that endpoint to the explorer as a pre-scored starting-beam
-        seed (``attack_batch(seed_beam=True)``), so the fallback search
-        resumes from the best known adversarial point instead of the benign
-        window.  Costs no extra queries; typically cuts them on warm-miss
-        ticks because the seeded search converges in fewer depths.
     obs:
         Optional :class:`~repro.obs.Observer` recording the attacker's
         deterministic activity counters (``attack.ticks_tampered_total``,
@@ -149,7 +141,6 @@ class OnlineAttacker:
         max_tampered_per_tick: int = 1,
         sustain: bool = True,
         warm_start: bool = True,
-        seed_beam: bool = False,
         obs=None,
     ):
         if max_tampered_per_tick <= 0:
@@ -163,12 +154,9 @@ class OnlineAttacker:
                 if current.start < previous.end:
                     raise ValueError(f"overlapping episodes for session {session_id!r}")
         self.attack_factory = attack_factory or (lambda predictor: EvasionAttack(predictor))
-        if seed_beam and not warm_start:
-            raise ValueError("seed_beam requires warm_start=True")
         self.max_tampered_per_tick = int(max_tampered_per_tick)
         self.sustain = bool(sustain)
         self.warm_start = bool(warm_start)
-        self.seed_beam = bool(seed_beam)
         self.obs = obs
         self.records: List[TamperRecord] = []
         # session_id -> the transformation path that reached the goal at that
@@ -266,9 +254,7 @@ class OnlineAttacker:
                 windows,
                 [scenario] * len(windows),
                 constraint=self._constraint_for(scenario),
-                batched=True,
                 seed_paths=seed_paths,
-                seed_beam=self.seed_beam and seed_paths is not None,
             )
             if self.warm_start:
                 # Remember each session's surviving path as the next tick's

@@ -3,10 +3,12 @@ RNG de-correlation, and batched/per-window equivalence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.attacks import (
     AttackCampaign,
     EvasionAttack,
+    Explorer,
     GreedyExplorer,
     RandomExplorer,
     SuffixLevelTransformer,
@@ -38,6 +40,11 @@ class CountingPredictor:
 
     def predict_one(self, window):
         return float(self.predict(np.asarray(window)[np.newaxis])[0])
+
+
+def attack_each(attack, windows, scenarios):
+    """The sequential reference: one :meth:`EvasionAttack.attack_window` per window."""
+    return [attack.attack_window(window, scenario) for window, scenario in zip(windows, scenarios)]
 
 
 def assert_results_equal(left, right):
@@ -101,8 +108,8 @@ class TestLockstepEquivalence:
         batched = EvasionAttack(CountingPredictor(), explorer=explorer_factory()).attack_batch(
             windows, scenarios
         )
-        sequential = EvasionAttack(CountingPredictor(), explorer=explorer_factory()).attack_batch(
-            windows, scenarios, batched=False
+        sequential = attack_each(
+            EvasionAttack(CountingPredictor(), explorer=explorer_factory()), windows, scenarios
         )
         assert len(batched) == len(sequential) == len(self.LEVELS)
         for left, right in zip(batched, sequential):
@@ -123,7 +130,7 @@ class TestLockstepEquivalence:
         windows = windows[::10][:6]
         scenarios = [Scenario.POSTPRANDIAL] * len(windows)
         batched = EvasionAttack(predictor).attack_batch(windows, scenarios)
-        sequential = EvasionAttack(predictor).attack_batch(windows, scenarios, batched=False)
+        sequential = attack_each(EvasionAttack(predictor), windows, scenarios)
         for left, right in zip(batched, sequential):
             assert left.eligible == right.eligible
             assert left.success == right.success
@@ -214,7 +221,9 @@ class TestRandomExplorerSeedDeterminism:
         attack = EvasionAttack(
             CountingPredictor(), explorer=RandomExplorer(max_depth=2, n_walks=4, seed=17)
         )
-        return attack.attack_batch(windows, scenarios, batched=batched)
+        if batched:
+            return attack.attack_batch(windows, scenarios)
+        return attack_each(attack, windows, scenarios)
 
     def test_same_seed_reproduces_batched_campaign(self):
         first = self._run(batched=True)
@@ -229,58 +238,69 @@ class TestRandomExplorerSeedDeterminism:
             assert_results_equal(left, right)
 
 
+@pytest.fixture(scope="module")
+def aggregate_zoo(tiny_cohort):
+    """Every patient shares the aggregate model, so run_cohort merges them all."""
+    from repro.glucose import GlucoseModelZoo
+
+    zoo = GlucoseModelZoo(
+        predictor_kwargs=dict(epochs=1, hidden_size=8),
+        train_personalized=False,
+        seed=5,
+    )
+    zoo.fit(tiny_cohort)
+    return zoo
+
+
+def per_patient_records(campaign, cohort, split="test"):
+    """The cohort merge's reference: a :meth:`AttackCampaign.run_patient` loop."""
+    return [record for patient in cohort for record in campaign.run_patient(patient, split).records]
+
+
+def assert_records_equal(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert a.patient_label == b.patient_label
+        assert a.split == b.split
+        assert a.window_index == b.window_index
+        assert a.target_index == b.target_index
+        assert a.result.eligible == b.result.eligible
+        assert a.result.success == b.result.success
+        assert a.result.path == b.result.path
+        assert a.result.queries == b.result.queries
+        assert a.result.adversarial_window.tobytes() == b.result.adversarial_window.tobytes()
+
+
+class TestCohortMergeProperty:
+    """run_cohort's merged lockstep search equals the run_patient loop record for record."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        stride=st.integers(min_value=6, max_value=40),
+        labels=st.lists(st.sampled_from(["A_5", "B_2", "A_0", "A_2"]), min_size=1, unique=True),
+        aggregate=st.booleans(),
+        beam=st.booleans(),
+    )
+    def test_cohort_merge_matches_per_patient_loop(
+        self, aggregate_zoo, tiny_zoo, tiny_cohort, stride, labels, aggregate, beam
+    ):
+        from repro.attacks import BeamExplorer
+
+        zoo = aggregate_zoo if aggregate else tiny_zoo
+        cohort = tiny_cohort.select(labels)
+
+        def factory(predictor):
+            explorer = BeamExplorer(beam_width=2, max_depth=2) if beam else GreedyExplorer()
+            return EvasionAttack(predictor, explorer=explorer)
+
+        campaign = AttackCampaign(zoo, stride=stride, attack_factory=factory)
+        merged = campaign.run_cohort(cohort, "test")
+        assert merged.patient_labels == [record.label for record in cohort]
+        assert_records_equal(merged.records, per_patient_records(campaign, cohort))
+
+
 class TestCohortBatchedCampaign:
     """Cross-patient batching: one lockstep search per shared model."""
-
-    @pytest.fixture(scope="class")
-    def aggregate_zoo(self, tiny_cohort):
-        from repro.glucose import GlucoseModelZoo
-
-        zoo = GlucoseModelZoo(
-            predictor_kwargs=dict(epochs=1, hidden_size=8),
-            train_personalized=False,  # every patient shares the aggregate model
-            seed=5,
-        )
-        zoo.fit(tiny_cohort)
-        return zoo
-
-    def _assert_campaigns_equal(self, left, right):
-        assert len(left.records) == len(right.records) > 0
-        for a, b in zip(left.records, right.records):
-            assert a.patient_label == b.patient_label
-            assert a.split == b.split
-            assert a.window_index == b.window_index
-            assert a.target_index == b.target_index
-            assert a.result.eligible == b.result.eligible
-            assert a.result.success == b.result.success
-            assert a.result.path == b.result.path
-            assert a.result.queries == b.result.queries
-            np.testing.assert_array_equal(
-                a.result.adversarial_window, b.result.adversarial_window
-            )
-
-    def test_cohort_batched_matches_per_patient(self, aggregate_zoo, tiny_cohort):
-        merged = AttackCampaign(aggregate_zoo, stride=12, cohort_batched=True).run_cohort(
-            tiny_cohort, "test"
-        )
-        per_patient = AttackCampaign(
-            aggregate_zoo, stride=12, cohort_batched=False
-        ).run_cohort(tiny_cohort, "test")
-        self._assert_campaigns_equal(merged, per_patient)
-
-    def test_cohort_batched_preserves_attribution_with_personalized_models(
-        self, tiny_zoo, tiny_cohort
-    ):
-        # Personalized zoo: every model group is a single patient, so the
-        # merged path must degrade to exactly the per-patient records.
-        merged = AttackCampaign(tiny_zoo, stride=12, cohort_batched=True).run_cohort(
-            tiny_cohort, "test"
-        )
-        per_patient = AttackCampaign(tiny_zoo, stride=12, cohort_batched=False).run_cohort(
-            tiny_cohort, "test"
-        )
-        self._assert_campaigns_equal(merged, per_patient)
-        assert merged.patient_labels == [record.label for record in tiny_cohort]
 
     def test_cohort_batched_issues_fewer_model_calls(self, aggregate_zoo, tiny_cohort):
         calls = []
@@ -293,14 +313,11 @@ class TestCohortBatchedCampaign:
 
         predictor.predict = counting_predict
         try:
-            AttackCampaign(aggregate_zoo, stride=12, cohort_batched=True).run_cohort(
-                tiny_cohort, "test"
-            )
+            campaign = AttackCampaign(aggregate_zoo, stride=12)
+            campaign.run_cohort(tiny_cohort, "test")
             merged_calls = len(calls)
             calls.clear()
-            AttackCampaign(aggregate_zoo, stride=12, cohort_batched=False).run_cohort(
-                tiny_cohort, "test"
-            )
+            per_patient_records(campaign, tiny_cohort)
             per_patient_calls = len(calls)
         finally:
             predictor.predict = original_predict
@@ -333,15 +350,13 @@ class TestCohortBatchedCampaign:
             factory_calls.append(predictor)
             return EvasionAttack(predictor)
 
-        merged = AttackCampaign(
-            zoo, stride=12, cohort_batched=True, attack_factory=counting_factory
-        ).run_cohort(tiny_cohort, "test")
-        assert len(factory_calls) == 1  # one group despite two predictor objects
-
-        per_patient = AttackCampaign(zoo, stride=12, cohort_batched=False).run_cohort(
+        merged = AttackCampaign(zoo, stride=12, attack_factory=counting_factory).run_cohort(
             tiny_cohort, "test"
         )
-        self._assert_campaigns_equal(merged, per_patient)
+        assert len(factory_calls) == 1  # one group despite two predictor objects
+        assert_records_equal(
+            merged.records, per_patient_records(AttackCampaign(zoo, stride=12), tiny_cohort)
+        )
 
     def test_different_weights_stay_in_separate_groups(self, tiny_zoo, tiny_cohort):
         factory_calls = []
@@ -350,36 +365,22 @@ class TestCohortBatchedCampaign:
             factory_calls.append(predictor)
             return EvasionAttack(predictor)
 
-        AttackCampaign(
-            tiny_zoo, stride=12, cohort_batched=True, attack_factory=counting_factory
-        ).run_cohort(tiny_cohort, "test")
+        AttackCampaign(tiny_zoo, stride=12, attack_factory=counting_factory).run_cohort(
+            tiny_cohort, "test"
+        )
         # Personalized zoo: every patient has its own weights, so no merging.
         assert len(factory_calls) == len(tiny_cohort)
-
-    def test_sequential_campaign_ignores_cohort_batching(self, tiny_zoo, tiny_cohort):
-        campaign = AttackCampaign(tiny_zoo, stride=12, batched=False, cohort_batched=True)
-        assert campaign.cohort_batched  # explicit flag kept, but batched=False wins
-        record = next(iter(tiny_cohort))
-        result = campaign.run_cohort(tiny_cohort.select([record.label]), "test")
-        assert len(result.records) > 0
 
 
 class TestBatchedCampaign:
     def test_batched_campaign_matches_sequential(self, tiny_zoo, tiny_cohort):
         record = next(r for r in tiny_cohort if r.label == "A_5")
         batched = AttackCampaign(tiny_zoo, stride=12).run_patient(record, "test")
-        sequential = AttackCampaign(tiny_zoo, stride=12, batched=False).run_patient(record, "test")
-        assert len(batched.records) == len(sequential.records) > 0
-        for left, right in zip(batched.records, sequential.records):
-            assert left.window_index == right.window_index
-            assert left.target_index == right.target_index
-            assert left.result.eligible == right.result.eligible
-            assert left.result.success == right.result.success
-            assert left.result.path == right.result.path
-            assert left.result.queries == right.result.queries
-            np.testing.assert_array_equal(
-                left.result.adversarial_window, right.result.adversarial_window
-            )
+        assert len(batched.records) > 0
+        attack = EvasionAttack(tiny_zoo.model_for(record.label))
+        for left in batched.records:
+            right = attack.attack_window(left.result.benign_window, left.result.scenario)
+            assert_results_equal(left.result, right)
 
 
 class MeanTailPredictor:
@@ -493,15 +494,6 @@ class TestSeedPathWarmStart:
         assert not results[0].eligible
         assert results[0].queries == 1
 
-    def test_seed_paths_require_batched_mode(self):
-        with pytest.raises(ValueError, match="batched"):
-            EvasionAttack(CountingPredictor()).attack_batch(
-                np.stack([benign_window(110.0)]),
-                [Scenario.POSTPRANDIAL],
-                batched=False,
-                seed_paths=[["set_last_2_to_220"]],
-            )
-
     def test_seed_paths_must_align(self):
         with pytest.raises(ValueError, match="align"):
             EvasionAttack(CountingPredictor()).attack_batch(
@@ -527,219 +519,183 @@ class PassConstraint:
         return np.asarray(windows, dtype=np.float64)
 
 
-class TestSeedBeamExplorers:
-    """search_batch(seed_entries=...): a pre-scored (window, score, path) seed
-    joins the explorer's starting beam without costing a model query."""
+def toy_transformers():
+    """Two edges per window: +10 or +20 on the last CGM sample."""
+    from repro.attacks import SuffixOffsetTransformer
 
-    @staticmethod
-    def _toy():
-        from repro.attacks.transformers import SuffixOffsetTransformer
+    return [SuffixOffsetTransformer(offsets=(10.0, 20.0), suffix_lengths=(1,))]
 
-        transformers = [SuffixOffsetTransformer(offsets=(10.0, 20.0), suffix_lengths=(1,))]
-        constraint = PassConstraint()
 
-        def score_function(batch):
-            return np.asarray(batch)[:, -1, CGM_COLUMN]
+def last_value_score(batch):
+    return np.asarray(batch)[:, -1, CGM_COLUMN]
 
-        return transformers, constraint, score_function
 
-    @staticmethod
-    def _seed(window, offset, path):
-        seeded = np.asarray(window, dtype=np.float64).copy()
-        seeded[-1, CGM_COLUMN] += offset
-        return (seeded, float(seeded[-1, CGM_COLUMN]), path)
+def toy_search(explorer, threshold, originals=None, initial_scores=None, constraints=None):
+    """Run ``explorer.search_batch`` on the toy graph (score = last CGM value)."""
+    originals = [benign_window(100.0)] if originals is None else originals
+    return explorer.search_batch(
+        originals=originals,
+        transformers=toy_transformers(),
+        constraints=[PassConstraint()] * len(originals) if constraints is None else constraints,
+        score_function=last_value_score,
+        goal_functions=[lambda w, s: s > threshold] * len(originals),
+        initial_scores=[100.0] * len(originals) if initial_scores is None else initial_scores,
+    )
 
-    def _run(self, explorer, threshold, seed_entries=None):
-        transformers, constraint, score_function = self._toy()
-        window = benign_window(100.0)
-        return explorer.search_batch(
-            originals=[window],
-            transformers=transformers,
-            constraints=[constraint],
-            score_function=score_function,
-            goal_functions=[lambda w, s: s > threshold],
-            initial_scores=[100.0],
-            seed_entries=seed_entries,
-        )[0]
 
-    def test_greedy_resumes_from_seed(self):
-        explorer = GreedyExplorer(max_depth=4)
-        cold = self._run(explorer, threshold=165.0)
-        assert cold.success and cold.queries == 8  # 4 depths x 2 edges
-        seed = self._seed(benign_window(100.0), 50.0, ["seeded"])
-        seeded = self._run(explorer, threshold=165.0, seed_entries=[seed])
-        assert seeded.success
-        assert seeded.queries == 2  # one depth from the 150-score seed
-        assert seeded.path == ["seeded", "offset_last_1_by_20"]
-        assert seeded.score == pytest.approx(170.0)
+def toy_explorer(name):
+    from repro.attacks import BeamExplorer
 
-    def test_beam_includes_seed_in_starting_beam(self):
+    return {
+        "reference": lambda: Explorer(),
+        "greedy": lambda: GreedyExplorer(max_depth=2),
+        "beam": lambda: BeamExplorer(beam_width=2, max_depth=2),
+        "random": lambda: RandomExplorer(max_depth=2, n_walks=3, seed=0),
+    }[name]()
+
+
+class TestToyGraphSearch:
+    """Exact outcomes of the lockstep explorers on a graph small enough to enumerate."""
+
+    def test_greedy_climbs_best_edge_per_depth(self):
+        result = toy_search(GreedyExplorer(max_depth=4), threshold=165.0)[0]
+        # 100 -> 120 -> 140 -> 160 -> 180: four depths of two edges each.
+        assert result.success
+        assert result.queries == 8
+        assert result.path == ["offset_last_1_by_20"] * 4
+        assert result.score == pytest.approx(180.0)
+
+    def test_width_one_beam_keeps_only_the_best_edge(self):
         from repro.attacks import BeamExplorer
 
-        explorer = BeamExplorer(beam_width=2, max_depth=4)
-        cold = self._run(explorer, threshold=165.0)
-        seed = self._seed(benign_window(100.0), 50.0, ["seeded"])
-        seeded = self._run(explorer, threshold=165.0, seed_entries=[seed])
-        assert cold.success and seeded.success
-        assert seeded.queries < cold.queries
-        # Depth 1 expands BOTH beam items (seed + original): 4 candidates.
-        assert seeded.queries == 4
-        assert seeded.path == ["seeded", "offset_last_1_by_20"]
-
-    def test_beam_width_one_keeps_only_the_better_entry(self):
-        from repro.attacks import BeamExplorer
-
-        explorer = BeamExplorer(beam_width=1, max_depth=1)
-        seed = self._seed(benign_window(100.0), 50.0, ["seeded"])
-        seeded = self._run(explorer, threshold=1e9, seed_entries=[seed])
-        # Only the seed survives the width-1 beam: depth 1 scores 2 edges.
-        assert seeded.queries == 2
-        assert seeded.path[:1] == ["seeded"]
-
-    def test_random_explorer_tracks_seed_as_best(self):
-        explorer = RandomExplorer(max_depth=2, n_walks=3, seed=0)
-        seed_window = benign_window(100.0)
-        seed = self._seed(seed_window, 50.0, ["seeded"])
-        # Walks top out at 100 + 2 * 20 = 140 < 150: the seed stays best.
-        result = self._run(explorer, threshold=1e9, seed_entries=[seed])
+        result = toy_search(BeamExplorer(beam_width=1, max_depth=1), threshold=1e9)[0]
         assert not result.success
-        assert result.score == pytest.approx(150.0)
-        assert result.path == ["seeded"]
-        np.testing.assert_array_equal(result.window, seed[0])
+        assert result.queries == 2
+        assert result.path == ["offset_last_1_by_20"]
+        assert result.score == pytest.approx(120.0)
 
-    def test_worse_seed_is_ignored(self):
-        explorer = GreedyExplorer(max_depth=2)
-        cold = self._run(explorer, threshold=1e9)
-        worse = self._seed(benign_window(100.0), -50.0, ["worse"])
-        seeded = self._run(explorer, threshold=1e9, seed_entries=[worse])
-        assert seeded.score == cold.score
-        assert seeded.path == cold.path
-        assert seeded.queries == cold.queries
+    @pytest.mark.parametrize("name", ["greedy", "beam", "random"])
+    def test_reported_path_replays_to_reported_window(self, name):
+        from repro.attacks import replay_transformation_path
 
-    def test_reference_loop_rejects_seed_entries(self):
-        from repro.attacks.explorers import Explorer
+        original = benign_window(100.0)
+        result = toy_search(toy_explorer(name), threshold=1e9, originals=[original])[0]
+        assert result.path  # every explorer improves on the start here
+        replayed = replay_transformation_path(
+            original, result.path, toy_transformers(), PassConstraint()
+        )
+        np.testing.assert_array_equal(replayed, result.window)
+        assert result.score == pytest.approx(float(last_value_score(replayed[np.newaxis])[0]))
 
-        transformers, constraint, score_function = self._toy()
-        with pytest.raises(ValueError, match="lockstep"):
-            Explorer().search_batch(
-                originals=[benign_window(100.0)],
-                transformers=transformers,
-                constraints=[constraint],
-                score_function=score_function,
-                goal_functions=[lambda w, s: False],
-                initial_scores=[100.0],
-                seed_entries=[self._seed(benign_window(100.0), 50.0, ["seeded"])],
+
+class TestSearchBatchAlignment:
+    """Every search_batch, the reference loop included, rejects misaligned inputs."""
+
+    @pytest.mark.parametrize("name", ["reference", "greedy", "beam", "random"])
+    def test_constraints_must_align(self, name):
+        with pytest.raises(ValueError, match="must align"):
+            toy_search(
+                toy_explorer(name),
+                threshold=1e9,
+                originals=[benign_window(100.0), benign_window(105.0)],
+                constraints=[PassConstraint()],
             )
 
-    def test_seed_entries_must_align(self):
-        explorer = GreedyExplorer(max_depth=1)
-        transformers, constraint, score_function = self._toy()
-        with pytest.raises(ValueError, match="align"):
-            explorer.search_batch(
-                originals=[benign_window(100.0)],
-                transformers=transformers,
-                constraints=[constraint],
-                score_function=score_function,
-                goal_functions=[lambda w, s: False],
+    @pytest.mark.parametrize("name", ["reference", "greedy", "beam", "random"])
+    def test_initial_scores_must_align(self, name):
+        with pytest.raises(ValueError, match="initial_scores must align"):
+            toy_search(
+                toy_explorer(name),
+                threshold=1e9,
+                originals=[benign_window(100.0), benign_window(105.0)],
                 initial_scores=[100.0],
-                seed_entries=[],
             )
 
 
-class TestSeedBeamAttackBatch:
-    """attack_batch(seed_beam=True): warm misses hand their endpoint to the
-    explorer as a starting-beam seed, with exact query accounting."""
+class SearchOnlyExplorer(Explorer):
+    """A caller-supplied explorer that implements ``search`` only, so
+    ``attack_batch`` runs through the base class's reference loop."""
+
+    def __init__(self):
+        self.inner = GreedyExplorer()
+
+    def search(self, *args, **kwargs):
+        return self.inner.search(*args, **kwargs)
+
+
+class TestWarmMissFallback:
+    """A seed path that replays but misses the goal falls back to the search."""
 
     @staticmethod
-    def _attack():
-        from repro.attacks.transformers import SuffixOffsetTransformer
+    def _attack(explorer=None):
+        from repro.attacks import SuffixOffsetTransformer
 
         return EvasionAttack(
             MeanTailPredictor(),
             transformers=[SuffixOffsetTransformer(offsets=(30.0,), suffix_lengths=(4,))],
+            explorer=explorer,
         )
 
-    def test_warm_miss_resumes_from_seed_with_fewer_queries(self):
-        window = benign_window(110.0)
-        scenarios = [Scenario.POSTPRANDIAL]
-        # The replayed two-edge path lands at mean 170 < 180: a warm miss.
-        seed_paths = [["offset_last_4_by_30", "offset_last_4_by_30"]]
-        plain = self._attack().attack_batch(
-            np.stack([window]), scenarios,
-            constraint=PassConstraint(), seed_paths=seed_paths,
-        )[0]
-        seeded = self._attack().attack_batch(
-            np.stack([window]), scenarios,
-            constraint=PassConstraint(), seed_paths=seed_paths, seed_beam=True,
-        )[0]
-        assert plain.success and seeded.success
-        assert not plain.warm_started and not seeded.warm_started
-        # Plain fallback: screen(1) + warm endpoint(1) + 3 greedy depths from
-        # the benign window (1 edge each) = 5.  Seeded fallback resumes at
-        # the 170-score endpoint: screen(1) + warm(1) + 1 depth = 3.
-        assert plain.queries == 5
-        assert seeded.queries == 3
-        assert seeded.path == seed_paths[0] + ["offset_last_4_by_30"]
-        assert seeded.adversarial_prediction == pytest.approx(200.0)
+    # The replayed two-edge path lands at mean 170 < 180: a warm miss.
+    SEED_PATHS = [["offset_last_4_by_30", "offset_last_4_by_30"]]
 
-    def test_seed_beam_requires_seed_paths(self):
-        with pytest.raises(ValueError, match="seed_beam requires"):
-            self._attack().attack_batch(
-                np.stack([benign_window(110.0)]),
-                [Scenario.POSTPRANDIAL],
-                seed_beam=True,
-            )
-
-    def test_surviving_seed_still_resolves_warm(self):
-        """seed_beam changes nothing for warm *hits*: still 2 queries."""
-        window = benign_window(110.0)
+    def test_warm_miss_searches_from_the_benign_window(self):
         result = self._attack().attack_batch(
-            np.stack([window]),
-            [Scenario.POSTPRANDIAL],
-            constraint=PassConstraint(),
-            seed_paths=[["offset_last_4_by_30"] * 3],  # lands at 200 > 180
-            seed_beam=True,
-        )[0]
-        assert result.warm_started and result.success
-        assert result.queries == 2
-
-    def test_online_attacker_validates_seed_beam(self):
-        from repro.serving import OnlineAttacker
-
-        with pytest.raises(ValueError, match="warm_start"):
-            OnlineAttacker({}, warm_start=False, seed_beam=True)
-
-    def test_custom_explorer_without_seed_support_degrades_unseeded(self):
-        """An old-signature bring-your-own explorer never sees seed_entries:
-        a warm miss falls back to its plain search instead of crashing."""
-        from repro.attacks.explorers import ExplorationResult, Explorer
-        from repro.attacks.transformers import SuffixOffsetTransformer
-
-        class LegacyExplorer(Explorer):
-            def search_batch(  # pre-seed_entries signature
-                self, originals, transformers, constraints, score_function,
-                goal_functions, initial_scores=None,
-            ):
-                return [
-                    ExplorationResult(
-                        False, np.array(original, copy=True),
-                        float(initial_scores[index]), [], 0,
-                    )
-                    for index, original in enumerate(originals)
-                ]
-
-        attack = EvasionAttack(
-            MeanTailPredictor(),
-            transformers=[SuffixOffsetTransformer(offsets=(30.0,), suffix_lengths=(4,))],
-            explorer=LegacyExplorer(),
-        )
-        results = attack.attack_batch(
             np.stack([benign_window(110.0)]),
             [Scenario.POSTPRANDIAL],
             constraint=PassConstraint(),
-            seed_paths=[["offset_last_4_by_30", "offset_last_4_by_30"]],  # warm miss
-            seed_beam=True,
+            seed_paths=self.SEED_PATHS,
+        )[0]
+        assert result.success and not result.warm_started
+        # screen(1) + warm endpoint(1) + 3 greedy depths of one edge each.
+        assert result.queries == 5
+        assert result.path == ["offset_last_4_by_30"] * 3
+        assert result.adversarial_prediction == pytest.approx(200.0)
+
+    def test_search_only_explorer_gets_the_same_fallback(self):
+        windows = np.stack([benign_window(110.0)])
+        lockstep = self._attack().attack_batch(
+            windows, [Scenario.POSTPRANDIAL], constraint=PassConstraint(),
+            seed_paths=self.SEED_PATHS,
+        )[0]
+        reference = self._attack(SearchOnlyExplorer()).attack_batch(
+            windows, [Scenario.POSTPRANDIAL], constraint=PassConstraint(),
+            seed_paths=self.SEED_PATHS,
+        )[0]
+        assert_results_equal(lockstep, reference)
+        assert reference.warm_started == lockstep.warm_started
+
+    def test_search_only_explorer_matches_per_window_attack(self):
+        levels = [100.0, 110.0, 150.0, 300.0]
+        windows = np.stack([benign_window(level) for level in levels])
+        scenarios = [Scenario.POSTPRANDIAL, Scenario.FASTING] * 2
+        batched = EvasionAttack(CountingPredictor(), explorer=SearchOnlyExplorer()).attack_batch(
+            windows, scenarios
         )
-        assert results[0].eligible and not results[0].success
-        # screen + warm endpoint + 0 explorer queries, no TypeError raised
-        assert results[0].queries == 2
+        sequential = attack_each(EvasionAttack(CountingPredictor()), windows, scenarios)
+        assert len(batched) == len(sequential) == len(levels)
+        for left, right in zip(batched, sequential):
+            assert_results_equal(left, right)
+
+
+class TestCohortCampaignContract:
+    def test_cohort_merge_emits_the_patient_loop_counters(self, aggregate_zoo, tiny_cohort):
+        from repro.obs import Observer
+
+        merged_obs, loop_obs = Observer(), Observer()
+        AttackCampaign(aggregate_zoo, stride=12, obs=merged_obs).run_cohort(tiny_cohort, "test")
+        per_patient_records(AttackCampaign(aggregate_zoo, stride=12, obs=loop_obs), tiny_cohort)
+        snapshot = merged_obs.registry.snapshot()
+        assert merged_obs.registry.counter_total("campaign.windows_attacked_total") > 0
+        assert snapshot == loop_obs.registry.snapshot()
+
+    def test_empty_cohort_yields_no_records(self, tiny_zoo):
+        result = AttackCampaign(tiny_zoo, stride=12).run_cohort([], "test")
+        assert result.records == []
+        assert result.patient_labels == []
+
+    def test_train_split_merge_matches_per_patient_loop(self, aggregate_zoo, tiny_cohort):
+        campaign = AttackCampaign(aggregate_zoo, stride=16)
+        merged = campaign.run_cohort(tiny_cohort, "train")
+        assert {record.split for record in merged.records} == {"train"}
+        assert_records_equal(merged.records, per_patient_records(campaign, tiny_cohort, "train"))

@@ -226,10 +226,9 @@ class TestAttackLevelParity:
         ]
         batched = EvasionAttack(
             self._LastValuePredictor(), explorer=explorer_factory()
-        ).attack_batch(windows, scenarios, batched=True)
-        sequential = EvasionAttack(
-            self._LastValuePredictor(), explorer=explorer_factory()
-        ).attack_batch(windows, scenarios, batched=False)
+        ).attack_batch(windows, scenarios)
+        attack = EvasionAttack(self._LastValuePredictor(), explorer=explorer_factory())
+        sequential = [attack.attack_window(w, s) for w, s in zip(windows, scenarios)]
         assert len(batched) == len(sequential) == len(levels)
         for left, right in zip(batched, sequential):
             assert_attack_results_equal(left, right)
@@ -267,11 +266,10 @@ class TestRealPredictorParity:
         windows = windows[::stride][:6]
         scenarios = [Scenario.POSTPRANDIAL] * len(windows)
         batched = EvasionAttack(predictor, explorer=EXPLORERS[name](3)).attack_batch(
-            windows, scenarios, batched=True
+            windows, scenarios
         )
-        sequential = EvasionAttack(predictor, explorer=EXPLORERS[name](3)).attack_batch(
-            windows, scenarios, batched=False
-        )
+        attack = EvasionAttack(predictor, explorer=EXPLORERS[name](3))
+        sequential = [attack.attack_window(w, s) for w, s in zip(windows, scenarios)]
         for left, right in zip(batched, sequential):
             assert_attack_results_equal(left, right)
 

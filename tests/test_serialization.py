@@ -1,14 +1,13 @@
 """Serialization contracts for everything the sharded fabric ships.
 
-``repro.serving.shard`` and ``AttackCampaign.run_cohort(n_workers=...)`` move
-models, detectors, stream state, and configs across process boundaries as
-pickled payloads.  The bitwise twin contracts (``tests/test_twins.py``,
-``tests/test_serving_shard.py``) only hold if every one of those objects
-round-trips pickle *faithfully* — same ``state_hash`` where hashed, same
-array bytes where not, same forward/score outputs, same RNG stream
-continuation.  These tests pin that contract object by object so a pickling
-regression is caught here, with a named culprit, rather than as an opaque
-shard-parity failure.
+``repro.serving.shard`` moves models, detectors, stream state, and configs
+across process boundaries as pickled payloads.  The bitwise twin contracts
+(``tests/test_twins.py``, ``tests/test_serving_shard.py``) only hold if every
+one of those objects round-trips pickle *faithfully* — same ``state_hash``
+where hashed, same array bytes where not, same forward/score outputs, same
+RNG stream continuation.  These tests pin that contract object by object so a
+pickling regression is caught here, with a named culprit, rather than as an
+opaque shard-parity failure.
 """
 
 import pickle
@@ -112,6 +111,29 @@ class TestPredictorRoundTrip:
         predictor, _ = fitted
         copy = round_trip(predictor)
         assert copy.scaler.signature() == predictor.scaler.signature()
+
+
+class TestModelZooRoundTrip:
+    def test_unpickled_zoo_reproduces_the_campaign(
+        self, tiny_zoo, tiny_cohort, tiny_test_campaign
+    ):
+        from repro.attacks import AttackCampaign
+
+        copy = AttackCampaign(round_trip(tiny_zoo), stride=6).run_cohort(
+            tiny_cohort, split="test"
+        )
+        assert len(copy.records) == len(tiny_test_campaign.records) > 0
+        for left, right in zip(tiny_test_campaign.records, copy.records):
+            assert left.patient_label == right.patient_label
+            assert left.window_index == right.window_index
+            assert left.result.eligible == right.result.eligible
+            assert left.result.success == right.result.success
+            assert left.result.path == right.result.path
+            assert left.result.queries == right.result.queries
+            assert (
+                left.result.adversarial_window.tobytes()
+                == right.result.adversarial_window.tobytes()
+            )
 
 
 class TestWindowScalerRoundTrip:

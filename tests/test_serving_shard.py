@@ -6,9 +6,7 @@ Pins the contract of :mod:`repro.serving.shard`:
   sharded == single-process twins are rows of the twin table in
   ``scripts/check_parity.py``, run by ``tests/test_twins.py``),
 * worker-death isolation — a dead shard degrades only its own sessions
-  while co-scheduled shards stay bitwise-identical to the baseline,
-* ``AttackCampaign.run_cohort(n_workers=2)`` record-for-record equality
-  with the merged lockstep path, and
+  while co-scheduled shards stay bitwise-identical to the baseline, and
 * the order-dependence audit: tick mapping order, session open order,
   cohort order, and report aggregation order must not change results.
 
@@ -174,37 +172,6 @@ class TestWorkerDeath:
                 assert outcome.prediction is None
             # The mirror keeps counting ticks so a recovered flow could resume.
             assert [outcome.tick for outcome in outs] == list(range(20))
-
-
-class TestShardedCampaign:
-    def test_run_cohort_n_workers_matches_single(
-        self, tiny_zoo, tiny_cohort, tiny_test_campaign
-    ):
-        campaign = AttackCampaign(tiny_zoo, stride=6)
-        sharded = campaign.run_cohort(tiny_cohort, split="test", n_workers=2)
-        single = tiny_test_campaign
-        assert len(sharded.records) == len(single.records) > 0
-        for left, right in zip(single.records, sharded.records):
-            assert left.patient_label == right.patient_label
-            assert left.window_index == right.window_index
-            assert left.target_index == right.target_index
-            assert left.result.eligible == right.result.eligible
-            assert left.result.success == right.result.success
-            assert left.result.path == right.result.path
-            assert left.result.queries == right.result.queries
-            np.testing.assert_array_equal(
-                left.result.adversarial_window, right.result.adversarial_window
-            )
-
-    def test_n_workers_requires_cohort_batched(self, tiny_zoo, tiny_cohort):
-        campaign = AttackCampaign(tiny_zoo, stride=6, cohort_batched=False)
-        with pytest.raises(ValueError, match="cohort_batched"):
-            campaign.run_cohort(tiny_cohort, n_workers=2)
-
-    def test_n_workers_validated(self, tiny_zoo, tiny_cohort):
-        campaign = AttackCampaign(tiny_zoo, stride=6)
-        with pytest.raises(ValueError, match="n_workers"):
-            campaign.run_cohort(tiny_cohort, n_workers=0)
 
 
 class TestOrderInvariance:
