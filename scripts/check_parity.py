@@ -62,14 +62,6 @@ GRADIENT_TOLERANCE = 1e-8
 #: Per-epoch losses of a fixed-seed fused fit vs the graph fit; individual
 #: steps agree near machine precision, the budget covers benign accumulation.
 LOSS_CURVE_TOLERANCE = 1e-6
-#: LSTM-VAE streaming scores vs offline ``scores``: the offline path batches
-#: N windows per BLAS call while streaming scores one window per tick, and
-#: BLAS rounds differently per batch shape, so scores agree to ~1e-15 but not
-#: bitwise.  Verdicts ARE bitwise (the threshold comparison absorbs the
-#: rounding), and so are calls with identical batch composition — which is
-#: why the sharded fabric still reproduces VAE scores bit for bit.  The HMM
-#: uses only broadcast-reduce arithmetic and is bitwise everywhere.
-VAE_STREAM_SCORE_TOLERANCE = 1e-12
 #: MAD-GAN's float32 production inversion vs its float64 reference from the
 #: same latents: quantiles of the relative reconstruction-error gap.  Most
 #: windows agree to float32 rounding; a few trajectories settle in a nearby
@@ -356,9 +348,9 @@ def run_detector_family_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -
     Both window brains stream statelessly, so one test trace served sample by
     sample to a one-session :class:`~repro.serving.StreamScheduler` monitored
     by a :class:`~repro.detectors.StreamingDetector` must give verdicts
-    bitwise identical to ``predict`` on the same sliding windows;
-    HMM scores are bitwise too, LSTM-VAE scores within
-    :data:`VAE_STREAM_SCORE_TOLERANCE`.  Their sharded twins are the
+    bitwise identical to ``predict`` on the same sliding windows, and so
+    must their scores: both scorers are batch-invariant (a window scored
+    alone equals the same window in an offline batch).  Their sharded twins are the
     ``family_chaos`` rows of :data:`TWIN_ROWS`.  Raises AssertionError on
     the first violation.
     """
@@ -387,9 +379,8 @@ def run_detector_family_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -
         )
         stream_scores = np.array([verdict.score for verdict in warm])
         score_gap = float(np.abs(stream_scores - detector.scores(windows)).max())
-        tolerance = 0.0 if name == "hmm" else VAE_STREAM_SCORE_TOLERANCE
-        assert score_gap <= tolerance, (
-            f"{name}: streaming scores diverged from offline ({score_gap:.3e} > {tolerance:g})"
+        assert score_gap == 0.0, (
+            f"{name}: streaming scores diverged from offline ({score_gap:.3e})"
         )
         report[name] = {"stream_score_gap": score_gap, "n_windows": len(windows)}
     return report

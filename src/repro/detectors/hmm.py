@@ -10,9 +10,8 @@ the benign state manifold and its forward probabilities collapse.
 Scoring is deterministic and built from row-independent broadcast-reduce
 kernels (no BLAS matmuls whose rounding depends on batch shape), so a
 window's score is bitwise the same whatever batch it is scored in: the
-serving fabric's per-lane ``predict`` calls reproduce offline scoring
-**bitwise**, and sharded serving layouts are bitwise-invariant — the
-strongest parity class in the detector tolerance table
+serving fabric's cross-lane ``predict`` calls reproduce offline scoring
+**bitwise**, and sharded serving layouts are bitwise-invariant
 (``docs/detectors.md``).  Streams are scored statelessly, one batched
 forward pass over each tick's windows: a per-stream forward band was slower
 than this at 64 and 1024 streams.

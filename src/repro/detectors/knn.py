@@ -14,11 +14,17 @@ from typing import Optional
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin, ThresholdCalibrator
+from repro.nn.functional import rowwise_matmul
 from repro.utils.validation import check_array, check_consistent_length, check_fitted
 
 
 def minkowski_distances(queries: np.ndarray, references: np.ndarray, p: float = 2.0) -> np.ndarray:
-    """Pairwise Minkowski distances between query and reference row vectors."""
+    """Pairwise Minkowski distances between query and reference row vectors.
+
+    Each query's row is independent of the batch it came in
+    (:func:`~repro.nn.functional.rowwise_matmul`), so scoring windows one
+    at a time, in chunks, or merged across serving lanes gives the same bits.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     references = np.asarray(references, dtype=np.float64)
     if queries.ndim != 2 or references.ndim != 2:
@@ -31,7 +37,7 @@ def minkowski_distances(queries: np.ndarray, references: np.ndarray, p: float = 
         # Squared-expansion form is far faster for the Euclidean case.
         query_norms = np.sum(queries**2, axis=1)[:, np.newaxis]
         reference_norms = np.sum(references**2, axis=1)[np.newaxis, :]
-        squared = query_norms + reference_norms - 2.0 * queries @ references.T
+        squared = query_norms + reference_norms - rowwise_matmul(2.0 * queries, references.T)
         return np.sqrt(np.maximum(squared, 0.0))
     differences = np.abs(queries[:, np.newaxis, :] - references[np.newaxis, :, :])
     return np.power(np.sum(differences**p, axis=2), 1.0 / p)

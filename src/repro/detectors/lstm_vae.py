@@ -15,11 +15,10 @@ so repeated calls are bitwise identical and — unlike MAD-GAN, whose inversion
 draws per-call latents — the LSTM-VAE joins the serving fabric's bitwise
 parity gates (``check_parity.run_detector_family_smoke`` and the
 ``family_chaos`` twin rows).  Streams are scored statelessly: each tick is
-one :meth:`LSTMVAEDetector.predict` over the lane's windows, so streaming verdicts are exactly offline ``predict``
-(scores agree within 1e-12 — BLAS rounds per batch shape, and a tick batches
-fewer windows than an offline call), and sharded layouts are bitwise equal
-to single-process serving at every shard count (identical per-lane batches,
-identical arithmetic).
+one :meth:`LSTMVAEDetector.predict` over every lane's windows, and a
+window's score does not depend on its batch, so streaming scores are
+bitwise the offline ``scores`` and sharded layouts are bitwise equal to
+single-process serving at every shard count.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 
 from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
 from repro.nn import Adam, BatchIterator, Dense, FusedTrainer, LSTM, Module, Tensor
+from repro.nn.functional import pad_rows
 from repro.nn.fused import LOG_2PI, fused_vae_loss_head
 from repro.nn.tensor import as_tensor, stack
 from repro.utils.rng import as_random_state
@@ -383,12 +383,15 @@ class LSTMVAEDetector(AnomalyDetector):
         Deterministic (latent = encoder mean, no sampling): repeated calls on
         the same windows are bitwise identical, and any two replicas scoring
         the same batch — e.g. sharded vs single-process serving of one lane —
-        agree bitwise.  Calls with different batch composition agree within
-        1e-12 (BLAS rounds per batch shape).
+        agree bitwise.  A window's score does not depend on its batch either:
+        the batch runs padded to whole 8-window blocks
+        (:func:`~repro.nn.functional.pad_rows`), so no window meets the gemv
+        path or OpenBLAS's narrower tail kernels
+        (``tests/test_detectors_batch_invariance.py`` pins the property).
         """
         check_fitted(self, ("_scaler", "history_"))
         scaled = self._scale(np.asarray(windows, dtype=np.float64))
-        return self._nll_scores(scaled)
+        return self._nll_scores(pad_rows(scaled))[: len(scaled)]
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Binary decisions for raw windows: 1 = anomalous (see :meth:`scores`)."""

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin
+from repro.nn.functional import rowwise_matmul
 from repro.utils.rng import as_random_state
 from repro.utils.validation import check_array, check_fitted
 
@@ -44,19 +45,25 @@ def kernel_matrix(
     gamma: float,
     coef0: float,
     degree: int,
+    matmul: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.matmul,
 ) -> np.ndarray:
-    """Compute the kernel matrix between two sample sets."""
+    """Compute the kernel matrix between two sample sets.
+
+    ``matmul(left, right.T)`` forms the inner products.  Scoring passes
+    :func:`~repro.nn.functional.rowwise_matmul`, so a sample's kernel row
+    does not depend on the batch it came in.
+    """
     if kernel == "linear":
-        return left @ right.T
+        return matmul(left, right.T)
     if kernel == "rbf":
         left_norm = np.sum(left**2, axis=1)[:, np.newaxis]
         right_norm = np.sum(right**2, axis=1)[np.newaxis, :]
-        squared = np.maximum(left_norm + right_norm - 2.0 * left @ right.T, 0.0)
+        squared = np.maximum(left_norm + right_norm - matmul(2.0 * left, right.T), 0.0)
         return np.exp(-gamma * squared)
     if kernel == "sigmoid":
-        return np.tanh(gamma * (left @ right.T) + coef0)
+        return np.tanh(gamma * matmul(left, right.T) + coef0)
     if kernel == "poly":
-        return (gamma * (left @ right.T) + coef0) ** degree
+        return (gamma * matmul(left, right.T) + coef0) ** degree
     raise ValueError(f"unknown kernel {kernel!r}; choose linear, rbf, sigmoid, or poly")
 
 
@@ -184,13 +191,20 @@ class OneClassSVMDetector(AnomalyDetector, ScaledDetectorMixin):
 
     # ---------------------------------------------------------------- inference
     def decision_function(self, windows: np.ndarray) -> np.ndarray:
-        """Signed distance to the learned boundary (negative = anomalous)."""
+        """Signed distance to the learned boundary (negative = anomalous).
+
+        Both products go through :func:`~repro.nn.functional.rowwise_matmul`
+        (``kernel @ dual_coef_`` alone would be a gemv, which rounds a row
+        differently at every batch size), so a window's score is the same
+        in any batch.
+        """
         check_fitted(self, ("support_vectors_", "dual_coef_", "rho_"))
         scaled = self._apply_scaler(self._flatten(windows))
         kernel = kernel_matrix(
-            scaled, self.support_vectors_, self.kernel, self.gamma_, self.coef0, self.degree
+            scaled, self.support_vectors_, self.kernel, self.gamma_, self.coef0, self.degree,
+            matmul=rowwise_matmul,
         )
-        return kernel @ self.dual_coef_ - self.rho_
+        return rowwise_matmul(kernel, self.dual_coef_[:, np.newaxis])[:, 0] - self.rho_
 
     def scores(self, windows: np.ndarray) -> np.ndarray:
         return -self.decision_function(windows)

@@ -63,6 +63,41 @@ def l2_penalty(parameters, weight: float = 1e-4) -> Tensor:
     return total * weight
 
 
+#: Row granularity of :func:`pad_rows` and :func:`rowwise_matmul`.
+ROW_BLOCK = 8
+
+
+def pad_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` extended to a whole number of :data:`ROW_BLOCK` rows.
+
+    The extra rows repeat the last one.  A float64 BLAS product rounds a row
+    differently depending on how many rows share the call: a single row
+    takes numpy's gemv path, and OpenBLAS sends the trailing ``n % 8`` rows
+    of a batch through narrower kernels.  Padding keeps every row of a batch
+    in a full block, so batch-invariant scorers (the LSTM-VAE) run their
+    whole batch padded and keep the first ``len(rows)`` results.
+    """
+    extra = -len(rows) % ROW_BLOCK
+    if not extra:
+        return rows
+    return np.concatenate([rows, np.repeat(rows[-1:], extra, axis=0)])
+
+
+def rowwise_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` whose every row is independent of the other rows.
+
+    Every BLAS call sees exactly :data:`ROW_BLOCK` rows (:func:`pad_rows`,
+    then one stacked matmul over the blocks), so a row's bits depend only
+    on the row and ``right``: splitting or merging batches never changes a
+    result.  One padded call alone is not enough here, because for some
+    widths OpenBLAS rounds a row differently as the batch grows.  ``right``
+    may be a matrix or a column ``(k, 1)``.
+    """
+    rows, width = left.shape
+    product = pad_rows(left).reshape(-1, ROW_BLOCK, width) @ right
+    return product.reshape(-1, right.shape[1])[:rows]
+
+
 def sigmoid(values: np.ndarray) -> np.ndarray:
     """Plain numpy sigmoid (for non-differentiable post-processing).
 

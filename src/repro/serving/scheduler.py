@@ -155,8 +155,13 @@ class StreamScheduler:
     like its one-shot ``scores_incremental``, and one shared across lanes
     gives each lane's one-shot verdicts (both pinned by
     ``tests/test_detectors_vae_hmm.py``).
-    Deterministic detectors (LSTM-VAE, HMM, kNN) answer one ``predict`` per
-    group, so lane-scoped bitwise parity is untouched.
+    Every other detector (kNN, OC-SVM, LSTM-VAE, HMM) is stateless and
+    answers ONE ``predict`` per detector per tick over every lane's rows:
+    each row's score is independent of its batch
+    (:func:`~repro.nn.functional.rowwise_matmul`, and the 8-window padding
+    in :meth:`~repro.detectors.lstm_vae.LSTMVAEDetector.scores`; pinned by
+    ``tests/test_detectors_batch_invariance.py``), so merging lanes changes
+    no bit and sharded layouts stay twins of single-process serving.
 
     Parameters
     ----------
@@ -506,16 +511,17 @@ class StreamScheduler:
         ``dropped`` (quarantined session, rejected sample) — those ticks ran
         no model step and carry no verdicts.
 
-        All model work is one ``step_stream`` call per lane; all detector
-        work is one ``predict`` call per distinct underlying detector object
-        *per lane* (incremental adapters instead share one
-        ``begin_scores_incremental`` / ``finish_predict_incremental`` pair,
-        which advances their per-stream states exactly once, and one cold
-        batch per detector).  Every other batch stays inside its lane: BLAS
-        rounding is batch-shape dependent, so lane-scoped batching keeps
-        every session's outputs bitwise independent of which other lanes
-        share its detectors — the invariant the sharded fabric's parity gate
-        pins.
+        All model work is one ``step_stream`` call per lane.  A stateless
+        detector answers one ``predict`` call per distinct underlying
+        detector object and unit across *all* lanes: each lane appends its
+        rows in lane order, and the verdicts are scattered back.  Its scores
+        are batch-invariant (a row's bits never depend on the rows beside
+        it), so a session's outputs stay bitwise independent of which other
+        lanes share its detectors — the invariant the sharded fabric's
+        parity gate pins.  Incremental adapters stay lane-scoped: each lane
+        runs one ``begin_scores_incremental`` / ``finish_predict_incremental``
+        pair, which advances their per-stream states exactly once, and the
+        lanes share one cold batch per detector.
         """
         obs = self.obs
         self._now = now
@@ -550,7 +556,8 @@ class StreamScheduler:
         if obs is not None:
             obs.emit_span("lane_gather", gather_started, tick=self._now, lanes=len(per_lane))
 
-        # (lane, detector object id, unit) -> views + where they go
+        # (detector object id, unit) -> views + where they go; incremental
+        # groups are keyed (lane, detector object id, unit).
         pending_views: Dict[tuple, dict] = {}
         for lane_key, items in per_lane.items():
             self._serve_lane(lane_key, items, results, pending_views)
@@ -604,7 +611,8 @@ class StreamScheduler:
             warm = lane.warm(rows)
         sources = {"sample": stacked[:, np.newaxis, :], "window": None}
         warming: Dict[str, int] = {}
-        lane_groups: List[dict] = []
+        # group key -> (group, this lane's rows of it)
+        lane_rows: Dict[tuple, Tuple[dict, List[int]]] = {}
         for index, (session, outcome) in enumerate(zip(sessions, outcomes)):
             for name, adapter in session.detectors.items():
                 detector_tick = adapter.take_tick()
@@ -612,30 +620,32 @@ class StreamScheduler:
                     outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
                     warming[name] = warming.get(name, 0) + 1
                     continue
-                # Batches are scoped to the lane: one query per distinct
-                # detector per lane, NOT per detector fleet-wide.  BLAS rounds
-                # per batch shape, so cross-lane batching would make a
-                # session's scores depend on which *other* lanes happen to
-                # share its detector (a composition dependence the sharded
-                # fabric's bitwise parity gate would reject — lanes are the
-                # atomic placement unit).
-                group_key = (lane_key, id(adapter.detector), adapter.unit)
-                group = pending_views.get(group_key)
-                if group is None:
-                    group = pending_views[group_key] = dict(
-                        detector=adapter.detector, incremental=adapter.incremental,
-                        unit=adapter.unit, rows=[], targets=[],
-                    )
-                    lane_groups.append(group)
-                group["rows"].append(index)
-                group["targets"].append((outcome, name, adapter, detector_tick, session))
+                # Stateless detectors batch across lanes (their scores are
+                # batch-invariant); an incremental detector's group stays
+                # inside the lane.
+                group_key = (id(adapter.detector), adapter.unit)
+                if adapter.incremental:
+                    group_key = (lane_key,) + group_key
+                entry = lane_rows.get(group_key)
+                if entry is None:
+                    group = pending_views.get(group_key)
+                    if group is None:
+                        group = pending_views[group_key] = dict(
+                            detector=adapter.detector, incremental=adapter.incremental,
+                            lanes=[], views=[], targets=[],
+                        )
+                    entry = lane_rows[group_key] = (group, [])
+                entry[1].append(index)
+                entry[0]["targets"].append((outcome, name, adapter, detector_tick, session))
         if self.obs is not None:
             for name, count in warming.items():
                 self.obs.registry.inc("serving.detector_warming_total", count, detector=name)
-        for group in lane_groups:
-            if sources[group["unit"]] is None:
+        for group_key, (group, group_rows) in lane_rows.items():
+            unit = group_key[-1]
+            if sources[unit] is None:
                 sources["window"] = lane.windows(rows)
-            group["views"] = sources[group["unit"]][group.pop("rows")]
+            group["lanes"].append((lane_key, len(group_rows)))
+            group["views"].append(sources[unit][group_rows])
 
     def _observe_lane_step(self, lane_key: str, sessions, started: float) -> None:
         """Metric series and ``lane_step`` span of one lane's model step."""
@@ -654,36 +664,35 @@ class StreamScheduler:
         """Run every queued detector group and attach its verdicts."""
         obs = self.obs
         now = self._now
-        # One batched query per lane per distinct detector object and view
-        # shape.  Incremental groups thread their per-stream states through
-        # the detector's begin phase here and pool their owed cold
+        # One batched query per distinct detector object and unit; an
+        # incremental group is one lane's, threads its per-stream states
+        # through the detector's begin phase here and pools its owed cold
         # inversions for one merged batch per detector below.
-        # id(detector) -> [(group_key, group, plan, started)], in tick
-        # iteration order (the order the begin phases drew their cold-start
-        # latents — splitting the merged inversion back follows it).
+        # id(detector) -> [(group, plan, started)], in tick iteration order
+        # (the order the begin phases drew their cold-start latents —
+        # splitting the merged inversion back follows it).
         plans: Dict[int, List] = {}
 
-        for group_key, group in pending_views.items():
+        for group in pending_views.values():
             group_started = None
             if obs is not None:
                 group_started = perf_counter()
-                obs.registry.inc(
-                    "serving.detector_queries_total",
-                    lane=group_key[0],
-                    incremental="yes" if group["incremental"] else "no",
-                )
-                obs.registry.observe(
-                    "serving.detector_batch", len(group["targets"]), lane=group_key[0]
-                )
+                # Per-lane series count each lane's part of a merged call,
+                # so they do not depend on which lanes share a process.
+                incremental = "yes" if group["incremental"] else "no"
+                for lane_key, count in group["lanes"]:
+                    obs.registry.inc(
+                        "serving.detector_queries_total", lane=lane_key, incremental=incremental
+                    )
+                    obs.registry.observe("serving.detector_batch", count, lane=lane_key)
             detector = group["detector"]
             views = group["views"]
+            views = views[0] if len(views) == 1 else np.concatenate(views)
             try:
                 if group["incremental"]:
                     states = [adapter.inversion_state for _, _, adapter, _, _ in group["targets"]]
                     plan = detector.begin_scores_incremental(views, states)
-                    plans.setdefault(id(detector), []).append(
-                        (group_key, group, plan, group_started)
-                    )
+                    plans.setdefault(id(detector), []).append((group, plan, group_started))
                     continue
                 flags = detector.predict(views)
                 wants_scores = any(target[2].include_scores for target in group["targets"])
@@ -691,11 +700,11 @@ class StreamScheduler:
             except Exception as exc:
                 self._detector_failure(group["targets"], exc)
                 continue
-            self._apply_group_verdicts(group_key, group, flags, scores, group_started, now)
+            self._apply_group_verdicts(group, flags, scores, group_started, now)
 
         for entries in plans.values():
-            detector = entries[0][1]["detector"]
-            owed = [plan for _, _, plan, _ in entries if plan.rerun_cold]
+            detector = entries[0][0]["detector"]
+            owed = [plan for _, plan, _ in entries if plan.rerun_cold]
             cold_errors = cold_latents = None
             if owed:
                 try:
@@ -704,7 +713,7 @@ class StreamScheduler:
                         np.concatenate([plan.cold_initial for plan in owed]),
                     )
                 except Exception as exc:
-                    for _, group, _, _ in entries:
+                    for group, _, _ in entries:
                         self._detector_failure(group["targets"], exc)
                     continue
                 if obs is not None and len(owed) >= 2:
@@ -713,7 +722,7 @@ class StreamScheduler:
                         "serving.cold_coalesce_windows", len(cold_errors)
                     )
             offset = 0
-            for group_key, group, plan, group_started in entries:
+            for group, plan, group_started in entries:
                 n_cold = len(plan.rerun_cold)
                 slice_errors = slice_latents = None
                 if n_cold:
@@ -727,13 +736,9 @@ class StreamScheduler:
                 except Exception as exc:
                     self._detector_failure(group["targets"], exc)
                     continue
-                self._apply_group_verdicts(
-                    group_key, group, flags, scores, group_started, now
-                )
+                self._apply_group_verdicts(group, flags, scores, group_started, now)
 
-    def _apply_group_verdicts(
-        self, group_key, group, flags, scores, group_started, now
-    ) -> None:
+    def _apply_group_verdicts(self, group, flags, scores, group_started, now) -> None:
         """Distribute one detector group's flags/scores to its sessions.
 
         Shared by the stateless per-group path and the incremental
@@ -774,15 +779,17 @@ class StreamScheduler:
             if group["incremental"]:
                 for _, name, adapter, _, _ in group["targets"]:
                     self._observe_inversion(name, adapter)
+            lanes = group["lanes"]
             obs.emit_span(
                 "detector_batch",
                 group_started,
                 tick=now,
-                lane=group_key[0],
+                lane=lanes[0][0] if len(lanes) == 1 else None,
                 sessions=tuple(
                     session.session_id for _, _, _, _, session in group["targets"]
                 ),
                 batch=len(group["targets"]),
+                lanes=len(lanes),
                 incremental=group["incremental"],
             )
 

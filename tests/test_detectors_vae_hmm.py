@@ -12,9 +12,9 @@ Pins the guarantees the new detector family ships under (ISSUE 9):
 * both detectors fit deterministically under a fixed seed (equal
   ``state_hash``);
 * the cross-detector serving contract: both brains stream statelessly (one
-  ``predict`` per tick), so streaming and lane-batched scheduler verdicts
-  equal offline ``predict`` (HMM scores bitwise too; VAE scores within
-  1e-12 — see ``docs/detectors.md`` for the tolerance table), pickle
+  ``predict`` per tick), so streaming and cross-lane batched scheduler
+  verdicts and scores equal offline ``predict`` / ``scores`` bitwise (see
+  ``docs/detectors.md`` for the tolerance table), pickle
   round-trips preserve ``state_hash`` and scores, ensemble membership;
 * the scheduler's one incremental path: a MAD-GAN backing one lane scores
   bitwise like its one-shot ``scores_incremental``, and one backing several
@@ -47,9 +47,6 @@ from tests.test_detectors import make_toy_trace, sliding_windows
 
 GRADIENT_TOLERANCE = 1e-8
 LOSS_CURVE_TOLERANCE = 1e-6
-#: Streaming VAE scores vs offline: a tick scores fewer windows per call than
-#: the offline batch, and BLAS rounds per batch shape (verdicts are exact).
-VAE_STREAM_SCORE_TOLERANCE = 1e-12
 
 
 def round_trip(obj):
@@ -306,22 +303,13 @@ class TestStreamingOfflineParity:
             window_session(predictor, detector), windows
         )
         np.testing.assert_array_equal(stream_flags, detector.predict(windows))
-        offline_scores = detector.scores(windows)
-        if name == "hmm":
-            # Broadcast-reduce forward: batch-composition independent, so
-            # per-tick streaming scores match the batched offline call bitwise.
-            np.testing.assert_array_equal(stream_scores, offline_scores)
-        else:
-            # The VAE's BLAS products round per batch shape (one window per
-            # tick vs all windows at once offline): scores within 1e-12.
-            gap = np.abs(stream_scores - offline_scores).max()
-            assert gap <= VAE_STREAM_SCORE_TOLERANCE
+        # Both scorers are batch-invariant, so one window per tick matches
+        # the batched offline call bitwise.
+        np.testing.assert_array_equal(stream_scores, detector.scores(windows))
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_batched_streams_match_single_streams(self, family, name):
-        """Scoring k streams in one call == scoring each alone: bitwise for
-        the matmul-free HMM, verdict-bitwise (scores ≤ 1e-12) for the VAE,
-        whose recurrence/decoder matmuls round per batch shape."""
+        """Scoring k streams in one call == scoring each alone, bitwise."""
         detector = family[name]
         traces = [make_toy_trace(10, seed=30 + index) for index in range(3)]
         for tick in range(10):
@@ -330,14 +318,7 @@ class TestStreamingOfflineParity:
             solo = np.array(
                 [detector.scores(stacked[index : index + 1])[0] for index in range(3)]
             )
-            if name == "hmm":
-                np.testing.assert_array_equal(batched, solo)
-            else:
-                assert np.abs(batched - solo).max() <= VAE_STREAM_SCORE_TOLERANCE
-                np.testing.assert_array_equal(
-                    detector.calibrator.predict(batched),
-                    detector.calibrator.predict(solo),
-                )
+            np.testing.assert_array_equal(batched, solo)
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_state_reset_recovers_cold_parity(self, family, predictor, name):
@@ -374,8 +355,8 @@ class TestStreamingOfflineParity:
     def test_scheduler_verdicts_equal_offline_predict(
         self, cohort_family, tiny_zoo, tiny_cohort, name
     ):
-        """Lane-batched serving: every warm verdict is offline ``predict`` on
-        the session's window (HMM scores bitwise, VAE scores ≤ 1e-12)."""
+        """Cross-lane batched serving: every warm verdict and score is
+        offline ``predict`` / ``scores`` on the session's window, bitwise."""
         from repro.serving import StreamScheduler
 
         detector = cohort_family[name]
@@ -416,11 +397,7 @@ class TestStreamingOfflineParity:
             flags = np.array([int(flag) for flag, _ in served[session_id]])
             scores = np.array([score for _, score in served[session_id]])
             np.testing.assert_array_equal(flags, detector.predict(windows))
-            if name == "hmm":
-                np.testing.assert_array_equal(scores, detector.scores(windows))
-            else:
-                gap = np.abs(scores - detector.scores(windows)).max()
-                assert gap <= VAE_STREAM_SCORE_TOLERANCE
+            np.testing.assert_array_equal(scores, detector.scores(windows))
 
 
 class TestFamilySerialization:
@@ -627,7 +604,4 @@ class TestDetectorFamilySmoke:
     def test_family_smoke_passes(self, check_parity, tiny_zoo, tiny_cohort):
         report = check_parity.run_detector_family_smoke(tiny_zoo, tiny_cohort)
         assert report["hmm"]["stream_score_gap"] == 0.0
-        assert (
-            report["lstm_vae"]["stream_score_gap"]
-            <= check_parity.VAE_STREAM_SCORE_TOLERANCE
-        )
+        assert report["lstm_vae"]["stream_score_gap"] == 0.0

@@ -1115,3 +1115,183 @@ class TestSessionChurn:
             right = churned.sessions[record.label]
             assert left.delivered_at == right.delivered_at
             np.testing.assert_array_equal(left.predictions(), right.predictions())
+
+
+# ------------------------------------------------------- cross-lane groups
+class _CountingDetector:
+    """Stateless stub that records every ``predict`` batch it answers.
+
+    Its score of a view is the view's sum, so each verdict shows whose row
+    it came from.
+    """
+
+    name = "counting"
+
+    def __init__(self):
+        self.batches = []
+
+    def scores(self, windows):
+        return np.asarray(windows).reshape(len(windows), -1).sum(axis=1)
+
+    def predict(self, windows):
+        self.batches.append(len(windows))
+        return (self.scores(windows) > 100.0).astype(int)
+
+
+class TestCrossLaneDetectorGroups:
+    """Stateless detectors answer one call per ``(detector, unit)`` per tick
+    across every lane; MAD-GAN groups stay inside their lane."""
+
+    SESSIONS_PER_LANE = 2
+
+    @pytest.fixture(scope="class")
+    def madgan(self, tiny_zoo, tiny_cohort):
+        from repro.detectors import MADGANDetector
+
+        windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
+        return MADGANDetector(
+            epochs=1, hidden_size=8, inversion_steps=4, warm_inversion_steps=2,
+            max_samples=200, seed=0,
+        ).fit(windows[::4])
+
+    def open_fleet(self, scheduler, tiny_zoo, tiny_cohort, detectors):
+        """``SESSIONS_PER_LANE`` sessions per personalized lane; returns feeds."""
+        feeds = {}
+        for record in tiny_cohort:
+            for copy in range(self.SESSIONS_PER_LANE):
+                session_id = f"{record.label}/{copy}"
+                scheduler.open_session(
+                    record.label,
+                    tiny_zoo.model_for(record.label),
+                    detectors={name: build() for name, build in detectors.items()},
+                    session_id=session_id,
+                )
+                feeds[session_id] = record.features("test")[3 * copy :]
+        assert scheduler.n_lanes == len(tiny_cohort) > 1
+        return feeds
+
+    def test_one_predict_per_detector_and_unit_per_tick(self, tiny_zoo, tiny_cohort):
+        stub = _CountingDetector()
+        scheduler = StreamScheduler()
+        feeds = self.open_fleet(
+            scheduler,
+            tiny_zoo,
+            tiny_cohort,
+            {
+                "sample": lambda: StreamingDetector(stub, unit="sample", include_scores=True),
+                "window": lambda: StreamingDetector(stub, unit="window", include_scores=True),
+            },
+        )
+        history = tiny_zoo.dataset.history
+        for tick in range(history + 3):
+            stub.batches.clear()
+            outcomes = scheduler.tick({sid: trace[tick] for sid, trace in feeds.items()})
+            warm = tick >= history - 1
+            # One call for the sample unit, one more once windows are warm,
+            # each over every session of every lane.
+            assert stub.batches == [len(feeds)] * (2 if warm else 1)
+            for session_id, outcome in outcomes.items():
+                trace = feeds[session_id]
+                assert outcome.verdicts["sample"].score == stub.scores(trace[tick][None])[0]
+                window = outcome.verdicts["window"]
+                if warm:
+                    view = trace[tick - history + 1 : tick + 1][None]
+                    assert window.score == stub.scores(view)[0]
+                    assert window.flagged == bool(stub.predict(view)[0])
+                else:
+                    assert window.warming
+
+    def test_madgan_groups_stay_lane_scoped(self, madgan, tiny_zoo, tiny_cohort):
+        """Each lane runs its own begin phase (one warm inversion batch per
+        lane with a warm stream) and the lanes share one cold batch, so the
+        per-tick ``inversion_calls`` are those of lane-scoped groups."""
+        begins, colds = [], []
+        begin, invert_cold = madgan.begin_scores_incremental, madgan.invert_cold
+
+        def spy_begin(windows, states):
+            begins.append(list(states))
+            return begin(windows, states)
+
+        def spy_cold(windows, initial):
+            colds.append(len(windows))
+            return invert_cold(windows, initial)
+
+        madgan.begin_scores_incremental, madgan.invert_cold = spy_begin, spy_cold
+        try:
+            scheduler = StreamScheduler()
+            adapters = {}
+
+            def adapter():
+                built = StreamingDetector(madgan, unit="window")
+                adapters[id(built.inversion_state)] = built
+                return built
+
+            feeds = self.open_fleet(scheduler, tiny_zoo, tiny_cohort, {"madgan": adapter})
+            lane_of = {
+                id(scheduler.session(sid).detectors["madgan"].inversion_state): sid.split("/")[0]
+                for sid in feeds
+            }
+            history = tiny_zoo.dataset.history
+            for tick in range(history + 6):
+                begins.clear()
+                colds.clear()
+                states = [adapter.inversion_state for adapter in adapters.values()]
+                before = [(state.latent is None, state.fallbacks) for state in states]
+                calls = madgan.inversion_calls
+                scheduler.tick({sid: trace[tick] for sid, trace in feeds.items()})
+                if tick < history - 1:
+                    assert not begins and not colds
+                    continue
+                lanes = [{lane_of[id(state)] for state in group} for group in begins]
+                assert all(len(group) == 1 for group in lanes)
+                assert len(begins) == len(tiny_cohort)
+                assert sum(len(group) for group in begins) == len(feeds)
+                warm_lanes = {
+                    lane_of[id(state)]
+                    for state, (cold, _) in zip(states, before)
+                    if not cold
+                }
+                owes_cold = any(
+                    cold or state.fallbacks > fallbacks
+                    for state, (cold, fallbacks) in zip(states, before)
+                )
+                assert len(colds) == int(owes_cold)
+                assert madgan.inversion_calls - calls == len(warm_lanes) + len(colds)
+        finally:
+            del madgan.begin_scores_incremental, madgan.invert_cold
+
+    def test_per_lane_metric_series_count_lane_parts(self, tiny_zoo, tiny_cohort):
+        """``detector_queries_total`` / ``detector_batch`` stay per lane: one
+        query per lane and group, batch = the lane's rows of the call."""
+        from repro.obs import Observer
+        from repro.obs.metrics import series_key
+
+        stub = _CountingDetector()
+        scheduler = StreamScheduler(obs=Observer(trace=True))
+        feeds = self.open_fleet(
+            scheduler,
+            tiny_zoo,
+            tiny_cohort,
+            {
+                "sample": lambda: StreamingDetector(stub, unit="sample"),
+                "window": lambda: StreamingDetector(stub, unit="window"),
+            },
+        )
+        history = tiny_zoo.dataset.history
+        ticks = history + 2
+        for tick in range(ticks):
+            scheduler.tick({sid: trace[tick] for sid, trace in feeds.items()}, now=tick)
+        snapshot = scheduler.obs_snapshot()
+        queries = ticks + (ticks - history + 1)  # sample every tick, window once warm
+        for record in tiny_cohort:
+            lane = tiny_zoo.model_for(record.label).state_hash()
+            key = series_key("serving.detector_queries_total", {"lane": lane, "incremental": "no"})
+            assert snapshot["counters"][key] == queries
+            batch = snapshot["histograms"][series_key("serving.detector_batch", {"lane": lane})]
+            assert batch["count"] == queries
+            assert batch["sum"] == queries * self.SESSIONS_PER_LANE
+        spans = [span for span in scheduler.obs.spans if span.stage == "detector_batch"]
+        assert len(spans) == len(stub.batches) == queries
+        assert all(span.lane is None for span in spans)
+        assert {span.detail["lanes"] for span in spans} == {len(tiny_cohort)}
+        assert {span.detail["batch"] for span in spans} == {len(feeds)}
