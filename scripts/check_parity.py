@@ -3,7 +3,9 @@
 On a tiny cohort it asserts explorer lockstep parity and the 1e-10 inference
 fast path (:func:`run_checks`), fused-training parity (:func:`run_training_parity`),
 stream == offline serving (:func:`run_serving_smoke`,
-:func:`run_detector_family_smoke`), every chaos gate (:func:`run_chaos_smoke`),
+:func:`run_detector_family_smoke`), the stacked multi-lane model step ==
+the one-lane step (:func:`run_stacked_step_parity`), every chaos gate
+(:func:`run_chaos_smoke`),
 and MAD-GAN's float32 inversion against its float64 reference (:func:`run_madgan_dtype_parity`).
 It also holds the
 **twin table** (:data:`TWIN_ROWS`): each row serves one scenario two ways —
@@ -322,6 +324,49 @@ def run_serving_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 50) -> Dict[s
         "n_ticks": n_ticks,
         "tampered_ticks": tampered_ticks,
     }
+
+
+def run_stacked_step_parity(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -> Dict[str, int]:
+    """The stacked multi-lane model step against the one-lane step, bitwise.
+
+    Serves three sessions per patient on ``zoo``'s lanes (one per patient
+    when personalized) from one scheduler, whose ticks step every lane of
+    equal shape and warm-row count together.  The third session of each
+    lane misses every third tick, so warm and warming slots mix.  Every
+    prediction must equal the lane's own ``step_stream`` on a private state,
+    byte for byte.  Raises AssertionError on the first violation.
+    """
+    scheduler = StreamScheduler()
+    lanes = []  # (predictor, one-lane state, session ids, trace)
+    for record in cohort:
+        predictor = zoo.model_for(record.label)
+        ids = [f"{record.label}/{index}" for index in range(3)]
+        for session_id in ids:
+            scheduler.open_session(record.label, predictor, session_id=session_id)
+        lanes.append((predictor, predictor.stream_state(len(ids)), ids, record.features("test")))
+    compared = 0
+    for tick in range(n_ticks):
+        delivery = {
+            session_id: trace[tick + index]
+            for _, _, ids, trace in lanes
+            for index, session_id in enumerate(ids)
+            if index < 2 or tick % 3 != 2
+        }
+        outcomes = scheduler.tick(delivery)
+        for predictor, state, ids, _ in lanes:
+            rows = [index for index, session_id in enumerate(ids) if session_id in delivery]
+            expected = predictor.step_stream(
+                np.stack([delivery[ids[index]] for index in rows]), state, rows=np.array(rows)
+            )
+            for index, value in zip(rows, expected):
+                got = outcomes[ids[index]].prediction
+                assert (got is None) == bool(np.isnan(value)) and (got is None or got == value), (
+                    f"stacked lane step diverged from the one-lane step for {ids[index]} "
+                    f"at tick {tick}: {got!r} != {value!r}"
+                )
+                compared += got is not None
+    assert compared > 0, "no session warmed up"
+    return {"n_lanes": scheduler.n_lanes, "predictions_compared": compared}
 
 
 def run_chaos_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str, dict]:
@@ -959,6 +1004,10 @@ def main() -> int:
         ("explorer + fast-path parity", lambda: run_checks(zoo, cohort)),
         ("fused-training parity", lambda: run_training_parity(zoo, cohort)),
         ("serving smoke (stream vs offline)", lambda: run_serving_smoke(zoo, cohort)),
+        (
+            "stacked lane step (vs one-lane step)",
+            lambda: run_stacked_step_parity(bench.zoo, cohort),
+        ),
         ("chaos smoke (every chaos gate)", lambda: run_chaos_smoke(zoo, cohort)),
         ("detector family (stream vs offline)", lambda: run_detector_family_smoke(zoo, cohort)),
         ("MAD-GAN float32 vs float64 inversion", lambda: run_madgan_dtype_parity(zoo, cohort)),

@@ -150,7 +150,7 @@ class WindowScaler:
 
         Bitwise-identical scaling for callers on the per-tick serving hot
         path that have already validated ``samples`` as a float64
-        ``(n, n_features)`` array (see ``GlucosePredictor.step_one``).
+        ``(n, n_features)`` array (see ``GlucosePredictor.push_stream``).
         """
         return self._scaler.transform_unchecked(samples)
 
@@ -171,13 +171,18 @@ class WindowScaler:
     def cgm_std(self) -> float:
         return float(self._scaler.std_[CGM_COLUMN])
 
+    @property
+    def target_scale(self) -> float:
+        """The CGM divisor of :meth:`scale_target` (standard deviation plus a guard)."""
+        return self.cgm_std + 1e-8
+
     def scale_target(self, targets: np.ndarray) -> np.ndarray:
         """Scale CGM targets with the CGM channel statistics."""
-        return (np.asarray(targets, dtype=np.float64) - self.cgm_mean) / (self.cgm_std + 1e-8)
+        return (np.asarray(targets, dtype=np.float64) - self.cgm_mean) / self.target_scale
 
     def unscale_target(self, scaled: np.ndarray) -> np.ndarray:
         """Invert :meth:`scale_target`."""
-        return np.asarray(scaled, dtype=np.float64) * (self.cgm_std + 1e-8) + self.cgm_mean
+        return np.asarray(scaled, dtype=np.float64) * self.target_scale + self.cgm_mean
 
 
 def detection_windows(

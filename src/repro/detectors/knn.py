@@ -25,6 +25,15 @@ def minkowski_distances(queries: np.ndarray, references: np.ndarray, p: float = 
     (:func:`~repro.nn.functional.rowwise_matmul`), so scoring windows one
     at a time, in chunks, or merged across serving lanes gives the same bits.
     """
+    return _distances_from_powers(_minkowski_powers(queries, references, p), p)
+
+
+def _minkowski_powers(queries: np.ndarray, references: np.ndarray, p: float) -> np.ndarray:
+    """Pairwise ``sum |q - r| ** p`` (for ``p == 2`` the squared-expansion form).
+
+    :func:`_distances_from_powers` turns them into distances with a monotone
+    non-decreasing map, so ranking powers ranks distances.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     references = np.asarray(references, dtype=np.float64)
     if queries.ndim != 2 or references.ndim != 2:
@@ -37,10 +46,15 @@ def minkowski_distances(queries: np.ndarray, references: np.ndarray, p: float = 
         # Squared-expansion form is far faster for the Euclidean case.
         query_norms = np.sum(queries**2, axis=1)[:, np.newaxis]
         reference_norms = np.sum(references**2, axis=1)[np.newaxis, :]
-        squared = query_norms + reference_norms - rowwise_matmul(2.0 * queries, references.T)
-        return np.sqrt(np.maximum(squared, 0.0))
+        return query_norms + reference_norms - rowwise_matmul(2.0 * queries, references.T)
     differences = np.abs(queries[:, np.newaxis, :] - references[np.newaxis, :, :])
-    return np.power(np.sum(differences**p, axis=2), 1.0 / p)
+    return np.sum(differences**p, axis=2)
+
+
+def _distances_from_powers(powers: np.ndarray, p: float) -> np.ndarray:
+    if p == 2.0:
+        return np.sqrt(np.maximum(powers, 0.0))
+    return np.power(powers, 1.0 / p)
 
 
 class KNNClassifierDetector(AnomalyDetector, ScaledDetectorMixin):
@@ -148,14 +162,16 @@ class KNNDistanceDetector(AnomalyDetector, ScaledDetectorMixin):
         k = min(self.n_neighbors, len(self._train_features) - int(exclude_self))
         k = max(k, 1)
         result = np.empty(len(scaled))
+        # Rank on the powers, finish only the k kept: the finishing map is
+        # monotone non-decreasing, so the k values and their sorted order —
+        # hence the mean's bits — equal those of sorting every distance.
+        skip = int(exclude_self)  # the zero distance to the point itself
+        last = min(k + skip, len(self._train_features)) - 1
         for start in range(0, len(scaled), self.batch_size):
             batch = scaled[start : start + self.batch_size]
-            distances = minkowski_distances(batch, self._train_features, self.p)
-            if exclude_self:
-                # Ignore the zero distance to the point itself during calibration.
-                distances = np.sort(distances, axis=1)[:, 1 : k + 1]
-            else:
-                distances = np.sort(distances, axis=1)[:, :k]
+            powers = _minkowski_powers(batch, self._train_features, self.p)
+            nearest = np.sort(np.partition(powers, last, axis=1)[:, : last + 1], axis=1)
+            distances = _distances_from_powers(nearest[:, skip:], self.p)
             result[start : start + len(batch)] = distances.mean(axis=1)
         return result
 

@@ -25,8 +25,11 @@ from repro.nn import (
     Dense,
     FusedTrainer,
     Sequential,
+    StreamWeights,
     Tensor,
+    dense_forward,
     mse_loss,
+    stream_encode,
 )
 from repro.utils.rng import as_random_state
 from repro.utils.validation import check_array, check_consistent_length, check_fitted
@@ -273,6 +276,11 @@ class GlucosePredictor:
         ``history`` window returns NaN (warm-up).  Once warm, the prediction
         matches :meth:`predict` on the same sliding window within 1e-10 —
         pinned by ``tests/test_serving.py`` and ``scripts/check_parity.py``.
+
+        This is the one-predictor call of the serving step: the checked
+        :meth:`push_stream`, then :func:`forecast_streams` over the full
+        slots.  The serving scheduler runs the same two halves, the second
+        once per group of lanes.
         """
         check_fitted(self, ("scaler",))
         samples = np.asarray(samples, dtype=np.float64)
@@ -280,16 +288,46 @@ class GlucosePredictor:
             raise ValueError(
                 f"samples must have shape (k, {self.n_features}), got {samples.shape}"
             )
-        scaled = self._clip_scaled(self.scaler.transform_samples(samples))
-        encoded = self.model[0].step(scaled, state, rows=rows)
+        rows = state.check_rows(rows, len(samples))
+        weights = self.model[0].stream_weights()
+        self.push_stream(samples, state, rows, weights)
         predictions = np.full(len(samples), np.nan)
-        warm = ~np.isnan(encoded[:, 0])
+        warm = state.count[rows] == state.capacity
         if np.any(warm):
-            output = encoded[warm]
-            for layer in self.model.layers[1:]:
-                output = layer.fast_forward(output)
-            predictions[warm] = self.scaler.unscale_target(output.reshape(-1))
+            predictions[warm] = forecast_streams([self], [state], [rows[warm]], [weights])[0]
         return predictions
+
+    def push_stream(
+        self,
+        samples: np.ndarray,
+        state: BiLSTMStreamState,
+        rows: np.ndarray,
+        weights: StreamWeights,
+    ) -> None:
+        """The per-stream, mutating half of :meth:`step_stream`.
+
+        Scales and clamps one raw ``(k, n_features)`` float64 sample per slot
+        of ``rows`` and writes its input projection into ``state``
+        (:meth:`BiLSTM.push`).  ``weights`` are the encoder's
+        :meth:`BiLSTM.stream_weights`.  Inputs are not validated;
+        :meth:`step_stream` is the checked call.  :func:`forecast_streams`
+        then predicts from the full slots.
+        """
+        scaled = self._clip_scaled(self.scaler.transform_samples_unchecked(samples))
+        self.model[0].push(scaled, state, rows, weights)
+
+    def stream_signature(self) -> tuple:
+        """What must match for :func:`forecast_streams` to stack two predictors.
+
+        The window length, the encoder width and each head layer's weight
+        shape, bias and activation.  Weights, scalers and input clamps may
+        differ: the stacked step takes them per predictor.
+        """
+        head = tuple(
+            (layer.weight.data.shape, layer.bias is None, layer.activation)
+            for layer in self.model.layers[1:]
+        )
+        return (self.history, self.model[0].hidden_size, head)
 
     def step_one(
         self, sample: np.ndarray, state: BiLSTMStreamState, row: int = 0
@@ -298,22 +336,10 @@ class GlucosePredictor:
 
         Advances slot ``row`` of ``state`` with one ``(n_features,)`` raw
         sample and returns the prediction in mg/dL, or None while the slot's
-        window is warming up (fewer than ``history`` samples seen).  The
-        encoder runs the same :meth:`BiLSTM.step` kernel on a one-row batch,
-        so predictions are bitwise those of :meth:`step_stream`; only the
-        per-call sample validation is skipped (the serving scheduler's
-        single-session path — inputs are assumed validated by the caller).
+        window is warming up (fewer than ``history`` samples seen).
         """
-        scaled = self._clip_scaled(
-            self.scaler.transform_samples_unchecked(sample[np.newaxis])
-        )
-        encoded = self.model[0].step_one(scaled[0], state, row)
-        if encoded is None:
-            return None
-        output = encoded
-        for layer in self.model.layers[1:]:
-            output = layer.fast_forward(output)
-        return float(self.scaler.unscale_target(output.reshape(-1))[0])
+        value = self.step_stream(sample[np.newaxis], state, rows=np.array([row]))[0]
+        return None if state.count[row] < state.capacity else float(value)
 
     def predict_stream(self, features: np.ndarray) -> np.ndarray:
         """Stream a whole ``(T, n_features)`` trace one tick at a time.
@@ -372,3 +398,31 @@ class GlucosePredictor:
         if self.scaler is not None:
             digest.update(self.scaler.signature())
         return digest.hexdigest()
+
+
+def forecast_streams(predictors, states, rows, weights) -> np.ndarray:
+    """``(L, n)`` predictions (mg/dL) for full stream slots of ``L`` predictors at once.
+
+    One entry per predictor (a serving lane): its state, ``n`` full slots
+    to predict for (the same ``n`` for all) and its encoder's
+    :meth:`~repro.nn.BiLSTM.stream_weights`.  Predictors must share
+    :meth:`GlucosePredictor.stream_signature`.  The BiLSTM recurrence
+    (:func:`~repro.nn.recurrent.stream_encode`), the Dense head and the
+    unscaling each run once, stacked over ``(L, n, ·)``, and every
+    predictor's rows are bitwise those of predicting for it alone —
+    :meth:`GlucosePredictor.step_stream` is the one-predictor call.
+    Nothing is written: a caller may re-run it one predictor at a time.
+    """
+    output = stream_encode(states, rows, weights)
+    for layers in zip(*(predictor.model.layers[1:] for predictor in predictors)):
+        bias = (
+            None
+            if layers[0].bias is None
+            else np.stack([layer.bias.data for layer in layers])[:, np.newaxis]
+        )
+        output = dense_forward(
+            output, np.stack([layer.weight.data for layer in layers]), bias, layers[0].activation
+        )
+    scale = np.array([[predictor.scaler.target_scale] for predictor in predictors])
+    shift = np.array([[predictor.scaler.cgm_mean] for predictor in predictors])
+    return output[..., 0] * scale + shift

@@ -25,6 +25,7 @@ from repro.nn.module import (
     Sequential,
     apply_activation,
     apply_activation_array,
+    dense_forward,
 )
 from repro.nn.recurrent import (
     LSTM,
@@ -32,6 +33,8 @@ from repro.nn.recurrent import (
     BiLSTMStreamState,
     LSTMCell,
     LSTMStreamState,
+    StreamWeights,
+    stream_encode,
 )
 from repro.nn.functional import (
     binary_cross_entropy,
@@ -71,11 +74,14 @@ __all__ = [
     "Sequential",
     "apply_activation",
     "apply_activation_array",
+    "dense_forward",
     "LSTMCell",
     "LSTM",
     "BiLSTM",
     "LSTMStreamState",
     "BiLSTMStreamState",
+    "StreamWeights",
+    "stream_encode",
     "mse_loss",
     "mae_loss",
     "huber_loss",

@@ -54,6 +54,20 @@ def apply_activation_array(values: np.ndarray, activation: Optional[str]) -> np.
     return _ACTIVATION_ARRAYS[activation](values)
 
 
+def dense_forward(inputs, weight, bias, activation: Optional[str]) -> np.ndarray:
+    """``activation(inputs @ weight + bias)`` on raw arrays (``bias`` may be None).
+
+    :meth:`Dense.fast_forward` is the one-layer call.  Leading stack axes are
+    allowed: the stacked serving step passes ``(L, n, in)`` inputs against
+    ``(L, in, out)`` weights and ``(L, 1, out)`` biases, and each slice makes
+    the same BLAS call and elementwise ops as that layer's own call.
+    """
+    output = inputs @ weight
+    if bias is not None:
+        output = output + bias
+    return apply_activation_array(output, activation)
+
+
 def _activation_backward_state(
     pre_activation: np.ndarray, output: np.ndarray, activation: Optional[str]
 ):
@@ -363,10 +377,12 @@ class Dense(Module):
     # The fast and fused paths run in the weights' dtype (float64 unless a
     # caller swapped in float32 copies, as MAD-GAN's inversion does).
     def fast_forward(self, inputs: np.ndarray) -> np.ndarray:
-        output = np.asarray(inputs, dtype=self.weight.data.dtype) @ self.weight.data
-        if self.bias is not None:
-            output = output + self.bias.data
-        return apply_activation_array(output, self.activation)
+        return dense_forward(
+            np.asarray(inputs, dtype=self.weight.data.dtype),
+            self.weight.data,
+            None if self.bias is None else self.bias.data,
+            self.activation,
+        )
 
     # ------------------------------------------------------------- training
     def fused_forward_train(self, inputs: np.ndarray):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -22,9 +22,10 @@ def _gate_step(projection, hidden, cell, gates, weight_hidden, bias, size):
     """One graph-free LSTM step; every array may carry leading stack axes.
 
     ``gates`` is the reusable scratch the recurrent matmul writes into.  With
-    ``(batch, ...)`` arrays this is one cell's step; :meth:`BiLSTM.step`
-    passes ``(2, batch, ...)`` stacks to advance both directions in one
-    batched matmul — per direction the arithmetic and its order are the same.
+    ``(batch, ...)`` arrays this is one cell's step; :func:`stream_encode`
+    passes ``(L, 2, batch, ...)`` stacks to advance every lane and both
+    directions in one batched matmul — per slice the arithmetic and its order
+    are the same.
     Nothing here allocates a dtype of its own: the step runs in the dtype of
     the arrays it is given (the weights' dtype, see :meth:`LSTM.fast_forward`).
 
@@ -581,6 +582,22 @@ class BiLSTM(Module):
             )
         return BiLSTMStreamState(n_streams, self.hidden_size, capacity)
 
+    def stream_weights(self) -> "StreamWeights":
+        """The direction-stacked weights :meth:`step` runs on.
+
+        A serving lane builds them once for its lifetime and passes them to
+        :meth:`push` and :func:`stream_encode` every tick; :meth:`step`
+        builds them per call.  They are derived copies: weights changed in
+        place afterwards are not seen.
+        """
+        forward_cell = self.forward_layer.cell
+        backward_cell = self.backward_layer.cell
+        return StreamWeights(
+            input=np.stack((forward_cell.weight_input.data, backward_cell.weight_input.data)),
+            hidden=np.stack((forward_cell.weight_hidden.data, backward_cell.weight_hidden.data)),
+            bias=np.stack((forward_cell.bias.data, backward_cell.bias.data))[:, np.newaxis],
+        )
+
     def step(
         self,
         samples: np.ndarray,
@@ -606,12 +623,9 @@ class BiLSTM(Module):
         current window within 1e-10.  Rows whose ring is not yet full (the
         warm-up phase) are NaN.
 
-        Both directions advance together: each of the ``capacity`` steps is
-        one ``(2, n, H) @ (2, H, 4H)`` matmul, the forward direction reading
-        ring row ``k`` and the backward direction row ``capacity - 1 - k``.
-        Per direction this is exactly :meth:`LSTMCell.fast_step`'s arithmetic
-        in the same order, so outputs are bitwise those of running the two
-        directions one after the other.
+        This is the one-state call of the streaming kernel: :meth:`push`
+        writes the new samples, then :func:`stream_encode` runs the full
+        rows' windows with a one-state stack.
         """
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] != self.forward_layer.input_size:
@@ -619,55 +633,33 @@ class BiLSTM(Module):
                 f"samples must have shape (k, {self.forward_layer.input_size}), "
                 f"got {samples.shape}"
             )
-        if rows is None:
-            rows = np.arange(len(samples))
-        else:
-            rows = np.asarray(rows, dtype=int)
-            if len(rows) != len(samples):
-                raise ValueError("rows and samples must have the same length")
+        rows = state.check_rows(rows, len(samples))
+        weights = self.stream_weights()
+        self.push(samples, state, rows, weights)
+        outputs = np.full((len(rows), 2 * self.hidden_size), np.nan)
+        full_mask = state.count[rows] == state.capacity
+        if np.any(full_mask):
+            outputs[full_mask] = stream_encode([state], [rows[full_mask]], [weights])[0]
+        return outputs
 
-        forward_cell = self.forward_layer.cell
-        backward_cell = self.backward_layer.cell
-        # One projection per new sample for both directions; every window the
-        # sample participates in reuses these rows from the ring.
-        weight_input = np.stack(
-            (forward_cell.weight_input.data, backward_cell.weight_input.data)
-        )
+    @staticmethod
+    def push(
+        samples: np.ndarray,
+        state: "BiLSTMStreamState",
+        rows: np.ndarray,
+        weights: "StreamWeights",
+    ) -> None:
+        """Write one ``(k, input_size)`` sample per stream of ``rows`` into ``state``.
+
+        The mutating half of a step: one projection per new sample for both
+        directions (every window the sample joins reuses the ring row), the
+        ring write, and the cursor and fill-count advance.  Inputs are not
+        validated; :meth:`step` is the checked call.
+        """
         cursors = state.cursor[rows]
-        state.ring[rows, cursors] = np.matmul(samples, weight_input).transpose(1, 0, 2)
+        state.ring[rows, cursors] = np.matmul(samples, weights.input).transpose(1, 0, 2)
         state.cursor[rows] = (cursors + 1) % state.capacity
         state.count[rows] = np.minimum(state.count[rows] + 1, state.capacity)
-
-        size = self.hidden_size
-        outputs = np.full((len(rows), 2 * size), np.nan)
-        full_mask = state.count[rows] == state.capacity
-        if not np.any(full_mask):
-            return outputs
-        full_rows = rows[full_mask]
-
-        # One gather into step-major order: windows[k] holds the forward
-        # direction's k-th oldest row and the backward direction's k-th
-        # newest.  After the write above the oldest sample sits at the cursor.
-        capacity = state.capacity
-        order = (state.cursor[full_rows] + np.arange(capacity)[:, None]) % capacity
-        windows = state.ring[
-            full_rows, np.stack((order, order[::-1]), axis=1), _DIRECTIONS
-        ]
-
-        n_full = len(full_rows)
-        weight_hidden = np.stack(
-            (forward_cell.weight_hidden.data, backward_cell.weight_hidden.data)
-        )
-        bias = np.stack((forward_cell.bias.data, backward_cell.bias.data))[:, np.newaxis]
-        gates = np.empty((2, n_full, 4 * size))
-        hidden = np.zeros((2, n_full, size))
-        cell_state = np.zeros((2, n_full, size))
-        for step_index in range(capacity):
-            hidden, cell_state = _gate_step(
-                windows[step_index], hidden, cell_state, gates, weight_hidden, bias, size
-            )
-        outputs[full_mask] = np.concatenate((hidden[0], hidden[1]), axis=1)
-        return outputs
 
     def step_one(
         self, sample: np.ndarray, state: "BiLSTMStreamState", row: int = 0
@@ -679,6 +671,59 @@ class BiLSTM(Module):
         """
         encoded = self.step(sample[np.newaxis], state, rows=np.array([row]))
         return None if state.count[row] < state.capacity else encoded
+
+
+class StreamWeights(NamedTuple):
+    """A BiLSTM's weights stacked by direction, forward first (:meth:`BiLSTM.stream_weights`)."""
+
+    #: ``(2, input_size, 4 * hidden)`` input projections.
+    input: np.ndarray
+    #: ``(2, hidden, 4 * hidden)`` recurrent weights.
+    hidden: np.ndarray
+    #: ``(2, 1, 4 * hidden)`` gate biases.
+    bias: np.ndarray
+
+
+def stream_encode(states, rows, weights) -> np.ndarray:
+    """Encode the current windows of several stream states in one recurrence.
+
+    ``states``, ``rows`` and ``weights`` hold one entry per state (a lane):
+    its :class:`BiLSTMStreamState`, the slots to encode (each full, the same
+    number ``n`` for every state) and its :class:`StreamWeights`.  All states
+    share ``capacity`` and the hidden width.  Returns ``(L, n, 2 * hidden)``,
+    forward half first.
+
+    Each state's windows are gathered step-major into one buffer: step ``k``
+    holds the forward direction's ``k``-th oldest ring row and the backward
+    direction's ``k``-th newest (after a push the oldest sample sits at the
+    cursor).  The ``capacity`` steps then run once for every state and both
+    directions as ``(L, 2, n, H) @ (L, 2, H, 4H)`` matmuls through
+    :func:`_gate_step`.  Every slice makes the same BLAS call, with the same
+    shape, as a one-state call, and the gate arithmetic is elementwise, so
+    each state's outputs are bitwise those of encoding it alone.  Rows are
+    never padded: a different ``n`` is a different gemm shape and may round
+    differently.
+    """
+    capacity = states[0].capacity
+    size = weights[0].hidden.shape[1]
+    n_rows = len(rows[0])
+    windows = np.empty((len(states), capacity, 2, n_rows, 4 * size))
+    steps = np.arange(capacity)[:, np.newaxis]
+    for lane, (state, lane_rows) in enumerate(zip(states, rows)):
+        order = (state.cursor[lane_rows] + steps) % capacity
+        windows[lane] = state.ring[
+            lane_rows, np.stack((order, order[::-1]), axis=1), _DIRECTIONS
+        ]
+    weight_hidden = np.stack([lane_weights.hidden for lane_weights in weights])
+    bias = np.stack([lane_weights.bias for lane_weights in weights])
+    gates = np.empty((len(states), 2, n_rows, 4 * size))
+    hidden = np.zeros((len(states), 2, n_rows, size))
+    cell_state = np.zeros((len(states), 2, n_rows, size))
+    for step_index in range(capacity):
+        hidden, cell_state = _gate_step(
+            windows[:, step_index], hidden, cell_state, gates, weight_hidden, bias, size
+        )
+    return hidden.transpose(0, 2, 1, 3).reshape(len(states), n_rows, 2 * size)
 
 
 class BiLSTMStreamState:
@@ -710,6 +755,16 @@ class BiLSTMStreamState:
     @property
     def n_streams(self) -> int:
         return len(self.cursor)
+
+    @staticmethod
+    def check_rows(rows: Optional[np.ndarray], n_samples: int) -> np.ndarray:
+        """The slot indices of a step over ``n_samples`` (``arange`` when None)."""
+        if rows is None:
+            return np.arange(n_samples)
+        rows = np.asarray(rows, dtype=int)
+        if len(rows) != n_samples:
+            raise ValueError("rows and samples must have the same length")
+        return rows
 
     def grow(self, n_streams: int) -> None:
         """Extend the state with fresh (empty) slots up to ``n_streams``."""

@@ -1,4 +1,4 @@
-"""Session batching: one stacked incremental model step per tick per model.
+"""Session batching: one stacked incremental model step per tick per lane group.
 
 The scheduler is the serving-side twin of the attack campaign's cohort
 batching: instead of merging the windows of patients sharing a model into one
@@ -7,9 +7,12 @@ one stacked incremental *step*.  Sessions are grouped into **lanes** by
 :meth:`GlucosePredictor.state_hash` — weights + scaler, not object identity —
 so separately loaded copies of the same checkpoint share a lane.  Each lane
 holds one stacked :class:`~repro.nn.recurrent.BiLSTMStreamState` with a slot
-per session; a tick gathers whichever sessions received a sample, advances
-their slots with one ``step_stream`` call, and batches all detector queries
-that share an underlying detector object into one ``predict`` per detector.
+per session.  A tick gathers whichever sessions received a sample, writes
+each lane's new samples into its slots (one ``push_stream`` per lane), and
+predicts for every lane of equal shape and warm-row count with ONE stacked
+:func:`~repro.glucose.predictor.forecast_streams` call, so personalized
+lanes share one recurrence.  All detector queries that share an underlying
+detector object are batched into one ``predict`` per detector.
 
 Capacity is dynamic: lanes double their slot arrays when full and recycle the
 slots of closed sessions, so thousands of sessions can come and go without
@@ -35,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.glucose.predictor import GlucosePredictor
+from repro.glucose.predictor import GlucosePredictor, forecast_streams
 from repro.detectors.streaming import StreamVerdict
 from repro.serving.health import (
     HealthConfig,
@@ -76,10 +79,17 @@ class _Lane:
 
     ``samples`` ``(slots, history, F)`` is the one copy of every session's
     delivered raw samples, at the positions of ``state``'s projection ring,
-    whose ``cursor`` / ``count`` order and count both rings.
+    whose ``cursor`` / ``count`` order and count both rings.  ``weights``
+    (the encoder's direction-stacked
+    :meth:`~repro.nn.recurrent.BiLSTM.stream_weights`) and ``signature``
+    (:meth:`GlucosePredictor.stream_signature`, the lane-group key) are
+    derived from the predictor once per lane lifetime and never
+    snapshotted: unpickling and copying rebuild them.
     """
 
-    __slots__ = ("predictor", "state", "samples", "sessions", "_free")
+    __slots__ = ("predictor", "state", "samples", "sessions", "_free", "weights", "signature")
+    #: The slots a snapshot carries.
+    _SAVED = ("predictor", "state", "samples", "sessions", "_free")
 
     def __init__(self, predictor: GlucosePredictor, capacity: int = _INITIAL_LANE_CAPACITY):
         self.predictor = predictor
@@ -87,6 +97,23 @@ class _Lane:
         self.samples = np.zeros((capacity, predictor.history, predictor.n_features))
         self.sessions: Dict[int, PatientSession] = {}
         self._free: List[int] = list(range(capacity))
+        self._derive()
+
+    def _derive(self) -> None:
+        self.weights = self.predictor.model[0].stream_weights()
+        self.signature = self.predictor.stream_signature()
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self._SAVED}
+
+    def __setstate__(self, state) -> None:
+        # Snapshots written before the derived slots existed hold the
+        # default ``(None, slots)`` pair.
+        if isinstance(state, tuple):
+            state = state[1]
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._derive()
 
     def allocate(self, session: PatientSession) -> int:
         if not self._free:
@@ -134,11 +161,60 @@ class _Lane:
         return len(self.sessions)
 
 
+class _LaneStep:
+    """One lane's share of a tick: its deliveries and its model step's result."""
+
+    __slots__ = ("lane", "items", "samples", "rows", "warm", "predictions", "error", "started")
+
+    def __init__(self, lane: _Lane, items: List[tuple], started: float):
+        self.lane = lane
+        self.items = items
+        self.samples = np.stack([sample for _, sample, _ in items])
+        self.rows = np.array([session._slot for session, _, _ in items])
+        self.warm: Optional[np.ndarray] = None
+        self.predictions = np.full(len(items), np.nan)
+        self.error: Optional[BaseException] = None
+        self.started = started
+
+    @property
+    def sessions(self) -> List[PatientSession]:
+        return [session for session, _, _ in self.items]
+
+
+def _forecast_group(steps: List[_LaneStep]) -> None:
+    """Predict a lane group's warm rows in one stacked step.
+
+    If the stacked call raises, the group re-runs it one lane at a time, so
+    only the lane that raises records an error.  The call writes nothing,
+    so re-running it changes no other lane's bits.
+    """
+    try:
+        predictions = forecast_streams(
+            [step.lane.predictor for step in steps],
+            [step.lane.state for step in steps],
+            [step.rows[step.warm] for step in steps],
+            [step.lane.weights for step in steps],
+        )
+    except Exception as exc:
+        if len(steps) == 1:
+            steps[0].error = exc
+        else:
+            for step in steps:
+                _forecast_group([step])
+        return
+    for step, lane_predictions in zip(steps, predictions):
+        step.predictions[step.warm] = lane_predictions
+
+
 class StreamScheduler:
     """Coalesce concurrent patient streams into per-model batched ticks.
 
     Every tick steps each lane once (:meth:`_tick_lanes`), a one-session
-    tick included.  A lane keeps its sessions' history once: the last
+    tick included: a per-lane ring write, then one stacked recurrence, head
+    and unscaling per group of lanes with equal
+    :meth:`GlucosePredictor.stream_signature` and warm-row count.  Every
+    lane's predictions are bitwise those of its own ``step_stream``.  A lane
+    keeps its sessions' history once: the last
     ``history`` delivered samples of every slot sit next to the slot's
     input projections, and every window detector and the online attacker's
     context read from there.
@@ -511,7 +587,14 @@ class StreamScheduler:
         ``dropped`` (quarantined session, rejected sample) — those ticks ran
         no model step and carry no verdicts.
 
-        All model work is one ``step_stream`` call per lane.  A stateless
+        All model work is one ``push_stream`` call per lane (scaling, input
+        projection, ring write) and one stacked ``forecast_streams`` call per
+        group of lanes with equal stream signature and warm-row count
+        (recurrence, Dense head, unscaling).  Each slice of the stacked call
+        makes the same BLAS call as a lane's own ``step_stream``, so its
+        predictions are bitwise those of stepping it alone.  If the stacked
+        call raises, the group re-runs it one lane at a time, and only the
+        lane that raises again fails its sessions.  A stateless
         detector answers one ``predict`` call per distinct underlying
         detector object and unit across *all* lanes: each lane appends its
         rows in lane order, and the verdicts are scattered back.  Its scores
@@ -547,7 +630,18 @@ class StreamScheduler:
         return results
 
     def _tick_lanes(self, admitted: List[tuple], results: Dict[str, SessionTick]) -> None:
-        """Serve ``admitted`` with one stacked step per lane; fill ``results``."""
+        """Serve ``admitted`` with one stacked model step per lane group; fill ``results``.
+
+        Three passes.  Each lane first pushes its sessions' samples under
+        its own ``try``: scaling, input projection and ring write, the part
+        of the step that mutates the lane
+        (:meth:`GlucosePredictor.push_stream`).  Then lanes whose
+        :meth:`GlucosePredictor.stream_signature` and warm-row count match
+        make one :func:`~repro.glucose.predictor.forecast_streams` call: the
+        recurrence, head and unscaling of the whole group, stacked.  Last,
+        each lane is served in delivery order: outcomes, health and
+        detector queueing.
+        """
         obs = self.obs
         gather_started = perf_counter() if obs is not None else 0.0
         per_lane: Dict[str, List[Tuple[PatientSession, np.ndarray, Optional[str]]]] = {}
@@ -556,42 +650,61 @@ class StreamScheduler:
         if obs is not None:
             obs.emit_span("lane_gather", gather_started, tick=self._now, lanes=len(per_lane))
 
+        steps: List[Tuple[str, _LaneStep]] = []
+        # (stream signature, warm rows) -> the lanes stepped together
+        groups: Dict[tuple, List[_LaneStep]] = {}
+        for lane_key, items in per_lane.items():
+            lane = self._lanes[lane_key]
+            step = _LaneStep(lane, items, perf_counter() if obs is not None else 0.0)
+            steps.append((lane_key, step))
+            try:
+                lane.predictor.push_stream(step.samples, lane.state, step.rows, lane.weights)
+            except Exception as exc:
+                step.error = exc
+                continue
+            lane.record(step.rows, step.samples)
+            step.warm = lane.warm(step.rows)
+            n_warm = int(np.count_nonzero(step.warm))
+            if n_warm:
+                groups.setdefault((lane.signature, n_warm), []).append(step)
+        for group in groups.values():
+            _forecast_group(group)
+        if obs is not None:
+            for lane_key, step in steps:
+                if step.error is None:
+                    self._observe_lane_step(lane_key, step)
+
         # (detector object id, unit) -> views + where they go; incremental
         # groups are keyed (lane, detector object id, unit).
         pending_views: Dict[tuple, dict] = {}
-        for lane_key, items in per_lane.items():
-            self._serve_lane(lane_key, items, results, pending_views)
+        for lane_key, step in steps:
+            if step.error is not None:
+                self._lane_failure(step.sessions, step.samples, step.error, results)
+            else:
+                self._serve_lane(lane_key, step, results, pending_views)
         self._query_detectors(pending_views)
 
     def _serve_lane(
         self,
         lane_key: str,
-        items: List[Tuple[PatientSession, np.ndarray, Optional[str]]],
+        step: _LaneStep,
         results: Dict[str, SessionTick],
         pending_views: Dict[tuple, dict],
     ) -> None:
-        """Step one lane's sessions, record their outcomes, queue its detectors.
+        """Record one stepped lane's outcomes and queue its detectors.
 
         Every window-unit group of the lane takes its views from one gather
         of the lane's sample ring, and every sample-unit group from the
         stacked samples; rows stay in delivery order.  Only warm slots'
         windows are ever queued.
         """
-        lane = self._lanes[lane_key]
-        sessions = [session for session, _, _ in items]
-        stacked = np.stack([sample for _, sample, _ in items])
-        rows = np.array([session._slot for session in sessions])
-        started = perf_counter() if self.obs is not None else 0.0
-        try:
-            predictions = lane.predictor.step_stream(stacked, lane.state, rows=rows)
-        except Exception as exc:
-            self._lane_failure(sessions, stacked, exc, results)
-            return
-        lane.record(rows, stacked)
-        warm = lane.warm(rows)
+        lane = step.lane
+        sessions = step.sessions
+        rows = step.rows
+        warm = step.warm
         outcomes = []
         for (session, _, tag), sample, prediction, is_warm in zip(
-            items, stacked, predictions, warm
+            step.items, step.samples, step.predictions, warm
         ):
             value = None if np.isnan(prediction) else float(prediction)
             outcome = SessionTick(
@@ -604,12 +717,10 @@ class StreamScheduler:
             self._health_after_step(session, outcome, is_warm)
             results[session.session_id] = outcome
             outcomes.append(outcome)
-        if self.obs is not None:
-            self._observe_lane_step(lane_key, sessions, started)
 
         if self.health is not None:  # a quarantine above reset its slot
             warm = lane.warm(rows)
-        sources = {"sample": stacked[:, np.newaxis, :], "window": None}
+        sources = {"sample": step.samples[:, np.newaxis, :], "window": None}
         warming: Dict[str, int] = {}
         # group key -> (group, this lane's rows of it)
         lane_rows: Dict[tuple, Tuple[dict, List[int]]] = {}
@@ -632,11 +743,14 @@ class StreamScheduler:
                     if group is None:
                         group = pending_views[group_key] = dict(
                             detector=adapter.detector, incremental=adapter.incremental,
-                            lanes=[], views=[], targets=[],
+                            wants_scores=False, lanes=[], views=[], targets=[],
                         )
                     entry = lane_rows[group_key] = (group, [])
                 entry[1].append(index)
-                entry[0]["targets"].append((outcome, name, adapter, detector_tick, session))
+                group = entry[0]
+                group["targets"].append((outcome, name, adapter, detector_tick, session))
+                if adapter.include_scores:
+                    group["wants_scores"] = True
         if self.obs is not None:
             for name, count in warming.items():
                 self.obs.registry.inc("serving.detector_warming_total", count, detector=name)
@@ -647,18 +761,25 @@ class StreamScheduler:
             group["lanes"].append((lane_key, len(group_rows)))
             group["views"].append(sources[unit][group_rows])
 
-    def _observe_lane_step(self, lane_key: str, sessions, started: float) -> None:
-        """Metric series and ``lane_step`` span of one lane's model step."""
-        self.obs.registry.inc("serving.ticks_served_total", len(sessions), lane=lane_key)
-        self.obs.registry.observe("serving.lane_step_batch", len(sessions), lane=lane_key)
-        self.obs.emit_span(
-            "lane_step",
-            started,
-            tick=self._now,
-            lane=lane_key,
-            sessions=tuple(session.session_id for session in sessions),
-            batch=len(sessions),
-        )
+    def _observe_lane_step(self, lane_key: str, step: _LaneStep) -> None:
+        """Metric series and ``lane_step`` span of one lane's model step.
+
+        The span runs from the lane's push to the end of the tick's stacked
+        steps, so the spans of lanes stepped together overlap.
+        """
+        obs = self.obs
+        batch = len(step.items)
+        obs.registry.inc("serving.ticks_served_total", batch, lane=lane_key)
+        obs.registry.observe("serving.lane_step_batch", batch, lane=lane_key)
+        if obs.trace:
+            obs.emit_span(
+                "lane_step",
+                step.started,
+                tick=self._now,
+                lane=lane_key,
+                sessions=tuple(session.session_id for session in step.sessions),
+                batch=batch,
+            )
 
     def _query_detectors(self, pending_views: Dict[tuple, dict]) -> None:
         """Run every queued detector group and attach its verdicts."""
@@ -695,8 +816,7 @@ class StreamScheduler:
                     plans.setdefault(id(detector), []).append((group, plan, group_started))
                     continue
                 flags = detector.predict(views)
-                wants_scores = any(target[2].include_scores for target in group["targets"])
-                scores = detector.scores(views) if wants_scores else None
+                scores = detector.scores(views) if group["wants_scores"] else None
             except Exception as exc:
                 self._detector_failure(group["targets"], exc)
                 continue
@@ -779,19 +899,20 @@ class StreamScheduler:
             if group["incremental"]:
                 for _, name, adapter, _, _ in group["targets"]:
                     self._observe_inversion(name, adapter)
-            lanes = group["lanes"]
-            obs.emit_span(
-                "detector_batch",
-                group_started,
-                tick=now,
-                lane=lanes[0][0] if len(lanes) == 1 else None,
-                sessions=tuple(
-                    session.session_id for _, _, _, _, session in group["targets"]
-                ),
-                batch=len(group["targets"]),
-                lanes=len(lanes),
-                incremental=group["incremental"],
-            )
+            if obs.trace:
+                lanes = group["lanes"]
+                obs.emit_span(
+                    "detector_batch",
+                    group_started,
+                    tick=now,
+                    lane=lanes[0][0] if len(lanes) == 1 else None,
+                    sessions=tuple(
+                        session.session_id for _, _, _, _, session in group["targets"]
+                    ),
+                    batch=len(group["targets"]),
+                    lanes=len(lanes),
+                    incremental=group["incremental"],
+                )
 
     def _observe_inversion(self, name: str, adapter) -> None:
         """Fold one incremental adapter's inversion-activity deltas in."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_toy_windows
 from repro.detectors import (
@@ -126,6 +127,59 @@ class TestKNNDistance:
         windows, labels = toy_detection_data
         detector = KNNDistanceDetector().fit(windows, labels)
         assert detector.predict(windows[:4]).shape == (4,)
+
+
+def _full_sort_mean_knn_distance(detector, scaled, exclude_self=False):
+    """The top-k reference: every distance finished and the whole row sorted."""
+    skip = int(exclude_self)
+    k = max(min(detector.n_neighbors, len(detector._train_features) - skip), 1)
+    distances = minkowski_distances(scaled, detector._train_features, detector.p)
+    return np.sort(distances, axis=1)[:, skip : k + skip].mean(axis=1)
+
+
+class TestKNNTopK:
+    """Partitioning powers and finishing only the k nearest is bitwise the
+    full sort of finished distances, ties and duplicate references included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_references=st.integers(2, 12),
+        n_duplicates=st.integers(0, 6),
+        n_queries=st.integers(1, 9),
+        n_neighbors=st.integers(1, 20),
+        p=st.sampled_from([2.0, 1.0, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_full_sort(self, n_references, n_duplicates, n_queries, n_neighbors, p, seed):
+        rng = np.random.default_rng(seed)
+        # Small integer grids: many exact distance ties.
+        references = rng.integers(0, 3, size=(n_references, 2, 3)).astype(float)
+        references = np.concatenate(
+            [references, references[rng.integers(0, n_references, n_duplicates)]]
+        )
+        queries = rng.integers(0, 3, size=(n_queries, 2, 3)).astype(float)
+        detector = KNNDistanceDetector(n_neighbors=n_neighbors, p=p, batch_size=4)
+        detector.fit(references)
+        scaled = detector._apply_scaler(detector._flatten(queries))
+        np.testing.assert_array_equal(
+            detector.scores(queries), _full_sort_mean_knn_distance(detector, scaled)
+        )
+        np.testing.assert_array_equal(
+            detector._training_scores(),
+            _full_sort_mean_knn_distance(detector, detector._train_features, exclude_self=True),
+        )
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_k_equals_the_reference_count(self, toy_detection_data, exclude_self):
+        windows, labels = toy_detection_data
+        references = windows[labels == 0][:9]
+        detector = KNNDistanceDetector(n_neighbors=len(references) - int(exclude_self))
+        detector.fit(references)
+        scaled = detector._apply_scaler(detector._flatten(windows))
+        np.testing.assert_array_equal(
+            detector._mean_knn_distance(scaled, exclude_self),
+            _full_sort_mean_knn_distance(detector, scaled, exclude_self),
+        )
 
 
 class TestOneClassSVM:

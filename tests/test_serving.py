@@ -13,8 +13,11 @@ Every streaming fast path is pinned to its offline reference:
   serving smoke (tier-1 tripwire).
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.cohort import CGM_COLUMN
 from repro.detectors import KNNDistanceDetector, StreamingDetector
@@ -310,25 +313,51 @@ class TestStreamScheduler:
             scheduler.open_session(record.label, tiny_zoo.model_for(record.label))
         assert scheduler.n_lanes == len(tiny_cohort)
 
-    def test_one_model_step_per_lane_per_tick(self, aggregate_zoo, tiny_cohort):
-        scheduler = StreamScheduler()
+    @staticmethod
+    def _count_model_calls(monkeypatch, predictors):
+        """Count per-lane pushes and stacked recurrences of scheduler ticks."""
+        from repro.glucose import predictor as predictor_module
+
+        calls = {"push": 0, "recurrence": []}
+        for predictor in predictors:
+            original_push = predictor.push_stream
+
+            def push(*args, _original=original_push, **kwargs):
+                calls["push"] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(predictor, "push_stream", push)
+        original_encode = predictor_module.stream_encode
+
+        def encode(states, rows, weights):
+            calls["recurrence"].append(len(states))
+            return original_encode(states, rows, weights)
+
+        monkeypatch.setattr(predictor_module, "stream_encode", encode)
+        return calls
+
+    def test_one_model_step_per_lane_per_tick(
+        self, aggregate_zoo, tiny_zoo, tiny_cohort, monkeypatch
+    ):
         records = list(tiny_cohort)
-        for record in records:
-            scheduler.open_session(record.label, aggregate_zoo.model_for(record.label))
-        predictor = aggregate_zoo.aggregate
-        calls = []
-        original = predictor.step_stream
-        predictor.step_stream = lambda *args, **kwargs: (
-            calls.append(1),
-            original(*args, **kwargs),
-        )[1]
-        try:
-            scheduler.tick(
-                {record.label: record.features("test")[0] for record in records}
+        history = aggregate_zoo.aggregate.history
+        for zoo, n_lanes in ((aggregate_zoo, 1), (tiny_zoo, len(records))):
+            scheduler = StreamScheduler()
+            for record in records:
+                scheduler.open_session(record.label, zoo.model_for(record.label))
+            assert scheduler.n_lanes == n_lanes
+            for tick in range(history - 1):
+                scheduler.tick({record.label: record.features("test")[tick] for record in records})
+            predictors = {id(p): p for p in (zoo.model_for(r.label) for r in records)}
+            calls = self._count_model_calls(monkeypatch, predictors.values())
+            outcomes = scheduler.tick(
+                {record.label: record.features("test")[history - 1] for record in records}
             )
-        finally:
-            predictor.step_stream = original
-        assert calls == [1]  # one stacked call for the whole cohort
+            monkeypatch.undo()
+            assert all(outcome.prediction is not None for outcome in outcomes.values())
+            # One push per lane, and one stacked recurrence over every
+            # same-shape lane, personalized ones included.
+            assert calls == {"push": n_lanes, "recurrence": [n_lanes]}
 
     @pytest.mark.parametrize("n_sessions", [1, 3, 7])
     def test_scheduler_parity_across_batch_sizes(
@@ -659,6 +688,11 @@ class TestServingSmoke:
         assert report["max_stream_gap"] <= check_parity.PREDICTION_TOLERANCE
         assert report["tampered_ticks"] > 0
         assert report["n_sessions"] == len(tiny_cohort)
+
+    def test_stacked_step_parity_passes(self, check_parity, tiny_zoo, tiny_cohort):
+        report = check_parity.run_stacked_step_parity(tiny_zoo, tiny_cohort)
+        assert report["n_lanes"] == len(tiny_cohort) > 1
+        assert report["predictions_compared"] > 0
 
 
 # ----------------------------------------------------- single-session fast path
@@ -1295,3 +1329,97 @@ class TestCrossLaneDetectorGroups:
         assert all(span.lane is None for span in spans)
         assert {span.detail["lanes"] for span in spans} == {len(tiny_cohort)}
         assert {span.detail["batch"] for span in spans} == {len(feeds)}
+
+
+# ------------------------------------------------------ stacked lane steps
+@lru_cache(maxsize=None)
+def _stream_predictor(history: int, hidden: int, clip: bool, seed: int):
+    """An untrained forecaster with a fitted scaler: random weights serve
+    bitwise comparisons as well as trained ones, and build in milliseconds."""
+    from repro.data.dataset import WindowScaler
+    from repro.glucose import GlucosePredictor
+
+    predictor = GlucosePredictor(
+        history=history, hidden_size=hidden, input_clip_std=3.0 if clip else None, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    predictor.scaler = WindowScaler().fit(
+        rng.normal(120.0, 30.0, size=(16, history, predictor.n_features))
+    )
+    return predictor
+
+
+#: ``(history, hidden, clamp)`` of the lanes the property draws.  The first
+#: two share a stream signature (the clamp is per lane), so most drawn lane
+#: sets stack several lanes into one step.
+_LANE_SHAPES = [(4, 8, True), (4, 8, False), (5, 6, True)]
+
+
+class TestStackedLaneStep:
+    """Lanes of one tick that share a stream signature and a warm-row count
+    are stepped together (one stacked recurrence, head and unscaling); each
+    lane's predictions and ring state stay bitwise those of its own one-lane
+    ``step_stream``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(st.integers(0, len(_LANE_SHAPES) - 1), st.integers(0, 3)),
+            min_size=1, max_size=5, unique=True,
+        ),
+        sizes=st.lists(st.integers(1, 24), min_size=5, max_size=5),
+        same_size=st.booleans(),
+        miss_rate=st.sampled_from([0.0, 0.15, 0.4]),
+        extra_ticks=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_lane_matches_its_one_lane_step(
+        self, lanes, sizes, same_size, miss_rate, extra_ticks, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scheduler = StreamScheduler()
+        served = []  # (predictor, reference state, session ids)
+        for (shape, copy_seed), n_sessions in zip(lanes, sizes):
+            n_sessions = sizes[0] if same_size else n_sessions
+            predictor = _stream_predictor(*_LANE_SHAPES[shape], seed=10 * shape + copy_seed)
+            ids = [f"{shape}.{copy_seed}/{index}" for index in range(n_sessions)]
+            for session_id in ids:
+                scheduler.open_session("p", predictor, session_id=session_id)
+            served.append((predictor, predictor.stream_state(n_sessions), ids))
+        histories = [predictor.history for predictor, _, _ in served]
+        for _ in range(max(histories) + extra_ticks):
+            # Session slots miss ticks on one pattern shared by every lane:
+            # warm and warming slots mix inside a lane, while lanes of one
+            # size keep equal warm-row counts and so step together.
+            missed = rng.random(24) < miss_rate
+            delivery = {
+                session_id: rng.normal(120.0, 40.0, predictor.n_features)
+                for predictor, _, ids in served
+                for index, session_id in enumerate(ids)
+                if not missed[index]
+            }
+            if not delivery:
+                continue
+            outcomes = scheduler.tick(delivery)
+            for predictor, state, ids in served:
+                delivered = [index for index, sid in enumerate(ids) if sid in delivery]
+                if not delivered:
+                    continue
+                expected = predictor.step_stream(
+                    np.stack([delivery[ids[index]] for index in delivered]),
+                    state,
+                    rows=np.array(delivered),
+                )
+                for index, value in zip(delivered, expected):
+                    got = outcomes[ids[index]].prediction
+                    if np.isnan(value):
+                        assert got is None
+                    else:
+                        assert got == value  # bitwise, not approx
+        for predictor, state, ids in served:
+            lane_state = scheduler._lanes[predictor.state_hash()].state
+            slots = [scheduler.session(sid)._slot for sid in ids]
+            assert slots == list(range(len(ids)))
+            assert lane_state.ring[: len(ids)].tobytes() == state.ring.tobytes()
+            assert np.array_equal(lane_state.cursor[: len(ids)], state.cursor)
+            assert np.array_equal(lane_state.count[: len(ids)], state.count)

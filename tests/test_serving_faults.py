@@ -17,6 +17,7 @@ Covers the robustness contract end to end:
   harness gates (tier-1 wiring of ``scripts/chaos_replay.py``).
 """
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -326,8 +327,6 @@ class TestCheckpointValidation:
             validate_checkpoint(predictor, expected_hash="not-the-hash")
 
     def test_non_finite_weights_are_rejected(self, tiny_zoo, tiny_cohort):
-        import copy
-
         predictor = copy.deepcopy(tiny_zoo.model_for(next(iter(tiny_cohort)).label))
         name, parameter = next(iter(predictor.model.named_parameters().items()))
         np.asarray(parameter.data)[...] = np.nan
@@ -345,6 +344,21 @@ class TestCheckpointValidation:
 
 
 # ------------------------------------------------------------- error reporting
+class _HeadFaultScaler:
+    """A fitted scaler whose target unscaling raises: one lane's part of a
+    stacked forecast fails while its input scaling and ring write work."""
+
+    def __init__(self, scaler):
+        self._scaler = scaler
+
+    def __getattr__(self, name):
+        return getattr(self._scaler, name)
+
+    @property
+    def target_scale(self):
+        raise FloatingPointError("head blew up")
+
+
 class TestSchedulerErrorNaming:
     def test_tick_error_names_sessions_and_ticks(self, tiny_zoo, tiny_cohort, monkeypatch):
         record = next(iter(tiny_cohort))
@@ -357,7 +371,8 @@ class TestSchedulerErrorNaming:
         def explode(*args, **kwargs):
             raise FloatingPointError("lane blew up")
 
-        monkeypatch.setattr(predictor, "step_stream", explode)
+        # The per-lane, mutating half of the model step.
+        monkeypatch.setattr(predictor, "push_stream", explode)
         with pytest.raises(SchedulerTickError) as excinfo:
             scheduler.tick({session.session_id: features[1]})
         error = excinfo.value
@@ -367,6 +382,76 @@ class TestSchedulerErrorNaming:
         assert f"{session.session_id!r}@tick 1" in str(error)
         assert "FloatingPointError: lane blew up" in str(error)
         scheduler.close_session(session.session_id)
+
+    @staticmethod
+    def _two_lane_run(tiny_zoo, tiny_cohort, monkeypatch, health):
+        """Two same-shape lanes (two sessions each) warm up together; on the
+        first warm tick the second lane's part of the stacked step raises."""
+        records = list(tiny_cohort)[:2]
+        scheduler = StreamScheduler(health=health)
+        lanes = {}
+        for record in records:
+            predictor = copy.deepcopy(tiny_zoo.model_for(record.label))
+            lanes[record.label] = (predictor, [
+                scheduler.open_session(record.label, predictor, session_id=f"{record.label}/{i}")
+                for i in range(2)
+            ])
+        assert scheduler.n_lanes == 2
+        history = lanes[records[0].label][0].history
+        for tick in range(history - 1):
+            scheduler.tick({
+                session.session_id: record.features("test")[tick + index]
+                for record in records
+                for index, session in enumerate(lanes[record.label][1])
+            })
+        poisoned, poisoned_sessions = lanes[records[1].label]
+        monkeypatch.setattr(poisoned, "scaler", _HeadFaultScaler(poisoned.scaler))
+        delivery = {
+            session.session_id: record.features("test")[history - 1 + index]
+            for record in records
+            for index, session in enumerate(lanes[record.label][1])
+        }
+        return scheduler, delivery, poisoned_sessions, lanes[records[0].label]
+
+    def test_stacked_step_error_names_only_the_raising_lane(
+        self, tiny_zoo, tiny_cohort, monkeypatch
+    ):
+        scheduler, delivery, poisoned, _ = self._two_lane_run(
+            tiny_zoo, tiny_cohort, monkeypatch, health=None
+        )
+        with pytest.raises(SchedulerTickError) as excinfo:
+            scheduler.tick(delivery)
+        error = excinfo.value
+        assert error.stage == "lane step"
+        assert error.session_ids == [session.session_id for session in poisoned]
+        assert "head blew up" in str(error)
+
+    def test_stacked_step_error_quarantines_only_the_raising_lane(
+        self, tiny_zoo, tiny_cohort, monkeypatch
+    ):
+        scheduler, delivery, poisoned, (healthy, healthy_sessions) = self._two_lane_run(
+            tiny_zoo, tiny_cohort, monkeypatch, health=HealthConfig()
+        )
+        outcomes = scheduler.tick(delivery)
+        for session in poisoned:
+            assert outcomes[session.session_id].dropped
+            assert "head blew up" in outcomes[session.session_id].error
+            assert session.health.state is HealthState.QUARANTINED
+        # The other lane of the group is served as if it had been stepped alone.
+        reference = StreamScheduler()
+        for session in healthy_sessions:
+            reference.open_session(session.patient_label, healthy, session_id=session.session_id)
+        record = tiny_cohort[healthy_sessions[0].patient_label]
+        for tick in range(healthy.history):
+            expected = reference.tick({
+                session.session_id: record.features("test")[tick + index]
+                for index, session in enumerate(healthy_sessions)
+            })
+        for session in healthy_sessions:
+            outcome = outcomes[session.session_id]
+            assert not outcome.dropped and outcome.prediction is not None
+            assert outcome.prediction == expected[session.session_id].prediction
+            assert session.health.state is HealthState.HEALTHY
 
     def test_detector_error_names_the_detector(self, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
