@@ -2,7 +2,8 @@
 
 On a tiny cohort it asserts explorer lockstep parity and the 1e-10 inference
 fast path (:func:`run_checks`), fused-training parity (:func:`run_training_parity`),
-stream == offline serving (:func:`run_serving_smoke`,
+stream == offline serving (:func:`run_serving_smoke`, including one lane
+whose sessions carry different adapter sets over a shared detector,
 :func:`run_detector_family_smoke`), the stacked multi-lane model step ==
 the one-lane step (:func:`run_stacked_step_parity`), every chaos gate
 (:func:`run_chaos_smoke`),
@@ -318,12 +319,94 @@ def run_serving_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 50) -> Dict[s
         )
         tampered_ticks += len(trace.attacked_ticks)
     assert tampered_ticks > 0, "the online attacker never tampered a sample"
+    mixed = _serve_mixed_layout_lane(zoo, records[0], detector, n_ticks)
     return {
         "max_stream_gap": worst_gap,
         "n_sessions": len(records),
         "n_ticks": n_ticks,
         "tampered_ticks": tampered_ticks,
+        "mixed_layout_rows": mixed,
     }
+
+
+def _serve_mixed_layout_lane(zoo: GlucoseModelZoo, record, detector, n_ticks: int) -> int:
+    """Three sessions on one lane whose adapter sets differ but share ``detector``.
+
+    ``a`` and ``c`` carry ``{knn}``; ``b`` carries ``{knn_twin, knn}`` (the
+    same detector under two names, the second with scores), and is
+    delivered between them.  The lane's rows of each tick's one kNN call
+    interleave the two layouts and must come in delivery order, then
+    adapter order: a, b twice, c.  Every verdict (and ``b``'s scores) must
+    equal the offline call on that session's own samples, so a row routed
+    to the wrong session or adapter fails too.  Returns the number of
+    verdicts compared.
+    """
+
+    class Recording:
+        """Forwards to ``detector`` and keeps every batch it predicts."""
+
+        def __init__(self):
+            self.batches = []
+
+        def predict(self, views):
+            self.batches.append(np.array(views))
+            return detector.predict(views)
+
+        def scores(self, views):
+            return detector.scores(views)
+
+    recording = Recording()
+    predictor = zoo.model_for(record.label)
+    trace = record.features("test")
+    layouts = {
+        "a": {"knn": {}},
+        "b": {"knn_twin": {}, "knn": {"include_scores": True}},
+        "c": {"knn": {}},
+    }
+    scheduler = StreamScheduler()
+    for session_id, adapters in layouts.items():
+        scheduler.open_session(
+            record.label,
+            predictor,
+            detectors={
+                name: StreamingDetector(recording, unit="sample", **options)
+                for name, options in adapters.items()
+            },
+            session_id=session_id,
+        )
+    assert scheduler.n_lanes == 1
+    offsets = {"a": 0, "b": 5, "c": 11}
+    verdicts = {session_id: {name: [] for name in layouts[session_id]} for session_id in layouts}
+    for tick in range(n_ticks):
+        recording.batches.clear()
+        outcomes = scheduler.tick(
+            {session_id: trace[offset + tick] for session_id, offset in offsets.items()}
+        )
+        rows = [trace[offsets[session_id] + tick] for session_id in ("a", "b", "b", "c")]
+        assert len(recording.batches) == 1 and np.array_equal(
+            recording.batches[0], np.stack(rows)[:, np.newaxis, :]
+        ), f"mixed-layout lane: kNN rows out of delivery-then-adapter order at tick {tick}"
+        for session_id, outcome in outcomes.items():
+            for name, verdict in outcome.verdicts.items():
+                verdicts[session_id][name].append(verdict)
+    compared = 0
+    for session_id, offset in offsets.items():
+        views = trace[offset : offset + n_ticks, np.newaxis, :]
+        flags = [bool(flag) for flag in detector.predict(views)]
+        for name, stream in verdicts[session_id].items():
+            assert [verdict.flagged for verdict in stream] == flags, (
+                f"mixed-layout lane: {session_id!r}/{name!r} verdicts diverged from offline predict"
+            )
+            assert [verdict.tick for verdict in stream] == list(range(n_ticks))
+            compared += len(stream)
+        scores = [verdict.score for verdict in verdicts[session_id]["knn"]]
+        if layouts[session_id]["knn"]:
+            assert scores == detector.scores(views).tolist(), (
+                f"mixed-layout lane: {session_id!r} scores diverged from offline scores"
+            )
+        else:
+            assert scores == [None] * n_ticks
+    return compared
 
 
 def run_stacked_step_parity(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -> Dict[str, int]:

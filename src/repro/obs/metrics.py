@@ -61,7 +61,7 @@ class MetricsRegistry:
     :class:`repro.serving.shard.ShardedScheduler`).
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "_edges", "_timings")
+    __slots__ = ("_counters", "_gauges", "_histograms", "_edges", "_timings", "_keys")
 
     def __init__(self):
         self._counters: Dict[SeriesKey, float] = {}
@@ -72,16 +72,35 @@ class MetricsRegistry:
         # key -> {"count", "total", "best", "last"} — wall-clock channel,
         # excluded from snapshot() and every bitwise comparison.
         self._timings: Dict[SeriesKey, Dict[str, float]] = {}
+        # (name, *label items) -> series_key(name, labels), for string labels
+        self._keys: Dict[tuple, SeriesKey] = {}
+
+    def _key(self, name: str, labels: Mapping[str, object]) -> SeriesKey:
+        """:func:`series_key`, memoized per call signature.
+
+        Only all-string labels are memoized: ``True``, ``1`` and ``1.0``
+        are equal dict keys but render as different label values.
+        """
+        memo = (name, *labels.items())
+        try:
+            key = self._keys.get(memo)
+        except TypeError:  # an unhashable label value
+            return series_key(name, labels)
+        if key is None:
+            key = series_key(name, labels)
+            if all(type(value) is str for value in labels.values()):
+                self._keys[memo] = key
+        return key
 
     # ----------------------------------------------------------------- writing
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
         """Add ``value`` to a counter series."""
-        key = series_key(name, labels)
+        key = self._key(name, labels)
         self._counters[key] = self._counters.get(key, 0.0) + value
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Set a gauge series (merge semantics: gauges ADD across shards)."""
-        self._gauges[series_key(name, labels)] = float(value)
+        self._gauges[self._key(name, labels)] = float(value)
 
     def declare_histogram(self, name: str, edges: Sequence[float]) -> None:
         """Pin the bucket upper edges for every series under ``name``.
@@ -107,7 +126,7 @@ class MetricsRegistry:
         sizes, latencies in ticks) — the ``sum`` field must stay exact under
         any merge order.
         """
-        key = series_key(name, labels)
+        key = self._key(name, labels)
         hist = self._histograms.get(key)
         if hist is None:
             edges = self._edges.setdefault(name, DEFAULT_BUCKET_EDGES)
@@ -123,7 +142,7 @@ class MetricsRegistry:
         Timings never appear in :meth:`snapshot` and are excluded from all
         bitwise comparisons; read them back with :meth:`timings`.
         """
-        key = series_key(name, labels)
+        key = self._key(name, labels)
         entry = self._timings.get(key)
         if entry is None:
             entry = self._timings[key] = {"count": 0, "total": 0.0, "best": float("inf"), "last": 0.0}

@@ -32,7 +32,9 @@ sessions and ticks instead of an anonymous traceback.
 from __future__ import annotations
 
 import bisect
+import itertools
 import logging
+from collections import Counter
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -84,10 +86,14 @@ class _Lane:
     :meth:`~repro.nn.recurrent.BiLSTM.stream_weights`) and ``signature``
     (:meth:`GlucosePredictor.stream_signature`, the lane-group key) are
     derived from the predictor once per lane lifetime and never
-    snapshotted: unpickling and copying rebuild them.
+    snapshotted: unpickling and copying rebuild them.  So are the detector
+    columns of the last delivery pattern (:meth:`columns`), which every
+    open or close drops.
     """
 
-    __slots__ = ("predictor", "state", "samples", "sessions", "_free", "weights", "signature")
+    __slots__ = (
+        "predictor", "state", "samples", "sessions", "_free", "weights", "signature", "_columns"
+    )
     #: The slots a snapshot carries.
     _SAVED = ("predictor", "state", "samples", "sessions", "_free")
 
@@ -102,6 +108,7 @@ class _Lane:
     def _derive(self) -> None:
         self.weights = self.predictor.model[0].stream_weights()
         self.signature = self.predictor.stream_signature()
+        self._columns: Tuple[Optional[tuple], list] = (None, [])
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self._SAVED}
@@ -123,12 +130,55 @@ class _Lane:
             self._free = list(range(old, self.state.n_streams))
         slot = self._free.pop(0)
         self.sessions[slot] = session
+        self._columns = (None, [])
         return slot
 
     def release(self, slot: int) -> None:
         self.sessions.pop(slot, None)
+        self._columns = (None, [])
         self.state.reset_slots(np.array([slot]))
         bisect.insort(self._free, slot)
+
+    def columns(self, slots: tuple) -> list:
+        """The detector columns of one delivery pattern, grouped by layout.
+
+        ``slots`` holds the slot at each delivery position, or None where a
+        position routes nowhere.  A slot's layout is ``(name, detector id,
+        unit, incremental, include_scores)`` per adapter, in adapter order.
+        Returns ``[(positions, [(layout entry, index, adapters), ...])]``,
+        one item per distinct layout in order of first appearance.  The
+        last pattern's columns are kept, so a lane whose deliveries repeat
+        builds them once.
+        """
+        key, columns = self._columns
+        if key == slots:
+            return columns
+        # layout -> (delivery positions, their adapters)
+        layouts: Dict[tuple, Tuple[List[int], List[tuple]]] = {}
+        for position, slot in enumerate(slots):
+            if slot is None:
+                continue
+            detectors = self.sessions[slot].detectors
+            layout = tuple(
+                (name, id(adapter.detector), adapter.unit, adapter.incremental,
+                 adapter.include_scores)
+                for name, adapter in detectors.items()
+            )
+            members = layouts.setdefault(layout, ([], []))
+            members[0].append(position)
+            members[1].append(tuple(detectors.values()))
+        columns = [
+            (
+                positions,
+                [
+                    (entry, index, [adapters[index] for adapters in adapter_rows])
+                    for index, entry in enumerate(layout)
+                ],
+            )
+            for layout, (positions, adapter_rows) in layouts.items()
+        ]
+        self._columns = (slots, columns)
+        return columns
 
     def record(self, rows: np.ndarray, samples: np.ndarray) -> None:
         """Store the samples a model step just consumed at its ring positions."""
@@ -169,7 +219,7 @@ class _LaneStep:
     def __init__(self, lane: _Lane, items: List[tuple], started: float):
         self.lane = lane
         self.items = items
-        self.samples = np.stack([sample for _, sample, _ in items])
+        self.samples = np.array([sample for _, sample, _ in items])
         self.rows = np.array([session._slot for session, _, _ in items])
         self.warm: Optional[np.ndarray] = None
         self.predictions = np.full(len(items), np.nan)
@@ -204,6 +254,50 @@ def _forecast_group(steps: List[_LaneStep]) -> None:
         return
     for step, lane_predictions in zip(steps, predictions):
         step.predictions[step.warm] = lane_predictions
+
+
+def _first_row(item) -> Tuple[int, int]:
+    """A lane's (delivery position, adapter index) of a group's first row."""
+    return min((part[0][0], part[1]) for part in item[1])
+
+
+class _DetectorGroup:
+    """The rows of one detector call, as parallel columns.
+
+    Rows come lane by lane in lane order; inside a lane in delivery order,
+    then in each session's adapter order.  ``lanes`` holds each lane's
+    ``(lane key, rows)`` part and ``views`` its stacked inputs.
+    """
+
+    __slots__ = (
+        "detector", "incremental", "wants_scores", "lanes", "views",
+        "outcomes", "names", "adapters", "ticks", "sessions", "scored",
+    )
+
+    def __init__(self, detector, incremental: bool):
+        self.detector = detector
+        self.incremental = incremental
+        self.wants_scores = False
+        self.lanes: List[Tuple[str, int]] = []
+        self.views: List[np.ndarray] = []
+        self.outcomes: List[SessionTick] = []
+        self.names: List[str] = []
+        self.adapters: list = []
+        self.ticks: List[int] = []
+        self.sessions: List[PatientSession] = []
+        self.scored: List[bool] = []
+
+    def add(self, lane_key, views, outcomes, names, adapters, ticks, sessions, scored) -> None:
+        """Append one lane's rows."""
+        self.lanes.append((lane_key, len(outcomes)))
+        self.views.append(views)
+        self.outcomes += outcomes
+        self.names += names
+        self.adapters += adapters
+        self.ticks += ticks
+        self.sessions += sessions
+        self.scored += scored
+        self.wants_scores = self.wants_scores or any(scored)
 
 
 class StreamScheduler:
@@ -492,20 +586,13 @@ class StreamScheduler:
         return admitted, dropped
 
     def _health_after_step(self, session: PatientSession, outcome: SessionTick, warm) -> None:
-        """Post-step bookkeeping: non-finite predictions are errors."""
+        """Post-step health bookkeeping: non-finite predictions are errors."""
         # A None prediction is legitimate only while the stream warms up;
         # once the lane slot holds a full window a non-finite prediction
         # means the recurrent state is poisoned (e.g. a NaN slipped in
         # before ingress validation was enabled).
-        non_finite = outcome.prediction is None and warm
-        if non_finite and self.obs is not None:
-            self.obs.registry.inc(
-                "serving.nonfinite_predictions_total", lane=session._lane_key
-            )
         health = session.health
-        if health is None:
-            return
-        if non_finite:
+        if outcome.prediction is None and warm:
             outcome.error = outcome.error or "non-finite prediction"
             health.record_error(outcome.tick, "non-finite prediction", delivered_at=self._now)
             if health.blocked:
@@ -585,7 +672,8 @@ class StreamScheduler:
         mg/dL; window-unit detector verdicts carry ``warming=True`` over the
         same span.  With health/ingress configured some outcomes may be
         ``dropped`` (quarantined session, rejected sample) — those ticks ran
-        no model step and carry no verdicts.
+        no model step and carry no verdicts.  Neither does the tick whose
+        own step quarantined its session: it reaches no detector.
 
         All model work is one ``push_stream`` call per lane (scaling, input
         projection, ring write) and one stacked ``forecast_streams`` call per
@@ -645,8 +733,8 @@ class StreamScheduler:
         obs = self.obs
         gather_started = perf_counter() if obs is not None else 0.0
         per_lane: Dict[str, List[Tuple[PatientSession, np.ndarray, Optional[str]]]] = {}
-        for session, sample, tag in admitted:
-            per_lane.setdefault(session._lane_key, []).append((session, sample, tag))
+        for item in admitted:
+            per_lane.setdefault(item[0]._lane_key, []).append(item)
         if obs is not None:
             obs.emit_span("lane_gather", gather_started, tick=self._now, lanes=len(per_lane))
 
@@ -674,92 +762,149 @@ class StreamScheduler:
                 if step.error is None:
                     self._observe_lane_step(lane_key, step)
 
-        # (detector object id, unit) -> views + where they go; incremental
-        # groups are keyed (lane, detector object id, unit).
-        pending_views: Dict[tuple, dict] = {}
+        # (detector object id, unit) -> its group; incremental groups are
+        # keyed (lane, detector object id, unit).
+        queries: Dict[tuple, _DetectorGroup] = {}
         for lane_key, step in steps:
             if step.error is not None:
                 self._lane_failure(step.sessions, step.samples, step.error, results)
             else:
-                self._serve_lane(lane_key, step, results, pending_views)
-        self._query_detectors(pending_views)
+                self._serve_lane(lane_key, step, results, queries)
+        self._query_detectors(queries)
 
     def _serve_lane(
         self,
         lane_key: str,
         step: _LaneStep,
         results: Dict[str, SessionTick],
-        pending_views: Dict[tuple, dict],
+        queries: Dict[tuple, _DetectorGroup],
     ) -> None:
-        """Record one stepped lane's outcomes and queue its detectors.
+        """Record one stepped lane's outcomes, then queue its detector rows.
 
-        Every window-unit group of the lane takes its views from one gather
-        of the lane's sample ring, and every sample-unit group from the
-        stacked samples; rows stay in delivery order.  Only warm slots'
-        windows are ever queued.
+        One pass builds the outcomes and advances the session counters: the
+        predictions are read once, and every outcome's ``sample`` is a row
+        of one copy of the lane's samples.  With health configured each
+        session's step is judged in delivery order, and a session that its
+        own step quarantined routes to no detector: its adapters were just
+        reset, so its tick carries no verdicts.
         """
-        lane = step.lane
-        sessions = step.sessions
-        rows = step.rows
-        warm = step.warm
-        outcomes = []
-        for (session, _, tag), sample, prediction, is_warm in zip(
-            step.items, step.samples, step.predictions, warm
+        outcomes: List[SessionTick] = []
+        for (session, _, tag), sample, delivered, value in zip(
+            step.items, step.samples.copy(), step.samples, step.predictions.tolist()
         ):
-            value = None if np.isnan(prediction) else float(prediction)
-            outcome = SessionTick(
-                session.session_id, session.ticks, sample.copy(), value, ingress=tag
-            )
-            session.ticks += 1
-            session.last_sample = sample
-            if value is not None:
+            if value != value:  # NaN: a warming window (or a poisoned state)
+                value = None
+            else:
                 session.last_prediction = value
-            self._health_after_step(session, outcome, is_warm)
+            outcome = SessionTick(session.session_id, session.ticks, sample, value, ingress=tag)
+            session.ticks += 1
+            session.last_sample = delivered
             results[session.session_id] = outcome
             outcomes.append(outcome)
+        if self.obs is not None:
+            non_finite = int(np.count_nonzero(step.warm & np.isnan(step.predictions)))
+            if non_finite:
+                self.obs.registry.inc(
+                    "serving.nonfinite_predictions_total", non_finite, lane=lane_key
+                )
+        warm = step.warm.tolist()
+        slots: List[Optional[int]] = step.rows.tolist()
+        if self.health is not None:
+            for index, (session, outcome) in enumerate(zip(step.sessions, outcomes)):
+                self._health_after_step(session, outcome, warm[index])
+                if session.health.blocked:
+                    slots[index] = None
+        self._route_lane(lane_key, step, outcomes, warm, slots, queries)
 
-        if self.health is not None:  # a quarantine above reset its slot
-            warm = lane.warm(rows)
-        sources = {"sample": step.samples[:, np.newaxis, :], "window": None}
+    def _route_lane(
+        self,
+        lane_key: str,
+        step: _LaneStep,
+        outcomes: List[SessionTick],
+        warm: List[bool],
+        slots: List[Optional[int]],
+        queries: Dict[tuple, _DetectorGroup],
+    ) -> None:
+        """Queue one lane's detector rows, one column per (layout, adapter).
+
+        Sessions with equal layouts share columns (:meth:`_Lane.columns`).
+        A window-unit column splits off its warming rows, every column
+        takes one tick per adapter and joins its detector's group.  Inside
+        the lane a group's rows stay in delivery order, then adapter order,
+        and new groups open in the order of their first row: the
+        per-session order, which MAD-GAN's cold-start draws follow.  Window
+        views come from one gather of the lane's sample ring.  ``slots`` is
+        None at the positions that route nowhere.
+        """
         warming: Dict[str, int] = {}
-        # group key -> (group, this lane's rows of it)
-        lane_rows: Dict[tuple, Tuple[dict, List[int]]] = {}
-        for index, (session, outcome) in enumerate(zip(sessions, outcomes)):
-            for name, adapter in session.detectors.items():
-                detector_tick = adapter.take_tick()
-                if adapter.unit == "window" and not warm[index]:
-                    outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
-                    warming[name] = warming.get(name, 0) + 1
-                    continue
+        # group key -> this lane's parts of it
+        parts: Dict[tuple, list] = {}
+        all_warm = all(warm)
+        for positions, columns in step.lane.columns(tuple(slots)):
+            warm_rows = positions
+            if not all_warm:
+                mask = [warm[position] for position in positions]
+                warm_rows = [position for position, is_warm in zip(positions, mask) if is_warm]
+            for entry, index, adapters in columns:
+                name, detector_id, unit, incremental, include_scores = entry
+                rows = positions
+                if unit == "window" and len(warm_rows) < len(positions):
+                    for position, adapter, is_warm in zip(positions, adapters, mask):
+                        if not is_warm:
+                            outcomes[position].verdicts[name] = StreamVerdict(
+                                tick=adapter.take_tick(), warming=True
+                            )
+                    warming[name] = warming.get(name, 0) + len(positions) - len(warm_rows)
+                    if not warm_rows:
+                        continue
+                    rows = warm_rows
+                    adapters = [adapter for adapter, is_warm in zip(adapters, mask) if is_warm]
+                ticks = [adapter.take_tick() for adapter in adapters]
                 # Stateless detectors batch across lanes (their scores are
                 # batch-invariant); an incremental detector's group stays
                 # inside the lane.
-                group_key = (id(adapter.detector), adapter.unit)
-                if adapter.incremental:
-                    group_key = (lane_key,) + group_key
-                entry = lane_rows.get(group_key)
-                if entry is None:
-                    group = pending_views.get(group_key)
-                    if group is None:
-                        group = pending_views[group_key] = dict(
-                            detector=adapter.detector, incremental=adapter.incremental,
-                            wants_scores=False, lanes=[], views=[], targets=[],
-                        )
-                    entry = lane_rows[group_key] = (group, [])
-                entry[1].append(index)
-                group = entry[0]
-                group["targets"].append((outcome, name, adapter, detector_tick, session))
-                if adapter.include_scores:
-                    group["wants_scores"] = True
-        if self.obs is not None:
+                key = (lane_key, detector_id, unit) if incremental else (detector_id, unit)
+                parts.setdefault(key, []).append((rows, index, name, adapters, ticks, include_scores))
+        if warming and self.obs is not None:
             for name, count in warming.items():
                 self.obs.registry.inc("serving.detector_warming_total", count, detector=name)
-        for group_key, (group, group_rows) in lane_rows.items():
-            unit = group_key[-1]
-            if sources[unit] is None:
-                sources["window"] = lane.windows(rows)
-            group["lanes"].append((lane_key, len(group_rows)))
-            group["views"].append(sources[unit][group_rows])
+
+        sessions = step.sessions
+        served = len(outcomes)
+        sources = {"sample": step.samples[:, np.newaxis, :]}
+        for key, lane_parts in sorted(parts.items(), key=_first_row):
+            group = queries.get(key)
+            if group is None:
+                first = lane_parts[0][3][0]
+                group = queries[key] = _DetectorGroup(first.detector, first.incremental)
+            if len(lane_parts) == 1:
+                rows, _, name, adapters, ticks, scored = lane_parts[0]
+                names = [name] * len(rows)
+                scored = [scored] * len(rows)
+            else:
+                merged = sorted(
+                    (row, index, name, adapter, tick, scored)
+                    for rows, index, name, adapters, ticks, scored in lane_parts
+                    for row, adapter, tick in zip(rows, adapters, ticks)
+                )
+                rows, _, names, adapters, ticks, scored = (list(column) for column in zip(*merged))
+            unit = key[-1]
+            source = sources.get(unit)
+            if source is None:
+                source = sources[unit] = step.lane.windows(step.rows)
+            if len(lane_parts) == 1 and len(rows) == served:  # every row, in order
+                group.add(lane_key, source, outcomes, names, adapters, ticks, sessions, scored)
+            else:
+                group.add(
+                    lane_key,
+                    source[rows],
+                    [outcomes[row] for row in rows],
+                    names,
+                    adapters,
+                    ticks,
+                    [sessions[row] for row in rows],
+                    scored,
+                )
 
     def _observe_lane_step(self, lane_key: str, step: _LaneStep) -> None:
         """Metric series and ``lane_step`` span of one lane's model step.
@@ -781,7 +926,7 @@ class StreamScheduler:
                 batch=batch,
             )
 
-    def _query_detectors(self, pending_views: Dict[tuple, dict]) -> None:
+    def _query_detectors(self, queries: Dict[tuple, _DetectorGroup]) -> None:
         """Run every queued detector group and attach its verdicts."""
         obs = self.obs
         now = self._now
@@ -794,36 +939,37 @@ class StreamScheduler:
         # splitting the merged inversion back follows it).
         plans: Dict[int, List] = {}
 
-        for group in pending_views.values():
+        for group in queries.values():
             group_started = None
             if obs is not None:
                 group_started = perf_counter()
                 # Per-lane series count each lane's part of a merged call,
                 # so they do not depend on which lanes share a process.
-                incremental = "yes" if group["incremental"] else "no"
-                for lane_key, count in group["lanes"]:
+                incremental = "yes" if group.incremental else "no"
+                for lane_key, count in group.lanes:
                     obs.registry.inc(
                         "serving.detector_queries_total", lane=lane_key, incremental=incremental
                     )
                     obs.registry.observe("serving.detector_batch", count, lane=lane_key)
-            detector = group["detector"]
-            views = group["views"]
-            views = views[0] if len(views) == 1 else np.concatenate(views)
+            detector = group.detector
+            # One fresh array per call: a lane part may be a view of the
+            # lane's samples or a gather shared with another group.
+            views = np.concatenate(group.views)
             try:
-                if group["incremental"]:
-                    states = [adapter.inversion_state for _, _, adapter, _, _ in group["targets"]]
+                if group.incremental:
+                    states = [adapter.inversion_state for adapter in group.adapters]
                     plan = detector.begin_scores_incremental(views, states)
                     plans.setdefault(id(detector), []).append((group, plan, group_started))
                     continue
                 flags = detector.predict(views)
-                scores = detector.scores(views) if group["wants_scores"] else None
+                scores = detector.scores(views) if group.wants_scores else None
             except Exception as exc:
-                self._detector_failure(group["targets"], exc)
+                self._detector_failure(group, exc)
                 continue
             self._apply_group_verdicts(group, flags, scores, group_started, now)
 
         for entries in plans.values():
-            detector = entries[0][0]["detector"]
+            detector = entries[0][0].detector
             owed = [plan for _, plan, _ in entries if plan.rerun_cold]
             cold_errors = cold_latents = None
             if owed:
@@ -834,7 +980,7 @@ class StreamScheduler:
                     )
                 except Exception as exc:
                     for group, _, _ in entries:
-                        self._detector_failure(group["targets"], exc)
+                        self._detector_failure(group, exc)
                     continue
                 if obs is not None and len(owed) >= 2:
                     obs.registry.inc("serving.cold_coalesced_total")
@@ -854,65 +1000,68 @@ class StreamScheduler:
                         plan, slice_errors, slice_latents
                     )
                 except Exception as exc:
-                    self._detector_failure(group["targets"], exc)
+                    self._detector_failure(group, exc)
                     continue
                 self._apply_group_verdicts(group, flags, scores, group_started, now)
 
-    def _apply_group_verdicts(self, group, flags, scores, group_started, now) -> None:
+    def _apply_group_verdicts(
+        self, group: _DetectorGroup, flags, scores, group_started, now
+    ) -> None:
         """Distribute one detector group's flags/scores to its sessions.
 
         Shared by the stateless per-group path and the incremental
         cold-batch path — verdict construction, per-verdict counters,
         inversion-activity draining, and the ``detector_batch`` span are
-        identical either way.
+        identical either way.  Flags and scores are read once per group,
+        and only incremental adapters can have a tripped watchdog.
         """
         obs = self.obs
+        flags = np.asarray(flags).astype(bool).tolist()
+        if scores is None or not group.wants_scores:
+            scores = itertools.repeat(None)
+        else:
+            scores = np.asarray(scores, dtype=np.float64).tolist()
+            if not all(group.scored):
+                scores = [score if scored else None for score, scored in zip(scores, group.scored)]
+        if group.incremental:
+            degraded = [adapter.watchdog_tripped() for adapter in group.adapters]
+        else:
+            degraded = itertools.repeat(False)
+        for outcome, name, detector_tick, flagged, score, is_degraded in zip(
+            group.outcomes, group.names, group.ticks, flags, scores, degraded
+        ):
+            outcome.verdicts[name] = StreamVerdict(
+                detector_tick, False, flagged, score, is_degraded
+            )
+        if obs is None:
+            return
         # (name, flagged, degraded) -> verdicts, counted once per group.
-        tallies: Dict[tuple, int] = {}
-        for index, (outcome, name, adapter, detector_tick, _) in enumerate(group["targets"]):
-            score = (
-                float(scores[index])
-                if scores is not None and adapter.include_scores
-                else None
+        for (name, flagged, is_degraded), count in Counter(
+            zip(group.names, flags, degraded)
+        ).items():
+            obs.registry.inc(
+                "serving.detector_verdicts_total",
+                count,
+                detector=name,
+                flagged="yes" if flagged else "no",
             )
-            verdict = StreamVerdict(
-                tick=detector_tick,
-                warming=False,
-                flagged=bool(flags[index]),
-                score=score,
-                degraded=adapter.watchdog_tripped(),
+            if is_degraded:
+                obs.registry.inc("serving.watchdog_degraded_total", count, detector=name)
+        if group.incremental:
+            for name, adapter in zip(group.names, group.adapters):
+                self._observe_inversion(name, adapter)
+        if obs.trace:
+            lanes = group.lanes
+            obs.emit_span(
+                "detector_batch",
+                group_started,
+                tick=now,
+                lane=lanes[0][0] if len(lanes) == 1 else None,
+                sessions=tuple(session.session_id for session in group.sessions),
+                batch=len(group.outcomes),
+                lanes=len(lanes),
+                incremental=group.incremental,
             )
-            outcome.verdicts[name] = verdict
-            if obs is not None:
-                tally = (name, verdict.flagged, verdict.degraded)
-                tallies[tally] = tallies.get(tally, 0) + 1
-        if obs is not None:
-            for (name, flagged, degraded), count in tallies.items():
-                obs.registry.inc(
-                    "serving.detector_verdicts_total",
-                    count,
-                    detector=name,
-                    flagged="yes" if flagged else "no",
-                )
-                if degraded:
-                    obs.registry.inc("serving.watchdog_degraded_total", count, detector=name)
-            if group["incremental"]:
-                for _, name, adapter, _, _ in group["targets"]:
-                    self._observe_inversion(name, adapter)
-            if obs.trace:
-                lanes = group["lanes"]
-                obs.emit_span(
-                    "detector_batch",
-                    group_started,
-                    tick=now,
-                    lane=lanes[0][0] if len(lanes) == 1 else None,
-                    sessions=tuple(
-                        session.session_id for _, _, _, _, session in group["targets"]
-                    ),
-                    batch=len(group["targets"]),
-                    lanes=len(lanes),
-                    incremental=group["incremental"],
-                )
 
     def _observe_inversion(self, name: str, adapter) -> None:
         """Fold one incremental adapter's inversion-activity deltas in."""
@@ -949,12 +1098,11 @@ class StreamScheduler:
             dropped=len(results) - served,
         )
 
-    def _detector_failure(self, targets, exc: BaseException) -> None:
+    def _detector_failure(self, group: _DetectorGroup, exc: BaseException) -> None:
         """One batched detector query raised: degrade its verdicts or re-raise."""
         if self.health is None:
-            sessions = [session for _, _, _, _, session in targets]
-            raise SchedulerTickError("detector query", sessions, exc) from exc
-        session_ids = [session.session_id for _, _, _, _, session in targets]
+            raise SchedulerTickError("detector query", group.sessions, exc) from exc
+        session_ids = [session.session_id for session in group.sessions]
         logger.warning(
             "detector query degraded for session(s) %s at delivered_at=%s: %s: %s",
             session_ids,
@@ -970,7 +1118,9 @@ class StreamScheduler:
                 delivered_at=self._now,
                 error=f"{type(exc).__name__}: {exc}",
             )
-        for outcome, name, _, detector_tick, session in targets:
+        for outcome, name, detector_tick, session in zip(
+            group.outcomes, group.names, group.ticks, group.sessions
+        ):
             if obs is not None:
                 obs.registry.inc("serving.detector_failures_total", detector=name)
             outcome.verdicts[name] = StreamVerdict(

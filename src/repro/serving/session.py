@@ -47,7 +47,10 @@ class SessionTick:
     prediction:
         Forecast in mg/dL, or None while the prediction window is warming up.
     verdicts:
-        Per-detector streaming verdicts for this measurement.
+        Per-detector streaming verdicts for this measurement.  Empty on a
+        ``dropped`` tick, and on the tick whose own model step quarantined
+        the session: that tick reaches no detector, and the session's
+        adapters restart from tick 0 when it is re-admitted.
     attacked:
         True when the delivered sample differs from the benign one (set by
         the replayer / caller that did the tampering).

@@ -95,6 +95,17 @@ class TestMetricsRegistry:
         key = series_key("ticks_total", {"lane": "a"})
         assert render_key(key) == "ticks_total{lane=a}"
 
+    def test_memoized_keys_keep_equal_labels_of_other_types_apart(self):
+        """``True == 1`` as dict keys, but the two render as different label
+        values; the memoized series keys must not merge their series."""
+        registry = MetricsRegistry()
+        for flag in (True, 1, "True", 1, True):
+            registry.inc("flags_total", flag=flag)
+        assert registry.snapshot()["counters"] == {
+            series_key("flags_total", {"flag": "1"}): 2.0,
+            series_key("flags_total", {"flag": "True"}): 3.0,
+        }
+
     def test_histogram_bucketing(self):
         registry = MetricsRegistry()
         for value in (1, 2, 3, 1024, 5000):

@@ -9,6 +9,8 @@ Every streaming fast path is pinned to its offline reference:
   ``predict_graph`` (≤ 1e-10) across strides, warm-up offsets, and scheduler
   batch sizes,
 * streaming detector verdicts vs the offline ``predict`` on the same windows,
+* the scheduler's lane-column routing of detector rows and verdicts vs a
+  per-session reference copy (``TestColumnRouting``, bitwise),
 * the whole stack under an online attack via ``scripts/check_parity.py``'s
   serving smoke (tier-1 tripwire).
 """
@@ -1423,3 +1425,405 @@ class TestStackedLaneStep:
             assert lane_state.ring[: len(ids)].tobytes() == state.ring.tobytes()
             assert np.array_equal(lane_state.cursor[: len(ids)], state.cursor)
             assert np.array_equal(lane_state.count[: len(ids)], state.count)
+
+
+# ------------------------------------------- column routing vs per-session
+class _PerSessionScheduler(StreamScheduler):
+    """Reference twin of the scheduler's detector bookkeeping, one
+    (session, adapter) pair at a time.
+
+    It keeps the per-session form the lane columns replaced: outcomes,
+    health and routing in one loop per session, dict groups holding one
+    ``(outcome, name, adapter, tick, session)`` target per row, and one
+    verdict built per target.  Its one change from that form is the rule
+    the column code keeps too: a session that its own step quarantined
+    routes to no detector.  Row order, group order, counters and spans must
+    come out bitwise the same as the column code's.
+    """
+
+    def _health_after_step(self, session, outcome, warm):
+        non_finite = outcome.prediction is None and warm
+        if non_finite and self.obs is not None:
+            self.obs.registry.inc("serving.nonfinite_predictions_total", lane=session._lane_key)
+        health = session.health
+        if health is None:
+            return
+        if non_finite:
+            outcome.error = outcome.error or "non-finite prediction"
+            health.record_error(outcome.tick, "non-finite prediction", delivered_at=self._now)
+            if health.blocked:
+                self._quarantine_session(session)
+        else:
+            health.record_clean(outcome.tick, delivered_at=self._now)
+
+    def _serve_lane(self, lane_key, step, results, pending_views):
+        from repro.detectors.streaming import StreamVerdict
+        from repro.serving.session import SessionTick
+
+        lane, rows, warm = step.lane, step.rows, step.warm
+        sessions = step.sessions
+        outcomes = []
+        for (session, _, tag), sample, prediction, is_warm in zip(
+            step.items, step.samples, step.predictions, warm
+        ):
+            value = None if np.isnan(prediction) else float(prediction)
+            outcome = SessionTick(session.session_id, session.ticks, sample.copy(), value, ingress=tag)
+            session.ticks += 1
+            session.last_sample = sample
+            if value is not None:
+                session.last_prediction = value
+            self._health_after_step(session, outcome, is_warm)
+            results[session.session_id] = outcome
+            outcomes.append(outcome)
+        sources = {"sample": step.samples[:, np.newaxis, :], "window": None}
+        warming = {}
+        lane_rows = {}  # group key -> (group, this lane's rows of it)
+        for index, (session, outcome) in enumerate(zip(sessions, outcomes)):
+            if session.health is not None and session.health.blocked:
+                continue  # quarantined by its own step
+            for name, adapter in session.detectors.items():
+                detector_tick = adapter.take_tick()
+                if adapter.unit == "window" and not warm[index]:
+                    outcome.verdicts[name] = StreamVerdict(tick=detector_tick, warming=True)
+                    warming[name] = warming.get(name, 0) + 1
+                    continue
+                group_key = (id(adapter.detector), adapter.unit)
+                if adapter.incremental:
+                    group_key = (lane_key,) + group_key
+                entry = lane_rows.get(group_key)
+                if entry is None:
+                    group = pending_views.get(group_key)
+                    if group is None:
+                        group = pending_views[group_key] = dict(
+                            detector=adapter.detector, incremental=adapter.incremental,
+                            wants_scores=False, lanes=[], views=[], targets=[],
+                        )
+                    entry = lane_rows[group_key] = (group, [])
+                entry[1].append(index)
+                entry[0]["targets"].append((outcome, name, adapter, detector_tick, session))
+                if adapter.include_scores:
+                    entry[0]["wants_scores"] = True
+        if self.obs is not None:
+            for name, count in warming.items():
+                self.obs.registry.inc("serving.detector_warming_total", count, detector=name)
+        for group_key, (group, group_rows) in lane_rows.items():
+            unit = group_key[-1]
+            if sources[unit] is None:
+                sources["window"] = lane.windows(rows)
+            group["lanes"].append((lane_key, len(group_rows)))
+            group["views"].append(sources[unit][group_rows])
+
+    def _query_detectors(self, pending_views):
+        from time import perf_counter
+
+        obs, now, plans = self.obs, self._now, {}
+        for group in pending_views.values():
+            group_started = None
+            if obs is not None:
+                group_started = perf_counter()
+                incremental = "yes" if group["incremental"] else "no"
+                for lane_key, count in group["lanes"]:
+                    obs.registry.inc(
+                        "serving.detector_queries_total", lane=lane_key, incremental=incremental
+                    )
+                    obs.registry.observe("serving.detector_batch", count, lane=lane_key)
+            detector, views = group["detector"], group["views"]
+            views = views[0] if len(views) == 1 else np.concatenate(views)
+            try:
+                if group["incremental"]:
+                    states = [target[2].inversion_state for target in group["targets"]]
+                    plan = detector.begin_scores_incremental(views, states)
+                    plans.setdefault(id(detector), []).append((group, plan, group_started))
+                    continue
+                flags = detector.predict(views)
+                scores = detector.scores(views) if group["wants_scores"] else None
+            except Exception as exc:
+                self._detector_failure(group["targets"], exc)
+                continue
+            self._apply_group_verdicts(group, flags, scores, group_started, now)
+        for entries in plans.values():
+            detector = entries[0][0]["detector"]
+            owed = [plan for _, plan, _ in entries if plan.rerun_cold]
+            cold_errors = cold_latents = None
+            if owed:
+                try:
+                    cold_errors, cold_latents = detector.invert_cold(
+                        np.concatenate([plan.scaled[plan.rerun_cold] for plan in owed]),
+                        np.concatenate([plan.cold_initial for plan in owed]),
+                    )
+                except Exception as exc:
+                    for group, _, _ in entries:
+                        self._detector_failure(group["targets"], exc)
+                    continue
+                if obs is not None and len(owed) >= 2:
+                    obs.registry.inc("serving.cold_coalesced_total")
+                    obs.registry.observe("serving.cold_coalesce_windows", len(cold_errors))
+            offset = 0
+            for group, plan, group_started in entries:
+                n_cold = len(plan.rerun_cold)
+                slice_errors = slice_latents = None
+                if n_cold:
+                    slice_errors = cold_errors[offset : offset + n_cold]
+                    slice_latents = cold_latents[offset : offset + n_cold]
+                    offset += n_cold
+                try:
+                    flags, scores = detector.finish_predict_incremental(
+                        plan, slice_errors, slice_latents
+                    )
+                except Exception as exc:
+                    self._detector_failure(group["targets"], exc)
+                    continue
+                self._apply_group_verdicts(group, flags, scores, group_started, now)
+
+    def _apply_group_verdicts(self, group, flags, scores, group_started, now):
+        from repro.detectors.streaming import StreamVerdict
+
+        obs, tallies = self.obs, {}
+        for index, (outcome, name, adapter, detector_tick, _) in enumerate(group["targets"]):
+            score = (
+                float(scores[index]) if scores is not None and adapter.include_scores else None
+            )
+            verdict = StreamVerdict(
+                tick=detector_tick,
+                warming=False,
+                flagged=bool(flags[index]),
+                score=score,
+                degraded=adapter.watchdog_tripped(),
+            )
+            outcome.verdicts[name] = verdict
+            if obs is not None:
+                tally = (name, verdict.flagged, verdict.degraded)
+                tallies[tally] = tallies.get(tally, 0) + 1
+        if obs is None:
+            return
+        for (name, flagged, degraded), count in tallies.items():
+            obs.registry.inc(
+                "serving.detector_verdicts_total", count, detector=name,
+                flagged="yes" if flagged else "no",
+            )
+            if degraded:
+                obs.registry.inc("serving.watchdog_degraded_total", count, detector=name)
+        if group["incremental"]:
+            for _, name, adapter, _, _ in group["targets"]:
+                self._observe_inversion(name, adapter)
+        if obs.trace:
+            lanes = group["lanes"]
+            obs.emit_span(
+                "detector_batch",
+                group_started,
+                tick=now,
+                lane=lanes[0][0] if len(lanes) == 1 else None,
+                sessions=tuple(target[4].session_id for target in group["targets"]),
+                batch=len(group["targets"]),
+                lanes=len(lanes),
+                incremental=group["incremental"],
+            )
+
+    def _detector_failure(self, targets, exc):
+        from repro.detectors.streaming import StreamVerdict
+        from repro.serving import SchedulerTickError
+
+        if self.health is None:
+            raise SchedulerTickError("detector query", [t[4] for t in targets], exc) from exc
+        obs = self.obs
+        if obs is not None:
+            obs.event(
+                "detector_failure",
+                sessions=[target[4].session_id for target in targets],
+                delivered_at=self._now,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        for outcome, name, _, detector_tick, session in targets:
+            if obs is not None:
+                obs.registry.inc("serving.detector_failures_total", detector=name)
+            outcome.verdicts[name] = StreamVerdict(
+                tick=detector_tick, warming=False, flagged=None, degraded=True
+            )
+            outcome.error = f"detector {name!r}: {type(exc).__name__}: {exc}"
+            session.health.record_error(
+                outcome.tick, f"detector {name!r} raised: {exc}", delivered_at=self._now
+            )
+            if session.health.blocked:
+                self._quarantine_session(session)
+
+
+class _FlakyDetector:
+    """Stateless stub whose ``predict`` raises on one call (0: never)."""
+
+    name = "flaky"
+
+    def __init__(self, fail_on: int):
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def scores(self, windows):
+        return np.asarray(windows).reshape(len(windows), -1).sum(axis=1)
+
+    def predict(self, windows):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise RuntimeError("flaky detector call")
+        return (self.scores(windows) % 7.0 > 3.5).astype(int)
+
+
+class _Logged:
+    """Forwards ``predict`` / ``scores`` to a stateless detector and logs
+    every call with its input bytes, so two runs can compare the order of
+    the calls and of the rows inside them."""
+
+    def __init__(self, name, detector, log):
+        self.name, self.detector, self.log = name, detector, log
+
+    def predict(self, windows):
+        self.log.append((self.name, "predict", np.asarray(windows).tobytes()))
+        return self.detector.predict(windows)
+
+    def scores(self, windows):
+        self.log.append((self.name, "scores", np.asarray(windows).tobytes()))
+        return self.detector.scores(windows)
+
+
+#: ``(adapter name, detector, unit)`` a session may carry.  ``knn`` and
+#: ``madgan`` each serve under two names, so one session can put two rows
+#: into one group; ``flaky`` serves both units.
+_ROUTING_ADAPTERS = [
+    ("knn", "knn", "sample"),
+    ("knn_twin", "knn", "sample"),
+    ("vae", "vae", "window"),
+    ("hmm", "hmm", "window"),
+    ("madgan", "madgan", "window"),
+    ("madgan_twin", "madgan", "window"),
+    ("flaky", "flaky", "sample"),
+    ("flaky_window", "flaky", "window"),
+]
+
+
+class TestColumnRouting:
+    """Lane-column routing of detector rows and verdicts equals the
+    per-session reference bitwise: detector calls and their rows, outcomes,
+    verdicts, registry series, health timelines, events, spans and MAD-GAN
+    ``inversion_calls``."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tiny_zoo, tiny_cohort):
+        from repro.detectors import GaussianHMMDetector, LSTMVAEDetector, MADGANDetector
+
+        windows, _, _ = tiny_zoo.dataset.from_cohort(tiny_cohort, split="train")
+        benign = windows[::4]
+        return {
+            "knn": KNNDistanceDetector(n_neighbors=5).fit(windows[::4, -1:, :]),
+            "vae": LSTMVAEDetector(epochs=1, hidden_size=8, batch_size=16, seed=0).fit(benign),
+            "hmm": GaussianHMMDetector(n_states=3, n_iter=3, seed=0).fit(benign),
+            "madgan": MADGANDetector(
+                epochs=1, hidden_size=8, inversion_steps=4, warm_inversion_steps=2,
+                max_samples=200, seed=0,
+            ).fit(benign),
+        }
+
+    @staticmethod
+    def _serve(scheduler_cls, fitted, zoo, sessions, deliveries, health, fail_on):
+        import copy
+
+        from repro.obs import Observer
+        from repro.serving import SchedulerTickError, tick_fingerprint
+
+        detectors = dict(copy.deepcopy(fitted), flaky=_FlakyDetector(fail_on))
+        calls = []
+        for name in ("knn", "vae", "hmm", "flaky"):
+            detectors[name] = _Logged(name, detectors[name], calls)
+        scheduler = scheduler_cls(health=health, obs=Observer(trace=True))
+        for session_id, label, adapters in sessions:
+            scheduler.open_session(
+                label,
+                zoo.model_for(label),
+                detectors={
+                    name: StreamingDetector(detectors[detector], unit=unit, include_scores=scores)
+                    for (name, detector, unit), scores in adapters
+                },
+                session_id=session_id,
+            )
+        ticks, error = [], None
+        for now, delivery in enumerate(deliveries):
+            try:
+                ticks.append(tick_fingerprint(scheduler.tick(delivery, now=now)))
+            except SchedulerTickError as exc:
+                error = str(exc)
+                break
+        obs = scheduler.obs
+        return {
+            "ticks": ticks,
+            "error": error,
+            "series": obs.registry.snapshot(),
+            "events": obs.events,
+            "spans": [
+                (span.stage, span.tick, span.lane, span.sessions, span.detail)
+                for span in obs.spans
+            ],
+            "calls": calls,
+            "inversion_calls": detectors["madgan"].inversion_calls,
+            "health": {
+                session_id: [
+                    (event.tick, str(event.state), event.reason, event.delivered_at)
+                    for event in scheduler.session(session_id).health.timeline
+                ]
+                for session_id, _, _ in sessions
+                if health is not None
+            },
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_columns_match_the_per_session_reference(self, data, fitted, tiny_zoo, tiny_cohort):
+        from repro.serving import HealthConfig
+
+        labels = list(tiny_cohort.labels)
+        lanes = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
+        adapter_sets = st.lists(
+            st.tuples(st.sampled_from(_ROUTING_ADAPTERS), st.booleans()),
+            max_size=5,
+            unique_by=lambda item: item[0][0],
+        )
+        sessions = [
+            (f"{label}/{index}", label, adapters)
+            for label in lanes
+            for index, adapters in enumerate(
+                data.draw(st.lists(adapter_sets, min_size=1, max_size=5))
+            )
+        ]
+        health = data.draw(
+            st.sampled_from(
+                [None, HealthConfig(degrade_after=1, quarantine_after=1, backoff_ticks=2)]
+            )
+        )
+        fail_on = data.draw(st.integers(0, 12))
+        deliver_rate = data.draw(st.sampled_from([1.0, 0.75]))
+        seed = data.draw(st.integers(0, 2**16))
+
+        rng = np.random.default_rng(seed)
+        traces = {label: tiny_cohort[label].features("test") for label in lanes}
+        history = tiny_zoo.dataset.history
+        # Staggered first deliveries mix warm and warming rows in one lane.
+        starts = rng.integers(0, 5, len(sessions))
+        deliveries = []
+        for tick in range(history + 8):
+            delivery = {}
+            for index, (session_id, label, _) in enumerate(sessions):
+                if tick < starts[index] or rng.random() >= deliver_rate:
+                    continue
+                sample = traces[label][tick + 3 * index].copy()
+                if health is not None and rng.random() < 0.04:
+                    sample[CGM_COLUMN] = np.nan  # poisons a warm window: quarantine
+                delivery[session_id] = sample
+            deliveries.append(delivery)
+
+        served = [
+            self._serve(cls, fitted, tiny_zoo, sessions, deliveries, health, fail_on)
+            for cls in (StreamScheduler, _PerSessionScheduler)
+        ]
+        columns, reference = served
+        assert columns["error"] == reference["error"]
+        assert len(columns["ticks"]) == len(reference["ticks"])
+        for got, expected in zip(columns["ticks"], reference["ticks"]):
+            assert got == expected
+        for field in ("calls", "series", "events", "spans", "inversion_calls", "health"):
+            assert columns[field] == reference[field], field

@@ -563,6 +563,63 @@ class TestQuarantineIsolation:
         assert session.health.state in (HealthState.HEALTHY, HealthState.RECOVERED)
         scheduler.close_session(session.session_id)
 
+    def test_quarantining_tick_feeds_no_detector(self, tiny_zoo, tiny_cohort):
+        """The tick whose own step quarantines a session routes it nowhere:
+        no detector sees its poisoned sample, the tick carries no verdicts,
+        and the re-admitted stream's verdicts count from tick 0 again."""
+        from repro.detectors.streaming import StreamVerdict
+
+        class _RecordingDetector:
+            name = "recording"
+
+            def __init__(self):
+                self.batches = []
+
+            def scores(self, windows):
+                return np.zeros(len(windows))
+
+            def predict(self, windows):
+                self.batches.append(np.array(windows))
+                return np.zeros(len(windows), dtype=int)
+
+        record = next(iter(tiny_cohort))
+        predictor = tiny_zoo.model_for(record.label)
+        trace = record.features("test")
+        stub = _RecordingDetector()
+        scheduler = StreamScheduler(
+            health=HealthConfig(degrade_after=1, quarantine_after=1, backoff_ticks=2)
+        )
+        session = scheduler.open_session(
+            record.label,
+            predictor,
+            detectors={
+                "sample": StreamingDetector(stub, unit="sample"),
+                "window": StreamingDetector(stub, unit="window"),
+            },
+        )
+        poisoned = predictor.history + 2  # the window is warm
+        outcomes = []
+        for tick in range(poisoned + 3):
+            sample = trace[tick].copy()
+            if tick == poisoned:
+                sample[CGM_COLUMN] = np.nan
+            outcomes.append(scheduler.tick({session.session_id: sample})[session.session_id])
+
+        quarantining = outcomes[poisoned]
+        assert quarantining.error == "non-finite prediction"
+        assert quarantining.prediction is None and not quarantining.dropped
+        assert quarantining.verdicts == {}
+        assert session.health.quarantines == 1
+        assert outcomes[poisoned + 1].dropped  # backing off
+        readmitted = outcomes[poisoned + 2]
+        assert not readmitted.dropped
+        assert readmitted.verdicts == {
+            "sample": StreamVerdict(tick=0, warming=False, flagged=False),
+            "window": StreamVerdict(tick=0, warming=True),
+        }
+        assert stub.batches and not any(np.isnan(batch).any() for batch in stub.batches)
+        scheduler.close_session(session.session_id)
+
     def test_detector_failure_degrades_verdict_not_the_tick(self, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
 
