@@ -5,7 +5,9 @@ fast path (:func:`run_checks`), fused-training parity (:func:`run_training_parit
 stream == offline serving (:func:`run_serving_smoke`, including one lane
 whose sessions carry different adapter sets over a shared detector,
 :func:`run_detector_family_smoke`), the stacked multi-lane model step ==
-the one-lane step (:func:`run_stacked_step_parity`), every chaos gate
+the one-lane step (:func:`run_stacked_step_parity`), MAD-GAN's one call
+per tick == each lane's own ``scores_incremental``
+(:func:`run_madgan_stream_parity`), every chaos gate
 (:func:`run_chaos_smoke`),
 and MAD-GAN's float32 inversion against its float64 reference (:func:`run_madgan_dtype_parity`).
 It also holds the
@@ -23,6 +25,7 @@ Exit status is non-zero on any parity violation.
 
 from __future__ import annotations
 
+import copy
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -450,6 +453,90 @@ def run_stacked_step_parity(zoo: GlucoseModelZoo, cohort, n_ticks: int = 30) -> 
                 compared += got is not None
     assert compared > 0, "no session warmed up"
     return {"n_lanes": scheduler.n_lanes, "predictions_compared": compared}
+
+
+def run_madgan_stream_parity(zoo: GlucoseModelZoo, cohort, n_ticks: int = 32) -> Dict[str, int]:
+    """MAD-GAN's one call per tick against each lane's own ``scores_incremental``, bitwise.
+
+    Two sessions per patient on ``zoo``'s lanes (one per patient when
+    personalized) share one MAD-GAN, served by one scheduler that makes one
+    ``predict_incremental`` call per tick with one part per lane, stacking
+    the warm inversions of lanes with equal warm-row counts.  The reference
+    is a copy of the detector that scores each lane on its own, in lane
+    order, with ``scores_incremental``.  Lanes join two ticks apart and the
+    detector neither refreshes nor falls back, so every tick's cold work
+    belongs to one lane and the merged cold batch is that lane's own.
+    Scores, verdicts, every inversion state and the detector RNG must be
+    equal byte for byte.  Raises AssertionError on the first violation.
+    """
+    train_windows, _, _ = zoo.dataset.from_cohort(cohort, split="train")
+    served = MADGANDetector(
+        epochs=1,
+        hidden_size=8,
+        inversion_steps=6,
+        warm_inversion_steps=3,
+        warm_fallback_ratio=1e9,
+        cold_refresh_interval=None,
+        max_samples=200,
+        seed=0,
+    ).fit(train_windows[::4])
+    reference = copy.deepcopy(served)
+    scheduler = StreamScheduler()
+    lanes = []  # (join tick, session ids, trace, reference states)
+    for index, record in enumerate(cohort):
+        ids = [f"{record.label}/{copy_index}" for copy_index in range(2)]
+        for session_id in ids:
+            scheduler.open_session(
+                record.label,
+                zoo.model_for(record.label),
+                detectors={
+                    "madgan": StreamingDetector(served, unit="window", include_scores=True)
+                },
+                session_id=session_id,
+            )
+        states = [reference.make_inversion_state() for _ in ids]
+        lanes.append((2 * index, ids, record.features("test"), states))
+    history = served.sequence_length
+    compared = 0
+    for tick in range(n_ticks):
+        delivery = {
+            session_id: trace[tick - join + copy_index]
+            for join, ids, trace, _ in lanes
+            if tick >= join
+            for copy_index, session_id in enumerate(ids)
+        }
+        outcomes = scheduler.tick(delivery)
+        for join, ids, trace, states in lanes:
+            end = tick - join + 1
+            if end < history:
+                continue
+            windows = np.stack(
+                [trace[end - history + offset : end + offset] for offset in range(len(ids))]
+            )
+            scores = reference.scores_incremental(windows, states)
+            flags = reference.calibrator.predict(scores)
+            for session_id, score, flag in zip(ids, scores.tolist(), flags):
+                verdict = outcomes[session_id].verdicts["madgan"]
+                assert (verdict.score, verdict.flagged) == (score, bool(flag)), (
+                    f"one-call MAD-GAN verdict for {session_id} at tick {tick} diverged "
+                    f"from its lane's own scores_incremental: {verdict.score!r} != {score!r}"
+                )
+                compared += 1
+    for _, ids, _, states in lanes:
+        for session_id, want in zip(ids, states):
+            got = scheduler.session(session_id).detectors["madgan"].inversion_state
+            assert got.latent.tobytes() == want.latent.tobytes() and (
+                got.error, got.ticks, got.fallbacks
+            ) == (want.error, want.ticks, want.fallbacks), f"{session_id}: inversion state diverged"
+    rng_states = [d._rng.generator.bit_generator.state for d in (served, reference)]
+    assert rng_states[0] == rng_states[1], "the detector RNG diverged"
+    assert served.inversion_calls == reference.inversion_calls
+    assert served.warm_runs < reference.warm_runs, "no warm inversion was stacked"
+    return {
+        "verdicts_compared": compared,
+        "warm_runs": served.warm_runs,
+        "lane_warm_runs": reference.warm_runs,
+    }
 
 
 def run_chaos_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str, dict]:
@@ -1090,6 +1177,10 @@ def main() -> int:
         (
             "stacked lane step (vs one-lane step)",
             lambda: run_stacked_step_parity(bench.zoo, cohort),
+        ),
+        (
+            "MAD-GAN one call per tick (vs each lane's own)",
+            lambda: run_madgan_stream_parity(bench.zoo, cohort),
         ),
         ("chaos smoke (every chaos gate)", lambda: run_chaos_smoke(zoo, cohort)),
         ("detector family (stream vs offline)", lambda: run_detector_family_smoke(zoo, cohort)),

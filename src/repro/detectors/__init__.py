@@ -5,7 +5,6 @@ from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin, Threshold
 from repro.detectors.knn import KNNClassifierDetector, KNNDistanceDetector, minkowski_distances
 from repro.detectors.ocsvm import OneClassSVMDetector, kernel_matrix
 from repro.detectors.madgan import (
-    ColdBatchPlan,
     InversionState,
     MADGANDetector,
     MADGANTrainingHistory,
@@ -15,7 +14,7 @@ from repro.detectors.madgan import (
 from repro.detectors.lstm_vae import LSTMVAEDetector
 from repro.detectors.hmm import GaussianHMMDetector
 from repro.detectors.ensemble import VotingEnsembleDetector
-from repro.detectors.streaming import StreamingDetector, StreamVerdict
+from repro.detectors.streaming import InvalidPartsError, StreamingDetector, StreamVerdict
 
 __all__ = [
     "AnomalyDetector",
@@ -26,7 +25,6 @@ __all__ = [
     "minkowski_distances",
     "OneClassSVMDetector",
     "kernel_matrix",
-    "ColdBatchPlan",
     "InversionState",
     "MADGANDetector",
     "MADGANTrainingHistory",
@@ -35,6 +33,7 @@ __all__ = [
     "LSTMVAEDetector",
     "GaussianHMMDetector",
     "VotingEnsembleDetector",
+    "InvalidPartsError",
     "StreamingDetector",
     "StreamVerdict",
 ]

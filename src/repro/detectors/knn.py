@@ -46,7 +46,9 @@ def _minkowski_powers(queries: np.ndarray, references: np.ndarray, p: float) -> 
         # Squared-expansion form is far faster for the Euclidean case.
         query_norms = np.sum(queries**2, axis=1)[:, np.newaxis]
         reference_norms = np.sum(references**2, axis=1)[np.newaxis, :]
-        return query_norms + reference_norms - rowwise_matmul(2.0 * queries, references.T)
+        powers = query_norms + reference_norms
+        powers -= rowwise_matmul(2.0 * queries, references.T)
+        return powers
     differences = np.abs(queries[:, np.newaxis, :] - references[np.newaxis, :, :])
     return np.sum(differences**p, axis=2)
 
@@ -170,7 +172,8 @@ class KNNDistanceDetector(AnomalyDetector, ScaledDetectorMixin):
         for start in range(0, len(scaled), self.batch_size):
             batch = scaled[start : start + self.batch_size]
             powers = _minkowski_powers(batch, self._train_features, self.p)
-            nearest = np.sort(np.partition(powers, last, axis=1)[:, : last + 1], axis=1)
+            powers.partition(last, axis=1)  # in place: the block is ours
+            nearest = np.sort(powers[:, : last + 1], axis=1)
             distances = _distances_from_powers(nearest[:, skip:], self.p)
             result[start : start + len(batch)] = distances.mean(axis=1)
         return result

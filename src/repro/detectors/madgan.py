@@ -16,12 +16,15 @@ full pipeline runs on CPU, and is configurable.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
+from repro.detectors.streaming import InvalidPartsError
 from repro.nn import (
     Adam,
     BatchIterator,
@@ -43,7 +46,8 @@ class SequenceGenerator(Module):
     """LSTM generator: latent sequence ``(B, T, latent)`` → window ``(B, T, F)``.
 
     The fast and fused paths run in the dtype of the generator's weights
-    (float32 during :meth:`MADGANDetector._invert_fast`, float64 otherwise).
+    (float32 during :meth:`MADGANDetector._invert_fast`, float64 otherwise)
+    and take leading stack axes, as their layers do.
     """
 
     def __init__(self, latent_dim: int, hidden_size: int, n_features: int, seed=None):
@@ -63,34 +67,35 @@ class SequenceGenerator(Module):
 
     def fast_forward(self, latent: np.ndarray) -> np.ndarray:
         hidden = self.lstm.fast_forward(latent)
-        batch, timesteps, _ = hidden.shape
-        flat = hidden.reshape(batch * timesteps, self.hidden_size)
-        return self.head.fast_forward(flat).reshape(batch, timesteps, self.n_features)
+        *stack, batch, timesteps, _ = hidden.shape
+        flat = hidden.reshape(*stack, batch * timesteps, self.hidden_size)
+        return self.head.fast_forward(flat).reshape(*stack, batch, timesteps, self.n_features)
 
     # ----------------------------------------------------------------- training
     def fused_forward_train(self, latent: np.ndarray):
         """Graph-free training forward (see :meth:`Module.fused_forward_train`)."""
         hidden, lstm_cache = self.lstm.fused_forward_train(latent)
-        batch, timesteps, _ = hidden.shape
+        *stack, batch, timesteps, _ = hidden.shape
         flat_output, head_cache = self.head.fused_forward_train(
-            hidden.reshape(batch * timesteps, self.hidden_size)
+            hidden.reshape(*stack, batch * timesteps, self.hidden_size)
         )
-        output = flat_output.reshape(batch, timesteps, self.n_features)
-        return output, (lstm_cache, head_cache, (batch, timesteps))
+        shape = (*stack, batch, timesteps)
+        output = flat_output.reshape(*shape, self.n_features)
+        return output, (lstm_cache, head_cache, shape)
 
     def fused_backward_train(self, grad_output: np.ndarray, cache) -> np.ndarray:
-        lstm_cache, head_cache, (batch, timesteps) = cache
+        lstm_cache, head_cache, (*stack, batch, timesteps) = cache
         grad_output = np.asarray(grad_output, dtype=self.head.weight.data.dtype)
         d_hidden = self.head.fused_backward_train(
-            grad_output.reshape(batch * timesteps, self.n_features), head_cache
+            grad_output.reshape(*stack, batch * timesteps, self.n_features), head_cache
         )
         return self.lstm.fused_backward_train(
-            d_hidden.reshape(batch, timesteps, self.hidden_size), lstm_cache
+            d_hidden.reshape(*stack, batch, timesteps, self.hidden_size), lstm_cache
         )
 
 
 class SequenceDiscriminator(Module):
-    """LSTM discriminator: window ``(B, T, F)`` → real/fake logit ``(B, 1)``."""
+    """LSTM discriminator: window ``(*stack, B, T, F)`` → real/fake logit ``(*stack, B, 1)``."""
 
     def __init__(self, n_features: int, hidden_size: int, seed=None):
         super().__init__()
@@ -172,39 +177,6 @@ class InversionState:
         self.consecutive_fallbacks = 0
 
 
-@dataclass
-class ColdBatchPlan:
-    """Intermediate state between the two phases of incremental scoring.
-
-    :meth:`MADGANDetector.begin_scores_incremental` classifies every stream
-    (warm / cold), runs the warm inversions, draws the cold-start latents,
-    and stops *just before* the cold inversion — the one batched gradient
-    search that dominates tick cost.  The plan carries everything
-    :meth:`MADGANDetector.finish_scores_incremental` needs to resume, which
-    lets a scheduler run the cold work of every detector group in one
-    inversion batch per detector per tick (see
-    :class:`repro.serving.scheduler.StreamScheduler`).
-
-    Plans are single-tick, single-process objects: they hold live references
-    to the caller's states and never cross a pickle boundary.
-    """
-
-    #: Scaled ``(n, sequence_length, n_features)`` windows for this call.
-    scaled: np.ndarray
-    #: The caller's per-stream states, updated in place by ``finish``.
-    states: Sequence[InversionState]
-    #: Per-stream errors; warm entries are final, cold entries placeholders.
-    errors: np.ndarray
-    #: Stream indices whose cold inversion is still owed (may be empty).
-    rerun_cold: List[int]
-    #: Subset of ``rerun_cold`` that keeps ``min(warm, cold)`` semantics.
-    fallback_set: set
-    #: ``(len(rerun_cold), sequence_length, latent_dim)`` cold-start latents,
-    #: drawn by ``begin`` so RNG order is identical whether or not the cold
-    #: inversion is batched with other plans; None when nothing is owed.
-    cold_initial: Optional[np.ndarray] = None
-
-
 class MADGANDetector(AnomalyDetector):
     """MAD-GAN anomaly detector with the DR anomaly score.
 
@@ -261,6 +233,10 @@ class MADGANDetector(AnomalyDetector):
     """
 
     name = "MAD-GAN"
+    #: How many warm inversion recurrences :meth:`scores_incremental` has
+    #: run; each stacks every part with one warm-row count.  (A class
+    #: default, so detectors pickled before it existed still count.)
+    warm_runs = 0
 
     def __init__(
         self,
@@ -320,9 +296,11 @@ class MADGANDetector(AnomalyDetector):
         self.history_: Optional[MADGANTrainingHistory] = None
         self._scaler: Optional[StandardScaler] = None
         self._benign_reconstruction_scale: Optional[float] = None
-        #: How many `_invert_fast` batches this detector has run (cold or
-        #: warm) — the per-call python overhead that batching the cold work
-        #: of a tick minimizes; regression tests compare it across paths.
+        #: How many inversion batches this detector has run (cold or warm).
+        #: A batch is one set of windows sharing a loss scale and Adam
+        #: state, not one kernel run: a stacked run of L batches counts L.
+        #: Regression tests and the benchmark fingerprints compare it
+        #: across paths.
         self.inversion_calls = 0
 
     # ------------------------------------------------------------------ scaling
@@ -557,10 +535,20 @@ class MADGANDetector(AnomalyDetector):
         return self._invert(scaled_windows, initial_latent, steps, np.float64)
 
     def _invert(self, scaled_windows, initial_latent, steps, dtype):
-        """Shared body of :meth:`_invert_fast` and :meth:`_invert_fast64`."""
-        self.inversion_calls += 1
+        """Shared body of :meth:`_invert_fast` and :meth:`_invert_fast64`.
+
+        Leading stack axes are allowed: ``(*stack, n, T, F)`` windows with
+        ``(*stack, n, T, latent)`` latents advance every stacked batch in one
+        recurrence.  Each batch keeps its own loss scale ``1 / (n·T·F)`` and
+        its own Adam moments (both are elementwise), and its slice of every
+        kernel is its own call's, so each returns bitwise what inverting it
+        alone returns.  :attr:`inversion_calls` counts the stacked batches.
+        """
+        stack = np.shape(scaled_windows)[:-3]
+        self.inversion_calls += math.prod(stack)
         generator = self.generator
         target = np.asarray(scaled_windows, dtype=dtype)
+        count = math.prod(target.shape[-3:])
         latent = Parameter(
             np.array(initial_latent, dtype=np.float64, copy=True), name="latent"
         )
@@ -579,7 +567,7 @@ class MADGANDetector(AnomalyDetector):
                 parameter.data = parameter.data.astype(dtype, copy=False)
             for _ in range(steps):
                 generated, cache = generator.fused_forward_train(latent.data)
-                _, d_generated = fused_mse_loss(generated, target)
+                _, d_generated = fused_mse_loss(generated, target, count)
                 latent.grad = generator.fused_backward_train(d_generated, cache)
                 optimizer.step()
                 # In place (Adam hands back a fresh array each step); the
@@ -592,8 +580,8 @@ class MADGANDetector(AnomalyDetector):
                 parameter.data = data
                 parameter.requires_grad = flag
         # The error is taken against the float64 windows in float64.
-        per_timestep = np.mean((generated - scaled_windows) ** 2, axis=2)
-        return per_timestep.max(axis=1), latent.data.astype(np.float64, copy=False)
+        per_timestep = np.mean((generated - scaled_windows) ** 2, axis=-1)
+        return per_timestep.max(axis=-1), latent.data.astype(np.float64, copy=False)
 
     def _reconstruction_errors(
         self, scaled_windows: np.ndarray, initial_latent: Optional[np.ndarray] = None
@@ -707,7 +695,10 @@ class MADGANDetector(AnomalyDetector):
         return InversionState()
 
     def scores_incremental(
-        self, windows: np.ndarray, states: Sequence[InversionState]
+        self,
+        windows: np.ndarray,
+        states: Sequence[InversionState],
+        parts: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """DR anomaly scores with per-stream warm-started generator inversion.
 
@@ -730,6 +721,10 @@ class MADGANDetector(AnomalyDetector):
             One :class:`InversionState` per window, aligned by position.
             States are updated in place: a stream's first call (``latent``
             None) runs the full cold inversion and seeds the state.
+        parts:
+            Row counts of consecutive parts of ``windows`` (default: one
+            part of every row).  The serving scheduler passes one part per
+            lane, so one call serves a detector's rows of every lane.
 
         Returns
         -------
@@ -747,179 +742,133 @@ class MADGANDetector(AnomalyDetector):
         variability — ``tests/test_detectors.py`` pins score agreement and
         ``scripts/bench_serving.py`` asserts verdict parity on its fixture.
 
-        Implemented as :meth:`finish_scores_incremental` applied to
-        :meth:`begin_scores_incremental`.  The serving scheduler invokes the
-        phases separately, running every plan's cold work of a tick in one
-        :meth:`invert_cold` batch; this one-shot composition is the
-        reference it is pinned to bitwise.
-        """
-        return self.finish_scores_incremental(
-            self.begin_scores_incremental(windows, states)
-        )
-
-    def begin_scores_incremental(
-        self, windows: np.ndarray, states: Sequence[InversionState]
-    ) -> ColdBatchPlan:
-        """Phase 1 of :meth:`scores_incremental`: everything but the cold batch.
-
-        Classifies streams, runs the warm inversions and fallback logic, and
-        draws the cold-start latents, returning a :class:`ColdBatchPlan`
-        whose ``rerun_cold`` names the streams still owing a cold inversion.
-        Pass the plan to :meth:`finish_scores_incremental` — directly for
-        the one-shot path, or after running :meth:`invert_cold` yourself
-        (possibly on several plans' windows concatenated).
+        Each part's warm rows are one inversion batch, as if scored alone;
+        parts with equal warm-row counts advance in one stacked recurrence
+        (:meth:`_invert`, bitwise).  All parts' owed cold rows run as ONE
+        batch, from latents drawn part by part.  Parts whose carried latent
+        has the wrong shape raise
+        :class:`~repro.detectors.streaming.InvalidPartsError` before anything
+        changes.
         """
         check_fitted(self, ("_scaler", "history_"))
         windows = np.asarray(windows, dtype=np.float64)
         if len(windows) != len(states):
             raise ValueError("windows and states must have the same length")
         scaled = self._scale(windows)
-        count = len(scaled)
-        errors = np.empty(count)
-        latent_shape = (self.sequence_length, self.latent_dim)
+        sizes = [len(states)] if parts is None else [int(size) for size in parts]
+        if sum(sizes) != len(states) or min(sizes) <= 0:
+            raise ValueError(f"parts {sizes} do not split {len(states)} rows")
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        part_rows = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+        warm_parts, owed_parts = self._classify_parts(states, part_rows)
 
-        refresh = self.cold_refresh_interval
-        warm_indices: List[int] = []
-        cold_indices: List[int] = []
-        for index, state in enumerate(states):
-            if state.latent is None:
-                cold_indices.append(index)
-            elif state.latent.shape != latent_shape:
-                raise ValueError(
-                    f"state latent must have shape {latent_shape}, "
-                    f"got {state.latent.shape}"
-                )
-            elif refresh is not None and state.ticks > 0 and state.ticks % refresh == 0:
-                # Periodic cold re-anchor (see cold_refresh_interval): the
-                # carried latent is discarded for this tick.
-                cold_indices.append(index)
-            else:
-                warm_indices.append(index)
-
-        fallback_indices: List[int] = []
-        if warm_indices:
+        errors = np.empty(len(states))
+        for rows in _stacks(warm_parts):
+            flat = rows.reshape(-1).tolist()
+            latents = np.stack([states[row].latent for row in flat])
             # The window slid one sample: shift the latent one timestep to
             # keep each latent step aligned with the sample it explains; the
             # vacated final step reuses the previous final latent (its best
             # local guess for the just-arrived sample).
-            initial = np.stack(
-                [
-                    np.concatenate(
-                        [states[index].latent[1:], states[index].latent[-1:]]
-                    )
-                    for index in warm_indices
-                ]
-            )
+            initial = np.concatenate([latents[:, 1:], latents[:, -1:]], axis=1)
             warm_errors, warm_latents = self._invert_fast(
-                scaled[warm_indices], initial, self.warm_inversion_steps
+                scaled[rows],
+                initial.reshape(rows.shape + latents.shape[1:]),
+                self.warm_inversion_steps,
             )
-            scale = self._benign_reconstruction_scale or 1.0
-            for position, index in enumerate(warm_indices):
-                state = states[index]
+            self.warm_runs += 1
+            errors[flat] = warm_errors.reshape(-1)
+            for row, latent in zip(flat, warm_latents.reshape(latents.shape)):
+                states[row].latent = latent
+
+        # Fallbacks, then the cold-start draws, part by part.
+        scale = self._benign_reconstruction_scale or 1.0
+        fallback_rows = set()
+        draws = []
+        for warm, owed in zip(warm_parts, owed_parts):
+            for row in warm:
+                state = states[row]
                 # A state restored with a latent but no carried error (e.g.
                 # deserialized) gets the floor, so the fallback comparison
                 # still runs — conservatively cold-verifying the warm result.
                 carried = 0.0 if state.error is None else float(state.error)
                 previous = max(carried, 0.01 * scale)
-                warm_error = float(warm_errors[position])
-                errors[index] = warm_error
-                state.latent = warm_latents[position]
-                if warm_error > self.warm_fallback_ratio * previous:
+                if errors[row] > self.warm_fallback_ratio * previous:
                     # Regressed: re-run cold in this tick's batch.
                     state.fallbacks += 1
                     state.consecutive_fallbacks += 1
-                    fallback_indices.append(index)
+                    fallback_rows.add(row)
+                    owed.append(row)
                 else:
                     # Clean warm tick: the divergence run (if any) is over.
                     state.consecutive_fallbacks = 0
+            if owed:
+                draws.append(self._sample_latent(len(owed)) * 0.1)
 
-        rerun_cold = cold_indices + fallback_indices
-        cold_initial = None
-        if rerun_cold:
-            # Drawn here (not in finish) so the detector's RNG stream advances
-            # identically whether the cold batch runs standalone or merged
-            # with other plans by the scheduler.
-            cold_initial = self._sample_latent(len(rerun_cold)) * 0.1
-        return ColdBatchPlan(
-            scaled=scaled,
-            states=states,
-            errors=errors,
-            rerun_cold=rerun_cold,
-            fallback_set=set(fallback_indices),
-            cold_initial=cold_initial,
-        )
-
-    def invert_cold(
-        self, scaled_windows: np.ndarray, initial: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the full-strength cold inversion on already-scaled windows.
-
-        The public hook the scheduler uses to run ONE batched inversion
-        over several plans' ``scaled[rerun_cold]`` windows (with
-        their ``cold_initial`` latents concatenated in the same order), then
-        split the results back per plan for :meth:`finish_scores_incremental`.
-        Counts one :attr:`inversion_calls` batch regardless of size.
-        """
-        return self._invert_fast(scaled_windows, initial, self.inversion_steps)
-
-    def finish_scores_incremental(
-        self,
-        plan: ColdBatchPlan,
-        cold_errors: Optional[np.ndarray] = None,
-        cold_latents: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Phase 2 of :meth:`scores_incremental`: settle the cold batch.
-
-        With ``cold_errors``/``cold_latents`` omitted, runs the plan's own
-        cold inversion (the one-shot path).  The scheduler instead passes
-        this plan's slice of a merged :meth:`invert_cold` result; the
-        fallback ``min(warm, cold)`` semantics, state updates, and DR scoring
-        are identical either way.
-        """
-        scaled = plan.scaled
-        states = plan.states
-        errors = plan.errors
-        rerun_cold = plan.rerun_cold
-        if rerun_cold:
-            fallback_set = plan.fallback_set
-            if cold_errors is None:
-                cold_errors, cold_latents = self.invert_cold(
-                    scaled[rerun_cold], plan.cold_initial
-                )
-            elif cold_latents is None:
-                raise ValueError("cold_latents must accompany cold_errors")
-            if len(cold_errors) != len(rerun_cold):
-                raise ValueError(
-                    f"expected {len(rerun_cold)} cold results, got {len(cold_errors)}"
-                )
-            for position, index in enumerate(rerun_cold):
-                state = states[index]
-                cold_error = float(cold_errors[position])
-                if index not in fallback_set:
+        cold_rows = [row for owed in owed_parts for row in owed]
+        if cold_rows:
+            cold_errors, cold_latents = self._invert_fast(
+                scaled[cold_rows], np.concatenate(draws), self.inversion_steps
+            )
+            for row, cold_error, latent in zip(cold_rows, cold_errors.tolist(), cold_latents):
+                state = states[row]
+                if row in fallback_rows:
+                    if cold_error > errors[row]:
+                        continue  # the warm result was the better inversion
+                else:
                     # A scheduled cold tick (cold start, periodic refresh)
                     # closes any divergence run.
                     state.consecutive_fallbacks = 0
-                if index in fallback_set:
-                    if cold_error > errors[index]:
-                        continue  # the warm result was the better inversion
-                errors[index] = cold_error
-                state.latent = cold_latents[position]
+                errors[row] = cold_error
+                state.latent = latent
 
-        for index, state in enumerate(states):
-            state.error = float(errors[index])
+        for state, error in zip(states, errors.tolist()):
+            state.error = error
             state.ticks += 1
-        return self._dr_scores(errors, self._discrimination_scores(scaled))
+        real = np.empty(len(states))
+        for rows in _stacks(part_rows):
+            real[rows.reshape(-1)] = self._discrimination_scores(scaled[rows])
+        return self._dr_scores(errors, real)
 
-    def finish_predict_incremental(
-        self,
-        plan: ColdBatchPlan,
-        cold_errors: Optional[np.ndarray] = None,
-        cold_latents: Optional[np.ndarray] = None,
+    def predict_incremental(
+        self, windows: np.ndarray, states: Sequence[InversionState], parts=None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Verdict-level phase 2: :meth:`finish_scores_incremental` + threshold.
-
-        Returns ``(flags, scores)``: the scores are the very ones the flags
-        were thresholded from, so callers never pay a second inversion.
-        """
-        scores = self.finish_scores_incremental(plan, cold_errors, cold_latents)
+        """``(flags, scores)`` of :meth:`scores_incremental`: one inversion serves both."""
+        scores = self.scores_incremental(windows, states, parts)
         return self.calibrator.predict(scores), scores
+
+    def _classify_parts(self, states, part_rows) -> Tuple[List[List[int]], List[List[int]]]:
+        """Each part's warm rows and cold rows; raises before changing anything."""
+        latent_shape = (self.sequence_length, self.latent_dim)
+        refresh = self.cold_refresh_interval
+        warm_parts, cold_parts, invalid = [], [], {}
+        for index, rows in enumerate(part_rows):
+            warm, cold = [], []
+            for row in rows:
+                latent, ticks = states[row].latent, states[row].ticks
+                if latent is None:
+                    cold.append(row)
+                elif latent.shape != latent_shape:
+                    invalid[index] = ValueError(
+                        f"state latent must have shape {latent_shape}, got {latent.shape}"
+                    )
+                elif refresh is not None and ticks > 0 and ticks % refresh == 0:
+                    cold.append(row)  # periodic re-anchor: the carry-over is dropped
+                else:
+                    warm.append(row)
+            warm_parts.append(warm)
+            cold_parts.append(cold)
+        if invalid:
+            raise InvalidPartsError(invalid)
+        return warm_parts, cold_parts
+
+
+def _stacks(row_lists):
+    """One index array per distinct length of the non-empty ``row_lists``:
+    ``(L, n)`` for L lists of length n, a flat ``(n,)`` (unstacked) for one."""
+    by_length: dict = {}
+    for rows in row_lists:
+        if rows:
+            by_length.setdefault(len(rows), []).append(rows)
+    for members in by_length.values():
+        yield np.array(members[0] if len(members) == 1 else members)

@@ -19,9 +19,10 @@ the same windows — pinned by ``tests/test_serving.py`` and
 Window detectors exposing the incremental protocol (:data:`INCREMENTAL_API`
 — today only MAD-GAN, whose carried state is the warm-started inversion
 latent) are served incrementally with one carried state object per stream:
-each tick the scheduler runs ``begin_scores_incremental`` per detector
-group, every group's owed cold inversion in ONE ``invert_cold`` batch per
-detector, then ``finish_predict_incremental``.  Every other window brain
+each tick the scheduler makes ONE ``predict_incremental(windows, states,
+parts)`` call per detector, with one part per lane.  The detector validates
+every part first; it raises :class:`InvalidPartsError` naming the bad ones
+before changing anything, so they fail alone.  Every other window brain
 (LSTM-VAE, HMM) is stateless: one batched ``predict`` per tick, which
 measured faster than carrying per-stream state at 64 and 1024 streams.
 
@@ -47,12 +48,19 @@ from repro.detectors.base import AnomalyDetector
 STREAM_UNITS = ("sample", "window")
 
 #: Methods that make a window detector incremental (see the module docstring).
-INCREMENTAL_API = (
-    "make_inversion_state",
-    "begin_scores_incremental",
-    "invert_cold",
-    "finish_predict_incremental",
-)
+INCREMENTAL_API = ("make_inversion_state", "predict_incremental")
+
+
+class InvalidPartsError(ValueError):
+    """``predict_incremental`` rejected some parts before changing anything.
+
+    ``errors`` maps each rejected part's index to its exception (the message
+    is the first one's); the call may be repeated on the other parts.
+    """
+
+    def __init__(self, errors):
+        self.errors = dict(errors)
+        super().__init__(str(next(iter(self.errors.values()))))
 
 
 @dataclass

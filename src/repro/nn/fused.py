@@ -90,7 +90,7 @@ def add_sum_grad(
 
 # ------------------------------------------------------------------- losses
 def fused_mse_loss(
-    predictions: np.ndarray, targets: np.ndarray
+    predictions: np.ndarray, targets: np.ndarray, count: Optional[int] = None
 ) -> Tuple[float, np.ndarray]:
     """Value and input gradient of :func:`repro.nn.functional.mse_loss`.
 
@@ -99,13 +99,16 @@ def fused_mse_loss(
     point), so the fused training step reproduces the graph step.  Float32
     predictions (a float32 forward) keep the loss in float32; anything else
     runs in float64.
+
+    ``count`` is the number of elements a mean runs over (default: all); a
+    stacked call passes one batch's size, so each keeps its own loss scale.
     """
     predictions = np.asarray(predictions)
     dtype = np.float32 if predictions.dtype == np.float32 else np.float64
     predictions = predictions.astype(dtype, copy=False)
     targets = np.asarray(targets, dtype=dtype)
     difference = predictions - targets
-    scale = 1.0 / difference.size
+    scale = 1.0 / (difference.size if count is None else count)
     grad = difference * scale
     grad = grad + grad
     loss = float((difference * difference).sum() * scale)

@@ -385,9 +385,11 @@ class Dense(Module):
         )
 
     # ------------------------------------------------------------- training
+    # Leading stack axes are allowed, as in dense_forward; a stacked cache
+    # backs only a frozen backward.
     def fused_forward_train(self, inputs: np.ndarray):
         inputs = np.asarray(inputs, dtype=self.weight.data.dtype)
-        if inputs.ndim != 2:
+        if inputs.ndim < 2:
             raise ValueError(
                 f"Dense fused training expects (batch, features) inputs, got {inputs.shape}"
             )
@@ -408,6 +410,8 @@ class Dense(Module):
             activation_state,
             self.activation,
         )
+        if inputs.ndim > 2 and any(parameter.requires_grad for parameter in self.parameters()):
+            raise ValueError("a stacked fused backward needs frozen weights")
         buffers = self._fused_buffers()
         add_matmul_grad(self.weight, buffers, "weight", inputs.T, grad_pre)
         if self.bias is not None:

@@ -47,6 +47,18 @@ def _gate_step(projection, hidden, cell, gates, weight_hidden, bias, size):
     return new_hidden, new_cell
 
 
+def _move(array: np.ndarray, source: int, destination: int) -> np.ndarray:
+    """``np.moveaxis`` of one axis without its argument checks (a few µs per
+    call in the fused kernels); a move to the same place returns ``array``."""
+    ndim = array.ndim
+    source, destination = source % ndim, destination % ndim
+    if source == destination:
+        return array
+    order = list(range(ndim))
+    order.insert(destination, order.pop(source))
+    return array.transpose(order)
+
+
 class LSTMCell(Module):
     """A single LSTM step.
 
@@ -241,24 +253,27 @@ class LSTM(Module):
         scratch buffer — no :class:`Tensor` nodes are allocated anywhere.
         Runs in the dtype of the cell's weights (float64 unless a caller
         swapped in float32 copies, as MAD-GAN's inversion does).
+
+        Leading stack axes are allowed: each slice of ``(*stack, batch,
+        time, features)`` inputs makes the same BLAS calls as its own call.
         """
         dtype = self.cell.weight_input.data.dtype
         inputs = np.asarray(inputs, dtype=dtype)
-        if inputs.ndim != 3:
+        if inputs.ndim < 3:
             raise ValueError(
                 f"LSTM expects inputs of shape (batch, time, features), got {inputs.shape}"
             )
-        batch_size, timesteps, features = inputs.shape
+        *stack, batch_size, timesteps, features = inputs.shape
         size = self.hidden_size
         projections = (
-            inputs.reshape(batch_size * timesteps, features) @ self.cell.weight_input.data
-        ).reshape(batch_size, timesteps, 4 * size)
+            inputs.reshape(*stack, batch_size * timesteps, features) @ self.cell.weight_input.data
+        ).reshape(*stack, batch_size, timesteps, 4 * size)
 
-        hidden = np.zeros((batch_size, size), dtype=dtype)
-        cell_state = np.zeros((batch_size, size), dtype=dtype)
-        gates = np.empty((batch_size, 4 * size), dtype=dtype)
+        hidden = np.zeros((*stack, batch_size, size), dtype=dtype)
+        cell_state = np.zeros((*stack, batch_size, size), dtype=dtype)
+        gates = np.empty((*stack, batch_size, 4 * size), dtype=dtype)
         sequence = (
-            np.empty((batch_size, timesteps, size), dtype=dtype)
+            np.empty((*stack, batch_size, timesteps, size), dtype=dtype)
             if self.return_sequences
             else None
         )
@@ -268,10 +283,10 @@ class LSTM(Module):
         time_order = range(timesteps - 1, -1, -1) if self.reverse else range(timesteps)
         for step in time_order:
             hidden, cell_state = _gate_step(
-                projections[:, step], hidden, cell_state, gates, weight_hidden, bias, size
+                projections[..., step, :], hidden, cell_state, gates, weight_hidden, bias, size
             )
             if sequence is not None:
-                sequence[:, step, :] = hidden
+                sequence[..., step, :] = hidden
         return hidden if sequence is None else sequence
 
     # ----------------------------------------------------------------- training
@@ -296,49 +311,53 @@ class LSTM(Module):
         the gate cache), and the saved ``tanh`` goes back into the g block.
         Each new cell and hidden state is written straight into its
         ``(time + 1, batch, hidden)`` cache, whose row 0 is the zero state.
+
+        Leading stack axes are allowed, as in :meth:`fast_forward` (the
+        caches are then ``(time, *stack, batch, ·)``); a stacked cache backs
+        only a frozen backward.
         """
         dtype = self.cell.weight_input.data.dtype
         inputs = np.asarray(inputs, dtype=dtype)
-        if inputs.ndim != 3:
+        if inputs.ndim < 3:
             raise ValueError(
                 f"LSTM expects inputs of shape (batch, time, features), got {inputs.shape}"
             )
         # Time-major processing order: [::-1] first for reverse layers.
-        time_major = inputs.transpose(1, 0, 2)
+        time_major = _move(inputs, -2, 0)
         if self.reverse:
             time_major = time_major[::-1]
         time_major = np.ascontiguousarray(time_major)
-        timesteps, batch_size, features = time_major.shape
+        timesteps, *stack, batch_size, features = time_major.shape
         size = self.hidden_size
         cell = self.cell
         weight_hidden = cell.weight_hidden.data
 
-        # One fused input projection (+ one vectorized bias add for every
-        # timestep at once); the per-step recurrence then activates the gates
-        # in place on this array.
-        gates_seq = (
-            time_major.reshape(timesteps * batch_size, features) @ cell.weight_input.data
-        ).reshape(timesteps, batch_size, 4 * size)
+        # One fused input projection per stacked batch (+ one vectorized bias
+        # add for every timestep at once); the per-step recurrence then
+        # activates the gates in place on this array.
+        rows = _move(time_major, 0, -3).reshape(*stack, timesteps * batch_size, features)
+        projected = (rows @ cell.weight_input.data).reshape(*stack, timesteps, batch_size, -1)
+        gates_seq = np.ascontiguousarray(_move(projected, -3, 0))
         gates_seq += cell.bias.data
-        recurrent = np.empty((batch_size, 4 * size), dtype=dtype)
-        candidate = np.empty((batch_size, size), dtype=dtype)
-        hiddens = np.zeros((timesteps + 1, batch_size, size), dtype=dtype)
-        cells = np.zeros((timesteps + 1, batch_size, size), dtype=dtype)
-        tanh_cells = np.empty((timesteps, batch_size, size), dtype=dtype)
+        recurrent = np.empty((*stack, batch_size, 4 * size), dtype=dtype)
+        candidate = np.empty((*stack, batch_size, size), dtype=dtype)
+        hiddens = np.zeros((timesteps + 1, *stack, batch_size, size), dtype=dtype)
+        cells = np.zeros((timesteps + 1, *stack, batch_size, size), dtype=dtype)
+        tanh_cells = np.empty((timesteps, *stack, batch_size, size), dtype=dtype)
         for step in range(timesteps):
             gates = gates_seq[step]
             np.matmul(hiddens[step], weight_hidden, out=recurrent)
             gates += recurrent
             # Gate order [i, f, g, o].
-            candidate_block = gates[:, 2 * size : 3 * size]
+            candidate_block = gates[..., 2 * size : 3 * size]
             np.tanh(candidate_block, out=candidate)
             _sigmoid_(gates)
             np.copyto(candidate_block, candidate)
-            cell_state = np.multiply(gates[:, size : 2 * size], cells[step], out=cells[step + 1])
-            candidate *= gates[:, 0:size]
+            cell_state = np.multiply(gates[..., size : 2 * size], cells[step], out=cells[step + 1])
+            candidate *= gates[..., 0:size]
             cell_state += candidate
             tanh_c = np.tanh(cell_state, out=tanh_cells[step])
-            np.multiply(gates[:, 3 * size : 4 * size], tanh_c, out=hiddens[step + 1])
+            np.multiply(gates[..., 3 * size : 4 * size], tanh_c, out=hiddens[step + 1])
 
         cache = {
             "inputs": time_major,  # processing order (flipped for reverse layers)
@@ -352,7 +371,7 @@ class LSTM(Module):
             return hiddens[-1].copy(), cache
         hidden_seq = hiddens[1:]
         output = hidden_seq[::-1] if self.reverse else hidden_seq
-        return np.ascontiguousarray(output.transpose(1, 0, 2)), cache
+        return np.ascontiguousarray(_move(output, 0, -2)), cache
 
     def fused_backward_train(self, grad_output: np.ndarray, cache) -> np.ndarray:
         """Full truncated BPTT with weight gradients (hand-written).
@@ -368,6 +387,8 @@ class LSTM(Module):
         Returns the gradient with respect to the layer inputs (caller time
         order), in the dtype of the cell's weights.
 
+        A stacked cache needs frozen weights: only input gradients are computed.
+
         Nothing the caller owns is written: ``grad_output`` is only read,
         and the running ``dh``/``dc``/``d_cell``/``d_hidden`` live in
         preallocated ``(batch, hidden)`` buffers.
@@ -379,19 +400,21 @@ class LSTM(Module):
         hiddens = cache["hiddens"]
         cells = cache["cells"]
         tanh_cells = cache["tanh_cells"]
-        timesteps, batch_size, features = time_major.shape
+        timesteps, *stack, batch_size, features = time_major.shape
         size = self.hidden_size
         cell = self.cell
+        if stack and any(parameter.requires_grad for parameter in self.parameters()):
+            raise ValueError("a stacked fused backward needs frozen weights")
         weight_hidden_t = cell.weight_hidden.data.T
 
-        d_hidden = np.zeros((batch_size, size), dtype=dtype)
+        d_hidden = np.zeros((*stack, batch_size, size), dtype=dtype)
         if self.return_sequences:
             # A read-only view in processing order (it may be the caller's
             # memory).
-            d_hidden_seq = grad_output.transpose(1, 0, 2)
+            d_hidden_seq = _move(grad_output, -2, 0)
             if self.reverse:
                 d_hidden_seq = d_hidden_seq[::-1]
-            dh = np.empty((batch_size, size), dtype=dtype)
+            dh = np.empty((*stack, batch_size, size), dtype=dtype)
         else:
             # Sequence-to-one: the upstream gradient seeds only the final
             # processed step's hidden state.
@@ -405,11 +428,11 @@ class LSTM(Module):
         # then the cell factor (dh times it feeds dc).  Each block is a
         # contiguous (time, batch, hidden) array, so every write here and
         # every read in the loop below is contiguous.
-        gate_i = gates_seq[:, :, 0:size]
-        gate_f = gates_seq[:, :, size : 2 * size]
-        gate_g = gates_seq[:, :, 2 * size : 3 * size]
-        gate_o = gates_seq[:, :, 3 * size : 4 * size]
-        factors = np.empty((5, timesteps, batch_size, size), dtype=dtype)
+        gate_i = gates_seq[..., 0:size]
+        gate_f = gates_seq[..., size : 2 * size]
+        gate_g = gates_seq[..., 2 * size : 3 * size]
+        gate_o = gates_seq[..., 3 * size : 4 * size]
+        factors = np.empty((5, timesteps, *stack, batch_size, size), dtype=dtype)
         factor_i, factor_f, factor_g, factor_o, cell_factor = factors
         for gate, factor, scale in (
             (gate_i, factor_i, gate_g),
@@ -424,15 +447,15 @@ class LSTM(Module):
             np.subtract(1.0, factor, out=factor)
             np.multiply(scale, factor, out=factor)
 
-        d_projections = np.empty((timesteps, batch_size, 4 * size), dtype=dtype)
+        d_projections = np.empty((timesteps, *stack, batch_size, 4 * size), dtype=dtype)
         # (time, 3, batch, hidden) views: one multiply by dc fills a step's
         # i/f/g gradient blocks.
-        factor_ifg = factors[0:3].transpose(1, 0, 2, 3)
-        d_ifg = d_projections.reshape(timesteps, batch_size, 4, size)[:, :, 0:3]
-        d_ifg = d_ifg.transpose(0, 2, 1, 3)
-        d_o = d_projections[:, :, 3 * size : 4 * size]
-        dc = np.empty((batch_size, size), dtype=dtype)
-        d_cell = np.zeros((batch_size, size), dtype=dtype)
+        factor_ifg = factors[0:3].swapaxes(0, 1)
+        d_ifg = d_projections.reshape(timesteps, *stack, batch_size, 4, size)[..., 0:3, :]
+        d_ifg = _move(d_ifg, -2, 1)
+        d_o = d_projections[..., 3 * size : 4 * size]
+        dc = np.empty((*stack, batch_size, size), dtype=dtype)
+        d_cell = np.zeros((*stack, batch_size, size), dtype=dtype)
         for step in range(timesteps - 1, -1, -1):
             if d_hidden_seq is not None:
                 np.add(d_hidden_seq[step], d_hidden, out=dh)
@@ -443,13 +466,16 @@ class LSTM(Module):
             np.multiply(dc, gate_f[step], out=d_cell)
             np.matmul(d_projections[step], weight_hidden_t, out=d_hidden)
 
-        flat_d_projections = d_projections.reshape(timesteps * batch_size, 4 * size)
+        # Each stacked batch's (time * batch) rows, as its own call has them.
+        flat_d_projections = _move(d_projections, 0, -3).reshape(
+            *stack, timesteps * batch_size, 4 * size
+        )
         buffers = self._fused_buffers()
         add_matmul_grad(
             cell.weight_input,
             buffers,
             "weight_input",
-            time_major.reshape(timesteps * batch_size, features).T,
+            time_major.reshape(-1, features).T,
             flat_d_projections,
         )
         # h_{t-1} per step, in processing order (h_{-1} is the zero state).
@@ -457,17 +483,17 @@ class LSTM(Module):
             cell.weight_hidden,
             buffers,
             "weight_hidden",
-            hiddens[:-1].reshape(timesteps * batch_size, size).T,
+            hiddens[:-1].reshape(-1, size).T,
             flat_d_projections,
         )
         add_sum_grad(cell.bias, buffers, "bias", flat_d_projections, axis=0)
 
         d_inputs = (flat_d_projections @ cell.weight_input.data.T).reshape(
-            timesteps, batch_size, features
+            *stack, timesteps, batch_size, features
         )
         if self.reverse:
-            d_inputs = d_inputs[::-1]
-        return np.ascontiguousarray(d_inputs.transpose(1, 0, 2))
+            d_inputs = d_inputs[..., ::-1, :, :]
+        return np.ascontiguousarray(d_inputs.swapaxes(-3, -2))
 
     # ---------------------------------------------------------------- streaming
     def stream_state(self, batch_size: int = 1) -> LSTMStreamState:

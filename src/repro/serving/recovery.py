@@ -43,8 +43,8 @@ Aliasing and tokens
     uses to ship detectors by reference (:mod:`repro.serving.shard` imports
     :func:`dumps_with_refs` / :func:`loads_with_refs` from here).
 
-Snapshots are taken at tick boundaries only; mid-tick transients
-(``ColdBatchPlan``, the in-flight admission lists) never cross a snapshot.
+Snapshots are taken at tick boundaries only; mid-tick transients (the
+detector groups and the in-flight admission lists) never cross a snapshot.
 
 Version 2 snapshots still restore: :func:`restore_scheduler` moves their
 per-session and per-adapter sample rings into the lanes (``docs/recovery.md``).

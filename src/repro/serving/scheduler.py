@@ -12,7 +12,8 @@ each lane's new samples into its slots (one ``push_stream`` per lane), and
 predicts for every lane of equal shape and warm-row count with ONE stacked
 :func:`~repro.glucose.predictor.forecast_streams` call, so personalized
 lanes share one recurrence.  All detector queries that share an underlying
-detector object are batched into one ``predict`` per detector.
+detector object are batched into one call per detector: ``predict``, or
+``predict_incremental`` with one part per lane.
 
 Capacity is dynamic: lanes double their slot arrays when full and recycle the
 slots of closed sessions, so thousands of sessions can come and go without
@@ -41,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.glucose.predictor import GlucosePredictor, forecast_streams
-from repro.detectors.streaming import StreamVerdict
+from repro.detectors.streaming import InvalidPartsError, StreamVerdict
 from repro.serving.health import (
     HealthConfig,
     IngressConfig,
@@ -144,7 +145,7 @@ class _Lane:
 
         ``slots`` holds the slot at each delivery position, or None where a
         position routes nowhere.  A slot's layout is ``(name, detector id,
-        unit, incremental, include_scores)`` per adapter, in adapter order.
+        unit, include_scores)`` per adapter, in adapter order.
         Returns ``[(positions, [(layout entry, index, adapters), ...])]``,
         one item per distinct layout in order of first appearance.  The
         last pattern's columns are kept, so a lane whose deliveries repeat
@@ -160,8 +161,7 @@ class _Lane:
                 continue
             detectors = self.sessions[slot].detectors
             layout = tuple(
-                (name, id(adapter.detector), adapter.unit, adapter.incremental,
-                 adapter.include_scores)
+                (name, id(adapter.detector), adapter.unit, adapter.include_scores)
                 for name, adapter in detectors.items()
             )
             members = layouts.setdefault(layout, ([], []))
@@ -287,6 +287,24 @@ class _DetectorGroup:
         self.sessions: List[PatientSession] = []
         self.scored: List[bool] = []
 
+    def subset(self, parts: List[int]) -> "_DetectorGroup":
+        """A group of only the given lane parts (indices into ``lanes``)."""
+        bounds = list(itertools.accumulate((count for _, count in self.lanes), initial=0))
+        group = _DetectorGroup(self.detector, self.incremental)
+        for index in parts:
+            rows = slice(bounds[index], bounds[index + 1])
+            group.add(
+                self.lanes[index][0],
+                self.views[index],
+                self.outcomes[rows],
+                self.names[rows],
+                self.adapters[rows],
+                self.ticks[rows],
+                self.sessions[rows],
+                self.scored[rows],
+            )
+        return group
+
     def add(self, lane_key, views, outcomes, names, adapters, ticks, sessions, scored) -> None:
         """Append one lane's rows."""
         self.lanes.append((lane_key, len(outcomes)))
@@ -313,25 +331,23 @@ class StreamScheduler:
     input projections, and every window detector and the online attacker's
     context read from there.
 
-    Every incremental detector (MAD-GAN, see
-    :data:`~repro.detectors.streaming.INCREMENTAL_API`) is served in three
-    phases: each of its groups runs ``begin_scores_incremental`` (the warm
-    inversions and the cold-start latent draws), then the cold work every
-    group owes runs as ONE batched
-    :meth:`~repro.detectors.madgan.MADGANDetector.invert_cold` call per
-    detector per tick, then each group runs ``finish_predict_incremental``.
-    The cold-start latents are drawn in the begin phase, so the detector
-    RNG stream never shifts: a detector backing one group scores bitwise
-    like its one-shot ``scores_incremental``, and one shared across lanes
-    gives each lane's one-shot verdicts (both pinned by
-    ``tests/test_detectors_vae_hmm.py``).
-    Every other detector (kNN, OC-SVM, LSTM-VAE, HMM) is stateless and
-    answers ONE ``predict`` per detector per tick over every lane's rows:
-    each row's score is independent of its batch
+    Every detector answers ONE call per tick over every lane's rows, one
+    per distinct detector object and unit.  A stateless detector (kNN,
+    OC-SVM, LSTM-VAE, HMM) answers one ``predict``: each row's score is
+    independent of its batch
     (:func:`~repro.nn.functional.rowwise_matmul`, and the 8-window padding
     in :meth:`~repro.detectors.lstm_vae.LSTMVAEDetector.scores`; pinned by
     ``tests/test_detectors_batch_invariance.py``), so merging lanes changes
-    no bit and sharded layouts stay twins of single-process serving.
+    no bit and sharded layouts stay twins of single-process serving.  An
+    incremental detector (MAD-GAN, see
+    :data:`~repro.detectors.streaming.INCREMENTAL_API`) answers one
+    ``predict_incremental`` with one part per lane: each lane's warm rows
+    stay their own inversion batch (lanes with equal warm-row counts
+    advance in one stacked recurrence, bitwise), and the cold work every
+    lane owes runs as one batch, from cold-start latents drawn lane by
+    lane.  A detector backing one lane therefore scores bitwise like its
+    one-shot ``scores_incremental`` (pinned by
+    ``tests/test_detectors_vae_hmm.py`` and ``tests/test_serving.py``).
 
     Parameters
     ----------
@@ -689,10 +705,10 @@ class StreamScheduler:
         are batch-invariant (a row's bits never depend on the rows beside
         it), so a session's outputs stay bitwise independent of which other
         lanes share its detectors — the invariant the sharded fabric's
-        parity gate pins.  Incremental adapters stay lane-scoped: each lane
-        runs one ``begin_scores_incremental`` / ``finish_predict_incremental``
-        pair, which advances their per-stream states exactly once, and the
-        lanes share one cold batch per detector.
+        parity gate pins.  An incremental detector answers one
+        ``predict_incremental`` call with one part per lane, which advances
+        each per-stream state exactly once; each lane's part scores as that
+        lane's own batch, and the lanes share one cold batch.
         """
         obs = self.obs
         self._now = now
@@ -762,8 +778,7 @@ class StreamScheduler:
                 if step.error is None:
                     self._observe_lane_step(lane_key, step)
 
-        # (detector object id, unit) -> its group; incremental groups are
-        # keyed (lane, detector object id, unit).
+        # (detector object id, unit) -> its group
         queries: Dict[tuple, _DetectorGroup] = {}
         for lane_key, step in steps:
             if step.error is not None:
@@ -846,7 +861,7 @@ class StreamScheduler:
                 mask = [warm[position] for position in positions]
                 warm_rows = [position for position, is_warm in zip(positions, mask) if is_warm]
             for entry, index, adapters in columns:
-                name, detector_id, unit, incremental, include_scores = entry
+                name, detector_id, unit, include_scores = entry
                 rows = positions
                 if unit == "window" and len(warm_rows) < len(positions):
                     for position, adapter, is_warm in zip(positions, adapters, mask):
@@ -860,11 +875,9 @@ class StreamScheduler:
                     rows = warm_rows
                     adapters = [adapter for adapter, is_warm in zip(adapters, mask) if is_warm]
                 ticks = [adapter.take_tick() for adapter in adapters]
-                # Stateless detectors batch across lanes (their scores are
-                # batch-invariant); an incremental detector's group stays
-                # inside the lane.
-                key = (lane_key, detector_id, unit) if incremental else (detector_id, unit)
-                parts.setdefault(key, []).append((rows, index, name, adapters, ticks, include_scores))
+                parts.setdefault((detector_id, unit), []).append(
+                    (rows, index, name, adapters, ticks, include_scores)
+                )
         if warming and self.obs is not None:
             for name, count in warming.items():
                 self.obs.registry.inc("serving.detector_warming_total", count, detector=name)
@@ -927,18 +940,14 @@ class StreamScheduler:
             )
 
     def _query_detectors(self, queries: Dict[tuple, _DetectorGroup]) -> None:
-        """Run every queued detector group and attach its verdicts."""
+        """Run every queued detector group and attach its verdicts.
+
+        One call per group: ``predict`` (and ``scores`` if wanted), or
+        ``predict_incremental`` with one part per lane.  A call that raises
+        degrades every row of its group for the tick.
+        """
         obs = self.obs
         now = self._now
-        # One batched query per distinct detector object and unit; an
-        # incremental group is one lane's, threads its per-stream states
-        # through the detector's begin phase here and pools its owed cold
-        # inversions for one merged batch per detector below.
-        # id(detector) -> [(group, plan, started)], in tick iteration order
-        # (the order the begin phases drew their cold-start latents —
-        # splitting the merged inversion back follows it).
-        plans: Dict[int, List] = {}
-
         for group in queries.values():
             group_started = None
             if obs is not None:
@@ -952,60 +961,52 @@ class StreamScheduler:
                     )
                     obs.registry.observe("serving.detector_batch", count, lane=lane_key)
             detector = group.detector
-            # One fresh array per call: a lane part may be a view of the
-            # lane's samples or a gather shared with another group.
-            views = np.concatenate(group.views)
-            try:
-                if group.incremental:
-                    states = [adapter.inversion_state for adapter in group.adapters]
-                    plan = detector.begin_scores_incremental(views, states)
-                    plans.setdefault(id(detector), []).append((group, plan, group_started))
+            warm_runs = 0
+            if group.incremental:
+                warm_runs = getattr(detector, "warm_runs", 0)
+                served = self._predict_incremental(group)
+                if served is None:
                     continue
-                flags = detector.predict(views)
-                scores = detector.scores(views) if group.wants_scores else None
-            except Exception as exc:
-                self._detector_failure(group, exc)
-                continue
-            self._apply_group_verdicts(group, flags, scores, group_started, now)
-
-        for entries in plans.values():
-            detector = entries[0][0].detector
-            owed = [plan for _, plan, _ in entries if plan.rerun_cold]
-            cold_errors = cold_latents = None
-            if owed:
+                group, (flags, scores) = served
+                warm_runs = getattr(detector, "warm_runs", 0) - warm_runs
+            else:
                 try:
-                    cold_errors, cold_latents = detector.invert_cold(
-                        np.concatenate([plan.scaled[plan.rerun_cold] for plan in owed]),
-                        np.concatenate([plan.cold_initial for plan in owed]),
-                    )
-                except Exception as exc:
-                    for group, _, _ in entries:
-                        self._detector_failure(group, exc)
-                    continue
-                if obs is not None and len(owed) >= 2:
-                    obs.registry.inc("serving.cold_coalesced_total")
-                    obs.registry.observe(
-                        "serving.cold_coalesce_windows", len(cold_errors)
-                    )
-            offset = 0
-            for group, plan, group_started in entries:
-                n_cold = len(plan.rerun_cold)
-                slice_errors = slice_latents = None
-                if n_cold:
-                    slice_errors = cold_errors[offset : offset + n_cold]
-                    slice_latents = cold_latents[offset : offset + n_cold]
-                    offset += n_cold
-                try:
-                    flags, scores = detector.finish_predict_incremental(
-                        plan, slice_errors, slice_latents
-                    )
+                    # One fresh array per call: a lane part may be a view of
+                    # the lane's samples or a gather shared with another group.
+                    views = np.concatenate(group.views)
+                    flags = detector.predict(views)
+                    scores = detector.scores(views) if group.wants_scores else None
                 except Exception as exc:
                     self._detector_failure(group, exc)
                     continue
-                self._apply_group_verdicts(group, flags, scores, group_started, now)
+            self._apply_group_verdicts(group, flags, scores, group_started, now, warm_runs)
+
+    def _predict_incremental(self, group: _DetectorGroup):
+        """``(group, (flags, scores))`` of one call over every lane part, or None.
+
+        Lane parts rejected up front (:class:`InvalidPartsError`) fail alone
+        and the call is repeated on the rest, whose group is returned.
+        """
+        while group.lanes:
+            states = [adapter.inversion_state for adapter in group.adapters]
+            parts = [count for _, count in group.lanes]
+            try:
+                return group, group.detector.predict_incremental(
+                    np.concatenate(group.views), states, parts
+                )
+            except InvalidPartsError as exc:
+                for index, error in sorted(exc.errors.items()):
+                    self._detector_failure(group.subset([index]), error)
+                group = group.subset(
+                    [index for index in range(len(parts)) if index not in exc.errors]
+                )
+            except Exception as exc:
+                self._detector_failure(group, exc)
+                return None
+        return None
 
     def _apply_group_verdicts(
-        self, group: _DetectorGroup, flags, scores, group_started, now
+        self, group: _DetectorGroup, flags, scores, group_started, now, warm_runs=0
     ) -> None:
         """Distribute one detector group's flags/scores to its sessions.
 
@@ -1052,6 +1053,7 @@ class StreamScheduler:
                 self._observe_inversion(name, adapter)
         if obs.trace:
             lanes = group.lanes
+            detail = {"warm_runs": warm_runs} if group.incremental else {}
             obs.emit_span(
                 "detector_batch",
                 group_started,
@@ -1061,6 +1063,7 @@ class StreamScheduler:
                 batch=len(group.outcomes),
                 lanes=len(lanes),
                 incremental=group.incremental,
+                **detail,
             )
 
     def _observe_inversion(self, name: str, adapter) -> None:

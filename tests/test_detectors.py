@@ -663,12 +663,11 @@ class TestMADGANIncremental:
         assert np.isfinite(scores).all()
         assert state.error is not None
 
-    def test_finish_predict_incremental_reuses_one_inversion(self, fitted):
+    def test_predict_incremental_reuses_one_inversion(self, fitted):
         windows = sliding_windows(make_toy_trace(2, seed=11), 2)
         states = [fitted.make_inversion_state() for _ in range(len(windows))]
         calls_before = fitted.inversion_calls
-        plan = fitted.begin_scores_incremental(windows, states)
-        flags, scores = fitted.finish_predict_incremental(plan)
+        flags, scores = fitted.predict_incremental(windows, states)
         np.testing.assert_array_equal(flags, fitted.calibrator.predict(scores))
         assert fitted.inversion_calls == calls_before + 1  # both streams start cold
         assert all(state.ticks == 1 for state in states)
@@ -695,12 +694,11 @@ class TestMADGANIncremental:
         spoofed = trace[3 : 3 + history].copy()
         spoofed[-3:, 0] += 150.0
         calls_before, fallbacks_before = detector.inversion_calls, state.fallbacks
-        plan = detector.begin_scores_incremental(spoofed[np.newaxis], [state])
-        flags, _ = detector.finish_predict_incremental(plan)
+        flags, _ = detector.predict_incremental(spoofed[np.newaxis], [state])
         # Warm + cold = 2 inversion calls in this one tick.
-        assert plan.rerun_cold == [0] and plan.fallback_set == {0}
         assert detector.inversion_calls == calls_before + 2
         assert state.fallbacks == fallbacks_before + 1
+        assert state.consecutive_fallbacks == 1
         assert int(flags[0]) == 1
 
     def test_state_alignment_validated(self, fitted):

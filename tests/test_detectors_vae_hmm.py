@@ -16,9 +16,10 @@ Pins the guarantees the new detector family ships under (ISSUE 9):
   verdicts and scores equal offline ``predict`` / ``scores`` bitwise (see
   ``docs/detectors.md`` for the tolerance table), pickle
   round-trips preserve ``state_hash`` and scores, ensemble membership;
-* the scheduler's one incremental path: a MAD-GAN backing one lane scores
-  bitwise like its one-shot ``scores_incremental``, and one backing several
-  lanes gives identical verdicts with strictly fewer inversion batches.
+* the scheduler's one incremental call per tick: a MAD-GAN backing one
+  lane scores bitwise like its one-shot ``scores_incremental``, and one
+  backing several lanes gives identical verdicts with strictly fewer
+  inversion batches.
 """
 
 import pickle
@@ -441,9 +442,11 @@ class TestEnsembleMembership:
 
 # ------------------------------------------------- cold-batch coalescing (MAD-GAN)
 class TestColdBatchCoalescing:
-    """The scheduler serves MAD-GAN in phases, running the cold work of every
-    group one detector backs in one batch per tick: one lane scores bitwise
-    like the one-shot path, several lanes give its verdicts."""
+    """The scheduler serves MAD-GAN with one call per tick over every lane,
+    running the cold work of every lane in one batch: one lane scores
+    bitwise like the one-shot path, several lanes give its verdicts
+    (``tests/test_madgan_stacking.py`` pins several lanes bitwise against
+    the lane-by-lane reference)."""
 
     @pytest.fixture(scope="class")
     def benign(self):
@@ -464,28 +467,6 @@ class TestColdBatchCoalescing:
         )
         detector.fit(benign)
         return detector
-
-    def test_phased_api_is_bitwise_equal_to_one_shot(self, benign):
-        """finish(begin(...)) == scores_incremental, tick for tick, including
-        an externally-run invert_cold — the contract the scheduler relies on."""
-        one_shot, phased = self.make_madgan(benign), self.make_madgan(benign)
-        assert one_shot.generator.state_hash() == phased.generator.state_hash()
-        traces = [make_toy_trace(12, seed=50 + index) for index in range(2)]
-        states_a = [one_shot.make_inversion_state() for _ in traces]
-        states_b = [phased.make_inversion_state() for _ in traces]
-        for tick in range(12):
-            stacked = np.stack([trace[tick : tick + 12] for trace in traces])
-            left = one_shot.scores_incremental(stacked, states_a)
-            plan = phased.begin_scores_incremental(stacked, states_b)
-            if plan.rerun_cold:
-                errors, latents = phased.invert_cold(
-                    plan.scaled[plan.rerun_cold], plan.cold_initial
-                )
-                right = phased.finish_scores_incremental(plan, errors, latents)
-            else:
-                right = phased.finish_scores_incremental(plan)
-            np.testing.assert_array_equal(left, right)
-        assert one_shot.inversion_calls == phased.inversion_calls
 
     def test_one_lane_scores_equal_one_shot_bitwise(self, benign, predictor):
         """A MAD-GAN backing one lane serves, tick for tick, the very scores
@@ -526,20 +507,6 @@ class TestColdBatchCoalescing:
         assert states[0].ticks > served.cold_refresh_interval
         assert any(state.fallbacks for state in states)
         assert served.inversion_calls == reference.inversion_calls
-
-    def test_finish_validates_cold_results(self, benign):
-        detector = self.make_madgan(benign)
-        windows = sliding_windows(make_toy_trace(1, seed=55), 1)
-        plan = detector.begin_scores_incremental(
-            windows, [detector.make_inversion_state()]
-        )
-        assert plan.rerun_cold  # a cold start always owes the inversion
-        with pytest.raises(ValueError, match="cold_latents"):
-            detector.finish_scores_incremental(plan, cold_errors=np.zeros(1))
-        with pytest.raises(ValueError, match="cold results"):
-            detector.finish_scores_incremental(
-                plan, np.zeros(3), np.zeros((3, 12, 3))
-            )
 
     def test_scheduler_coalesces_across_lanes_at_identical_verdicts(
         self, benign, tiny_zoo, tiny_cohort

@@ -16,7 +16,6 @@ Pins the contracts of :mod:`repro.obs`:
 import json
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -335,18 +334,12 @@ class _DivergingBrain(AnomalyDetector):
     def make_inversion_state(self):
         return InversionState()
 
-    def begin_scores_incremental(self, windows, states):
+    def predict_incremental(self, windows, states, parts=None):
         scores = self.scores(windows)
         for state, score in zip(states, scores):
             state.ticks += 1
             state.consecutive_fallbacks = state.consecutive_fallbacks + 1 if score > 1.2 else 0
-        return SimpleNamespace(rerun_cold=[], scores=scores)
-
-    def invert_cold(self, scaled_windows, initial):
-        raise AssertionError("the stub never owes cold work")
-
-    def finish_predict_incremental(self, plan, cold_errors=None, cold_latents=None):
-        return (plan.scores > 1.5).astype(int), plan.scores
+        return (scores > 1.5).astype(int), scores
 
 
 class TestVerdictCounters:

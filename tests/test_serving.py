@@ -785,17 +785,14 @@ class TestIncrementalStreamingAdapter:
     def test_incremental_requires_window_unit_and_whole_protocol(self, madgan):
         assert not StreamingDetector(madgan, unit="sample").incremental
 
-        class WithoutColdBatch:  # no invert_cold
+        class WithoutIncrementalCall:  # no predict_incremental
             def make_inversion_state(self):
                 return madgan.make_inversion_state()
 
-            def begin_scores_incremental(self, windows, states):
-                return madgan.begin_scores_incremental(windows, states)
+            def scores_incremental(self, windows, states, parts=None):
+                return madgan.scores_incremental(windows, states, parts)
 
-            def finish_predict_incremental(self, plan, cold_errors=None, cold_latents=None):
-                return madgan.finish_predict_incremental(plan, cold_errors, cold_latents)
-
-        adapter = StreamingDetector(WithoutColdBatch(), unit="window")
+        adapter = StreamingDetector(WithoutIncrementalCall(), unit="window")
         assert not adapter.incremental and adapter.inversion_state is None
 
     def test_update_advances_state_once_per_tick(self, madgan, tiny_zoo, tiny_cohort):
@@ -1175,8 +1172,8 @@ class _CountingDetector:
 
 
 class TestCrossLaneDetectorGroups:
-    """Stateless detectors answer one call per ``(detector, unit)`` per tick
-    across every lane; MAD-GAN groups stay inside their lane."""
+    """Every detector answers one call per ``(detector, unit)`` per tick
+    across every lane; MAD-GAN's call takes one part per lane."""
 
     SESSIONS_PER_LANE = 2
 
@@ -1237,22 +1234,18 @@ class TestCrossLaneDetectorGroups:
                 else:
                     assert window.warming
 
-    def test_madgan_groups_stay_lane_scoped(self, madgan, tiny_zoo, tiny_cohort):
-        """Each lane runs its own begin phase (one warm inversion batch per
-        lane with a warm stream) and the lanes share one cold batch, so the
-        per-tick ``inversion_calls`` are those of lane-scoped groups."""
-        begins, colds = [], []
-        begin, invert_cold = madgan.begin_scores_incremental, madgan.invert_cold
+    def test_one_madgan_call_per_tick_across_lanes(self, madgan, tiny_zoo, tiny_cohort):
+        """One ``predict_incremental`` call per tick serves every lane, one
+        part per lane; ``inversion_calls`` still counts each warm lane's
+        batch plus the one cold batch."""
+        calls = []
+        predict = madgan.predict_incremental
 
-        def spy_begin(windows, states):
-            begins.append(list(states))
-            return begin(windows, states)
+        def spy(windows, states, parts=None):
+            calls.append((list(states), list(parts)))
+            return predict(windows, states, parts)
 
-        def spy_cold(windows, initial):
-            colds.append(len(windows))
-            return invert_cold(windows, initial)
-
-        madgan.begin_scores_incremental, madgan.invert_cold = spy_begin, spy_cold
+        madgan.predict_incremental = spy
         try:
             scheduler = StreamScheduler()
             adapters = {}
@@ -1269,19 +1262,22 @@ class TestCrossLaneDetectorGroups:
             }
             history = tiny_zoo.dataset.history
             for tick in range(history + 6):
-                begins.clear()
-                colds.clear()
+                calls.clear()
                 states = [adapter.inversion_state for adapter in adapters.values()]
                 before = [(state.latent is None, state.fallbacks) for state in states]
-                calls = madgan.inversion_calls
+                inversions = madgan.inversion_calls
                 scheduler.tick({sid: trace[tick] for sid, trace in feeds.items()})
                 if tick < history - 1:
-                    assert not begins and not colds
+                    assert not calls
                     continue
-                lanes = [{lane_of[id(state)] for state in group} for group in begins]
-                assert all(len(group) == 1 for group in lanes)
-                assert len(begins) == len(tiny_cohort)
-                assert sum(len(group) for group in begins) == len(feeds)
+                ((called_states, parts),) = calls
+                assert len(called_states) == len(feeds)
+                lanes = [lane_of[id(state)] for state in called_states]
+                bounds = np.cumsum([0, *parts])
+                assert len(parts) == len(tiny_cohort)
+                assert all(
+                    len(set(lanes[lo:hi])) == 1 for lo, hi in zip(bounds, bounds[1:])
+                )
                 warm_lanes = {
                     lane_of[id(state)]
                     for state, (cold, _) in zip(states, before)
@@ -1291,10 +1287,9 @@ class TestCrossLaneDetectorGroups:
                     cold or state.fallbacks > fallbacks
                     for state, (cold, fallbacks) in zip(states, before)
                 )
-                assert len(colds) == int(owes_cold)
-                assert madgan.inversion_calls - calls == len(warm_lanes) + len(colds)
+                assert madgan.inversion_calls - inversions == len(warm_lanes) + int(owes_cold)
         finally:
-            del madgan.begin_scores_incremental, madgan.invert_cold
+            del madgan.predict_incremental
 
     def test_per_lane_metric_series_count_lane_parts(self, tiny_zoo, tiny_cohort):
         """``detector_queries_total`` / ``detector_batch`` stay per lane: one
@@ -1488,8 +1483,6 @@ class _PerSessionScheduler(StreamScheduler):
                     warming[name] = warming.get(name, 0) + 1
                     continue
                 group_key = (id(adapter.detector), adapter.unit)
-                if adapter.incremental:
-                    group_key = (lane_key,) + group_key
                 entry = lane_rows.get(group_key)
                 if entry is None:
                     group = pending_views.get(group_key)
@@ -1516,7 +1509,7 @@ class _PerSessionScheduler(StreamScheduler):
     def _query_detectors(self, pending_views):
         from time import perf_counter
 
-        obs, now, plans = self.obs, self._now, {}
+        obs, now = self.obs, self._now
         for group in pending_views.values():
             group_started = None
             if obs is not None:
@@ -1529,51 +1522,20 @@ class _PerSessionScheduler(StreamScheduler):
                     obs.registry.observe("serving.detector_batch", count, lane=lane_key)
             detector, views = group["detector"], group["views"]
             views = views[0] if len(views) == 1 else np.concatenate(views)
+            runs = getattr(detector, "warm_runs", 0)
             try:
                 if group["incremental"]:
                     states = [target[2].inversion_state for target in group["targets"]]
-                    plan = detector.begin_scores_incremental(views, states)
-                    plans.setdefault(id(detector), []).append((group, plan, group_started))
-                    continue
-                flags = detector.predict(views)
-                scores = detector.scores(views) if group["wants_scores"] else None
+                    parts = [count for _, count in group["lanes"]]
+                    flags, scores = detector.predict_incremental(views, states, parts)
+                else:
+                    flags = detector.predict(views)
+                    scores = detector.scores(views) if group["wants_scores"] else None
             except Exception as exc:
                 self._detector_failure(group["targets"], exc)
                 continue
+            group["warm_runs"] = getattr(detector, "warm_runs", 0) - runs
             self._apply_group_verdicts(group, flags, scores, group_started, now)
-        for entries in plans.values():
-            detector = entries[0][0]["detector"]
-            owed = [plan for _, plan, _ in entries if plan.rerun_cold]
-            cold_errors = cold_latents = None
-            if owed:
-                try:
-                    cold_errors, cold_latents = detector.invert_cold(
-                        np.concatenate([plan.scaled[plan.rerun_cold] for plan in owed]),
-                        np.concatenate([plan.cold_initial for plan in owed]),
-                    )
-                except Exception as exc:
-                    for group, _, _ in entries:
-                        self._detector_failure(group["targets"], exc)
-                    continue
-                if obs is not None and len(owed) >= 2:
-                    obs.registry.inc("serving.cold_coalesced_total")
-                    obs.registry.observe("serving.cold_coalesce_windows", len(cold_errors))
-            offset = 0
-            for group, plan, group_started in entries:
-                n_cold = len(plan.rerun_cold)
-                slice_errors = slice_latents = None
-                if n_cold:
-                    slice_errors = cold_errors[offset : offset + n_cold]
-                    slice_latents = cold_latents[offset : offset + n_cold]
-                    offset += n_cold
-                try:
-                    flags, scores = detector.finish_predict_incremental(
-                        plan, slice_errors, slice_latents
-                    )
-                except Exception as exc:
-                    self._detector_failure(group["targets"], exc)
-                    continue
-                self._apply_group_verdicts(group, flags, scores, group_started, now)
 
     def _apply_group_verdicts(self, group, flags, scores, group_started, now):
         from repro.detectors.streaming import StreamVerdict
@@ -1608,6 +1570,7 @@ class _PerSessionScheduler(StreamScheduler):
                 self._observe_inversion(name, adapter)
         if obs.trace:
             lanes = group["lanes"]
+            detail = {"warm_runs": group["warm_runs"]} if group["incremental"] else {}
             obs.emit_span(
                 "detector_batch",
                 group_started,
@@ -1617,6 +1580,7 @@ class _PerSessionScheduler(StreamScheduler):
                 batch=len(group["targets"]),
                 lanes=len(lanes),
                 incremental=group["incremental"],
+                **detail,
             )
 
     def _detector_failure(self, targets, exc):

@@ -18,7 +18,6 @@ Covers the robustness contract end to end:
 """
 
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -683,14 +682,8 @@ class _StubIncrementalDetector(AnomalyDetector):
     def make_inversion_state(self):
         return _StubState()
 
-    def begin_scores_incremental(self, windows, states):
-        return SimpleNamespace(rerun_cold=[], count=len(windows))
-
-    def invert_cold(self, scaled_windows, initial):
-        raise AssertionError("the stub never owes cold work")
-
-    def finish_predict_incremental(self, plan, cold_errors=None, cold_latents=None):
-        return np.zeros(plan.count, dtype=int), np.zeros(plan.count)
+    def predict_incremental(self, windows, states, parts=None):
+        return np.zeros(len(windows), dtype=int), np.zeros(len(windows))
 
 
 class TestDivergenceWatchdog:
