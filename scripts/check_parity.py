@@ -7,7 +7,8 @@ whose sessions carry different adapter sets over a shared detector,
 :func:`run_detector_family_smoke`), the stacked multi-lane model step ==
 the one-lane step (:func:`run_stacked_step_parity`), MAD-GAN's one call
 per tick == each lane's own ``scores_incremental``
-(:func:`run_madgan_stream_parity`), every chaos gate
+(:func:`run_madgan_stream_parity`), the lockstep cohort simulation == each
+patient simulated alone (:func:`run_cohort_lockstep_parity`), every chaos gate
 (:func:`run_chaos_smoke`),
 and MAD-GAN's float32 inversion against its float64 reference (:func:`run_madgan_dtype_parity`).
 It also holds the
@@ -26,6 +27,7 @@ Exit status is non-zero on any parity violation.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -537,6 +539,53 @@ def run_madgan_stream_parity(zoo: GlucoseModelZoo, cohort, n_ticks: int = 32) ->
         "warm_runs": served.warm_runs,
         "lane_warm_runs": reference.warm_runs,
     }
+
+
+#: Cohorts of the lockstep row: (name, seed, train days, test days, patients
+#: or None for all twelve) — the ``paper`` benchmark cohort and the
+#: four-patient cohort of its ``--size tiny`` runs.
+LOCKSTEP_COHORTS = (
+    ("full", 0, 2, 1, None),
+    ("tiny", 0, 1, 1, (("A", 5), ("B", 1), ("A", 0), ("A", 2))),
+)
+
+
+def run_cohort_lockstep_parity(cohorts=LOCKSTEP_COHORTS) -> Dict[str, int]:
+    """The lockstep cohort equals per-patient simulation, bitwise.
+
+    :meth:`SyntheticOhioT1DM.generate` simulates every patient's train and
+    test split in one kernel call; :meth:`SyntheticOhioT1DM.generate_patient`
+    simulates one patient's two.  Every field of every split, ``meta``
+    included, must carry the same bytes.  Raises AssertionError on the
+    first difference.
+    """
+    compared = 0
+    for name, seed, train_days, test_days, patients in cohorts:
+        profiles = (
+            None if patients is None else [make_patient_profile(*patient) for patient in patients]
+        )
+
+        def generator():
+            return SyntheticOhioT1DM(
+                train_days=train_days, test_days=test_days, seed=seed, profiles=profiles
+            )
+
+        cohort = generator().generate()
+        alone = generator()
+        for profile in alone.profiles:
+            record = alone.generate_patient(profile)
+            for split in ("train", "test"):
+                got, expected = cohort[profile.label]._split(split), record._split(split)
+                for field in dataclasses.fields(got):
+                    left, right = getattr(got, field.name), getattr(expected, field.name)
+                    where = f"{name} cohort {profile.label} {split} {field.name}"
+                    if isinstance(left, np.ndarray):
+                        assert left.dtype == right.dtype and left.shape == right.shape, where
+                        assert left.tobytes() == right.tobytes(), f"{where} differs"
+                    else:
+                        assert left == right, f"{where} differs"
+                compared += 1
+    return {"cohorts": len(cohorts), "simulations_compared": compared}
 
 
 def run_chaos_smoke(zoo: GlucoseModelZoo, cohort, n_ticks: int = 40) -> Dict[str, dict]:
@@ -1182,6 +1231,7 @@ def main() -> int:
             "MAD-GAN one call per tick (vs each lane's own)",
             lambda: run_madgan_stream_parity(bench.zoo, cohort),
         ),
+        ("lockstep cohort vs per-patient simulation", run_cohort_lockstep_parity),
         ("chaos smoke (every chaos gate)", lambda: run_chaos_smoke(zoo, cohort)),
         ("detector family (stream vs offline)", lambda: run_detector_family_smoke(zoo, cohort)),
         ("MAD-GAN float32 vs float64 inversion", lambda: run_madgan_dtype_parity(zoo, cohort)),

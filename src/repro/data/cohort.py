@@ -10,6 +10,7 @@ be raised to the paper scale via ``train_days`` / ``test_days``.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,7 +23,12 @@ from repro.data.patient import (
     PatientProfile,
     build_cohort_profiles,
 )
-from repro.data.physiology import GlucoseInsulinSimulator, SimulationResult
+from repro.data.physiology import (
+    GlucoseInsulinSimulator,
+    SimulationInputs,
+    SimulationResult,
+    simulate_lockstep,
+)
 from repro.utils.rng import as_random_state
 
 #: Names and order of the multivariate signals exposed to models/detectors.
@@ -141,35 +147,54 @@ class SyntheticOhioT1DM:
 
     def generate_patient(self, profile: PatientProfile) -> PatientRecord:
         """Simulate train and test traces for a single patient."""
-        patient_rng = self._root_rng.derive(f"patient-{profile.label}")
-        behaviour_rng, physiology_rng_train, physiology_rng_test, behaviour_rng_test = (
-            patient_rng.derive("behaviour-train"),
-            patient_rng.derive("physiology-train"),
-            patient_rng.derive("physiology-test"),
-            patient_rng.derive("behaviour-test"),
-        )
-
-        train_inputs = DailyScheduleGenerator(profile.behaviour, seed=behaviour_rng).generate(
-            self.train_days
-        )
-        test_inputs = DailyScheduleGenerator(profile.behaviour, seed=behaviour_rng_test).generate(
-            self.test_days
-        )
-        train_result = GlucoseInsulinSimulator(profile.physiology, seed=physiology_rng_train).simulate(
-            train_inputs
-        )
-        test_result = GlucoseInsulinSimulator(profile.physiology, seed=physiology_rng_test).simulate(
-            test_inputs
-        )
-        return PatientRecord(profile=profile, train=train_result, test=test_result)
+        return self._simulate([profile])[0]
 
     def generate(self) -> Cohort:
-        """Simulate the full cohort."""
-        records = {}
-        for profile in self.profiles:
-            record = self.generate_patient(profile)
-            records[record.label] = record
-        return Cohort(records=records)
+        """Simulate the full cohort: one lockstep pass over every patient and split."""
+        records = self._simulate(self.profiles)
+        return Cohort(records={record.label: record for record in records})
+
+    def _simulate(self, profiles: Sequence[PatientProfile]) -> List[PatientRecord]:
+        """Build every patient's schedules, then run both splits of all in one kernel call."""
+        simulators, inputs = [], []
+        for profile in profiles:
+            patient_rng = self._root_rng.derive(f"patient-{profile.label}")
+            behaviour_rng, physiology_rng_train, physiology_rng_test, behaviour_rng_test = (
+                patient_rng.derive("behaviour-train"),
+                patient_rng.derive("physiology-train"),
+                patient_rng.derive("physiology-test"),
+                patient_rng.derive("behaviour-test"),
+            )
+            for seed, days in ((behaviour_rng, self.train_days), (behaviour_rng_test, self.test_days)):
+                schedule = DailyScheduleGenerator(profile.behaviour, seed=seed).generate(days)
+                inputs.append(_off_heap(schedule))
+            simulators += [
+                GlucoseInsulinSimulator(profile.physiology, seed=physiology_rng_train),
+                GlucoseInsulinSimulator(profile.physiology, seed=physiology_rng_test),
+            ]
+        results = simulate_lockstep(simulators, inputs)
+        return [
+            PatientRecord(profile=profile, train=results[2 * index], test=results[2 * index + 1])
+            for index, profile in enumerate(profiles)
+        ]
+
+
+def _off_heap(inputs: SimulationInputs) -> SimulationInputs:
+    """A copy of ``inputs`` in an anonymous mapping of its own, not the malloc heap.
+
+    :meth:`SyntheticOhioT1DM.generate` holds every lane's minute schedule at
+    once (1.7 MiB for the benchmark cohort), where simulating patient by
+    patient held two.  On the heap, the hole they leave once freed moves
+    where the process's later large arrays land and how many transparent
+    huge pages back them: ``fleet`` ticks ran ~4% slower with no tick code
+    changed.  The mapping is released with the last array viewing it.
+    """
+    fields = (inputs.carbs, inputs.bolus, inputs.basal, inputs.exercise)
+    block = np.frombuffer(mmap.mmap(-1, 4 * inputs.minutes * 8), dtype=np.float64)
+    block = block.reshape(4, inputs.minutes)
+    for row, values in zip(block, fields):
+        row[:] = values
+    return SimulationInputs(*block)
 
 
 def generate_cohort(train_days: int = 8, test_days: int = 3, seed=7) -> Cohort:

@@ -35,7 +35,7 @@ from repro.nn import (
     Tensor,
     binary_cross_entropy_with_logits,
     fused_bce_with_logits_loss,
-    fused_mse_loss,
+    fused_mse_grad,
     sigmoid,
 )
 from repro.utils.timeseries import StandardScaler
@@ -505,7 +505,7 @@ class MADGANDetector(AnomalyDetector):
 
         Each iteration is one fused training step of the generator
         (:meth:`SequenceGenerator.fused_forward_train`,
-        :func:`~repro.nn.fused_mse_loss`,
+        :func:`~repro.nn.fused_mse_grad` (the loss value is never read),
         :meth:`SequenceGenerator.fused_backward_train`) with the generator
         frozen, followed by Adam on the latent and the ``[-2.5, 2.5]`` clip.
         This is the single entry point of every fast inversion: cold
@@ -567,7 +567,7 @@ class MADGANDetector(AnomalyDetector):
                 parameter.data = parameter.data.astype(dtype, copy=False)
             for _ in range(steps):
                 generated, cache = generator.fused_forward_train(latent.data)
-                _, d_generated = fused_mse_loss(generated, target, count)
+                d_generated = fused_mse_grad(generated, target, count)
                 latent.grad = generator.fused_backward_train(d_generated, cache)
                 optimizer.step()
                 # In place (Adam hands back a fresh array each step); the
@@ -589,7 +589,7 @@ class MADGANDetector(AnomalyDetector):
         """Best-effort generator inversion: optimize latent sequences by gradient.
 
         Runs :meth:`_invert_fast`: each step is the fused training forward,
-        :func:`~repro.nn.fused_mse_loss` and the fused BPTT through the
+        :func:`~repro.nn.fused_mse_grad` and the fused BPTT through the
         frozen generator, which yields the latent gradient without
         allocating autodiff nodes or computing any parameter gradient.
         The loop runs in float32; :meth:`_reconstruction_errors_graph` is

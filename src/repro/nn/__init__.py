@@ -50,6 +50,7 @@ from repro.nn.fused import (
     fused_bce_with_logits_loss,
     fused_gaussian_nll_loss,
     fused_kl_standard_normal,
+    fused_mse_grad,
     fused_mse_loss,
     fused_vae_loss_head,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "l2_penalty",
     "sigmoid",
     "FusedTrainer",
+    "fused_mse_grad",
     "fused_mse_loss",
     "fused_bce_with_logits_loss",
     "fused_gaussian_nll_loss",

@@ -8,7 +8,8 @@ passes (see ``fused_forward_train`` / ``fused_backward_train`` on ``Dense``,
 ``LSTM``, ``BiLSTM``, ``Sequential`` and the one-shot ``Module.fused_grads``)
 plus the two loss heads the repository trains with:
 
-* :func:`fused_mse_loss` — the predictor's regression objective,
+* :func:`fused_mse_loss` — the predictor's regression objective (and
+  :func:`fused_mse_grad`, its gradient alone),
 * :func:`fused_bce_with_logits_loss` — the MAD-GAN generator/discriminator
   objective, and
 * :func:`fused_vae_loss_head` — the LSTM-VAE ELBO (analytic
@@ -89,6 +90,31 @@ def add_sum_grad(
 
 
 # ------------------------------------------------------------------- losses
+def _mse_terms(
+    predictions: np.ndarray, targets: np.ndarray, count: Optional[int]
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """``(difference, 1 / count, gradient)`` of the MSE between two arrays."""
+    predictions = np.asarray(predictions)
+    dtype = np.float32 if predictions.dtype == np.float32 else np.float64
+    predictions = predictions.astype(dtype, copy=False)
+    targets = np.asarray(targets, dtype=dtype)
+    difference = predictions - targets
+    scale = 1.0 / (difference.size if count is None else count)
+    grad = difference * scale
+    return difference, scale, grad + grad
+
+
+def fused_mse_grad(
+    predictions: np.ndarray, targets: np.ndarray, count: Optional[int] = None
+) -> np.ndarray:
+    """The input gradient of :func:`fused_mse_loss` alone, bitwise the same.
+
+    For callers that never read the loss value (MAD-GAN's inversion loop),
+    it skips the squared-sum reduction.
+    """
+    return _mse_terms(predictions, targets, count)[2]
+
+
 def fused_mse_loss(
     predictions: np.ndarray, targets: np.ndarray, count: Optional[int] = None
 ) -> Tuple[float, np.ndarray]:
@@ -103,16 +129,8 @@ def fused_mse_loss(
     ``count`` is the number of elements a mean runs over (default: all); a
     stacked call passes one batch's size, so each keeps its own loss scale.
     """
-    predictions = np.asarray(predictions)
-    dtype = np.float32 if predictions.dtype == np.float32 else np.float64
-    predictions = predictions.astype(dtype, copy=False)
-    targets = np.asarray(targets, dtype=dtype)
-    difference = predictions - targets
-    scale = 1.0 / (difference.size if count is None else count)
-    grad = difference * scale
-    grad = grad + grad
-    loss = float((difference * difference).sum() * scale)
-    return loss, grad
+    difference, scale, grad = _mse_terms(predictions, targets, count)
+    return float((difference * difference).sum() * scale), grad
 
 
 def fused_bce_with_logits_loss(

@@ -28,6 +28,7 @@ from repro.nn import (
     Sequential,
     Tensor,
     fused_bce_with_logits_loss,
+    fused_mse_grad,
     fused_mse_loss,
 )
 from repro.nn.functional import binary_cross_entropy_with_logits, mse_loss
@@ -161,6 +162,16 @@ class TestFusedLossHeads:
         value, grad = fused_mse_loss(predictions, targets)
         assert abs(value - loss.item()) <= GRADIENT_TOLERANCE
         assert np.abs(grad - graph_pred.grad).max() <= GRADIENT_TOLERANCE
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [None, 7])
+    def test_mse_grad_is_the_loss_gradient_bitwise(self, rng, dtype, count):
+        predictions = rng.normal(size=(3, 5, 4)).astype(dtype)
+        targets = rng.normal(size=(3, 5, 4))
+        _, grad = fused_mse_loss(predictions, targets, count)
+        alone = fused_mse_grad(predictions, targets, count)
+        assert alone.dtype == grad.dtype == dtype
+        assert alone.tobytes() == grad.tobytes()
 
     @pytest.mark.parametrize("target_value", [0.0, 1.0])
     def test_bce_with_logits_matches_graph(self, rng, target_value):
