@@ -46,7 +46,6 @@ from repro.data.dataset import (
     DEFAULT_HORIZON,
     ForecastingDataset,
     WindowScaler,
-    detection_windows,
     flatten_windows,
 )
 
@@ -82,6 +81,5 @@ __all__ = [
     "DEFAULT_HORIZON",
     "ForecastingDataset",
     "WindowScaler",
-    "detection_windows",
     "flatten_windows",
 ]

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.cohort import CGM_COLUMN, Cohort, FEATURE_NAMES, PatientRecord
-from repro.utils.timeseries import StandardScaler, sliding_windows
+from repro.utils.timeseries import StandardScaler
 from repro.utils.validation import check_array
 
 #: Default forecasting history: 12 five-minute samples = one hour of context.
@@ -17,16 +16,6 @@ DEFAULT_HISTORY = 12
 #: Default forecasting horizon: 6 five-minute samples = 30 minutes ahead,
 #: the standard prediction horizon for OhioT1DM glucose forecasting.
 DEFAULT_HORIZON = 6
-
-
-@dataclass
-class ForecastingSample:
-    """A single (window, target) pair with provenance information."""
-
-    patient_label: str
-    window: np.ndarray
-    target: float
-    target_index: int
 
 
 class ForecastingDataset:
@@ -128,29 +117,15 @@ class WindowScaler:
     def fit_transform(self, windows: np.ndarray) -> np.ndarray:
         return self.fit(windows).transform(windows)
 
-    def transform_samples(self, samples: np.ndarray) -> np.ndarray:
+    def transform_samples_unchecked(self, samples: np.ndarray) -> np.ndarray:
         """Scale raw ``(n, features)`` samples with the fitted window statistics.
 
         Window scaling is feature-wise over flattened rows, so scaling a sample
         once at arrival is numerically identical to scaling it inside every
         window it later appears in — the invariant the streaming serving path
-        relies on to do O(1) scaling work per tick.
-        """
-        samples = check_array(samples, "samples", ndim=2)
-        if self.n_features_ is None:
-            raise RuntimeError("WindowScaler is not fitted")
-        if samples.shape[1] != self.n_features_:
-            raise ValueError(
-                f"samples must have {self.n_features_} features, got {samples.shape[1]}"
-            )
-        return self._scaler.transform(samples)
-
-    def transform_samples_unchecked(self, samples: np.ndarray) -> np.ndarray:
-        """:meth:`transform_samples` minus input validation.
-
-        Bitwise-identical scaling for callers on the per-tick serving hot
-        path that have already validated ``samples`` as a float64
-        ``(n, n_features)`` array (see ``GlucosePredictor.push_stream``).
+        relies on to do O(1) scaling work per tick.  Inputs are not
+        validated: callers pass a float64 ``(n, n_features)`` array (see
+        ``GlucosePredictor.push_stream``).
         """
         return self._scaler.transform_unchecked(samples)
 
@@ -183,14 +158,6 @@ class WindowScaler:
     def unscale_target(self, scaled: np.ndarray) -> np.ndarray:
         """Invert :meth:`scale_target`."""
         return np.asarray(scaled, dtype=np.float64) * self.target_scale + self.cgm_mean
-
-
-def detection_windows(
-    features: np.ndarray, sequence_length: int = 12, step: int = 1
-) -> np.ndarray:
-    """Sliding multivariate windows for sequence anomaly detectors (MAD-GAN)."""
-    features = check_array(features, "features", ndim=2)
-    return sliding_windows(features, window=sequence_length, step=step)
 
 
 def flatten_windows(windows: np.ndarray) -> np.ndarray:

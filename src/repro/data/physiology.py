@@ -484,7 +484,3 @@ def _sum_bins(values: np.ndarray, n_samples: int) -> np.ndarray:
         total += column
     return total
 
-
-def steady_state_glucose(parameters: PhysiologyParameters) -> float:
-    """Return the no-meal steady-state glucose implied by the parameters."""
-    return parameters.basal_glucose

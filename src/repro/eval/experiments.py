@@ -325,10 +325,6 @@ class TraceDetectionSample:
     flagged: bool
 
     @property
-    def is_true_positive(self) -> bool:
-        return self.is_malicious and self.flagged
-
-    @property
     def is_false_negative(self) -> bool:
         return self.is_malicious and not self.flagged
 

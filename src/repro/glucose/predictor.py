@@ -41,17 +41,6 @@ class TrainingHistory:
 
     epoch_losses: List[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        if not self.epoch_losses:
-            raise ValueError("no epochs were recorded")
-        return self.epoch_losses[-1]
-
-    @property
-    def improved(self) -> bool:
-        """True when the final loss is lower than the first epoch's loss."""
-        return len(self.epoch_losses) >= 2 and self.epoch_losses[-1] < self.epoch_losses[0]
-
 
 class GlucosePredictor:
     """Bidirectional-LSTM glucose forecaster.
@@ -269,6 +258,9 @@ class GlucosePredictor:
             State from :meth:`stream_state`.
         rows:
             Stream slots receiving a sample this tick (default ``arange(k)``).
+            Each slot may appear at most once and must lie in
+            ``[0, state.n_streams)``; duplicate or out-of-range slots raise
+            ``ValueError``.
 
         Returns
         -------
@@ -340,22 +332,6 @@ class GlucosePredictor:
         """
         value = self.step_stream(sample[np.newaxis], state, rows=np.array([row]))[0]
         return None if state.count[row] < state.capacity else float(value)
-
-    def predict_stream(self, features: np.ndarray) -> np.ndarray:
-        """Stream a whole ``(T, n_features)`` trace one tick at a time.
-
-        Returns a ``(T,)`` array: entry ``t`` is the prediction for the window
-        ending at sample ``t`` (NaN for the first ``history - 1`` warm-up
-        ticks), computed incrementally with O(1) work per tick beyond the
-        window recurrence.  Equivalent to ``predict`` over the trace's sliding
-        windows within 1e-10.
-        """
-        features = check_array(features, "features", ndim=2)
-        state = self.stream_state(1)
-        predictions = np.full(len(features), np.nan)
-        for tick, sample in enumerate(features):
-            predictions[tick] = self.step_stream(sample[np.newaxis], state)[0]
-        return predictions
 
     def evaluate(self, windows: np.ndarray, targets: np.ndarray) -> Dict[str, float]:
         """Compute RMSE and MAE (mg/dL) on a held-out split."""

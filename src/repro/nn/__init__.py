@@ -32,16 +32,11 @@ from repro.nn.recurrent import (
     BiLSTM,
     BiLSTMStreamState,
     LSTMCell,
-    LSTMStreamState,
     StreamWeights,
     stream_encode,
 )
 from repro.nn.functional import (
-    binary_cross_entropy,
     binary_cross_entropy_with_logits,
-    huber_loss,
-    l2_penalty,
-    mae_loss,
     mse_loss,
     sigmoid,
 )
@@ -79,16 +74,11 @@ __all__ = [
     "LSTMCell",
     "LSTM",
     "BiLSTM",
-    "LSTMStreamState",
     "BiLSTMStreamState",
     "StreamWeights",
     "stream_encode",
     "mse_loss",
-    "mae_loss",
-    "huber_loss",
-    "binary_cross_entropy",
     "binary_cross_entropy_with_logits",
-    "l2_penalty",
     "sigmoid",
     "FusedTrainer",
     "fused_mse_grad",

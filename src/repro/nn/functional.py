@@ -6,8 +6,6 @@ import numpy as np
 
 from repro.nn.tensor import Tensor, as_tensor
 
-_EPSILON = 1e-9
-
 
 def mse_loss(predictions, targets) -> Tensor:
     """Mean squared error between predictions and targets."""
@@ -17,22 +15,6 @@ def mse_loss(predictions, targets) -> Tensor:
     return (difference * difference).mean()
 
 
-def mae_loss(predictions, targets) -> Tensor:
-    """Mean absolute error."""
-    predictions = as_tensor(predictions)
-    targets = as_tensor(targets)
-    return (predictions - targets).abs().mean()
-
-
-def binary_cross_entropy(probabilities, targets) -> Tensor:
-    """Binary cross-entropy on probabilities in (0, 1)."""
-    probabilities = as_tensor(probabilities).clip(_EPSILON, 1.0 - _EPSILON)
-    targets = as_tensor(targets)
-    positive_term = targets * probabilities.log()
-    negative_term = (1.0 - targets) * (1.0 - probabilities).log()
-    return -(positive_term + negative_term).mean()
-
-
 def binary_cross_entropy_with_logits(logits, targets) -> Tensor:
     """Numerically stable binary cross-entropy on raw logits."""
     logits = as_tensor(logits)
@@ -40,27 +22,6 @@ def binary_cross_entropy_with_logits(logits, targets) -> Tensor:
     # log(1 + exp(-|x|)) + max(x, 0) - x * target
     softplus = (1.0 + (-logits.abs()).exp()).log()
     return (logits.relu() - logits * targets + softplus).mean()
-
-
-def huber_loss(predictions, targets, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear in the tails.
-
-    Implemented without branching on tensor values by combining the clipped
-    residual with the absolute residual.
-    """
-    predictions = as_tensor(predictions)
-    targets = as_tensor(targets)
-    residual = (predictions - targets).abs()
-    clipped = residual.clip(0.0, delta)
-    return (clipped * residual - clipped * clipped * 0.5).mean()
-
-
-def l2_penalty(parameters, weight: float = 1e-4) -> Tensor:
-    """Sum-of-squares regularization over a list of parameters."""
-    total = Tensor(0.0)
-    for parameter in parameters:
-        total = total + (parameter * parameter).sum()
-    return total * weight
 
 
 #: Row granularity of :func:`pad_rows` and :func:`rowwise_matmul`.

@@ -111,81 +111,10 @@ class LSTMCell(Module):
         new_hidden = output_gate * new_cell.tanh()
         return new_hidden, new_cell
 
-    def fast_step(
-        self,
-        input_projection: np.ndarray,
-        hidden: np.ndarray,
-        cell: np.ndarray,
-        gates_buffer: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Graph-free LSTM step on raw numpy arrays.
-
-        ``input_projection`` is the precomputed ``x_t @ weight_input`` row
-        block (the input projection for every timestep is fused into one
-        matrix multiplication by :meth:`LSTM.fast_forward`); ``gates_buffer``
-        is a reusable ``(batch, 4 * hidden)`` scratch array so the recurrence
-        allocates nothing per timestep beyond the new states and the
-        candidate's ``tanh``.
-        """
-        return _gate_step(
-            input_projection,
-            hidden,
-            cell,
-            gates_buffer,
-            self.weight_hidden.data,
-            self.bias.data,
-            self.hidden_size,
-        )
-
-    def step(self, inputs: np.ndarray, state: "LSTMStreamState") -> np.ndarray:
-        """Advance a streaming state by one tick on raw ``(batch, input_size)`` samples.
-
-        Equivalent to one iteration of :meth:`LSTM.fast_forward`: the sample is
-        projected through the fused input matrix once and the recurrence runs
-        graph-free on the cached ``(hidden, cell)`` pair, so feeding a sequence
-        tick-by-tick reproduces the offline unrolled forward within 1e-10.
-        """
-        inputs = np.asarray(inputs, dtype=np.float64)
-        projection = inputs @ self.weight_input.data
-        state.hidden, state.cell = self.fast_step(
-            projection, state.hidden, state.cell, state.gates_buffer
-        )
-        state.ticks += 1
-        return state.hidden
-
     def initial_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
         """Zero-valued hidden and cell state for a batch."""
         zeros = np.zeros((batch_size, self.hidden_size))
         return Tensor(zeros), Tensor(zeros.copy())
-
-
-class LSTMStreamState:
-    """Incremental ``(hidden, cell)`` state for tick-by-tick LSTM inference.
-
-    Holds exactly one hidden/cell pair per stream plus a reusable gate scratch
-    buffer, so advancing a tick allocates nothing that grows with the stream
-    length — O(1) memory per tick per stream.
-    """
-
-    __slots__ = ("hidden", "cell", "gates_buffer", "ticks")
-
-    def __init__(self, batch_size: int, hidden_size: int):
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.hidden = np.zeros((batch_size, hidden_size))
-        self.cell = np.zeros((batch_size, hidden_size))
-        self.gates_buffer = np.empty((batch_size, 4 * hidden_size))
-        self.ticks = 0
-
-    @property
-    def batch_size(self) -> int:
-        return self.hidden.shape[0]
-
-    def reset(self) -> None:
-        """Return every stream to the zero state."""
-        self.hidden[:] = 0.0
-        self.cell[:] = 0.0
-        self.ticks = 0
 
 
 class LSTM(Module):
@@ -495,29 +424,6 @@ class LSTM(Module):
             d_inputs = d_inputs[..., ::-1, :, :]
         return np.ascontiguousarray(d_inputs.swapaxes(-3, -2))
 
-    # ---------------------------------------------------------------- streaming
-    def stream_state(self, batch_size: int = 1) -> LSTMStreamState:
-        """Fresh incremental state for ``batch_size`` concurrent streams."""
-        if self.reverse:
-            raise ValueError(
-                "a reverse LSTM consumes the sequence from its end and cannot be "
-                "streamed tick-by-tick; stream it through BiLSTM.stream_state, "
-                "which ring-buffers the window for the backward pass"
-            )
-        return LSTMStreamState(batch_size, self.hidden_size)
-
-    def step(self, inputs: np.ndarray, state: LSTMStreamState) -> np.ndarray:
-        """Advance every stream by one tick; returns the new hidden state.
-
-        After ``t`` ticks the hidden state equals
-        ``fast_forward(sequence[:, :t])`` (final hidden) within 1e-10 — the
-        incremental twin of the offline unrolled forward, at O(1) work and
-        memory per tick instead of O(t) recompute.
-        """
-        if self.reverse:
-            raise ValueError("a reverse LSTM cannot be advanced tick-by-tick")
-        return self.cell.step(inputs, state)
-
 
 class BiLSTM(Module):
     """A bidirectional LSTM that concatenates forward and backward states.
@@ -641,7 +547,8 @@ class BiLSTM(Module):
         rows:
             Stream (slot) indices receiving a sample this tick; defaults to
             ``arange(k)``.  Streams outside ``rows`` are untouched, which is
-            how a scheduler serves sessions that miss a tick.
+            how a scheduler serves sessions that miss a tick.  Duplicate or
+            out-of-range slots raise ``ValueError``.
 
         Returns
         -------
@@ -782,14 +689,20 @@ class BiLSTMStreamState:
     def n_streams(self) -> int:
         return len(self.cursor)
 
-    @staticmethod
-    def check_rows(rows: Optional[np.ndarray], n_samples: int) -> np.ndarray:
-        """The slot indices of a step over ``n_samples`` (``arange`` when None)."""
-        if rows is None:
-            return np.arange(n_samples)
-        rows = np.asarray(rows, dtype=int)
+    def check_rows(self, rows: Optional[np.ndarray], n_samples: int) -> np.ndarray:
+        """The slot indices of a step over ``n_samples`` (``arange`` when None).
+
+        Each slot must exist and receive at most one sample per step: a
+        repeated slot would advance once and drop a sample, and a negative
+        one would wrap around to the last slots.
+        """
+        rows = np.arange(n_samples) if rows is None else np.asarray(rows, dtype=int)
         if len(rows) != n_samples:
             raise ValueError("rows and samples must have the same length")
+        if n_samples and (rows.min() < 0 or rows.max() >= self.n_streams):
+            raise ValueError(f"rows must lie in [0, {self.n_streams})")
+        if len(np.unique(rows)) != n_samples:
+            raise ValueError("rows must not repeat a slot")
         return rows
 
     def grow(self, n_streams: int) -> None:

@@ -125,19 +125,10 @@ class Tensor:
             **underlying buffer**, not a copy: mutating the returned array
             mutates the tensor (and anything else aliasing it), and the
             array may later be mutated by in-place parameter updates.  Pass
-            ``copy=True`` — or use :meth:`detach_copy` — whenever the caller
-            stores the result or hands it to code that may write to it.
+            ``copy=True`` whenever the caller stores the result or hands it
+            to code that may write to it.
         """
         return self.data.copy() if copy else self.data
-
-    def detach_copy(self) -> np.ndarray:
-        """Return an independent numpy copy of the values (never aliased).
-
-        Equivalent to ``tensor.numpy(copy=True)``; the spelling makes the
-        intent explicit at call sites that persist model outputs (e.g. attack
-        code storing benign/adversarial windows).
-        """
-        return self.data.copy()
 
     def item(self) -> float:
         return float(self.data)

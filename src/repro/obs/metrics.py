@@ -27,7 +27,7 @@ ticks): integer-valued float sums are exact, which is what keeps the merged
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 #: (series name, sorted (label key, label value) pairs) — the identity of one
 #: time series.  Tuples are hashable, picklable, and totally ordered, which
@@ -101,23 +101,6 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float, **labels) -> None:
         """Set a gauge series (merge semantics: gauges ADD across shards)."""
         self._gauges[self._key(name, labels)] = float(value)
-
-    def declare_histogram(self, name: str, edges: Sequence[float]) -> None:
-        """Pin the bucket upper edges for every series under ``name``.
-
-        Must be called before the first ``observe`` of that name (or not at
-        all — :data:`DEFAULT_BUCKET_EDGES` applies).  Edges are per *name*,
-        not per labeled series, so shards can never disagree on the layout.
-        """
-        edges = tuple(float(edge) for edge in edges)
-        if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
-            raise ValueError("histogram edges must be strictly increasing")
-        if not edges:
-            raise ValueError("histogram edges must be non-empty")
-        existing = self._edges.get(name)
-        if existing is not None and existing != edges:
-            raise ValueError(f"histogram {name!r} already declared with different edges")
-        self._edges[name] = edges
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Record one observation into a fixed-edge histogram series.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Callable, List, Tuple
+from typing import List
 
 
 class Timer:
@@ -57,15 +57,3 @@ class Timer:
     @property
     def mean(self) -> float:
         return sum(self.laps) / len(self.laps)
-
-    @classmethod
-    def best_of(cls, repeats: int, fn: Callable, *args, **kwargs) -> Tuple[float, object]:
-        """Run ``fn`` ``repeats`` times; return ``(best seconds, last result)``."""
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        timer = cls()
-        result = None
-        for _ in range(repeats):
-            with timer.lap():
-                result = fn(*args, **kwargs)
-        return timer.best, result

@@ -143,13 +143,6 @@ class HierarchicalClustering:
         return self
 
     # ------------------------------------------------------------------ outputs
-    def linkage_matrix(self) -> np.ndarray:
-        """A scipy-style ``(n-1, 4)`` linkage matrix."""
-        self._check_fitted()
-        return np.array(
-            [[merge.left, merge.right, merge.distance, merge.size] for merge in self.merges_]
-        )
-
     def _check_fitted(self) -> None:
         if self.merges_ is None:
             raise RuntimeError("HierarchicalClustering is not fitted")

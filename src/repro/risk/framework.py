@@ -9,8 +9,8 @@ Step 5  Select the less-vulnerable cluster to train static anomaly detectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from repro.glucose.models import GlucoseModelZoo
 from repro.risk.clustering import ClusteringOutcome, cluster_profiles
 from repro.risk.profile import RiskProfile, RiskProfileBuilder, profile_matrix
 from repro.risk.quantify import RiskQuantifier
-from repro.risk.selection import SelectionPlanner
 from repro.risk.severity import SeverityMatrix
 
 
@@ -49,14 +48,6 @@ class VulnerabilityAssessment:
     less_vulnerable: List[str]
     more_vulnerable: List[str]
     campaign: CampaignResult
-
-    @property
-    def patient_success_rates(self) -> Dict[str, float]:
-        """Attack success rate per patient (NaN when no window was eligible)."""
-        return {
-            label: summary.success_rate
-            for label, summary in self.campaign.summaries().items()
-        }
 
     def cluster_of(self, patient_label: str) -> int:
         return self.clustering.as_dict()[patient_label]
@@ -171,18 +162,4 @@ class RiskProfilingFramework:
             less_vulnerable=less_vulnerable,
             more_vulnerable=more_vulnerable,
             campaign=campaign_result,
-        )
-
-    def selection_planner(
-        self,
-        assessment: VulnerabilityAssessment,
-        random_runs: int = 10,
-        seed=0,
-    ) -> SelectionPlanner:
-        """Step 5: build the training-set selection planner from an assessment."""
-        return SelectionPlanner(
-            all_labels=assessment.clustering.labels,
-            less_vulnerable=assessment.less_vulnerable,
-            random_runs=random_runs,
-            seed=seed,
         )

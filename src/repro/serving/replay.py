@@ -23,7 +23,6 @@ from repro.data.cohort import CGM_COLUMN, Cohort
 from repro.utils.rng import SeedLike, as_random_state
 from repro.detectors.base import AnomalyDetector
 from repro.detectors.streaming import StreamingDetector
-from repro.eval.experiments import TraceDetectionSample
 from repro.eval.metrics import ConfusionMatrix, confusion_matrix
 from repro.glucose.models import GlucoseModelZoo
 from repro.glucose.states import Scenario, scenario_for_samples
@@ -221,13 +220,8 @@ class ReplayReport:
     detector_names: List[str] = field(default_factory=list)
 
     # -------------------------------------------------------------- detection
-    def _iter_verdicts(self, detector: str, session_id: Optional[str] = None):
-        traces = (
-            self.sessions.values()
-            if session_id is None
-            else [self.sessions[session_id]]
-        )
-        for trace in traces:
+    def _iter_verdicts(self, detector: str):
+        for trace in self.sessions.values():
             for outcome in trace.ticks:
                 verdict = outcome.verdicts.get(detector)
                 if verdict is None or verdict.warming:
@@ -242,25 +236,6 @@ class ReplayReport:
             truth.append(int(outcome.attacked))
             flags.append(int(verdict.flagged))
         return confusion_matrix(truth, flags)
-
-    def trace_samples(
-        self, detector: str, session_id: str
-    ) -> List[TraceDetectionSample]:
-        """The paper's Figure 5 per-measurement view, from the live replay."""
-        trace = self.sessions[session_id]
-        samples: List[TraceDetectionSample] = []
-        for _, outcome, verdict in self._iter_verdicts(detector, session_id):
-            samples.append(
-                TraceDetectionSample(
-                    patient_label=trace.patient_label,
-                    target_index=outcome.tick,
-                    scenario=trace.scenarios[outcome.tick],
-                    cgm_value=float(outcome.sample[CGM_COLUMN]),
-                    is_malicious=bool(outcome.attacked),
-                    flagged=bool(verdict.flagged),
-                )
-            )
-        return samples
 
     def trace_breakdown(self, detector: str) -> Dict[str, Dict[str, int]]:
         """Per-session true-positive / false-negative counts on tampered ticks."""

@@ -1,9 +1,8 @@
 """Shared utilities: seeded randomness, validation, and time-series helpers."""
 
-from repro.utils.rng import RandomState, spawn_rngs
+from repro.utils.rng import RandomState
 from repro.utils.validation import (
     check_array,
-    check_finite,
     check_positive,
     check_probability,
     ensure_2d,
@@ -13,17 +12,13 @@ from repro.utils.timeseries import (
     MinMaxScaler,
     SampleRing,
     sliding_windows,
-    supervised_windows,
-    train_test_split_sequential,
     exponential_moving_average,
     resample_series,
 )
 
 __all__ = [
     "RandomState",
-    "spawn_rngs",
     "check_array",
-    "check_finite",
     "check_positive",
     "check_probability",
     "ensure_2d",
@@ -31,8 +26,6 @@ __all__ = [
     "MinMaxScaler",
     "SampleRing",
     "sliding_windows",
-    "supervised_windows",
-    "train_test_split_sequential",
     "exponential_moving_average",
     "resample_series",
 ]

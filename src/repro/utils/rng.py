@@ -7,7 +7,7 @@ experiment can be replayed exactly from its seed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -128,27 +128,3 @@ def as_random_state(seed: SeedLike) -> RandomState:
     if isinstance(seed, RandomState):
         return seed
     return RandomState(seed)
-
-
-def spawn_rngs(seed: SeedLike, tags: Sequence[str]) -> dict:
-    """Create a dict of independent named RNGs from a single seed.
-
-    Parameters
-    ----------
-    seed:
-        Root seed.
-    tags:
-        Names for each derived stream.
-    """
-    root = as_random_state(seed)
-    return {tag: root.derive(tag) for tag in tags}
-
-
-def check_iterable_of_ints(values: Iterable[int]) -> List[int]:
-    """Validate that ``values`` contains only integers and return them as a list."""
-    result = []
-    for value in values:
-        if not isinstance(value, (int, np.integer)):
-            raise TypeError(f"expected an integer, got {type(value).__name__}")
-        result.append(int(value))
-    return result

@@ -1,4 +1,4 @@
-"""Time-series helpers: scaling, windowing, resampling, and splitting."""
+"""Time-series helpers: scaling, windowing and resampling."""
 
 from __future__ import annotations
 
@@ -176,69 +176,6 @@ def sliding_windows(series, window: int, step: int = 1) -> np.ndarray:
         return np.empty(empty_shape, dtype=np.float64)
     starts = range(0, length - window + 1, step)
     return np.stack([array[start : start + window] for start in starts])
-
-
-def supervised_windows(
-    series,
-    history: int,
-    horizon: int = 1,
-    step: int = 1,
-    target_column: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Build (input window, future target) pairs for forecasting.
-
-    Parameters
-    ----------
-    series:
-        Array of shape ``(T,)`` or ``(T, F)``.
-    history:
-        Number of past steps fed to the model.
-    horizon:
-        How many steps ahead the target lies (>= 1).
-    step:
-        Stride between consecutive samples.
-    target_column:
-        For multivariate input, which column to forecast.
-
-    Returns
-    -------
-    inputs:
-        ``(n, history)`` or ``(n, history, F)``.
-    targets:
-        ``(n,)`` values ``horizon`` steps after each window.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    array = np.asarray(series, dtype=np.float64)
-    length = array.shape[0]
-    last_start = length - history - horizon
-    if last_start < 0:
-        empty_x = (
-            np.empty((0, history))
-            if array.ndim == 1
-            else np.empty((0, history) + array.shape[1:])
-        )
-        return empty_x, np.empty((0,))
-    inputs = []
-    targets = []
-    for start in range(0, last_start + 1, step):
-        inputs.append(array[start : start + history])
-        target_index = start + history + horizon - 1
-        if array.ndim == 1:
-            targets.append(array[target_index])
-        else:
-            targets.append(array[target_index, target_column])
-    return np.stack(inputs), np.asarray(targets, dtype=np.float64)
-
-
-def train_test_split_sequential(data, test_fraction: float = 0.2) -> Tuple[np.ndarray, np.ndarray]:
-    """Split a series chronologically into train and test segments."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    array = np.asarray(data)
-    split = int(round(len(array) * (1.0 - test_fraction)))
-    split = max(1, min(split, len(array) - 1)) if len(array) > 1 else len(array)
-    return array[:split], array[split:]
 
 
 def exponential_moving_average(series, alpha: float = 0.3) -> np.ndarray:

@@ -48,15 +48,6 @@ def check_array(
     return array
 
 
-def check_finite(value, name: str = "array") -> np.ndarray:
-    """Raise if ``value`` contains NaN or infinity."""
-    array = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(array)):
-        bad = int(np.sum(~np.isfinite(array)))
-        raise ValueError(f"{name} contains {bad} non-finite values")
-    return array
-
-
 def check_positive(value: float, name: str = "value", strict: bool = True) -> float:
     """Raise unless ``value`` is positive (strictly by default)."""
     value = float(value)
@@ -72,24 +63,6 @@ def check_probability(value: float, name: str = "value") -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def check_in_range(
-    value: float,
-    low: float,
-    high: float,
-    name: str = "value",
-    inclusive: bool = True,
-) -> float:
-    """Raise unless ``low <= value <= high`` (or strict if ``inclusive=False``)."""
-    value = float(value)
-    if inclusive:
-        if not low <= value <= high:
-            raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
-    else:
-        if not low < value < high:
-            raise ValueError(f"{name} must be in ({low}, {high}), got {value}")
     return value
 
 

@@ -13,7 +13,6 @@ from repro.data import (
     WindowScaler,
     build_cohort_profiles,
     build_feature_matrix,
-    detection_windows,
     expected_less_vulnerable_labels,
     expected_more_vulnerable_labels,
     flatten_windows,
@@ -157,9 +156,15 @@ class TestWindowScaler:
 
 
 class TestDetectionHelpers:
-    def test_detection_windows_shape(self):
-        features = np.zeros((30, 4))
-        assert detection_windows(features, sequence_length=12).shape == (19, 12, 4)
-
     def test_flatten_windows(self):
         assert flatten_windows(np.zeros((5, 12, 4))).shape == (5, 48)
+
+    def test_flatten_windows_keeps_each_window_time_major(self):
+        windows = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
+        flat = flatten_windows(windows)
+        np.testing.assert_array_equal(flat[1], windows[1].ravel())
+        np.testing.assert_array_equal(flat[0, 4:8], windows[0, 1])
+
+    def test_flatten_windows_rejects_non_3d(self):
+        with pytest.raises(ValueError, match="3 dimensions"):
+            flatten_windows(np.zeros((5, 48)))

@@ -81,12 +81,6 @@ class TestTensorNumpyCopy:
         copied[0] = 42.0
         assert tensor.data[0] == 0.0
 
-    def test_detach_copy_is_independent(self):
-        tensor = Tensor(np.zeros(3), requires_grad=True)
-        copied = tensor.detach_copy()
-        copied[:] = 7.0
-        assert np.all(tensor.data == 0.0)
-
 
 class TestLayerFastPaths:
     @pytest.mark.parametrize("activation", [None, "linear", "tanh", "sigmoid", "relu", "leaky_relu"])

@@ -13,12 +13,8 @@ from repro.nn import (
     SGD,
     Sequential,
     Tensor,
-    binary_cross_entropy,
     binary_cross_entropy_with_logits,
-    huber_loss,
     initialize,
-    l2_penalty,
-    mae_loss,
     mse_loss,
 )
 from repro.nn.module import apply_activation
@@ -135,15 +131,6 @@ class TestLosses:
     def test_mse_value(self):
         assert mse_loss(Tensor([1.0, 3.0]), Tensor([1.0, 1.0])).item() == pytest.approx(2.0)
 
-    def test_mae_value(self):
-        assert mae_loss(Tensor([1.0, 3.0]), Tensor([0.0, 1.0])).item() == pytest.approx(1.5)
-
-    def test_bce_matches_manual(self):
-        probabilities = np.array([0.9, 0.2])
-        targets = np.array([1.0, 0.0])
-        expected = -np.mean(targets * np.log(probabilities) + (1 - targets) * np.log(1 - probabilities))
-        assert binary_cross_entropy(Tensor(probabilities), Tensor(targets)).item() == pytest.approx(expected)
-
     def test_bce_with_logits_matches_probability_form(self):
         logits = np.array([2.0, -1.0, 0.5])
         targets = np.array([1.0, 0.0, 1.0])
@@ -154,15 +141,27 @@ class TestLosses:
         value = binary_cross_entropy_with_logits(Tensor(logits), Tensor(targets)).item()
         assert value == pytest.approx(expected, rel=1e-6)
 
-    def test_huber_quadratic_region(self):
-        assert huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0).item() == pytest.approx(0.125)
+    def test_mse_gradient_is_scaled_difference(self):
+        predictions = Tensor(np.array([1.0, 3.0, -2.0]), requires_grad=True)
+        targets = np.array([0.5, 1.0, -2.0])
+        mse_loss(predictions, Tensor(targets)).backward()
+        np.testing.assert_allclose(predictions.grad, 2.0 * (predictions.data - targets) / 3.0)
 
-    def test_huber_linear_region(self):
-        assert huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0).item() == pytest.approx(2.5)
+    def test_bce_with_logits_gradient_is_sigmoid_minus_target(self):
+        # Away from logit 0: there ``abs``/``relu`` take subgradient 0 and the
+        # graph's gradient is ``-target``, not ``sigmoid(0) - target``.
+        logits = Tensor(np.array([2.0, -1.0, 0.5, -0.25]), requires_grad=True)
+        targets = np.array([1.0, 0.0, 0.0, 1.0])
+        binary_cross_entropy_with_logits(logits, Tensor(targets)).backward()
+        probabilities = 1.0 / (1.0 + np.exp(-logits.data))
+        np.testing.assert_allclose(logits.grad, (probabilities - targets) / 4.0, rtol=1e-12)
 
-    def test_l2_penalty(self):
-        parameter = Parameter(np.array([1.0, 2.0]))
-        assert l2_penalty([parameter], weight=0.5).item() == pytest.approx(2.5)
+    def test_bce_with_logits_finite_at_extreme_logits(self):
+        logits = Tensor(np.array([1000.0, -1000.0]))
+        confident_right = binary_cross_entropy_with_logits(logits, Tensor([1.0, 0.0])).item()
+        confident_wrong = binary_cross_entropy_with_logits(logits, Tensor([0.0, 1.0])).item()
+        assert confident_right == pytest.approx(0.0, abs=1e-12)
+        assert confident_wrong == pytest.approx(1000.0)
 
 
 class TestOptimizers:

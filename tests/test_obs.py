@@ -159,12 +159,20 @@ class TestMetricsRegistry:
 
     def test_absorb_rejects_mismatched_edges(self):
         left = MetricsRegistry()
-        left.declare_histogram("batch", edges=(1.0, 2.0))
         left.observe("batch", 1)
-        right = MetricsRegistry()
-        right.observe("batch", 1)
-        with pytest.raises(ValueError):
-            left.absorb(right.snapshot())
+        # A snapshot from another process whose histogram uses other edges.
+        foreign = {
+            "histograms": {
+                series_key("batch", {}): {
+                    "edges": (1.0, 2.0),
+                    "counts": (1, 0, 0),
+                    "sum": 1.0,
+                    "count": 1,
+                }
+            }
+        }
+        with pytest.raises(ValueError, match="mismatched edges"):
+            left.absorb(foreign)
 
 
 class TestTimer:
@@ -179,13 +187,13 @@ class TestTimer:
         timer.reset()
         assert timer.count == 0
 
-    def test_best_of_returns_last_result(self):
-        calls = []
-        best, result = Timer.best_of(4, lambda x: calls.append(x) or len(calls), 1)
-        assert result == 4 and len(calls) == 4
-        assert best >= 0.0
-        with pytest.raises(ValueError):
-            Timer.best_of(0, lambda: None)
+    def test_lap_is_recorded_when_the_body_raises(self):
+        timer = Timer()
+        with pytest.raises(RuntimeError):
+            with timer.lap():
+                raise RuntimeError("boom")
+        assert timer.count == 1
+        assert timer.last >= 0.0
 
 
 class TestObserver:

@@ -159,15 +159,21 @@ class TestHierarchicalClustering:
         labels = model.cut_by_largest_gap()
         assert len(set(labels.tolist())) == 2
 
-    def test_linkage_matrix_shape(self):
-        matrix = self._two_blob_matrix()
-        model = HierarchicalClustering().fit(matrix)
-        assert model.linkage_matrix().shape == (6, 4)
-
     def test_merge_distances_monotone_for_average_linkage(self):
         model = HierarchicalClustering(linkage="average").fit(self._two_blob_matrix())
         distances = [merge.distance for merge in model.merges_]
         assert all(b >= a - 1e-9 for a, b in zip(distances, distances[1:]))
+
+    def test_merges_build_one_tree_over_every_sample(self):
+        matrix = self._two_blob_matrix()
+        model = HierarchicalClustering().fit(matrix)
+        assert len(model.merges_) == len(matrix) - 1
+        assert model.merges_[-1].size == len(matrix)
+        # Every cluster id (leaf or merge) is consumed at most once.
+        consumed = [merge.left for merge in model.merges_] + [
+            merge.right for merge in model.merges_
+        ]
+        assert len(consumed) == len(set(consumed))
 
     def test_cut_bounds_validated(self):
         model = HierarchicalClustering().fit(self._two_blob_matrix())
@@ -274,8 +280,12 @@ class TestFrameworkEndToEnd:
     def test_well_controlled_patient_in_less_vulnerable_group(self, assessment):
         assert ("A_5" in assessment.less_vulnerable) or ("B_2" in assessment.less_vulnerable)
 
-    def test_selection_planner_from_assessment(self, assessment, tiny_zoo):
-        framework = RiskProfilingFramework(tiny_zoo)
-        planner = framework.selection_planner(assessment, random_runs=2, seed=1)
+    def test_selection_planner_from_assessment(self, assessment):
+        planner = SelectionPlanner(
+            all_labels=assessment.clustering.labels,
+            less_vulnerable=assessment.less_vulnerable,
+            random_runs=2,
+            seed=1,
+        )
         plan = planner.plan()
         assert set(plan) == set(ALL_STRATEGIES)

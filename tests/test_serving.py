@@ -2,12 +2,10 @@
 
 Every streaming fast path is pinned to its offline reference:
 
-* ``LSTM.step`` / ``BiLSTM.step`` vs ``fast_forward`` at the layer level,
-  and the stacked two-direction ``BiLSTM.step`` bitwise vs a per-direction
-  reference kernel,
-* ``GlucosePredictor.predict_stream`` / ``step_stream`` vs ``predict`` and
-  ``predict_graph`` (≤ 1e-10) across strides, warm-up offsets, and scheduler
-  batch sizes,
+* ``BiLSTM.step`` vs ``fast_forward`` at the layer level, and the stacked
+  two-direction ``BiLSTM.step`` bitwise vs a per-direction reference kernel,
+* ``GlucosePredictor.step_stream`` vs ``predict`` and ``predict_graph``
+  (≤ 1e-10) across strides, warm-up offsets, and scheduler batch sizes,
 * streaming detector verdicts vs the offline ``predict`` on the same windows,
 * the scheduler's lane-column routing of detector rows and verdicts vs a
   per-session reference copy (``TestColumnRouting``, bitwise),
@@ -24,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.data.cohort import CGM_COLUMN
 from repro.detectors import KNNDistanceDetector, StreamingDetector
 from repro.nn import BiLSTM, LSTM
+from repro.nn.recurrent import _gate_step
 from repro.serving import (
     AttackEpisode,
     OnlineAttacker,
@@ -59,7 +58,7 @@ def sample_detector(tiny_zoo, tiny_cohort):
 
 class PerDirectionStreamReference:
     """Reference twin of :meth:`BiLSTM.step`: one ring and one recurrence per
-    direction, each direction stepped with its own :meth:`LSTMCell.fast_step`."""
+    direction, each direction stepped through the one-cell :func:`_gate_step`."""
 
     def __init__(self, layer, n_streams, capacity):
         self.layer = layer
@@ -94,9 +93,11 @@ class PerDirectionStreamReference:
             hidden = np.zeros((len(full_rows), size))
             cell_state = np.zeros((len(full_rows), size))
             gates = np.empty((len(full_rows), 4 * size))
+            weight_hidden = direction.cell.weight_hidden.data
+            bias = direction.cell.bias.data
             for step_index in time_order:
-                hidden, cell_state = direction.cell.fast_step(
-                    window[:, step_index], hidden, cell_state, gates
+                hidden, cell_state = _gate_step(
+                    window[:, step_index], hidden, cell_state, gates, weight_hidden, bias, size
                 )
             finals.append(hidden)
         outputs[full_mask] = np.concatenate(finals, axis=1)
@@ -104,33 +105,70 @@ class PerDirectionStreamReference:
 
 
 # ---------------------------------------------------------------------- layers
+def gate_step_trace(lstm, sequence, time_order):
+    """Step ``lstm``'s cell over ``sequence`` in ``time_order`` through
+    :func:`_gate_step`, one sample at a time; returns each step's hidden."""
+    size = lstm.hidden_size
+    batch = sequence.shape[0]
+    hidden = np.zeros((batch, size))
+    cell_state = np.zeros((batch, size))
+    gates = np.empty((batch, 4 * size))
+    trace = []
+    for step_index in time_order:
+        projection = sequence[:, step_index] @ lstm.cell.weight_input.data
+        hidden, cell_state = _gate_step(
+            projection,
+            hidden,
+            cell_state,
+            gates,
+            lstm.cell.weight_hidden.data,
+            lstm.cell.bias.data,
+            size,
+        )
+        trace.append(hidden.copy())
+    return trace
+
+
 class TestLayerStreaming:
-    def test_lstm_step_matches_fast_forward_prefix(self, rng):
+    def test_gate_step_matches_lstm_fast_forward_prefix(self, rng):
+        # The per-direction reference above steps through ``_gate_step``;
+        # pin that kernel to the layer's offline forward on every prefix.
         layer = LSTM(4, 6, seed=1)
         sequence = rng.normal(size=(3, 15, 4))
-        state = layer.stream_state(3)
-        for tick in range(15):
-            hidden = layer.step(sequence[:, tick, :], state)
+        trace = gate_step_trace(layer, sequence, range(15))
+        for tick, hidden in enumerate(trace):
             reference = layer.fast_forward(sequence[:, : tick + 1, :])
             np.testing.assert_allclose(hidden, reference, atol=TOLERANCE)
-        assert state.ticks == 15
 
-    def test_lstm_stream_state_reset(self, rng):
-        layer = LSTM(4, 6, seed=1)
-        sequence = rng.normal(size=(2, 5, 4))
-        state = layer.stream_state(2)
+    def test_gate_step_in_reverse_order_matches_reverse_lstm(self, rng):
+        layer = LSTM(4, 6, reverse=True, seed=1)
+        sequence = rng.normal(size=(2, 9, 4))
+        trace = gate_step_trace(layer, sequence, range(8, -1, -1))
+        np.testing.assert_allclose(trace[-1], layer.fast_forward(sequence), atol=TOLERANCE)
+
+    def test_bilstm_reset_slot_warms_up_again(self, rng):
+        layer = BiLSTM(3, 5, seed=8)
+        state = layer.stream_state(2, capacity=3)
+        sequence = rng.normal(size=(2, 8, 3))
         for tick in range(5):
             layer.step(sequence[:, tick, :], state)
-        state.reset()
-        hidden = layer.step(sequence[:, 0, :], state)
-        np.testing.assert_allclose(
-            hidden, layer.fast_forward(sequence[:, :1, :]), atol=TOLERANCE
-        )
+        state.reset_slots(np.array([0]))
+        np.testing.assert_array_equal(state.count, [0, 3])
+        for tick in range(5, 8):
+            output = layer.step(sequence[:, tick, :], state)
+            # The recycled slot is cold until it holds a full window of its
+            # own; the other slot keeps serving its full history.
+            assert np.isnan(output[0]).all() == (tick < 7)
+            reference = layer.fast_forward(sequence[:, tick - 2 : tick + 1, :])
+            np.testing.assert_allclose(output[1], reference[1], atol=TOLERANCE)
+        np.testing.assert_allclose(output[0], reference[0], atol=TOLERANCE)
 
-    def test_reverse_lstm_refuses_streaming(self):
-        layer = LSTM(4, 6, reverse=True, seed=1)
-        with pytest.raises(ValueError, match="reverse"):
-            layer.stream_state(1)
+    def test_bilstm_step_rejects_rows_of_another_length(self, rng):
+        layer = BiLSTM(3, 5, seed=6)
+        state = layer.stream_state(3, capacity=4)
+        with pytest.raises(ValueError, match="same length"):
+            layer.step(rng.normal(size=(2, 3)), state, rows=np.array([0]))
+        np.testing.assert_array_equal(state.count, [0, 0, 0])
 
     def test_bilstm_ring_matches_fast_forward_window(self, rng):
         layer = BiLSTM(4, 6, seed=2)
@@ -217,6 +255,17 @@ class TestLayerStreaming:
         assert len(set(state.cursor.tolist())) > 1, "slots should sit at different cursors"
         assert warm_outputs > 30
 
+    @pytest.mark.parametrize("rows", [[0, 0], [-1], [3]])
+    def test_bilstm_step_rejects_repeated_and_out_of_range_rows(self, rows, rng):
+        # A repeated slot would advance once and drop a sample, and a
+        # negative slot would wrap around to the last one.
+        layer = BiLSTM(3, 5, seed=6)
+        state = layer.stream_state(3, capacity=4)
+        with pytest.raises(ValueError, match="rows"):
+            layer.step(rng.normal(size=(len(rows), 3)), state, rows=np.array(rows))
+        np.testing.assert_array_equal(state.count, [0, 0, 0])
+        np.testing.assert_array_equal(state.cursor, [0, 0, 0])
+
     def test_sequence_bilstm_refuses_streaming(self):
         layer = BiLSTM(3, 5, return_sequences=True, seed=5)
         with pytest.raises(ValueError, match="return_sequences"):
@@ -224,14 +273,21 @@ class TestLayerStreaming:
 
 
 # ------------------------------------------------------------------- predictor
+def stream_trace(predictor, features):
+    """Stream a ``(T, n_features)`` trace through one slot, one tick at a time;
+    entry ``t`` is the prediction for the window ending at sample ``t``."""
+    state = predictor.stream_state(1)
+    return np.array([predictor.step_stream(sample[np.newaxis], state)[0] for sample in features])
+
+
 class TestPredictorStreaming:
-    def test_predict_stream_matches_offline_paths(self, tiny_zoo, tiny_cohort):
+    def test_step_stream_trace_matches_offline_paths(self, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
         predictor = tiny_zoo.model_for(record.label)
         features = record.features("test")[:80]
         windows, _, _ = tiny_zoo.dataset.windows_from_features(features)
 
-        streamed = predictor.predict_stream(features)
+        streamed = stream_trace(predictor, features)
         history = predictor.history
         assert np.isnan(streamed[: history - 1]).all()
         aligned = streamed[history - 1 : history - 1 + len(windows)]
@@ -241,19 +297,19 @@ class TestPredictorStreaming:
         )
 
     @pytest.mark.parametrize("stride", [1, 4, 9])
-    def test_predict_stream_parity_across_strides(self, stride, tiny_zoo, tiny_cohort):
+    def test_step_stream_parity_across_strides(self, stride, tiny_zoo, tiny_cohort):
         record = next(iter(tiny_cohort))
         predictor = tiny_zoo.model_for(record.label)
         features = record.features("test")[:70]
         windows, _, _ = tiny_zoo.dataset.windows_from_features(features)
         strided = windows[::stride]
-        streamed = predictor.predict_stream(features)
+        streamed = stream_trace(predictor, features)
         history = predictor.history
         aligned = streamed[history - 1 : history - 1 + len(windows)][::stride]
         np.testing.assert_allclose(aligned, predictor.predict(strided), atol=TOLERANCE)
 
     @pytest.mark.parametrize("offset", [0, 3, 11])
-    def test_predict_stream_parity_across_warmup_offsets(
+    def test_step_stream_parity_across_warmup_offsets(
         self, offset, tiny_zoo, tiny_cohort
     ):
         # Starting the stream mid-trace must not change which window each
@@ -262,7 +318,7 @@ class TestPredictorStreaming:
         predictor = tiny_zoo.model_for(record.label)
         features = record.features("test")[offset : offset + 50]
         windows, _, _ = tiny_zoo.dataset.windows_from_features(features)
-        streamed = predictor.predict_stream(features)
+        streamed = stream_trace(predictor, features)
         history = predictor.history
         aligned = streamed[history - 1 : history - 1 + len(windows)]
         np.testing.assert_allclose(aligned, predictor.predict(windows), atol=TOLERANCE)
@@ -291,6 +347,18 @@ class TestPredictorStreaming:
         state = predictor.stream_state(1)
         with pytest.raises(ValueError, match="shape"):
             predictor.step_stream(np.zeros((1, 2)), state)
+
+    @pytest.mark.parametrize("rows", [[0, 0], [-1], [2]])
+    def test_step_stream_rejects_repeated_and_out_of_range_rows(
+        self, rows, tiny_zoo, tiny_cohort
+    ):
+        record = next(iter(tiny_cohort))
+        predictor = tiny_zoo.model_for(record.label)
+        state = predictor.stream_state(2)
+        samples = np.tile(record.features("test")[:1], (len(rows), 1))
+        with pytest.raises(ValueError, match="rows"):
+            predictor.step_stream(samples, state, rows=np.array(rows))
+        np.testing.assert_array_equal(state.count, [0, 0])
 
     def test_state_hash_distinguishes_weights_and_scaler(self, tiny_zoo, tiny_cohort):
         labels = [record.label for record in tiny_cohort]

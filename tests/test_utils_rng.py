@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RandomState, as_random_state, hash_string, spawn_rngs
+from repro.utils.rng import RandomState, as_random_state, hash_string
 
 
 class TestRandomState:
@@ -53,6 +53,11 @@ class TestRandomState:
         first = children[0].normal(size=5)
         second = children[1].normal(size=5)
         assert not np.allclose(first, second)
+
+    def test_spawn_is_reproducible_per_seed(self):
+        first = [child.normal(size=3) for child in RandomState(9).spawn(3)]
+        second = [child.normal(size=3) for child in RandomState(9).spawn(3)]
+        np.testing.assert_array_equal(first, second)
 
     def test_derive_is_deterministic_per_tag(self):
         first = RandomState(11).derive("model").normal(size=4)
@@ -179,13 +184,3 @@ class TestHelpers:
 
     def test_as_random_state_from_int(self):
         assert isinstance(as_random_state(4), RandomState)
-
-    def test_spawn_rngs_returns_named_streams(self):
-        streams = spawn_rngs(3, ["a", "b"])
-        assert set(streams) == {"a", "b"}
-        assert not np.allclose(streams["a"].normal(size=3), streams["b"].normal(size=3))
-
-    def test_spawn_rngs_reproducible(self):
-        first = spawn_rngs(3, ["a"])["a"].normal(size=3)
-        second = spawn_rngs(3, ["a"])["a"].normal(size=3)
-        np.testing.assert_allclose(first, second)

@@ -11,8 +11,6 @@ from repro.utils.timeseries import (
     exponential_moving_average,
     resample_series,
     sliding_windows,
-    supervised_windows,
-    train_test_split_sequential,
 )
 
 
@@ -87,42 +85,7 @@ class TestSlidingWindows:
             sliding_windows(np.arange(5), window=2, step=0)
 
 
-class TestSupervisedWindows:
-    def test_target_is_horizon_ahead(self):
-        inputs, targets = supervised_windows(np.arange(20, dtype=float), history=4, horizon=3)
-        np.testing.assert_array_equal(inputs[0], [0, 1, 2, 3])
-        assert targets[0] == 6.0
-
-    def test_multivariate_target_column(self):
-        series = np.column_stack([np.arange(20), np.arange(20) * 10])
-        inputs, targets = supervised_windows(series, history=4, horizon=1, target_column=1)
-        assert targets[0] == 40.0
-        assert inputs.shape == (16, 4, 2)
-
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            supervised_windows(np.arange(10), history=3, horizon=0)
-
-    def test_too_short_series_gives_empty(self):
-        inputs, targets = supervised_windows(np.arange(3), history=4, horizon=1)
-        assert len(inputs) == 0
-        assert len(targets) == 0
-
-
 class TestSplitAndSmoothing:
-    def test_sequential_split_sizes(self):
-        train, test = train_test_split_sequential(np.arange(10), test_fraction=0.3)
-        assert len(train) == 7
-        assert len(test) == 3
-
-    def test_split_preserves_order(self):
-        train, test = train_test_split_sequential(np.arange(10), test_fraction=0.2)
-        assert train[-1] < test[0]
-
-    def test_split_fraction_validated(self):
-        with pytest.raises(ValueError):
-            train_test_split_sequential(np.arange(10), test_fraction=1.5)
-
     def test_ema_smooths_towards_signal(self):
         series = np.array([0.0, 10.0, 10.0, 10.0])
         smoothed = exponential_moving_average(series, alpha=0.5)
@@ -153,6 +116,15 @@ class TestSplitAndSmoothing:
     def test_autocorrelation_constant_series(self):
         result = autocorrelation(np.ones(10), max_lag=3)
         np.testing.assert_array_equal(result[1:], 0.0)
+
+    def test_autocorrelation_alternating_series_flips_sign(self):
+        result = autocorrelation(np.tile([1.0, -1.0], 10), max_lag=2)
+        assert result[1] == pytest.approx(-19 / 20)
+        assert result[2] == pytest.approx(18 / 20)
+
+    def test_autocorrelation_negative_lag_rejected(self):
+        with pytest.raises(ValueError, match="max_lag"):
+            autocorrelation(np.arange(5.0), max_lag=-1)
 
 
 class TestSampleRing:

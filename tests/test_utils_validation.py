@@ -6,9 +6,7 @@ import pytest
 from repro.utils.validation import (
     check_array,
     check_consistent_length,
-    check_finite,
     check_fitted,
-    check_in_range,
     check_positive,
     check_probability,
     ensure_2d,
@@ -37,19 +35,6 @@ class TestCheckArray:
         assert check_array([]).size == 0
 
 
-class TestCheckFinite:
-    def test_accepts_finite(self):
-        check_finite([1.0, 2.0])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            check_finite([1.0, np.nan])
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            check_finite([np.inf])
-
-
 class TestScalarChecks:
     def test_check_positive_accepts(self):
         assert check_positive(2.0) == 2.0
@@ -66,13 +51,6 @@ class TestScalarChecks:
         assert check_probability(1.0) == 1.0
         with pytest.raises(ValueError):
             check_probability(1.5)
-
-    def test_check_in_range_inclusive(self):
-        assert check_in_range(5.0, 0.0, 5.0) == 5.0
-
-    def test_check_in_range_exclusive(self):
-        with pytest.raises(ValueError):
-            check_in_range(5.0, 0.0, 5.0, inclusive=False)
 
 
 class TestEnsure2d:
