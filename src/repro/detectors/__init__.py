@@ -1,7 +1,7 @@
 """Static anomaly detectors (kNN, OneClassSVM, MAD-GAN, LSTM-VAE, HMM,
 ensemble) and the per-tick streaming adapter used by :mod:`repro.serving`."""
 
-from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin, ThresholdCalibrator
+from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
 from repro.detectors.knn import KNNClassifierDetector, KNNDistanceDetector, minkowski_distances
 from repro.detectors.ocsvm import OneClassSVMDetector, kernel_matrix
 from repro.detectors.madgan import (
@@ -18,7 +18,6 @@ from repro.detectors.streaming import InvalidPartsError, StreamingDetector, Stre
 
 __all__ = [
     "AnomalyDetector",
-    "ScaledDetectorMixin",
     "ThresholdCalibrator",
     "KNNClassifierDetector",
     "KNNDistanceDetector",

@@ -24,10 +24,20 @@ from repro.utils.validation import check_array, check_fitted, check_probability
 
 
 class AnomalyDetector:
-    """Base class for anomaly detectors operating on feature windows."""
+    """Base class for anomaly detectors operating on feature windows.
+
+    It also holds the training-set prologue every static detector shares:
+    keep the benign rows (:meth:`_benign`), fit a feature scaler on them
+    (:meth:`_fit_scaler` on flat vectors, :meth:`_scale` on windows), and
+    cap the set at ``max_samples`` rows (:meth:`_subsample`).  Window
+    detectors set ``sequence_length`` / ``n_features``; subsampling ones
+    set ``max_samples`` and a ``_rng``.
+    """
 
     #: Human-readable detector name used in experiment reports.
     name: str = "detector"
+    #: Feature scaler, fitted on the benign training set; None until fit.
+    _scaler: Optional[StandardScaler] = None
 
     def fit(self, windows: np.ndarray, labels: Optional[np.ndarray] = None) -> "AnomalyDetector":
         raise NotImplementedError
@@ -45,6 +55,51 @@ class AnomalyDetector:
     def _flatten(windows: np.ndarray) -> np.ndarray:
         windows = check_array(windows, "windows", ndim=3, min_samples=1)
         return flatten_windows(windows)
+
+    # ------------------------------------------------------- training prologue
+    @staticmethod
+    def _benign(samples, labels: Optional[np.ndarray]):
+        """The rows of ``samples`` labelled 0 (all of them when ``labels`` is None)."""
+        if labels is None:
+            return samples
+        labels = check_array(labels, "labels", ndim=1)
+        samples = np.asarray(samples)[labels == 0]
+        if len(samples) == 0:
+            raise ValueError("no benign samples (label 0) to fit on")
+        return samples
+
+    def _subsample(self, samples: np.ndarray) -> np.ndarray:
+        """At most ``max_samples`` rows of ``samples``, drawn without replacement."""
+        if len(samples) > self.max_samples:
+            index = self._rng.choice(len(samples), size=self.max_samples, replace=False)
+            samples = samples[index]
+        return samples
+
+    def _fit_scaler(self, flat: np.ndarray) -> np.ndarray:
+        self._scaler = StandardScaler().fit(flat)
+        return self._scaler.transform(flat)
+
+    def _apply_scaler(self, flat: np.ndarray) -> np.ndarray:
+        if self._scaler is None:
+            raise RuntimeError(f"{type(self).__name__} is not fitted")
+        return self._scaler.transform(flat)
+
+    def _scale(self, windows: np.ndarray, fit: bool = False) -> np.ndarray:
+        """Standardize ``(n, sequence_length, n_features)`` windows frame by frame."""
+        windows = check_array(windows, "windows", ndim=3, min_samples=1)
+        if windows.shape[1] != self.sequence_length or windows.shape[2] != self.n_features:
+            raise ValueError(
+                f"windows must have shape (n, {self.sequence_length}, {self.n_features}), "
+                f"got {windows.shape}"
+            )
+        flat = windows.reshape(-1, self.n_features)
+        scaled = self._fit_scaler(flat) if fit else self._apply_scaler(flat)
+        return scaled.reshape(windows.shape)
+
+    def _training_windows(self, windows, labels: Optional[np.ndarray]) -> np.ndarray:
+        """The scaled benign training windows, capped at ``max_samples``; fits the scaler."""
+        windows = self._benign(windows, labels)
+        return self._subsample(self._scale(np.asarray(windows, dtype=np.float64), fit=True))
 
 
 @dataclass
@@ -69,16 +124,3 @@ class ThresholdCalibrator:
         check_fitted(self, ("threshold_",))
         scores = check_array(scores, "scores", ndim=1)
         return (scores > self.threshold_).astype(int)
-
-
-class ScaledDetectorMixin:
-    """Mixin providing feature scaling of flattened windows."""
-
-    def _fit_scaler(self, flat: np.ndarray) -> np.ndarray:
-        self._scaler = StandardScaler().fit(flat)
-        return self._scaler.transform(flat)
-
-    def _apply_scaler(self, flat: np.ndarray) -> np.ndarray:
-        if getattr(self, "_scaler", None) is None:
-            raise RuntimeError(f"{type(self).__name__} is not fitted")
-        return self._scaler.transform(flat)

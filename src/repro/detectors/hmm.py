@@ -27,8 +27,7 @@ import numpy as np
 from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
 from repro.nn.fused import LOG_2PI
 from repro.utils.rng import as_random_state
-from repro.utils.timeseries import StandardScaler
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_fitted
 
 #: Emission-probability floor shared by every forward pass.  An extreme
 #: anomaly can drive all state densities to exactly 0.0, which would poison
@@ -98,27 +97,11 @@ class GaussianHMMDetector(AnomalyDetector):
         self.max_samples = int(max_samples)
         self._rng = as_random_state(seed)
         self.calibrator = ThresholdCalibrator(quantile=quantile)
-        self._scaler: Optional[StandardScaler] = None
         self.startprob_: Optional[np.ndarray] = None
         self.transmat_: Optional[np.ndarray] = None
         self.means_: Optional[np.ndarray] = None
         self.vars_: Optional[np.ndarray] = None
         self.loglik_history_: Optional[List[float]] = None
-
-    # ------------------------------------------------------------------ scaling
-    def _scale(self, windows: np.ndarray, fit: bool = False) -> np.ndarray:
-        windows = check_array(windows, "windows", ndim=3, min_samples=1)
-        if windows.shape[1] != self.sequence_length or windows.shape[2] != self.n_features:
-            raise ValueError(
-                f"windows must have shape (n, {self.sequence_length}, {self.n_features}), "
-                f"got {windows.shape}"
-            )
-        flat = windows.reshape(-1, self.n_features)
-        if fit:
-            self._scaler = StandardScaler().fit(flat)
-        if self._scaler is None:
-            raise RuntimeError("GaussianHMMDetector is not fitted")
-        return self._scaler.transform(flat).reshape(windows.shape)
 
     # ---------------------------------------------------------------- emissions
     def _emission_probs(self, frames: np.ndarray) -> np.ndarray:
@@ -160,15 +143,7 @@ class GaussianHMMDetector(AnomalyDetector):
         (``train.steps_total`` / ``train.step_batch`` per iteration); None
         records nothing and changes no arithmetic.
         """
-        if labels is not None:
-            labels = check_array(labels, "labels", ndim=1)
-            windows = np.asarray(windows)[labels == 0]
-            if len(windows) == 0:
-                raise ValueError("no benign samples (label 0) to fit on")
-        scaled = self._scale(np.asarray(windows, dtype=np.float64), fit=True)
-        if len(scaled) > self.max_samples:
-            index = self._rng.choice(len(scaled), size=self.max_samples, replace=False)
-            scaled = scaled[index]
+        scaled = self._training_windows(windows, labels)
         count, timesteps, n_features = scaled.shape
         n_states = self.n_states
 

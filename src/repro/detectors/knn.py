@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin, ThresholdCalibrator
+from repro.detectors.base import AnomalyDetector, ThresholdCalibrator
 from repro.nn.functional import rowwise_matmul
 from repro.utils.validation import check_array, check_consistent_length, check_fitted
 
@@ -59,7 +59,7 @@ def _distances_from_powers(powers: np.ndarray, p: float) -> np.ndarray:
     return np.power(powers, 1.0 / p)
 
 
-class KNNClassifierDetector(AnomalyDetector, ScaledDetectorMixin):
+class KNNClassifierDetector(AnomalyDetector):
     """Supervised kNN malicious-sample classifier (the paper's configuration).
 
     Parameters mirror scikit-learn's ``KNeighborsClassifier`` defaults used in
@@ -131,7 +131,7 @@ class KNNClassifierDetector(AnomalyDetector, ScaledDetectorMixin):
         return (self.scores(windows) >= 0.5).astype(int)
 
 
-class KNNDistanceDetector(AnomalyDetector, ScaledDetectorMixin):
+class KNNDistanceDetector(AnomalyDetector):
     """Unsupervised kNN detector: mean distance to the k nearest benign points.
 
     Fit only on benign windows; the decision threshold is calibrated as a
@@ -150,12 +150,7 @@ class KNNDistanceDetector(AnomalyDetector, ScaledDetectorMixin):
         self._train_features: Optional[np.ndarray] = None
 
     def fit(self, windows: np.ndarray, labels: Optional[np.ndarray] = None) -> "KNNDistanceDetector":
-        flat = self._flatten(windows)
-        if labels is not None:
-            labels = check_array(labels, "labels", ndim=1)
-            flat = flat[labels == 0]
-            if len(flat) == 0:
-                raise ValueError("no benign samples (label 0) to fit on")
+        flat = self._benign(self._flatten(windows), labels)
         self._train_features = self._fit_scaler(flat)
         self.calibrator.fit(self._training_scores())
         return self

@@ -34,8 +34,7 @@ from repro.nn.functional import pad_rows
 from repro.nn.fused import LOG_2PI, fused_vae_loss_head
 from repro.nn.tensor import as_tensor, stack
 from repro.utils.rng import as_random_state
-from repro.utils.timeseries import StandardScaler
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_fitted
 
 
 class _VAECore(Module):
@@ -240,23 +239,7 @@ class LSTMVAEDetector(AnomalyDetector):
             self.sequence_length, self.n_features, self.latent_dim, self.hidden_size, seed=core_seed
         )
         self.calibrator = ThresholdCalibrator(quantile=quantile)
-        self._scaler: Optional[StandardScaler] = None
         self.history_: Optional[List[float]] = None
-
-    # ------------------------------------------------------------------ scaling
-    def _scale(self, windows: np.ndarray, fit: bool = False) -> np.ndarray:
-        windows = check_array(windows, "windows", ndim=3, min_samples=1)
-        if windows.shape[1] != self.sequence_length or windows.shape[2] != self.n_features:
-            raise ValueError(
-                f"windows must have shape (n, {self.sequence_length}, {self.n_features}), "
-                f"got {windows.shape}"
-            )
-        flat = windows.reshape(-1, self.n_features)
-        if fit:
-            self._scaler = StandardScaler().fit(flat)
-        if self._scaler is None:
-            raise RuntimeError("LSTMVAEDetector is not fitted")
-        return self._scaler.transform(flat).reshape(windows.shape)
 
     # ----------------------------------------------------------------- training
     def fit(self, windows: np.ndarray, labels: Optional[np.ndarray] = None, obs=None) -> "LSTMVAEDetector":
@@ -294,15 +277,7 @@ class LSTMVAEDetector(AnomalyDetector):
 
     def _fit(self, windows, labels, make_step) -> "LSTMVAEDetector":
         """Shared training loop; ``make_step(optimizer)`` returns the step."""
-        if labels is not None:
-            labels = check_array(labels, "labels", ndim=1)
-            windows = np.asarray(windows)[labels == 0]
-            if len(windows) == 0:
-                raise ValueError("no benign samples (label 0) to fit on")
-        scaled = self._scale(np.asarray(windows, dtype=np.float64), fit=True)
-        if len(scaled) > self.max_samples:
-            index = self._rng.choice(len(scaled), size=self.max_samples, replace=False)
-            scaled = scaled[index]
+        scaled = self._training_windows(windows, labels)
 
         optimizer = Adam(self._core.parameters(), learning_rate=self.learning_rate)
         step = make_step(optimizer)

@@ -38,8 +38,7 @@ from repro.nn import (
     fused_mse_grad,
     sigmoid,
 )
-from repro.utils.timeseries import StandardScaler
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_fitted
 
 
 class SequenceGenerator(Module):
@@ -294,7 +293,6 @@ class MADGANDetector(AnomalyDetector):
         )
         self.calibrator = ThresholdCalibrator(quantile=quantile)
         self.history_: Optional[MADGANTrainingHistory] = None
-        self._scaler: Optional[StandardScaler] = None
         self._benign_reconstruction_scale: Optional[float] = None
         #: How many inversion batches this detector has run (cold or warm).
         #: A batch is one set of windows sharing a loss scale and Adam
@@ -302,21 +300,6 @@ class MADGANDetector(AnomalyDetector):
         #: Regression tests and the benchmark fingerprints compare it
         #: across paths.
         self.inversion_calls = 0
-
-    # ------------------------------------------------------------------ scaling
-    def _scale(self, windows: np.ndarray, fit: bool = False) -> np.ndarray:
-        windows = check_array(windows, "windows", ndim=3, min_samples=1)
-        if windows.shape[1] != self.sequence_length or windows.shape[2] != self.n_features:
-            raise ValueError(
-                f"windows must have shape (n, {self.sequence_length}, {self.n_features}), "
-                f"got {windows.shape}"
-            )
-        flat = windows.reshape(-1, self.n_features)
-        if fit:
-            self._scaler = StandardScaler().fit(flat)
-        if self._scaler is None:
-            raise RuntimeError("MADGANDetector is not fitted")
-        return self._scaler.transform(flat).reshape(windows.shape)
 
     def _sample_latent(self, batch_size: int) -> np.ndarray:
         return self._rng.normal(
@@ -355,15 +338,7 @@ class MADGANDetector(AnomalyDetector):
         self, windows, labels, gan_step, reconstruction_errors, discrimination_scores
     ) -> "MADGANDetector":
         """Shared training loop and calibration over the given engine."""
-        if labels is not None:
-            labels = check_array(labels, "labels", ndim=1)
-            windows = np.asarray(windows)[labels == 0]
-            if len(windows) == 0:
-                raise ValueError("no benign samples (label 0) to fit on")
-        scaled = self._scale(np.asarray(windows, dtype=np.float64), fit=True)
-        if len(scaled) > self.max_samples:
-            index = self._rng.choice(len(scaled), size=self.max_samples, replace=False)
-            scaled = scaled[index]
+        scaled = self._training_windows(windows, labels)
 
         generator_optimizer = Adam(self.generator.parameters(), learning_rate=self.learning_rate)
         discriminator_optimizer = Adam(

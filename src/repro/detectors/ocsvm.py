@@ -19,10 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.detectors.base import AnomalyDetector, ScaledDetectorMixin
+from repro.detectors.base import AnomalyDetector
 from repro.nn.functional import rowwise_matmul
 from repro.utils.rng import as_random_state
-from repro.utils.validation import check_array, check_fitted
+from repro.utils.validation import check_fitted
 
 
 def _resolve_gamma(gamma, n_features: int, data: np.ndarray) -> float:
@@ -67,7 +67,7 @@ def kernel_matrix(
     raise ValueError(f"unknown kernel {kernel!r}; choose linear, rbf, sigmoid, or poly")
 
 
-class OneClassSVMDetector(AnomalyDetector, ScaledDetectorMixin):
+class OneClassSVMDetector(AnomalyDetector):
     """ν-one-class SVM anomaly detector.
 
     Parameters
@@ -118,16 +118,8 @@ class OneClassSVMDetector(AnomalyDetector, ScaledDetectorMixin):
 
     # ------------------------------------------------------------------ fitting
     def fit(self, windows: np.ndarray, labels: Optional[np.ndarray] = None) -> "OneClassSVMDetector":
-        flat = self._flatten(windows)
-        if labels is not None:
-            labels = check_array(labels, "labels", ndim=1)
-            flat = flat[labels == 0]
-            if len(flat) == 0:
-                raise ValueError("no benign samples (label 0) to fit on")
-        scaled = self._fit_scaler(flat)
-        if len(scaled) > self.max_samples:
-            index = self._rng.choice(len(scaled), size=self.max_samples, replace=False)
-            scaled = scaled[index]
+        flat = self._benign(self._flatten(windows), labels)
+        scaled = self._subsample(self._fit_scaler(flat))
 
         n_samples, n_features = scaled.shape
         self.gamma_ = _resolve_gamma(self.gamma, n_features, scaled)

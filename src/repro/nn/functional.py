@@ -19,9 +19,12 @@ def binary_cross_entropy_with_logits(logits, targets) -> Tensor:
     """Numerically stable binary cross-entropy on raw logits."""
     logits = as_tensor(logits)
     targets = as_tensor(targets)
-    # log(1 + exp(-|x|)) + max(x, 0) - x * target
-    softplus = (1.0 + (-logits.abs()).exp()).log()
-    return (logits.relu() - logits * targets + softplus).mean()
+    # log(1 + exp(-|x|)) + max(x, 0) - x * target.  At x = 0 the derivatives
+    # of max(x, 0) and |x| are taken as 1 and +1, so the gradient there is
+    # sigmoid(0) - target like everywhere else.
+    nonnegative = logits.data >= 0
+    softplus = (1.0 + (-(logits * np.where(nonnegative, 1.0, -1.0))).exp()).log()
+    return (logits * nonnegative - logits * targets + softplus).mean()
 
 
 #: Row granularity of :func:`pad_rows` and :func:`rowwise_matmul`.

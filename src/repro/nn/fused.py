@@ -147,13 +147,14 @@ def fused_bce_with_logits_loss(
     targets = np.asarray(targets, dtype=np.float64)
     exp_neg_abs = np.exp(-np.abs(logits))
     softplus = np.log(1.0 + exp_neg_abs)
-    positive_part = logits * (logits > 0)  # mirrors Tensor.relu
+    # d max(x, 0) / dx and d |x| / dx taken as 1 and +1 at x = 0, as in the graph.
+    nonnegative = logits >= 0
     scale = 1.0 / logits.size
-    loss = float((positive_part - logits * targets + softplus).sum() * scale)
+    loss = float((logits * nonnegative - logits * targets + softplus).sum() * scale)
     grad = (
-        (logits > 0).astype(np.float64)
+        nonnegative.astype(np.float64)
         - targets
-        - np.sign(logits) * (exp_neg_abs / (1.0 + exp_neg_abs))
+        - np.where(nonnegative, 1.0, -1.0) * (exp_neg_abs / (1.0 + exp_neg_abs))
     ) * scale
     return loss, grad
 

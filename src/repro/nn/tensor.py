@@ -12,7 +12,7 @@ concatenation, stacking, slicing, and reshaping.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -354,15 +354,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * np.where(mask, 1.0, negative_slope))
-
-        return self._make_child(out_data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
 
         return self._make_child(out_data, (self,), backward)
 

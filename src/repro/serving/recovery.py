@@ -131,8 +131,7 @@ class SchedulerSnapshot:
         Schema version (:data:`SNAPSHOT_VERSION`); restore rejects others.
     config:
         The ``StreamScheduler`` constructor kwargs (health and ingress
-        configs, checkpoint validation) — frozen dataclasses, included by
-        value.
+        configs) — frozen dataclasses, included by value.
     models:
         Content-addressed weights: ``lane_key (state_hash) -> pickled
         predictor``, one payload per lane regardless of session count.
@@ -216,11 +215,7 @@ def capture_scheduler(
         snapshot_meta.update(meta)
     return SchedulerSnapshot(
         version=SNAPSHOT_VERSION,
-        config=dict(
-            health=scheduler.health,
-            ingress=scheduler.ingress,
-            validate_checkpoints=scheduler.validate_checkpoints,
-        ),
+        config=dict(health=scheduler.health, ingress=scheduler.ingress),
         models=models,
         state=state,
         obs_series=(
@@ -251,15 +246,13 @@ def restore_scheduler(
             f"snapshot version {snapshot.version} is not supported "
             f"(expected one of {READABLE_VERSIONS})"
         )
-    # Read only the options the scheduler takes: earlier v2 snapshots also
-    # record two engine switches that have since been retired (both engines
-    # gave identical results), and those keys are ignored.
+    # Read only the options the scheduler takes: earlier snapshots also
+    # record a validate_checkpoints flag and v2 ones two engine switches,
+    # all since retired, and those keys are ignored.  Every model payload
+    # is validated below whatever the flag said.
     config = snapshot.config
     scheduler = StreamScheduler(
-        health=config.get("health"),
-        ingress=config.get("ingress"),
-        validate_checkpoints=config.get("validate_checkpoints", False),
-        obs=obs,
+        health=config.get("health"), ingress=config.get("ingress"), obs=obs
     )
     registry: Dict[Any, object] = {"scheduler": scheduler, "obs": obs}
     for lane_key, payload in snapshot.models.items():

@@ -364,10 +364,6 @@ class StreamScheduler:
         Optional :class:`~repro.serving.health.IngressConfig` validating
         every delivered sample before any model or detector sees it.  None
         admits samples unchecked (the previous behavior).
-    validate_checkpoints:
-        When True, :meth:`open_session` refuses predictors whose weights or
-        scaler statistics contain non-finite values
-        (:func:`~repro.serving.health.validate_checkpoint`).
     obs:
         Optional :class:`~repro.obs.Observer`.  When set, every tick emits
         deterministic metrics (lane/detector/ingress/health series — see
@@ -383,12 +379,10 @@ class StreamScheduler:
         self,
         health: Optional[HealthConfig] = None,
         ingress: Optional[IngressConfig] = None,
-        validate_checkpoints: bool = False,
         obs=None,
     ):
         self.health = health
         self.ingress = ingress
-        self.validate_checkpoints = bool(validate_checkpoints)
         self.obs = obs
         self._lanes: Dict[str, _Lane] = {}
         self._sessions: Dict[str, PatientSession] = {}
@@ -414,8 +408,7 @@ class StreamScheduler:
         ``expected_state_hash`` pins the model this session must be served
         by: the predictor is validated (hash match + non-finite weight scan)
         and rejected with :class:`~repro.serving.health.CheckpointError` on
-        mismatch — as is any corrupted checkpoint when the scheduler runs
-        with ``validate_checkpoints=True``.
+        mismatch.
         """
         session_id = str(session_id if session_id is not None else patient_label)
         if session_id in self._sessions:
@@ -426,7 +419,7 @@ class StreamScheduler:
                     f"window detector {name!r} has history {adapter.history}, but the "
                     f"predictor serving session {session_id!r} has {predictor.history}"
                 )
-        if self.validate_checkpoints or expected_state_hash is not None:
+        if expected_state_hash is not None:
             # validate_checkpoint returns the hash it verified, so the lane
             # key costs no second digest.
             lane_key = validate_checkpoint(predictor, expected_state_hash)

@@ -511,14 +511,10 @@ class ShardedScheduler:
     n_shards:
         Worker-process count.  ``1`` is a valid degenerate fabric (one
         worker, useful as the cheapest cross-process parity probe).
-    health, ingress, validate_checkpoints:
+    health, ingress:
         Forwarded verbatim to every worker's private
         :class:`StreamScheduler`; see that class for semantics.  The
         configs must be picklable (the shipped dataclasses are).
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` (cheap)
-        and falls back to ``spawn``.  Payloads cross the pipe pickled under
-        every method, so the serialization contract is always exercised.
     obs:
         Optional :class:`~repro.obs.Observer`.  When set, every worker owns
         its own Observer; tick replies ship each worker's cumulative series
@@ -553,28 +549,22 @@ class ShardedScheduler:
         n_shards: int = 2,
         health: Optional[HealthConfig] = None,
         ingress: Optional[IngressConfig] = None,
-        validate_checkpoints: bool = False,
-        start_method: Optional[str] = None,
         obs: Optional[Observer] = None,
         supervision: Optional[SupervisorConfig] = None,
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
         self.n_shards = int(n_shards)
         self.health = health
-        self.start_method = start_method
         self.obs = obs
         self.supervision = supervision
         self._obs_absorbed = False
-        self._scheduler_kwargs = dict(
-            health=health,
-            ingress=ingress,
-            validate_checkpoints=validate_checkpoints,
-        )
-        self._context = multiprocessing.get_context(start_method)
+        self._scheduler_kwargs = dict(health=health, ingress=ingress)
+        # Fork is cheap; spawn where fork is missing.  Payloads cross the
+        # pipe pickled under either, so the serialization contract is
+        # always exercised.
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         self._shards: List[_Shard] = []
         for index in range(self.n_shards):
             process, parent_conn = self._spawn_worker(index)

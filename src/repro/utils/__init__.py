@@ -11,7 +11,6 @@ from repro.utils.timeseries import (
     StandardScaler,
     MinMaxScaler,
     SampleRing,
-    sliding_windows,
     exponential_moving_average,
     resample_series,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "StandardScaler",
     "MinMaxScaler",
     "SampleRing",
-    "sliding_windows",
     "exponential_moving_average",
     "resample_series",
 ]

@@ -149,35 +149,6 @@ class SampleRing:
         self._count = 0
 
 
-def sliding_windows(series, window: int, step: int = 1) -> np.ndarray:
-    """Extract overlapping windows from a (possibly multivariate) series.
-
-    Parameters
-    ----------
-    series:
-        Array of shape ``(T,)`` or ``(T, F)``.
-    window:
-        Window length.
-    step:
-        Stride between consecutive window starts.
-
-    Returns
-    -------
-    Array of shape ``(n_windows, window)`` or ``(n_windows, window, F)``.
-    """
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    array = np.asarray(series, dtype=np.float64)
-    length = array.shape[0]
-    if length < window:
-        empty_shape = (0, window) if array.ndim == 1 else (0, window) + array.shape[1:]
-        return np.empty(empty_shape, dtype=np.float64)
-    starts = range(0, length - window + 1, step)
-    return np.stack([array[start : start + window] for start in starts])
-
-
 def exponential_moving_average(series, alpha: float = 0.3) -> np.ndarray:
     """Smooth a 1-D series with an exponential moving average."""
     if not 0.0 < alpha <= 1.0:

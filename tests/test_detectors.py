@@ -1,4 +1,5 @@
-"""Tests for the anomaly detectors (kNN, OneClassSVM, MAD-GAN, ensemble)."""
+"""Tests for the anomaly detectors (kNN, OneClassSVM, MAD-GAN, ensemble) and
+the training-set prologue every static detector shares."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_toy_windows
 from repro.detectors import (
+    GaussianHMMDetector,
     KNNClassifierDetector,
     KNNDistanceDetector,
+    LSTMVAEDetector,
     MADGANDetector,
     OneClassSVMDetector,
     ThresholdCalibrator,
@@ -15,6 +18,7 @@ from repro.detectors import (
     kernel_matrix,
     minkowski_distances,
 )
+from repro.utils.timeseries import StandardScaler
 
 
 class TestThresholdCalibrator:
@@ -778,3 +782,86 @@ class TestEnsemble:
     def test_min_votes_validated(self):
         with pytest.raises(ValueError):
             VotingEnsembleDetector([KNNDistanceDetector()], min_votes=5)
+
+
+#: Toy-sized builders for every static detector sharing the training-set
+#: prologue in :class:`~repro.detectors.base.AnomalyDetector`.
+PROLOGUE_DETECTORS = {
+    "kNN": lambda: KNNDistanceDetector(n_neighbors=3),
+    "OneClassSVM": lambda max_samples=1500: OneClassSVMDetector(
+        kernel="rbf", gamma="scale", nu=0.2, max_iter=200, max_samples=max_samples, seed=4
+    ),
+    "MAD-GAN": lambda max_samples=3000: MADGANDetector(
+        latent_dim=2, hidden_size=4, epochs=1, batch_size=16, inversion_steps=3,
+        max_samples=max_samples, seed=4,
+    ),
+    "LSTM-VAE": lambda max_samples=3000: LSTMVAEDetector(
+        latent_dim=2, hidden_size=4, epochs=1, batch_size=16, max_samples=max_samples, seed=4
+    ),
+    "HMM": lambda max_samples=3000: GaussianHMMDetector(
+        n_states=2, n_iter=2, max_samples=max_samples, seed=4
+    ),
+}
+WINDOW_DETECTORS = ("MAD-GAN", "LSTM-VAE", "HMM")
+
+
+class TestTrainingSetPrologue:
+    """Every static detector starts ``fit`` the same way: keep the label-0
+    rows, fit the scaler, cap the set at ``max_samples``."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        windows, labels = make_toy_windows(n_benign=40, n_malicious=12, seed=21)
+        order = np.random.default_rng(5).permutation(len(windows))
+        queries, _ = make_toy_windows(n_benign=6, n_malicious=4, seed=22)
+        return windows[order], labels[order], queries
+
+    @pytest.mark.parametrize("name", sorted(PROLOGUE_DETECTORS))
+    def test_labels_filter_equals_benign_only_fit(self, data, name):
+        windows, labels, queries = data
+        labelled = PROLOGUE_DETECTORS[name]().fit(windows, labels)
+        benign_only = PROLOGUE_DETECTORS[name]().fit(windows[labels == 0])
+        assert labelled.scores(queries).tobytes() == benign_only.scores(queries).tobytes()
+        assert labelled.predict(queries).tolist() == benign_only.predict(queries).tolist()
+
+    @pytest.mark.parametrize("name", sorted(PROLOGUE_DETECTORS))
+    def test_all_malicious_labels_rejected(self, data, name):
+        windows, labels, _ = data
+        with pytest.raises(ValueError, match=r"^no benign samples \(label 0\) to fit on$"):
+            PROLOGUE_DETECTORS[name]().fit(windows, np.ones(len(windows), dtype=int))
+
+    @pytest.mark.parametrize("name", sorted(PROLOGUE_DETECTORS))
+    def test_unfitted_scaler_names_the_class(self, name):
+        detector = PROLOGUE_DETECTORS[name]()
+        message = rf"^{type(detector).__name__} is not fitted$"
+        with pytest.raises(RuntimeError, match=message):
+            if name in WINDOW_DETECTORS:
+                detector._scale(np.zeros((1, 12, 4)))
+            else:
+                detector._apply_scaler(np.zeros((1, 48)))
+
+    @pytest.mark.parametrize("name", ["OneClassSVM", *WINDOW_DETECTORS])
+    def test_max_samples_subsample_is_unchanged(self, data, name):
+        # The reference is the prologue as each detector wrote it inline:
+        # filter, fit the scaler on the benign rows, then draw max_samples
+        # indices without replacement from the detector's own generator.
+        windows, labels, _ = data
+        reference = PROLOGUE_DETECTORS[name](max_samples=17)
+        benign = windows[labels == 0]
+        if name in WINDOW_DETECTORS:
+            frames = benign.reshape(-1, 4)
+            scaled = StandardScaler().fit(frames).transform(frames).reshape(benign.shape)
+        else:
+            flat = benign.reshape(len(benign), -1)
+            scaled = StandardScaler().fit(flat).transform(flat)
+        expected = scaled[reference._rng.choice(len(scaled), size=17, replace=False)]
+
+        detector = PROLOGUE_DETECTORS[name](max_samples=17)
+        if name in WINDOW_DETECTORS:
+            drawn = detector._training_windows(windows, labels)
+            # The generator sits where the inline draw left it, so every
+            # later draw (emission means, batches, latents) is unchanged too.
+            assert detector._rng.integers(0, 2**31) == reference._rng.integers(0, 2**31)
+        else:
+            drawn = detector.fit(windows, labels)._train_scaled
+        assert drawn.tobytes() == expected.tobytes()

@@ -17,6 +17,7 @@ from repro.nn import (
     initialize,
     mse_loss,
 )
+from repro.nn.fused import fused_bce_with_logits_loss
 from repro.nn.module import apply_activation
 
 
@@ -148,13 +149,40 @@ class TestLosses:
         np.testing.assert_allclose(predictions.grad, 2.0 * (predictions.data - targets) / 3.0)
 
     def test_bce_with_logits_gradient_is_sigmoid_minus_target(self):
-        # Away from logit 0: there ``abs``/``relu`` take subgradient 0 and the
-        # graph's gradient is ``-target``, not ``sigmoid(0) - target``.
-        logits = Tensor(np.array([2.0, -1.0, 0.5, -0.25]), requires_grad=True)
-        targets = np.array([1.0, 0.0, 0.0, 1.0])
+        logits = Tensor(np.array([2.0, -1.0, 0.5, -0.25, 0.0]), requires_grad=True)
+        targets = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
         binary_cross_entropy_with_logits(logits, Tensor(targets)).backward()
         probabilities = 1.0 / (1.0 + np.exp(-logits.data))
-        np.testing.assert_allclose(logits.grad, (probabilities - targets) / 4.0, rtol=1e-12)
+        np.testing.assert_allclose(logits.grad, (probabilities - targets) / 5.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("twin", ["graph", "fused"])
+    def test_bce_with_logits_gradient_at_logit_zero(self, twin):
+        # d max(x, 0)/dx and d|x|/dx are taken as 1 and +1 at 0, so the middle
+        # logit gets sigmoid(0) - 0 = 0.5 (over the mean's 3), not 0.
+        logits = np.array([-1.0, 0.0, 2.0])
+        targets = np.array([1.0, 0.0, 1.0])
+        if twin == "graph":
+            tensor = Tensor(logits, requires_grad=True)
+            binary_cross_entropy_with_logits(tensor, Tensor(targets)).backward()
+            grad = tensor.grad
+        else:
+            grad = fused_bce_with_logits_loss(logits, targets)[1]
+        probabilities = 1.0 / (1.0 + np.exp(-logits))
+        np.testing.assert_allclose(grad, (probabilities - targets) / 3.0, rtol=1e-12)
+        assert grad[1] == pytest.approx(0.5 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("target", [0.0, 0.25, 1.0])
+    def test_bce_with_logits_twins_agree_at_logit_zero(self, target):
+        logits = np.array([0.0, -0.0, 3.0, -2.0])
+        targets = np.full(4, target)
+        tensor = Tensor(logits, requires_grad=True)
+        graph_loss = binary_cross_entropy_with_logits(tensor, Tensor(targets))
+        graph_loss.backward()
+        fused_loss, fused_grad = fused_bce_with_logits_loss(logits, targets)
+        assert fused_loss == pytest.approx(graph_loss.item(), rel=1e-12)
+        np.testing.assert_allclose(fused_grad, tensor.grad, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(fused_grad[:2], (0.5 - target) / 4.0)
+        np.testing.assert_array_equal(tensor.grad[:2], (0.5 - target) / 4.0)
 
     def test_bce_with_logits_finite_at_extreme_logits(self):
         logits = Tensor(np.array([1000.0, -1000.0]))

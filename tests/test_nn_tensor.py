@@ -109,11 +109,6 @@ class TestNonlinearities:
     def test_gradients_match_numerical(self, op):
         check_gradient(op)
 
-    def test_clip_gradient_masks_out_of_range(self):
-        tensor = Tensor([0.5, 2.0, -1.0], requires_grad=True)
-        tensor.clip(0.0, 1.0).sum().backward()
-        np.testing.assert_array_equal(tensor.grad, [1.0, 0.0, 0.0])
-
     def test_sigmoid_saturation_is_stable(self):
         values = Tensor([1000.0, -1000.0]).sigmoid().numpy()
         assert np.all(np.isfinite(values))

@@ -20,7 +20,7 @@ from repro.glucose.states import (
 )
 from repro.nn import Tensor
 from repro.risk import RiskQuantifier, SeverityMatrix, pairwise_euclidean, HierarchicalClustering
-from repro.utils.timeseries import MinMaxScaler, StandardScaler, resample_series, sliding_windows
+from repro.utils.timeseries import MinMaxScaler, StandardScaler, resample_series
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -48,16 +48,6 @@ class TestScalerProperties:
 
 
 class TestWindowingProperties:
-    @given(st.integers(5, 60), st.integers(1, 10), st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_sliding_window_count(self, length, window, step):
-        series = np.arange(length, dtype=float)
-        result = sliding_windows(series, window=window, step=step)
-        if length < window:
-            assert len(result) == 0
-        else:
-            assert len(result) == (length - window) // step + 1
-
     @given(st.lists(finite_floats, min_size=2, max_size=50), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
     def test_resample_preserves_bounds(self, values, target_length):

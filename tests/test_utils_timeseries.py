@@ -10,7 +10,6 @@ from repro.utils.timeseries import (
     autocorrelation,
     exponential_moving_average,
     resample_series,
-    sliding_windows,
 )
 
 
@@ -57,32 +56,6 @@ class TestMinMaxScaler:
         data = rng.normal(size=(30, 2))
         scaler = MinMaxScaler().fit(data)
         np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(data)), data, atol=1e-9)
-
-
-class TestSlidingWindows:
-    def test_univariate_shape(self):
-        result = sliding_windows(np.arange(10), window=4)
-        assert result.shape == (7, 4)
-
-    def test_multivariate_shape(self):
-        result = sliding_windows(np.zeros((10, 3)), window=4, step=2)
-        assert result.shape == (4, 4, 3)
-
-    def test_contents(self):
-        result = sliding_windows(np.arange(5), window=2)
-        np.testing.assert_array_equal(result[0], [0, 1])
-        np.testing.assert_array_equal(result[-1], [3, 4])
-
-    def test_short_series_returns_empty(self):
-        assert sliding_windows(np.arange(3), window=5).shape[0] == 0
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            sliding_windows(np.arange(5), window=0)
-
-    def test_invalid_step_rejected(self):
-        with pytest.raises(ValueError):
-            sliding_windows(np.arange(5), window=2, step=0)
 
 
 class TestSplitAndSmoothing:
