@@ -12,7 +12,6 @@ import numpy as np
 from repro.attacks import (
     BeamExplorer,
     EvasionAttack,
-    GreedyExplorer,
     MaxModifiedSamplesConstraint,
     CompositeConstraint,
     SuffixLevelTransformer,

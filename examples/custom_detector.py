@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.attacks import AttackCampaign
 from repro.data import SyntheticOhioT1DM, make_patient_profile
-from repro.detectors import AnomalyDetector, KNNClassifierDetector, ThresholdCalibrator
+from repro.detectors import AnomalyDetector, KNNClassifierDetector
 from repro.eval import DetectorSpec, SelectiveTrainingExperiment, render_metric_figure
 from repro.glucose import GlucoseModelZoo
 from repro.risk import SelectionPlanner

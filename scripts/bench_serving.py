@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import os
 import platform
 import sys
 from pathlib import Path
@@ -75,6 +74,7 @@ from repro.glucose import GlucoseModelZoo
 from repro.obs import Observer, Timer
 from repro.serving import StreamScheduler
 from repro.utils.jsonio import dumps_strict
+from repro.utils.workers import available_cores
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -371,14 +371,6 @@ def bench_incremental_scoring(zoo, cohort):
         "verdict_parity": True,  # asserted above, every tick of every pair
         "decision_threshold": float(detector.calibrator.threshold_),
     }
-
-
-def available_cores() -> int:
-    """CPU cores this process may actually schedule on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def clone_lane_variants(predictor, n_lanes: int):

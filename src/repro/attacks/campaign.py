@@ -21,7 +21,7 @@ from repro.attacks.uret import AttackResult, EvasionAttack
 from repro.data.cohort import Cohort, PatientRecord
 from repro.data.dataset import ForecastingDataset
 from repro.glucose.models import GlucoseModelZoo
-from repro.glucose.states import GlucoseState, Scenario, scenario_for_samples
+from repro.glucose.states import GlucoseState, scenario_for_samples
 
 
 @dataclass

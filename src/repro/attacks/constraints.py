@@ -13,7 +13,7 @@ where 499 mg/dL is the highest glucose value reported in the OhioT1DM dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -17,12 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.events import DailyScheduleGenerator
-from repro.data.patient import (
-    SUBSET_A,
-    SUBSET_B,
-    PatientProfile,
-    build_cohort_profiles,
-)
+from repro.data.patient import PatientProfile, build_cohort_profiles
 from repro.data.physiology import (
     GlucoseInsulinSimulator,
     SimulationInputs,

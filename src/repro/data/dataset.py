@@ -39,14 +39,17 @@ class ForecastingDataset:
         self.history = int(history)
         self.horizon = int(horizon)
 
+    def window_count(self, length: int) -> int:
+        """How many windows :meth:`windows_from_features` builds from ``length`` samples."""
+        return max(0, length - self.history - self.horizon + 1)
+
     def windows_from_features(
         self, features: np.ndarray, patient_label: str = ""
     ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
         """Build windows/targets/target-indices from a raw feature matrix."""
         features = check_array(features, "features", ndim=2)
-        length = features.shape[0]
-        last_start = length - self.history - self.horizon
-        if last_start < 0:
+        count = self.window_count(features.shape[0])
+        if count == 0:
             return (
                 np.empty((0, self.history, features.shape[1])),
                 np.empty((0,)),
@@ -55,7 +58,7 @@ class ForecastingDataset:
         windows = []
         targets = []
         target_indices = []
-        for start in range(last_start + 1):
+        for start in range(count):
             end = start + self.history
             target_index = end + self.horizon - 1
             windows.append(features[start:end])

@@ -16,7 +16,7 @@ real dataset, so only the qualitative heterogeneity is reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.data.events import BehaviourProfile, BolusPolicy, ExercisePlan, MealPlan

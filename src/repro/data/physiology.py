@@ -34,7 +34,7 @@ from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.utils.rng import RandomState, as_random_state
+from repro.utils.rng import as_random_state
 from repro.utils.validation import check_positive
 
 #: Number of minutes between consecutive CGM samples (OhioT1DM cadence).

@@ -8,7 +8,7 @@ regenerated numbers sit next to the paper's claims in ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 

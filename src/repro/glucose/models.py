@@ -14,14 +14,13 @@ collection for a cohort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.data.cohort import Cohort, PatientRecord
+from repro.data.cohort import Cohort
 from repro.data.dataset import ForecastingDataset
 from repro.glucose.predictor import GlucosePredictor
 from repro.utils.rng import as_random_state
+from repro.utils.workers import map_in_workers
 
 #: Key under which the aggregate (all-patients) model is stored.
 AGGREGATE_KEY = "all_patients"
@@ -73,22 +72,39 @@ class GlucoseModelZoo:
         return GlucosePredictor(**kwargs)
 
     def fit(self, cohort: Cohort) -> "GlucoseModelZoo":
-        """Train the aggregate model and (optionally) one model per patient."""
+        """Train the aggregate model and (optionally) one model per patient.
+
+        Every predictor is created here, in the caller, in a fixed order
+        (aggregate, then cohort order), so each draws its seed from the
+        zoo's stream exactly as a sequential fit would.  The fits share
+        nothing and run through :func:`~repro.utils.workers.map_in_workers`
+        with their window counts as costs; each comes back fitted with its
+        own RNG state.  The new models replace the old ones only once every
+        fit has succeeded, so a refit on a smaller cohort drops the models
+        of patients that left it, and a failed fit leaves the zoo as it was.
+        """
         windows, targets, _ = self.dataset.from_cohort(cohort, split="train")
         if len(windows) == 0:
             raise ValueError("cohort produced no training windows")
-        aggregate = self._new_predictor(AGGREGATE_KEY)
-        aggregate.fit(windows, targets)
-        self.models[AGGREGATE_KEY] = aggregate
-
+        jobs = {AGGREGATE_KEY: (self._new_predictor(AGGREGATE_KEY), None)}
+        costs = [len(windows)]
         if self.train_personalized:
             for record in cohort:
-                patient_windows, patient_targets, _ = self.dataset.from_record(record, "train")
-                if len(patient_windows) == 0:
-                    continue
-                predictor = self._new_predictor(record.label)
-                predictor.fit(patient_windows, patient_targets)
-                self.models[record.label] = predictor
+                count = self.dataset.window_count(len(record.cgm("train")))
+                if count:
+                    jobs[record.label] = (self._new_predictor(record.label), record)
+                    costs.append(count)
+
+        def fit_one(job) -> GlucosePredictor:
+            # A patient's windows are built where its model is fitted, so no
+            # process holds every patient's windows at once.
+            predictor, record = job
+            if record is None:
+                return predictor.fit(windows, targets)
+            patient_windows, patient_targets, _ = self.dataset.from_record(record, "train")
+            return predictor.fit(patient_windows, patient_targets)
+
+        self.models = dict(zip(jobs, map_in_workers(fit_one, list(jobs.values()), costs)))
         return self
 
     # ----------------------------------------------------------------- retrieval

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

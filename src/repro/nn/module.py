@@ -11,7 +11,7 @@ from repro.nn import functional as F
 from repro.nn.fused import add_matmul_grad, add_sum_grad
 from repro.nn.initializers import get_initializer
 from repro.nn.tensor import Tensor, as_tensor, no_grad
-from repro.utils.rng import RandomState, as_random_state
+from repro.utils.rng import as_random_state
 
 _ACTIVATIONS = {
     "tanh": lambda x: x.tanh(),

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.attacks.campaign import CampaignResult
 from repro.risk.quantify import RiskQuantifier, RiskSample
 from repro.utils.timeseries import exponential_moving_average, resample_series
-from repro.utils.validation import check_array
 
 
 @dataclass

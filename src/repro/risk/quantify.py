@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.attacks.campaign import WindowAttackRecord
 from repro.attacks.uret import AttackResult
 from repro.glucose.states import Scenario, StateTransition, transition_between

@@ -36,7 +36,7 @@ without the crash (``tests/test_recovery.py`` pins this).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 

@@ -36,6 +36,17 @@ def tiny_cohort():
     return SyntheticOhioT1DM(train_days=2, test_days=1, seed=13, profiles=profiles).generate()
 
 
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """Pin the schedulable CPU count that ``repro.utils.workers`` sizes its shares by."""
+    import repro.utils.workers
+
+    def pin(count: int) -> None:
+        monkeypatch.setattr(repro.utils.workers, "available_cores", lambda: count)
+
+    return pin
+
+
 @pytest.fixture(scope="session")
 def tiny_zoo(tiny_cohort):
     """Personalized forecasters trained with a minimal budget."""

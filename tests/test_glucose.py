@@ -177,3 +177,41 @@ class TestGlucoseModelZoo:
     def test_unfitted_zoo_raises(self):
         with pytest.raises(RuntimeError):
             GlucoseModelZoo().aggregate
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+class TestZooRefit:
+    """A refit replaces the whole zoo, and only once every fit succeeded."""
+
+    @pytest.fixture(autouse=True)
+    def one_or_two_shares(self, pin_cpus, cpus):
+        pin_cpus(cpus)
+
+    @staticmethod
+    def small_zoo(cohort):
+        return GlucoseModelZoo(predictor_kwargs=dict(epochs=1, hidden_size=4), seed=2).fit(cohort)
+
+    def test_refit_on_a_smaller_cohort_drops_stale_models(self, tiny_cohort):
+        zoo = self.small_zoo(tiny_cohort)
+        kept = tiny_cohort.labels[:2]
+        zoo.fit(tiny_cohort.select(kept))
+        assert zoo.available_models() == sorted([AGGREGATE_KEY, *kept])
+        dropped = tiny_cohort.labels[-1]
+        assert zoo.model_for(dropped) is zoo.aggregate
+
+    def test_failed_refit_leaves_the_zoo_unchanged(self, tiny_cohort, monkeypatch):
+        zoo = self.small_zoo(tiny_cohort)
+        before = dict(zoo.models)
+        aggregate_windows = len(zoo.dataset.from_cohort(tiny_cohort, split="train")[0])
+        fit = GlucosePredictor.fit
+
+        def fail_personalized(self, windows, targets):
+            if len(windows) != aggregate_windows:
+                raise RuntimeError("personalized fit failed")
+            return fit(self, windows, targets)
+
+        monkeypatch.setattr(GlucosePredictor, "fit", fail_personalized)
+        with pytest.raises(RuntimeError, match="personalized fit failed"):
+            zoo.fit(tiny_cohort)
+        assert zoo.models.keys() == before.keys()
+        assert all(zoo.models[label] is model for label, model in before.items())

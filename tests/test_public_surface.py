@@ -7,8 +7,11 @@
   or each traced benchmark run fails with ``KeyError``.  The tracer is read
   and executed here without importing it as a module, so nothing is written
   next to it.
+* No module under ``src/repro`` or ``examples/`` imports a name at module
+  level that it never uses (package ``__init__`` re-exports aside).
 """
 
+import ast
 import importlib
 import pkgutil
 import types
@@ -19,7 +22,13 @@ import pytest
 import repro
 
 SUBPACKAGES = sorted(info.name for info in pkgutil.iter_modules(repro.__path__) if info.ispkg)
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+MODULES = sorted(
+    path
+    for path in [*(ROOT / "src" / "repro").rglob("*.py"), *(ROOT / "examples").rglob("*.py")]
+    if path.name != "__init__.py"
+)
 
 
 @pytest.mark.parametrize("name", SUBPACKAGES)
@@ -47,3 +56,46 @@ def test_tracer_table_resolves():
         if attribute not in vars(owner)
     ]
     assert not missing, f"perfbench/tracer.py wraps names that no longer exist: {missing}"
+
+
+def module_imports(tree: ast.Module):
+    """Import statements run at import time (also inside top-level ``if`` / ``try``)."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            pending.extend(node.body + node.orelse + getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                pending.extend(handler.body)
+
+
+def names_used(tree: ast.Module) -> set:
+    """Every ``Name`` in the module, including those in string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expression = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(name.id for name in ast.walk(expression) if isinstance(name, ast.Name))
+    return used
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        used = names_used(tree)
+        for node in module_imports(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
+    assert not unused, f"module-level imports never used: {unused}"
