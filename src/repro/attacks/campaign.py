@@ -13,7 +13,7 @@ Campaign results feed three downstream consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,6 +104,25 @@ class CampaignResult:
         return {label: self.summary(label) for label in self.patient_labels}
 
     # --------------------------------------------------------- detector datasets
+    def _dataset_rows(
+        self, patient_labels: Optional[Sequence[str]], include_failed: bool
+    ) -> Iterator[Tuple[np.ndarray, int, str]]:
+        """``(window, label, patient)`` per dataset row, in record order.
+
+        Each selected record gives its benign window (label 0), then its
+        adversarial window (label 1) when the attack was eligible and
+        succeeded, or failed with ``include_failed``.
+        """
+        if patient_labels is None:
+            patient_labels = self.patient_labels
+        for record in self.records:
+            if record.patient_label not in patient_labels:
+                continue
+            result = record.result
+            yield result.benign_window, 0, record.patient_label
+            if result.eligible and (result.success or include_failed):
+                yield result.adversarial_window, 1, record.patient_label
+
     def detection_dataset(
         self,
         patient_labels: Optional[Sequence[str]] = None,
@@ -120,25 +139,11 @@ class CampaignResult:
         provenance:
             Patient label per window.
         """
-        if patient_labels is None:
-            patient_labels = self.patient_labels
-        windows: List[np.ndarray] = []
-        labels: List[int] = []
-        provenance: List[str] = []
-        for record in self.records:
-            if record.patient_label not in patient_labels:
-                continue
-            result = record.result
-            windows.append(result.benign_window)
-            labels.append(0)
-            provenance.append(record.patient_label)
-            if result.eligible and (result.success or include_failed):
-                windows.append(result.adversarial_window)
-                labels.append(1)
-                provenance.append(record.patient_label)
-        if not windows:
+        rows = list(self._dataset_rows(patient_labels, include_failed))
+        if not rows:
             return np.empty((0, 0, 0)), np.empty((0,), dtype=int), []
-        return np.stack(windows), np.asarray(labels, dtype=int), provenance
+        windows, labels, provenance = zip(*rows)
+        return np.stack(windows), np.asarray(labels, dtype=int), list(provenance)
 
     def sample_dataset(
         self,
@@ -163,25 +168,19 @@ class CampaignResult:
         provenance:
             Patient label per sample.
         """
-        if patient_labels is None:
-            patient_labels = self.patient_labels
-        samples: List[np.ndarray] = []
-        labels: List[int] = []
-        provenance: List[str] = []
-        for record in self.records:
-            if record.patient_label not in patient_labels:
-                continue
-            result = record.result
-            samples.append(result.benign_window[-1:])
-            labels.append(0)
-            provenance.append(record.patient_label)
-            if result.eligible and (result.success or include_failed):
-                samples.append(result.adversarial_window[-1:])
-                labels.append(1)
-                provenance.append(record.patient_label)
-        if not samples:
+        rows = list(self._dataset_rows(patient_labels, include_failed))
+        if not rows:
             return np.empty((0, 1, 0)), np.empty((0,), dtype=int), []
-        return np.stack(samples), np.asarray(labels, dtype=int), provenance
+        windows, labels, provenance = zip(*rows)
+        samples = [window[-1:] for window in windows]
+        return np.stack(samples), np.asarray(labels, dtype=int), list(provenance)
+
+    def dataset_size(
+        self, patient_labels: Optional[Sequence[str]] = None, include_failed: bool = False
+    ) -> int:
+        """Rows of :meth:`detection_dataset` (and :meth:`sample_dataset`), counted
+        from the records without building either."""
+        return sum(1 for _ in self._dataset_rows(patient_labels, include_failed))
 
 
 class AttackCampaign:

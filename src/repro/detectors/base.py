@@ -36,6 +36,12 @@ class AnomalyDetector:
 
     #: Human-readable detector name used in experiment reports.
     name: str = "detector"
+    #: Time to fit on one training window and score the experiment's test
+    #: set, in microseconds per training window, measured per family on the
+    #: ``paper`` workload (a family without a measurement keeps this
+    #: default).  :class:`~repro.eval.SelectiveTrainingExperiment` costs
+    #: each fit by it to balance its fits over the CPUs; only ratios matter.
+    fit_cost_per_window: float = 100.0
     #: Feature scaler, fitted on the benign training set; None until fit.
     _scaler: Optional[StandardScaler] = None
 

@@ -67,6 +67,7 @@ class GaussianHMMDetector(AnomalyDetector):
     """
 
     name = "HMM"
+    fit_cost_per_window = 45
 
     def __init__(
         self,

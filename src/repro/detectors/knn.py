@@ -70,6 +70,7 @@ class KNNClassifierDetector(AnomalyDetector):
     """
 
     name = "kNN"
+    fit_cost_per_window = 15
 
     def __init__(
         self,

@@ -203,6 +203,7 @@ class LSTMVAEDetector(AnomalyDetector):
     """
 
     name = "LSTM-VAE"
+    fit_cost_per_window = 120
 
     def __init__(
         self,

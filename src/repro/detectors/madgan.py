@@ -232,6 +232,7 @@ class MADGANDetector(AnomalyDetector):
     """
 
     name = "MAD-GAN"
+    fit_cost_per_window = 600
     #: How many warm inversion recurrences :meth:`scores_incremental` has
     #: run; each stacks every part with one warm-row count.  (A class
     #: default, so detectors pickled before it existed still count.)

@@ -84,6 +84,7 @@ class OneClassSVMDetector(AnomalyDetector):
     """
 
     name = "OneClassSVM"
+    fit_cost_per_window = 30
 
     def __init__(
         self,

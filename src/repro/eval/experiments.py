@@ -33,6 +33,7 @@ from repro.glucose.states import (
     scenario_for_samples,
 )
 from repro.risk.selection import TrainingSelection
+from repro.utils.workers import map_in_workers
 
 #: Factory type: builds a fresh (unfitted) detector for one training run.
 DetectorFactory = Callable[[], AnomalyDetector]
@@ -213,21 +214,52 @@ class SelectiveTrainingExperiment:
         predictions = detector.predict(test_windows)
         return confusion_matrix(test_labels, predictions)
 
-    def run_strategy(
-        self, spec: "DetectorSpec", selection: TrainingSelection, detector_name: str = ""
+    def _fit_and_score(self, job) -> Tuple[AnomalyDetector, ConfusionMatrix, int]:
+        """One run: fit ``detector`` on the run's patients and score the test set."""
+        spec, run_labels, detector = job
+        train_windows, train_labels = self._training_data(run_labels, spec.unit)
+        detector.fit(train_windows, train_labels)
+        return detector, self.evaluate_detector(detector, spec.unit), len(train_windows)
+
+    def _fit_runs(
+        self, runs: Sequence[Tuple["DetectorSpec", Sequence[str]]]
+    ) -> List[Tuple[ConfusionMatrix, int]]:
+        """``(test confusion matrix, training windows)`` of one new detector per run.
+
+        Every detector is built here, in the caller and in ``runs`` order,
+        so a factory sees the same calls as a sequential loop.  The runs
+        share nothing and go through
+        :func:`~repro.utils.workers.map_in_workers`, each costed by its
+        training windows times its family's
+        :attr:`~repro.detectors.base.AnomalyDetector.fit_cost_per_window`.
+        A detector fitted in a worker comes back pickled, and its state
+        (weights, scaler, counters, RNG positions) is copied into the
+        caller's object: the object a factory handed out ends up fitted
+        wherever it was fitted.  A factory must therefore give each
+        detector its own seed; a generator shared between detectors would
+        advance only in the process that drew from it.
+        """
+        jobs = [(spec, labels, spec.factory()) for spec, labels in runs]
+        costs = [
+            self.train_campaign.dataset_size(labels, self.include_failed_attacks)
+            * detector.fit_cost_per_window
+            for _, labels, detector in jobs
+        ]
+        fits = map_in_workers(self._fit_and_score, jobs, costs)
+        for (_, _, detector), (fitted, _, _) in zip(jobs, fits):
+            if fitted is not detector:
+                vars(detector).update(vars(fitted))
+        return [(matrix, count) for _, matrix, count in fits]
+
+    @staticmethod
+    def _outcome(
+        detector_name: str, strategy: str, fits: Sequence[Tuple[ConfusionMatrix, int]]
     ) -> StrategyOutcome:
-        """Fit/evaluate one detector under one strategy (averaged over runs)."""
-        matrices: List[ConfusionMatrix] = []
-        total_training_windows = 0
-        for run_labels in selection.runs:
-            train_windows, train_labels = self._training_data(run_labels, spec.unit)
-            detector = spec.factory()
-            detector.fit(train_windows, train_labels)
-            matrices.append(self.evaluate_detector(detector, spec.unit))
-            total_training_windows += len(train_windows)
+        """Average one (detector, strategy) pair's runs."""
+        matrices = [matrix for matrix, _ in fits]
         return StrategyOutcome(
             detector=detector_name,
-            strategy=selection.strategy,
+            strategy=strategy,
             precision=float(np.mean([matrix.precision for matrix in matrices])),
             recall=float(np.mean([matrix.recall for matrix in matrices])),
             f1=float(np.mean([matrix.f1 for matrix in matrices])),
@@ -235,17 +267,43 @@ class SelectiveTrainingExperiment:
                 np.mean([matrix.false_negative_rate for matrix in matrices])
             ),
             per_run=matrices,
-            training_windows=total_training_windows // max(len(selection.runs), 1),
+            training_windows=sum(count for _, count in fits) // max(len(fits), 1),
         )
 
+    def run_strategy(
+        self, spec: "DetectorSpec", selection: TrainingSelection, detector_name: str = ""
+    ) -> StrategyOutcome:
+        """Fit/evaluate one detector under one strategy (averaged over runs)."""
+        fits = self._fit_runs([(spec, labels) for labels in selection.runs])
+        return self._outcome(detector_name, selection.strategy, fits)
+
     def run(self, selections: Dict[str, TrainingSelection]) -> SelectiveTrainingResult:
-        """Run every detector under every strategy."""
-        result = SelectiveTrainingResult()
-        for detector_name, spec in self.detector_factories.items():
-            result.outcomes[detector_name] = {}
-            for strategy_name, selection in selections.items():
-                outcome = self.run_strategy(spec, selection, detector_name)
-                result.outcomes[detector_name][strategy_name] = outcome
+        """Run every detector under every strategy.
+
+        All (detector, strategy, run) fits go through one
+        :meth:`_fit_runs` call, so they spread over every schedulable CPU;
+        detectors are built detector by detector, strategy by strategy, run
+        by run.
+        """
+        pairs = [
+            (name, strategy, selection)
+            for name in self.detector_factories
+            for strategy, selection in selections.items()
+        ]
+        fits = iter(
+            self._fit_runs(
+                [
+                    (self.detector_factories[name], labels)
+                    for name, _, selection in pairs
+                    for labels in selection.runs
+                ]
+            )
+        )
+        result = SelectiveTrainingResult({name: {} for name in self.detector_factories})
+        for name, strategy, selection in pairs:
+            result.outcomes[name][strategy] = self._outcome(
+                name, selection.strategy, [next(fits) for _ in selection.runs]
+            )
         return result
 
 
@@ -347,8 +405,9 @@ def trace_detection(
     # Collect every window first so the detector is queried ONCE with the
     # whole batch instead of once per window.  Deterministic detectors (kNN,
     # OneClassSVM) flag identically either way; MAD-GAN's inversion draws
-    # per-call latents, so batching changes its stochastic reconstruction the
-    # same way the batched evaluate_detector/ detection_experiment paths do.
+    # per-call latents, so its flags depend on the batch, as they do in
+    # SelectiveTrainingExperiment.evaluate_detector, which also scores the
+    # whole test set in one call.
     views: List[np.ndarray] = []
     annotated: List[Tuple[WindowAttackRecord, np.ndarray, bool]] = []
     for record in campaign.for_patient(patient_label):

@@ -266,6 +266,14 @@ class TestCampaign:
         _, _, provenance = tiny_test_campaign.sample_dataset(patient_labels=["A_5"])
         assert set(provenance) == {"A_5"}
 
+    @pytest.mark.parametrize("include_failed", [False, True])
+    @pytest.mark.parametrize("patients", [None, ["A_5"], ["A_2", "B_2"], ["Z_9"]])
+    def test_dataset_size_counts_the_dataset_rows(self, tiny_test_campaign, patients, include_failed):
+        size = tiny_test_campaign.dataset_size(patients, include_failed)
+        for dataset in (tiny_test_campaign.detection_dataset, tiny_test_campaign.sample_dataset):
+            assert size == len(dataset(patients, include_failed)[1])
+        assert (size == 0) == (patients == ["Z_9"])
+
     def test_invalid_stride_rejected(self, tiny_zoo):
         with pytest.raises(ValueError):
             AttackCampaign(tiny_zoo, stride=0)

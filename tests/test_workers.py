@@ -11,7 +11,16 @@ import threading
 import numpy as np
 import pytest
 
+from repro.detectors import (
+    GaussianHMMDetector,
+    KNNClassifierDetector,
+    LSTMVAEDetector,
+    MADGANDetector,
+    OneClassSVMDetector,
+)
+from repro.eval import DetectorSpec, SelectiveTrainingExperiment, default_detector_factories
 from repro.glucose import GlucoseModelZoo
+from repro.risk import SelectionPlanner, TrainingSelection
 from repro.utils.workers import map_in_workers, split_by_cost
 
 needs_fork = pytest.mark.skipif(
@@ -36,6 +45,28 @@ class TestSplitByCost:
 
     def test_longest_first_balances_and_keeps_input_order_inside_a_share(self):
         assert split_by_cost([1, 5, 2, 4, 3], 2) == [[0, 1, 2], [3, 4]]
+
+    def test_paper_experiment_costs_split_into_even_shares(self):
+        # perfbench's ``paper`` experiment: five families, each under the
+        # Less / More / Random / All selections (plan order, one run each).
+        windows = [342, 729, 257, 1071]
+        families = [
+            KNNClassifierDetector,
+            OneClassSVMDetector,
+            MADGANDetector,
+            LSTMVAEDetector,
+            GaussianHMMDetector,
+        ]
+        costs = [family.fit_cost_per_window * count for family in families for count in windows]
+        shares = split_by_cost(costs, 2)
+        # MAD-GAN's Random and All fits stay in the caller; its Less and
+        # More fits go to the worker.
+        assert shares == [
+            [1, 5, 6, 7, 10, 11, 12, 18, 19],
+            [0, 2, 3, 4, 8, 9, 13, 14, 15, 16, 17],
+        ]
+        loads = [sum(costs[index] for index in share) for share in shares]
+        assert max(loads) / min(loads) < 1.01
 
     def test_never_more_shares_than_items_and_at_least_one(self):
         assert split_by_cost([2.0, 1.0], 8) == [[0], [1]]
@@ -143,3 +174,125 @@ def test_worker_fit_equals_one_share_fit_bitwise(tiny_cohort, pin_cpus, seeded):
         snapshots.append(snapshot(zoo.fit(tiny_cohort)))
         assert multiprocessing.active_children() == []
     assert snapshots[0] == snapshots[1]
+
+
+# ------------------------------------------------------- detector experiment
+def detector_state(detector) -> dict:
+    """A fitted detector's state as comparable bytes and values."""
+
+    def arrays(*values):
+        return [(np.asarray(v).dtype.str, np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+    state = dict(kind=type(detector).__name__)
+    if hasattr(detector, "_rng"):  # kNN draws nothing
+        state.update(rng=rng_state(detector._rng))
+    if isinstance(detector, MADGANDetector):
+        state.update(
+            weights=[
+                arrays(*module.state_dict().values())
+                for module in (detector.generator, detector.discriminator)
+            ],
+            inversion_calls=detector.inversion_calls,
+            warm_runs=detector.warm_runs,
+            threshold=detector.calibrator.threshold_,
+        )
+    elif isinstance(detector, KNNClassifierDetector):
+        state.update(
+            fitted=arrays(detector._train_features, detector._train_labels, detector._scaler.mean_)
+        )
+    elif isinstance(detector, OneClassSVMDetector):
+        state.update(
+            fitted=arrays(detector.support_vectors_, detector.dual_coef_, detector._scaler.mean_),
+            rho=detector.rho_,
+        )
+    else:
+        state.update(state_hash=detector.state_hash())
+    return state
+
+
+def tiny_specs(calls):
+    """The five default families on a tiny budget, recording every factory call."""
+
+    def recording(name, spec):
+        def factory():
+            detector = spec.factory()
+            calls.append((name, detector))
+            return detector
+
+        return DetectorSpec(factory=factory, unit=spec.unit)
+
+    specs = default_detector_factories(
+        madgan_epochs=1, madgan_inversion_steps=3, vae_epochs=1, hmm_iterations=2
+    )
+    return {name: recording(name, spec) for name, spec in specs.items()}
+
+
+@needs_fork
+def test_two_share_experiment_equals_one_share_bitwise(
+    tiny_train_campaign, tiny_test_campaign, tiny_cohort, pin_cpus, monkeypatch
+):
+    """Detectors fitted in a worker end up in the caller's objects, bitwise.
+
+    Each fit is tagged with the pid that ran it, so the two-share run is
+    seen to fit in both processes and the tag is seen to come back.
+    """
+    fit_and_score = SelectiveTrainingExperiment._fit_and_score
+
+    def tagged_fit(self, job):
+        detector, matrix, count = fit_and_score(self, job)
+        detector.fitted_in = os.getpid()
+        return detector, matrix, count
+
+    monkeypatch.setattr(SelectiveTrainingExperiment, "_fit_and_score", tagged_fit)
+    selections = SelectionPlanner(
+        all_labels=sorted(tiny_cohort.labels),
+        less_vulnerable=["A_5", "B_2"],
+        random_runs=2,
+        seed=0,
+    ).plan()
+    runs = []
+    for count in (1, 2):
+        pin_cpus(count)
+        calls = []
+        result = SelectiveTrainingExperiment(
+            tiny_train_campaign, tiny_test_campaign, tiny_specs(calls)
+        ).run(selections)
+        assert multiprocessing.active_children() == []
+        pids = {detector.fitted_in for _, detector in calls}
+        assert os.getpid() in pids and len(pids) == count
+        runs.append(
+            dict(
+                calls=[name for name, _ in calls],
+                detectors=[detector_state(detector) for _, detector in calls],
+                outcomes={
+                    (name, strategy): (outcome.per_run, outcome.training_windows)
+                    for name, per_strategy in result.outcomes.items()
+                    for strategy, outcome in per_strategy.items()
+                },
+            )
+        )
+    assert len(runs[0]["calls"]) == 5 * 5  # five families x (three strategies + two random runs)
+    assert runs[0] == runs[1]
+
+
+@needs_fork
+@pytest.mark.parametrize("share", ["worker", "caller"])
+def test_run_without_training_windows_reraises_in_the_caller(
+    tiny_train_campaign, tiny_test_campaign, tiny_cohort, pin_cpus, share
+):
+    pin_cpus(2)
+    # A run with no windows costs 0, so it lands in the worker's share next
+    # to a real run; two such runs split one per share, the first in the
+    # caller's.
+    first = sorted(tiny_cohort.labels) if share == "worker" else ["Z_1"]
+    selection = TrainingSelection(strategy="Custom", runs=[first, ["Z_2"]])
+    expected = f"no training windows for patients ['{'Z_2' if share == 'worker' else 'Z_1'}']"
+    experiment = SelectiveTrainingExperiment(
+        tiny_train_campaign,
+        tiny_test_campaign,
+        {"kNN": DetectorSpec(factory=KNNClassifierDetector, unit="sample")},
+    )
+    with pytest.raises(ValueError) as raised:
+        experiment.run({"Custom": selection})
+    assert type(raised.value) is ValueError and str(raised.value) == expected
+    assert multiprocessing.active_children() == []
