@@ -35,6 +35,12 @@ exposes the same ``open_session`` / ``tick`` / ``close_session`` API and:
   naming the dead shard — while every other shard keeps serving outputs
   bitwise-identical to running solo.
 
+Workers start and end through :mod:`repro.utils.workers`: a worker is forked
+when the parent runs no other thread and spawned otherwise (a forked child
+would inherit locks held by threads that do not exist in it).  Every payload
+crosses the pipe pickled under either start method, so both serve bitwise
+the same ticks.
+
 Crash recovery (opt-in supervision)
 -----------------------------------
 Passing ``supervision=SupervisorConfig(...)`` upgrades worker death from
@@ -88,7 +94,6 @@ single-process.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import pickle
 import time
 from dataclasses import dataclass
@@ -110,6 +115,7 @@ from repro.serving.scheduler import StreamScheduler
 from repro.serving.session import SessionTick
 from repro.utils.rng import RandomState, hash_string
 from repro.utils.timeseries import SampleRing
+from repro.utils.workers import reap, start_child
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -117,6 +123,11 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 #: the shutdown ack poll, process joins, and the obs-refresh round-trip.
 #: Module-level so tests can shrink it when exercising the escalation path.
 _STUCK_WORKER_TIMEOUT = 5.0
+
+#: Respawn backoff growth per restart and its ceiling (seconds); see
+#: :class:`SupervisorConfig`.
+_BACKOFF_FACTOR = 2.0
+_MAX_BACKOFF = 2.0
 
 #: Sentinel for "use the supervisor's request_timeout" in reply waits.
 _DEFAULT_TIMEOUT = object()
@@ -143,10 +154,10 @@ class SupervisorConfig:
         Circuit breaker: total respawns allowed per shard before its death
         becomes terminal (sessions degrade to dropped ticks, the
         unsupervised behavior).
-    restart_backoff / backoff_factor / max_backoff:
+    restart_backoff:
         Bounded exponential sleep before each respawn:
-        ``min(restart_backoff * backoff_factor**(n-1), max_backoff)``
-        seconds for the n-th restart of a shard.
+        ``min(restart_backoff * 2**(n-1), 2.0)`` seconds for the n-th
+        restart of a shard.
     request_timeout:
         Per-reply wall-clock budget in seconds.  A worker that exceeds it is
         presumed hung, force-killed (``recovery.forced_kills_total``), and
@@ -157,8 +168,6 @@ class SupervisorConfig:
     snapshot_interval: int = 32
     max_restarts: int = 3
     restart_backoff: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
     request_timeout: Optional[float] = None
 
     def __post_init__(self):
@@ -166,10 +175,8 @@ class SupervisorConfig:
             raise ValueError("snapshot_interval must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.restart_backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff times must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        if self.restart_backoff < 0:
+            raise ValueError("restart_backoff must be >= 0")
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ValueError("request_timeout must be positive or None")
 
@@ -195,20 +202,6 @@ class ShardDeadError(RuntimeError):
     """The facade needed a worker that is no longer alive."""
 
 
-def _kill_worker_process(process) -> bool:
-    """SIGKILL ``process`` if it is still alive, then reap it (bounded).
-
-    Returns True when a live process was killed.
-    """
-    if process is None:
-        return False
-    killed = process.is_alive()
-    if killed:
-        process.kill()
-    process.join(timeout=_STUCK_WORKER_TIMEOUT)
-    return killed
-
-
 # ------------------------------------------------------------------ worker side
 def _rederive_worker_rng(obj, shard_index: int) -> None:
     """Apply the shard-boundary RNG rule to a freshly rehydrated object.
@@ -226,10 +219,10 @@ def _rederive_worker_rng(obj, shard_index: int) -> None:
 
 def _worker_main(
     shard_index: int,
-    conn,
     scheduler_kwargs: dict,
-    obs_enabled: bool = False,
-    snapshot_interval: Optional[int] = None,
+    obs_enabled: bool,
+    snapshot_interval: Optional[int],
+    conn,
 ) -> None:
     """Run one shard: a private StreamScheduler driven by pipe commands.
 
@@ -560,15 +553,7 @@ class ShardedScheduler:
         self.supervision = supervision
         self._obs_absorbed = False
         self._scheduler_kwargs = dict(health=health, ingress=ingress)
-        # Fork is cheap; spawn where fork is missing.  Payloads cross the
-        # pipe pickled under either, so the serialization contract is
-        # always exercised.
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        self._shards: List[_Shard] = []
-        for index in range(self.n_shards):
-            process, parent_conn = self._spawn_worker(index)
-            self._shards.append(_Shard(index, process, parent_conn))
+        self._shards = [_Shard(index, *self._spawn_worker(index)) for index in range(self.n_shards)]
         self._sessions: Dict[str, ShardSessionHandle] = {}
         self._lane_keys: set = set()
         # id(predictor) -> (predictor, state_hash): hash each object once.
@@ -581,24 +566,9 @@ class ShardedScheduler:
 
     def _spawn_worker(self, index: int):
         """Start one worker process; returns ``(process, parent_conn)``."""
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                index,
-                child_conn,
-                self._scheduler_kwargs,
-                self.obs is not None,
-                self.supervision.snapshot_interval
-                if self.supervision is not None
-                else None,
-            ),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        process.start()
-        child_conn.close()
-        return process, parent_conn
+        interval = self.supervision.snapshot_interval if self.supervision is not None else None
+        args = (index, self._scheduler_kwargs, self.obs is not None, interval)
+        return start_child(_worker_main, *args, name=f"repro-shard-{index}")
 
     # ------------------------------------------------------------------ plumbing
     def __enter__(self) -> "ShardedScheduler":
@@ -623,8 +593,9 @@ class ShardedScheduler:
 
         A worker that ignores the shutdown command (wedged in native code,
         SIGSTOPped, …) cannot hang the parent: the ack wait is bounded, and
-        the reaping loop escalates ``join`` → ``terminate`` → ``kill``,
-        counting each escalation in ``recovery.forced_kills_total``.
+        :func:`~repro.utils.workers.reap` escalates ``join`` → ``terminate``
+        → ``kill``, counting each escalation in
+        ``recovery.forced_kills_total``.
         """
         if self._closed:
             return
@@ -645,21 +616,10 @@ class ShardedScheduler:
                 pass
             shard.alive = False
         for shard in self._shards:
-            shard.process.join(timeout=_STUCK_WORKER_TIMEOUT)
-            if shard.process.is_alive():
-                logger.warning(
-                    "shard %d worker ignored shutdown; escalating to terminate/kill",
-                    shard.index,
-                )
-                shard.process.terminate()
-                shard.process.join(timeout=_STUCK_WORKER_TIMEOUT)
-                if shard.process.is_alive():
-                    shard.process.kill()
-                    shard.process.join(timeout=_STUCK_WORKER_TIMEOUT)
+            if reap(shard.process, _STUCK_WORKER_TIMEOUT):
+                logger.warning("shard %d worker ignored shutdown; forced it down", shard.index)
                 if self.obs is not None:
-                    self.obs.registry.inc(
-                        "recovery.forced_kills_total", shard=shard.index
-                    )
+                    self.obs.registry.inc("recovery.forced_kills_total", shard=shard.index)
 
     def kill_worker(self, index: int) -> None:
         """Chaos hook: SIGKILL one worker process, as a crash would.
@@ -670,7 +630,7 @@ class ShardedScheduler:
         real crash surfaces (pipe EOF / broken send) and, under
         supervision, recovers it.
         """
-        _kill_worker_process(self._shards[index].process)
+        reap(self._shards[index].process, 0)
 
     def _mark_dead(self, shard: _Shard) -> None:
         if shard.alive:
@@ -742,7 +702,7 @@ class ShardedScheduler:
 
     def _force_kill(self, shard: _Shard, reason: str) -> None:
         """SIGKILL an unresponsive worker; counted in recovery.forced_kills."""
-        if _kill_worker_process(shard.process):
+        if reap(shard.process, 0):
             logger.warning("force-killed shard %d worker: %s", shard.index, reason)
             if self.obs is not None:
                 self.obs.registry.inc("recovery.forced_kills_total", shard=shard.index)
@@ -835,14 +795,6 @@ class ShardedScheduler:
         """True when the shard is (or was just brought back) alive."""
         return shard.alive or self._recover_shard(shard)
 
-    def _reap(self, shard: _Shard) -> None:
-        """Close the pipe and bury the old worker process before a respawn."""
-        try:
-            shard.conn.close()
-        except OSError:
-            pass
-        _kill_worker_process(shard.process)
-
     def _recover_shard(self, shard: _Shard) -> bool:
         """Respawn a dead shard and rehydrate it; False when given up.
 
@@ -865,17 +817,15 @@ class ShardedScheduler:
                 )
                 return False
             shard.restarts += 1
-            self._reap(shard)
+            # Bury the old worker; its pipe closed when it was marked dead.
+            reap(shard.process, 0)
             backoff = min(
-                supervision.restart_backoff
-                * supervision.backoff_factor ** (shard.restarts - 1),
-                supervision.max_backoff,
+                supervision.restart_backoff * _BACKOFF_FACTOR ** (shard.restarts - 1),
+                _MAX_BACKOFF,
             )
             if backoff > 0:
                 time.sleep(backoff)
-            process, conn = self._spawn_worker(shard.index)
-            shard.process = process
-            shard.conn = conn
+            shard.process, shard.conn = self._spawn_worker(shard.index)
             shard.alive = True
             shard.last_tick_latency = None
             mode = "snapshot" if shard.snapshot is not None else "journal"

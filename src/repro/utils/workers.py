@@ -1,29 +1,29 @@
-"""Run independent jobs on every CPU this process may schedule on.
+"""Every child process ``repro`` starts, and the jobs it spreads over them.
 
+:func:`start_child` forks a daemon child with its pipe when
+:func:`fork_is_safe` and spawns it otherwise; :func:`reap` ends it.
 :func:`map_in_workers` splits a list of jobs into one share per schedulable
 CPU, longest first by a caller-given cost.  The caller runs the first share
-(the one holding the costliest job) in its own process; each other share runs
-in one forked daemon process that sends its results back over its own pipe.
-Jobs are inherited through ``fork``, so only results cross the boundary, and
-they come back pickled: a fitted model returns with its weights and its RNG
-state.
-
-With one CPU, one job, no ``fork`` start method, a daemonic caller (which
-may not have children) or a caller running other threads (a forked child
-inherits the locks they hold, but not the threads that would release them)
-there is one share, and the same code runs every job in the caller without
-forking.
+(the one holding the costliest job); each other share runs in one forked
+child.  Jobs are inherited through ``fork``, so only results cross the pipe,
+pickled: a fitted model returns with its weights and its RNG state.  With one
+CPU, one job, a daemonic caller (which may not have children) or when fork is
+not safe there is one share, and every job runs in the caller.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
+
+#: Longest wait (seconds) for a child to exit after SIGKILL.
+_KILL_WAIT = 5.0
 
 
 def available_cores() -> int:
@@ -32,6 +32,53 @@ def available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
+
+
+def fork_is_safe() -> bool:
+    """True when ``fork`` exists and this process runs no other thread.
+
+    A forked child inherits the locks other threads hold, but not the
+    threads that would release them.
+    """
+    return "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+
+
+def start_child(target: Callable, *args, name: Optional[str] = None):
+    """Start ``target(*args, connection)`` in a daemon child.
+
+    The child is forked when :func:`fork_is_safe` and spawned otherwise (its
+    ``target`` and ``args`` must then pickle).  Returns ``(process,
+    connection)``, the caller's end of a duplex pipe to the child.
+    """
+    context = multiprocessing.get_context("fork" if fork_is_safe() else "spawn")
+    connection, child_connection = context.Pipe(duplex=True)
+    process = context.Process(
+        target=target, args=(*args, child_connection), daemon=True, name=name
+    )
+    try:
+        process.start()
+    finally:
+        child_connection.close()
+    return process, connection
+
+
+def reap(process, grace: Optional[float]) -> bool:
+    """Wait for a child to exit, forcing it down if it does not; True when forced.
+
+    Waits ``grace`` seconds (``None``: for ever) for the child to exit by
+    itself, as long again after SIGTERM, then SIGKILLs it.  ``grace=0``
+    SIGKILLs a live child at once, as a crash or a hung child calls for.
+    """
+    process.join(grace)
+    if not process.is_alive():
+        return False
+    if grace:
+        process.terminate()
+        process.join(grace)
+    if process.is_alive():
+        process.kill()
+        process.join(_KILL_WAIT)
+    return True
 
 
 def split_by_cost(costs: Sequence[float], n_shares: int) -> List[List[int]]:
@@ -52,11 +99,18 @@ def split_by_cost(costs: Sequence[float], n_shares: int) -> List[List[int]]:
 
 
 def _share_count(n_items: int) -> int:
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if multiprocessing.current_process().daemon or threading.active_count() > 1:
+    if multiprocessing.current_process().daemon or not fork_is_safe():
         return 1
     return min(available_cores(), n_items)
+
+
+def _sendable(error: Exception) -> Exception:
+    """``error`` if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return RuntimeError(f"{type(error).__name__}: {error}")
+    return error
 
 
 def _run_share(function, items, share, connection) -> None:
@@ -65,11 +119,11 @@ def _run_share(function, items, share, connection) -> None:
         try:
             message = (True, [function(items[index]) for index in share])
         except Exception as error:
-            message = (False, error)
+            message = (False, _sendable(error))
         try:
             connection.send(message)
-        except Exception as error:  # an unpicklable result or exception
-            connection.send((False, RuntimeError(f"{type(error).__name__}: {error}")))
+        except Exception as error:  # an unpicklable result
+            connection.send((False, _sendable(error)))
     finally:
         connection.close()
 
@@ -83,8 +137,10 @@ def map_in_workers(
     turns them into one share per CPU.  The caller runs share 0; every
     other share runs in one forked worker.  Results come back in input
     order.  An exception raised by ``function`` in a worker re-raises in
-    the caller with its type and message, and every worker is joined (or
-    killed, when the caller fails first) before this returns or raises.
+    the caller with its type and message (as a ``RuntimeError`` naming both
+    when the exception does not survive pickling), and every worker is
+    joined (or killed, when the caller fails first) before this returns or
+    raises.
     """
     items = list(items)
     if len(costs) != len(items):
@@ -93,26 +149,17 @@ def map_in_workers(
     if len(shares) <= 1:
         return [function(item) for item in items]
 
-    context = multiprocessing.get_context("fork")
     workers = []
     received = False
     try:
         for share in shares[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_run_share, args=(function, items, share, sender), daemon=True
-            )
-            workers.append((share, receiver, process))
-            try:
-                process.start()
-            finally:
-                sender.close()
+            workers.append((share, *start_child(_run_share, function, items, share)))
         results: List[Result] = [None] * len(items)
         for index in shares[0]:
             results[index] = function(items[index])
-        for share, receiver, process in workers:
+        for share, process, connection in workers:
             try:
-                ok, payload = receiver.recv()
+                ok, payload = connection.recv()
             except EOFError:
                 process.join()
                 raise RuntimeError(
@@ -125,9 +172,6 @@ def map_in_workers(
         received = True
         return results
     finally:
-        for _, receiver, process in workers:
-            receiver.close()
-            if not received and process.is_alive():
-                process.kill()
-            if process.pid is not None:
-                process.join()
+        for _, process, connection in workers:
+            connection.close()
+            reap(process, None if received else 0)

@@ -7,6 +7,7 @@ fast while still exercising the real code paths end to end.
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -34,6 +35,14 @@ def tiny_cohort():
     """Four-patient cohort with two train days and one test day."""
     profiles = [make_patient_profile(subset, pid) for subset, pid in TINY_PATIENTS]
     return SyntheticOhioT1DM(train_days=2, test_days=1, seed=13, profiles=profiles).generate()
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_children():
+    """Fail any test that leaves a child process running."""
+    yield
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"the test left child processes running: {leftover}"
 
 
 @pytest.fixture

@@ -9,6 +9,9 @@
   next to it.
 * No module under ``src/repro`` or ``examples/`` imports a name at module
   level that it never uses (package ``__init__`` re-exports aside).
+* Only ``repro/utils/workers.py`` imports ``multiprocessing`` or starts,
+  pipes to, terminates or kills a process, so the rules for forking and
+  for ending a child exist once.
 """
 
 import ast
@@ -99,3 +102,36 @@ def test_no_unused_module_imports():
                 if bound not in used:
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
     assert not unused, f"module-level imports never used: {unused}"
+
+
+PROCESS_CALLS = {"get_context", "Process", "Pipe", "terminate", "kill"}
+
+
+def process_calls(tree: ast.Module):
+    """``(line, what)`` for each ``multiprocessing`` import and process call."""
+    for node in ast.walk(tree):
+        modules = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        for module in modules:
+            if module.split(".")[0] == "multiprocessing":
+                yield node.lineno, f"import {module}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attribute, owner = node.func.attr, node.func.value
+            is_fork = attribute == "fork" and isinstance(owner, ast.Name) and owner.id == "os"
+            if attribute in PROCESS_CALLS or is_fork:
+                yield node.lineno, f".{attribute}()"
+
+
+def test_only_the_workers_module_starts_or_ends_processes():
+    source = ROOT / "src" / "repro"
+    owner = source / "utils" / "workers.py"
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {what}"
+        for path in sorted(source.rglob("*.py"))
+        if path != owner
+        for line, what in process_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"process plumbing outside repro.utils.workers: {found}"

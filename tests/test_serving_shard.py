@@ -16,6 +16,9 @@ layout, not layout-invariant), which is exactly the boundary rule
 ``repro.serving.shard`` documents.
 """
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,29 @@ class TestShardedParity:
             }
             results = fabric.tick(samples)
         assert list(results) == sorted(results)
+
+
+class TestStartMethod:
+    def test_workers_spawn_while_another_thread_runs(self, tiny_zoo, tiny_cohort, knn_detector):
+        """A forked worker would inherit locks held by threads it does not have."""
+        baseline = drive(StreamScheduler(), tiny_zoo, tiny_cohort, knn_detector)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            fabric = ShardedScheduler(n_shards=2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        try:
+            spawned = multiprocessing.get_context("spawn").Process
+            assert all(isinstance(shard.process, spawned) for shard in fabric._shards)
+            ticks = drive(fabric, tiny_zoo, tiny_cohort, knn_detector)
+        finally:
+            fabric.shutdown()
+        assert not thread.is_alive()
+        assert ticks == baseline
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkerDeath:

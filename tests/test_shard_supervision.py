@@ -237,8 +237,6 @@ class TestSupervisedRespawn:
         {"snapshot_interval": 0},
         {"max_restarts": -1},
         {"restart_backoff": -0.01},
-        {"max_backoff": -1.0},
-        {"backoff_factor": 0.5},
         {"request_timeout": 0},
     ],
     ids=lambda kwargs: ",".join(f"{key}={value}" for key, value in kwargs.items()),

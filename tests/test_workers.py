@@ -39,6 +39,33 @@ def fail_on_three(item):
     return item
 
 
+class StageError(Exception):
+    """Pickles, but cannot unpickle: its constructor takes other arguments."""
+
+    def __init__(self, stage, sessions):
+        super().__init__(f"stage {stage} failed for {sessions} sessions")
+
+
+class LockedError(Exception):
+    """Cannot pickle: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def raise_stage_error(item):
+    if item == 3:
+        raise StageError("fit", item)
+    return item
+
+
+def raise_locked_error(item):
+    if item == 3:
+        raise LockedError("held a lock")
+    return item
+
+
 class TestSplitByCost:
     def test_zoo_costs_put_the_aggregate_alone_in_the_caller_share(self):
         assert split_by_cost([6708] + [559] * 12, 2) == [[0], list(range(1, 13))]
@@ -91,6 +118,23 @@ class TestMapInWorkers:
         # Item 3 is cheap, so it lands in the worker's share.
         with pytest.raises(ValueError, match=r"^boom 3$"):
             map_in_workers(fail_on_three, [1, 2, 3], costs=[10, 1, 1])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "function, message",
+        [
+            (raise_stage_error, "StageError: stage fit failed for 3 sessions"),
+            (raise_locked_error, "LockedError: held a lock"),
+        ],
+        ids=["constructor-arguments", "holds-a-lock"],
+    )
+    def test_worker_exception_that_cannot_cross_keeps_its_type_and_message(
+        self, pin_cpus, function, message
+    ):
+        pin_cpus(2)
+        with pytest.raises(RuntimeError) as raised:
+            map_in_workers(function, [1, 2, 3], costs=[10, 1, 1])
+        assert type(raised.value) is RuntimeError and str(raised.value) == message
         assert multiprocessing.active_children() == []
 
     def test_caller_exception_leaves_no_child_behind(self, pin_cpus):
