@@ -86,9 +86,20 @@ mirror that duck-types the :class:`~repro.serving.session.PatientSession`
 surface the replayer and online attacker consume (``ticks``,
 ``context_window``, ``predictor``, ``health``).  The mirror ring is rebuilt
 from the returned :class:`SessionTick` stream (served ticks push exactly the
-sample the worker pushed; a quarantine transition resets it), so a
+sample the worker pushed; a transition into quarantine resets it), so a
 man-in-the-middle attacker sees the same live context window it would see
-single-process.
+single-process.  ``health.timeline`` is a parent-side copy: the ``open``
+reply carries the ``opened`` event and each tick reply the events its tick
+added (no other command moves a health machine), so reading it costs no
+round trip and it keeps every event up to a worker's death.
+
+One reply path
+--------------
+Every command, ``tick`` included, is sent, collected (recovering a dead
+worker and re-sending once, under supervision) and recorded (shipped sets,
+snapshot, journal; a tick's latency and obs) the same way.  ``tick`` sends
+to every engaged shard before collecting any reply, so the workers compute
+concurrently; journal replay re-sends through the same path.
 """
 
 from __future__ import annotations
@@ -103,7 +114,13 @@ import numpy as np
 
 from repro.glucose.predictor import GlucosePredictor
 from repro.obs import MetricsRegistry, Observer
-from repro.serving.health import HealthConfig, IngressConfig, validate_checkpoint
+from repro.serving.health import (
+    HealthConfig,
+    HealthEvent,
+    HealthState,
+    IngressConfig,
+    validate_checkpoint,
+)
 from repro.serving.recovery import (
     SchedulerSnapshot,
     capture_scheduler,
@@ -134,6 +151,9 @@ _DEFAULT_TIMEOUT = object()
 
 #: Command kinds that mutate worker state and therefore enter the journal.
 _JOURNALED_COMMANDS = frozenset({"model", "detector", "open", "close", "tick"})
+
+#: Health states in which the scheduler drops a session's deliveries.
+_BLOCKED_STATES = (HealthState.QUARANTINED, HealthState.FAILED)
 
 logger = logging.getLogger(__name__)
 
@@ -226,11 +246,13 @@ def _worker_main(
 ) -> None:
     """Run one shard: a private StreamScheduler driven by pipe commands.
 
-    With ``obs_enabled`` the worker owns its own :class:`Observer`; every
-    tick reply ships the cumulative series snapshot plus the spans/events
-    recorded since the previous reply (the parent stamps them with this
-    shard's index).  Obs shipping rides the existing replies — no extra
-    round-trips on the hot path.
+    A tick reply carries the outcomes, the worker's seconds in the tick and
+    the health events each delivered session gained.  With ``obs_enabled``
+    the worker owns its own :class:`Observer`; every tick reply also ships
+    the cumulative series snapshot plus the spans/events recorded since the
+    previous reply (the parent stamps them with this shard's index).  Obs
+    shipping rides the existing replies — no extra round-trips on the hot
+    path.
 
     With ``snapshot_interval`` set, every N-th successful tick reply also
     carries a :class:`~repro.serving.recovery.SchedulerSnapshot` of the
@@ -279,24 +301,32 @@ def _worker_main(
                     if spec["adapters"] is not None
                     else None
                 )
-                scheduler.open_session(
+                session = scheduler.open_session(
                     spec["patient_label"],
                     models[spec["lane_key"]],
                     detectors=adapters,
                     session_id=spec["session_id"],
                     expected_state_hash=spec["expected_state_hash"],
                 )
-                conn.send(("ok", None))
+                health = session.health
+                conn.send(("ok", list(health.timeline) if health is not None else None))
             elif command == "tick":
                 _, samples, now = message
+                # Only a tick moves a health machine, and only for the
+                # sessions it delivers to: the reply carries what each gained.
+                timelines = (
+                    [(sid, scheduler.session(sid).health.timeline) for sid in samples]
+                    if scheduler.health is not None
+                    else []
+                )
+                marks = [len(timeline) for _, timeline in timelines]
                 start = time.perf_counter()
                 results = scheduler.tick(samples, now=now)
                 elapsed = time.perf_counter() - start
-                blocked = {
-                    session_id
-                    for session_id in results
-                    if (session := scheduler.session(session_id)).health is not None
-                    and session.health.blocked
+                events = {
+                    sid: timeline[mark:]
+                    for (sid, timeline), mark in zip(timelines, marks)
+                    if len(timeline) > mark
                 }
                 ticks_seen += 1
                 snapshot = None
@@ -319,7 +349,7 @@ def _worker_main(
                         "ok",
                         {
                             "ticks": results,
-                            "blocked": blocked,
+                            "health": events,
                             "elapsed": elapsed,
                             "obs": observer.drain() if observer is not None else None,
                             "snapshot": snapshot,
@@ -342,19 +372,8 @@ def _worker_main(
                 conn.send(("ok", observer.drain() if observer is not None else None))
             elif command == "close":
                 _, session_id = message
-                session = scheduler.session(session_id)
-                timeline = (
-                    list(session.health.timeline) if session.health is not None else None
-                )
                 scheduler.close_session(session_id)
-                conn.send(("ok", timeline))
-            elif command == "timeline":
-                _, session_id = message
-                session = scheduler.session(session_id)
-                timeline = (
-                    list(session.health.timeline) if session.health is not None else None
-                )
-                conn.send(("ok", timeline))
+                conn.send(("ok", None))
             else:  # pragma: no cover - protocol misuse guard
                 raise ValueError(f"unknown shard command {command!r}")
         except Exception as exc:
@@ -372,29 +391,16 @@ def _worker_main(
 
 
 # ------------------------------------------------------------------ parent side
-class _ShardHealthProxy:
-    """Parent-side stand-in for a worker session's ``SessionHealth``.
+class _HealthMirror:
+    """Parent-side copy of a worker session's health timeline.
 
-    Exposes the one surface replay reporting consumes — ``timeline`` — by
-    querying the owning worker on access, and caches the final timeline when
-    the session closes (or its shard dies).
+    The ``open`` reply carries the ``opened`` event and each tick reply the
+    events its tick added, so the copy is always complete, costs no round
+    trip to read, and outlives the worker.
     """
 
-    def __init__(self, fabric: "ShardedScheduler", session_id: str, shard: int):
-        self._fabric = fabric
-        self._session_id = session_id
-        self._shard = shard
-        self._final: Optional[list] = None
-
-    def _finalize(self, timeline: Optional[list]) -> None:
-        self._final = list(timeline) if timeline is not None else []
-
-    @property
-    def timeline(self) -> list:
-        if self._final is not None:
-            return self._final
-        timeline = self._fabric._fetch_timeline(self._shard, self._session_id)
-        return timeline if timeline is not None else []
+    def __init__(self, timeline: List[HealthEvent]):
+        self.timeline = timeline
 
 
 class ShardSessionHandle:
@@ -415,7 +421,7 @@ class ShardSessionHandle:
         predictor: GlucosePredictor,
         shard: int,
         lane_key: str,
-        health: Optional[_ShardHealthProxy] = None,
+        health: Optional[_HealthMirror] = None,
     ):
         self.session_id = str(session_id)
         self.patient_label = str(patient_label)
@@ -427,7 +433,6 @@ class ShardSessionHandle:
         self.last_prediction: Optional[float] = None
         self._lane_key = lane_key
         self._ring = SampleRing(self.history)
-        self._blocked = False
 
     @property
     def lane_key(self) -> str:
@@ -443,19 +448,20 @@ class ShardSessionHandle:
         return self._ring.tail_with(incoming)
 
     # ------------------------------------------------------------- mirroring
-    def _absorb(self, outcome: SessionTick, blocked: bool) -> None:
-        """Mirror one worker tick: advance the clock and rebuild the ring."""
+    def _absorb(self, outcome: SessionTick, events: Optional[List[HealthEvent]]) -> None:
+        """Mirror one worker tick: advance the clock, the ring and the timeline."""
         self.ticks = outcome.tick + 1
         if not outcome.dropped:
             self._ring.push(outcome.sample)
             if outcome.prediction is not None:
                 self.last_prediction = outcome.prediction
-        if blocked and not self._blocked:
-            # The worker quarantined (or failed) this session on this tick:
-            # its ring and per-stream state were reset there; mirror that.
-            self._ring.reset()
-            self.last_prediction = None
-        self._blocked = blocked
+        if events:
+            self.health.timeline.extend(events)
+            if any(event.state in _BLOCKED_STATES for event in events):
+                # The worker quarantined (or failed) this session on this
+                # tick and reset its ring and per-stream state; mirror that.
+                self._ring.reset()
+                self.last_prediction = None
 
 
 class _Shard:
@@ -721,17 +727,37 @@ class ShardedScheduler:
         except (EOFError, OSError):
             pass
 
-    def _recv_reply(self, shard: _Shard, kind: str, timeout=_DEFAULT_TIMEOUT):
-        """Wait for one worker reply; marks the shard dead on EOF or timeout.
+    # ---------------------------------------------------------------- round trip
+    def _send(self, shard: _Shard, message: tuple) -> bool:
+        """Put one command on a shard's pipe, recovering a dead shard first.
+
+        False when the shard is dead and stays dead.  A send that hits a
+        broken pipe marks the shard dead, and collecting the reply reports
+        the death.
+        """
+        if not shard.alive and not self._recover_shard(shard):
+            return False
+        try:
+            shard.conn.send(message)
+        except (BrokenPipeError, EOFError, OSError):
+            self._mark_dead(shard)
+        return True
+
+    def _reply(self, shard: _Shard, kind: str, timeout=_DEFAULT_TIMEOUT):
+        """Wait for the reply to one sent command and return its payload.
 
         ``timeout`` defaults to the supervisor's ``request_timeout`` (block
         forever without supervision); a worker that blows the budget is
         presumed hung and force-killed so recovery sees a plain death.
+        Raises :class:`ShardDeadError` when the worker is dead, and
+        :class:`ShardWorkerError`, after draining the pipe, when it raised.
         """
         if timeout is _DEFAULT_TIMEOUT:
             timeout = (
                 self.supervision.request_timeout if self.supervision is not None else None
             )
+        if not shard.alive:
+            raise ShardDeadError(f"shard {shard.index} worker died during {kind!r}")
         try:
             if timeout is not None and not shard.conn.poll(timeout):
                 self._force_kill(shard, f"no reply to {kind!r} within {timeout}s")
@@ -739,25 +765,12 @@ class ShardedScheduler:
                 raise ShardDeadError(
                     f"shard {shard.index} worker timed out during {kind!r}"
                 )
-            return shard.conn.recv()
+            status, payload = shard.conn.recv()
         except (EOFError, OSError) as exc:
             self._mark_dead(shard)
             raise ShardDeadError(
                 f"shard {shard.index} worker died during {kind!r}"
             ) from exc
-
-    def _raw_request(self, shard: _Shard, message: tuple, timeout=_DEFAULT_TIMEOUT):
-        """One synchronous command round-trip with a worker (no recovery)."""
-        if not shard.alive:
-            raise ShardDeadError(f"shard {shard.index} worker is not alive")
-        try:
-            shard.conn.send(message)
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            self._mark_dead(shard)
-            raise ShardDeadError(
-                f"shard {shard.index} worker died during {message[0]!r}"
-            ) from exc
-        status, payload = self._recv_reply(shard, message[0], timeout=timeout)
         if status == "raise":
             self._drain_channel(shard)
             raise ShardWorkerError(
@@ -765,36 +778,66 @@ class ShardedScheduler:
             )
         return payload
 
-    def _request(self, shard: _Shard, message: tuple, timeout=_DEFAULT_TIMEOUT):
-        """One command round-trip, with supervised recovery and journaling.
+    def _collect(self, shard: _Shard, message: tuple, timeout=_DEFAULT_TIMEOUT, replay=False):
+        """Collect and record the reply to a sent command.
 
-        Without supervision this is exactly the old single-round-trip path.
-        With it, a dead worker is recovered (respawn + restore + journal
-        replay) and the unacknowledged command — which, never having been
-        acked, is by construction absent from both snapshot and journal —
-        is re-sent once; successful state-mutating commands are journaled.
+        Under supervision a dead worker is recovered and the command re-sent
+        once.  The dead worker never acknowledged it, so it is in neither
+        the snapshot nor the journal, and the fresh worker computes it from
+        exactly the state the dead one had: the recovered reply is bitwise
+        the one the dead worker would have sent.  ``replay`` marks a command
+        re-sent by recovery itself, which is not recovered again.
         """
-        if self.supervision is not None and not shard.alive:
-            self._recover_shard(shard)
         try:
-            payload = self._raw_request(shard, message, timeout=timeout)
+            payload = self._reply(shard, message[0], timeout)
         except ShardDeadError:
-            if self.supervision is None or not self._recover_shard(shard):
+            if replay or not self._recover_shard(shard):
                 raise
-            payload = self._raw_request(shard, message, timeout=timeout)
-        self._journal(shard, message)
+            self._send(shard, message)
+            payload = self._reply(shard, message[0], timeout)
+        self._record(shard, message, payload, replay)
         return payload
 
-    def _journal(self, shard: _Shard, message: tuple) -> None:
-        """Append an acked state-mutating command to the shard's replay log."""
-        if self.supervision is not None and message[0] in _JOURNALED_COMMANDS:
+    def _request(self, shard: _Shard, message: tuple, timeout=_DEFAULT_TIMEOUT, replay=False):
+        """One command round trip: send, then collect and record the reply."""
+        self._send(shard, message)
+        return self._collect(shard, message, timeout, replay)
+
+    def _record(self, shard: _Shard, message: tuple, payload, replay: bool) -> None:
+        """Book an acknowledged command: shipped sets, snapshot and journal.
+
+        A tick also refreshes the worker's cumulative obs series; a live
+        tick records its latency and drained traces too, while a replayed
+        one drops them (they were delivered before the crash).  A tick reply
+        carrying a snapshot includes that tick, so the snapshot supersedes
+        the journal instead of the tick joining it.
+        """
+        kind = message[0]
+        if kind == "model":
+            shard.shipped_models.add(message[1])
+        elif kind == "detector":
+            shard.shipped_detectors.add(message[1])
+        elif kind == "restore":
+            snapshot = message[1]
+            shard.shipped_models = set(snapshot.meta.get("lane_keys", snapshot.models))
+            shard.shipped_detectors = set(snapshot.meta.get("detector_refs", ()))
+        elif kind == "tick":
+            if not replay:
+                shard.last_tick_latency = payload["elapsed"]
+                self._ingest_shard_obs(shard, payload["obs"])
+            elif payload["obs"] is not None:
+                shard.obs_series = payload["obs"]["series"]
+        if self.supervision is None or kind not in _JOURNALED_COMMANDS:
+            return
+        snapshot = payload["snapshot"] if kind == "tick" else None
+        if snapshot is None:
             shard.journal.append(message)
+            return
+        shard.snapshot, shard.journal = snapshot, []
+        if self.obs is not None and not replay:
+            self.obs.registry.inc("recovery.snapshots_received_total", shard=shard.index)
 
     # ----------------------------------------------------------------- recovery
-    def _ensure_alive(self, shard: _Shard) -> bool:
-        """True when the shard is (or was just brought back) alive."""
-        return shard.alive or self._recover_shard(shard)
-
     def _recover_shard(self, shard: _Shard) -> bool:
         """Respawn a dead shard and rehydrate it; False when given up.
 
@@ -854,12 +897,8 @@ class ShardedScheduler:
                     # Restore and replay block without a request timeout: a
                     # large snapshot may legitimately take longer than one
                     # tick's reply budget.
-                    self._raw_request(shard, ("restore", shard.snapshot), timeout=None)
-                    meta = shard.snapshot.meta
-                    shard.shipped_models = set(
-                        meta.get("lane_keys", shard.snapshot.models)
-                    )
-                    shard.shipped_detectors = set(meta.get("detector_refs", ()))
+                    message = ("restore", shard.snapshot)
+                    self._request(shard, message, timeout=None, replay=True)
                 self._replay_journal(shard)
             except ShardDeadError:
                 # The respawn died during rehydration; burn another restart
@@ -874,36 +913,27 @@ class ShardedScheduler:
             return True
 
     def _replay_journal(self, shard: _Shard) -> None:
-        """Re-send every journaled command verbatim to a rehydrated worker.
+        """Re-send every journaled command, in order, to a rehydrated worker.
 
         Replayed ticks re-advance detector RNG streams and inversion states
-        to their exact pre-crash positions; their outcomes and traces are
-        discarded (the parent already delivered them before the crash) —
-        only the cumulative series mirror is refreshed, keeping obs totals
-        identical to an uninterrupted run.  A replayed tick that crosses the
-        snapshot cadence returns a fresh snapshot, which truncates the
-        journal just as it would have live.
+        to their exact pre-crash positions.  Recording each reply rebuilds
+        the journal as it goes, so a replayed tick that crosses the snapshot
+        cadence truncates it just as it would have live; a worker that dies
+        part-way leaves the commands it never acknowledged for the next
+        attempt.
         """
-        replay = list(shard.journal)
-        remaining = replay
-        for position, message in enumerate(replay):
-            payload = self._raw_request(shard, message, timeout=None)
-            if self.obs is not None:
-                self.obs.registry.inc(
-                    "recovery.journal_replayed_total", shard=shard.index
-                )
-            kind = message[0]
-            if kind == "model":
-                shard.shipped_models.add(message[1])
-            elif kind == "detector":
-                shard.shipped_detectors.add(message[1])
-            elif kind == "tick":
-                if self.obs is not None and payload.get("obs") is not None:
-                    shard.obs_series = payload["obs"]["series"]
-                if payload.get("snapshot") is not None:
-                    shard.snapshot = payload["snapshot"]
-                    remaining = replay[position + 1 :]
-        shard.journal = remaining
+        pending, shard.journal = shard.journal, []
+        replayed = 0
+        try:
+            for message in pending:
+                self._request(shard, message, timeout=None, replay=True)
+                replayed += 1
+                if self.obs is not None:
+                    self.obs.registry.inc(
+                        "recovery.journal_replayed_total", shard=shard.index
+                    )
+        finally:
+            shard.journal.extend(pending[replayed:])
 
     # ------------------------------------------------------------------ sessions
     def shard_for(self, lane_key: str, session_id: str) -> int:
@@ -945,7 +975,6 @@ class ShardedScheduler:
             if ref not in shard.shipped_detectors:
                 payload = pickle.dumps(detector, protocol=_PICKLE_PROTOCOL)
                 self._request(shard, ("detector", ref, payload))
-                shard.shipped_detectors.add(ref)
 
     def open_session(
         self,
@@ -973,7 +1002,6 @@ class ShardedScheduler:
         if lane_key not in shard.shipped_models:
             payload = pickle.dumps(predictor, protocol=_PICKLE_PROTOCOL)
             self._request(shard, ("model", lane_key, payload))
-            shard.shipped_models.add(lane_key)
         adapters_payload = None
         if detectors:
             self._ship_detectors(shard, detectors)
@@ -985,31 +1013,26 @@ class ShardedScheduler:
             "adapters": adapters_payload,
             "expected_state_hash": expected_state_hash,
         }
-        self._request(shard, ("open", spec))
-        proxy = (
-            _ShardHealthProxy(self, session_id, shard.index)
-            if self.health is not None
-            else None
-        )
+        opened = self._request(shard, ("open", spec))
         handle = ShardSessionHandle(
-            session_id, patient_label, predictor, shard.index, lane_key, health=proxy
+            session_id,
+            patient_label,
+            predictor,
+            shard.index,
+            lane_key,
+            health=_HealthMirror(opened) if opened is not None else None,
         )
         self._sessions[session_id] = handle
         self._lane_keys.add(lane_key)
         return handle
 
     def close_session(self, session_id: str) -> None:
-        """Tear a session down on its shard; finalizes its health timeline."""
+        """Tear a session down on its shard; a dead shard holds nothing to close."""
         handle = self._sessions.pop(str(session_id))
-        shard = self._shards[handle.shard]
-        timeline: Optional[list] = None
-        if shard.alive or self.supervision is not None:
-            try:
-                timeline = self._request(shard, ("close", handle.session_id))
-            except ShardDeadError:
-                timeline = None
-        if handle.health is not None:
-            handle.health._finalize(timeline)
+        try:
+            self._request(self._shards[handle.shard], ("close", handle.session_id))
+        except ShardDeadError:
+            pass
 
     @property
     def n_sessions(self) -> int:
@@ -1022,15 +1045,6 @@ class ShardedScheduler:
 
     def session(self, session_id: str) -> ShardSessionHandle:
         return self._sessions[str(session_id)]
-
-    def _fetch_timeline(self, shard_index: int, session_id: str) -> Optional[list]:
-        shard = self._shards[shard_index]
-        if not shard.alive:
-            return None
-        try:
-            return self._request(shard, ("timeline", session_id))
-        except ShardDeadError:
-            return None
 
     # ------------------------------------------------------------------- ticking
     @property
@@ -1069,103 +1083,44 @@ class ShardedScheduler:
         Sessions on a dead shard receive ``dropped`` outcomes naming it;
         everyone else is served normally.  ``now`` (the caller's device-clock
         slot) is forwarded verbatim to every worker; like the single-process
-        scheduler it is purely observational.
+        scheduler it is purely observational.  When workers raise, every
+        engaged shard's reply is still collected, then the first failing
+        shard's :class:`ShardWorkerError` is raised.
         """
         per_shard: Dict[int, Dict[str, np.ndarray]] = {}
-        merged: Dict[str, SessionTick] = {}
         for session_id, sample in samples.items():
             handle = self._sessions[str(session_id)]
-            shard = self._shards[handle.shard]
-            if not shard.alive and not self._ensure_alive(shard):
-                merged[handle.session_id] = self._dead_shard_tick(handle, sample)
-                continue
             per_shard.setdefault(handle.shard, {})[handle.session_id] = sample
-
-        # Fan out first so the workers compute concurrently, then collect.
-        # A failed send is left for the collect phase to handle: under
-        # supervision the recv on the broken pipe surfaces the death and
-        # _exchange_tick recovers + re-sends; without it the sessions are
-        # degraded immediately, exactly as before.
-        engaged: List[Tuple[_Shard, Dict[str, np.ndarray]]] = []
+        # Send to every engaged shard first so the workers compute
+        # concurrently, then collect each reply in turn.
+        engaged: List[Tuple[_Shard, tuple]] = []
+        dead: Dict[str, np.ndarray] = {}
         for shard_index, shard_samples in per_shard.items():
             shard = self._shards[shard_index]
-            try:
-                shard.conn.send(("tick", shard_samples, now))
-            except (BrokenPipeError, OSError):
-                self._mark_dead(shard)
-                if self.supervision is None:
-                    for session_id, sample in shard_samples.items():
-                        merged[session_id] = self._dead_shard_tick(
-                            self._sessions[session_id], sample
-                        )
-                    continue
-            engaged.append((shard, shard_samples))
-
-        failures: List[ShardWorkerError] = []
-        for shard, shard_samples in engaged:
             message = ("tick", shard_samples, now)
-            status, payload = self._exchange_tick(shard, message)
-            if status is None:
-                for session_id, sample in shard_samples.items():
-                    merged[session_id] = self._dead_shard_tick(
-                        self._sessions[session_id], sample
-                    )
+            if self._send(shard, message):
+                engaged.append((shard, message))
+            else:
+                dead.update(shard_samples)
+        merged: Dict[str, SessionTick] = {}
+        failures: List[ShardWorkerError] = []
+        for shard, message in engaged:
+            try:
+                payload = self._collect(shard, message)
+            except ShardDeadError:
+                dead.update(message[1])
                 continue
-            if status == "raise":
-                # Drain every engaged shard before raising so the pipes stay
-                # in protocol sync; the first failing shard's error wins.
-                self._drain_channel(shard)
-                failures.append(
-                    ShardWorkerError(
-                        shard.index,
-                        payload["type"],
-                        payload["message"],
-                        payload["traceback"],
-                    )
-                )
+            except ShardWorkerError as exc:
+                # Collecting every engaged shard keeps each pipe in protocol
+                # sync; the first failing shard's error wins.
+                failures.append(exc)
                 continue
-            if self.supervision is not None:
-                snapshot = payload.get("snapshot")
-                if snapshot is not None:
-                    # The snapshot includes this tick: it supersedes the
-                    # journal, and this tick must not be journaled after it.
-                    shard.snapshot = snapshot
-                    shard.journal = []
-                    if self.obs is not None:
-                        self.obs.registry.inc(
-                            "recovery.snapshots_received_total", shard=shard.index
-                        )
-                else:
-                    self._journal(shard, message)
-            shard.last_tick_latency = payload["elapsed"]
-            self._ingest_shard_obs(shard, payload.get("obs"))
-            blocked = payload["blocked"]
+            events = payload["health"]
             for session_id, outcome in payload["ticks"].items():
-                self._sessions[session_id]._absorb(outcome, session_id in blocked)
+                self._sessions[session_id]._absorb(outcome, events.get(session_id))
                 merged[session_id] = outcome
+        for session_id, sample in dead.items():
+            merged[session_id] = self._dead_shard_tick(self._sessions[session_id], sample)
         if failures:
             raise failures[0]
         return dict(sorted(merged.items()))
-
-    def _exchange_tick(self, shard: _Shard, message: tuple):
-        """Collect one shard's tick reply, recovering + re-sending at most once.
-
-        Returns the worker's ``(status, payload)`` pair, or ``(None, None)``
-        when the shard is (now terminally) dead.  The re-sent tick was never
-        acknowledged by the dead worker, so after snapshot restore + journal
-        replay the fresh worker computes it from exactly the pre-tick state
-        — the recovered outcome is bitwise the one the crashed worker would
-        have produced.
-        """
-        for attempt in (0, 1):
-            try:
-                if attempt:
-                    shard.conn.send(message)
-                return self._recv_reply(shard, "tick")
-            except (BrokenPipeError, OSError):
-                self._mark_dead(shard)
-            except ShardDeadError:
-                pass
-            if attempt or not self._recover_shard(shard):
-                return None, None
-        return None, None  # pragma: no cover - loop always returns

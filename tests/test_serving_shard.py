@@ -23,10 +23,14 @@ import numpy as np
 import pytest
 
 from repro.attacks import AttackCampaign
+from repro.data.cohort import CGM_COLUMN
 from repro.detectors import KNNDistanceDetector, StreamingDetector
 from repro.serving import (
     AttackEpisode,
     CheckpointError,
+    HealthConfig,
+    IngressConfig,
+    IngressPolicy,
     OnlineAttacker,
     ShardedScheduler,
     StreamReplayer,
@@ -145,14 +149,19 @@ class TestWorkerDeath:
         self, tiny_zoo, tiny_cohort, knn_detector
     ):
         records = list(tiny_cohort)
-        streams = {record.label: record.features("test")[:20] for record in records}
+        streams = {record.label: record.features("test")[:20].copy() for record in records}
+        for stream in streams.values():
+            # Two rejected samples before the kill: every session degrades,
+            # is quarantined, and is re-admitted, all on its health timeline.
+            stream[3:5, CGM_COLUMN] = np.nan
+        gating = dict(
+            health=HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=4),
+            ingress=IngressConfig(policy=IngressPolicy.REJECT),
+        )
 
-        baseline = drive(StreamScheduler(), tiny_zoo, tiny_cohort, knn_detector, n_ticks=20)
-
-        fabric = ShardedScheduler(n_shards=2)
-        try:
+        def run(scheduler, kill_shard=None):
             for record in records:
-                fabric.open_session(
+                scheduler.open_session(
                     record.label,
                     tiny_zoo.model_for(record.label),
                     detectors={
@@ -161,26 +170,38 @@ class TestWorkerDeath:
                         )
                     },
                 )
+            ticks = []
+            for tick in range(20):
+                if tick == 10 and kill_shard is not None:
+                    # Kill one worker process mid-fleet.
+                    scheduler._shards[kill_shard].process.terminate()
+                    scheduler._shards[kill_shard].process.join()
+                samples = {
+                    record.label: streams[record.label][tick] for record in records
+                }
+                ticks.append(scheduler.tick(samples))
+            timelines = {
+                record.label: list(scheduler.session(record.label).health.timeline)
+                for record in records
+            }
+            return ticks, timelines
+
+        baseline_ticks, baseline_timelines = run(StreamScheduler(**gating))
+        baseline = [tick_fingerprint(outcomes) for outcomes in baseline_ticks]
+
+        fabric = ShardedScheduler(n_shards=2, **gating)
+        try:
             by_shard = {}
             for record in records:
-                by_shard.setdefault(fabric.session(record.label).shard, []).append(
+                lane = tiny_zoo.model_for(record.label).state_hash()
+                by_shard.setdefault(fabric.shard_for(lane, record.label), []).append(
                     record.label
                 )
             assert len(by_shard) == 2
             dead_shard = min(by_shard)
             victims = set(by_shard[dead_shard])
             survivors = {record.label for record in records} - victims
-
-            ticks = []
-            for tick in range(20):
-                if tick == 10:
-                    # Kill one worker process mid-fleet.
-                    fabric._shards[dead_shard].process.terminate()
-                    fabric._shards[dead_shard].process.join()
-                samples = {
-                    record.label: streams[record.label][tick] for record in records
-                }
-                ticks.append(fabric.tick(samples))
+            ticks, timelines = run(fabric, kill_shard=dead_shard)
         finally:
             fabric.shutdown()
 
@@ -188,6 +209,7 @@ class TestWorkerDeath:
         for label in survivors:
             # Co-scheduled shards: bitwise-identical to the no-death baseline.
             assert [tick[label] for tick in fingerprints] == [tick[label] for tick in baseline]
+            assert timelines[label] == baseline_timelines[label]
         for label in victims:
             before = [tick[label] for tick in fingerprints[:10]]
             assert before == [tick[label] for tick in baseline[:10]]
@@ -198,6 +220,54 @@ class TestWorkerDeath:
                 assert outcome.prediction is None
             # The mirror keeps counting ticks so a recovered flow could resume.
             assert [outcome.tick for outcome in outs] == list(range(20))
+            # The timeline keeps every event up to the death.
+            assert [event.reason for event in timelines[label][:1]] == ["opened"]
+            assert len(timelines[label]) > 1
+            assert timelines[label] == [
+                event for event in baseline_timelines[label] if event.tick < 10
+            ]
+
+
+class TestSessionMirror:
+    def test_handle_follows_its_worker_session_through_quarantine(
+        self, tiny_zoo, tiny_cohort
+    ):
+        """Window and timeline match single-process, tick by tick."""
+        records = list(tiny_cohort)
+        streams = {record.label: record.features("test")[:20].copy() for record in records}
+        for stream in streams.values():
+            # Rejected once the window is full: quarantine resets the ring.
+            stream[13:15, CGM_COLUMN] = np.nan
+        gating = dict(
+            health=HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=4),
+            ingress=IngressConfig(policy=IngressPolicy.REJECT),
+        )
+        single = StreamScheduler(**gating)
+        with ShardedScheduler(n_shards=2, **gating) as fabric:
+            for scheduler in (single, fabric):
+                for record in records:
+                    scheduler.open_session(record.label, tiny_zoo.model_for(record.label))
+            for tick in range(20):
+                samples = {label: stream[tick] for label, stream in streams.items()}
+                single.tick(samples)
+                fabric.tick(samples)
+                for label in streams:
+                    expected = single.session(label).window()
+                    mirrored = fabric.session(label).window()
+                    assert (expected is None) == (mirrored is None), (label, tick)
+                    if expected is not None:
+                        assert expected.tobytes() == mirrored.tobytes(), (label, tick)
+                    assert (
+                        fabric.session(label).health.timeline
+                        == single.session(label).health.timeline
+                    )
+            quarantined = [
+                event
+                for label in streams
+                for event in fabric.session(label).health.timeline
+                if event.state == "quarantined"
+            ]
+            assert len(quarantined) == len(streams)
 
 
 class TestOrderInvariance:

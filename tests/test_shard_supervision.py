@@ -47,6 +47,26 @@ from repro.serving import (
 N_TICKS = 24
 
 
+class _KillOnReplayedCommand:
+    """A worker's pipe that SIGKILLs the worker as its n-th journaled command is sent."""
+
+    def __init__(self, process, conn, at):
+        self._process = process
+        self._conn = conn
+        self._remaining = at
+
+    def send(self, message):
+        if message[0] in shard_module._JOURNALED_COMMANDS:
+            self._remaining -= 1
+            if self._remaining == 0:
+                os.kill(self._process.pid, signal.SIGKILL)
+                self._process.join()
+        self._conn.send(message)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 class TestSupervisedRespawn:
     @pytest.fixture(scope="class")
     def knn(self, tiny_zoo, tiny_cohort):
@@ -159,6 +179,32 @@ class TestSupervisedRespawn:
         )
         assert restarts >= 2
         assert (out, timelines) == reference[:2]
+
+    def test_respawn_killed_during_replay_resumes_on_the_next(
+        self, run, baseline, monkeypatch
+    ):
+        # The first replacement worker is SIGKILLed as the third journaled
+        # command is re-sent to it: the next respawn must still resume from
+        # the snapshot plus the whole journal.
+        started = []
+        real_start_child = shard_module.start_child
+
+        def start_child(*args, **kwargs):
+            process, conn = real_start_child(*args, **kwargs)
+            started.append(process)
+            if len(started) == 3:  # two workers at birth, then the first respawn
+                conn = _KillOnReplayedCommand(process, conn, at=3)
+            return process, conn
+
+        monkeypatch.setattr(shard_module, "start_child", start_child)
+        out, timelines, restarts = run(
+            2,
+            supervision=SupervisorConfig(snapshot_interval=8, restart_backoff=0.01),
+            kills={13: 0},
+        )
+        assert len(started) == 4
+        assert restarts == 2
+        assert (out, timelines) == baseline[:2]
 
     def test_kill_before_first_snapshot_replays_journal(self, run, baseline):
         # snapshot_interval far beyond the run: the journal reaches back to
@@ -323,6 +369,34 @@ class TestWorkerErrorChannelDrain:
             outcomes = fabric.tick({record.label: stream[1]})
             assert not outcomes[record.label].dropped
             assert fabric._shards[0].alive
+            assert sum(shard.restarts for shard in fabric._shards) == 0
+        finally:
+            fabric.shutdown()
+
+    def test_first_failing_shard_is_raised_and_both_stay_usable(
+        self, tiny_zoo, tiny_cohort
+    ):
+        records = list(tiny_cohort)
+        streams = {record.label: record.features("test")[:3] for record in records}
+        fabric = ShardedScheduler(n_shards=2)  # health=None: errors re-raise
+        try:
+            for record in records:
+                fabric.open_session(record.label, tiny_zoo.model_for(record.label))
+            fabric.tick({label: stream[0] for label, stream in streams.items()})
+            # One session per shard, the higher shard first: its reply is
+            # collected first, so its error is the one raised.
+            first = {}
+            for label in streams:
+                first.setdefault(fabric.session(label).shard, label)
+            assert sorted(first) == [0, 1]
+            pids = [shard.process.pid for shard in fabric._shards]
+            with pytest.raises(ShardWorkerError) as raised:
+                fabric.tick({first[1]: np.ones(99), first[0]: np.ones(99)})
+            assert raised.value.shard == 1
+            outcomes = fabric.tick({label: stream[1] for label, stream in streams.items()})
+            assert all(not outcome.dropped for outcome in outcomes.values())
+            assert [shard.process.pid for shard in fabric._shards] == pids
+            assert all(shard.alive for shard in fabric._shards)
             assert sum(shard.restarts for shard in fabric._shards) == 0
         finally:
             fabric.shutdown()
