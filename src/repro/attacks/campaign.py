@@ -22,6 +22,7 @@ from repro.data.cohort import Cohort, PatientRecord
 from repro.data.dataset import ForecastingDataset
 from repro.glucose.models import GlucoseModelZoo
 from repro.glucose.states import GlucoseState, scenario_for_samples
+from repro.utils.workers import map_in_workers
 
 
 @dataclass
@@ -198,7 +199,9 @@ class AttackCampaign:
         Attack every ``stride``-th window of the trace (1 = every window).
     attack_factory:
         Callable building an :class:`EvasionAttack` from a predictor; lets the
-        caller swap explorers or transformation sets.
+        caller swap explorers or transformation sets.  It is called once per
+        search, and each call must build its own explorer (see
+        :meth:`run_cohort`).
     obs:
         Optional :class:`~repro.obs.Observer`.  Each run folds its record
         totals into ``campaign.windows_attacked_total`` (labeled eligible /
@@ -243,11 +246,14 @@ class AttackCampaign:
             )
             registry.inc("campaign.model_queries_total", int(result.queries))
 
+    def _strided_count(self, record: PatientRecord, split: str) -> int:
+        """Windows a run attacks for one patient, counted without building any."""
+        count = self.dataset.window_count(len(record.cgm(split)))
+        return len(range(0, count, self.stride))
+
     def _prepare_patient(self, record: PatientRecord, split: str):
-        """Strided windows + scenarios for one patient, or None if the trace is empty."""
+        """Strided windows + scenarios for one patient with a non-empty trace."""
         windows, _, target_indices = self.dataset.from_record(record, split)
-        if len(windows) == 0:
-            return None
         carbs = record.features(split)[:, 2]
         scenarios = scenario_for_samples(carbs)
         window_indices = list(range(0, len(windows), self.stride))
@@ -273,18 +279,42 @@ class AttackCampaign:
             for window_index, attack_result in zip(window_indices, attack_results)
         ]
 
+    def _attack_group(self, job) -> List[List[WindowAttackRecord]]:
+        """One merged search: each patient's records, in the group's order.
+
+        ``job`` is ``(attack, patients, split)``, every patient with a
+        non-empty trace.  Windows and scenarios are built here, where they
+        are attacked, so no process holds every group's windows at once.
+        """
+        attack, patients, split = job
+        prepared = [self._prepare_patient(record, split) for record in patients]
+        attack_results = attack.attack_batch(
+            np.concatenate([windows for windows, _, _, _ in prepared]),
+            [scenario for _, _, _, scenarios in prepared for scenario in scenarios],
+        )
+        records = []
+        offset = 0
+        for record, (_, window_indices, target_indices, _) in zip(patients, prepared):
+            count = len(window_indices)
+            records.append(
+                self._records_for(
+                    record,
+                    split,
+                    window_indices,
+                    target_indices,
+                    attack_results[offset : offset + count],
+                )
+            )
+            offset += count
+        return records
+
     def run_patient(self, record: PatientRecord, split: str = "test") -> CampaignResult:
         """Attack one patient's trace."""
         result = CampaignResult()
-        prepared = self._prepare_patient(record, split)
-        if prepared is None:
+        if not self._strided_count(record, split):
             return result
-        windows, window_indices, target_indices, window_scenarios = prepared
         attack = self.attack_factory(self.zoo.model_for(record.label))
-        attack_results = attack.attack_batch(windows, window_scenarios)
-        result.records.extend(
-            self._records_for(record, split, window_indices, target_indices, attack_results)
-        )
+        (result.records,) = self._attack_group((attack, [record], split))
         self._emit_records(result.records)
         return result
 
@@ -303,49 +333,47 @@ class AttackCampaign:
         :meth:`run_patient` loop's record for record; stochastic explorers
         allocate their RNG stream across the merged batch (still
         reproducible for a fixed seed).
+
+        The groups' searches share nothing and run through
+        :func:`~repro.utils.workers.map_in_workers`, each costed by its
+        strided window count: on a personalized zoo the caller runs one
+        share of the searches and a forked worker per extra schedulable CPU
+        runs each other share; an aggregate-only zoo is one group and runs
+        in the caller.  Patients with an empty trace are skipped without
+        building windows.  ``attack_factory`` is called here, in the
+        caller, once per group in cohort order, and each call must return
+        an attack with its own explorer: a stochastic explorer shared
+        between groups would advance its RNG only in the process that used
+        it.  Records come back pickled and are merged in cohort order, and
+        ``campaign.*`` is emitted here, as for a sequential run.
         """
-        prepared_by_label: Dict[str, tuple] = {}
         groups: Dict[str, List[PatientRecord]] = {}
+        costs: Dict[str, int] = {}
         predictors: Dict[str, object] = {}
         # state_hash digests every weight tensor; hash each distinct object
         # once per run (the zoo keeps predictors alive, so ids are stable).
         hash_by_id: Dict[int, str] = {}
         for record in cohort:
-            prepared = self._prepare_patient(record, split)
-            if prepared is None:
+            count = self._strided_count(record, split)
+            if not count:
                 continue
             predictor = self.zoo.model_for(record.label)
             key = hash_by_id.get(id(predictor))
             if key is None:
                 key = hash_by_id[id(predictor)] = predictor.state_hash()
-            prepared_by_label[record.label] = prepared
             predictors[key] = predictor
             groups.setdefault(key, []).append(record)
+            costs[key] = costs.get(key, 0) + count
 
+        jobs = [
+            (self.attack_factory(predictors[key]), group, split) for key, group in groups.items()
+        ]
         records_by_label: Dict[str, List[WindowAttackRecord]] = {}
-        for key, group in groups.items():
-            merged_windows = np.concatenate(
-                [prepared_by_label[record.label][0] for record in group]
+        searched = map_in_workers(self._attack_group, jobs, list(costs.values()))
+        for group, group_records in zip(groups.values(), searched):
+            records_by_label.update(
+                (record.label, records) for record, records in zip(group, group_records)
             )
-            merged_scenarios = [
-                scenario
-                for record in group
-                for scenario in prepared_by_label[record.label][3]
-            ]
-            attack = self.attack_factory(predictors[key])
-            attack_results = attack.attack_batch(merged_windows, merged_scenarios)
-            offset = 0
-            for record in group:
-                _, window_indices, target_indices, _ = prepared_by_label[record.label]
-                count = len(window_indices)
-                records_by_label[record.label] = self._records_for(
-                    record,
-                    split,
-                    window_indices,
-                    target_indices,
-                    attack_results[offset : offset + count],
-                )
-                offset += count
 
         merged = CampaignResult()
         for record in cohort:  # preserve the per-patient record ordering

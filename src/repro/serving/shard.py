@@ -48,7 +48,8 @@ terminal to recoverable.  Workers piggyback a full deterministic
 :class:`~repro.serving.recovery.SchedulerSnapshot` of their shard on every
 ``snapshot_interval``-th tick reply, and the parent journals every
 state-mutating command (model/detector/open/close/tick) sent since the last
-snapshot.  When a worker dies — EOF on its pipe, a broken send, or a
+snapshot, a command the worker raised on included (its replay must raise the
+same error).  When a worker dies — EOF on its pipe, a broken send, or a
 ``request_timeout`` expiry (the stuck worker is force-killed first) — the
 supervisor respawns the process with bounded exponential backoff, restores
 the last snapshot, replays the journal verbatim (re-deriving detector RNG
@@ -151,6 +152,10 @@ _DEFAULT_TIMEOUT = object()
 
 #: Command kinds that mutate worker state and therefore enter the journal.
 _JOURNALED_COMMANDS = frozenset({"model", "detector", "open", "close", "tick"})
+
+#: Tag of a journal entry ``(_RAISED, message, exc_type, worker_message)``: a
+#: journaled command the worker raised on, which replay expects to raise again.
+_RAISED = "raised"
 
 #: Health states in which the scheduler drops a session's deliveries.
 _BLOCKED_STATES = (HealthState.QUARANTINED, HealthState.FAILED)
@@ -787,14 +792,24 @@ class ShardedScheduler:
         exactly the state the dead one had: the recovered reply is bitwise
         the one the dead worker would have sent.  ``replay`` marks a command
         re-sent by recovery itself, which is not recovered again.
+
+        A worker that raised may have changed part of its state first (a
+        tick can count down one session's backoff before another session's
+        sample fails), so under supervision a live journaled command that
+        raised is journaled too, marked to raise the same error on replay.
         """
         try:
-            payload = self._reply(shard, message[0], timeout)
-        except ShardDeadError:
-            if replay or not self._recover_shard(shard):
-                raise
-            self._send(shard, message)
-            payload = self._reply(shard, message[0], timeout)
+            try:
+                payload = self._reply(shard, message[0], timeout)
+            except ShardDeadError:
+                if replay or not self._recover_shard(shard):
+                    raise
+                self._send(shard, message)
+                payload = self._reply(shard, message[0], timeout)
+        except ShardWorkerError as error:
+            if self.supervision is not None and message[0] in _JOURNALED_COMMANDS and not replay:
+                shard.journal.append((_RAISED, message, error.exc_type, error.worker_message))
+            raise
         self._record(shard, message, payload, replay)
         return payload
 
@@ -920,13 +935,17 @@ class ShardedScheduler:
         the journal as it goes, so a replayed tick that crosses the snapshot
         cadence truncates it just as it would have live; a worker that dies
         part-way leaves the commands it never acknowledged for the next
-        attempt.
+        attempt.  An entry journaled as raised must raise the same error
+        again, and nothing else is accepted.
         """
         pending, shard.journal = shard.journal, []
         replayed = 0
         try:
-            for message in pending:
-                self._request(shard, message, timeout=None, replay=True)
+            for entry in pending:
+                if entry[0] == _RAISED:
+                    self._replay_raised(shard, entry)
+                else:
+                    self._request(shard, entry, timeout=None, replay=True)
                 replayed += 1
                 if self.obs is not None:
                     self.obs.registry.inc(
@@ -934,6 +953,21 @@ class ShardedScheduler:
                     )
         finally:
             shard.journal.extend(pending[replayed:])
+
+    def _replay_raised(self, shard: _Shard, entry: tuple) -> None:
+        """Re-send a command the worker raised on; it must raise the same error."""
+        _, message, exc_type, worker_message = entry
+        self._send(shard, message)
+        try:
+            self._reply(shard, message[0], timeout=None)
+        except ShardWorkerError as error:
+            if (error.exc_type, error.worker_message) != (exc_type, worker_message):
+                raise
+            shard.journal.append(entry)
+            return
+        raise ShardWorkerError(
+            shard.index, exc_type, f"replayed command did not raise again: {worker_message}"
+        )
 
     # ------------------------------------------------------------------ sessions
     def shard_for(self, lane_key: str, session_id: str) -> int:

@@ -12,7 +12,6 @@ from repro.data import (
     SyntheticOhioT1DM,
     WindowScaler,
     build_cohort_profiles,
-    build_feature_matrix,
     expected_less_vulnerable_labels,
     expected_more_vulnerable_labels,
     flatten_windows,

@@ -25,7 +25,7 @@ from repro.eval import (
     render_severity_table,
     trace_detection,
 )
-from repro.risk import STRATEGY_ALL, STRATEGY_LESS_VULNERABLE, SelectionPlanner
+from repro.risk import STRATEGY_LESS_VULNERABLE, SelectionPlanner
 
 
 class TestMetrics:

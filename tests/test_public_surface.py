@@ -7,8 +7,9 @@
   or each traced benchmark run fails with ``KeyError``.  The tracer is read
   and executed here without importing it as a module, so nothing is written
   next to it.
-* No module under ``src/repro`` or ``examples/`` imports a name at module
-  level that it never uses (package ``__init__`` re-exports aside).
+* No module under ``src/repro``, ``examples/``, ``scripts/``, ``benchmarks/``
+  or ``tests/`` imports a name at module level that it never uses (package
+  ``__init__`` re-exports aside).
 * Only ``repro/utils/workers.py`` imports ``multiprocessing`` or starts,
   pipes to, terminates or kills a process, so the rules for forking and
   for ending a child exist once.
@@ -29,7 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(
     path
-    for path in [*(ROOT / "src" / "repro").rglob("*.py"), *(ROOT / "examples").rglob("*.py")]
+    for folder in ("src/repro", "examples", "scripts", "benchmarks", "tests")
+    for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )
 

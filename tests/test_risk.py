@@ -4,7 +4,7 @@ clustering, selection, and the orchestrator)."""
 import numpy as np
 import pytest
 
-from repro.glucose import GlucoseState, Scenario, StateTransition
+from repro.glucose import GlucoseState, Scenario
 from repro.risk import (
     ALL_STRATEGIES,
     HierarchicalClustering,

@@ -36,6 +36,7 @@ from repro.detectors.streaming import StreamingDetector
 from repro.obs import Observer
 from repro.serving import (
     HealthConfig,
+    HealthState,
     IngressConfig,
     IngressPolicy,
     ShardWorkerError,
@@ -400,3 +401,55 @@ class TestWorkerErrorChannelDrain:
             assert sum(shard.restarts for shard in fabric._shards) == 0
         finally:
             fabric.shutdown()
+
+
+class TestRaisedCommandReplay:
+    """A tick the worker raised on after changing part of its state is replayed."""
+
+    def run(self, tiny_zoo, tiny_cohort, kill_at=None):
+        """Quarantine A, raise on a tick that counts A's backoff down, go on.
+
+        Returns the per-tick fingerprints (None for the raising tick) and
+        A's mirrored health timeline.
+        """
+        first, second = list(tiny_cohort)[:2]
+        streams = {"A": first.features("test")[:16], "B": second.features("test")[:16]}
+        bad = np.full(streams["A"].shape[1], np.nan)
+        fabric = ShardedScheduler(
+            n_shards=1,
+            health=HealthConfig(degrade_after=1, quarantine_after=2, backoff_ticks=6),
+            ingress=IngressConfig(policy=IngressPolicy.REJECT),
+            supervision=SupervisorConfig(snapshot_interval=1000, restart_backoff=0.01),
+        )
+        out = []
+        try:
+            fabric.open_session("A", tiny_zoo.model_for(first.label))
+            fabric.open_session("B", tiny_zoo.model_for(second.label))
+            for tick in range(len(streams["A"])):
+                if tick == kill_at:
+                    fabric.kill_worker(0)
+                samples = {label: stream[tick] for label, stream in streams.items()}
+                if tick in (0, 1):
+                    samples["A"] = bad  # two rejections quarantine A
+                if tick == 4:
+                    with pytest.raises(ShardWorkerError):
+                        fabric.tick({"A": samples["A"], "B": np.ones(99)}, now=tick)
+                    out.append(None)
+                    continue
+                out.append(tick_fingerprint(fabric.tick(samples, now=tick)))
+            timeline = [
+                (e.tick, str(e.state), e.reason, e.delivered_at, e.backoff)
+                for e in fabric.session("A").health.timeline
+            ]
+            restarts = fabric._shards[0].restarts
+        finally:
+            fabric.shutdown()
+        return out, timeline, restarts
+
+    def test_kill_after_a_raising_tick_resumes_bitwise(self, tiny_zoo, tiny_cohort):
+        baseline = self.run(tiny_zoo, tiny_cohort)
+        assert str(HealthState.QUARANTINED) in [state for _, state, _, _, _ in baseline[1]]
+        out, timeline, restarts = self.run(tiny_zoo, tiny_cohort, kill_at=10)
+        assert restarts == 1
+        assert out == baseline[0], "recovered run diverged from uninterrupted run"
+        assert timeline == baseline[1]

@@ -1,7 +1,6 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
-import pytest
 
 from repro.utils.rng import RandomState, as_random_state, hash_string
 

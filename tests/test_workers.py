@@ -4,6 +4,7 @@ Two shares are forced by pinning the CPU count, so these tests fork on any
 host that has the ``fork`` start method.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import threading
@@ -11,6 +12,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.attacks import AttackCampaign, EvasionAttack
+from repro.data import Cohort
+from repro.data.physiology import SimulationResult
 from repro.detectors import (
     GaussianHMMDetector,
     KNNClassifierDetector,
@@ -20,8 +24,9 @@ from repro.detectors import (
 )
 from repro.eval import DetectorSpec, SelectiveTrainingExperiment, default_detector_factories
 from repro.glucose import GlucoseModelZoo
+from repro.obs import Observer
 from repro.risk import SelectionPlanner, TrainingSelection
-from repro.utils.workers import map_in_workers, split_by_cost
+from repro.utils.workers import _openblas_thread_controls, map_in_workers, split_by_cost
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
@@ -31,6 +36,11 @@ needs_fork = pytest.mark.skipif(
 def tagged(item):
     """The item with the pid of the process that ran it."""
     return item, os.getpid()
+
+
+def blas_threads(item):
+    """The item with the OpenBLAS thread count and the pid it ran under."""
+    return item, _openblas_thread_controls()[0](), os.getpid()
 
 
 def fail_on_three(item):
@@ -142,6 +152,22 @@ class TestMapInWorkers:
         with pytest.raises(ValueError, match=r"^boom 3$"):
             map_in_workers(fail_on_three, [1, 2, 3], costs=[1, 1, 10])
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(_openblas_thread_controls() is None, reason="needs OpenBLAS")
+    def test_shares_divide_the_blas_threads_and_give_them_back(self, pin_cpus):
+        pin_cpus(2)
+        get, set_ = _openblas_thread_controls()
+        before = get()
+        set_(2)
+        try:
+            results = map_in_workers(blas_threads, [1, 2], costs=[2, 1])
+            after = get()
+        finally:
+            set_(before)
+        # One thread per share, in the caller and in the worker.
+        assert [threads for _, threads, _ in results] == [1, 1]
+        assert len({pid for _, _, pid in results}) == 2
+        assert after == 2
 
     def test_one_cpu_caller_forks_nothing(self, pin_cpus):
         pin_cpus(1)
@@ -339,4 +365,145 @@ def test_run_without_training_windows_reraises_in_the_caller(
     with pytest.raises(ValueError) as raised:
         experiment.run({"Custom": selection})
     assert type(raised.value) is ValueError and str(raised.value) == expected
+    assert multiprocessing.active_children() == []
+
+
+# ------------------------------------------------------------ attack campaign
+def attack_record_state(record) -> tuple:
+    """Every field of a campaign record, windows as bytes."""
+
+    def comparable(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return value
+
+    result = record.result
+    return (
+        record.patient_label,
+        record.split,
+        record.window_index,
+        record.target_index,
+        [
+            (field.name, comparable(getattr(result, field.name)))
+            for field in dataclasses.fields(result)
+        ],
+    )
+
+
+@pytest.fixture
+def tagged_searches(monkeypatch):
+    """Tag every campaign record with the pid of the process that searched it."""
+    attack_group = AttackCampaign._attack_group
+
+    def tagged(self, job):
+        records = attack_group(self, job)
+        for patient_records in records:
+            for record in patient_records:
+                record.searched_in = os.getpid()
+        return records
+
+    monkeypatch.setattr(AttackCampaign, "_attack_group", tagged)
+
+
+def recording_factory(calls):
+    def factory(predictor):
+        calls.append(predictor)
+        return EvasionAttack(predictor)
+
+    return factory
+
+
+@needs_fork
+@pytest.mark.parametrize("split, stride", [("train", 8), ("test", 6)])
+def test_two_share_campaign_equals_one_share_bitwise(
+    tiny_zoo, tiny_cohort, pin_cpus, tagged_searches, split, stride
+):
+    """Searches in a worker come back with the caller's records, bitwise."""
+    runs = []
+    for count in (1, 2):
+        pin_cpus(count)
+        calls, observer = [], Observer()
+        result = AttackCampaign(
+            tiny_zoo, stride=stride, attack_factory=recording_factory(calls), obs=observer
+        ).run_cohort(tiny_cohort, split)
+        assert multiprocessing.active_children() == []
+        pids = {record.searched_in for record in result.records}
+        assert os.getpid() in pids and len(pids) == count
+        runs.append(
+            dict(
+                records=[attack_record_state(record) for record in result.records],
+                predictors=[id(predictor) for predictor in calls],
+                series=observer.registry.snapshot(),
+            )
+        )
+    # The personalized zoo: one search per patient, factories in cohort order.
+    assert runs[0]["predictors"] == [id(tiny_zoo.model_for(label)) for label in tiny_cohort.labels]
+    assert runs[0]["series"]
+    assert runs[0] == runs[1]
+
+
+class SearchError(Exception):
+    """Raised by a search that runs outside the caller."""
+
+
+class RaisingInWorkers(EvasionAttack):
+    def __init__(self, predictor, caller_pid):
+        super().__init__(predictor)
+        self.caller_pid = caller_pid
+
+    def attack_batch(self, windows, scenarios, **kwargs):
+        if os.getpid() != self.caller_pid:
+            raise SearchError(f"search of {len(windows)} windows failed")
+        return super().attack_batch(windows, scenarios, **kwargs)
+
+
+@needs_fork
+def test_search_raising_in_a_worker_reraises_in_the_caller(tiny_zoo, tiny_cohort, pin_cpus):
+    pin_cpus(2)
+    caller = os.getpid()
+    campaign = AttackCampaign(
+        tiny_zoo, stride=6, attack_factory=lambda predictor: RaisingInWorkers(predictor, caller)
+    )
+    with pytest.raises(SearchError) as raised:
+        campaign.run_cohort(tiny_cohort, "test")
+    assert type(raised.value) is SearchError
+    assert str(raised.value).startswith("search of ") and str(raised.value).endswith(" failed")
+    assert multiprocessing.active_children() == []
+
+
+def with_short_test_trace(record, length):
+    """``record`` with its test trace cut to ``length`` samples."""
+    test = SimulationResult(
+        **{
+            field.name: getattr(record.test, field.name)[:length]
+            if field.name != "meta"
+            else record.test.meta
+            for field in dataclasses.fields(SimulationResult)
+        }
+    )
+    return dataclasses.replace(record, test=test)
+
+
+@needs_fork
+def test_patients_without_windows_build_no_attack(tiny_zoo, tiny_cohort, pin_cpus):
+    """A patient whose trace is too short for a window makes no factory call."""
+    pin_cpus(2)
+    short = {"B_2", "A_2"}
+    length = tiny_zoo.dataset.history + tiny_zoo.dataset.horizon - 1
+    cohort = Cohort(
+        records={
+            label: with_short_test_trace(record, length) if label in short else record
+            for label, record in tiny_cohort.records.items()
+        }
+    )
+    assert all(len(cohort.records[label].cgm("test")) == length for label in short)
+    calls = []
+    result = AttackCampaign(
+        tiny_zoo, stride=6, attack_factory=recording_factory(calls)
+    ).run_cohort(cohort, "test")
+    kept = [label for label in cohort.labels if label not in short]
+    assert [id(predictor) for predictor in calls] == [
+        id(tiny_zoo.model_for(label)) for label in kept
+    ]
+    assert result.patient_labels == kept
     assert multiprocessing.active_children() == []
