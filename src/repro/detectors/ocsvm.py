@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.detectors.base import AnomalyDetector
-from repro.nn.functional import rowwise_matmul
+from repro.nn.functional import row_blocks, rowwise_matmul
 from repro.utils.rng import as_random_state
 from repro.utils.validation import check_fitted
 
@@ -51,20 +51,28 @@ def kernel_matrix(
 
     ``matmul(left, right.T)`` forms the inner products.  Scoring passes
     :func:`~repro.nn.functional.rowwise_matmul`, so a sample's kernel row
-    does not depend on the batch it came in.
+    does not depend on the batch it came in.  Each kernel is finished in
+    the buffer its first full-size result allocated, by the same operations
+    in the same order as the plain expressions (for the sigmoid
+    ``tanh(gamma * left @ right.T + coef0)``), so the bits are theirs.
     """
     if kernel == "linear":
         return matmul(left, right.T)
     if kernel == "rbf":
-        left_norm = np.sum(left**2, axis=1)[:, np.newaxis]
-        right_norm = np.sum(right**2, axis=1)[np.newaxis, :]
-        squared = np.maximum(left_norm + right_norm - matmul(2.0 * left, right.T), 0.0)
-        return np.exp(-gamma * squared)
+        values = np.sum(left**2, axis=1)[:, np.newaxis] + np.sum(right**2, axis=1)[np.newaxis, :]
+        values -= matmul(2.0 * left, right.T)
+        np.maximum(values, 0.0, out=values)
+        values *= -gamma
+        return np.exp(values, out=values)
+    if kernel not in ("sigmoid", "poly"):
+        raise ValueError(f"unknown kernel {kernel!r}; choose linear, rbf, sigmoid, or poly")
+    values = matmul(left, right.T)
+    values *= gamma
+    values += coef0
     if kernel == "sigmoid":
-        return np.tanh(gamma * matmul(left, right.T) + coef0)
-    if kernel == "poly":
-        return (gamma * matmul(left, right.T) + coef0) ** degree
-    raise ValueError(f"unknown kernel {kernel!r}; choose linear, rbf, sigmoid, or poly")
+        return np.tanh(values, out=values)
+    values **= degree
+    return values
 
 
 class OneClassSVMDetector(AnomalyDetector):
@@ -193,11 +201,16 @@ class OneClassSVMDetector(AnomalyDetector):
         """
         check_fitted(self, ("support_vectors_", "dual_coef_", "rho_"))
         scaled = self._apply_scaler(self._flatten(windows))
-        kernel = kernel_matrix(
-            scaled, self.support_vectors_, self.kernel, self.gamma_, self.coef0, self.degree,
-            matmul=rowwise_matmul,
-        )
-        return rowwise_matmul(kernel, self.dual_coef_[:, np.newaxis])[:, 0] - self.rho_
+        support = self.support_vectors_
+        decision = np.empty(len(scaled))
+        for rows in row_blocks(len(scaled), len(support) * support.itemsize):
+            kernel = kernel_matrix(
+                scaled[rows], support, self.kernel, self.gamma_, self.coef0, self.degree,
+                matmul=rowwise_matmul,
+            )
+            decision[rows] = rowwise_matmul(kernel, self.dual_coef_[:, np.newaxis])[:, 0]
+        decision -= self.rho_
+        return decision
 
     def scores(self, windows: np.ndarray) -> np.ndarray:
         return -self.decision_function(windows)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.nn.tensor import Tensor, as_tensor
@@ -29,6 +31,26 @@ def binary_cross_entropy_with_logits(logits, targets) -> Tensor:
 
 #: Row granularity of :func:`pad_rows` and :func:`rowwise_matmul`.
 ROW_BLOCK = 8
+
+#: Most bytes of work matrix one :func:`row_blocks` block holds: 72 rows of
+#: kNN distances to 1,677 references.  Larger blocks only raise the peak
+#: memory: kNN scoring runs as fast in blocks of 16 rows as of 512.
+BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(n: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices that cover ``range(n)`` once, in order.
+
+    Every block but the last is a whole number of :data:`ROW_BLOCK` rows
+    holding at most :data:`BLOCK_BYTES` of a work matrix of ``row_bytes``
+    per row, but never fewer than :data:`ROW_BLOCK` rows, even when those
+    exceed the budget.  Scorers whose products go through
+    :func:`rowwise_matmul` give the same bits at any block size, so the
+    budget bounds only their transient memory.
+    """
+    step = max(BLOCK_BYTES // max(row_bytes, 1) // ROW_BLOCK, 1) * ROW_BLOCK
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def pad_rows(rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Tests for the anomaly detectors (kNN, OneClassSVM, MAD-GAN, ensemble) and
 the training-set prologue every static detector shares."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from repro.detectors import (
     kernel_matrix,
     minkowski_distances,
 )
+from repro.nn import functional
+from repro.nn.functional import rowwise_matmul
 from repro.utils.timeseries import StandardScaler
 
 
@@ -69,6 +73,39 @@ class TestDistances:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             kernel_matrix(np.zeros((2, 2)), np.zeros((2, 2)), "mystery", 1.0, 0.0, 3)
+
+    @staticmethod
+    def _expression_kernel(left, right, kernel, gamma, coef0, degree, matmul):
+        """The plain expressions ``kernel_matrix`` evaluates in one buffer."""
+        if kernel == "linear":
+            return matmul(left, right.T)
+        if kernel == "rbf":
+            left_norm = np.sum(left**2, axis=1)[:, np.newaxis]
+            right_norm = np.sum(right**2, axis=1)[np.newaxis, :]
+            squared = np.maximum(left_norm + right_norm - matmul(2.0 * left, right.T), 0.0)
+            return np.exp(-gamma * squared)
+        if kernel == "sigmoid":
+            return np.tanh(gamma * matmul(left, right.T) + coef0)
+        return (gamma * matmul(left, right.T) + coef0) ** degree
+
+    @pytest.mark.parametrize("matmul", [np.matmul, rowwise_matmul])
+    @pytest.mark.parametrize(
+        "kernel, degree", [("linear", 3), ("rbf", 3), ("sigmoid", 3), ("poly", 2), ("poly", 3)]
+    )
+    def test_kernel_matrix_is_bitwise_the_expression(self, matmul, kernel, degree):
+        generator = np.random.default_rng(7)
+        data = generator.normal(size=(40, 48)) * 3.0
+        left = np.concatenate([data[:13], generator.normal(size=(4, 48))])
+        if kernel == "rbf":
+            # Rounding takes some distances of a point to itself below zero,
+            # so the clamp decides those entries.
+            norms = np.sum(left**2, axis=1)
+            raw = norms[:, None] + np.sum(data**2, axis=1)[None, :] - matmul(2.0 * left, data.T)
+            assert (raw < 0).any()
+        gamma, coef0 = 1.0 / 48, 0.5
+        expected = self._expression_kernel(left, data, kernel, gamma, coef0, degree, matmul)
+        got = kernel_matrix(left, data, kernel, gamma, coef0, degree, matmul=matmul)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestKNNClassifier:
@@ -132,6 +169,19 @@ class TestKNNDistance:
         detector = KNNDistanceDetector().fit(windows, labels)
         assert detector.predict(windows[:4]).shape == (4,)
 
+    def test_one_benign_sample_is_rejected(self, toy_detection_data):
+        """Calibration leaves out each sample's own distance, so a single
+        benign sample would calibrate a NaN threshold that never flags."""
+        windows, labels = toy_detection_data
+        with pytest.raises(ValueError, match="at least 2 benign samples"):
+            KNNDistanceDetector().fit(windows[:1])
+        one_benign = np.concatenate([windows[labels == 0][:1], windows[labels == 1]])
+        one_labels = np.concatenate([[0.0], labels[labels == 1]])
+        with pytest.raises(ValueError, match="at least 2 benign samples"):
+            KNNDistanceDetector().fit(one_benign, one_labels)
+        detector = KNNDistanceDetector().fit(windows[labels == 0][:2])
+        assert np.isfinite(detector.calibrator.threshold_)
+
 
 def _full_sort_mean_knn_distance(detector, scaled, exclude_self=False):
     """The top-k reference: every distance finished and the whole row sorted."""
@@ -147,9 +197,9 @@ class TestKNNTopK:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        n_references=st.integers(2, 12),
+        n_references=st.integers(2, 20),
         n_duplicates=st.integers(0, 6),
-        n_queries=st.integers(1, 9),
+        n_queries=st.integers(1, 30),
         n_neighbors=st.integers(1, 20),
         p=st.sampled_from([2.0, 1.0, 3.0]),
         seed=st.integers(0, 2**16),
@@ -162,16 +212,19 @@ class TestKNNTopK:
             [references, references[rng.integers(0, n_references, n_duplicates)]]
         )
         queries = rng.integers(0, 3, size=(n_queries, 2, 3)).astype(float)
-        detector = KNNDistanceDetector(n_neighbors=n_neighbors, p=p, batch_size=4)
-        detector.fit(references)
-        scaled = detector._apply_scaler(detector._flatten(queries))
-        np.testing.assert_array_equal(
-            detector.scores(queries), _full_sort_mean_knn_distance(detector, scaled)
-        )
-        np.testing.assert_array_equal(
-            detector._training_scores(),
-            _full_sort_mean_knn_distance(detector, detector._train_features, exclude_self=True),
-        )
+        detector = KNNDistanceDetector(n_neighbors=n_neighbors, p=p)
+        with pytest.MonkeyPatch.context() as patch:
+            # One byte: every block is ROW_BLOCK rows, so both sets span blocks.
+            patch.setattr(functional, "BLOCK_BYTES", 1)
+            detector.fit(references)
+            scaled = detector._apply_scaler(detector._flatten(queries))
+            np.testing.assert_array_equal(
+                detector.scores(queries), _full_sort_mean_knn_distance(detector, scaled)
+            )
+            np.testing.assert_array_equal(
+                detector._training_scores(),
+                _full_sort_mean_knn_distance(detector, detector._train_features, exclude_self=True),
+            )
 
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_k_equals_the_reference_count(self, toy_detection_data, exclude_self):
@@ -232,6 +285,33 @@ class TestOneClassSVM:
         detector = OneClassSVMDetector(kernel="sigmoid", coef0=10.0, nu=0.5, seed=0)
         detector.fit(windows[labels == 0][:40])
         assert detector.predict(windows[:5]).shape == (5,)
+
+
+def _traced_peak_mib(call) -> float:
+    """Peak bytes that ``call()`` allocates through Python and numpy, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """Fits score in byte-sized blocks and finish kernels in one buffer
+    (``tracemalloc`` peaks are deterministic: no timing involved)."""
+
+    def test_knn_distance_fit_on_serving_references(self):
+        references = np.random.default_rng(0).normal(size=(1677, 1, 4))
+        detector = KNNDistanceDetector()
+        # 512-row blocks of the self-excluded calibration peaked at 19.8 MiB.
+        assert _traced_peak_mib(lambda: detector.fit(references)) < 4.0
+
+    def test_default_one_class_svm_fit(self):
+        windows = np.random.default_rng(0).normal(size=(1071, 12, 4))
+        detector = OneClassSVMDetector()
+        # One 8.8 MiB Gram matrix; the plain sigmoid expression held two (17.9).
+        assert _traced_peak_mib(lambda: detector.fit(windows)) < 11.0
 
 
 class TestMADGAN:

@@ -10,11 +10,13 @@ concatenated piece scores to equal the full-batch scores byte for byte.
 kNN and OC-SVM products go through :func:`repro.nn.functional.rowwise_matmul`
 (fixed 8-row BLAS calls), which the first property pins over drawn shapes,
 including ones where a plain float64 matmul rounds a row differently per
-batch size.  The HMM uses no BLAS product.  The LSTM-VAE scores its batch
-padded to whole 8-window blocks (:func:`repro.nn.functional.pad_rows`) in
-one pass through the LSTM kernels, so its invariance also rests on how
-OpenBLAS rounds full blocks of a larger batch; it is checked at hidden
-sizes 8 to 32 (the repository serves 8, 12 and 16).
+batch size.  Both score in :func:`repro.nn.functional.row_blocks` blocks
+sized by bytes, so a score must not depend on where a block ends either.
+The HMM uses no BLAS product.  The LSTM-VAE scores its batch padded to
+whole 8-window blocks (:func:`repro.nn.functional.pad_rows`) in one pass
+through the LSTM kernels, so its invariance also rests on how OpenBLAS
+rounds full blocks of a larger batch; it is checked at hidden sizes 8 to
+32 (the repository serves 8, 12 and 16).
 """
 
 from functools import lru_cache
@@ -30,7 +32,8 @@ from repro.detectors import (
     LSTMVAEDetector,
     OneClassSVMDetector,
 )
-from repro.nn.functional import rowwise_matmul
+from repro.nn import functional
+from repro.nn.functional import ROW_BLOCK, row_blocks, rowwise_matmul
 
 from tests.conftest import make_toy_windows
 
@@ -43,6 +46,8 @@ def _shuffled(seed: int, n_benign: int, n_malicious: int):
 
 TRAIN_WINDOWS, TRAIN_LABELS = _shuffled(3, 300, 100)
 QUERIES = _shuffled(4, 450, 150)[0]
+# Where the kNN fixture's first scoring block ends: 400 float64 distances a row.
+KNN_BLOCK_END = next(row_blocks(len(QUERIES), 400 * 8)).stop
 
 
 def _views(windows: np.ndarray, unit: str) -> np.ndarray:
@@ -139,6 +144,40 @@ class TestRowwiseMatmul:
         assert rowwise_matmul(left, column).shape == (13, 1)
 
 
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        row_bytes=st.integers(0, 5000),
+        budget=st.integers(1, 20000),
+    )
+    def test_blocks_cover_every_row_in_order(self, n, row_bytes, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(functional, "BLOCK_BYTES", budget)
+            blocks = list(row_blocks(n, row_bytes))
+        assert [row for block in blocks for row in range(n)[block]] == list(range(n))
+        sizes = [len(range(n)[block]) for block in blocks]
+        assert all(sizes)
+        if len(sizes) > 1:
+            step, cost = sizes[0], max(row_bytes, 1)
+            assert set(sizes[:-1]) == {step} and step % ROW_BLOCK == 0 and sizes[-1] <= step
+            # Within the budget unless one ROW_BLOCK alone exceeds it, and
+            # not one ROW_BLOCK short of it.
+            assert step == ROW_BLOCK or step * cost <= budget
+            assert (step + ROW_BLOCK) * cost > budget
+
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 50])
+    def test_one_row_block_when_a_row_exceeds_the_budget(self, n):
+        blocks = list(row_blocks(n, functional.BLOCK_BYTES + 1))
+        assert [(block.start, block.stop) for block in blocks] == [
+            (start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK)
+        ]
+
+    def test_default_budget_at_the_serving_reference_count(self):
+        assert next(row_blocks(10_000, 1677 * 8)).stop == 72
+        assert KNN_BLOCK_END < len(QUERIES)
+
+
 class TestDetectorBatchInvariance:
     @settings(max_examples=25, deadline=None)
     @given(references=st.integers(8, 400), unit=units, batch=split_batches())
@@ -148,12 +187,12 @@ class TestDetectorBatchInvariance:
         assert_batch_invariant(detector.scores, _views(QUERIES[start : start + rows], unit), cuts)
 
     @settings(max_examples=10, deadline=None)
-    @given(unit=units, cuts=cut_points(513))
-    def test_knn_distance_across_the_512_row_chunk(self, unit, cuts):
+    @given(unit=units, cuts=cut_points(KNN_BLOCK_END + 1))
+    def test_knn_distance_across_the_block_boundary(self, unit, cuts):
         detector = knn_distance(400, unit)
-        assert detector.batch_size == 512
-        views = _views(QUERIES[:513], unit)
-        assert_batch_invariant(detector.scores, views, [512])
+        assert len(detector._train_features) == 400
+        views = _views(QUERIES[: KNN_BLOCK_END + 1], unit)
+        assert_batch_invariant(detector.scores, views, [KNN_BLOCK_END])
         assert_batch_invariant(detector.scores, views, cuts)
 
     @settings(max_examples=20, deadline=None)
@@ -214,3 +253,21 @@ class TestDetectorBatchInvariance:
         one toy window in fifteen scores differently in a one-row call."""
         views = _views(QUERIES[:150], unit)
         assert_batch_invariant(build().scores, views, list(range(1, len(views))))
+
+    @pytest.mark.parametrize(
+        "build, unit",
+        [
+            (lambda: knn_distance(400, "window"), "window"),
+            (lambda: knn_classifier(400, "sample", "uniform"), "sample"),
+            (lambda: knn_classifier(400, "window", "distance"), "window"),
+            (lambda: ocsvm("rbf", "window"), "window"),
+            (lambda: ocsvm("poly", "sample"), "sample"),
+        ],
+    )
+    @pytest.mark.parametrize("budget", [1, 3000, 1 << 30])
+    def test_any_block_budget(self, monkeypatch, build, unit, budget):
+        """One ROW_BLOCK per block, a few blocks, one block: the same bytes."""
+        detector, views = build(), _views(QUERIES, unit)
+        full = detector.scores(views)
+        monkeypatch.setattr(functional, "BLOCK_BYTES", budget)
+        assert detector.scores(views).tobytes() == full.tobytes()
